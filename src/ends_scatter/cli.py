@@ -17,9 +17,7 @@ error, 3 numerical non-convergence.
 
 Determinism: identical config and flags produce byte-identical output.
 All numerics are seed-free; iteration orders are fixed; floats are
-serialized with :func:`repr` round-trip formatting.  The worker pool
-over lambda cells is capped by ``ENDS_SCATTER_THREADS`` (default 1) and
-merges results by cell index, so the pool size never changes output.
+serialized with :func:`repr` round-trip formatting.
 """
 
 from __future__ import annotations
@@ -28,14 +26,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, default_config,
-                     load_config, thread_cap)
+from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .dynamics import (SpectralProfile, comparison_state, dollard_state,
                        leading_term, phase_modifier, shortrange_state,
                        state_norm)
@@ -101,15 +97,6 @@ def _write_csv(out_dir: str, name: str, header, rows) -> str:
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return path
-
-
-def _pool_map(fn: Callable, items):
-    """Deterministic parallel map: results ordered by input index."""
-    workers = thread_cap()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +166,12 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
     psi = _packet(grid, 1.0, 1.0, 0.3)
     lam0 = model.ends[run.end - 1].lambda0
 
-    def solve(lam):
-        phi, diag = limiting_resolvent(op, float(lam), psi, sign=+1)
-        rad = radiation_residual(op, float(lam), phi, psi, sign=+1)
-        return phi, diag, rad
-
     lams = [float(lam0 + lam) for lam in run.lambdas]
-    solved = _pool_map(solve, lams)
     entries = []
     worst = 0.0
-    for lam, (phi, diag, rad) in zip(lams, solved):
+    for lam in lams:
+        phi, diag = limiting_resolvent(op, lam, psi, sign=+1)
+        rad = radiation_residual(op, lam, phi, psi, sign=+1)
         imag = float(np.imag(grid.inner(psi, phi)))
         worst = max(worst, diag["interior_residual"])
         entries.append({"lambda": lam,
@@ -196,8 +179,7 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
                         "wronskian_drift": diag["wronskian_drift"],
                         "radiation_ratio": rad["ratio"],
                         "im_inner": imag, "positive": bool(imag > 0)})
-    phi_last = solved[-1][0]
-    rows = list(zip(grid.x, phi_last.real, phi_last.imag))
+    rows = list(zip(grid.x, phi.real, phi.imag))
     _write_csv(out_dir, "resolvent_state",
                ["x", "re_phi", "im_phi"], rows)
     ok = all(e["positive"] for e in entries)
@@ -212,11 +194,9 @@ def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
     lam0 = max(e.lambda0 for e in model.ends)
     lams = [float(lam0 + lam) for lam in run.lambdas]
 
-    def solve(lam):
-        return scattering_matrix(model, grid, lam, mmax=cfg.grid.mmax,
-                                 tol_s=run.tol_s, tol_f=run.tol_f)
-
-    data = _pool_map(solve, lams)
+    data = [scattering_matrix(model, grid, lam, mmax=cfg.grid.mmax,
+                              tol_s=run.tol_s, tol_f=run.tol_f)
+            for lam in lams]
     entries, rows = [], []
     worst = 0.0
     for lam, sd in zip(lams, data):
@@ -287,11 +267,9 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     sgrid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
     nodes = [h.lam_lo + 1e-3, 0.5 * (h.lam_lo + h.lam_hi), h.lam_hi - 1e-3]
 
-    def solve(lam):
-        return scattering_matrix(model, sgrid, float(lam), tol_s=run.tol_s,
-                                 tol_f=run.tol_f)
-
-    data = _pool_map(solve, nodes)
+    data = [scattering_matrix(model, sgrid, float(lam), tol_s=run.tol_s,
+                              tol_f=run.tol_f)
+            for lam in nodes]
     svals = [abs(sd.blocks[0, end_to, h.end]) for sd in data]
     sig_min = min(transmission_metric(sd, i=end_to, j=h.end)["sigma_min"]
                   for sd in data)

@@ -65,7 +65,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "default_config",
-    "thread_cap",
 ]
 
 _PRESETS = ("free", "A", "B", "C", "D")
@@ -378,11 +377,3 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.source = path
     return cfg
 
-
-def thread_cap() -> int:
-    """Worker cap from ENDS_SCATTER_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("ENDS_SCATTER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

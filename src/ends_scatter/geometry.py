@@ -5,7 +5,8 @@ The surface is a line coordinate ``x`` with two ends: end 0 sits at
 (``r = -x``).  Each end carries a warp factor ``f(r)`` (circle length
 ``2 pi f``); outside the core ``|x| >= r0/2`` the metric is exactly the
 warped product ``dr^2 + f(r)^2 dtheta^2``, inside the core the log-warp
-is a C^2 quintic interpolant between the two ends.
+is a degree-9 Hermite interpolant between the two ends (f is C^4 and the
+reduced potentials are C^2 across the glue).
 
 The effective (half-density reduced) potential of ``-Laplacian/2`` is
 
@@ -249,9 +250,9 @@ class ManifoldModel:
     """Two end profiles glued over the core |x| <= r0/2.
 
     End 0 lives on x > 0 (r = x), end 1 on x < 0 (r = -x).  The log-warp
-    g(x) is the end value outside the core and a quintic Hermite
-    interpolant (matching value and two derivatives at +-r0/2) inside,
-    so f is C^2 across the glue and exact on the ends.
+    g(x) is the end value outside the core and a degree-9 Hermite
+    interpolant (matching value and four derivatives at +-r0/2) inside,
+    so f is C^4 across the glue and exact on the ends.
     """
 
     def __init__(self, ends: Sequence[EndProfile], r0: float = 2.0,
@@ -270,6 +271,8 @@ class ManifoldModel:
         self.core_breakpoints = tuple(core_breakpoints)
         self.name = name
         self._core_poly = self._fit_core()
+        self._core_dpoly = self._core_poly.deriv(1)
+        self._core_ddpoly = self._core_poly.deriv(2)
 
     # -- core glue ----------------------------------------------------------
 
@@ -325,11 +328,11 @@ class ManifoldModel:
 
     def gp(self, x):
         e0, e1 = self.ends
-        return self._piecewise(x, e0.gp, lambda r: -np.asarray(e1.gp(r)), self._core_poly.deriv(1))
+        return self._piecewise(x, e0.gp, lambda r: -np.asarray(e1.gp(r)), self._core_dpoly)
 
     def gpp(self, x):
         e0, e1 = self.ends
-        return self._piecewise(x, e0.gpp, e1.gpp, self._core_poly.deriv(2))
+        return self._piecewise(x, e0.gpp, e1.gpp, self._core_ddpoly)
 
     def f(self, x):
         return np.exp(self.g(x))

@@ -100,9 +100,8 @@ def half_density_map(model: ManifoldModel, state: RadialState, to: str = "flat")
 class ModeOperator:
     """Reduced Hamiltonian H_m = -d^2/dx^2 / 2 + W_m on the flat line.
 
-    Provides the sampled potential, a symmetric finite-difference matrix
-    in banded form (Dirichlet at the grid ends), and the smooth potential
-    callable used by the ODE integrators.
+    Provides the sampled potential and a symmetric finite-difference
+    matrix in banded form (Dirichlet at the grid ends).
     """
 
     def __init__(self, model: ManifoldModel, grid: RadialGrid, m: int,
@@ -114,9 +113,6 @@ class ModeOperator:
         self.m = int(m)
         self.stencil_order = stencil_order
         self.w = model.w_mode(m, grid.x)
-
-    def w_fn(self, x):
-        return self.model.w_mode(self.m, x)
 
     def check_resolution(self, lam_max: float, points_per_wavelength: int = 12) -> None:
         """Require >= 12 grid points per local wavelength at the largest

@@ -6,7 +6,9 @@ the main modules, so it can serve as an oracle for them:
 * plane-wave matching for free-line and square-barrier scattering,
 * the free-line outgoing Green kernel,
 * a dense symmetric 2-d Hamiltonian on a small truncated (x, theta) grid,
-* resolvents at small positive imaginary part by direct banded solves.
+* resolvents at small positive imaginary part by direct banded solves,
+* an adaptive DOP853 march of the mode ODE, the reference for the Magnus
+  Jost marcher.
 
 All functions are deterministic (no RNG, no environment dependence).
 """
@@ -18,6 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.integrate import solve_ivp
 
 from .geometry import ManifoldModel
 from .mode_reduction import ModeOperator, RadialGrid
@@ -28,6 +31,7 @@ __all__ = [
     "dense_hamiltonian_2d",
     "embed_mode_state",
     "small_eps_resolvent",
+    "reference_march",
 ]
 
 
@@ -151,3 +155,33 @@ def small_eps_resolvent(op: ModeOperator, lam: float, eps: float,
     ab[mid] -= lam + 1j * eps
     l = u = mid
     return scipy.linalg.solve_banded((l, u), ab, np.asarray(psi, dtype=complex))
+
+
+def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0):
+    """(u, u') of u'' = 2 (W_m - lam) u at the monotone nodes ``x``, from
+    y0 = (u, u') at x[0].
+
+    Adaptive DOP853 (rtol 1e-12) that evaluates W_m at every right-hand-side
+    call and restarts at each breakpoint of the model, so no step straddles
+    a jump.  Returns (u, du) at ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    lo, hi = min(x[0], x[-1]), max(x[0], x[-1])
+    pts = [b for b in model.breakpoints() if lo < b < hi]
+    stops = sorted({x[0], x[-1], *pts}, reverse=bool(x[-1] < x[0]))
+
+    def rhs(s, y):
+        return np.array([y[1], 2.0 * (model.w_mode(m, s) - lam) * y[0]])
+
+    u = np.empty(x.size, dtype=complex)
+    du = np.empty(x.size, dtype=complex)
+    y = np.asarray(y0, dtype=complex)
+    for a, b in zip(stops[:-1], stops[1:]):
+        sel = (min(a, b) - 1e-12 <= x) & (x <= max(a, b) + 1e-12)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-12,
+                        atol=1e-14, dense_output=True)
+        if not sol.success:
+            raise RuntimeError(f"reference march failed on [{a}, {b}]: {sol.message}")
+        u[sel], du[sel] = sol.sol(x[sel])
+        y = sol.y[:, -1]
+    return u, du

@@ -3,10 +3,19 @@
 For each angular mode the reduced operator is a 1-d Schroedinger operator
 on the line.  The two Jost solutions are launched at the outer grid ends
 with WKB initial data built from the improved phase ``a`` (outgoing for
-the +i0 boundary value, incoming for -i0) and integrated inward; the
+the +i0 boundary value, incoming for -i0) and marched inward; the
 resolvent is then the usual Green kernel
 
     G(x, y) = 2 u_<(min) u_>(max) / W,   W = u_<' u_> - u_< u_>'.
+
+The march is a fourth-order Magnus scheme on the grid cells (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 2009).  W_m is sampled once, at the
+two Gauss nodes of every cell, and each cell's real 2x2 transfer matrix
+is a closed-form exponential of a traceless matrix, so it has unit
+determinant and the Wronskian of the pair is conserved to roundoff.  A
+log-depth prefix product of the transfer matrices gives (u, u') at every
+node.  Breakpoints of the potential that fall between grid nodes split
+their cell; a launch radius beyond the grid is reached in steps <= dx.
 
 Inward marching is the stable direction on both sides (through a
 classically forbidden core the physical solution grows towards the core),
@@ -19,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import ManifoldModel, phase_a, phase_b
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
@@ -61,39 +69,78 @@ class JostPair:
         return float(np.max(np.abs(w - w0)) / max(abs(w0), 1e-300))
 
 
-def _march(op: ModeOperator, lam: float, x_from: float, x_to: float,
-           y0, x_eval: np.ndarray, rtol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate u'' = 2 (W - lam) u from x_from to x_to, splitting the run
-    at potential breakpoints, returning (u, u') at x_eval (sorted in
-    integration direction)."""
-    model = op.model
+# Gauss-Legendre nodes of a unit cell, where W_m is sampled
+_GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+
+
+def _march_nodes(model: ManifoldModel, grid: RadialGrid,
+                 r_launch: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes of the Jost marches and the positions of the grid nodes among
+    them.  The grid is extended to +-r_launch in steps <= dx, and every
+    breakpoint that falls strictly between two nodes becomes a node, so
+    no Gauss cell straddles a jump of the potential."""
+    x = grid.x
+    pad = r_launch - grid.rmax
+    if pad > 0.0:
+        k = int(np.ceil(pad / grid.dx * (1.0 - 1e-12)))
+        ext = grid.rmax + pad * np.arange(1, k + 1) / k
+        nodes = np.concatenate((-ext[::-1], x, ext))
+    else:
+        nodes = x
     brk = model.breakpoints()
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    pts = [b for b in brk if lo < b < hi]
-    stops = sorted({x_from, x_to, *pts}, reverse=(x_from > x_to))
+    brk = brk[np.abs(brk) < r_launch]
+    gap = np.min(np.abs(brk[:, None] - nodes[None, :]), axis=1)
+    nodes = np.sort(np.concatenate((nodes, brk[gap > 1e-9 * grid.dx])))
+    return nodes, np.searchsorted(nodes, x)
 
-    def rhs(x, y):
-        return np.array([y[1], 2.0 * (op.w_fn(x) - lam) * y[0]])
 
-    u_out = np.empty(x_eval.size, dtype=complex)
-    du_out = np.empty(x_eval.size, dtype=complex)
-    y = np.asarray(y0, dtype=complex)
-    forward = x_to > x_from
-    for a, b in zip(stops[:-1], stops[1:]):
-        if forward:
-            sel = (x_eval >= a - 1e-12) & (x_eval <= b + 1e-12)
-        else:
-            sel = (x_eval <= a + 1e-12) & (x_eval >= b - 1e-12)
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
-                        atol=rtol * 1e-2, dense_output=True)
-        if not sol.success:
-            raise RuntimeError(f"Jost integration failed on [{a}, {b}]: {sol.message}")
-        if np.any(sel):
-            vals = sol.sol(x_eval[sel])
-            u_out[sel] = vals[0]
-            du_out[sel] = vals[1]
-        y = sol.y[:, -1]
-    return u_out, du_out
+def _transfer(model: ManifoldModel, m: int, lam: float,
+              nodes: np.ndarray) -> np.ndarray:
+    """Real 2x2 matrices taking (u, u') across each cell of ``nodes``,
+    stacked along the last axis: shape (2, 2, cells).
+
+    Fourth-order Magnus step for y' = [[0, 1], [q, 0]] y, q = 2 (W_m - lam),
+    with W_m sampled at the two Gauss nodes of every cell in one call:
+
+        Omega = [[alpha, h], [h qbar, -alpha]],  qbar = (q1 + q2) / 2,
+        alpha = (sqrt(3) / 12) h^2 (q1 - q2).
+
+    Omega is traceless, so exp(Omega) = cosh(mu) + sinh(mu) / mu * Omega
+    with mu^2 = alpha^2 + h^2 qbar; every matrix has unit determinant.
+    """
+    h = np.diff(nodes)
+    xs = nodes[:-1, None] + h[:, None] * _GAUSS
+    q = 2.0 * (model.w_mode(m, xs.ravel()).reshape(-1, 2) - lam)
+    qbar = 0.5 * (q[:, 0] + q[:, 1])
+    alpha = np.sqrt(3.0) / 12.0 * h**2 * (q[:, 0] - q[:, 1])
+    mu2 = alpha**2 + h**2 * qbar
+    mu = np.sqrt(np.abs(mu2))
+    growing = mu2 > 0.0
+    c = np.where(growing, np.cosh(mu), np.cos(mu))
+    s = np.ones_like(mu)
+    nz = mu > 0.0
+    s[nz] = np.where(growing[nz], np.sinh(mu[nz]), np.sin(mu[nz])) / mu[nz]
+    return np.array([[c + s * alpha, s * h], [s * h * qbar, c - s * alpha]])
+
+
+def _inverse(mats: np.ndarray) -> np.ndarray:
+    """Inverses of stacked unit-determinant 2x2 matrices (the adjugates)."""
+    return np.array([[mats[1, 1], -mats[0, 1]], [-mats[1, 0], mats[0, 0]]])
+
+
+def _sweep(mats: np.ndarray, y0) -> np.ndarray:
+    """States y_k = mats[..., k-1] ... mats[..., 0] y0 for k = 0..cells,
+    as rows (u, u').  The prefix products come from a log-depth doubling
+    scan over the stacked matrices."""
+    prod = mats.copy()
+    shift = 1
+    while shift < prod.shape[-1]:
+        a, b = prod[..., shift:], prod[..., :-shift]
+        prod[..., shift:] = a[:, :1] * b[0] + a[:, 1:] * b[1]
+        shift *= 2
+    y0 = np.asarray(y0, dtype=complex)
+    return np.concatenate((y0[:, None], prod[:, 0] * y0[0] + prod[:, 1] * y0[1]),
+                          axis=1)
 
 
 def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
@@ -113,8 +160,7 @@ def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
 
 
 def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
-              rtol: float = 1e-10, rmax_pad: float = 1.0,
-              _retries: int = 2) -> JostPair:
+              rmax_pad: float = 1.0, _retries: int = 2) -> JostPair:
     """Construct the Jost pair at energy lam (> both thresholds).
 
     The launch radius is ``rmax_pad * rmax``; if the Wronskian degenerates
@@ -127,28 +173,28 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
         if lam <= model.ends[end].lambda0:
             raise ValueError(f"lam={lam} at or below the threshold of end {end}")
     r_lam = model.r_lambda(lam)
-    x = grid.x
     r_launch = rmax_pad * grid.rmax
+    nodes, on_grid = _march_nodes(model, grid, r_launch)
+    mats = _transfer(model, op.m, lam, nodes)
 
+    # end 0 launches at x = +r_launch and marches towards -x
     u0, dudr = _launch_data(model, 0, lam, sign, r_launch, r_lam)
-    u_r, du_r = _march(op, lam, r_launch, -grid.rmax, (u0, dudr), x, rtol)
-
+    u_r, du_r = _sweep(_inverse(mats)[..., ::-1], (u0, dudr))[:, ::-1][:, on_grid]
+    # end 1 launches at x = -r_launch; there d/dx = -d/dr
     u0, dudr = _launch_data(model, 1, lam, sign, r_launch, r_lam)
-    # on end 1, d/dx = -d/dr
-    u_l, du_l = _march(op, lam, -r_launch, grid.rmax, (u0, -dudr), x, rtol)
+    u_l, du_l = _sweep(mats, (u0, -dudr))[:, on_grid]
 
     pair = JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam)
     scale = (np.max(np.abs(u_l)) * np.max(np.abs(u_r))
              * np.sqrt(2.0 * (lam - model.lambda_crit)))
     if abs(pair.wronskian) < 1e-8 * max(scale, 1e-300) and _retries > 0:
-        return jost_pair(op, lam, sign, rtol=rtol,
-                         rmax_pad=1.1 * rmax_pad, _retries=_retries - 1)
+        return jost_pair(op, lam, sign, rmax_pad=1.1 * rmax_pad,
+                         _retries=_retries - 1)
     return pair
 
 
 def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
-                       sign: int = +1, rtol: float = 1e-10,
-                       pair: Optional[JostPair] = None):
+                       sign: int = +1, pair: Optional[JostPair] = None):
     """phi = (H_m - lam -+ i0)^-1 psi on the grid.
 
     Returns (phi, diag); diag carries the Wronskian drift and the
@@ -158,7 +204,7 @@ def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
     grid = op.grid
     psi = np.asarray(psi, dtype=complex)
     if pair is None:
-        pair = jost_pair(op, lam, sign, rtol=rtol)
+        pair = jost_pair(op, lam, sign)
     w = pair.wronskian
     dx = grid.dx
 
@@ -188,7 +234,7 @@ def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
 
 
 def _radial_derivative(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    """d phi / dr on each end (d/dx on end 0, -d/dx on end 1), 4th order."""
+    """d phi / dr on each end (d/dx on end 0, -d/dx on end 1), 2nd order."""
     dphi = np.gradient(phi, grid.dx, edge_order=2)
     return np.where(grid.x >= 0, dphi, -dphi)
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ends_scatter.config import (ConfigError, GridConfig, RunConfig,
-                                 default_config, load_config, parse_config,
-                                 thread_cap)
+                                 default_config, load_config, parse_config)
 
 FULL = """
 [model]
@@ -126,17 +125,6 @@ def test_load_config_records_source(tmp_path):
     assert cfg.source == str(p)
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.cfg"))
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("ENDS_SCATTER_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("ENDS_SCATTER_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("ENDS_SCATTER_THREADS", "0")
-    assert thread_cap() == 1
-    monkeypatch.setenv("ENDS_SCATTER_THREADS", "banana")
-    assert thread_cap() == 1
 
 
 def test_run_config_validation_direct():

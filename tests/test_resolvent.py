@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from ends_scatter.fourier import scattering_matrix
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
-from ends_scatter.oracle import free_green
-from ends_scatter.presets import model_a, model_b, model_free
-from ends_scatter.resolvent import (jost_pair, limiting_resolvent,
-                                    radiation_residual, sommerfeld_check)
+from ends_scatter.oracle import (closed_form_scattering, free_green,
+                                 reference_march)
+from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
+from ends_scatter.resolvent import (_launch_data, jost_pair,
+                                    limiting_resolvent, radiation_residual,
+                                    sommerfeld_check)
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +98,57 @@ def test_jost_pair_rejects_subthreshold_energy():
     op = ModeOperator(model_b(), grid, 0)
     with pytest.raises(ValueError):
         jost_pair(op, 0.1)  # below the 1/8 threshold of the hyperbolic end
+
+
+def _march_error(pair):
+    """Largest relative (u, u') error of both Jost solutions against the
+    DOP853 reference marched from the same launch node."""
+    x = pair.op.grid.x
+    model, m = pair.op.model, pair.op.m
+    errs = []
+    for u, du, order in ((pair.u_right, pair.du_right, slice(None, None, -1)),
+                         (pair.u_left, pair.du_left, slice(None))):
+        u, du = u[order], du[order]
+        ru, rdu = reference_march(model, m, pair.lam, x[order], (u[0], du[0]))
+        errs += [np.max(np.abs(u - ru)) / np.max(np.abs(ru)),
+                 np.max(np.abs(du - rdu)) / np.max(np.abs(rdu))]
+    return max(errs)
+
+
+@pytest.mark.parametrize("model,m,lam", [
+    (model_a(), 0, 0.5), (model_b(), 0, 0.6), (model_b(), 1, 0.6),
+    (model_c(), 0, 0.5), (model_d(), 0, 0.9)], ids=["A", "B0", "B1", "C", "D"])
+def test_magnus_march_matches_reference(model, m, lam):
+    pair = jost_pair(ModeOperator(model, RadialGrid(20.0, 0.01), m), lam)
+    assert _march_error(pair) <= 1e-8
+    assert pair.wronskian_drift <= 1e-12
+
+
+def test_breakpoint_between_nodes_splits_its_cell():
+    """The barrier edges at +-0.995 fall mid-cell on the dx = 0.01 grid."""
+    model = model_d(half_width=0.995)
+    grid = RadialGrid(20.0, 0.01)
+    lam = 0.9
+    pair = jost_pair(ModeOperator(model, grid, 0), lam)
+    assert _march_error(pair) <= 1e-8
+    sd = scattering_matrix(model, grid, lam)
+    oc = closed_form_scattering("square_well", lam, v0=1.5, half_width=0.995)
+    assert np.max(np.abs(np.abs(sd.blocks[0]) - oc["s_abs"])) <= 1e-4
+
+
+def test_launch_outside_the_grid():
+    """rmax_pad > 1 marches the launch data onto the grid first."""
+    model = model_a()
+    grid = RadialGrid(40.0, 0.02)
+    op = ModeOperator(model, grid, 0)
+    lam = 0.6
+    pair = jost_pair(op, lam, rmax_pad=1.1)
+    assert pair.wronskian_drift <= 1e-12
+    r_launch = 1.1 * grid.rmax
+    y0 = _launch_data(model, 0, lam, +1, r_launch, pair.r_lam)
+    ru, rdu = reference_march(model, 0, lam, [r_launch, grid.rmax], y0)
+    assert abs(pair.u_right[-1] - ru[-1]) <= 1e-8 * abs(ru[-1])
+    assert abs(pair.du_right[-1] - rdu[-1]) <= 1e-8 * abs(rdu[-1])
+    psi = np.exp(-(grid.x - 1.0) ** 2).astype(complex)
+    _, diag = limiting_resolvent(op, lam, psi, pair=pair)
+    assert diag["interior_residual"] < 1e-5
