@@ -39,7 +39,6 @@ from .geometry import (
     ManifoldModel,
     classify_potential,
     critical_energy,
-    effective_potential,
     phase_a,
     phase_b,
     riccati_residual,

@@ -322,6 +322,9 @@ _COMMANDS = {
     "oracle": _cmd_oracle,
 }
 
+# the tolerance each subcommand reads, and so the target of its --tol
+_TOL_KEYS = {"smatrix": "tol_s", "waveop": "tol_w", "transmission": "tol_s"}
+
 
 # ---------------------------------------------------------------------------
 # argument parsing
@@ -344,9 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override [run] lambda_grid, lo:hi:count")
         p.add_argument("--t-grid", dest="t_grid",
                        help="override [run] t_grid, comma separated")
-        p.add_argument("--tol", type=float,
-                       help="override the tolerance of this subcommand "
-                            "(tol_s for smatrix, tol_w for waveop, ...)")
+        if name in _TOL_KEYS:
+            p.add_argument("--tol", type=float,
+                           help=f"override [run] {_TOL_KEYS[name]}")
         if name == "oracle":
             p.add_argument("--kind", choices=("free", "square_well"),
                            default="square_well")
@@ -375,11 +378,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
                 float(tok) for tok in args.t_grid.replace(",", " ").split()))
         except ValueError:
             raise ConfigError(f"--t-grid {args.t_grid!r} is malformed")
-    if args.tol is not None:
-        key = {"smatrix": "tol_s", "waveop": "tol_w",
-               "resolvent": "tol_f", "transmission": "tol_s"}.get(args.command)
-        if key:
-            run = replace(run, **{key: args.tol})
+    if getattr(args, "tol", None) is not None:
+        run = replace(run, **{_TOL_KEYS[args.command]: args.tol})
     run.validate()
     cfg.run = run
     return cfg

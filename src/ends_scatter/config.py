@@ -36,7 +36,6 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
     tol_s = 1e-6
     tol_f = 1e-4
     tol_w = 1e-3
-    tol_adj = 1e-3
 
 All sections except [model] are optional; missing keys take the defaults
 shown by ``default_config()``.  Validation failures raise
@@ -102,7 +101,6 @@ class RunConfig:
     tol_s: float = 1e-6
     tol_f: float = 1e-4
     tol_w: float = 1e-3
-    tol_adj: float = 1e-3
 
     def validate(self) -> None:
         lo, hi, n = self.lambda_grid
@@ -116,7 +114,7 @@ class RunConfig:
             raise ConfigError("[run] profile_width must be positive")
         if self.dt <= 0:
             raise ConfigError("[run] dt must be positive")
-        for k in ("tol_s", "tol_f", "tol_w", "tol_adj"):
+        for k in ("tol_s", "tol_f", "tol_w"):
             if getattr(self, k) <= 0:
                 raise ConfigError(f"[run] {k} must be positive")
 
@@ -357,7 +355,6 @@ def parse_config(text: str, base: str = ".") -> ExperimentConfig:
         tol_s=_get_float(rsec, "tol_s", 1e-6),
         tol_f=_get_float(rsec, "tol_f", 1e-4),
         tol_w=_get_float(rsec, "tol_w", 1e-3),
-        tol_adj=_get_float(rsec, "tol_adj", 1e-3),
     )
     run.validate()
 

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from .geometry import ManifoldModel, bump, phase_b, phase_integral
+from .geometry import ManifoldModel, bump, integral_from_r0, phase_integral
 
 __all__ = [
     "SpectralProfile",
@@ -337,7 +338,9 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     probe = prof.q1(np.linspace(model.r0, r[-1], 64))
     separable = float(np.ptp(probe)) < 1e-13
     if separable:
-        e_of_r = _cumulative_eta(model, end, r, r_lam)
+        # E(r) = int_{r0}^r eta_lambda ds
+        e_of_r = integral_from_r0(model, r,
+                                  lambda s: model.cutoffs.eta(s, r_lam))
         b_lam = np.sqrt(2.0 * (lam - prof.q1(np.array([r[-1]]))[0]))
         for i0 in range(0, n_lam, 512):
             sl = slice(i0, min(i0 + 512, n_lam))
@@ -359,16 +362,6 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
             out += tmp
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out
-
-
-def _cumulative_eta(model: ManifoldModel, end: int, r: np.ndarray,
-                    r_lam: float) -> np.ndarray:
-    """E(r) = int_{r0}^r eta_lambda ds on a sorted radial grid."""
-    rr = np.unique(np.concatenate((r, [model.r0])))
-    eta = model.cutoffs.eta(rr, r_lam)
-    acc = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(rr) * (eta[1:] + eta[:-1]))))
-    acc -= np.interp(model.r0, rr, acc)
-    return np.interp(r, rr, acc)
 
 
 def shortrange_state(model: ManifoldModel, h: SpectralProfile, t: float,
@@ -406,9 +399,8 @@ def _free_form_state(model, h, t, r, sign, dr, dollard: bool):
     if dollard:
         order = np.argsort(r[msk])
         rs = r[msk][order]
-        qq = prof.q1(rs) - lam0
-        acc = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(rs) * (qq[1:] + qq[:-1]))))
-        acc -= np.interp(model.r0, rs, acc, left=0.0)
+        # the secular integral starts at the first node above r0
+        acc = cumulative_trapezoid(prof.q1(rs) - lam0, rs, initial=0)
         q_int = np.empty_like(acc)
         q_int[order] = acc
         k = k - (t / rr) * q_int

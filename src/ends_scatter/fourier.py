@@ -24,7 +24,8 @@ import numpy as np
 
 from .geometry import ManifoldModel, bump, phase_a, phase_b, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
-from .resolvent import JostPair, jost_pair, limiting_resolvent
+from .resolvent import (JostPair, _radial_derivative, jost_pair,
+                        limiting_resolvent)
 
 __all__ = [
     "BoundaryField",
@@ -176,8 +177,8 @@ def _probe_states(grid: RadialGrid, model: ManifoldModel, n_per_end: int = 2):
 
 
 def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
-                      mmax: int = 0, tol_s: float = 1e-6, tol_f: float = 1e-4,
-                      stencil_order: int = 4, n_probe: int = 2) -> ScatteringData:
+                      mmax: int = 0, tol_s: float = 1e-6,
+                      tol_f: float = 1e-4) -> ScatteringData:
     """Assemble S(lam) mode block by mode block.
 
     For each |m| <= mmax the probe family is pushed through both signed
@@ -186,12 +187,12 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
     unitarity defect max_m ||S_m* S_m - 1|| is reported and compared to
     tol_s in the diagnostics.
     """
-    probes = _probe_states(grid, model, n_probe)
+    probes = _probe_states(grid, model)
     modes = tuple(range(0, mmax + 1))
     blocks = np.zeros((len(modes), 2, 2), dtype=complex)
     per_mode = []
     for i, m in enumerate(modes):
-        op = ModeOperator(model, grid, m, stencil_order=stencil_order)
+        op = ModeOperator(model, grid, m)
         cols_p = np.zeros((2, len(probes)), dtype=complex)
         cols_m = np.zeros((2, len(probes)), dtype=complex)
         pair_p = jost_pair(op, lam, +1)
@@ -296,8 +297,7 @@ def eigenfunction_decompose(op: ModeOperator, lam: float, phi_line: np.ndarray,
     grid = op.grid
     if r_lam is None:
         r_lam = model.r_lambda(lam)
-    dphi = np.gradient(phi_line, grid.dx, edge_order=2)
-    dphi_r = np.where(grid.x >= 0, dphi, -dphi)
+    dphi_r = _radial_derivative(grid, phi_line)
     xi_p = np.zeros(2, dtype=complex)
     xi_m = np.zeros(2, dtype=complex)
     diag = {"ends": []}

@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "CutoffFamily",
     "EndProfile",
     "ManifoldModel",
-    "effective_potential",
     "critical_energy",
     "phase_b",
     "phase_a",
@@ -43,6 +43,7 @@ __all__ = [
     "bump",
     "smooth_step",
     "phase_integral",
+    "integral_from_r0",
 ]
 
 
@@ -124,9 +125,9 @@ class EndProfile:
     vectorized callables of the radial coordinate.  ``q1`` is the
     reference tail for this end (must be defined for all r >= 0 and
     vanish, up to its threshold value ``lambda0``, inside r <= r0/2 so
-    the global potential split stays smooth); ``q11`` defaults to
-    ``q1``.  ``v_tail`` is an extra potential supported in the end
-    region (enters q but not necessarily q1).
+    the global potential split stays smooth).  ``v_tail`` is an extra
+    potential supported in the end region (enters q but not necessarily
+    q1).
     """
 
     name: str
@@ -135,8 +136,6 @@ class EndProfile:
     gpp: Callable
     lambda0: float = 0.0
     q1: Optional[Callable] = None
-    q11: Optional[Callable] = None
-    dq11: Optional[Callable] = None
     v_tail: Optional[Callable] = None
     decay: Tuple[float, float, float] = (1.0, 1.0, 1.0)  # (sigma, tau, rho)
     breakpoints: Tuple[float, ...] = ()
@@ -145,11 +144,6 @@ class EndProfile:
         if self.q1 is None:
             lam0 = self.lambda0
             self.q1 = lambda r, _l=lam0: np.full_like(np.asarray(r, dtype=float), _l)
-        if self.q11 is None:
-            self.q11 = self.q1
-        if self.dq11 is None:
-            q11 = self.q11
-            self.dq11 = lambda r: numeric_derivative(q11, r)
 
     def f(self, r):
         return np.exp(self.g(r))
@@ -421,11 +415,6 @@ class ManifoldModel:
 # operations
 # ---------------------------------------------------------------------------
 
-def effective_potential(model: ManifoldModel, x):
-    """q = V + curvature term, on the whole line (core correction included)."""
-    return model.q(x)
-
-
 def critical_energy(model_or_end, end: Optional[int] = None,
                     r_start: float = 8.0, tol: float = 1e-10,
                     max_doublings: int = 40):
@@ -485,7 +474,7 @@ def phase_b(model: ManifoldModel, end: int, z, r, r_lam: Optional[float] = None)
 
 def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
             r_lam: Optional[float] = None):
-    """Improved phase a = b -+ (i/4) eta_lambda q11' / (z - q1).
+    """Improved phase a = b -+ (i/4) eta_lambda q1' / (z - q1).
 
     ``sign=+1`` corresponds to the outgoing branch (solutions behaving
     like exp(+i int a)), ``sign=-1`` to the incoming one.
@@ -496,7 +485,8 @@ def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
         r_lam = model.r_lambda(float(np.real(z)))
     eta = model.cutoffs.eta(r, r_lam)
     b = eta * _sqrt_upper(2.0 * (z - prof.q1(r)))
-    corr = 0.25 * eta * np.asarray(prof.dq11(r), dtype=complex) / (z - prof.q1(r))
+    dq1 = numeric_derivative(prof.q1, r)
+    corr = 0.25 * eta * np.asarray(dq1, dtype=complex) / (z - prof.q1(r))
     return b - sign * 1j * corr
 
 
@@ -526,11 +516,17 @@ def phase_integral(model: ManifoldModel, end: int, lam, r: np.ndarray,
         raise ValueError("r must be sorted ascending")
     if r_lam is None:
         r_lam = model.r_lambda(float(np.real(lam)))
+    return integral_from_r0(
+        model, r, lambda s: np.real(phase_b(model, end, lam, s, r_lam=r_lam)))
+
+
+def integral_from_r0(model: ManifoldModel, r: np.ndarray,
+                     fn: Callable) -> np.ndarray:
+    """int_{r0}^r fn(s) ds at the radii ``r``: the trapezoid rule over the
+    sorted nodes of r with r0 inserted (negative below r0)."""
     rr = np.unique(np.concatenate((r, [model.r0])))
-    b = np.real(phase_b(model, end, lam, rr, r_lam=r_lam))
-    acc = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(rr) * (b[1:] + b[:-1]))))
-    acc -= np.interp(model.r0, rr, acc)
-    return np.interp(r, rr, acc)
+    acc = cumulative_trapezoid(fn(rr), rr, initial=0)
+    return np.interp(r, rr, acc - np.interp(model.r0, rr, acc))
 
 
 def classify_potential(model: ManifoldModel, end: int, eps: float = 0.1,

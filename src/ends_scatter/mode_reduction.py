@@ -56,7 +56,8 @@ class RadialGrid:
         return complex(self.dx * np.vdot(u, v))
 
     def norm(self, u) -> float:
-        return float(np.sqrt(self.dx) * np.linalg.norm(u))
+        """L2(dx) norm."""
+        return float(np.sqrt(self.dx * np.sum(np.abs(u) ** 2)))
 
 
 @dataclass
@@ -76,7 +77,7 @@ class RadialState:
 
     def norm(self, model: Optional[ManifoldModel] = None) -> float:
         if self.rep == "flat":
-            return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.data) ** 2)))
+            return self.grid.norm(self.data)
         if model is None:
             raise ValueError("surface-representation norm needs the model")
         wgt = 2.0 * np.pi * model.f(self.grid.x)
@@ -185,10 +186,7 @@ def besov_norm(grid: RadialGrid, u: np.ndarray, kind: str = "B") -> float:
                    (a proxy for the vanishing-at-infinity defect).
     """
     u = np.asarray(u)
-    pieces = []
-    for nu, mask in _annulus_slices(grid):
-        val = float(np.sqrt(grid.dx * np.sum(np.abs(u[mask]) ** 2)))
-        pieces.append((nu, val))
+    pieces = [(nu, grid.norm(u[mask])) for nu, mask in _annulus_slices(grid)]
     if not pieces:
         return 0.0
     if kind == "B":

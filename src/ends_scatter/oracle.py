@@ -8,7 +8,9 @@ the main modules, so it can serve as an oracle for them:
 * a dense symmetric 2-d Hamiltonian on a small truncated (x, theta) grid,
 * resolvents at small positive imaginary part by direct banded solves,
 * an adaptive DOP853 march of the mode ODE, the reference for the Magnus
-  Jost marcher.
+  Jost marcher,
+* a Chebyshev polynomial expansion of e^{-itH}, the reference for the
+  implicit propagator.
 
 All functions are deterministic (no RNG, no environment dependence).
 """
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.integrate import solve_ivp
+from scipy.special import jv
 
 from .geometry import ManifoldModel
 from .mode_reduction import ModeOperator, RadialGrid
@@ -32,6 +35,7 @@ __all__ = [
     "embed_mode_state",
     "small_eps_resolvent",
     "reference_march",
+    "chebyshev_evolve",
 ]
 
 
@@ -185,3 +189,35 @@ def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0)
         u[sel], du[sel] = sol.sol(x[sel])
         y = sol.y[:, -1]
     return u, du
+
+
+def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:
+    """Spectral Chebyshev expansion of e^{-itH} psi (short times only:
+    the polynomial degree grows linearly with |t| * spectral width).
+
+    e^{-itH} = e^{-it mid} sum_k (2 - delta_k0) (-i)^k J_k(t half) T_k(Hn)
+    with Hn = (H - mid)/half scaled into [-1, 1]; J_k(-x) = (-1)^k J_k(x)
+    makes the same series valid for negative t.
+    """
+    grid = op.grid
+    emax = 0.5 * (np.pi / grid.dx) ** 2 + float(np.max(op.w))
+    emin = min(float(np.min(op.w)), 0.0)
+    half = 0.5 * (emax - emin)
+    mid = 0.5 * (emax + emin)
+    tau = t * half
+    order = int(abs(tau) + 40.0 * (1.0 + abs(tau) ** (1.0 / 3.0)))
+
+    def h_norm(v):
+        return (op.apply(v) - mid * v) / half
+
+    coef = jv(np.arange(order + 1), tau)
+    tkm1 = np.asarray(psi, dtype=complex)
+    tk = h_norm(tkm1)
+    acc = coef[0] * tkm1 + 2.0 * (-1j) * coef[1] * tk
+    fac = -1j
+    for k in range(2, order + 1):
+        tkp1 = 2.0 * h_norm(tk) - tkm1
+        fac = fac * -1j
+        acc = acc + 2.0 * fac * coef[k] * tkp1
+        tkm1, tk = tk, tkp1
+    return np.exp(-1j * t * mid) * acc

@@ -2,8 +2,8 @@
 
 The reduced operator H_m acts on the doubly-infinite line coordinate; the
 propagator e^{-itH} is realized by unconditionally stable implicit
-stepping (Crank-Nicolson, or its fourth-order diagonal Pade refinement)
-with a factorized banded system reused across steps.  On top of it sit
+stepping (the fourth-order diagonal Pade (2,2) step) with a factorized
+banded system reused across steps.  On top of it sit
 
   * the Cook integrand ||(H - G^+(t)) U_0^+(t) h||, whose summability
     over dyadic times drives wave-operator existence,
@@ -18,7 +18,7 @@ with a factorized banded system reused across steps.  On top of it sit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.linalg import lapack as _lapack
 
 from .dynamics import SpectralProfile, leading_term, state_norm
 from .fourier import distorted_ft
-from .geometry import ManifoldModel, phase_b, smooth_step
+from .geometry import ManifoldModel
 from .mode_reduction import ModeOperator, RadialGrid
 
 __all__ = [
@@ -47,27 +47,13 @@ __all__ = [
 
 @dataclass
 class EvolutionConfig:
-    """Scheme and step selection for e^{-itH} on one mode.
+    """Step selection for e^{-itH} on one mode: the diagonal Pade (2,2)
+    step, exact through O(dt^4) and exactly norm preserving."""
 
-    ``order=2`` is classic Crank-Nicolson; ``order=4`` the diagonal
-    Pade (2,2) step, exact through O(dt^4) and still exactly norm
-    preserving.  The absorber adds -i W_abs outside ``absorber_start``;
-    all diagnostics must then be evaluated inside it.
-    """
-
-    scheme: str = "crank_nicolson"      # or "chebyshev"
     dt: float = 0.05
-    order: int = 4
-    absorber_start: float = 0.0         # 0 disables
-    absorber_width: float = 10.0
-    absorber_strength: float = 0.0
     max_step_energy: float = 4.0        # guard on dt * max|W_m|
 
     def validate(self, op: ModeOperator) -> None:
-        if self.scheme not in ("crank_nicolson", "chebyshev"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         wmax = float(np.max(np.abs(op.w)))
@@ -77,44 +63,31 @@ class EvolutionConfig:
                 f"(dt*|W| > {self.max_step_energy})")
 
 
-def _hamiltonian_sparse(op: ModeOperator, cfg: EvolutionConfig):
-    """H_m as a sparse matrix (optionally with the absorbing potential)."""
+def _hamiltonian_sparse(op: ModeOperator):
+    """H_m as a sparse matrix."""
     banded = op.banded()
     n = banded.shape[1]
     k = banded.shape[0] // 2
     offsets = list(range(-k, k + 1))
     diags = [banded[k - o, max(o, 0):n + min(o, 0)] for o in offsets]
-    h = sp.diags(diags, offsets=offsets, format="csc", dtype=complex)
-    if cfg.absorber_start > 0.0 and cfg.absorber_strength > 0.0:
-        x = op.grid.x
-        u = (np.abs(x) - cfg.absorber_start) / max(cfg.absorber_width, 1e-9)
-        damp = cfg.absorber_strength * smooth_step(u)
-        h = h - 1j * sp.diags(damp).tocsc()
-    return h
+    return sp.diags(diags, offsets=offsets, format="csc", dtype=complex)
 
 
 class Propagator:
     """Factorized implicit stepper for e^{-i dt H} on one mode.
 
-    Crank-Nicolson: (1 + i dt H / 2) psi' = (1 - i dt H / 2) psi.
-    Pade(2,2):      (1 + z/2 + z^2/12) psi' = (1 - z/2 + z^2/12) psi,
-    z = i dt H.  Both are exactly norm preserving for hermitian H.
+    Pade(2,2): (1 + z/2 + z^2/12) psi' = (1 - z/2 + z^2/12) psi,
+    z = i dt H; exactly norm preserving for hermitian H.
     """
 
-    def __init__(self, op: ModeOperator, dt: float,
-                 cfg: Optional[EvolutionConfig] = None):
-        cfg = cfg or EvolutionConfig()
-        h = _hamiltonian_sparse(op, cfg)
+    def __init__(self, op: ModeOperator, dt: float):
+        h = _hamiltonian_sparse(op)
         n = h.shape[0]
         eye = sp.identity(n, format="csc", dtype=complex)
         z = 0.5j * dt
-        if cfg.order == 2:
-            lhs = (eye + z * h).tocoo()
-            self._rhs = (eye - z * h).tocsr()
-        else:
-            h2 = (h @ h).tocsc()
-            lhs = (eye + z * h - (dt**2 / 12.0) * h2).tocoo()
-            self._rhs = (eye - z * h - (dt**2 / 12.0) * h2).tocsr()
+        h2 = (h @ h).tocsc()
+        lhs = (eye + z * h - (dt**2 / 12.0) * h2).tocoo()
+        self._rhs = (eye - z * h - (dt**2 / 12.0) * h2).tocsr()
         # banded LU (LAPACK gbtrf), factorized once and reused per step
         kl = int(np.max(lhs.row - lhs.col))
         ku = int(np.max(lhs.col - lhs.row))
@@ -142,71 +115,28 @@ class Propagator:
         return out
 
 
-def _chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float):
-    """Spectral Chebyshev expansion of e^{-itH} psi (short times only:
-    the polynomial degree grows linearly with |t| * spectral width).
-
-    e^{-itH} = e^{-it mid} sum_k (2 - delta_k0) (-i)^k J_k(t half) T_k(Hn)
-    with Hn = (H - mid)/half scaled into [-1, 1]; J_k(-x) = (-1)^k J_k(x)
-    makes the same series valid for negative t.
-    """
-    from scipy.special import jv
-
-    grid = op.grid
-    emax = 0.5 * (np.pi / grid.dx) ** 2 + float(np.max(op.w))
-    emin = min(float(np.min(op.w)), 0.0)
-    half = 0.5 * (emax - emin)
-    mid = 0.5 * (emax + emin)
-    tau = t * half
-    order = int(abs(tau) + 40.0 * (1.0 + abs(tau) ** (1.0 / 3.0)))
-
-    def h_norm(v):
-        return (op.apply(v) - mid * v) / half
-
-    coef = jv(np.arange(order + 1), tau)
-    tkm1 = np.asarray(psi, dtype=complex)
-    tk = h_norm(tkm1)
-    acc = coef[0] * tkm1 + 2.0 * (-1j) * coef[1] * tk
-    fac = -1j
-    for k in range(2, order + 1):
-        tkp1 = 2.0 * h_norm(tk) - tkm1
-        fac = fac * -1j
-        acc = acc + 2.0 * fac * coef[k] * tkp1
-        tkm1, tk = tk, tkp1
-    return np.exp(-1j * t * mid) * acc
-
-
 def evolve(op: ModeOperator, psi: np.ndarray, t: float,
-           cfg: Optional[EvolutionConfig] = None,
-           check_norm: bool = True) -> Tuple[np.ndarray, dict]:
+           cfg: Optional[EvolutionConfig] = None) -> Tuple[np.ndarray, dict]:
     """e^{-itH} psi (t < 0 propagates backwards).  Returns (state, diag);
-    raises if the scheme loses more than 1e-3 of the norm (instability)."""
+    raises if the norm grows by more than 1e-3 (instability) or drifts by
+    more than 1e-6 per unit time."""
     cfg = cfg or EvolutionConfig()
     cfg.validate(op)
     psi = np.asarray(psi, dtype=complex)
     if t == 0.0:
         return psi.copy(), {"steps": 0, "norm_drift": 0.0}
-    if cfg.scheme == "chebyshev":
-        out = _chebyshev_evolve(op, psi, t)
-        steps = 1
-    else:
-        n_steps = max(1, int(round(abs(t) / cfg.dt)))
-        dt = abs(t) / n_steps * (1.0 if t > 0 else -1.0)
-        prop = Propagator(op, dt, cfg)
-        out = prop.step(psi, n_steps)
-        steps = n_steps
+    n_steps = max(1, int(round(abs(t) / cfg.dt)))
+    dt = abs(t) / n_steps * (1.0 if t > 0 else -1.0)
+    out = Propagator(op, dt).step(psi, n_steps)
     n0 = op.grid.norm(psi)
     n1 = op.grid.norm(out)
     drift = abs(n1 - n0) / max(n0, 1e-300)
-    diag = {"steps": steps, "norm_drift": drift}
-    absorbing = cfg.absorber_start > 0.0 and cfg.absorber_strength > 0.0
-    if check_norm and not absorbing:
-        if n1 > n0 * (1.0 + 1e-3):
-            raise RuntimeError(f"propagator instability: norm grew by {drift:.3e}")
-        if drift > 1e-6 * max(abs(t), 1.0):
-            raise RuntimeError(
-                f"propagator norm drift {drift:.3e} exceeds 1e-6 per unit time")
-    return out, diag
+    if n1 > n0 * (1.0 + 1e-3):
+        raise RuntimeError(f"propagator instability: norm grew by {drift:.3e}")
+    if drift > 1e-6 * max(abs(t), 1.0):
+        raise RuntimeError(
+            f"propagator norm drift {drift:.3e} exceeds 1e-6 per unit time")
+    return out, {"steps": n_steps, "norm_drift": drift}
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +339,8 @@ def energy_filter(op: ModeOperator, psi: np.ndarray, lam_lo: float,
     t_max = 6.0 / smoothing
     n_steps = int(math.ceil(t_max / cfg.dt))
     dt = t_max / n_steps
-    prop_f = Propagator(op, dt, cfg)
-    prop_b = Propagator(op, -dt, cfg)
+    prop_f = Propagator(op, dt)
+    prop_b = Propagator(op, -dt)
     # ghat(t) = (1/pi) sin(half * t) / t * exp(-(smoothing t)^2 / 2) * e^{i center t}
     acc = (half / np.pi) * dt * np.asarray(psi, dtype=complex)  # t = 0 term
     fwd = np.asarray(psi, dtype=complex)
@@ -429,8 +359,7 @@ def energy_filter(op: ModeOperator, psi: np.ndarray, lam_lo: float,
 def end_mass(grid: RadialGrid, psi: np.ndarray, end: int,
              r_min: float) -> float:
     """L2 mass of psi in the end region { r > r_min } of the given end."""
-    mask = grid.end_mask(end, r_min)
-    return float(np.sqrt(grid.dx * np.sum(np.abs(psi[mask]) ** 2)))
+    return grid.norm(psi[grid.end_mask(end, r_min)])
 
 
 def end_projection(op: ModeOperator, psi: np.ndarray, end: int,

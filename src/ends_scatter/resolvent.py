@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .geometry import ManifoldModel, phase_a, phase_b
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
@@ -215,28 +216,49 @@ def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
     fr = pair.u_right * psi
     dfl = np.gradient(fl, dx, edge_order=2)
     dfr = np.gradient(fr, dx, edge_order=2)
-    il = np.concatenate(([0.0], np.cumsum(0.5 * dx * (fl[1:] + fl[:-1]))))
+    il = cumulative_trapezoid(fl, dx=dx, initial=0)
     il += dx**2 / 12.0 * (dfl[0] - dfl)
-    ir_rev = np.concatenate(([0.0], np.cumsum(0.5 * dx * (fr[::-1][1:] + fr[::-1][:-1]))))
-    ir = ir_rev[::-1]
+    ir = cumulative_trapezoid(fr[::-1], dx=dx, initial=0)[::-1]
     ir += dx**2 / 12.0 * (dfr - dfr[-1])
     phi = (2.0 / w) * (pair.u_right * il + pair.u_left * ir)
 
-    core = slice(4, -4)
-    resid = op.apply(phi)[core] - lam * phi[core] - psi[core]
     diag = {
         "wronskian": w,
         "wronskian_drift": pair.wronskian_drift,
-        "interior_residual": float(grid.norm(resid) / max(grid.norm(psi), 1e-300)),
+        "interior_residual": _interior_residual(op, lam, phi, psi),
         "r_lam": pair.r_lam,
     }
     return phi, diag
+
+
+def _interior_residual(op: ModeOperator, lam: float, phi: np.ndarray,
+                       psi: np.ndarray) -> float:
+    """||(H - lam) phi - psi|| / ||psi|| with the grid stencil, four nodes
+    clear of either boundary."""
+    core = slice(4, -4)
+    resid = op.apply(phi)[core] - lam * phi[core] - np.asarray(psi)[core]
+    return float(op.grid.norm(resid) / max(op.grid.norm(psi), 1e-300))
 
 
 def _radial_derivative(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     """d phi / dr on each end (d/dx on end 0, -d/dx on end 1), 2nd order."""
     dphi = np.gradient(phi, grid.dx, edge_order=2)
     return np.where(grid.x >= 0, dphi, -dphi)
+
+
+def _outgoing_defect(op: ModeOperator, lam: float, phi: np.ndarray,
+                     sign: int) -> np.ndarray:
+    """(A -+ a) phi on both ends: A = -i d/dr, a the improved phase of the
+    matching branch."""
+    grid = op.grid
+    r_lam = op.model.r_lambda(lam)
+    dphi = _radial_derivative(grid, phi)
+    defect = np.empty_like(phi)
+    for end in range(2):
+        mask = grid.end_mask(end)
+        a = phase_a(op.model, end, lam, grid.r[mask], sign=sign, r_lam=r_lam)
+        defect[mask] = -1j * dphi[mask] - sign * a * phi[mask]
+    return defect
 
 
 def radiation_residual(op: ModeOperator, lam: float, phi: np.ndarray,
@@ -255,16 +277,8 @@ def radiation_residual(op: ModeOperator, lam: float, phi: np.ndarray,
         beta = 0.5 * model.beta_c
     if beta >= model.beta_c:
         raise ValueError(f"beta={beta} must be < beta_c={model.beta_c}")
-    r_lam = model.r_lambda(lam)
     rb = np.maximum(grid.r, 1.0) ** beta
-
-    dphi = _radial_derivative(grid, phi)
-    defect = np.empty_like(phi)
-    for end in range(2):
-        mask = grid.end_mask(end)
-        a = phase_a(model, end, lam, grid.r[mask], sign=sign, r_lam=r_lam)
-        defect[mask] = -1j * dphi[mask] - sign * a * phi[mask]
-
+    defect = _outgoing_defect(op, lam, phi, sign)
     num = besov_norm(grid, rb * defect, "Bstar")
     den = besov_norm(grid, rb * psi, "B")
     return {"defect_bstar": num, "source_b": den,
@@ -278,20 +292,9 @@ def sommerfeld_check(op: ModeOperator, lam: float, phi: np.ndarray,
     interior and its outgoing defect (A -+ a) phi has vanishing B*_0 mass
     on the outermost annulus.  A solution passing both clauses is the
     unique outgoing (resp. incoming) solution."""
-    grid = op.grid
-    core = slice(4, -4)
-    resid = op.apply(phi)[core] - lam * phi[core] - np.asarray(psi)[core]
-    resid_norm = float(grid.norm(resid) / max(grid.norm(psi), 1e-300))
-
-    r_lam = op.model.r_lambda(lam)
-    dphi = _radial_derivative(grid, phi)
-    defect = np.empty_like(phi)
-    for end in range(2):
-        mask = grid.end_mask(end)
-        a = phase_a(op.model, end, lam, grid.r[mask], sign=sign, r_lam=r_lam)
-        defect[mask] = -1j * dphi[mask] - sign * a * phi[mask]
-    b0 = besov_norm(grid, defect, "Bstar0")
-    scale = besov_norm(grid, phi, "Bstar")
+    resid_norm = _interior_residual(op, lam, phi, psi)
+    b0 = besov_norm(op.grid, _outgoing_defect(op, lam, phi, sign), "Bstar0")
+    scale = besov_norm(op.grid, phi, "Bstar")
     return {
         "interior_residual": resid_norm,
         "bstar0_defect": b0,

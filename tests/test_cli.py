@@ -79,3 +79,28 @@ def test_oracle_byte_identical(tmp_path):
         assert main(["oracle", "--preset", "D", "--lambda-grid", "0.5:2.5:6",
                      "--out", str(d)]) == 0
     assert (d1 / "oracle.json").read_bytes() == (d2 / "oracle.json").read_bytes()
+
+
+def test_tol_is_rejected_where_no_tolerance_is_read(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["resolvent", "--preset", "A", "--tol", "1e-3",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolvent", "--preset", "A", "--lambda-grid", "0.4:0.6:2"],
+    ["dynamics", "--preset", "A", "--t-grid", "10,20,40"],
+    ["waveop", "--preset", "A", "--t-grid", "10,20,40"],
+    ["transmission", "--preset", "D", "--t-grid", "10"],
+], ids=lambda argv: argv[0])
+def test_subcommand_reports_are_byte_identical(tmp_path, argv):
+    outs = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        d.mkdir()
+        assert main(argv + ["--out", str(d)]) in (0, 3)
+        rep = json.loads((d / f"{argv[0]}.json").read_text())
+        assert rep["command"] == argv[0]
+        outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+    assert outs[0] == outs[1]
