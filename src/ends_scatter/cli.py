@@ -221,16 +221,18 @@ def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
     entries, rows = [], []
-    worst = 0.0
+    worst = worst_resid = 0.0
+    resid_ok = True
     for t in run.t_grid:
-        r, u0, _ = leading_term(model, h, float(t))
+        r, u0, sf = leading_term(model, h, float(t))
         iso = abs(state_norm(r, u0) - h.norm())
         worst = max(worst, iso)
+        worst_resid = max(worst_resid, sf.diag["residual"])
+        resid_ok = resid_ok and bool(sf.diag["residual_ok"])
         entries.append({"t": float(t), "leading_norm": state_norm(r, u0),
                         "profile_norm": h.norm(), "isometry_defect": iso})
-    t_last = float(run.t_grid[-1])
-    r, u0, _ = leading_term(model, h, t_last)
-    _, u_cmp = comparison_state(model, h, t_last, r=r)
+    # r and u0 are the leading term at the last time of the ladder
+    _, u_cmp = comparison_state(model, h, float(run.t_grid[-1]), r=r)
     rows = list(zip(r, u0.real, u0.imag, u_cmp.real, u_cmp.imag))
     _write_csv(out_dir, "dynamics_state",
                ["r", "re_leading", "im_leading", "re_comparison",
@@ -238,8 +240,9 @@ def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
     report = {"end": run.end, "mode": run.mode, "points": entries,
               "worst_isometry_defect": worst,
               "leading_vs_comparison": state_norm(r, u0 - u_cmp),
-              "converged": True}
-    return EXIT_OK, report
+              "worst_stationary_residual": worst_resid,
+              "converged": resid_ok}
+    return (EXIT_OK if resid_ok else EXIT_NONCONV), report
 
 
 def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
@@ -271,6 +274,8 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
                               tol_f=run.tol_f)
             for lam in nodes]
     svals = [abs(sd.blocks[0, end_to, h.end]) for sd in data]
+    worst = max(sd.unitarity_defect for sd in data)
+    unitary = all(sd.diag["unitary_within_tol"] for sd in data)
     sig_min = min(transmission_metric(sd, i=end_to, j=h.end)["sigma_min"]
                   for sd in data)
     s_abs = lambda lam: np.interp(lam, nodes, svals)
@@ -291,7 +296,8 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
         "predicted_mass": rep["predicted_mass"],
         "ratio": rep["ratio"], "verdict": rep["verdict"],
         "stabilization": rep["projection"]["stabilization"],
-        "converged": rep["verdict"] == "nonzero" and sig_min > 0.0,
+        "worst_unitarity_defect": worst, "tol_s": run.tol_s,
+        "converged": rep["verdict"] == "nonzero" and sig_min > 0.0 and unitary,
     }
     return (EXIT_OK if report["converged"] else EXIT_NONCONV), report
 

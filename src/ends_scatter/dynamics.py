@@ -15,6 +15,16 @@ where lam_c(t, r) is the unique stationary energy and K the eikonal.
 U_0 is an exact isometry of the profile norm (change of variables), the
 difference U - U_0 decays in t; both facts are acceptance-tested.
 
+The frequency integral is a trapezoid sum over a uniform lam grid.  On
+an end with constant q1 (separable) the WKB phase is b_lam E(r), and on
+an arithmetic run of radii inside the cutoff region E(r_k) - r_k is
+constant, so e^{i b E(r_k)} factors into a coarse and a fine exponential
+and the sum over lam becomes one complex matrix product; the other radii
+are summed directly.  On other ends the phase integrals of a block of
+lam nodes are accumulated at once and contracted with real cos/sin
+weights.  ``oracle.reference_comparison_state`` is the node-by-node sum
+both are checked against.
+
 Short-range and Dollard comparison dynamics replace lam_c and K by their
 free forms (plus, for Dollard, the secular tail integral); the phase
 modifier theta(lam) reconciles the two pictures.
@@ -30,7 +40,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from .geometry import ManifoldModel, bump, integral_from_r0, phase_integral
+from .geometry import ManifoldModel, bump, integral_from_r0
 
 __all__ = [
     "SpectralProfile",
@@ -40,6 +50,7 @@ __all__ = [
     "eikonal",
     "hamilton_jacobi_residual",
     "leading_term",
+    "frequency_nodes",
     "comparison_state",
     "shortrange_state",
     "dollard_state",
@@ -49,6 +60,8 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# elements of one (lam x r) work array of the frequency quadrature
+_BLOCK = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +154,19 @@ class StationaryField:
     diag: dict = field(default_factory=dict)
 
 
-def _travel_time(model: ManifoldModel, end: int, lam: np.ndarray,
-                 r: np.ndarray, r1: float, power: float = -0.5):
-    """int_{r1}^r (2(lam - q1))^power ds, vectorized over paired (lam, r)."""
-    prof = model.ends[end]
+def _gauss_q1(model: ManifoldModel, end: int, r: np.ndarray, r1: float):
+    """Half-lengths of [r1, r] and q1 at their Gauss nodes, one row per r."""
     half = 0.5 * (r - r1)
     mid = 0.5 * (r + r1)
     s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = (2.0 * (lam[:, None] - prof.q1(s.ravel()).reshape(s.shape))) ** power
+    return half, model.ends[end].q1(s.ravel()).reshape(s.shape)
+
+
+def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray,
+                 power: float = -0.5):
+    """int_{r1}^r (2(lam - q1))^power ds, vectorized over paired (lam, r),
+    from the samples of :func:`_gauss_q1`."""
+    vals = (2.0 * (lam[:, None] - q1_gl)) ** power
     return half * (vals @ _GL_WEIGHTS)
 
 
@@ -180,33 +198,36 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
     dlam = np.full(r.shape, np.nan)
 
     if rs.size:
-        cone = _travel_time(model, end, np.full(rs.shape, lam_lo), rs, r1) > t
+        # q1 at the Gauss nodes does not depend on lam: sample it once
+        half_all, q1_all = _gauss_q1(model, end, rs, r1)
+        cone = _travel_time(half_all, q1_all, np.full(rs.shape, lam_lo)) > t
         rs2 = rs[cone]
         if rs2.size:
+            half, q1_gl = half_all[cone], q1_all[cone]
             lam = np.maximum(lam0 + (rs2 - r1) ** 2 / (2.0 * t**2), lam_lo)
             lo = np.full(rs2.shape, lam_lo)
             # grow the upper bracket until the travel time drops below t
             hi = np.maximum(2.0 * lam - lam0, lam_lo + 1e-6)
             for _ in range(max_iter):
-                need = _travel_time(model, end, hi, rs2, r1) >= t
+                need = _travel_time(half, q1_gl, hi) >= t
                 if not np.any(need):
                     break
                 hi[need] = lam0 + 2.0 * (hi[need] - lam0)
             for _ in range(max_iter):
-                T = _travel_time(model, end, lam, rs2, r1)
+                T = _travel_time(half, q1_gl, lam)
                 F = T - t
                 lo = np.where(F > 0, np.maximum(lo, lam), lo)
                 hi = np.where(F < 0, np.minimum(hi, lam), hi)
                 if np.all(np.abs(F) <= rtol * t):
                     break
-                dT = -_travel_time(model, end, lam, rs2, r1, power=-1.5)
+                dT = -_travel_time(half, q1_gl, lam, power=-1.5)
                 lam_new = lam - F / dT
                 bad = (lam_new <= lo) | (lam_new >= hi) | ~np.isfinite(lam_new)
                 lam_new[bad] = 0.5 * (lo[bad] + hi[bad])
                 lam = lam_new
-            T = _travel_time(model, end, lam, rs2, r1)
+            T = _travel_time(half, q1_gl, lam)
             b_r = np.sqrt(2.0 * (lam - prof.q1(rs2)))
-            denom = _travel_time(model, end, lam, rs2, r1, power=-1.5)
+            denom = _travel_time(half, q1_gl, lam, power=-1.5)
             idx = np.where(mask)[0][cone]
             lam_c[idx] = lam
             dlam[idx] = 1.0 / (b_r * denom)
@@ -237,7 +258,8 @@ def eikonal(model: ManifoldModel, sf: StationaryField,
         lam = sf.lam_c[msk]
         rs = sf.r[msk]
         # int_{r1}^r b ds with b = (2(lam - q1))^{1/2}
-        k1[msk] = _travel_time(model, end, lam, rs, sf.r1, power=0.5) - sf.t * lam
+        k1[msk] = (_travel_time(*_gauss_q1(model, end, rs, sf.r1), lam, power=0.5)
+                   - sf.t * lam)
         if with_offset:
             if r_lam is None:
                 r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
@@ -305,14 +327,40 @@ def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
     return r, vals, sf
 
 
+def frequency_nodes(model: ManifoldModel, h: SpectralProfile, t: float,
+                    r: np.ndarray, points_per_cycle: int = 24
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """lam nodes of the frequency quadrature of U^+-(t) h at the radii r,
+    and the profile times its trapezoid weights there.
+
+    The uniform lam grid resolves every oscillation of the phase
+    Phi_lam(r) - t lam with at least ``points_per_cycle`` points.
+    """
+    prof = model.ends[h.end]
+    span = h.lam_hi - h.lam_lo
+    b_hi = math.sqrt(2.0 * (h.lam_hi - prof.lambda0))
+    b_lo = math.sqrt(2.0 * max(h.lam_lo - prof.lambda0, 0.0))
+    cycles = (t * span + (np.max(r) - model.r0) * (b_hi - b_lo)) / (2.0 * np.pi)
+    n_lam = max(257, int(points_per_cycle * cycles) + 1)
+    lam = np.linspace(h.lam_lo, h.lam_hi, n_lam)
+    wts = np.full(n_lam, lam[1] - lam[0])
+    wts[[0, -1]] *= 0.5
+    return lam, h(lam) * wts
+
+
 def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
                      r: Optional[np.ndarray] = None, sign: int = +1,
                      dr: float = 0.02, points_per_cycle: int = 24,
                      r_lam: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """U^+-(t) h by direct frequency quadrature of the WKB eigenfunctions.
+    """U^+-(t) h by frequency quadrature of the WKB eigenfunctions on the
+    lam nodes of :func:`frequency_nodes` (the module docstring describes
+    the factored sum).
 
-    The lam grid resolves every oscillation of the phase
-    Phi_lam(r) - t lam with at least ``points_per_cycle`` points.
+    On a separable end the radii with eta_lambda = 1, in the given order,
+    form the run r_k ~ r_s + k delta, split as k = K J + j with
+    J ~ sqrt(run length).  A radius joins the matrix product only if
+    b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad; every other radius with
+    eta_lambda > 0 is summed directly.
     """
     end = h.end
     prof = model.ends[end]
@@ -320,46 +368,69 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
         r_lam = model.r_lambda(h.lam_lo)
     if r is None:
         r = dynamics_grid(model, t, h.lam_hi, prof.lambda0, dr=dr, r1=r_lam)
-    span = h.lam_hi - h.lam_lo
-    b_hi = math.sqrt(2.0 * (h.lam_hi - prof.lambda0))
-    b_lo = math.sqrt(2.0 * max(h.lam_lo - prof.lambda0, 0.0))
-    cycles = (t * span + (r[-1] - model.r0) * (b_hi - b_lo)) / (2.0 * np.pi)
-    n_lam = max(257, int(points_per_cycle * cycles) + 1)
-    lam = np.linspace(h.lam_lo, h.lam_hi, n_lam)
-    wts = np.full(n_lam, lam[1] - lam[0])
-    wts[[0, -1]] *= 0.5
-    hv = h(lam) * wts
+    r = np.asarray(r, dtype=float)
+    lam, hv = frequency_nodes(model, h, t, r, points_per_cycle)
+    live = hv != 0.0
+    lam, hv = lam[live], hv[live]
 
     eta_r = model.cutoffs.eta(r, r_lam)
     out = np.zeros(r.shape, dtype=complex)
-    q1_r = prof.q1(r)
+    r_far = float(np.max(r))
 
     # q1 constant on the end => the phase integral separates as b(lam)*E(r)
-    probe = prof.q1(np.linspace(model.r0, r[-1], 64))
+    probe = prof.q1(np.linspace(model.r0, r_far, 64))
     separable = float(np.ptp(probe)) < 1e-13
     if separable:
+        q1 = float(prof.q1(np.array([r_far]))[0])
+        b_lam = np.sqrt(2.0 * (lam - q1))
+        g = hv * (2.0 * np.abs(lam - q1)) ** -0.25 * np.exp(-1j * sign * t * lam)
         # E(r) = int_{r0}^r eta_lambda ds
         e_of_r = integral_from_r0(model, r,
                                   lambda s: model.cutoffs.eta(s, r_lam))
-        b_lam = np.sqrt(2.0 * (lam - prof.q1(np.array([r[-1]]))[0]))
-        for i0 in range(0, n_lam, 512):
-            sl = slice(i0, min(i0 + 512, n_lam))
-            phase = np.exp(1j * sign * (np.outer(b_lam[sl], e_of_r)
-                                        - (t * lam[sl])[:, None]))
-            amp = (2.0 * np.abs(lam[sl][:, None] - q1_r[None, :])) ** -0.25
-            out += (hv[sl][:, None] * phase * amp).sum(axis=0)
+        direct = eta_r > 0.0
+        run = np.flatnonzero(eta_r == 1.0)
+        if run.size >= 2:
+            n_run = run.size
+            J = math.isqrt(n_run - 1) + 1
+            k = np.arange(n_run)
+            j = k % J
+            delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
+            dev = r[run] - r[run[k - j]] - j * delta
+            on_run = math.sqrt(2.0 * (h.lam_hi - q1)) * np.abs(dev) <= 1e-12
+            coarse = np.exp(1j * sign * np.outer(b_lam, e_of_r[run[::J]]))
+            fine = np.exp(1j * sign * np.outer(b_lam, delta * np.arange(J)))
+            prod = ((g[:, None] * coarse).T @ fine).ravel()[:n_run]
+            out[run[on_run]] = prod[on_run]
+            direct[run[on_run]] = False
+        cols = np.flatnonzero(direct)
+        step = max(1, _BLOCK // max(lam.size, 1))
+        for i0 in range(0, cols.size, step):
+            c = cols[i0:i0 + step]
+            out[c] = g @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))
     else:
-        order = np.argsort(r)
-        r_sorted = r[order]
-        for lam_i, hv_i in zip(lam, hv):
-            if hv_i == 0.0:
-                continue
-            phi_acc = phase_integral(model, end, lam_i, r_sorted, r_lam=r_lam)
-            phase = np.exp(1j * sign * (phi_acc - t * lam_i))
-            amp = (2.0 * np.abs(lam_i - q1_r[order])) ** -0.25
-            tmp = np.zeros(r.shape, dtype=complex)
-            tmp[order] = hv_i * phase * amp
-            out += tmp
+        q1_r = prof.q1(r)
+        nodes = {}
+
+        def momenta(s, lam_blk):
+            """eta_lambda b_lam on the quadrature nodes s, one row per lam;
+            eta_lambda and q1 are sampled on the first block only."""
+            if not nodes:
+                nodes.update(eta=model.cutoffs.eta(s, r_lam), q1=prof.q1(s))
+            return nodes["eta"] * np.sqrt(np.maximum(
+                2.0 * (lam_blk[:, None] - nodes["q1"]), 0.0))
+
+        # hv e^{i theta} = |hv| e^{i (theta + arg hv)}: real weights, and
+        # einsum (not BLAS, whose idle threads spin) does the lam sums
+        step = max(1, _BLOCK // max(r.size, 1))
+        for i0 in range(0, lam.size, step):
+            blk = lam[i0:i0 + step]
+            hv_blk = hv[i0:i0 + step]
+            phi = integral_from_r0(model, r, lambda s: momenta(s, blk))
+            theta = sign * phi + (np.angle(hv_blk) - sign * t * blk)[:, None]
+            wts = np.abs(hv_blk)[:, None] / np.sqrt(np.sqrt(
+                2.0 * np.abs(blk[:, None] - q1_r)))
+            out.real += np.einsum("lr,lr->r", wts, np.cos(theta))
+            out.imag += np.einsum("lr,lr->r", wts, np.sin(theta))
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out
 

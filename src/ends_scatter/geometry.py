@@ -523,10 +523,16 @@ def phase_integral(model: ManifoldModel, end: int, lam, r: np.ndarray,
 def integral_from_r0(model: ManifoldModel, r: np.ndarray,
                      fn: Callable) -> np.ndarray:
     """int_{r0}^r fn(s) ds at the radii ``r``: the trapezoid rule over the
-    sorted nodes of r with r0 inserted (negative below r0)."""
+    sorted nodes of r with r0 inserted (negative below r0).
+
+    ``fn`` maps the sorted nodes to an array whose last axis runs over
+    them; leading axes (a block of energies, say) are integrated
+    independently and kept in the result."""
     rr = np.unique(np.concatenate((r, [model.r0])))
-    acc = cumulative_trapezoid(fn(rr), rr, initial=0)
-    return np.interp(r, rr, acc - np.interp(model.r0, rr, acc))
+    acc = cumulative_trapezoid(fn(rr), rr, axis=-1, initial=0)
+    at = np.searchsorted(rr, np.concatenate((r, [model.r0])))
+    vals = acc[..., at]
+    return vals[..., :-1] - vals[..., -1:]
 
 
 def classify_potential(model: ManifoldModel, end: int, eps: float = 0.1,

@@ -40,8 +40,14 @@ class RadialGrid:
 
     @property
     def x(self) -> np.ndarray:
-        n = int(round(2 * self.rmax / self.dx))
-        return np.linspace(-self.rmax, self.rmax, n + 1)
+        """The nodes, built on first access; one shared read-only array."""
+        x = self.__dict__.get("_x")
+        if x is None:
+            n = int(round(2 * self.rmax / self.dx))
+            x = np.linspace(-self.rmax, self.rmax, n + 1)
+            x.flags.writeable = False
+            object.__setattr__(self, "_x", x)
+        return x
 
     @property
     def r(self) -> np.ndarray:

@@ -9,6 +9,8 @@ the main modules, so it can serve as an oracle for them:
 * resolvents at small positive imaginary part by direct banded solves,
 * an adaptive DOP853 march of the mode ODE, the reference for the Magnus
   Jost marcher,
+* the comparison dynamics summed node by node, one phase integral per
+  frequency node, the reference for the factored quadrature,
 * a Chebyshev polynomial expansion of e^{-itH}, the reference for the
   implicit propagator.
 
@@ -25,7 +27,8 @@ import scipy.sparse
 from scipy.integrate import solve_ivp
 from scipy.special import jv
 
-from .geometry import ManifoldModel
+from .dynamics import SpectralProfile, frequency_nodes
+from .geometry import ManifoldModel, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "embed_mode_state",
     "small_eps_resolvent",
     "reference_march",
+    "reference_comparison_state",
     "chebyshev_evolve",
 ]
 
@@ -189,6 +193,35 @@ def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0)
         u[sel], du[sel] = sol.sol(x[sel])
         y = sol.y[:, -1]
     return u, du
+
+
+def reference_comparison_state(model: ManifoldModel, h: SpectralProfile,
+                               t: float, r: np.ndarray, sign: int = +1,
+                               points_per_cycle: int = 24,
+                               r_lam: Optional[float] = None) -> np.ndarray:
+    """U^+-(t) h at the radii ``r`` on the lam nodes of
+    ``dynamics.frequency_nodes``: one ``phase_integral`` per node and the
+    complex exponential at every (lam, r) pair, summed over lam.  Returns
+    the values at ``r``.
+    """
+    prof = model.ends[h.end]
+    if r_lam is None:
+        r_lam = model.r_lambda(h.lam_lo)
+    r = np.asarray(r, dtype=float)
+    lam, hv = frequency_nodes(model, h, t, r, points_per_cycle)
+    order = np.argsort(r)
+    r_sorted = r[order]
+    q1 = prof.q1(r_sorted)
+    acc = np.zeros(r.shape, dtype=complex)
+    for lam_i, hv_i in zip(lam, hv):
+        if hv_i == 0.0:
+            continue
+        phi = phase_integral(model, h.end, lam_i, r_sorted, r_lam=r_lam)
+        acc += (hv_i * np.exp(1j * sign * (phi - t * lam_i))
+                * (2.0 * np.abs(lam_i - q1)) ** -0.25)
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out * model.cutoffs.eta(r, r_lam) / (sign * 2.0j * np.pi)
 
 
 def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:

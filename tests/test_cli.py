@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ends_scatter import cli
 from ends_scatter.cli import main
 
 
@@ -104,3 +105,33 @@ def test_subcommand_reports_are_byte_identical(tmp_path, argv):
         assert rep["command"] == argv[0]
         outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
     assert outs[0] == outs[1]
+
+
+def test_dynamics_fails_on_a_stationary_residual(tmp_path, monkeypatch):
+    real = cli.leading_term
+
+    def failing(*args, **kwargs):
+        r, u0, sf = real(*args, **kwargs)
+        sf.diag["residual_ok"] = False
+        return r, u0, sf
+
+    monkeypatch.setattr(cli, "leading_term", failing)
+    code, rep = run(["dynamics", "--preset", "A", "--t-grid", "10,20"],
+                    tmp_path, "dynamics")
+    assert code == 3
+    assert rep["converged"] is False
+    assert rep["worst_stationary_residual"] >= 0.0
+
+
+def test_transmission_tol_reaches_the_verdict(tmp_path):
+    reps = {}
+    for tol in ("1", "1e-30"):
+        d = tmp_path / tol
+        d.mkdir()
+        code = main(["transmission", "--preset", "D", "--t-grid", "10",
+                     "--tol", tol, "--out", str(d)])
+        reps[tol] = (code, (d / "transmission.json").read_bytes())
+    strict = json.loads(reps["1e-30"][1])
+    assert reps["1e-30"][0] == 3 and strict["converged"] is False
+    assert strict["tol_s"] == 1e-30 and strict["worst_unitarity_defect"] > 0.0
+    assert reps["1"][1] != reps["1e-30"][1]

@@ -9,6 +9,8 @@ from ends_scatter.dynamics import (SpectralProfile, comparison_state,
                                    phase_modifier, profile_norm,
                                    shortrange_state, state_norm,
                                    stationary_point)
+from ends_scatter.mode_reduction import RadialGrid
+from ends_scatter.oracle import reference_comparison_state
 from ends_scatter.presets import model_a, model_c
 
 
@@ -90,6 +92,39 @@ def test_comparison_approaches_leading_term():
         _, u = comparison_state(model, h, t, r=r)
         errs.append(state_norm(r, u - u0))
     assert errs[1] < 0.5 * errs[0]
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("model", [model_a(), model_c()], ids=["A", "C"])
+def test_comparison_state_matches_reference(model, sign):
+    """The factored (A) and blocked (C) frequency quadratures against the
+    node-by-node sum, on the radii the callers use: the dynamics grid,
+    the lab-grid nodes of both ends (end 1 descends) and a non-uniform
+    set, which the factored sum must hand to its direct fallback."""
+    t = 40.0
+    grid = RadialGrid(80.0, 0.02)
+    cases = [(0, dynamics_grid(model, t, 0.8, r1=model.r_lambda(0.3))),
+             (0, np.abs(grid.x[grid.end_mask(0)])),
+             (1, np.abs(grid.x[grid.end_mask(1)])),
+             (0, 1.0 + 80.0 * np.linspace(0.0, 1.0, 3001) ** 2)]
+    for end, r in cases:
+        h = SpectralProfile.bump_profile(end=end, center=0.55, width=0.25)
+        _, u = comparison_state(model, h, t, r=r, sign=sign)
+        ref = reference_comparison_state(model, h, t, r, sign=sign)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_comparison_state_does_not_depend_on_radius_order():
+    """End 1's lab-grid radii descend; the lam grid must still be sized
+    by the largest radius.  Sized by the last radius (0) it would have
+    257 nodes, whose trapezoid aliases of the packet reach r ~ 2500."""
+    model = model_a()
+    h = SpectralProfile.bump_profile(end=1, center=0.55, width=0.25)
+    grid = RadialGrid(3000.0, 0.2)
+    r = np.abs(grid.x[grid.end_mask(1)])
+    _, u = comparison_state(model, h, 10.0, r=r)
+    _, u_up = comparison_state(model, h, 10.0, r=r[::-1])
+    assert np.max(np.abs(u - u_up[::-1])) <= 1e-10 * np.max(np.abs(u))
 
 
 def test_shortrange_equals_dollard_without_tail():

@@ -22,6 +22,12 @@ def test_grid_symmetric_and_spacing(grid):
     assert x[0] == -grid.rmax and x[-1] == grid.rmax
 
 
+def test_grid_nodes_are_one_read_only_array(grid):
+    assert grid.x is grid.x
+    with pytest.raises(ValueError):
+        grid.x[0] = 0.0
+
+
 def test_end_masks(grid):
     m0 = grid.end_mask(0, 5.0)
     m1 = grid.end_mask(1, 5.0)
