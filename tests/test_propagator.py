@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from ends_scatter import propagator
 from ends_scatter.dynamics import SpectralProfile
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_d, model_free
-from ends_scatter.propagator import (EvolutionConfig, cook_integrand,
-                                     embed_end_state, end_mass,
-                                     end_projection, energy_filter, evolve,
-                                     wave_operator)
+from ends_scatter.propagator import (EvolutionConfig, Propagator,
+                                     cook_integrand, embed_end_state,
+                                     end_mass, end_projection, energy_filter,
+                                     evolve, wave_operator)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,82 @@ def test_implicit_step_matches_spectral_reference(setup, t):
     a, _ = evolve(op, psi, t, EvolutionConfig(dt=0.005))
     b = chebyshev_evolve(op, psi, t)
     assert op.grid.norm(a - b) < 1e-6
+
+
+def _sparse_hamiltonian(op):
+    """H_m assembled from its banded form, independently of the stepper."""
+    ab = op.banded()
+    k = ab.shape[0] // 2
+    n = ab.shape[1]
+    return sp.dia_matrix((ab, np.arange(k, -k - 1, -1)), shape=(n, n))
+
+
+@pytest.mark.parametrize("stencil_order", [4, 2])
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+def test_factored_step_matches_unfactored_pade(dt, stencil_order):
+    """The factored stepper is the same rational function as the textbook
+    Pade(2,2) step (1 + z/2 + z^2/12) psi' = (1 - z/2 + z^2/12) psi,
+    z = i dt H, so 20 steps agree to roundoff."""
+    grid = RadialGrid(10.0, 0.02)
+    op = ModeOperator(model_a(), grid, 0, stencil_order=stencil_order)
+    z = 1j * dt * _sparse_hamiltonian(op)
+    eye = sp.identity(z.shape[0], dtype=complex)
+    z2 = (z @ z) / 12.0
+    lhs = (eye + z / 2.0 + z2).tocsc()
+    rhs = (eye - z / 2.0 + z2).tocsr()
+    psi = np.exp(-(grid.x - 3.0) ** 2 + 1j * grid.x)
+    ref = psi.copy()
+    for _ in range(20):
+        ref = spsolve(lhs, rhs @ ref)
+    out = Propagator(op, dt).step(psi, 20)
+    assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def test_fine_grid_step_matches_pade_in_eigenbasis():
+    """At dt/dx^2 = 2000 unscaled partial pivoting would swap rows; the
+    pivot-free factors still give R(i dt H), evaluated here on the
+    eigenvalues of H.  (The unfactored system, with condition ~|z|^2/12,
+    is itself off by 1e-10 at this size.)"""
+    grid = RadialGrid(4.0, 0.005)
+    op = ModeOperator(model_a(), grid, 0)
+    lam, vec = np.linalg.eigh(_sparse_hamiltonian(op).toarray())
+    z = 0.05j * lam
+    pade = (1.0 - z / 2.0 + z**2 / 12.0) / (1.0 + z / 2.0 + z**2 / 12.0)
+    psi = np.exp(-(grid.x - 1.0) ** 2 + 1j * grid.x)
+    ref = vec @ (pade**20 * (vec.T @ psi))
+    out = Propagator(op, 0.05).step(psi, 20)
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_step_leaves_no_subnormals():
+    """The evanescent tails of the implicit solves underflow towards the
+    subnormal range, where each step slows by more than an order of
+    magnitude; the solver's floor keeps every entry normal or zero."""
+    grid = RadialGrid(200.0, 0.1)
+    op = ModeOperator(model_a(), grid, 0)
+    x = grid.x
+    psi = np.where(np.abs(x - 3.0) < 2.0,
+                   np.cos(0.25 * np.pi * (x - 3.0)) ** 2 * np.exp(1j * x), 0.0)
+    out = Propagator(op, 0.05).step(psi, 30)
+    parts = np.concatenate([out.real, out.imag])
+    assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny))
+
+
+def test_pivoted_factorization_is_rejected(setup, monkeypatch):
+    """The step runs pivot-free triangular solves; a factorization that
+    permuted rows must raise, not fall back to a pivoted solve."""
+    op, _ = setup
+    zgbtrf = propagator._lapack.zgbtrf
+
+    def pivoted(*args, **kwargs):
+        lu, piv, info = zgbtrf(*args, **kwargs)
+        piv = piv.copy()
+        piv[0] = 1
+        return lu, piv, info
+
+    monkeypatch.setattr(propagator._lapack, "zgbtrf", pivoted)
+    with pytest.raises(RuntimeError, match="pivot"):
+        Propagator(op, 0.05)
 
 
 def test_free_gaussian_dispersion(setup):
