@@ -27,8 +27,6 @@ from .fourier import (
     BoundaryField,
     ScatteringData,
     distorted_ft,
-    eigenfunction_decompose,
-    generalized_eigenfunction,
     scattering_matrix,
     transmission_metric,
     wkb_eigenfunction,

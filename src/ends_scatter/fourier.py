@@ -1,4 +1,4 @@
-"""Distorted Fourier transform, scattering matrix and eigenfunction data.
+"""Distorted Fourier transform and scattering matrix.
 
 The transform F^+-(lam) maps a (compactly supported) state to one complex
 coefficient per (end, mode): the averaged large-radius limit of
@@ -10,21 +10,22 @@ the state.  Averages are taken over dyadic windows [R, 2R]; convergence
 across R-doublings (plus one geometric extrapolation) is the acceptance
 test for the limit.
 
-The scattering matrix at energy lam is block diagonal over angular modes;
-each 2x2 block solves F^+ = S F^- over a family of probe states, in the
-least-squares sense.
+The scattering matrix at energy lam is block diagonal over angular modes.
+Each 2x2 block is assembled from the outgoing and incoming Jost pairs of
+its mode: their connection coefficients (four Wronskians) and the
+boundary coefficient of each Jost solution on its own end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ManifoldModel, bump, phase_a, phase_b, phase_integral
+from .geometry import ManifoldModel, phase_b, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
-from .resolvent import (JostPair, _radial_derivative, jost_pair,
+from .resolvent import (JostPair, _wronskian_profile, jost_pair,
                         limiting_resolvent)
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "scattering_matrix",
     "transmission_metric",
     "wkb_eigenfunction",
-    "generalized_eigenfunction",
-    "eigenfunction_decompose",
 ]
 
 
@@ -163,54 +162,55 @@ class ScatteringData:
         return self.blocks[self.modes.index(m)]
 
 
-def _probe_states(grid: RadialGrid, model: ManifoldModel, n_per_end: int = 2):
-    """Smooth bumps parked on either end just outside the core, used as the
-    over-determined probe family for the least-squares S solve."""
-    x = grid.x
-    out = []
-    for end, sgn in ((0, 1.0), (1, -1.0)):
-        for p in range(n_per_end):
-            c = sgn * (model.r0 + 2.0 + 2.5 * p)
-            mod = np.exp(1j * 0.4 * (p + 1) * x) if p else 1.0
-            out.append(bump(x, center=c, width=1.0) * mod)
-    return out
+def _wronskian(a, b) -> complex:
+    """Grid mean of the Wronskian of two solutions given as (u, u'), as
+    ``JostPair.wronskian`` takes it."""
+    return complex(np.mean(_wronskian_profile(*a, *b)))
 
 
 def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
                       mmax: int = 0, tol_s: float = 1e-6,
                       tol_f: float = 1e-4) -> ScatteringData:
-    """Assemble S(lam) mode block by mode block.
+    """Assemble S(lam) mode block by mode block from the Jost pairs.
 
-    For each |m| <= mmax the probe family is pushed through both signed
-    transforms and S_m solves F^+ = S_m F^- in the least-squares sense.
+    Outside the support of a state psi the resolvent is
+    (2/W) u_right <u_left, psi> on end 0 and (2/W) u_left <u_right, psi>
+    on end 1, so F^+- psi = D^+- (<u_left^+-, psi>, <u_right^+-, psi>)
+    with D^+- = diag(2 c_right / W, 2 c_left / W), c the boundary
+    coefficient of each Jost solution on its own end.  With C the
+    coordinates of (u_left^+, u_right^+) in the basis (u_left^-, u_right^-),
+    F^+ = S_m F^- gives
+
+        S_m = D^+ C^T (D^-)^-1.
+
     Blocks for -m equal those for m (rotational symmetry).  The
     unitarity defect max_m ||S_m* S_m - 1|| is reported and compared to
-    tol_s in the diagnostics.
+    tol_s in the diagnostics; each mode's doubling residual is the worst
+    of its four boundary extractions.
     """
-    probes = _probe_states(grid, model)
     modes = tuple(range(0, mmax + 1))
     blocks = np.zeros((len(modes), 2, 2), dtype=complex)
     per_mode = []
     for i, m in enumerate(modes):
         op = ModeOperator(model, grid, m)
-        cols_p = np.zeros((2, len(probes)), dtype=complex)
-        cols_m = np.zeros((2, len(probes)), dtype=complex)
-        pair_p = jost_pair(op, lam, +1)
-        pair_m = jost_pair(op, lam, -1)
-        worst = 0.0
-        for j, psi in enumerate(probes):
-            fp = distorted_ft([op], lam, psi, +1, tol_f, pairs=[pair_p])
-            fm = distorted_ft([op], lam, psi, -1, tol_f, pairs=[pair_m])
-            cols_p[:, j] = fp.data[0]
-            cols_m[:, j] = fm.data[0]
-            worst = max(worst, *(e["doubling_residual"]
-                                 for d in (fp, fm)
-                                 for e in d.diag["per_mode"][0]["ends"]))
-        # solve S cols_m = cols_p  (least squares over the probe family)
-        s_t, res, *_ = np.linalg.lstsq(cols_m.T, cols_p.T, rcond=None)
-        blocks[i] = s_t.T
-        per_mode.append({"m": m, "doubling_residual": worst,
-                         "fminus_cond": float(np.linalg.cond(cols_m))})
+        jost, worst = {}, 0.0
+        for sign in (+1, -1):
+            pair = jost_pair(op, lam, sign)
+            coeffs = []
+            for end, u in ((0, pair.u_right), (1, pair.u_left)):
+                c, ediag = _extract_end(model, grid, end, lam, sign, u,
+                                        pair.r_lam, tol_f)
+                coeffs.append(2.0 * c / pair.wronskian)
+                worst = max(worst, ediag["doubling_residual"])
+            jost[sign] = ((pair.u_left, pair.du_left),
+                          (pair.u_right, pair.du_right), np.array(coeffs))
+        (left_p, right_p, d_p), (left_m, right_m, d_m) = jost[+1], jost[-1]
+        # coordinates of (u_left^+, u_right^+) in the basis (u_left^-, u_right^-)
+        conn = np.array([[_wronskian(left_p, right_m), _wronskian(right_p, right_m)],
+                         [_wronskian(left_m, left_p), _wronskian(left_m, right_p)]])
+        conn /= _wronskian(left_m, right_m)
+        blocks[i] = d_p[:, None] * conn.T / d_m[None, :]
+        per_mode.append({"m": m, "doubling_residual": worst})
     defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2)) for b in blocks]
     diag = {"per_mode": per_mode, "defects": defects,
             "unitary_within_tol": bool(max(defects) <= tol_s)}
@@ -251,79 +251,3 @@ def wkb_eigenfunction(model: ManifoldModel, grid: RadialGrid, lam: float,
     idx = np.where(mask)[0][order]
     out[idx] = vals
     return out
-
-
-def generalized_eigenfunction(op: ModeOperator, lam: float,
-                              xi_plus: Sequence[complex],
-                              pair: Optional[JostPair] = None):
-    """Solution of (H_m - lam) phi = 0 on the line with prescribed
-    *outgoing* boundary data xi_plus = (end0, end1).
-
-    Built as a combination of the two outgoing Jost solutions, whose
-    outgoing data matrix is inverted.  Returns (phi, diag) with the
-    incoming data (hence the mode's S-matrix column space) in diag.
-    """
-    if pair is None:
-        pair = jost_pair(op, lam, +1)
-    grid = op.grid
-    basis = [pair.u_right, pair.u_left]
-    O = np.zeros((2, 2), dtype=complex)
-    I = np.zeros((2, 2), dtype=complex)
-    for k, u in enumerate(basis):
-        xp, xm, _ = eigenfunction_decompose(op, lam, u, r_lam=pair.r_lam)
-        O[:, k] = xp
-        I[:, k] = xm
-    c = np.linalg.solve(O, np.asarray(xi_plus, dtype=complex))
-    phi = c[0] * basis[0] + c[1] * basis[1]
-    s_block = O @ np.linalg.inv(I)
-    return phi, {"coefficients": c, "outgoing_matrix": O,
-                 "incoming_matrix": I, "s_block": s_block,
-                 "xi_minus": I @ c}
-
-
-def eigenfunction_decompose(op: ModeOperator, lam: float, phi_line: np.ndarray,
-                            tol: float = 1e-4, r_lam: Optional[float] = None):
-    """Outgoing/incoming boundary data of a generalized eigenfunction.
-
-    Per end, the two coefficients are averaged limits of
-
-        (1/2) b^(-1/2) exp(-+ i Phi) (A +- b) phi,    A = -i d/dr,
-
-    which project onto the exp(+- i Phi) travelling components.  Returns
-    (xi_plus, xi_minus, diag); diag also carries the annulus-mean energy
-    density check  2(|xi_+|^2 + |xi_-|^2) vs mean of |b^(1/2) phi|^2.
-    """
-    model = op.model
-    grid = op.grid
-    if r_lam is None:
-        r_lam = model.r_lambda(lam)
-    dphi_r = _radial_derivative(grid, phi_line)
-    xi_p = np.zeros(2, dtype=complex)
-    xi_m = np.zeros(2, dtype=complex)
-    diag = {"ends": []}
-    for end in range(2):
-        mask = grid.end_mask(end, r_min=0.0)
-        r = grid.r[mask]
-        order = np.argsort(r)
-        r_s = r[order]
-        u = phi_line[mask][order]
-        du = dphi_r[mask][order]
-        b = np.real(phase_b(model, end, lam, r_s, r_lam=r_lam))
-        phi_acc = phase_integral(model, end, lam, r_s, r_lam=r_lam)
-        safe_b = np.maximum(b, 1e-12)
-        r_min = max(2.0 * r_lam, grid.rmax / 16.0)
-        entry = {}
-        for sgn, store in ((+1, xi_p), (-1, xi_m)):
-            integ = 0.5 * safe_b**-0.5 * np.exp(-1j * sgn * phi_acc) * (
-                -1j * du + sgn * b * u)
-            val, d = _averaged_limit(r_s, integ, r_min, tol)
-            store[end] = val
-            entry["plus" if sgn > 0 else "minus"] = d
-        msk = r_s >= r_min
-        entry["energy_mean"] = float(np.mean(np.abs(np.sqrt(safe_b[msk]) * u[msk]) ** 2))
-        diag["ends"].append(entry)
-    diag["energy_identity"] = {
-        "lhs": 2.0 * float(np.sum(np.abs(xi_p) ** 2 + np.abs(xi_m) ** 2)) / 2.0,
-        "rhs": float(sum(e["energy_mean"] for e in diag["ends"])),
-    }
-    return xi_p, xi_m, diag

@@ -1,7 +1,8 @@
 """Independent cross-checks: closed forms and brute-force discretizations.
 
-Everything here is deliberately built *without* the WKB/Jost machinery of
-the main modules, so it can serve as an oracle for them:
+Everything here except the S-matrix reference is deliberately built
+*without* the WKB/Jost machinery of the main modules, so it can serve as
+an oracle for them:
 
 * plane-wave matching for free-line and square-barrier scattering,
 * the free-line outgoing Green kernel,
@@ -12,7 +13,12 @@ the main modules, so it can serve as an oracle for them:
 * the comparison dynamics summed node by node, one phase integral per
   frequency node, the reference for the factored quadrature,
 * a Chebyshev polynomial expansion of e^{-itH}, the reference for the
-  implicit propagator.
+  implicit propagator,
+* the S-matrix by least squares over a family of probe states pushed
+  through both signed distorted Fourier transforms, the reference for
+  the Jost connection-coefficient assembly.  It shares the Jost march and
+  the boundary extraction with ``fourier.scattering_matrix`` and is
+  independent only of the connection algebra.
 
 All functions are deterministic (no RNG, no environment dependence).
 """
@@ -28,8 +34,10 @@ from scipy.integrate import solve_ivp
 from scipy.special import jv
 
 from .dynamics import SpectralProfile, frequency_nodes
-from .geometry import ManifoldModel, phase_integral
+from .fourier import distorted_ft
+from .geometry import ManifoldModel, bump, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
+from .resolvent import jost_pair
 
 __all__ = [
     "free_green",
@@ -40,6 +48,7 @@ __all__ = [
     "reference_march",
     "reference_comparison_state",
     "chebyshev_evolve",
+    "reference_scattering_matrix",
 ]
 
 
@@ -254,3 +263,43 @@ def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:
         acc = acc + 2.0 * fac * coef[k] * tkp1
         tkm1, tk = tk, tkp1
     return np.exp(-1j * t * mid) * acc
+
+
+def _probe_states(grid: RadialGrid, model: ManifoldModel):
+    """Two smooth bumps parked on either end just outside the core, the
+    over-determined probe family for the least-squares S solve."""
+    x = grid.x
+    out = []
+    for sgn in (1.0, -1.0):
+        for p in range(2):
+            c = sgn * (model.r0 + 2.0 + 2.5 * p)
+            mod = np.exp(1j * 0.4 * (p + 1) * x) if p else 1.0
+            out.append(bump(x, center=c, width=1.0) * mod)
+    return out
+
+
+def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
+                                lam: float, mmax: int = 0, tol_f: float = 1e-4):
+    """S(lam) blocks for |m| <= mmax from the probe family: every probe is
+    pushed through both signed transforms and S_m solves F^+ = S_m F^- in
+    the least-squares sense.  Returns (blocks, doubling_residuals), the
+    latter the worst over each mode's 16 boundary extractions."""
+    probes = _probe_states(grid, model)
+    blocks = np.zeros((mmax + 1, 2, 2), dtype=complex)
+    residuals = []
+    for m in range(mmax + 1):
+        op = ModeOperator(model, grid, m)
+        cols = {+1: np.zeros((2, len(probes)), dtype=complex),
+                -1: np.zeros((2, len(probes)), dtype=complex)}
+        worst = 0.0
+        for sign, c in cols.items():
+            pair = jost_pair(op, lam, sign)
+            for j, psi in enumerate(probes):
+                f = distorted_ft([op], lam, psi, sign, tol_f, pairs=[pair])
+                c[:, j] = f.data[0]
+                worst = max(worst, *(e["doubling_residual"]
+                                     for e in f.diag["per_mode"][0]["ends"]))
+        s_t, *_ = np.linalg.lstsq(cols[-1].T, cols[+1].T, rcond=None)
+        blocks[m] = s_t.T
+        residuals.append(worst)
+    return blocks, residuals

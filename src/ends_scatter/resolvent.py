@@ -56,7 +56,8 @@ class JostPair:
 
     @property
     def wronskian_profile(self) -> np.ndarray:
-        return self.du_left * self.u_right - self.u_left * self.du_right
+        return _wronskian_profile(self.u_left, self.du_left,
+                                  self.u_right, self.du_right)
 
     @property
     def wronskian(self) -> complex:
@@ -68,6 +69,12 @@ class JostPair:
         w = self.wronskian_profile
         w0 = self.wronskian
         return float(np.max(np.abs(w - w0)) / max(abs(w0), 1e-300))
+
+
+def _wronskian_profile(f: np.ndarray, df: np.ndarray, g: np.ndarray,
+                       dg: np.ndarray) -> np.ndarray:
+    """Wronskian f' g - f g' of two solutions at every node."""
+    return df * g - f * dg
 
 
 # Gauss-Legendre nodes of a unit cell, where W_m is sampled
@@ -166,15 +173,21 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
 
     The launch radius is ``rmax_pad * rmax``; if the Wronskian degenerates
     (the two solutions are nearly parallel) the launch radius is grown by
-    10% and the pair rebuilt.
+    10% and the pair rebuilt.  The WKB launch needs an open channel, so
+    lam at or below W_m at either launch point raises ValueError.
     """
     model = op.model
     grid = op.grid
+    r_launch = rmax_pad * grid.rmax
+    w_launch = model.w_mode(op.m, np.array([r_launch, -r_launch]))
     for end in range(2):
         if lam <= model.ends[end].lambda0:
             raise ValueError(f"lam={lam} at or below the threshold of end {end}")
+        if lam <= w_launch[end]:
+            raise ValueError(f"lam={lam} at or below W_{op.m} = "
+                             f"{float(w_launch[end])!r} at the launch radius "
+                             f"{r_launch!r} of end {end}: the channel is closed")
     r_lam = model.r_lambda(lam)
-    r_launch = rmax_pad * grid.rmax
     nodes, on_grid = _march_nodes(model, grid, r_launch)
     mats = _transfer(model, op.m, lam, nodes)
 

@@ -135,3 +135,15 @@ def test_transmission_tol_reaches_the_verdict(tmp_path):
     assert reps["1e-30"][0] == 3 and strict["converged"] is False
     assert strict["tol_s"] == 1e-30 and strict["worst_unitarity_defect"] > 0.0
     assert reps["1"][1] != reps["1e-30"][1]
+
+
+def test_smatrix_on_a_closed_channel_exits_nonconverged(tmp_path):
+    """The m = 1 channel of the flat ends opens only at lambda = 1/2."""
+    cfg = tmp_path / "closed.cfg"
+    cfg.write_text("[model]\npreset = free\n\n"
+                   "[grid]\nrmax = 30.0\ndx = 0.02\nmmax = 1\n\n"
+                   "[run]\nlambda_grid = 0.3:0.5:1\n")
+    code, rep = run(["smatrix", "--config", str(cfg)], tmp_path, "smatrix")
+    assert code == 3
+    assert rep["converged"] is False
+    assert "channel is closed" in rep["error"]

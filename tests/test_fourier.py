@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from ends_scatter.fourier import (BoundaryField, distorted_ft,
-                                  eigenfunction_decompose,
-                                  generalized_eigenfunction,
                                   scattering_matrix, transmission_metric,
                                   wkb_eigenfunction)
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
-from ends_scatter.presets import model_a, model_free
-from ends_scatter.resolvent import jost_pair
+from ends_scatter.oracle import reference_scattering_matrix
+from ends_scatter.presets import (model_a, model_b, model_c, model_d,
+                                  model_free)
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +74,23 @@ def test_wkb_eigenfunction_support_and_amplitude():
     assert np.allclose(np.abs(phi[far]), (2.0 * lam) ** -0.25, atol=1e-12)
 
 
-def test_generalized_eigenfunction_boundary_roundtrip():
-    model = model_a()
-    grid = RadialGrid(60.0, 0.02)
-    op = ModeOperator(model, grid, 0)
-    lam = 0.6
-    pair = jost_pair(op, lam, +1)
-    xi_target = (1.0 + 0.5j, -0.3 + 0.2j)
-    phi, diag = generalized_eigenfunction(op, lam, xi_target, pair=pair)
-    xi_p, xi_m, _ = eigenfunction_decompose(op, lam, phi, r_lam=pair.r_lam)
-    assert np.allclose(xi_p, xi_target, atol=1e-3)
-    # the reported block maps incoming to outgoing data
-    assert np.allclose(diag["s_block"] @ diag["xi_minus"], xi_target, atol=1e-6)
-    # and is unitary to the extraction accuracy
-    s = diag["s_block"]
-    assert np.linalg.norm(s.conj().T @ s - np.eye(2)) < 1e-2
+@pytest.mark.parametrize("model,rmax,mmax,lams", [
+    (model_free(), 60.0, 0, (0.3, 0.8)),
+    (model_a(), 60.0, 1, (0.3, 0.5, 0.8)),
+    (model_b(), 120.0, 1, (0.45, 0.6, 0.75)),
+    (model_c(), 60.0, 0, (1.0, 1.5, 2.0)),
+    (model_d(), 60.0, 0, (0.6, 0.9, 1.3, 2.0)),
+], ids=["free", "A", "B", "C", "D"])
+def test_smatrix_matches_probe_reference(model, rmax, mmax, lams):
+    """The connection-coefficient S equals the least-squares S over the
+    probe family, block by block, with the same doubling residuals."""
+    grid = RadialGrid(rmax, 0.01)
+    for lam in lams:
+        sd = scattering_matrix(model, grid, lam, mmax=mmax)
+        blocks, residuals = reference_scattering_matrix(model, grid, lam,
+                                                        mmax=mmax)
+        for b, ref in zip(sd.blocks, blocks):
+            assert np.linalg.norm(b - ref, 2) <= 1e-12
+        for d, ref in zip(sd.diag["per_mode"], residuals):
+            got = d["doubling_residual"]
+            assert (got == ref == np.inf) or abs(got - ref) <= 1e-12

@@ -98,6 +98,10 @@ def test_jost_pair_rejects_subthreshold_energy():
     op = ModeOperator(model_b(), grid, 0)
     with pytest.raises(ValueError):
         jost_pair(op, 0.1)  # below the 1/8 threshold of the hyperbolic end
+    # above both end thresholds, but the m = 1 channel of the flat ends
+    # opens only at W_1 = 1/2
+    with pytest.raises(ValueError, match="channel is closed"):
+        scattering_matrix(model_free(), RadialGrid(30.0, 0.02), 0.3, mmax=1)
 
 
 def _march_error(pair):
