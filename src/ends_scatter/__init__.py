@@ -62,7 +62,6 @@ from .propagator import (
     adjoint_identity_check,
     cook_integrand,
     end_projection,
-    energy_filter,
     evolve,
     transmission_experiment,
     wave_operator,

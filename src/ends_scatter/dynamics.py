@@ -15,15 +15,23 @@ where lam_c(t, r) is the unique stationary energy and K the eikonal.
 U_0 is an exact isometry of the profile norm (change of variables), the
 difference U - U_0 decays in t; both facts are acceptance-tested.
 
-The frequency integral is a trapezoid sum over a uniform lam grid.  On
-an end with constant q1 (separable) the WKB phase is b_lam E(r), and on
-an arithmetic run of radii inside the cutoff region E(r_k) - r_k is
-constant, so e^{i b E(r_k)} factors into a coarse and a fine exponential
-and the sum over lam becomes one complex matrix product; the other radii
-are summed directly.  On other ends the phase integrals of a block of
-lam nodes are accumulated at once and contracted with real cos/sin
-weights.  ``oracle.reference_comparison_state`` is the node-by-node sum
-both are checked against.
+The frequency integral is a trapezoid sum over a uniform lam grid.  The
+WKB phase splits as Phi_lam(r) = b_lam E(r) + psi_lam(r), with
+b_lam = (2(lam - lam0))^{1/2} the asymptotic momentum and
+E(r) = int_{r0}^r eta_lambda.  On an arithmetic run of radii inside the
+cutoff region E(r_k) - r_k is constant, so e^{i b E(r_k)} factors into
+a coarse and a fine exponential and a sum over lam with any weights
+becomes one complex matrix product; the other radii with eta_lambda > 0
+are summed directly.  On an end with constant q1 (separable) psi = 0
+and one such sum with the weights h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam}
+is the whole state.  On other ends the amplitude
+(2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam; it is
+interpolated on a few Chebyshev nodes lam_j, with the rank chosen by an
+a-posteriori check, and the state is the sum over j of A(lam_j, r) times
+the run sum weighted by the j-th Lagrange polynomial (the separated-phase
+technique of Candes, Demanet & Ying, SISC 29, 2007).
+``oracle.reference_comparison_state`` is the node-by-node sum both are
+checked against.
 
 Short-range and Dollard comparison dynamics replace lam_c and K by their
 free forms (plus, for Dollard, the secular tail integral); the phase
@@ -62,6 +70,9 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 # elements of one (lam x r) work array of the frequency quadrature
 _BLOCK = 1 << 21
+# accepted error of the lam interpolant of the comparison amplitude,
+# relative to its largest modulus
+_AMP_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +176,10 @@ def _gauss_q1(model: ManifoldModel, end: int, r: np.ndarray, r1: float):
 def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray,
                  power: float = -0.5):
     """int_{r1}^r (2(lam - q1))^power ds, vectorized over paired (lam, r),
-    from the samples of :func:`_gauss_q1`."""
+    from the samples of :func:`_gauss_q1`.  The contraction is einsum's,
+    not a BLAS gemv, which would wake idle BLAS threads to spin."""
     vals = (2.0 * (lam[:, None] - q1_gl)) ** power
-    return half * (vals @ _GL_WEIGHTS)
+    return half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
 
 
 def default_r1(model: ManifoldModel, lam_lo: float) -> float:
@@ -348,6 +360,66 @@ def frequency_nodes(model: ManifoldModel, h: SpectralProfile, t: float,
     return lam, h(lam) * wts
 
 
+def _lobatto_basis(n: int, y: np.ndarray) -> np.ndarray:
+    """Lagrange basis of the n Chebyshev-Lobatto points cos(pi i/(n-1)) at
+    the points y of [-1, 1], one row per point (barycentric form)."""
+    x = np.cos(np.pi * np.arange(n) / (n - 1))
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
+    d = y[:, None] - x[None, :]
+    hit = d == 0.0
+    d[hit] = 1.0
+    q = w / d
+    basis = q / q.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    basis[rows] = hit[rows]
+    return basis
+
+
+def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
+                     b_lam: np.ndarray, wts: np.ndarray, sign: int,
+                     b_hi: float) -> np.ndarray:
+    """sum_lam wts[lam, c] e^{i sign b_lam E(r)} for each column c of
+    ``wts`` (one row of the result per column) at the radii with
+    eta_lambda > 0; the other radii are left at 0.
+
+    The radii with eta_lambda = 1, in the given order, form the run
+    r_k ~ r_s + k delta, split as k = K J + j with J ~ sqrt(run length).
+    A radius joins the matrix product only if
+    b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad; every other radius with
+    eta_lambda > 0 is summed directly.
+    """
+    n_lam, n_col = wts.shape
+    out = np.zeros((n_col, r.size), dtype=complex)
+    direct = eta_r > 0.0
+    run = np.flatnonzero(eta_r == 1.0)
+    if run.size >= 2:
+        n_run = run.size
+        J = math.isqrt(n_run - 1) + 1
+        k = np.arange(n_run)
+        j = k % J
+        delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
+        dev = r[run] - r[run[k - j]] - j * delta
+        on_run = b_hi * np.abs(dev) <= 1e-12
+        coarse = np.exp(1j * sign * np.outer(b_lam, e_of_r[run[::J]]))
+        fine = np.exp(1j * sign * np.outer(b_lam, delta * np.arange(J)))
+        # weighted copies of coarse side by side, <= _BLOCK elements each
+        step = max(1, _BLOCK // coarse.size)
+        for c0 in range(0, n_col, step):
+            c = slice(c0, c0 + step)
+            wc = (wts[:, c, None] * coarse[:, None, :]).reshape(n_lam, -1)
+            prod = (wc.T @ fine).reshape(-1, coarse.shape[1] * J)[:, :n_run]
+            del wc  # before the next block's copy is made
+            out[c, run[on_run]] = prod[:, on_run]
+        direct[run[on_run]] = False
+    cols = np.flatnonzero(direct)
+    step = max(1, _BLOCK // max(n_lam, 1))
+    for i0 in range(0, cols.size, step):
+        c = cols[i0:i0 + step]
+        out[:, c] = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))
+    return out
+
+
 def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
                      r: Optional[np.ndarray] = None, sign: int = +1,
                      dr: float = 0.02, points_per_cycle: int = 24,
@@ -356,83 +428,99 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     lam nodes of :func:`frequency_nodes` (the module docstring describes
     the factored sum).
 
-    On a separable end the radii with eta_lambda = 1, in the given order,
-    form the run r_k ~ r_s + k delta, split as k = K J + j with
-    J ~ sqrt(run length).  A radius joins the matrix product only if
-    b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad; every other radius with
-    eta_lambda > 0 is summed directly.
+    The phase is split as Phi_lam(r) = b_lam E(r) + psi_lam(r).  On a
+    separable end psi = 0 and the amplitude does not depend on r: one
+    weight column.  Otherwise the amplitude
+    A(lam, r) = (2|lam - q1|)^{-1/4} e^{+-i psi_lam(r)} is interpolated in
+    lam on nested Chebyshev-Lobatto nodes (9, 17, 33, ...): a level is
+    accepted once it reproduces A at the nodes the next level adds to
+    within ``_AMP_TOL`` of max|A|, over the radii with eta_lambda > 0
+    (A need not be smooth in lam where eta_lambda = 0).  Once the next
+    level would outnumber the live lam nodes, those nodes themselves are
+    used, which is exact.
     """
     end = h.end
     prof = model.ends[end]
+    lam0 = prof.lambda0
     if r_lam is None:
         r_lam = model.r_lambda(h.lam_lo)
     if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, prof.lambda0, dr=dr, r1=r_lam)
+        r = dynamics_grid(model, t, h.lam_hi, lam0, dr=dr, r1=r_lam)
     r = np.asarray(r, dtype=float)
     lam, hv = frequency_nodes(model, h, t, r, points_per_cycle)
     live = hv != 0.0
     lam, hv = lam[live], hv[live]
 
     eta_r = model.cutoffs.eta(r, r_lam)
-    out = np.zeros(r.shape, dtype=complex)
     r_far = float(np.max(r))
+    b_hi = math.sqrt(2.0 * (h.lam_hi - lam0))
+    b_lam = np.sqrt(2.0 * (lam - lam0))
+    e_t = np.exp(-1j * sign * t * lam)
+    # E(r) = int_{r0}^r eta_lambda ds
+    e_of_r = integral_from_r0(model, r, lambda s: model.cutoffs.eta(s, r_lam))
 
-    # q1 constant on the end => the phase integral separates as b(lam)*E(r)
+    # q1 constant on the end => psi = 0 and the amplitude depends on lam only
     probe = prof.q1(np.linspace(model.r0, r_far, 64))
-    separable = float(np.ptp(probe)) < 1e-13
-    if separable:
-        q1 = float(prof.q1(np.array([r_far]))[0])
-        b_lam = np.sqrt(2.0 * (lam - q1))
-        g = hv * (2.0 * np.abs(lam - q1)) ** -0.25 * np.exp(-1j * sign * t * lam)
-        # E(r) = int_{r0}^r eta_lambda ds
-        e_of_r = integral_from_r0(model, r,
-                                  lambda s: model.cutoffs.eta(s, r_lam))
-        direct = eta_r > 0.0
-        run = np.flatnonzero(eta_r == 1.0)
-        if run.size >= 2:
-            n_run = run.size
-            J = math.isqrt(n_run - 1) + 1
-            k = np.arange(n_run)
-            j = k % J
-            delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
-            dev = r[run] - r[run[k - j]] - j * delta
-            on_run = math.sqrt(2.0 * (h.lam_hi - q1)) * np.abs(dev) <= 1e-12
-            coarse = np.exp(1j * sign * np.outer(b_lam, e_of_r[run[::J]]))
-            fine = np.exp(1j * sign * np.outer(b_lam, delta * np.arange(J)))
-            prod = ((g[:, None] * coarse).T @ fine).ravel()[:n_run]
-            out[run[on_run]] = prod[on_run]
-            direct[run[on_run]] = False
-        cols = np.flatnonzero(direct)
-        step = max(1, _BLOCK // max(lam.size, 1))
-        for i0 in range(0, cols.size, step):
-            c = cols[i0:i0 + step]
-            out[c] = g @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))
-    else:
-        q1_r = prof.q1(r)
-        nodes = {}
-
-        def momenta(s, lam_blk):
-            """eta_lambda b_lam on the quadrature nodes s, one row per lam;
-            eta_lambda and q1 are sampled on the first block only."""
-            if not nodes:
-                nodes.update(eta=model.cutoffs.eta(s, r_lam), q1=prof.q1(s))
-            return nodes["eta"] * np.sqrt(np.maximum(
-                2.0 * (lam_blk[:, None] - nodes["q1"]), 0.0))
-
-        # hv e^{i theta} = |hv| e^{i (theta + arg hv)}: real weights, and
-        # einsum (not BLAS, whose idle threads spin) does the lam sums
-        step = max(1, _BLOCK // max(r.size, 1))
-        for i0 in range(0, lam.size, step):
-            blk = lam[i0:i0 + step]
-            hv_blk = hv[i0:i0 + step]
-            phi = integral_from_r0(model, r, lambda s: momenta(s, blk))
-            theta = sign * phi + (np.angle(hv_blk) - sign * t * blk)[:, None]
-            wts = np.abs(hv_blk)[:, None] / np.sqrt(np.sqrt(
-                2.0 * np.abs(blk[:, None] - q1_r)))
-            out.real += np.einsum("lr,lr->r", wts, np.cos(theta))
-            out.imag += np.einsum("lr,lr->r", wts, np.sin(theta))
+    out = np.zeros(r.shape, dtype=complex)
+    if float(np.ptp(probe)) < 1e-13:
+        g = hv * (2.0 * np.abs(lam - lam0)) ** -0.25 * e_t
+        out = _plane_wave_sums(r, eta_r, e_of_r, b_lam, g[:, None], sign, b_hi)[0]
+    elif lam.size:
+        live_r = eta_r > 0.0
+        amp, basis = _amplitude_factors(model, prof, r, live_r, r_lam, lam, sign)
+        step = max(1, _BLOCK // r.size)
+        for c0 in range(0, amp.shape[0], step):
+            c = slice(c0, c0 + step)
+            sums = _plane_wave_sums(r, eta_r, e_of_r, b_lam,
+                                    (hv * e_t)[:, None] * basis[:, c], sign, b_hi)
+            out[live_r] += np.einsum("jr,jr->r", amp[c], sums[:, live_r])
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out
+
+
+def _amplitude_factors(model: ManifoldModel, prof, r: np.ndarray,
+                       live_r: np.ndarray, r_lam: float, lam: np.ndarray,
+                       sign: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The amplitude A(lam_j, r) at the accepted interpolation nodes lam_j
+    (one row per node, one column per radius of ``live_r``) and the
+    Lagrange basis of those nodes on the lam grid (one column per node);
+    :func:`comparison_state` states the acceptance rule."""
+    q1_r = prof.q1(r[live_r])
+    samples = {}
+
+    def excess(s, nodes):
+        """eta_lambda ((2(lam - q1))^{1/2} - b_lam), the integrand of psi,
+        on the quadrature nodes s, one row per lam; eta_lambda and q1 are
+        sampled on the first call only."""
+        if not samples:
+            samples.update(eta=model.cutoffs.eta(s, r_lam), q1=prof.q1(s))
+        b = np.sqrt(np.maximum(2.0 * (nodes[:, None] - samples["q1"]), 0.0))
+        return samples["eta"] * (b - np.sqrt(2.0 * (nodes - prof.lambda0))[:, None])
+
+    def amplitude(nodes):
+        out = np.empty((nodes.size, q1_r.size), dtype=complex)
+        step = max(1, _BLOCK // (r.size + 1))
+        for i0 in range(0, nodes.size, step):
+            blk = nodes[i0:i0 + step]
+            psi = integral_from_r0(model, r, lambda s: excess(s, blk))[:, live_r]
+            out[i0:i0 + step] = np.exp(1j * sign * psi) / np.sqrt(np.sqrt(
+                2.0 * np.abs(blk[:, None] - q1_r)))
+        return out
+
+    mid, half = 0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0])
+    n = 9
+    amp = amplitude(mid + half * np.cos(np.pi * np.arange(n) / (n - 1)))
+    while 2 * n - 1 < lam.size:
+        # the nodes the next level adds, between the current ones
+        x_new = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
+        amp_new = amplitude(mid + half * x_new)
+        err = np.abs(_lobatto_basis(n, x_new) @ amp - amp_new)
+        if np.max(err, initial=0.0) <= _AMP_TOL * np.max(np.abs(amp_new), initial=0.0):
+            return amp, _lobatto_basis(n, (lam - mid) / half)
+        merged = np.empty((2 * n - 1, q1_r.size), dtype=complex)
+        merged[0::2], merged[1::2] = amp, amp_new
+        amp, n = merged, 2 * n - 1
+    return amplitude(lam), np.eye(lam.size)
 
 
 def shortrange_state(model: ManifoldModel, h: SpectralProfile, t: float,

@@ -38,7 +38,6 @@ __all__ = [
     "cook_integrand",
     "wave_operator",
     "adjoint_identity_check",
-    "energy_filter",
     "end_mass",
     "end_projection",
     "transmission_experiment",
@@ -323,37 +322,8 @@ def adjoint_identity_check(op: ModeOperator, model: ManifoldModel,
 
 
 # ---------------------------------------------------------------------------
-# energy filtering and end projections
+# end projections
 # ---------------------------------------------------------------------------
-
-def energy_filter(op: ModeOperator, psi: np.ndarray, lam_lo: float,
-                  lam_hi: float, smoothing: float = 0.05,
-                  cfg: Optional[EvolutionConfig] = None) -> np.ndarray:
-    """Smooth spectral cutoff g(H) psi for a mollified indicator of
-    [lam_lo, lam_hi], realized as a Fourier sum of short evolutions:
-    g(H) = int ghat(t) e^{-itH} dt with a Gaussian-regularized kernel."""
-    cfg = cfg or EvolutionConfig()
-    center = 0.5 * (lam_lo + lam_hi)
-    half = 0.5 * (lam_hi - lam_lo)
-    t_max = 6.0 / smoothing
-    n_steps = int(math.ceil(t_max / cfg.dt))
-    dt = t_max / n_steps
-    prop_f = Propagator(op, dt)
-    prop_b = Propagator(op, -dt)
-    # ghat(t) = (1/pi) sin(half * t) / t * exp(-(smoothing t)^2 / 2) * e^{i center t}
-    acc = (half / np.pi) * dt * np.asarray(psi, dtype=complex)  # t = 0 term
-    fwd = np.asarray(psi, dtype=complex)
-    bwd = fwd.copy()
-    for k in range(1, n_steps + 1):
-        t = k * dt
-        fwd = prop_f.step(fwd)
-        bwd = prop_b.step(bwd)
-        g = (np.sin(half * t) / (np.pi * t)
-             * math.exp(-0.5 * (smoothing * t) ** 2)) * dt
-        acc = acc + g * (np.exp(1j * center * t) * fwd
-                         + np.exp(-1j * center * t) * bwd)
-    return acc
-
 
 def end_mass(grid: RadialGrid, psi: np.ndarray, end: int,
              r_min: float) -> float:

@@ -94,6 +94,9 @@ def test_tol_is_rejected_where_no_tolerance_is_read(tmp_path):
     ["dynamics", "--preset", "A", "--t-grid", "10,20,40"],
     ["waveop", "--preset", "A", "--t-grid", "10,20,40"],
     ["transmission", "--preset", "D", "--t-grid", "10"],
+    # the low-rank comparison sum runs through BLAS matrix products
+    pytest.param(["dynamics", "--preset", "C", "--t-grid", "10,20,40,80"],
+                 id="dynamics-C"),
 ], ids=lambda argv: argv[0])
 def test_subcommand_reports_are_byte_identical(tmp_path, argv):
     outs = []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ends_scatter import dynamics
 from ends_scatter.dynamics import (SpectralProfile, comparison_state,
                                    dollard_state, dynamics_grid, eikonal,
                                    hamilton_jacobi_residual, leading_term,
@@ -95,23 +96,40 @@ def test_comparison_approaches_leading_term():
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
-@pytest.mark.parametrize("model", [model_a(), model_c()], ids=["A", "C"])
-def test_comparison_state_matches_reference(model, sign):
-    """The factored (A) and blocked (C) frequency quadratures against the
+@pytest.mark.parametrize("preset", ["A", "C"])
+def test_comparison_state_matches_reference(preset, sign):
+    """The factored (A) and low-rank (C) frequency quadratures against the
     node-by-node sum, on the radii the callers use: the dynamics grid,
     the lab-grid nodes of both ends (end 1 descends) and a non-uniform
-    set, which the factored sum must hand to its direct fallback."""
-    t = 40.0
+    set, which the factored sum must hand to its direct fallback.  C at
+    t = 160 needs more than the first 9 interpolation nodes in lam: that
+    level alone is off by more than 1e-4 there."""
+    model = {"A": model_a, "C": model_c}[preset]()
     grid = RadialGrid(80.0, 0.02)
-    cases = [(0, dynamics_grid(model, t, 0.8, r1=model.r_lambda(0.3))),
-             (0, np.abs(grid.x[grid.end_mask(0)])),
-             (1, np.abs(grid.x[grid.end_mask(1)])),
-             (0, 1.0 + 80.0 * np.linspace(0.0, 1.0, 3001) ** 2)]
-    for end, r in cases:
+    r1 = model.r_lambda(0.3)
+    cases = [(40.0, 0, dynamics_grid(model, 40.0, 0.8, r1=r1)),
+             (40.0, 0, np.abs(grid.x[grid.end_mask(0)])),
+             (40.0, 1, np.abs(grid.x[grid.end_mask(1)])),
+             (40.0, 0, 1.0 + 80.0 * np.linspace(0.0, 1.0, 3001) ** 2)]
+    if preset == "C":
+        cases.append((160.0, 0, dynamics_grid(model, 160.0, 0.8, r1=r1)))
+    for t, end, r in cases:
         h = SpectralProfile.bump_profile(end=end, center=0.55, width=0.25)
         _, u = comparison_state(model, h, t, r=r, sign=sign)
         ref = reference_comparison_state(model, h, t, r, sign=sign)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_comparison_state_is_exact_at_the_rank_cap(monkeypatch):
+    """With an unreachable amplitude tolerance the interpolation levels
+    run out and the live lam nodes themselves become the nodes."""
+    monkeypatch.setattr(dynamics, "_AMP_TOL", 0.0)
+    model = model_c()
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    r = dynamics_grid(model, 10.0, 0.8, r1=model.r_lambda(0.3))
+    _, u = comparison_state(model, h, 10.0, r=r)
+    ref = reference_comparison_state(model, h, 10.0, r)
+    assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_comparison_state_does_not_depend_on_radius_order():

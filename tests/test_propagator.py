@@ -10,7 +10,7 @@ from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_d, model_free
 from ends_scatter.propagator import (EvolutionConfig, Propagator,
                                      cook_integrand, embed_end_state,
-                                     end_mass, end_projection, energy_filter,
+                                     end_mass, end_projection,
                                      evolve, wave_operator)
 
 
@@ -165,21 +165,6 @@ def test_cook_integrand_decays(setup):
     early = cook_integrand(model, h, 20.0)
     late = cook_integrand(model, h, 80.0)
     assert late < 0.5 * early
-
-
-def test_energy_filter_selects_window():
-    grid = RadialGrid(40.0, 0.05)
-    op = ModeOperator(model_free(), grid, 0)
-    env = np.exp(-grid.x**2 / 32.0)  # narrow in momentum
-    k_in = 1.0    # lam = 0.5, inside [0.3, 0.8]
-    k_out = 2.6   # lam = 3.38, far outside
-    lo = env * np.exp(1j * k_in * grid.x)
-    hi = env * np.exp(1j * k_out * grid.x)
-    cfg = EvolutionConfig(dt=0.05)
-    g_lo = energy_filter(op, lo, 0.3, 0.8, smoothing=0.1, cfg=cfg)
-    g_hi = energy_filter(op, hi, 0.3, 0.8, smoothing=0.1, cfg=cfg)
-    assert grid.norm(g_lo) > 0.8 * grid.norm(lo)
-    assert grid.norm(g_hi) < 0.05 * grid.norm(hi)
 
 
 def test_end_mass_and_projection(setup):
