@@ -19,7 +19,6 @@ from .dynamics import (
     hamilton_jacobi_residual,
     leading_term,
     phase_modifier,
-    shortrange_state,
     state_norm,
     stationary_point,
 )
@@ -29,7 +28,6 @@ from .fourier import (
     distorted_ft,
     scattering_matrix,
     transmission_metric,
-    wkb_eigenfunction,
 )
 from .geometry import (
     CutoffFamily,
@@ -41,14 +39,7 @@ from .geometry import (
     phase_b,
     riccati_residual,
 )
-from .mode_reduction import (
-    ModeOperator,
-    RadialGrid,
-    RadialState,
-    besov_norm,
-    besov_norms,
-    half_density_map,
-)
+from .mode_reduction import ModeOperator, RadialGrid, besov_norm
 from .oracle import (
     closed_form_scattering,
     dense_hamiltonian_2d,
@@ -60,18 +51,11 @@ from .propagator import (
     EvolutionConfig,
     Propagator,
     adjoint_identity_check,
-    cook_integrand,
     end_projection,
     evolve,
     transmission_experiment,
     wave_operator,
 )
-from .resolvent import (
-    JostPair,
-    jost_pair,
-    limiting_resolvent,
-    radiation_residual,
-    sommerfeld_check,
-)
+from .resolvent import JostPair, jost_pair, limiting_resolvent, radiation_residual
 
 __version__ = "0.1.0"

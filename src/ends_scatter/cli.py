@@ -32,14 +32,12 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, default_config, load_config
-from .dynamics import (SpectralProfile, comparison_state, dollard_state,
-                       leading_term, phase_modifier, shortrange_state,
+from .dynamics import (SpectralProfile, comparison_state, leading_term,
                        state_norm)
 from .fourier import scattering_matrix, transmission_metric
 from .geometry import classify_potential, critical_energy
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
-from .presets import by_name
 from .propagator import EvolutionConfig, transmission_experiment, wave_operator
 from .resolvent import limiting_resolvent, radiation_residual
 

@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import configparser
 import csv
-import io
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

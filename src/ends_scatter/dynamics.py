@@ -33,16 +33,16 @@ technique of Candes, Demanet & Ying, SISC 29, 2007).
 ``oracle.reference_comparison_state`` is the node-by-node sum both are
 checked against.
 
-Short-range and Dollard comparison dynamics replace lam_c and K by their
-free forms (plus, for Dollard, the secular tail integral); the phase
-modifier theta(lam) reconciles the two pictures.
+Dollard comparison dynamics replace lam_c and K by their free forms plus
+the secular tail integral; the phase modifier theta(lam) reconciles the
+two pictures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -60,10 +60,8 @@ __all__ = [
     "leading_term",
     "frequency_nodes",
     "comparison_state",
-    "shortrange_state",
     "dollard_state",
     "phase_modifier",
-    "profile_norm",
     "state_norm",
 ]
 
@@ -73,6 +71,21 @@ _BLOCK = 1 << 21
 # accepted error of the lam interpolant of the comparison amplitude,
 # relative to its largest modulus
 _AMP_TOL = 1e-11
+# spacing of the default radial grid and the front allowance of
+# dynamics_grid (the fastest energy of the window travels _PAD t v)
+_DR = 0.02
+_PAD = 1.25
+# Newton iterations and relative travel-time tolerance of stationary_point
+_MAX_ITER = 60
+_RTOL = 1e-12
+# central-difference step in t and r of hamilton_jacobi_residual
+_HJ_STEP = 1e-3
+# lam nodes per oscillation of the frequency-quadrature phase
+_POINTS_PER_CYCLE = 24
+# phase_modifier: outer quadrature radius, and the largest tail integrand
+# (times _R_TAIL) that is closed with a zero tail instead of a fitted one
+_R_TAIL = 1e6
+_TAIL_ABS_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +138,19 @@ class SpectralProfile:
         return float(np.sqrt(np.trapezoid(np.abs(self(lam)) ** 2, lam) / (2.0 * np.pi)))
 
 
-def profile_norm(profiles: Sequence[SpectralProfile]) -> float:
-    return float(np.sqrt(sum(p.norm() ** 2 for p in profiles)))
-
-
 def state_norm(r: np.ndarray, vals: np.ndarray) -> float:
     """L2(dr) norm of a radial field by the trapezoid rule."""
     return float(np.sqrt(np.trapezoid(np.abs(vals) ** 2, r)))
 
 
 def dynamics_grid(model: ManifoldModel, t: float, lam_hi: float,
-                  lambda0: float = 0.0, dr: float = 0.02,
-                  pad: float = 1.25, r1: float = 0.0) -> np.ndarray:
-    """Radial grid [r0/2, ...] wide enough to hold the outgoing front at
-    time t for energies up to lam_hi, launched from the anchor radius r1."""
-    rmax = (max(model.r0, r1) + pad * t * math.sqrt(2.0 * max(lam_hi - lambda0, 0.1))
+                  lambda0: float = 0.0, r1: float = 0.0) -> np.ndarray:
+    """Radial grid [r0/2, ...] with spacing 0.02, wide enough to hold the
+    outgoing front at time t for energies up to lam_hi, launched from the
+    anchor radius r1."""
+    rmax = (max(model.r0, r1) + _PAD * t * math.sqrt(2.0 * max(lam_hi - lambda0, 0.1))
             + 10.0)
-    n = int(math.ceil((rmax - model.r0 / 2.0) / dr))
+    n = int(math.ceil((rmax - model.r0 / 2.0) / _DR))
     return np.linspace(model.r0 / 2.0, rmax, n + 1)
 
 
@@ -189,8 +198,7 @@ def default_r1(model: ManifoldModel, lam_lo: float) -> float:
 
 
 def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
-                     lam_lo: float, r1: Optional[float] = None,
-                     max_iter: int = 60, rtol: float = 1e-12) -> StationaryField:
+                     lam_lo: float, r1: Optional[float] = None) -> StationaryField:
     """Solve  int_{r1}^r [2(lam - q1)]^(-1/2) ds = t  for lam per radius.
 
     The map is strictly decreasing in lam, so a Newton iteration with a
@@ -220,17 +228,17 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
             lo = np.full(rs2.shape, lam_lo)
             # grow the upper bracket until the travel time drops below t
             hi = np.maximum(2.0 * lam - lam0, lam_lo + 1e-6)
-            for _ in range(max_iter):
+            for _ in range(_MAX_ITER):
                 need = _travel_time(half, q1_gl, hi) >= t
                 if not np.any(need):
                     break
                 hi[need] = lam0 + 2.0 * (hi[need] - lam0)
-            for _ in range(max_iter):
+            for _ in range(_MAX_ITER):
                 T = _travel_time(half, q1_gl, lam)
                 F = T - t
                 lo = np.where(F > 0, np.maximum(lo, lam), lo)
                 hi = np.where(F < 0, np.minimum(hi, lam), hi)
-                if np.all(np.abs(F) <= rtol * t):
+                if np.all(np.abs(F) <= _RTOL * t):
                     break
                 dT = -_travel_time(half, q1_gl, lam, power=-1.5)
                 lam_new = lam - F / dT
@@ -258,7 +266,7 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
 
 
 def eikonal(model: ManifoldModel, sf: StationaryField,
-            with_offset: bool = True, r_lam: Optional[float] = None) -> StationaryField:
+            with_offset: bool = True) -> StationaryField:
     """Fill in the eikonal K1 = int_{r1}^r b_{lam_c} - t lam_c and the full
     phase K (referenced at r0 by adding the fixed-energy run-in integral
     over [r0, r1], cutoff included)."""
@@ -273,8 +281,7 @@ def eikonal(model: ManifoldModel, sf: StationaryField,
         k1[msk] = (_travel_time(*_gauss_q1(model, end, rs, sf.r1), lam, power=0.5)
                    - sf.t * lam)
         if with_offset:
-            if r_lam is None:
-                r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
+            r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
             nodes = np.linspace(model.r0, sf.r1, 257)
             eta = model.cutoffs.eta(nodes, r_lam)
             q1n = model.ends[end].q1(nodes)
@@ -291,27 +298,20 @@ def eikonal(model: ManifoldModel, sf: StationaryField,
 
 
 def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
-                             r: np.ndarray, lam_lo: float,
-                             r1: Optional[float] = None,
-                             dt: float = 1e-3, dr: float = 1e-3) -> np.ndarray:
+                             r: np.ndarray, lam_lo: float) -> np.ndarray:
     """|d_t K1 + (d_r K1)^2 / 2 + q1| by central differences of the
-    quadrature eikonal.  Also certifies d_t K1 = -lam_c and
-    d_r K1 = b_{lam_c} (reported in the array's companion dict)."""
+    quadrature eikonal, anchored at the default r1 of lam_lo."""
     r = np.asarray(r, dtype=float)
-    if r1 is None:
-        r1 = default_r1(model, lam_lo)
+    r1 = default_r1(model, lam_lo)
+    step = _HJ_STEP
 
     def k1_at(tt, rr):
         sf = stationary_point(model, end, tt, rr, lam_lo, r1=r1)
         sf = eikonal(model, sf, with_offset=False)
         return sf.k1
 
-    kp_t = k1_at(t + dt, r)
-    km_t = k1_at(t - dt, r)
-    kp_r = k1_at(t, r + dr)
-    km_r = k1_at(t, r - dr)
-    dk_dt = (kp_t - km_t) / (2.0 * dt)
-    dk_dr = (kp_r - km_r) / (2.0 * dr)
+    dk_dt = (k1_at(t + step, r) - k1_at(t - step, r)) / (2.0 * step)
+    dk_dr = (k1_at(t, r + step) - k1_at(t, r - step)) / (2.0 * step)
     q1 = model.ends[end].q1(r)
     return np.abs(dk_dt + 0.5 * dk_dr**2 + q1)
 
@@ -321,13 +321,13 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
 # ---------------------------------------------------------------------------
 
 def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
-                 r: Optional[np.ndarray] = None, sign: int = +1,
-                 dr: float = 0.02) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
+                 r: Optional[np.ndarray] = None,
+                 sign: int = +1) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
     """U_0^+-(t) h on one end: returns (r, values, stationary data)."""
     end = h.end
     r1 = default_r1(model, h.lam_lo)
     if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, dr=dr, r1=r1)
+        r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
     sf = stationary_point(model, end, t, r, h.lam_lo, r1=r1)
     sf = eikonal(model, sf)
     vals = np.zeros(r.shape, dtype=complex)
@@ -340,20 +340,19 @@ def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
 
 
 def frequency_nodes(model: ManifoldModel, h: SpectralProfile, t: float,
-                    r: np.ndarray, points_per_cycle: int = 24
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+                    r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """lam nodes of the frequency quadrature of U^+-(t) h at the radii r,
     and the profile times its trapezoid weights there.
 
     The uniform lam grid resolves every oscillation of the phase
-    Phi_lam(r) - t lam with at least ``points_per_cycle`` points.
+    Phi_lam(r) - t lam with at least 24 points.
     """
     prof = model.ends[h.end]
     span = h.lam_hi - h.lam_lo
     b_hi = math.sqrt(2.0 * (h.lam_hi - prof.lambda0))
     b_lo = math.sqrt(2.0 * max(h.lam_lo - prof.lambda0, 0.0))
     cycles = (t * span + (np.max(r) - model.r0) * (b_hi - b_lo)) / (2.0 * np.pi)
-    n_lam = max(257, int(points_per_cycle * cycles) + 1)
+    n_lam = max(257, int(_POINTS_PER_CYCLE * cycles) + 1)
     lam = np.linspace(h.lam_lo, h.lam_hi, n_lam)
     wts = np.full(n_lam, lam[1] - lam[0])
     wts[[0, -1]] *= 0.5
@@ -421,9 +420,8 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
 
 
 def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
-                     r: Optional[np.ndarray] = None, sign: int = +1,
-                     dr: float = 0.02, points_per_cycle: int = 24,
-                     r_lam: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+                     r: Optional[np.ndarray] = None,
+                     sign: int = +1) -> Tuple[np.ndarray, np.ndarray]:
     """U^+-(t) h by frequency quadrature of the WKB eigenfunctions on the
     lam nodes of :func:`frequency_nodes` (the module docstring describes
     the factored sum).
@@ -442,12 +440,11 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     end = h.end
     prof = model.ends[end]
     lam0 = prof.lambda0
-    if r_lam is None:
-        r_lam = model.r_lambda(h.lam_lo)
+    r_lam = model.r_lambda(h.lam_lo)
     if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, lam0, dr=dr, r1=r_lam)
+        r = dynamics_grid(model, t, h.lam_hi, lam0, r1=r_lam)
     r = np.asarray(r, dtype=float)
-    lam, hv = frequency_nodes(model, h, t, r, points_per_cycle)
+    lam, hv = frequency_nodes(model, h, t, r)
     live = hv != 0.0
     lam, hv = lam[live], hv[live]
 
@@ -523,46 +520,36 @@ def _amplitude_factors(model: ManifoldModel, prof, r: np.ndarray,
     return amplitude(lam), np.eye(lam.size)
 
 
-def shortrange_state(model: ManifoldModel, h: SpectralProfile, t: float,
-                     r: Optional[np.ndarray] = None, sign: int = +1,
-                     dr: float = 0.02) -> Tuple[np.ndarray, np.ndarray]:
-    """Free comparison dynamics of the short-range class:
+def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
+                  r: Optional[np.ndarray] = None,
+                  sign: int = +1) -> Tuple[np.ndarray, np.ndarray]:
+    """Dollard dynamics: the free (short-range) comparison phase
 
         K_sr = (r - r0)^2 / (2t) - t lam0,
-        lam evaluated at lam0 + (r - r0)^2 / (2 t^2).
+        lam evaluated at lam0 + (r - r0)^2 / (2 t^2),
+
+    with the secular correction
+
+        K_do = K_sr - (t / (r - r0)) int_{r0}^r (q1 - lam0) ds ,
+
+    which vanishes on a tail-free end.
     """
-    return _free_form_state(model, h, t, r, sign, dr, dollard=False)
-
-
-def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
-                  r: Optional[np.ndarray] = None, sign: int = +1,
-                  dr: float = 0.02) -> Tuple[np.ndarray, np.ndarray]:
-    """Dollard dynamics: the short-range form with the secular correction
-
-        K_do = K_sr - (t / (r - r0)) int_{r0}^r (q1 - lam0) ds .
-    """
-    return _free_form_state(model, h, t, r, sign, dr, dollard=True)
-
-
-def _free_form_state(model, h, t, r, sign, dr, dollard: bool):
     end = h.end
     prof = model.ends[end]
     lam0 = prof.lambda0
     if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, lam0, dr=dr)
+        r = dynamics_grid(model, t, h.lam_hi, lam0)
     vals = np.zeros(r.shape, dtype=complex)
     msk = r > model.r0
     rr = r[msk] - model.r0
     lam_free = lam0 + rr**2 / (2.0 * t**2)
-    k = rr**2 / (2.0 * t) - t * lam0
-    if dollard:
-        order = np.argsort(r[msk])
-        rs = r[msk][order]
-        # the secular integral starts at the first node above r0
-        acc = cumulative_trapezoid(prof.q1(rs) - lam0, rs, initial=0)
-        q_int = np.empty_like(acc)
-        q_int[order] = acc
-        k = k - (t / rr) * q_int
+    order = np.argsort(r[msk])
+    rs = r[msk][order]
+    # the secular integral starts at the first node above r0
+    acc = cumulative_trapezoid(prof.q1(rs) - lam0, rs, initial=0)
+    q_int = np.empty_like(acc)
+    q_int[order] = acc
+    k = rr**2 / (2.0 * t) - t * lam0 - (t / rr) * q_int
     pref = (2.0 * np.pi) ** -0.5 * np.exp(-sign * 0.75j * np.pi)
     vals[msk] = pref * np.exp(1j * sign * k) * np.sqrt(rr) / t * h(lam_free)
     return r, vals
@@ -573,8 +560,7 @@ def _free_form_state(model, h, t, r, sign, dr, dollard: bool):
 # ---------------------------------------------------------------------------
 
 def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
-                   r_lam: Optional[float] = None, r_tail: float = 1e6,
-                   abs_tol: float = 1e-8):
+                   r_lam: Optional[float] = None):
     """theta(lam) = int_{r0}^infty (b_kind - eta b) dr on one end.
 
     This is the asymptotic phase gap between the free comparison phase
@@ -597,7 +583,7 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     # dense near the core, log-spaced into the tail
     rr = np.concatenate([
         np.linspace(model.r0, 8.0 * r_lam, 2001),
-        np.geomspace(8.0 * r_lam, r_tail, 6000)[1:],
+        np.geomspace(8.0 * r_lam, _R_TAIL, 6000)[1:],
     ])
     eta = model.cutoffs.eta(rr, r_lam)
     q1 = prof.q1(rr)
@@ -623,11 +609,11 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     theta = theta + np.trapezoid((1.0 - eta_c)[None, :] * bk_c, rc, axis=1)
 
     # close with a power-law tail fitted on the last decade
-    tail_mask = rr >= r_tail / 10.0
+    tail_mask = rr >= _R_TAIL / 10.0
     tails = np.empty(lam_arr.shape)
     for i in range(lam_arr.size):
         y = np.abs(integ[i][tail_mask])
-        if np.max(y) < abs_tol / max(r_tail, 1.0):
+        if np.max(y) < _TAIL_ABS_TOL / _R_TAIL:
             tails[i] = 0.0
             continue
         good = y > 0
@@ -638,6 +624,6 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
                 f"(fitted tail exponent {s:.3f} >= -1)")
         c = math.exp(logc)
         sign_tail = np.sign(integ[i][tail_mask][-1])
-        tails[i] = sign_tail * c * r_tail ** (s + 1.0) / (-(s + 1.0))
+        tails[i] = sign_tail * c * _R_TAIL ** (s + 1.0) / (-(s + 1.0))
     theta = theta + tails
     return theta if np.ndim(lam) else float(theta[0])

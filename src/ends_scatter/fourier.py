@@ -34,7 +34,6 @@ __all__ = [
     "distorted_ft",
     "scattering_matrix",
     "transmission_metric",
-    "wkb_eigenfunction",
 ]
 
 
@@ -226,28 +225,3 @@ def transmission_metric(sdata: ScatteringData, i: int = 1, j: int = 0) -> dict:
     k = int(np.argmin(mods))
     return {"sigma_min": float(np.min(mods)), "argmin_mode": sdata.modes[k],
             "per_mode": mods.tolist()}
-
-
-def wkb_eigenfunction(model: ManifoldModel, grid: RadialGrid, lam: float,
-                      end: int, sign: int = +1, xi: complex = 1.0,
-                      r_lam: Optional[float] = None) -> np.ndarray:
-    """Flat-profile WKB generalized eigenfunction phi^+-[xi] on one end:
-
-        eta_lam(r) [2(lam - q1)]^(-1/4) exp(+- i Phi(r)) xi,
-
-    zero on the opposite end (line array over the whole grid)."""
-    if r_lam is None:
-        r_lam = model.r_lambda(lam)
-    mask = grid.end_mask(end, r_min=0.0)
-    r = grid.r[mask]
-    order = np.argsort(r)
-    r_sorted = r[order]
-    eta = model.cutoffs.eta(r_sorted, r_lam)
-    q1 = model.ends[end].q1(r_sorted)
-    amp = eta * np.where(lam > q1, 2.0 * np.abs(lam - q1), 1.0) ** -0.25
-    phi = phase_integral(model, end, lam, r_sorted, r_lam=r_lam)
-    vals = amp * np.exp(1j * sign * phi) * xi
-    out = np.zeros(grid.x.size, dtype=complex)
-    idx = np.where(mask)[0][order]
-    out[idx] = vals
-    return out

@@ -24,7 +24,7 @@ choice, configured per end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,19 @@ __all__ = [
     "phase_integral",
     "integral_from_r0",
 ]
+
+# r_lambda: radius up to which the tail q1 is probed
+_RMAX_PROBE = 4096.0
+# start R of the first dyadic block [R, 2R] of the tail scans
+_TAIL_R_START = 8.0
+# critical_energy: doubling budget, and the relative step of the tail-sup
+# below which a doubling counts as stable
+_SUP_MAX_DOUBLINGS = 40
+_SUP_TOL = 1e-10
+# classify_potential: class margin of the decay exponent and number of
+# dyadic blocks in the log-log fit
+_CLASS_EPS = 0.1
+_CLASS_N_DYADIC = 10
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +373,6 @@ class ManifoldModel:
         x = np.asarray(x, dtype=float)
         return self.q(x) + 0.5 * m**2 * np.exp(-2.0 * self.g(x))
 
-    def q1_global(self, x):
-        """Reference tail as a function of the line coordinate."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for side, end in zip((1.0, -1.0), self.ends):
-            mask = side * x >= 0
-            if np.any(mask):
-                out[mask] = end.q1(side * x[mask])
-        return out
-
-    def q2_global(self, x):
-        return self.q(x) - self.q1_global(x)
-
     # -- spectral bookkeeping ----------------------------------------------
 
     @property
@@ -383,22 +383,22 @@ class ManifoldModel:
     def beta_c(self) -> float:
         return 0.5 * min(min(e.decay) for e in self.ends)
 
-    def r_lambda(self, lam: float, rmax_probe: float = 4096.0) -> float:
+    def r_lambda(self, lam: float) -> float:
         """Smallest dyadic R >= 2 r0 with lam + lambda0 - 2 q1 >= 0 for all
         r >= R/2 on both ends (so the phase b_lam is real on the support
         of eta_lambda)."""
         R = 2.0 * self.r0
-        while R <= rmax_probe:
+        while R <= _RMAX_PROBE:
             ok = True
             for end in self.ends:
-                rr = np.linspace(R / 2.0, rmax_probe, 512)
+                rr = np.linspace(R / 2.0, _RMAX_PROBE, 512)
                 if np.any(lam + end.lambda0 - 2.0 * end.q1(rr) < 0):
                     ok = False
                     break
             if ok:
                 return R
             R *= 2.0
-        raise ValueError(f"no admissible r_lambda below {rmax_probe} for lam={lam}")
+        raise ValueError(f"no admissible r_lambda below {_RMAX_PROBE} for lam={lam}")
 
     def breakpoints(self) -> np.ndarray:
         """Radii (in x) where the potential may lose smoothness: the glue
@@ -415,32 +415,28 @@ class ManifoldModel:
 # operations
 # ---------------------------------------------------------------------------
 
-def critical_energy(model_or_end, end: Optional[int] = None,
-                    r_start: float = 8.0, tol: float = 1e-10,
-                    max_doublings: int = 40):
-    """Stabilized tail-sup of q1.
+def critical_energy(model_or_end):
+    """Stabilized tail-sup of q1, of one end or the max over a model's ends.
 
     Returns ``(value, diag)`` where value approximates
-    limsup_{r->inf} q1 and ``diag`` records the dyadic sup sequence.
-    Convergence: three successive doublings move the sup by less than
-    ``tol * max(1, |sup|)``.
+    limsup_{r->inf} q1.  For an end ``diag`` records the dyadic sup
+    sequence from [8, 16] on; convergence: three successive doublings
+    (of at most 40) move the sup by less than ``1e-10 * max(1, |sup|)``.
+    For a model ``diag["per_end"]`` holds the value of each end.
     """
     if isinstance(model_or_end, ManifoldModel):
-        if end is None:
-            vals = [critical_energy(e, tol=tol)[0] for e in model_or_end.ends]
-            return max(vals), {"per_end": vals}
-        prof = model_or_end.ends[end]
-    else:
-        prof = model_or_end
+        vals = [critical_energy(e)[0] for e in model_or_end.ends]
+        return max(vals), {"per_end": vals}
+    prof = model_or_end
 
     sups = []
-    R = r_start
+    R = _TAIL_R_START
     stable = 0
-    for _ in range(max_doublings):
+    for _ in range(_SUP_MAX_DOUBLINGS):
         rr = np.linspace(R, 2.0 * R, 128)
         sups.append(float(np.max(prof.q1(rr))))
         if len(sups) >= 2:
-            if abs(sups[-1] - sups[-2]) <= tol * max(1.0, abs(sups[-1])):
+            if abs(sups[-1] - sups[-2]) <= _SUP_TOL * max(1.0, abs(sups[-1])):
                 stable += 1
             else:
                 stable = 0
@@ -535,20 +531,18 @@ def integral_from_r0(model: ManifoldModel, r: np.ndarray,
     return vals[..., :-1] - vals[..., -1:]
 
 
-def classify_potential(model: ManifoldModel, end: int, eps: float = 0.1,
-                       r_start: float = 8.0, n_dyadic: int = 10):
+def classify_potential(model: ManifoldModel, end: int):
     """Classify the reference tail of one end by its decay rate.
 
-    Fits |q1 - lambda0| ~ r^-p on >= 8 dyadic blocks (log-log least
-    squares) and returns one of 'short_range' (p >= 1 + eps),
-    'dollard' (p >= (1+eps)/2) or 'long_range', together with the
-    fitted exponent.  An identically-threshold tail is short range.
+    Fits |q1 - lambda0| ~ r^-p on 10 dyadic blocks from [8, 16] on
+    (log-log least squares) and returns one of 'short_range'
+    (p >= 1 + eps), 'dollard' (p >= (1+eps)/2) or 'long_range', with
+    eps = 0.1, together with the fitted exponent.  An
+    identically-threshold tail is short range.
     """
-    if n_dyadic < 8:
-        raise ValueError("need at least 8 dyadic samples")
     prof = model.ends[end]
     lam0, _ = critical_energy(prof)
-    Rs = r_start * 2.0 ** np.arange(n_dyadic)
+    Rs = _TAIL_R_START * 2.0 ** np.arange(_CLASS_N_DYADIC)
     sups = np.array([
         float(np.max(np.abs(prof.q1(np.linspace(R, 2 * R, 128)) - lam0)))
         for R in Rs
@@ -558,9 +552,9 @@ def classify_potential(model: ManifoldModel, end: int, eps: float = 0.1,
     good = sups > 1e-300
     slope, _ = np.polyfit(np.log(Rs[good]), np.log(sups[good]), 1)
     p = -float(slope)
-    if p >= 1.0 + eps:
+    if p >= 1.0 + _CLASS_EPS:
         cls = "short_range"
-    elif p >= 0.5 * (1.0 + eps):
+    elif p >= 0.5 * (1.0 + _CLASS_EPS):
         cls = "dollard"
     else:
         cls = "long_range"

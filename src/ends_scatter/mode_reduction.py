@@ -1,34 +1,25 @@
 """Separation of variables: angular modes on a glued two-ended surface.
 
-States are stored against a uniform grid in the line coordinate x.  Two
-representations are used:
-
-* ``surface``: the coefficient psi_m(x) of exp(i m theta) in the surface
-  function, with L2 norm  sum_m int |psi_m|^2 2 pi f dx  (co-area measure);
-* ``flat``: u_m = sqrt(2 pi f) psi_m, with the plain L2(dx) norm.
-
-All operators act on the flat representation, where the mode-m
-Hamiltonian is the 1-d Schroedinger operator -u''/2 + W_m u with
-W_m = q + m^2 / (2 f^2).
+States are stored against a uniform grid in the line coordinate x, in
+the flat representation only: u_m = sqrt(2 pi f) psi_m, where psi_m(x) is
+the coefficient of exp(i m theta) in the surface function.  The half-density
+factor sqrt(2 pi f) turns the co-area norm sum_m int |psi_m|^2 2 pi f dx
+into the plain L2(dx) norm, and the mode-m Hamiltonian into the 1-d
+Schroedinger operator -u''/2 + W_m u with W_m = q + m^2 / (2 f^2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ManifoldModel
 
-__all__ = [
-    "RadialGrid",
-    "RadialState",
-    "ModeOperator",
-    "half_density_map",
-    "besov_norm",
-    "besov_norms",
-]
+__all__ = ["RadialGrid", "ModeOperator", "besov_norm"]
+
+# grid points per local wavelength that check_resolution demands
+_POINTS_PER_WAVELENGTH = 12
 
 
 @dataclass(frozen=True)
@@ -66,44 +57,6 @@ class RadialGrid:
         return float(np.sqrt(self.dx * np.sum(np.abs(u) ** 2)))
 
 
-@dataclass
-class RadialState:
-    """Mode coefficients of a state, one row per angular mode."""
-
-    grid: RadialGrid
-    modes: tuple
-    data: np.ndarray  # shape (len(modes), nx), complex
-    rep: str = "flat"
-
-    def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=complex))
-        self.modes = tuple(self.modes)
-        if self.data.shape[0] != len(self.modes):
-            raise ValueError("one data row per mode required")
-
-    def norm(self, model: Optional[ManifoldModel] = None) -> float:
-        if self.rep == "flat":
-            return self.grid.norm(self.data)
-        if model is None:
-            raise ValueError("surface-representation norm needs the model")
-        wgt = 2.0 * np.pi * model.f(self.grid.x)
-        return float(np.sqrt(self.grid.dx * np.sum(wgt * np.abs(self.data) ** 2)))
-
-    def mode(self, m: int) -> np.ndarray:
-        return self.data[self.modes.index(m)]
-
-
-def half_density_map(model: ManifoldModel, state: RadialState, to: str = "flat") -> RadialState:
-    """Convert between surface and flat representations (exact isometry)."""
-    if to not in ("flat", "surface"):
-        raise ValueError("to must be 'flat' or 'surface'")
-    if state.rep == to:
-        return state
-    scale = np.sqrt(2.0 * np.pi * model.f(state.grid.x))
-    data = state.data * scale if to == "flat" else state.data / scale
-    return RadialState(state.grid, state.modes, data, rep=to)
-
-
 class ModeOperator:
     """Reduced Hamiltonian H_m = -d^2/dx^2 / 2 + W_m on the flat line.
 
@@ -121,11 +74,11 @@ class ModeOperator:
         self.stencil_order = stencil_order
         self.w = model.w_mode(m, grid.x)
 
-    def check_resolution(self, lam_max: float, points_per_wavelength: int = 12) -> None:
+    def check_resolution(self, lam_max: float) -> None:
         """Require >= 12 grid points per local wavelength at the largest
         energy of interest."""
         kmax = np.sqrt(2.0 * max(lam_max - np.min(self.w), lam_max))
-        dx_needed = 2.0 * np.pi / (kmax * points_per_wavelength)
+        dx_needed = 2.0 * np.pi / (kmax * _POINTS_PER_WAVELENGTH)
         if self.grid.dx > dx_needed:
             raise ValueError(
                 f"grid spacing {self.grid.dx:g} too coarse for lam={lam_max:g}: "
@@ -203,7 +156,3 @@ def besov_norm(grid: RadialGrid, u: np.ndarray, kind: str = "B") -> float:
         nu, v = pieces[-1]
         return float(2.0 ** (-0.5 * nu) * v)
     raise ValueError(f"unknown Besov norm kind {kind!r}")
-
-
-def besov_norms(grid: RadialGrid, u: np.ndarray) -> dict:
-    return {k: besov_norm(grid, u, k) for k in ("B", "Bstar", "Bstar0")}

@@ -206,7 +206,6 @@ def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0)
 
 def reference_comparison_state(model: ManifoldModel, h: SpectralProfile,
                                t: float, r: np.ndarray, sign: int = +1,
-                               points_per_cycle: int = 24,
                                r_lam: Optional[float] = None) -> np.ndarray:
     """U^+-(t) h at the radii ``r`` on the lam nodes of
     ``dynamics.frequency_nodes``: one ``phase_integral`` per node and the
@@ -217,7 +216,7 @@ def reference_comparison_state(model: ManifoldModel, h: SpectralProfile,
     if r_lam is None:
         r_lam = model.r_lambda(h.lam_lo)
     r = np.asarray(r, dtype=float)
-    lam, hv = frequency_nodes(model, h, t, r, points_per_cycle)
+    lam, hv = frequency_nodes(model, h, t, r)
     order = np.argsort(r)
     r_sorted = r[order]
     q1 = prof.q1(r_sorted)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from .geometry import CutoffFamily, EndProfile, ManifoldModel, tail_q1

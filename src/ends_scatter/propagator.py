@@ -5,8 +5,6 @@ propagator e^{-itH} is realized by unconditionally stable implicit
 stepping (the fourth-order diagonal Pade (2,2) step as two Cayley-type
 factors, each a pivot-free banded LU reused across steps).  On top of it sit
 
-  * the Cook integrand ||(H - G^+(t)) U_0^+(t) h||, whose summability
-    over dyadic times drives wave-operator existence,
   * wave_operator: Cauchy increments of e^{itH} U_0^+(t) h, evaluated as
     ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity,
   * the adjoint identity <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi,
@@ -25,7 +23,7 @@ import numpy as np
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
-from .dynamics import SpectralProfile, leading_term, state_norm
+from .dynamics import SpectralProfile, leading_term
 from .fourier import distorted_ft
 from .geometry import ManifoldModel
 from .mode_reduction import ModeOperator, RadialGrid
@@ -35,7 +33,6 @@ __all__ = [
     "Propagator",
     "evolve",
     "embed_end_state",
-    "cook_integrand",
     "wave_operator",
     "adjoint_identity_check",
     "end_mass",
@@ -151,53 +148,6 @@ def embed_end_state(grid: RadialGrid, end: int, r: np.ndarray,
     u[mask] = (np.interp(rr, r, vals.real, left=0.0, right=0.0)
                + 1j * np.interp(rr, r, vals.imag, left=0.0, right=0.0))
     return u
-
-
-def _d1(u: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order first derivative (second-order at the edges)."""
-    out = np.gradient(u, dx, edge_order=2)
-    out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dx)
-    return out
-
-
-def _d2(u: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order second derivative (second-order at the edges)."""
-    out = np.gradient(np.gradient(u, dx, edge_order=2), dx, edge_order=2)
-    out[2:-2] = (-u[:-4] + 16.0 * u[1:-3] - 30.0 * u[2:-2]
-                 + 16.0 * u[3:-1] - u[4:]) / (12.0 * dx**2)
-    return out
-
-
-def cook_integrand(model: ManifoldModel, h: SpectralProfile, t: float,
-                   m: int = 0, dr: float = 0.02) -> float:
-    """|| (H - G^+(t)) U_0^+(t) h ||, the Cook-criterion derivative bound.
-
-    G^+(t) = Re(b_c A) - b_c^2 / 2 + q1 with A = -i d/dr and b_c the WKB
-    momentum at the stationary energy; summability of this series over
-    dyadic times implies existence of the wave operator.
-    """
-    end = h.end
-    prof = model.ends[end]
-    r, u0, sf = leading_term(model, h, t, dr=dr)
-    if not np.any(sf.mask):
-        return 0.0
-    b = np.zeros(r.shape)
-    b[sf.mask] = np.sqrt(np.maximum(
-        2.0 * (sf.lam_c[sf.mask] - prof.q1(r[sf.mask])), 0.0))
-    db = _d1(b, r[1] - r[0])
-    du = _d1(u0, r[1] - r[0])
-    d2u = _d2(u0, r[1] - r[0])
-    w = model.w_mode(m, r if end == 0 else -r)
-    h_act = -0.5 * d2u + w * u0
-    g_act = (-1j * b * du - 0.5j * db * u0) - 0.5 * b**2 * u0 + prof.q1(r) * u0
-    resid = h_act - g_act
-    # the leading-term state is C^1 but its numerical derivative is noisy
-    # within a few nodes of the propagation-cone edges; clip them
-    idx = np.where(sf.mask)[0]
-    inner = np.zeros(r.size, dtype=bool)
-    if idx.size > 12:
-        inner[idx[6:-6]] = True
-    return state_norm(r[inner], resid[inner])
 
 
 def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,

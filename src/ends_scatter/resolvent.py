@@ -33,8 +33,7 @@ from scipy.integrate import cumulative_trapezoid
 from .geometry import ManifoldModel, phase_a, phase_b
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
 
-__all__ = ["JostPair", "jost_pair", "limiting_resolvent",
-           "radiation_residual", "sommerfeld_check"]
+__all__ = ["JostPair", "jost_pair", "limiting_resolvent", "radiation_residual"]
 
 
 @dataclass
@@ -168,13 +167,14 @@ def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
 
 
 def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
-              rmax_pad: float = 1.0, _retries: int = 2) -> JostPair:
+              rmax_pad: float = 1.0) -> JostPair:
     """Construct the Jost pair at energy lam (> both thresholds).
 
-    The launch radius is ``rmax_pad * rmax``; if the Wronskian degenerates
-    (the two solutions are nearly parallel) the launch radius is grown by
-    10% and the pair rebuilt.  The WKB launch needs an open channel, so
-    lam at or below W_m at either launch point raises ValueError.
+    The launch radius is ``rmax_pad * rmax``.  The WKB launch needs an
+    open channel, so lam at or below W_m at either launch point raises
+    ValueError.  A degenerate pair (Wronskian below 1e-8 of the product
+    of the solutions' sizes and the momentum: the two solutions are
+    nearly parallel) raises RuntimeError.
     """
     model = op.model
     grid = op.grid
@@ -201,9 +201,10 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     pair = JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam)
     scale = (np.max(np.abs(u_l)) * np.max(np.abs(u_r))
              * np.sqrt(2.0 * (lam - model.lambda_crit)))
-    if abs(pair.wronskian) < 1e-8 * max(scale, 1e-300) and _retries > 0:
-        return jost_pair(op, lam, sign, rmax_pad=1.1 * rmax_pad,
-                         _retries=_retries - 1)
+    if abs(pair.wronskian) < 1e-8 * max(scale, 1e-300):
+        raise RuntimeError(f"degenerate Jost pair at lam={lam!r}, sign={sign}: "
+                           f"Wronskian {abs(pair.wronskian):.3e} against "
+                           f"scale {scale:.3e}")
     return pair
 
 
@@ -283,6 +284,12 @@ def radiation_residual(op: ModeOperator, lam: float, phi: np.ndarray,
     the matching branch.  The ratio against ||r^beta psi||_B is the
     certified radiation-condition constant; beta defaults to beta_c / 2
     (it must stay below beta_c = min(decay exponents) / 2).
+
+    ``bstar0_relative`` is the B*_0 mass of the unweighted defect on the
+    outermost annulus relative to ||phi||_{B*}: the uniqueness
+    certificate.  A solution of (H - lam) phi = psi (the interior residual
+    of :func:`limiting_resolvent`) whose defect has vanishing B*_0 mass is
+    the unique outgoing (resp. incoming) solution.
     """
     model = op.model
     grid = op.grid
@@ -294,23 +301,8 @@ def radiation_residual(op: ModeOperator, lam: float, phi: np.ndarray,
     defect = _outgoing_defect(op, lam, phi, sign)
     num = besov_norm(grid, rb * defect, "Bstar")
     den = besov_norm(grid, rb * psi, "B")
+    b0 = besov_norm(grid, defect, "Bstar0")
+    scale = besov_norm(grid, phi, "Bstar")
     return {"defect_bstar": num, "source_b": den,
-            "ratio": num / max(den, 1e-300), "beta": beta}
-
-
-def sommerfeld_check(op: ModeOperator, lam: float, phi: np.ndarray,
-                     psi: np.ndarray, sign: int = +1,
-                     tol_resid: float = 1e-4, tol_b0: float = 1e-2) -> dict:
-    """Uniqueness certificate: phi solves (H - lam) phi = psi in the
-    interior and its outgoing defect (A -+ a) phi has vanishing B*_0 mass
-    on the outermost annulus.  A solution passing both clauses is the
-    unique outgoing (resp. incoming) solution."""
-    resid_norm = _interior_residual(op, lam, phi, psi)
-    b0 = besov_norm(op.grid, _outgoing_defect(op, lam, phi, sign), "Bstar0")
-    scale = besov_norm(op.grid, phi, "Bstar")
-    return {
-        "interior_residual": resid_norm,
-        "bstar0_defect": b0,
-        "bstar0_relative": b0 / max(scale, 1e-300),
-        "passes": bool(resid_norm <= tol_resid and b0 <= tol_b0 * max(scale, 1e-300)),
-    }
+            "ratio": num / max(den, 1e-300), "beta": beta,
+            "bstar0_relative": b0 / max(scale, 1e-300)}

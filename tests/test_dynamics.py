@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from ends_scatter import dynamics
 from ends_scatter.dynamics import (SpectralProfile, comparison_state,
-                                   dollard_state, dynamics_grid, eikonal,
+                                   dynamics_grid, eikonal,
                                    hamilton_jacobi_residual, leading_term,
-                                   phase_modifier, profile_norm,
-                                   shortrange_state, state_norm,
+                                   phase_modifier, state_norm,
                                    stationary_point)
 from ends_scatter.mode_reduction import RadialGrid
 from ends_scatter.oracle import reference_comparison_state
@@ -25,7 +24,6 @@ def test_bump_profile_support_and_norm():
     vals = h(lam)
     assert np.all(vals[(lam <= 0.3) | (lam >= 0.8)] == 0.0)
     assert h.norm() > 0.0
-    assert abs(profile_norm([h]) - h.norm()) < 1e-14
 
 
 @given(st.floats(-3.0, 3.0))
@@ -143,17 +141,6 @@ def test_comparison_state_does_not_depend_on_radius_order():
     _, u = comparison_state(model, h, 10.0, r=r)
     _, u_up = comparison_state(model, h, 10.0, r=r[::-1])
     assert np.max(np.abs(u - u_up[::-1])) <= 1e-10 * np.max(np.abs(u))
-
-
-def test_shortrange_equals_dollard_without_tail():
-    """On a model with no reference tail the Dollard correction vanishes."""
-    model = model_a()
-    h = SpectralProfile.bump_profile()
-    t = 30.0
-    r = dynamics_grid(model, t, h.lam_hi)
-    _, u_sr = shortrange_state(model, h, t, r=r)
-    _, u_do = dollard_state(model, h, t, r=r)
-    assert np.allclose(u_sr, u_do, atol=1e-12)
 
 
 def test_dynamics_grid_holds_the_front():

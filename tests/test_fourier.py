@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ends_scatter.fourier import (BoundaryField, distorted_ft,
-                                  scattering_matrix, transmission_metric,
-                                  wkb_eigenfunction)
+                                  scattering_matrix, transmission_metric)
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import reference_scattering_matrix
 from ends_scatter.presets import (model_a, model_b, model_c, model_d,
@@ -61,17 +60,6 @@ def test_smatrix_diagonal_conjugate_symmetry(free_grid):
     sd = scattering_matrix(model_free(), free_grid, 0.8)
     b = sd.block(0)
     assert abs(b[0, 1] - b[1, 0]) < 1e-6
-
-
-def test_wkb_eigenfunction_support_and_amplitude():
-    model = model_a()
-    grid = RadialGrid(50.0, 0.05)
-    lam = 0.5
-    phi = wkb_eigenfunction(model, grid, lam, end=0)
-    # vanishes on the opposite end and inside the cutoff
-    assert np.all(phi[grid.x < 0] == 0.0)
-    far = grid.x > 2.0 * model.r_lambda(lam)
-    assert np.allclose(np.abs(phi[far]), (2.0 * lam) ** -0.25, atol=1e-12)
 
 
 @pytest.mark.parametrize("model,rmax,mmax,lams", [

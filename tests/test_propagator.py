@@ -9,9 +9,8 @@ from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_d, model_free
 from ends_scatter.propagator import (EvolutionConfig, Propagator,
-                                     cook_integrand, embed_end_state,
-                                     end_mass, end_projection,
-                                     evolve, wave_operator)
+                                     embed_end_state, end_mass,
+                                     end_projection, evolve, wave_operator)
 
 
 @pytest.fixture(scope="module")
@@ -157,14 +156,6 @@ def test_embed_end_state():
     assert np.all(u0[grid.x < 0] == 0.0)
     assert np.all(u1[grid.x >= 0] == 0.0)
     assert abs(grid.norm(u0) - grid.norm(u1)) < 1e-10
-
-
-def test_cook_integrand_decays(setup):
-    model = model_a()
-    h = SpectralProfile.bump_profile()
-    early = cook_integrand(model, h, 20.0)
-    late = cook_integrand(model, h, 80.0)
-    assert late < 0.5 * early
 
 
 def test_end_mass_and_projection(setup):

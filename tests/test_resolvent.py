@@ -6,9 +6,9 @@ from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import (closed_form_scattering, free_green,
                                  reference_march)
 from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
+from ends_scatter import resolvent
 from ends_scatter.resolvent import (_launch_data, jost_pair,
-                                    limiting_resolvent, radiation_residual,
-                                    sommerfeld_check)
+                                    limiting_resolvent, radiation_residual)
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +80,17 @@ def test_radiation_residual_discriminates_branches():
 
 
 def test_sommerfeld_certificate_discriminates():
+    """Uniqueness certificate: the outgoing solution solves the equation in
+    the interior and its defect has vanishing B*_0 mass; checked against
+    the wrong branch the defect must be macroscopic."""
     grid = RadialGrid(40.0, 0.02)
     op = ModeOperator(model_a(), grid, 0)
     psi = np.exp(-(grid.x - 0.5) ** 2).astype(complex)
     lam = 0.6
-    phi, _ = limiting_resolvent(op, lam, psi, sign=+1)
-    assert sommerfeld_check(op, lam, phi, psi, sign=+1)["passes"]
-    # the outgoing solution is not incoming: checked against the wrong
-    # branch the defect must be macroscopic
-    wrong = sommerfeld_check(op, lam, phi, psi, sign=-1)
-    assert not wrong["passes"]
+    phi, diag = limiting_resolvent(op, lam, psi, sign=+1)
+    assert diag["interior_residual"] <= 1e-4
+    assert radiation_residual(op, lam, phi, psi, sign=+1)["bstar0_relative"] <= 1e-2
+    wrong = radiation_residual(op, lam, phi, psi, sign=-1)
     assert wrong["bstar0_relative"] > 0.1
 
 
@@ -102,6 +103,15 @@ def test_jost_pair_rejects_subthreshold_energy():
     # opens only at W_1 = 1/2
     with pytest.raises(ValueError, match="channel is closed"):
         scattering_matrix(model_free(), RadialGrid(30.0, 0.02), 0.3, mmax=1)
+
+
+def test_degenerate_jost_pair_raises(monkeypatch):
+    """Zero launch data give a zero Wronskian; the pair is refused, not
+    rebuilt from a larger launch radius or returned."""
+    monkeypatch.setattr(resolvent, "_launch_data", lambda *args: (0j, 0j))
+    op = ModeOperator(model_a(), RadialGrid(20.0, 0.05), 0)
+    with pytest.raises(RuntimeError, match=r"lam=0\.6, sign=-1"):
+        jost_pair(op, 0.6, sign=-1)
 
 
 def _march_error(pair):
