@@ -47,6 +47,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONV = 3
 
+# resolvent verdict: largest accepted uniqueness certificate
+# (radiation_residual's bstar0_relative) of the outgoing solution
+_BSTAR0_TOL = 1e-2
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -176,11 +180,13 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
                         "interior_residual": diag["interior_residual"],
                         "wronskian_drift": diag["wronskian_drift"],
                         "radiation_ratio": rad["ratio"],
+                        "bstar0_relative": rad["bstar0_relative"],
                         "im_inner": imag, "positive": bool(imag > 0)})
     rows = list(zip(grid.x, phi.real, phi.imag))
     _write_csv(out_dir, "resolvent_state",
                ["x", "re_phi", "im_phi"], rows)
-    ok = all(e["positive"] for e in entries)
+    ok = all(e["positive"] and e["bstar0_relative"] <= _BSTAR0_TOL
+             for e in entries)
     report = {"mode": run.mode, "lambdas": lams, "points": entries,
               "worst_residual": worst, "converged": bool(ok)}
     return (EXIT_OK if ok else EXIT_NONCONV), report
@@ -286,6 +292,7 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
         op, model, h, end_to, s_abs, t_prepare=t_prep,
         t_probe=[t_prep, 1.5 * t_prep, 2.0 * t_prep],
         cfg=EvolutionConfig(dt=run.dt))
+    stable = rep["projection"]["stabilized"]
     report = {
         "from_end": run.end, "to_end": end_to + 1,
         "lambda_nodes": nodes, "s_abs_nodes": svals,
@@ -294,8 +301,10 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
         "predicted_mass": rep["predicted_mass"],
         "ratio": rep["ratio"], "verdict": rep["verdict"],
         "stabilization": rep["projection"]["stabilization"],
+        "stabilized": stable,
         "worst_unitarity_defect": worst, "tol_s": run.tol_s,
-        "converged": rep["verdict"] == "nonzero" and sig_min > 0.0 and unitary,
+        "converged": (rep["verdict"] == "nonzero" and sig_min > 0.0 and unitary
+                      and stable),
     }
     return (EXIT_OK if report["converged"] else EXIT_NONCONV), report
 

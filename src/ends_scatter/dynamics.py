@@ -45,10 +45,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
-from .geometry import ManifoldModel, bump, integral_from_r0
+from .geometry import ManifoldModel, bump, cumulative_trapezoid, integral_from_r0
 
 __all__ = [
     "SpectralProfile",
@@ -66,6 +64,8 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# uniform lam nodes of a SpectralProfile's spline
+_PROFILE_NODES = 1025
 # elements of one (lam x r) work array of the frequency quadrature
 _BLOCK = 1 << 21
 # accepted error of the lam interpolant of the comparison amplitude,
@@ -105,12 +105,14 @@ class SpectralProfile:
     m: int
     lam_lo: float
     lam_hi: float
-    _spline: CubicSpline
+    _spline: "CubicSpline"
 
     @staticmethod
     def from_callable(end: int, m: int, lam_lo: float, lam_hi: float,
-                      fn: Callable, nodes: int = 1025) -> "SpectralProfile":
-        lam = np.linspace(lam_lo, lam_hi, nodes)
+                      fn: Callable) -> "SpectralProfile":
+        from scipy.interpolate import CubicSpline
+
+        lam = np.linspace(lam_lo, lam_hi, _PROFILE_NODES)
         return SpectralProfile(end, m, lam_lo, lam_hi,
                                CubicSpline(lam, np.asarray(fn(lam), dtype=complex)))
 
@@ -546,7 +548,7 @@ def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
     order = np.argsort(r[msk])
     rs = r[msk][order]
     # the secular integral starts at the first node above r0
-    acc = cumulative_trapezoid(prof.q1(rs) - lam0, rs, initial=0)
+    acc = cumulative_trapezoid(prof.q1(rs) - lam0, rs)
     q_int = np.empty_like(acc)
     q_int[order] = acc
     k = rr**2 / (2.0 * t) - t * lam0 - (t / rr) * q_int

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "CutoffFamily",
@@ -516,6 +515,20 @@ def phase_integral(model: ManifoldModel, end: int, lam, r: np.ndarray,
         model, r, lambda s: np.real(phase_b(model, end, lam, s, r_lam=r_lam)))
 
 
+def cumulative_trapezoid(y, x=None, dx: float = 1.0) -> np.ndarray:
+    """Cumulative trapezoid rule along the last axis of ``y``, 0 at the
+    first node; ``x`` holds the 1-D nodes, else the spacing is ``dx``.
+
+    The arithmetic of ``scipy.integrate.cumulative_trapezoid(...,
+    initial=0)``, so the two agree bit for bit, without importing
+    scipy.integrate (which loads most of scipy)."""
+    y = np.asarray(y)
+    d = dx if x is None else np.diff(x)
+    acc = np.cumsum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate((np.zeros(acc.shape[:-1] + (1,), acc.dtype), acc),
+                          axis=-1)
+
+
 def integral_from_r0(model: ManifoldModel, r: np.ndarray,
                      fn: Callable) -> np.ndarray:
     """int_{r0}^r fn(s) ds at the radii ``r``: the trapezoid rule over the
@@ -525,7 +538,7 @@ def integral_from_r0(model: ManifoldModel, r: np.ndarray,
     them; leading axes (a block of energies, say) are integrated
     independently and kept in the result."""
     rr = np.unique(np.concatenate((r, [model.r0])))
-    acc = cumulative_trapezoid(fn(rr), rr, axis=-1, initial=0)
+    acc = cumulative_trapezoid(fn(rr), rr)
     at = np.searchsorted(rr, np.concatenate((r, [model.r0])))
     vals = acc[..., at]
     return vals[..., :-1] - vals[..., -1:]

@@ -28,10 +28,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.integrate import solve_ivp
-from scipy.special import jv
 
 from .dynamics import SpectralProfile, frequency_nodes
 from .fourier import distorted_ft
@@ -128,6 +124,8 @@ def dense_hamiltonian_2d(model: ManifoldModel, rmax: float, nx: int, ntheta: int
     """
     if nx > 200 or ntheta > 64:
         raise ValueError("oracle grid capped at 200 x 64")
+    import scipy.sparse
+
     x = np.linspace(-rmax, rmax, nx)
     dx = x[1] - x[0]
     dth = 2.0 * np.pi / ntheta
@@ -167,6 +165,8 @@ def small_eps_resolvent(op: ModeOperator, lam: float, eps: float,
     eps -> 0 limiting error)."""
     if not (1e-4 <= eps <= 1e-1):
         raise ValueError("eps outside the supported window [1e-4, 1e-1]")
+    import scipy.linalg
+
     ab = op.banded().astype(complex)
     mid = ab.shape[0] // 2
     ab[mid] -= lam + 1j * eps
@@ -182,6 +182,8 @@ def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0)
     call and restarts at each breakpoint of the model, so no step straddles
     a jump.  Returns (u, du) at ``x``.
     """
+    from scipy.integrate import solve_ivp
+
     x = np.asarray(x, dtype=float)
     lo, hi = min(x[0], x[-1]), max(x[0], x[-1])
     pts = [b for b in model.breakpoints() if lo < b < hi]
@@ -240,6 +242,8 @@ def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:
     with Hn = (H - mid)/half scaled into [-1, 1]; J_k(-x) = (-1)^k J_k(x)
     makes the same series valid for negative t.
     """
+    from scipy.special import jv
+
     grid = op.grid
     emax = 0.5 * (np.pi / grid.dx) ** 2 + float(np.max(op.w))
     emin = min(float(np.min(op.w)), 0.0)

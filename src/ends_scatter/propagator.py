@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
 
 from .dynamics import SpectralProfile, leading_term
 from .fourier import distorted_ft
@@ -39,6 +37,10 @@ __all__ = [
     "end_projection",
     "transmission_experiment",
 ]
+
+# adjoint_identity_check: doubling tolerance of the boundary-coefficient
+# extraction in F^+(lam) psi
+_ADJOINT_TOL_F = 1e-4
 
 
 @dataclass
@@ -72,6 +74,8 @@ class Propagator:
     """
 
     def __init__(self, op: ModeOperator, dt: float):
+        from scipy.linalg import lapack
+
         banded = op.banded()
         k = banded.shape[0] // 2
         n = banded.shape[1]
@@ -84,7 +88,7 @@ class Propagator:
             ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
             ab[k:] = 1j * dt * banded * scale
             ab[2 * k] -= beta
-            lu, piv, info = _lapack.zgbtrf(ab, k, k)
+            lu, piv, info = lapack.zgbtrf(ab, k, k)
             if info != 0 or not np.array_equal(piv, np.arange(n)):
                 raise RuntimeError(f"pivot-free band LU failed (info={info})")
             # undo S; U = V diag(U), V unit upper; u += 2 beta (z - beta)^-1 u
@@ -97,15 +101,17 @@ class Propagator:
         self.op = op
 
     def step(self, psi: np.ndarray, n: int = 1) -> np.ndarray:
+        from scipy.linalg import blas
+
         out = np.array(psi, dtype=complex)
         for _ in range(n):
             for lower, upper, gain in self._factors:
                 # the 1e-250 floor keeps the solves' evanescent tails normal:
                 # without it, 30 steps from a compact packet on 28 211 nodes
                 # left 23 899 subnormal entries and a step took 24x as long
-                y = _blas.ztbsv(self._k, lower, out + 1e-250, lower=1, diag=1,
-                                overwrite_x=1)
-                y = _blas.ztbsv(self._k, upper, y, diag=1, overwrite_x=1)
+                y = blas.ztbsv(self._k, lower, out + 1e-250, lower=1, diag=1,
+                               overwrite_x=1)
+                y = blas.ztbsv(self._k, upper, y, diag=1, overwrite_x=1)
                 out += gain * y
         return out
 
@@ -224,7 +230,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
 def adjoint_identity_check(op: ModeOperator, model: ManifoldModel,
                            h: SpectralProfile, west: np.ndarray,
                            psi_list: Sequence[np.ndarray],
-                           n_lambda: int = 24, tol_f: float = 1e-4,
+                           n_lambda: int = 24,
                            ft_op: Optional[ModeOperator] = None) -> dict:
     """Defect of  <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi, h(lam)> dlam
     over a family of test states psi (west = the converged W^+ h estimate).
@@ -257,7 +263,7 @@ def adjoint_identity_check(op: ModeOperator, model: ManifoldModel,
         pair = jost_pair(fop, float(lam_j), sign=+1)
         for i, psi in enumerate(psi_ft):
             field = distorted_ft([fop], float(lam_j), psi[None, :],
-                                 sign=+1, tol_f=tol_f, pairs=[pair])
+                                 sign=+1, tol_f=_ADJOINT_TOL_F, pairs=[pair])
             coeffs[i, j] = field.coeff(fop.m, h.end)
 
     defects = []

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .geometry import ManifoldModel, phase_a, phase_b
+from .geometry import ManifoldModel, cumulative_trapezoid, phase_a, phase_b
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
 
 __all__ = ["JostPair", "jost_pair", "limiting_resolvent", "radiation_residual"]
@@ -230,9 +229,9 @@ def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
     fr = pair.u_right * psi
     dfl = np.gradient(fl, dx, edge_order=2)
     dfr = np.gradient(fr, dx, edge_order=2)
-    il = cumulative_trapezoid(fl, dx=dx, initial=0)
+    il = cumulative_trapezoid(fl, dx=dx)
     il += dx**2 / 12.0 * (dfl[0] - dfl)
-    ir = cumulative_trapezoid(fr[::-1], dx=dx, initial=0)[::-1]
+    ir = cumulative_trapezoid(fr[::-1], dx=dx)[::-1]
     ir += dx**2 / 12.0 * (dfr - dfr[-1])
     phi = (2.0 / w) * (pair.u_right * il + pair.u_left * ir)
 

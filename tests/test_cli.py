@@ -150,3 +150,37 @@ def test_smatrix_on_a_closed_channel_exits_nonconverged(tmp_path):
     assert code == 3
     assert rep["converged"] is False
     assert "channel is closed" in rep["error"]
+
+
+def test_resolvent_fails_on_the_uniqueness_certificate(tmp_path, monkeypatch):
+    real = cli.radiation_residual
+
+    def failing(*args, **kwargs):
+        return dict(real(*args, **kwargs), bstar0_relative=0.2)
+
+    monkeypatch.setattr(cli, "radiation_residual", failing)
+    code, rep = run(["resolvent", "--preset", "A", "--lambda-grid", "0.4:0.6:2"],
+                    tmp_path, "resolvent")
+    assert code == 3
+    assert rep["converged"] is False
+    assert all(p["positive"] and p["bstar0_relative"] == 0.2
+               for p in rep["points"])
+
+
+@pytest.mark.parametrize("stabilized", [True, False])
+def test_transmission_verdict_reads_stabilization(tmp_path, monkeypatch,
+                                                  stabilized):
+    """An experiment that agrees with the prediction still fails when the
+    end mass has not stabilized over the probe times."""
+    def experiment(*args, **kwargs):
+        return {"measured_mass": 0.1, "predicted_mass": 0.1, "ratio": 1.0,
+                "verdict": "nonzero",
+                "projection": {"stabilized": stabilized,
+                               "stabilization": 0.01 if stabilized else 0.5}}
+
+    monkeypatch.setattr(cli, "transmission_experiment", experiment)
+    code, rep = run(["transmission", "--preset", "D", "--t-grid", "10"],
+                    tmp_path, "transmission")
+    assert rep["stabilized"] is stabilized
+    assert rep["converged"] is stabilized
+    assert code == (0 if stabilized else 3)

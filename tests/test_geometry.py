@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
 from ends_scatter.geometry import (CutoffFamily, EndProfile, ManifoldModel,
                                    bump, classify_potential, critical_energy,
-                                   numeric_derivative, phase_b,
-                                   phase_integral, riccati_residual,
+                                   cumulative_trapezoid, numeric_derivative,
+                                   phase_b, phase_integral, riccati_residual,
                                    smooth_step, tail_q1)
 from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
 
@@ -86,6 +87,23 @@ def test_numeric_derivative_accuracy():
     r = np.linspace(0.5, 10.0, 50)
     assert np.max(np.abs(numeric_derivative(fn, r) - np.cos(r))) < 1e-7
     assert np.max(np.abs(numeric_derivative(fn, r, order=2) + np.sin(r))) < 1e-4
+
+
+def test_cumulative_trapezoid_is_scipys_bit_for_bit(rng):
+    """The three call shapes of the package against scipy's rule."""
+    x = np.sort(rng.uniform(-5.0, 5.0, 64))
+    # a block of rows over non-uniform nodes (integral_from_r0)
+    y2 = rng.standard_normal((3, 64))
+    assert np.array_equal(cumulative_trapezoid(y2, x),
+                          scipy_cumulative_trapezoid(y2, x, axis=-1, initial=0))
+    # complex samples, uniform spacing, reversed view (limiting_resolvent)
+    f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    assert np.array_equal(cumulative_trapezoid(f[::-1], dx=0.02),
+                          scipy_cumulative_trapezoid(f[::-1], dx=0.02, initial=0))
+    # one row over non-uniform nodes (dollard_state)
+    y1 = rng.standard_normal(64)
+    assert np.array_equal(cumulative_trapezoid(y1, x),
+                          scipy_cumulative_trapezoid(y1, x, initial=0))
 
 
 # ---------------------------------------------------------------------------

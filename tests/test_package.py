@@ -2,11 +2,16 @@
 
 No linter runs on the sources, so two of its checks live here: every
 ``__all__`` entry must exist (the benchmark's tracer wraps each one by
-``getattr``), and no module may import a name it never uses.
+``getattr``), and no module or function may import a name it never uses.
+A third guard keeps the stationary subcommands free of scipy.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,21 +30,77 @@ def test_all_entries_resolve(name):
     assert missing == []
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope: ast.AST):
+    """Nodes of ``scope`` outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _unused_imports(tree: ast.Module) -> list:
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(f"{name} (line {line})" for name, line in bound.items()
-                  if name not in used)
+    """Names bound by an import, at module level or inside a function,
+    that the module (resp. that function) never uses."""
+    unused = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, *_FUNCTIONS)):
+            continue
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{name} (line {node.lineno})" for name in names
+                       if name not in used]
+    return sorted(unused)
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     tree = ast.parse((SRC / f"{name}.py").read_text())
     assert _unused_imports(tree) == []
+
+
+def test_unused_function_level_import_is_reported():
+    tree = ast.parse("import scipy.linalg\n\n"
+                     "def f():\n    import scipy.sparse\n    return 1\n\n"
+                     "def g():\n    return scipy.linalg.norm\n")
+    assert _unused_imports(tree) == ["scipy (line 4)"]
+
+
+# subcommands that touch no interpolant, propagator or reference solver
+_STATIONARY_RUNS = [
+    ["model-check", "--preset", "A"],
+    ["smatrix", "--preset", "D", "--lambda-grid", "0.6:1.3:3"],
+    ["resolvent", "--preset", "A", "--lambda-grid", "0.4:0.6:2"],
+    ["oracle", "--preset", "D"],
+]
+# scipy subpackages that cost most of scipy's import time
+_HEAVY_SCIPY = ["integrate", "interpolate", "linalg", "sparse", "special",
+                "optimize", "spatial", "fft"]
+
+
+def test_stationary_subcommands_load_no_scipy_subpackage(tmp_path):
+    """A fresh interpreter imports the package and runs the stationary
+    subcommands without loading any of the heavy scipy subpackages."""
+    script = (
+        "import json, sys\n"
+        "import ends_scatter\n"
+        "from ends_scatter import cli\n"
+        f"for argv in {_STATIONARY_RUNS!r}:\n"
+        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+        f"print(json.dumps(sorted(loaded & set({_HEAVY_SCIPY!r}))))\n")
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import spsolve
 
-from ends_scatter import propagator
 from ends_scatter.dynamics import SpectralProfile
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
@@ -105,7 +105,7 @@ def test_pivoted_factorization_is_rejected(setup, monkeypatch):
     """The step runs pivot-free triangular solves; a factorization that
     permuted rows must raise, not fall back to a pivoted solve."""
     op, _ = setup
-    zgbtrf = propagator._lapack.zgbtrf
+    zgbtrf = lapack.zgbtrf
 
     def pivoted(*args, **kwargs):
         lu, piv, info = zgbtrf(*args, **kwargs)
@@ -113,7 +113,7 @@ def test_pivoted_factorization_is_rejected(setup, monkeypatch):
         piv[0] = 1
         return lu, piv, info
 
-    monkeypatch.setattr(propagator._lapack, "zgbtrf", pivoted)
+    monkeypatch.setattr(lapack, "zgbtrf", pivoted)
     with pytest.raises(RuntimeError, match="pivot"):
         Propagator(op, 0.05)
 
