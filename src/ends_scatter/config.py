@@ -9,7 +9,7 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
 
     [ends.1]                    ; end index 1 -> line coordinate x > 0
     profile = euclidean         ; euclidean|hyperbolic|flat|conic:ALPHA|table:FILE
-    q1_amplitude = 1.0          ; optional reference tail lambda0 + A r^-p
+    q1_amplitude = 1.0          ; optional tail A r^-p of q; q1 = lambda0 + A r^-p
     q1_power = 0.8
     decay = 1.0, 1.0, 1.0       ; (sigma, tau, rho) decay constants
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -218,13 +218,19 @@ def _build_end(sec, r0: float, cutoffs: CutoffFamily, base: str) -> EndProfile:
 
     amp = _get_float(sec, "q1_amplitude", 0.0)
     power = _get_float(sec, "q1_power", 1.0)
-    lambda0 = {"euclidean": 0.0, "conic": 0.0, "flat": 0.0,
-               "hyperbolic": 0.125, "table": 0.0}[kind]
+    if kind == "table":
+        table = EndProfile.from_table(*_read_table(arg.strip(), base))
+        lambda0 = table.lambda0
+    else:
+        lambda0 = {"euclidean": 0.0, "conic": 0.0, "flat": 0.0,
+                   "hyperbolic": 0.125}[kind]
     if amp != 0.0:
         if power <= 0:
             raise ConfigError(f"[{sec.name}] q1_power must be positive")
-        q1 = tail_q1(amp, power, r0, cutoffs=cutoffs, lambda0=lambda0)
-        kw.update(q1=q1, v_tail=q1)
+        # q_geo already tends to lambda0: the potential gains the decaying
+        # tail alone, the reference tail q1 is lambda0 plus that tail
+        kw.update(q1=tail_q1(amp, power, r0, cutoffs=cutoffs, lambda0=lambda0),
+                  v_tail=tail_q1(amp, power, r0, cutoffs=cutoffs))
     elif kind in ("euclidean", "conic", "flat"):
         zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         kw["q1"] = zero
@@ -243,9 +249,7 @@ def _build_end(sec, r0: float, cutoffs: CutoffFamily, base: str) -> EndProfile:
         if alpha <= 0:
             raise ConfigError(f"[{sec.name}] conic opening must be positive")
         return EndProfile.conic(alpha, **kw)
-    # table
-    r_nodes, f_nodes = _read_table(arg.strip(), base)
-    return EndProfile.from_table(r_nodes, f_nodes, **kw)
+    return replace(table, **kw)
 
 
 def _build_potential(sec, r0: float, base: str):

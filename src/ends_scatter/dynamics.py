@@ -46,7 +46,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .geometry import ManifoldModel, bump, cumulative_trapezoid, integral_from_r0
+from .geometry import (CubicSpline, ManifoldModel, bump, cumulative_trapezoid,
+                       integral_from_r0)
 
 __all__ = [
     "SpectralProfile",
@@ -97,21 +98,20 @@ class SpectralProfile:
     """One scattering channel of an asymptotic profile: h(lam) on the
     window [lam_lo, lam_hi], attached to one end and one angular mode.
 
-    Stored as a complex cubic spline; the profile vanishes outside the
-    window.  Norm convention: ||h||^2 = (2 pi)^-1 int |h|^2 dlam.
+    Stored as a complex not-a-knot cubic spline through 1025 uniform
+    samples of the window; the profile vanishes outside the window.  Norm
+    convention: ||h||^2 = (2 pi)^-1 int |h|^2 dlam.
     """
 
     end: int
     m: int
     lam_lo: float
     lam_hi: float
-    _spline: "CubicSpline"
+    _spline: CubicSpline
 
     @staticmethod
     def from_callable(end: int, m: int, lam_lo: float, lam_hi: float,
                       fn: Callable) -> "SpectralProfile":
-        from scipy.interpolate import CubicSpline
-
         lam = np.linspace(lam_lo, lam_hi, _PROFILE_NODES)
         return SpectralProfile(end, m, lam_lo, lam_hi,
                                CubicSpline(lam, np.asarray(fn(lam), dtype=complex)))

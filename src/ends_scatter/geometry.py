@@ -212,20 +212,21 @@ class EndProfile:
 
     @staticmethod
     def from_table(r_nodes: Sequence[float], f_nodes: Sequence[float], **kw) -> "EndProfile":
-        """Profile interpolated from (r, f) samples; log-cubic-spline inside
-        the table, linear log-extrapolation of the last segment outside."""
-        from scipy.interpolate import CubicSpline
-
-        r_nodes = np.asarray(r_nodes, dtype=float)
+        """Profile interpolated from (r, f) samples: log f is a natural
+        cubic spline inside the table and continues linearly with its end
+        slope s outside (so g'' = 0 there, and g stays C^2).  q_geo is then
+        s^2/8 beyond the table, and that is the end's threshold lambda0."""
         f_nodes = np.asarray(f_nodes, dtype=float)
         if np.any(f_nodes <= 0):
             raise ValueError("warp table must be strictly positive")
-        sp = CubicSpline(r_nodes, np.log(f_nodes), bc_type="natural", extrapolate=True)
+        sp = CubicSpline(r_nodes, np.log(f_nodes), bc="natural")
+        slope = float(sp(r_nodes[-1], 1))
         return EndProfile(
             name="table",
             g=sp,
-            gp=sp.derivative(1),
-            gpp=sp.derivative(2),
+            gp=lambda r: sp(r, 1),
+            gpp=lambda r: sp(r, 2),
+            lambda0=0.125 * slope**2,
             **kw,
         )
 
@@ -527,6 +528,118 @@ def cumulative_trapezoid(y, x=None, dx: float = 1.0) -> np.ndarray:
     acc = np.cumsum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
     return np.concatenate((np.zeros(acc.shape[:-1] + (1,), acc.dtype), acc),
                           axis=-1)
+
+
+class CubicSpline:
+    """Cubic spline through the samples ``y`` (real or complex) at the
+    strictly increasing nodes ``x``, without importing scipy's interpolate
+    subpackage (which loads most of scipy).
+
+    ``bc`` is ``'not-a-knot'`` (at least 4 nodes) or ``'natural'`` (zero
+    second derivative at both ends, at least 2 nodes).  The node slopes
+    solve the tridiagonal system of scipy's ``CubicSpline``, and
+    each piece keeps scipy's local coefficients in ``x - x_i``, so the
+    two agree up to roundoff.  Outside the nodes the spline continues as
+    its tangent line at the end node (scipy would continue the end cubic).
+    ``spline(t, nu)`` evaluates derivative ``nu`` (0, 1 or 2) by Horner's
+    rule.
+    """
+
+    def __init__(self, x, y, bc: str = "not-a-knot"):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        y = y.astype(complex if np.iscomplexobj(y) else float)
+        n = x.size
+        dx = np.diff(x)
+        if bc not in ("not-a-knot", "natural"):
+            raise ValueError(f"unknown end condition {bc!r}")
+        if x.ndim != 1 or y.shape != x.shape:
+            raise ValueError("x and y must be 1-D arrays of one length")
+        if n < (4 if bc == "not-a-knot" else 2):
+            raise ValueError(f"too few nodes ({n}) for a {bc} spline")
+        if not np.all(dx > 0):
+            raise ValueError("spline nodes must increase strictly")
+        slope = np.diff(y) / dx
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.empty(n)
+        diag = np.empty(n)
+        upper = np.empty(n)
+        rhs = np.empty(n, dtype=y.dtype)
+        lower[1:-1] = dx[1:]
+        diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+        upper[1:-1] = dx[:-1]
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if bc == "not-a-knot":
+            d = x[2] - x[0]
+            diag[0], upper[0] = dx[1], d
+            rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0]
+                      + dx[0] ** 2 * slope[1]) / d
+            d = x[-1] - x[-3]
+            lower[-1], diag[-1] = d, dx[-2]
+            rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                       + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        else:
+            diag[0], upper[0] = 2.0 * dx[0], dx[0]
+            rhs[0] = 3.0 * (y[1] - y[0])
+            lower[-1], diag[-1] = dx[-1], 2.0 * dx[-1]
+            rhs[-1] = 3.0 * (y[-1] - y[-2])
+        s = _solve_tridiagonal(lower, diag, upper, rhs)
+
+        # pieces 1 .. n-1 are the cubics on [x_{i-1}, x_i]; pieces 0 and n
+        # are the tangent lines at x_0 and x_{n-1}
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        zero = np.zeros(1, dtype=y.dtype)
+        self._c = (np.concatenate((zero, t / dx, zero)),
+                   np.concatenate((zero, (slope - s[:-1]) / dx - t, zero)),
+                   np.concatenate((s[:1], s)),
+                   np.concatenate((y[:1], y)))
+        self._base = np.concatenate((x[:1], x))
+        self._x = x
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self._x, t, side="right")
+        s = t - self._base[i]
+        c0, c1, c2, c3 = self._c
+        if nu == 0:
+            out = c0[i]
+            out *= s
+            out += c1[i]
+            out *= s
+            out += c2[i]
+            out *= s
+            out += c3[i]
+        elif nu == 1:
+            out = 3.0 * c0[i]
+            out *= s
+            out += 2.0 * c1[i]
+            out *= s
+            out += c2[i]
+        elif nu == 2:
+            out = 6.0 * c0[i]
+            out *= s
+            out += 2.0 * c1[i]
+        else:
+            raise ValueError(f"unsupported derivative order {nu}")
+        return out
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Thomas algorithm (elimination without pivoting) on Python scalars.
+    Stable for the spline systems: the interior rows are diagonally
+    dominant, and eliminating a not-a-knot end row leaves the pivot
+    dx_0 + dx_1 > 0 in the next."""
+    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    b = rhs.tolist()
+    n = len(b)
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    return np.array(b, dtype=rhs.dtype)
 
 
 def integral_from_r0(model: ManifoldModel, r: np.ndarray,

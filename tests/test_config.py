@@ -107,6 +107,28 @@ def test_table_profile_from_file(tmp_path):
     assert np.allclose(cfg.model.ends[0].f(r[20:]), f[20:], rtol=1e-10)
 
 
+def test_end_thresholds_stay_out_of_the_potential_tail(tmp_path):
+    """With a configured tail, q1 = lambda0 + tail and q = q_geo + tail, so
+    q - q1 decays on every end: on a table end whose threshold comes from
+    the table's end slope, and on a hyperbolic end."""
+    r = np.linspace(1.0, 10.0, 20)
+    path = tmp_path / "prof.csv"
+    path.write_text("\n".join(f"{float(a)!r},{float(np.exp(0.3 * a))!r}" for a in r))
+    tail = "q1_amplitude = 0.5\nq1_power = 1.5\n"
+    text = ("[model]\nr0 = 2\n"
+            f"[ends.1]\nprofile = table: {path}\n{tail}"
+            f"[ends.2]\nprofile = hyperbolic\n{tail}")
+    m = parse_config(text, base=str(tmp_path)).model
+    assert m.ends[0].lambda0 == pytest.approx(0.125 * 0.3**2, rel=1e-12)
+    assert m.ends[1].lambda0 == 0.125
+    far = np.array([1e3, 1e4])
+    for side, end in zip((1.0, -1.0), m.ends):
+        assert np.allclose(m.q(side * far), end.lambda0 + 0.5 * far**-1.5,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(end.q1(far), end.lambda0 + 0.5 * far**-1.5,
+                           rtol=0, atol=1e-13)
+
+
 def test_table_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config("[model]\nr0 = 2\n[ends.1]\nprofile = table: nope.csv\n"

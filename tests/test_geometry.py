@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
+from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-from ends_scatter.geometry import (CutoffFamily, EndProfile, ManifoldModel,
-                                   bump, classify_potential, critical_energy,
+from ends_scatter.geometry import (CubicSpline, CutoffFamily, EndProfile,
+                                   ManifoldModel, bump, classify_potential, critical_energy,
                                    cumulative_trapezoid, numeric_derivative,
                                    phase_b, phase_integral, riccati_residual,
                                    smooth_step, tail_q1)
@@ -80,6 +81,83 @@ def test_table_profile_matches_samples():
     f_nodes = r_nodes + 0.3 * np.sin(r_nodes)
     e = EndProfile.from_table(r_nodes, f_nodes)
     assert np.allclose(e.f(r_nodes), f_nodes, rtol=1e-12)
+
+
+def test_table_profile_continues_linearly_outside_the_table():
+    """log f continues with its end slope: f and g'' stay finite and
+    exact out to ten times the table's range, and g'' is 0 there."""
+    r_nodes = np.linspace(1.0, 5.0, 5)
+    e = EndProfile.from_table(r_nodes, r_nodes**1.5)
+    slope = float(e.gp(5.0))
+    r = np.linspace(5.0, 50.0, 91)
+    expect = np.exp(1.5 * np.log(5.0) + slope * (r - 5.0))
+    assert np.all(np.isfinite(e.f(r)))
+    assert np.allclose(e.f(r), expect, rtol=1e-13, atol=0)
+    assert np.array_equal(e.gp(r), np.full(r.shape, slope))
+    assert np.array_equal(e.gpp(r[1:]), np.zeros(90))
+    left = np.linspace(-35.0, 1.0, 73)
+    slope0 = float(e.gp(1.0))
+    assert np.allclose(e.g(left), slope0 * (left - 1.0), rtol=0, atol=1e-13)
+    assert np.array_equal(e.gpp(left[:-1]), np.zeros(72))
+
+
+def test_table_profile_threshold_is_the_limit_of_q_geo():
+    """Beyond the table q_geo is g'(r_end)^2/8, and lambda0 and the default
+    reference tail q1 read that value, not 0."""
+    r_nodes = np.linspace(1.0, 5.0, 5)
+    e = EndProfile.from_table(r_nodes, r_nodes**1.5)
+    r = np.array([5.0, 50.0, 1e4])
+    assert e.lambda0 == 0.125 * float(e.gp(5.0)) ** 2 > 0.01
+    assert np.array_equal(e.q_geo(r), np.full(3, e.lambda0))
+    assert np.array_equal(e.q1(r), np.full(3, e.lambda0))
+
+
+def _spline_error(ours, ref, t, nu=0):
+    return np.max(np.abs(ours(t, nu) - ref(t, nu))) / np.max(np.abs(ref(t, nu)))
+
+
+def test_spline_matches_scipy_not_a_knot_complex(rng):
+    x = np.linspace(0.3, 0.8, 1025)
+    y = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    t = np.concatenate((x, rng.uniform(0.3, 0.8, 10_000)))
+    assert _spline_error(CubicSpline(x, y), ScipyCubicSpline(x, y), t) <= 1e-14
+    # random nodes
+    xs = np.sort(rng.uniform(-2.0, 3.0, 64))
+    ys = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    t = rng.uniform(xs[0], xs[-1], 10_000)
+    assert _spline_error(CubicSpline(xs, ys), ScipyCubicSpline(xs, ys), t) <= 1e-14
+
+
+def test_spline_matches_scipy_on_the_bump_profile(rng):
+    x = np.linspace(0.3, 0.8, 1025)
+    y = bump(x, 0.55, 0.25).astype(complex)
+    t = rng.uniform(0.3, 0.8, 100_000)
+    assert _spline_error(CubicSpline(x, y), ScipyCubicSpline(x, y), t) <= 1e-14
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_spline_matches_scipy_natural(rng, nu):
+    """A warp table on geometric nodes.  (Random nodes with a 1.5e-3 gap
+    put both splines' g'' about 1e-13 from a 40-digit solve, ours no
+    further than scipy's, so the two differ at that level there.)"""
+    x = 1.08 ** np.arange(40.0)
+    y = np.log(x + 0.3 * np.sin(x))
+    ours = CubicSpline(x, y, bc="natural")
+    ref = ScipyCubicSpline(x, y, bc_type="natural")
+    t = rng.uniform(x[0], x[-1], 10_000)
+    assert _spline_error(ours, ref, t, nu) <= 1e-14
+
+
+def test_spline_rejects_bad_input():
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError):
+        CubicSpline(x[:3], x[:3])               # not-a-knot needs 4 nodes
+    with pytest.raises(ValueError):
+        CubicSpline(x[::-1], x)                 # decreasing nodes
+    with pytest.raises(ValueError):
+        CubicSpline(x, x, bc="clamped")
+    with pytest.raises(ValueError):
+        CubicSpline(x, x)(0.5, nu=3)
 
 
 def test_numeric_derivative_accuracy():

@@ -3,12 +3,14 @@
 No linter runs on the sources, so two of its checks live here: every
 ``__all__`` entry must exist (the benchmark's tracer wraps each one by
 ``getattr``), and no module or function may import a name it never uses.
-A third guard keeps the stationary subcommands free of scipy.
+A third guard keeps each subcommand to the scipy subpackages it needs:
+none for the stationary ones and dynamics, ``linalg`` for the propagator.
 """
 
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,7 +78,7 @@ def test_unused_function_level_import_is_reported():
     assert _unused_imports(tree) == ["scipy (line 4)"]
 
 
-# subcommands that touch no interpolant, propagator or reference solver
+# subcommands that touch no propagator or reference solver
 _STATIONARY_RUNS = [
     ["model-check", "--preset", "A"],
     ["smatrix", "--preset", "D", "--lambda-grid", "0.6:1.3:3"],
@@ -88,19 +90,46 @@ _HEAVY_SCIPY = ["integrate", "interpolate", "linalg", "sparse", "special",
                 "optimize", "spatial", "fft"]
 
 
-def test_stationary_subcommands_load_no_scipy_subpackage(tmp_path):
-    """A fresh interpreter imports the package and runs the stationary
-    subcommands without loading any of the heavy scipy subpackages."""
+def _heavy_scipy_loaded(runs, out_dir, code: int = 0) -> list:
+    """Heavy scipy subpackages that a fresh interpreter loads while it
+    imports the package and runs the CLI on each argv of ``runs``, each
+    of which must exit with ``code``."""
     script = (
         "import json, sys\n"
         "import ends_scatter\n"
         "from ends_scatter import cli\n"
-        f"for argv in {_STATIONARY_RUNS!r}:\n"
-        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert cli.main(argv + ['--out', {str(out_dir)!r}]) == {code}, argv\n"
         "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
         f"print(json.dumps(sorted(loaded & set({_HEAVY_SCIPY!r}))))\n")
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_stationary_subcommands_load_no_scipy_subpackage(tmp_path):
+    """A fresh interpreter imports the package and runs the stationary
+    subcommands without loading any of the heavy scipy subpackages."""
+    assert _heavy_scipy_loaded(_STATIONARY_RUNS, tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, code, allowed", [
+    # the spectral profile's spline is the package's own
+    (["dynamics", "--preset", "A", "--t-grid", "10,20"], 0, []),
+    (["model-check", "--config", "{table}"], 0, []),
+    # the propagator's band LU and triangular solves; t = 20 is too early
+    # for the increments to reach tol_w
+    (["waveop", "--preset", "A", "--t-grid", "10,20"], 3, ["linalg"]),
+], ids=["dynamics", "table-profile", "waveop"])
+def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code,
+                                                 allowed):
+    table = tmp_path / "prof.csv"
+    r = [1.0 + 0.5 * k for k in range(60)]
+    table.write_text("\n".join(f"{a!r},{a + 0.1 * math.sin(a)!r}" for a in r))
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(f"[model]\nr0 = 2\n[ends.1]\nprofile = table: {table}\n"
+                   "[ends.2]\nprofile = euclidean\n")
+    argv = [arg.format(table=cfg) for arg in argv]
+    assert _heavy_scipy_loaded([argv], tmp_path, code) == allowed
