@@ -13,7 +13,9 @@ Subcommands::
 Every run writes ``<out>/<subcommand>.json`` (schema-versioned report;
 always written, also on numerical failure) and, where applicable, CSV
 state/series files.  Exit codes: 0 success, 2 configuration/validation
-error, 3 numerical non-convergence.
+error (``resolvent``, ``smatrix`` and ``transmission`` also refuse, before
+any march, a grid that ``ModeOperator.check_resolution`` finds too coarse
+for the run's largest energy), 3 numerical non-convergence.
 
 Determinism: identical config and flags produce byte-identical output.
 All numerics are seed-free; iteration orders are fixed; floats are
@@ -121,6 +123,16 @@ def _profile(cfg: ExperimentConfig) -> SpectralProfile:
         center=lam0 + run.profile_center, width=run.profile_width)
 
 
+def _check_resolution(ops, lam_max: float) -> None:
+    """Refuse, as a configuration error, a grid too coarse for the run's
+    largest energy on any mode it marches or propagates."""
+    for op in ops:
+        try:
+            op.check_resolution(lam_max)
+        except ValueError as exc:
+            raise ConfigError(f"mode {op.m}: {exc}") from None
+
+
 def _packet(grid: RadialGrid, center: float, width: float,
             momentum: float) -> np.ndarray:
     x = grid.x
@@ -169,6 +181,7 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
     lam0 = model.ends[run.end - 1].lambda0
 
     lams = [float(lam0 + lam) for lam in run.lambdas]
+    _check_resolution([op], max(lams))
     entries = []
     worst = 0.0
     for lam in lams:
@@ -197,6 +210,8 @@ def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
     grid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
     lam0 = max(e.lambda0 for e in model.ends)
     lams = [float(lam0 + lam) for lam in run.lambdas]
+    _check_resolution([ModeOperator(model, grid, m)
+                       for m in range(cfg.grid.mmax + 1)], max(lams))
 
     data = [scattering_matrix(model, grid, lam, mmax=cfg.grid.mmax,
                               tol_s=run.tol_s, tol_f=run.tol_f)
@@ -273,6 +288,12 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     end_to = 1 - h.end
     sgrid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
     nodes = [h.lam_lo + 1e-3, 0.5 * (h.lam_lo + h.lam_hi), h.lam_hi - 1e-3]
+    t_prep = float(run.t_grid[-1]) if run.t_grid else 40.0
+    lam_hi = h.lam_hi - model.ends[h.end].lambda0
+    rmax = model.r0 + 1.3 * 2.0 * t_prep * float(np.sqrt(2.0 * lam_hi)) + 15.0
+    op = ModeOperator(model, RadialGrid(rmax, 0.02), run.mode)
+    # the S-matrix is taken in mode 0 on sgrid, the dynamics on op's grid
+    _check_resolution([ModeOperator(model, sgrid, 0), op], h.lam_hi)
 
     data = [scattering_matrix(model, sgrid, float(lam), tol_s=run.tol_s,
                               tol_f=run.tol_f)
@@ -284,10 +305,6 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
                   for sd in data)
     s_abs = lambda lam: np.interp(lam, nodes, svals)
 
-    t_prep = float(run.t_grid[-1]) if run.t_grid else 40.0
-    lam_hi = h.lam_hi - model.ends[h.end].lambda0
-    rmax = model.r0 + 1.3 * 2.0 * t_prep * float(np.sqrt(2.0 * lam_hi)) + 15.0
-    op = ModeOperator(model, RadialGrid(rmax, 0.02), run.mode)
     rep = transmission_experiment(
         op, model, h, end_to, s_abs, t_prepare=t_prep,
         t_probe=[t_prep, 1.5 * t_prep, 2.0 * t_prep],
@@ -398,6 +415,13 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+def _fail(out_dir: str, command: str, exc: Exception, code: int) -> int:
+    """Write the error report of a failed run and return its exit code."""
+    _write_json(out_dir, command, {"error": str(exc), "converged": False})
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out
@@ -406,18 +430,14 @@ def main(argv: Optional[list] = None) -> int:
         cfg = _load(args)
         cfg = _apply_overrides(cfg, args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_json(out_dir, args.command,
-                    {"error": str(exc), "converged": False})
-        return EXIT_CONFIG
+        return _fail(out_dir, args.command, exc, EXIT_CONFIG)
 
     try:
         code, report = _COMMANDS[args.command](cfg, args, out_dir)
+    except ConfigError as exc:
+        return _fail(out_dir, args.command, exc, EXIT_CONFIG)
     except (ValueError, RuntimeError) as exc:
-        _write_json(out_dir, args.command,
-                    {"error": str(exc), "converged": False})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
+        return _fail(out_dir, args.command, exc, EXIT_NONCONV)
 
     report.setdefault("model", cfg.model.name)
     report["command"] = args.command

@@ -13,7 +13,9 @@ test for the limit.
 The scattering matrix at energy lam is block diagonal over angular modes.
 Each 2x2 block is assembled from the outgoing and incoming Jost pairs of
 its mode: their connection coefficients (four Wronskians) and the
-boundary coefficient of each Jost solution on its own end.
+boundary coefficient of each Jost solution on its own end.  The incoming
+pair and its coefficients are the complex conjugates of the outgoing
+ones, so each mode costs one Jost march and two boundary extractions.
 """
 
 from __future__ import annotations
@@ -182,32 +184,41 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
 
         S_m = D^+ C^T (D^-)^-1.
 
+    Each mode takes one march, of the outgoing pair, and two boundary
+    extractions.  The incoming pair is its complex conjugate (see
+    ``jost_pair``), so W^- = conj(W^+) and the incoming boundary
+    coefficients are the conjugates of the outgoing ones, with the same
+    doubling residuals.
+
     Blocks for -m equal those for m (rotational symmetry).  The
     unitarity defect max_m ||S_m* S_m - 1|| is reported and compared to
     tol_s in the diagnostics; each mode's doubling residual is the worst
-    of its four boundary extractions.
+    of its two boundary extractions.
     """
     modes = tuple(range(0, mmax + 1))
     blocks = np.zeros((len(modes), 2, 2), dtype=complex)
     per_mode = []
     for i, m in enumerate(modes):
-        op = ModeOperator(model, grid, m)
-        jost, worst = {}, 0.0
-        for sign in (+1, -1):
-            pair = jost_pair(op, lam, sign)
-            coeffs = []
-            for end, u in ((0, pair.u_right), (1, pair.u_left)):
-                c, ediag = _extract_end(model, grid, end, lam, sign, u,
-                                        pair.r_lam, tol_f)
-                coeffs.append(2.0 * c / pair.wronskian)
-                worst = max(worst, ediag["doubling_residual"])
-            jost[sign] = ((pair.u_left, pair.du_left),
-                          (pair.u_right, pair.du_right), np.array(coeffs))
-        (left_p, right_p, d_p), (left_m, right_m, d_m) = jost[+1], jost[-1]
+        pair = jost_pair(ModeOperator(model, grid, m), lam, +1)
+        # the incoming pair, its Wronskian and its boundary coefficients
+        # are the conjugates of the outgoing ones (see jost_pair)
+        w_p, w_m = pair.wronskian, pair.wronskian.conjugate()
+        d_p, d_m, worst = [], [], 0.0
+        for end, u in ((0, pair.u_right), (1, pair.u_left)):
+            c, ediag = _extract_end(model, grid, end, lam, +1, u, pair.r_lam,
+                                    tol_f)
+            d_p.append(2.0 * c / w_p)
+            d_m.append(2.0 * np.conj(c) / w_m)
+            worst = max(worst, ediag["doubling_residual"])
+        d_p, d_m = np.array(d_p), np.array(d_m)
+        left_p = (pair.u_left, pair.du_left)
+        right_p = (pair.u_right, pair.du_right)
+        left_m = (np.conj(pair.u_left), np.conj(pair.du_left))
+        right_m = (np.conj(pair.u_right), np.conj(pair.du_right))
         # coordinates of (u_left^+, u_right^+) in the basis (u_left^-, u_right^-)
         conn = np.array([[_wronskian(left_p, right_m), _wronskian(right_p, right_m)],
                          [_wronskian(left_m, left_p), _wronskian(left_m, right_p)]])
-        conn /= _wronskian(left_m, right_m)
+        conn /= w_m
         blocks[i] = d_p[:, None] * conn.T / d_m[None, :]
         per_mode.append({"m": m, "doubling_residual": worst})
     defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2)) for b in blocks]

@@ -18,7 +18,9 @@ an oracle for them:
   through both signed distorted Fourier transforms, the reference for
   the Jost connection-coefficient assembly.  It shares the Jost march and
   the boundary extraction with ``fourier.scattering_matrix`` and is
-  independent only of the connection algebra.
+  independent of the connection algebra.  It marches both signs, so it
+  also checks the conjugation that ``scattering_matrix`` uses to build
+  the incoming pair from the outgoing one.
 
 All functions are deterministic (no RNG, no environment dependence).
 """
@@ -286,7 +288,11 @@ def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
     """S(lam) blocks for |m| <= mmax from the probe family: every probe is
     pushed through both signed transforms and S_m solves F^+ = S_m F^- in
     the least-squares sense.  Returns (blocks, doubling_residuals), the
-    latter the worst over each mode's 16 boundary extractions."""
+    latter the worst over each mode's 16 boundary extractions.
+
+    Each sign gets its own Jost march and its own extractions, where
+    ``fourier.scattering_matrix`` conjugates the outgoing ones, so the
+    agreement of the two also checks that conjugation."""
     probes = _probe_states(grid, model)
     blocks = np.zeros((mmax + 1, 2, 2), dtype=complex)
     residuals = []

@@ -41,6 +41,9 @@ class JostPair:
 
     ``u_right`` is launched at x = +rmax (end 0), ``u_left`` at x = -rmax
     (end 1); for ``sign=+1`` both are outgoing, for ``sign=-1`` incoming.
+    ``wronskian`` is the grid mean of the Wronskian u_left' u_right -
+    u_left u_right', and ``wronskian_drift`` its largest relative
+    deviation from that mean over the grid.
     """
 
     op: ModeOperator
@@ -51,22 +54,8 @@ class JostPair:
     u_right: np.ndarray
     du_right: np.ndarray
     r_lam: float
-
-    @property
-    def wronskian_profile(self) -> np.ndarray:
-        return _wronskian_profile(self.u_left, self.du_left,
-                                  self.u_right, self.du_right)
-
-    @property
-    def wronskian(self) -> complex:
-        w = self.wronskian_profile
-        return complex(np.mean(w))
-
-    @property
-    def wronskian_drift(self) -> float:
-        w = self.wronskian_profile
-        w0 = self.wronskian
-        return float(np.max(np.abs(w - w0)) / max(abs(w0), 1e-300))
+    wronskian: complex
+    wronskian_drift: float
 
 
 def _wronskian_profile(f: np.ndarray, df: np.ndarray, g: np.ndarray,
@@ -174,6 +163,16 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     ValueError.  A degenerate pair (Wronskian below 1e-8 of the product
     of the solutions' sizes and the momentum: the two solutions are
     nearly parallel) raises RuntimeError.
+
+    The incoming pair is the complex conjugate of the outgoing one, bit
+    for bit: ``jost_pair(op, lam, -1)`` has (u, u') equal to np.conj of
+    those of ``jost_pair(op, lam, +1)`` and Wronskian conj(W).  This
+    rests on three facts: W_m is real, so every transfer matrix of
+    ``_transfer`` and every prefix product of ``_sweep`` is real; the
+    launch data of ``_launch_data`` for sign -1 are the conjugates of
+    those for sign +1; and real-times-conjugate arithmetic rounds to the
+    conjugate of real-times-value.  ``fourier.scattering_matrix`` relies
+    on it to march once per mode; a complex potential would break it.
     """
     model = op.model
     grid = op.grid
@@ -197,14 +196,16 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     u0, dudr = _launch_data(model, 1, lam, sign, r_launch, r_lam)
     u_l, du_l = _sweep(mats, (u0, -dudr))[:, on_grid]
 
-    pair = JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam)
+    w = _wronskian_profile(u_l, du_l, u_r, du_r)
+    w0 = complex(np.mean(w))
+    drift = float(np.max(np.abs(w - w0)) / max(abs(w0), 1e-300))
     scale = (np.max(np.abs(u_l)) * np.max(np.abs(u_r))
              * np.sqrt(2.0 * (lam - model.lambda_crit)))
-    if abs(pair.wronskian) < 1e-8 * max(scale, 1e-300):
+    if abs(w0) < 1e-8 * max(scale, 1e-300):
         raise RuntimeError(f"degenerate Jost pair at lam={lam!r}, sign={sign}: "
-                           f"Wronskian {abs(pair.wronskian):.3e} against "
+                           f"Wronskian {abs(w0):.3e} against "
                            f"scale {scale:.3e}")
-    return pair
+    return JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam, w0, drift)
 
 
 def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,

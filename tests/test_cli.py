@@ -184,3 +184,29 @@ def test_transmission_verdict_reads_stabilization(tmp_path, monkeypatch,
     assert rep["stabilized"] is stabilized
     assert rep["converged"] is stabilized
     assert code == (0 if stabilized else 3)
+
+
+
+@pytest.mark.parametrize("command,march", [
+    ("smatrix", "scattering_matrix"),
+    ("resolvent", "limiting_resolvent"),
+    ("transmission", "scattering_matrix"),
+])
+def test_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch, command,
+                                               march):
+    """On preset D at dx = 0.5 the resolution guard refuses the run before
+    any march: smatrix and resolvent reach lambda = 2, where it needs
+    dx <= 0.26, and transmission's profile reaches 0.8 (dx <= 0.41)."""
+    def no_march(*args, **kwargs):
+        raise AssertionError(f"{march} called past the guard")
+
+    monkeypatch.setattr(cli, march, no_march)
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[model]\npreset = D\n\n"
+                   "[grid]\nrmax = 30.0\ndx = 0.5\n\n"
+                   "[run]\nlambda_grid = 0.6:2.0:4\n")
+    code, rep = run([command, "--config", str(cfg)], tmp_path, command)
+    assert code == 2
+    assert rep["converged"] is False
+    lam_max = "0.8" if command == "transmission" else "2"
+    assert f"too coarse for lam={lam_max}:" in rep["error"]

@@ -166,3 +166,24 @@ def test_launch_outside_the_grid():
     psi = np.exp(-(grid.x - 1.0) ** 2).astype(complex)
     _, diag = limiting_resolvent(op, lam, psi, pair=pair)
     assert diag["interior_residual"] < 1e-5
+
+
+@pytest.mark.parametrize("model,rmax,dx,m,lam,pad", [
+    (model_free(), 60.0, 0.01, 0, 0.5, 1.0),
+    (model_a(), 60.0, 0.01, 0, 0.5, 1.0),
+    (model_a(), 60.0, 0.01, 1, 0.8, 1.0),
+    (model_b(), 120.0, 0.01, 1, 0.6, 1.0),
+    (model_c(), 60.0, 0.01, 0, 1.5, 1.0),
+    # barrier edges mid-cell: the breakpoints split their cells
+    (model_d(half_width=0.995), 60.0, 0.01, 0, 0.9, 1.0),
+    (model_a(), 40.0, 0.02, 0, 0.6, 1.1),
+], ids=["free", "A0", "A1", "B1", "C", "D", "A-pad"])
+def test_incoming_jost_pair_is_the_conjugate(model, rmax, dx, m, lam, pad):
+    """scattering_matrix builds the incoming pair as the conjugate of the
+    outgoing one; the marched sign -1 pair must equal it bit for bit."""
+    op = ModeOperator(model, RadialGrid(rmax, dx), m)
+    out = jost_pair(op, lam, +1, rmax_pad=pad)
+    inc = jost_pair(op, lam, -1, rmax_pad=pad)
+    for name in ("u_left", "du_left", "u_right", "du_right"):
+        assert np.array_equal(getattr(inc, name), np.conj(getattr(out, name)))
+    assert inc.wronskian == out.wronskian.conjugate()
