@@ -23,7 +23,6 @@ from .dynamics import (
     stationary_point,
 )
 from .fourier import (
-    BoundaryField,
     ScatteringData,
     distorted_ft,
     scattering_matrix,

@@ -36,7 +36,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .dynamics import (SpectralProfile, comparison_state, leading_term,
                        state_norm)
-from .fourier import scattering_matrix, transmission_metric
+from .fourier import scattering_matrix
 from .geometry import classify_potential, critical_energy
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
@@ -292,17 +292,17 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     lam_hi = h.lam_hi - model.ends[h.end].lambda0
     rmax = model.r0 + 1.3 * 2.0 * t_prep * float(np.sqrt(2.0 * lam_hi)) + 15.0
     op = ModeOperator(model, RadialGrid(rmax, 0.02), run.mode)
-    # the S-matrix is taken in mode 0 on sgrid, the dynamics on op's grid
-    _check_resolution([ModeOperator(model, sgrid, 0), op], h.lam_hi)
+    # S is taken in modes 0..mode on sgrid, the dynamics on op's grid
+    _check_resolution([*(ModeOperator(model, sgrid, m)
+                         for m in range(run.mode + 1)), op], h.lam_hi)
 
-    data = [scattering_matrix(model, sgrid, float(lam), tol_s=run.tol_s,
-                              tol_f=run.tol_f)
+    data = [scattering_matrix(model, sgrid, float(lam), mmax=run.mode,
+                              tol_s=run.tol_s, tol_f=run.tol_f)
             for lam in nodes]
-    svals = [abs(sd.blocks[0, end_to, h.end]) for sd in data]
+    svals = [abs(sd.block(run.mode)[end_to, h.end]) for sd in data]
     worst = max(sd.unitarity_defect for sd in data)
     unitary = all(sd.diag["unitary_within_tol"] for sd in data)
-    sig_min = min(transmission_metric(sd, i=end_to, j=h.end)["sigma_min"]
-                  for sd in data)
+    sig_min = float(min(svals))
     s_abs = lambda lam: np.interp(lam, nodes, svals)
 
     rep = transmission_experiment(

@@ -1,63 +1,42 @@
 """Distorted Fourier transform and scattering matrix.
 
-The transform F^+-(lam) maps a (compactly supported) state to one complex
-coefficient per (end, mode): the averaged large-radius limit of
+Both rest on D^+ = (2 c_right / W, 2 c_left / W) of a mode's outgoing
+Jost pair, W its Wronskian and c the boundary coefficient of each Jost
+solution on its own end: the averaged large-radius limit of
 
-    xi(r) = sqrt(b) * exp(-+ i Phi(r)) * u(r),      Phi(r) = int_{r0}^r b,
+    xi(r) = sqrt(b) * exp(-i Phi(r)) * u(r),      Phi(r) = int_{r0}^r b.
 
-where u is the flat radial profile of the limiting resolvent applied to
-the state.  Averages are taken over dyadic windows [R, 2R]; convergence
-across R-doublings (plus one geometric extrapolation) is the acceptance
-test for the limit.
+Averages are taken over dyadic windows [R, 2R]; convergence across
+R-doublings (plus one geometric extrapolation) is the acceptance test for
+the limit.  Outside the support of a state psi the outgoing resolvent is
+(2/W) u_right <u_left, psi> on end 0 and (2/W) u_left <u_right, psi> on
+end 1 (bilinear pairings), so F^+(lam) psi is D^+ times the two
+pairings; ``oracle.reference_distorted_ft`` checks it by that resolvent.
 
 The scattering matrix at energy lam is block diagonal over angular modes.
-Each 2x2 block is assembled from the outgoing and incoming Jost pairs of
-its mode: their connection coefficients (four Wronskians) and the
-boundary coefficient of each Jost solution on its own end.  The incoming
-pair and its coefficients are the complex conjugates of the outgoing
-ones, so each mode costs one Jost march and two boundary extractions.
+Each 2x2 block comes from the connection coefficients (four Wronskians)
+of the outgoing and incoming Jost pairs and D^+-.  The incoming pair and
+D^- are the conjugates of the outgoing ones, so each mode costs one Jost
+march and two boundary extractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .geometry import ManifoldModel, phase_b, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
-from .resolvent import (JostPair, _wronskian_profile, jost_pair,
-                        limiting_resolvent)
+from .resolvent import JostPair, _wronskian_profile, jost_pair
 
 __all__ = [
-    "BoundaryField",
     "ScatteringData",
     "distorted_ft",
     "scattering_matrix",
     "transmission_metric",
 ]
-
-
-@dataclass
-class BoundaryField:
-    """Asymptotic data at one energy: one coefficient per (mode, end).
-
-    Coefficients are normalized so that sum of |.|^2 equals the squared
-    norm in the boundary space (orthonormal mode basis on each end
-    circle)."""
-
-    lam: float
-    sign: int
-    modes: Tuple[int, ...]
-    data: np.ndarray  # (n_modes, 2)
-    diag: dict = field(default_factory=dict)
-
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
-
-    def coeff(self, m: int, end: int) -> complex:
-        return complex(self.data[self.modes.index(m), end])
 
 
 def _averaged_limit(r: np.ndarray, xi: np.ndarray, r_min: float, tol: float):
@@ -121,32 +100,38 @@ def _extract_end(model: ManifoldModel, grid: RadialGrid, end: int, lam: float,
     return _averaged_limit(r, xi, r_min, tol)
 
 
-def distorted_ft(ops: Sequence[ModeOperator], lam: float, psi_modes: np.ndarray,
-                 sign: int = +1, tol_f: float = 1e-4,
-                 pairs: Optional[Sequence[JostPair]] = None) -> BoundaryField:
-    """F^+-(lam) psi for a multi-mode flat state.
+def _outgoing_coefficients(pair: JostPair, tol_f: float):
+    """D^+ = (2 c_right / W, 2 c_left / W) of an outgoing Jost pair, c the
+    boundary coefficient of each Jost solution on its own end, and the
+    diagnostics of the two extractions (end 0, end 1)."""
+    op = pair.op
+    d = np.zeros(2, dtype=complex)
+    ends = []
+    for end, u in ((0, pair.u_right), (1, pair.u_left)):
+        c, ediag = _extract_end(op.model, op.grid, end, pair.lam, +1, u,
+                                pair.r_lam, tol_f)
+        d[end] = 2.0 * c / pair.wronskian
+        ends.append(ediag)
+    return d, ends
 
-    ``ops`` is one ModeOperator per row of ``psi_modes``.  The +i0
-    (outgoing) transform uses sign=+1.  Jost pairs may be passed in to
-    amortize the ODE solves over many states at the same energy.
+
+def distorted_ft(op: ModeOperator, lam: float, psis: np.ndarray,
+                 tol_f: float = 1e-4):
+    """F^+(lam) psi for each row of ``psis`` (flat mode-m states on
+    ``op``'s grid), as D^+ times the pairings (<u_left, psi>,
+    <u_right, psi>) with the outgoing Jost pair: one march and two
+    extractions, whatever the number of states.
+
+    Exact for states supported inside the extraction windows' inner
+    radius.  Returns (coeffs, diag): coeffs of shape (n_states, 2), one
+    column per end; diag["ends"] the two extraction diagnostics.
     """
-    psi_modes = np.atleast_2d(np.asarray(psi_modes, dtype=complex))
-    model = ops[0].model
-    grid = ops[0].grid
-    data = np.zeros((len(ops), 2), dtype=complex)
-    diags: List[dict] = []
-    for i, op in enumerate(ops):
-        pair = pairs[i] if pairs is not None else None
-        phi, rdiag = limiting_resolvent(op, lam, psi_modes[i], sign=sign, pair=pair)
-        row = {"resolvent": rdiag, "ends": []}
-        for end in range(2):
-            val, ediag = _extract_end(model, grid, end, lam, sign, phi,
-                                      rdiag["r_lam"], tol_f)
-            data[i, end] = val
-            row["ends"].append(ediag)
-        diags.append(row)
-    modes = tuple(op.m for op in ops)
-    return BoundaryField(lam, sign, modes, data, {"per_mode": diags})
+    psis = np.atleast_2d(np.asarray(psis, dtype=complex))
+    pair = jost_pair(op, lam, +1)
+    d, ends = _outgoing_coefficients(pair, tol_f)
+    # end 0 pairs the states with u_left, end 1 with u_right
+    pairing = op.grid.dx * (psis @ np.stack((pair.u_left, pair.u_right), axis=1))
+    return pairing * d, {"ends": ends}
 
 
 @dataclass
@@ -174,21 +159,16 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
                       tol_f: float = 1e-4) -> ScatteringData:
     """Assemble S(lam) mode block by mode block from the Jost pairs.
 
-    Outside the support of a state psi the resolvent is
-    (2/W) u_right <u_left, psi> on end 0 and (2/W) u_left <u_right, psi>
-    on end 1, so F^+- psi = D^+- (<u_left^+-, psi>, <u_right^+-, psi>)
-    with D^+- = diag(2 c_right / W, 2 c_left / W), c the boundary
-    coefficient of each Jost solution on its own end.  With C the
-    coordinates of (u_left^+, u_right^+) in the basis (u_left^-, u_right^-),
-    F^+ = S_m F^- gives
+    F^+- psi = D^+- (<u_left^+-, psi>, <u_right^+-, psi>) (see
+    ``distorted_ft``).  With C the coordinates of (u_left^+, u_right^+)
+    in the basis (u_left^-, u_right^-), F^+ = S_m F^- gives
 
         S_m = D^+ C^T (D^-)^-1.
 
     Each mode takes one march, of the outgoing pair, and two boundary
     extractions.  The incoming pair is its complex conjugate (see
-    ``jost_pair``), so W^- = conj(W^+) and the incoming boundary
-    coefficients are the conjugates of the outgoing ones, with the same
-    doubling residuals.
+    ``jost_pair``), so W^- = conj(W^+) and D^- = conj(D^+), with the
+    same doubling residuals.
 
     Blocks for -m equal those for m (rotational symmetry).  The
     unitarity defect max_m ||S_m* S_m - 1|| is reported and compared to
@@ -200,17 +180,11 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
     per_mode = []
     for i, m in enumerate(modes):
         pair = jost_pair(ModeOperator(model, grid, m), lam, +1)
-        # the incoming pair, its Wronskian and its boundary coefficients
-        # are the conjugates of the outgoing ones (see jost_pair)
-        w_p, w_m = pair.wronskian, pair.wronskian.conjugate()
-        d_p, d_m, worst = [], [], 0.0
-        for end, u in ((0, pair.u_right), (1, pair.u_left)):
-            c, ediag = _extract_end(model, grid, end, lam, +1, u, pair.r_lam,
-                                    tol_f)
-            d_p.append(2.0 * c / w_p)
-            d_m.append(2.0 * np.conj(c) / w_m)
-            worst = max(worst, ediag["doubling_residual"])
-        d_p, d_m = np.array(d_p), np.array(d_m)
+        # the incoming pair, its Wronskian and D^- are the conjugates of
+        # the outgoing ones (see jost_pair)
+        w_m = pair.wronskian.conjugate()
+        d_p, ends = _outgoing_coefficients(pair, tol_f)
+        d_m = np.conj(d_p)
         left_p = (pair.u_left, pair.du_left)
         right_p = (pair.u_right, pair.du_right)
         left_m = (np.conj(pair.u_left), np.conj(pair.du_left))
@@ -220,7 +194,8 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
                          [_wronskian(left_m, left_p), _wronskian(left_m, right_p)]])
         conn /= w_m
         blocks[i] = d_p[:, None] * conn.T / d_m[None, :]
-        per_mode.append({"m": m, "doubling_residual": worst})
+        per_mode.append({"m": m, "doubling_residual":
+                         max(e["doubling_residual"] for e in ends)})
     defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2)) for b in blocks]
     diag = {"per_mode": per_mode, "defects": defects,
             "unitary_within_tol": bool(max(defects) <= tol_s)}

@@ -11,6 +11,7 @@ Schroedinger operator -u''/2 + W_m u with W_m = q + m^2 / (2 f^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,12 @@ class ModeOperator:
         self.grid = grid
         self.m = int(m)
         self.stencil_order = stencil_order
-        self.w = model.w_mode(m, grid.x)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """W_m at the grid nodes, sampled on first use (``jost_pair``
+        never reads it)."""
+        return self.model.w_mode(self.m, self.grid.x)
 
     def check_resolution(self, lam_max: float) -> None:
         """Require >= 12 grid points per local wavelength at the largest

@@ -1,8 +1,8 @@
 """Independent cross-checks: closed forms and brute-force discretizations.
 
-Everything here except the S-matrix reference is deliberately built
-*without* the WKB/Jost machinery of the main modules, so it can serve as
-an oracle for them:
+Everything here except the transform and S-matrix references is
+deliberately built *without* the WKB/Jost machinery of the main modules,
+so it can serve as an oracle for them:
 
 * plane-wave matching for free-line and square-barrier scattering,
 * the free-line outgoing Green kernel,
@@ -14,13 +14,16 @@ an oracle for them:
   frequency node, the reference for the factored quadrature,
 * a Chebyshev polynomial expansion of e^{-itH}, the reference for the
   implicit propagator,
-* the S-matrix by least squares over a family of probe states pushed
-  through both signed distorted Fourier transforms, the reference for
-  the Jost connection-coefficient assembly.  It shares the Jost march and
-  the boundary extraction with ``fourier.scattering_matrix`` and is
-  independent of the connection algebra.  It marches both signs, so it
-  also checks the conjugation that ``scattering_matrix`` uses to build
-  the incoming pair from the outgoing one.
+* the distorted Fourier transform as the boundary coefficients of the
+  limiting resolvent of the state, the reference for the Jost pairing
+  of ``fourier.distorted_ft``,
+* the S-matrix by least squares over probe states pushed through both
+  signed reference transforms, the reference for the Jost
+  connection-coefficient assembly.  Marching both signs, it also checks
+  the conjugation by which ``scattering_matrix`` gets the incoming pair.
+
+The last two share the Jost march and the boundary extraction with
+``fourier`` and are independent of its pairing and connection algebra.
 
 All functions are deterministic (no RNG, no environment dependence).
 """
@@ -32,10 +35,10 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import SpectralProfile, frequency_nodes
-from .fourier import distorted_ft
+from .fourier import _extract_end
 from .geometry import ManifoldModel, bump, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
-from .resolvent import jost_pair
+from .resolvent import JostPair, jost_pair, limiting_resolvent
 
 __all__ = [
     "free_green",
@@ -46,6 +49,7 @@ __all__ = [
     "reference_march",
     "reference_comparison_state",
     "chebyshev_evolve",
+    "reference_distorted_ft",
     "reference_scattering_matrix",
 ]
 
@@ -270,6 +274,22 @@ def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * t * mid) * acc
 
 
+def reference_distorted_ft(op: ModeOperator, lam: float, psi: np.ndarray,
+                           sign: int, pair: JostPair, tol_f: float):
+    """F^+-(lam) psi of one mode-m state: R(lam +- i0) psi from ``pair``
+    (of the same sign), then its boundary coefficient on each end.
+    Returns (coeffs, ends): one coefficient and one extraction
+    diagnostic per end."""
+    phi, rdiag = limiting_resolvent(op, lam, psi, sign=sign, pair=pair)
+    coeffs = np.zeros(2, dtype=complex)
+    ends = []
+    for end in range(2):
+        coeffs[end], ediag = _extract_end(op.model, op.grid, end, lam, sign,
+                                          phi, rdiag["r_lam"], tol_f)
+        ends.append(ediag)
+    return coeffs, ends
+
+
 def _probe_states(grid: RadialGrid, model: ManifoldModel):
     """Two smooth bumps parked on either end just outside the core, the
     over-determined probe family for the least-squares S solve."""
@@ -286,9 +306,10 @@ def _probe_states(grid: RadialGrid, model: ManifoldModel):
 def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
                                 lam: float, mmax: int = 0, tol_f: float = 1e-4):
     """S(lam) blocks for |m| <= mmax from the probe family: every probe is
-    pushed through both signed transforms and S_m solves F^+ = S_m F^- in
-    the least-squares sense.  Returns (blocks, doubling_residuals), the
-    latter the worst over each mode's 16 boundary extractions.
+    pushed through both signed reference transforms and S_m solves
+    F^+ = S_m F^- in the least-squares sense.  Returns (blocks,
+    doubling_residuals), the latter the worst over each mode's 16
+    boundary extractions.
 
     Each sign gets its own Jost march and its own extractions, where
     ``fourier.scattering_matrix`` conjugates the outgoing ones, so the
@@ -304,10 +325,9 @@ def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
         for sign, c in cols.items():
             pair = jost_pair(op, lam, sign)
             for j, psi in enumerate(probes):
-                f = distorted_ft([op], lam, psi, sign, tol_f, pairs=[pair])
-                c[:, j] = f.data[0]
-                worst = max(worst, *(e["doubling_residual"]
-                                     for e in f.diag["per_mode"][0]["ends"]))
+                c[:, j], ends = reference_distorted_ft(op, lam, psi, sign, pair,
+                                                       tol_f)
+                worst = max(worst, *(e["doubling_residual"] for e in ends))
         s_t, *_ = np.linalg.lstsq(cols[-1].T, cols[+1].T, rcond=None)
         blocks[m] = s_t.T
         residuals.append(worst)

@@ -39,8 +39,10 @@ __all__ = [
 ]
 
 # adjoint_identity_check: doubling tolerance of the boundary-coefficient
-# extraction in F^+(lam) psi
+# extraction in F^+(lam) psi, and the Gauss-Legendre nodes of its lam
+# integral
 _ADJOINT_TOL_F = 1e-4
+_ADJOINT_LAM_NODES = 24
 
 
 @dataclass
@@ -230,41 +232,31 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
 def adjoint_identity_check(op: ModeOperator, model: ManifoldModel,
                            h: SpectralProfile, west: np.ndarray,
                            psi_list: Sequence[np.ndarray],
-                           n_lambda: int = 24,
-                           ft_op: Optional[ModeOperator] = None) -> dict:
+                           ft_op: ModeOperator) -> dict:
     """Defect of  <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi, h(lam)> dlam
-    over a family of test states psi (west = the converged W^+ h estimate).
+    over a family of test states psi (west = the converged W^+ h estimate
+    on ``op``'s grid).
 
-    The lam integral runs over the support window of h with Gauss-Legendre
-    nodes; F^+(lam) psi is the outgoing boundary coefficient on the end
-    carrying h.  ``ft_op`` may supply a smaller grid for the transform
-    side (the Jost integrations scale with the grid length, while the
-    test states only need to be resolved near the core); the psi are
-    restricted onto it by interpolation.
+    The lam integral runs over the support window of h on 24 Gauss-Legendre
+    nodes; F^+(lam) psi is the coefficient on the end carrying h of one
+    ``distorted_ft`` call per node for all states.  ``ft_op`` carries the
+    transform on a grid that only needs to hold the test states and the
+    extraction windows (the Jost march scales with the grid length); the
+    psi are restricted onto it by interpolation.
     """
     grid = op.grid
-    nodes, wts = np.polynomial.legendre.leggauss(n_lambda)
+    nodes, wts = np.polynomial.legendre.leggauss(_ADJOINT_LAM_NODES)
     lam = 0.5 * (h.lam_hi + h.lam_lo) + 0.5 * (h.lam_hi - h.lam_lo) * nodes
     wts = 0.5 * (h.lam_hi - h.lam_lo) * wts
 
-    from .resolvent import jost_pair
-
-    fop = ft_op if ft_op is not None else op
-    if ft_op is not None:
-        xf = fop.grid.x
-        psi_ft = [np.interp(xf, grid.x, psi.real)
-                  + 1j * np.interp(xf, grid.x, psi.imag) for psi in psi_list]
-    else:
-        psi_ft = list(psi_list)
-
+    xf = ft_op.grid.x
+    psi_ft = [np.interp(xf, grid.x, psi.real) + 1j * np.interp(xf, grid.x, psi.imag)
+              for psi in psi_list]
     hv = h(lam)
-    coeffs = np.zeros((len(psi_list), n_lambda), dtype=complex)
+    coeffs = np.zeros((len(psi_list), _ADJOINT_LAM_NODES), dtype=complex)
     for j, lam_j in enumerate(lam):
-        pair = jost_pair(fop, float(lam_j), sign=+1)
-        for i, psi in enumerate(psi_ft):
-            field = distorted_ft([fop], float(lam_j), psi[None, :],
-                                 sign=+1, tol_f=_ADJOINT_TOL_F, pairs=[pair])
-            coeffs[i, j] = field.coeff(fop.m, h.end)
+        ft, _ = distorted_ft(ft_op, float(lam_j), psi_ft, tol_f=_ADJOINT_TOL_F)
+        coeffs[:, j] = ft[:, h.end]
 
     defects = []
     dx = grid.dx
@@ -274,7 +266,7 @@ def adjoint_identity_check(op: ModeOperator, model: ManifoldModel,
         scale = max(grid.norm(psi) * h.norm(), 1e-300)
         defects.append(abs(lhs - rhs) / scale)
     return {"defects": [float(d) for d in defects],
-            "max_defect": float(max(defects)), "lam_nodes": n_lambda}
+            "max_defect": float(max(defects)), "lam_nodes": _ADJOINT_LAM_NODES}
 
 
 # ---------------------------------------------------------------------------

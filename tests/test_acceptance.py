@@ -31,7 +31,7 @@ from ends_scatter.presets import (model_a, model_b, model_c, model_d,
 from ends_scatter.propagator import (EvolutionConfig, adjoint_identity_check,
                                      evolve, transmission_experiment,
                                      wave_operator)
-from ends_scatter.resolvent import jost_pair, limiting_resolvent
+from ends_scatter.resolvent import limiting_resolvent
 
 
 def bump(center, width):
@@ -99,11 +99,11 @@ def test_transform_norm_matches_spectral_measure(model):
     psi /= grid.norm(psi)
     lam0 = model.ends[0].lambda0
     for lam in np.linspace(0.35, 0.95, 5) + lam0:
-        pair = jost_pair(op, float(lam), +1)
-        f = distorted_ft([op], float(lam), psi, +1, 1e-4, pairs=[pair])
-        phi, _ = limiting_resolvent(op, float(lam), psi, sign=+1, pair=pair)
+        coeffs, _ = distorted_ft(op, float(lam), psi, 1e-4)
+        phi, _ = limiting_resolvent(op, float(lam), psi, sign=+1)
         rhs = 2.0 * np.imag(grid.inner(psi, phi))
-        assert abs(f.norm2() - rhs) <= 1e-4  # psi has unit norm
+        norm2 = np.sum(np.abs(coeffs) ** 2)
+        assert abs(norm2 - rhs) <= 1e-4  # psi has unit norm
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_wave_operator_and_adjoint_identity():
         psis.append(p.astype(complex) / grid.norm(p))
     ft_op = ModeOperator(model, RadialGrid(120.0, 0.02), 0)
     adj = adjoint_identity_check(op, model, h, rep["estimate"], psis,
-                                 n_lambda=24, ft_op=ft_op)
+                                 ft_op=ft_op)
     assert adj["max_defect"] <= 1e-3
 
 

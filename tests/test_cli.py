@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from ends_scatter import cli
 from ends_scatter.cli import main
+from ends_scatter.fourier import scattering_matrix
+from ends_scatter.mode_reduction import RadialGrid
+from ends_scatter.presets import model_a
 
 
 def run(args, tmp_path, name):
@@ -138,6 +142,22 @@ def test_transmission_tol_reaches_the_verdict(tmp_path):
     assert reps["1e-30"][0] == 3 and strict["converged"] is False
     assert strict["tol_s"] == 1e-30 and strict["worst_unitarity_defect"] > 0.0
     assert reps["1"][1] != reps["1e-30"][1]
+
+
+def test_transmission_predicts_from_the_run_mode(tmp_path):
+    """With [run] mode = 1 the prediction reads mode 1's cross-ends
+    block, not mode 0's (|S_10| of 0.630, 0.726 and 0.796 at these
+    energies)."""
+    cfg = tmp_path / "mode1.cfg"
+    cfg.write_text("[model]\npreset = A\n\n[run]\nmode = 1\nt_grid = 10\n")
+    _, rep = run(["transmission", "--config", str(cfg)], tmp_path,
+                 "transmission")
+    grid = RadialGrid(60.0, 0.01)
+    want = [abs(scattering_matrix(model_a(), grid, lam, mmax=1).block(1)[1, 0])
+            for lam in rep["lambda_nodes"]]
+    assert rep["s_abs_nodes"] == want
+    assert np.allclose(want, [0.0218, 0.0418, 0.0639], atol=5e-5)
+    assert rep["sigma_min"] == min(want)
 
 
 def test_smatrix_on_a_closed_channel_exits_nonconverged(tmp_path):

@@ -1,25 +1,19 @@
 import numpy as np
 import pytest
 
-from ends_scatter.fourier import (BoundaryField, distorted_ft,
-                                  scattering_matrix, transmission_metric)
+from ends_scatter.fourier import (distorted_ft, scattering_matrix,
+                                  transmission_metric)
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
-from ends_scatter.oracle import reference_scattering_matrix
+from ends_scatter.oracle import (_probe_states, reference_distorted_ft,
+                                 reference_scattering_matrix)
 from ends_scatter.presets import (model_a, model_b, model_c, model_d,
                                   model_free)
+from ends_scatter.resolvent import jost_pair
 
 
 @pytest.fixture(scope="module")
 def free_grid():
     return RadialGrid(60.0, 0.02)
-
-
-def test_boundary_field_accessors():
-    data = np.array([[1.0 + 0j, 2.0j]])
-    f = BoundaryField(0.5, +1, (0,), data)
-    assert f.coeff(0, 0) == 1.0
-    assert f.coeff(0, 1) == 2.0j
-    assert abs(f.norm2() - 5.0) < 1e-14
 
 
 def test_free_smatrix_is_pure_transmission(free_grid):
@@ -46,13 +40,12 @@ def test_distorted_ft_converges_and_localizes(free_grid):
     op = ModeOperator(model, free_grid, 0)
     x = free_grid.x
     psi = np.exp(-(x - 3.0) ** 2 + 1j * x)
-    f = distorted_ft([op], 0.5, psi, sign=+1)
-    d = f.diag["per_mode"][0]
-    assert all(e["converged"] for e in d["ends"])
-    # sign=+1 resolves the outgoing asymptotics of R(lam+i0) psi, which
+    coeffs, diag = distorted_ft(op, 0.5, psi)
+    assert all(e["converged"] for e in diag["ends"])
+    # F^+ reads the outgoing asymptotics of R(lam+i0) psi, which
     # for a free right-parked packet radiates through both ends equally
     # in modulus on end 0 vs end 1 only through the core; end 0 dominates
-    assert abs(f.coeff(0, 0)) > 0.0
+    assert abs(coeffs[0, 0]) > 0.0
 
 
 def test_smatrix_diagonal_conjugate_symmetry(free_grid):
@@ -71,9 +64,20 @@ def test_smatrix_diagonal_conjugate_symmetry(free_grid):
 ], ids=["free", "A", "B", "C", "D"])
 def test_smatrix_matches_probe_reference(model, rmax, mmax, lams):
     """The connection-coefficient S equals the least-squares S over the
-    probe family, block by block, with the same doubling residuals."""
+    probe family, block by block, with the same doubling residuals; and
+    the Jost-pairing transform of the (compactly supported) probes equals
+    the resolvent-then-extract reference."""
     grid = RadialGrid(rmax, 0.01)
+    probes = _probe_states(grid, model)
     for lam in lams:
+        for m in range(mmax + 1):
+            op = ModeOperator(model, grid, m)
+            coeffs, _ = distorted_ft(op, lam, probes)
+            pair = jost_pair(op, lam, +1)
+            ref = np.array([reference_distorted_ft(op, lam, psi, +1, pair,
+                                                   1e-4)[0]
+                            for psi in probes])
+            assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
         sd = scattering_matrix(model, grid, lam, mmax=mmax)
         blocks, residuals = reference_scattering_matrix(model, grid, lam,
                                                         mmax=mmax)

@@ -5,6 +5,8 @@ No linter runs on the sources, so two of its checks live here: every
 ``getattr``), and no module or function may import a name it never uses.
 A third guard keeps each subcommand to the scipy subpackages it needs:
 none for the stationary ones and dynamics, ``linalg`` for the propagator.
+A fourth keeps the reference implementations of ``oracle`` out of the
+computation paths.
 """
 
 import ast
@@ -76,6 +78,37 @@ def test_unused_function_level_import_is_reported():
                      "def f():\n    import scipy.sparse\n    return 1\n\n"
                      "def g():\n    return scipy.linalg.norm\n")
     assert _unused_imports(tree) == ["scipy (line 4)"]
+
+
+def _oracle_imports(tree: ast.Module) -> list:
+    """Names a module imports from ``oracle``, anywhere in it; an import
+    of the oracle module itself counts as ``*``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "oracle" or (node.module or "").endswith(".oracle"):
+                names += [a.name for a in node.names]
+            elif node.level and node.module is None:
+                names += ["*" for a in node.names if a.name == "oracle"]
+        elif isinstance(node, ast.Import):
+            names += ["*" for a in node.names if a.name.endswith(".oracle")]
+    return sorted(names)
+
+
+def test_reference_implementations_stay_out_of_the_computation_paths():
+    """Only the package namespace and the CLI import from ``oracle``, and
+    the CLI only the closed-form scattering of its ``oracle`` subcommand."""
+    allowed = {"cli": ["closed_form_scattering"]}
+    for name in MODULES:
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        assert _oracle_imports(tree) == allowed.get(name, []), name
+
+
+def test_oracle_imports_are_found():
+    tree = ast.parse("from .oracle import a, b\nfrom . import oracle\n"
+                     "def f():\n    import ends_scatter.oracle\n"
+                     "    from ends_scatter.oracle import c\n")
+    assert _oracle_imports(tree) == ["*", "*", "a", "b", "c"]
 
 
 # subcommands that touch no propagator or reference solver
