@@ -22,12 +22,7 @@ from .dynamics import (
     state_norm,
     stationary_point,
 )
-from .fourier import (
-    ScatteringData,
-    distorted_ft,
-    scattering_matrix,
-    transmission_metric,
-)
+from .fourier import ScatteringData, distorted_ft, scattering_matrix
 from .geometry import (
     CutoffFamily,
     EndProfile,

@@ -15,7 +15,9 @@ always written, also on numerical failure) and, where applicable, CSV
 state/series files.  Exit codes: 0 success, 2 configuration/validation
 error (``resolvent``, ``smatrix`` and ``transmission`` also refuse, before
 any march, a grid that ``ModeOperator.check_resolution`` finds too coarse
-for the run's largest energy), 3 numerical non-convergence.
+for the run's largest energy; ``dynamics`` and ``transmission`` refuse an
+empty time ladder and ``waveop`` one of fewer than two times), 3 numerical
+non-convergence.
 
 Determinism: identical config and flags produce byte-identical output.
 All numerics are seed-free; iteration orders are fixed; floats are
@@ -133,6 +135,14 @@ def _check_resolution(ops, lam_max: float) -> None:
             raise ConfigError(f"mode {op.m}: {exc}") from None
 
 
+def _check_ladder(run, least: int) -> None:
+    """Refuse, as a configuration error, a time ladder of fewer than
+    ``least`` times."""
+    if len(run.t_grid) < least:
+        raise ConfigError(f"[run] t_grid has length {len(run.t_grid)}; "
+                          f"this run needs at least {least}")
+
+
 def _packet(grid: RadialGrid, center: float, width: float,
             momentum: float) -> np.ndarray:
     x = grid.x
@@ -237,6 +247,7 @@ def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
 
 
 def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
+    _check_ladder(cfg.run, 1)
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
     entries, rows = [], []
@@ -265,6 +276,8 @@ def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
 
 
 def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
+    # the Cauchy increments need two times
+    _check_ladder(cfg.run, 2)
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
     lam_hi = h.lam_hi - model.ends[h.end].lambda0
@@ -283,12 +296,13 @@ def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
 
 
 def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
+    _check_ladder(cfg.run, 1)
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
     end_to = 1 - h.end
     sgrid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
     nodes = [h.lam_lo + 1e-3, 0.5 * (h.lam_lo + h.lam_hi), h.lam_hi - 1e-3]
-    t_prep = float(run.t_grid[-1]) if run.t_grid else 40.0
+    t_prep = float(run.t_grid[-1])
     lam_hi = h.lam_hi - model.ends[h.end].lambda0
     rmax = model.r0 + 1.3 * 2.0 * t_prep * float(np.sqrt(2.0 * lam_hi)) + 15.0
     op = ModeOperator(model, RadialGrid(rmax, 0.02), run.mode)

@@ -35,7 +35,6 @@ __all__ = [
     "ScatteringData",
     "distorted_ft",
     "scattering_matrix",
-    "transmission_metric",
 ]
 
 
@@ -201,13 +200,3 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
             "unitary_within_tol": bool(max(defects) <= tol_s)}
     return ScatteringData(lam, modes, blocks, max(defects), diag)
 
-
-def transmission_metric(sdata: ScatteringData, i: int = 1, j: int = 0) -> dict:
-    """Smallest singular value of the cross-ends block S_ij over the
-    computed modes (the block is mode-diagonal, so singular values are
-    the per-mode moduli).  Positive values certify injectivity of
-    transmission from end j to end i at this energy."""
-    mods = np.abs(sdata.blocks[:, i, j])
-    k = int(np.argmin(mods))
-    return {"sigma_min": float(np.min(mods)), "argmin_mode": sdata.modes[k],
-            "per_mode": mods.tolist()}

@@ -161,31 +161,30 @@ def embed_end_state(grid: RadialGrid, end: int, r: np.ndarray,
 def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
                   t_grid: Sequence[float], sign: int = +1,
                   cfg: Optional[EvolutionConfig] = None,
-                  tol_w: float = 1e-3,
-                  estimate_time: Optional[float] = None,
+                  tol_w: float = 1e-3, estimate: bool = False,
                   dynamics: str = "exact") -> dict:
     """Wave-operator estimation via Cauchy increments of
-    omega(t) = e^{+- itH} U^{+-}(t) h.
-
-    ``dynamics='exact'`` uses the full comparison dynamics (frequency
-    quadrature of the WKB eigenfunctions); ``dynamics='leading'`` uses
-    the cheaper stationary-phase leading term, whose own O(t^{-gamma})
-    distance to the exact state then dominates the increments.
+    omega(t) = e^{+- itH} U^{+-}(t) h, U the comparison dynamics.
 
     By unitarity  ||omega(t2) - omega(t1)|| =
     ||e^{+- i (t2-t1) H} U(t2) h - U(t1) h||,  so each increment only
-    propagates over the doubling gap.  Returns the increments, the
-    convergence verdict against tol_w, and (optionally) the estimate
-    omega(estimate_time) on the operator grid.
+    propagates over its gap of the ladder (at least two strictly
+    increasing times).  Returns the increments, the convergence verdict
+    against tol_w and, with ``estimate``, omega(t_N) on the operator
+    grid: the last increment's propagated state carried on over t_{N-1},
+    bit for bit one evolution over t_N when every gap is a multiple of
+    ``cfg.dt``.  ``dynamics`` accepts only 'exact'.
     """
     from .dynamics import comparison_state
 
     cfg = cfg or EvolutionConfig()
     t_grid = [float(t) for t in t_grid]
+    if len(t_grid) < 2:
+        raise ValueError("t_grid needs at least two times")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    if dynamics not in ("exact", "leading"):
-        raise ValueError("dynamics must be 'exact' or 'leading'")
+    if dynamics != "exact":
+        raise ValueError("dynamics must be 'exact'")
     grid = op.grid
 
     # evaluate the free states directly at the grid nodes: interpolating
@@ -194,10 +193,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     rr = np.abs(grid.x[mask])
 
     def free_state(t):
-        if dynamics == "exact":
-            _, u = comparison_state(model, h, t, r=rr, sign=sign)
-        else:
-            _, u, _ = leading_term(model, h, t, r=rr, sign=sign)
+        _, u = comparison_state(model, h, t, r=rr, sign=sign)
         out = np.zeros(grid.x.size, dtype=complex)
         out[mask] = u
         return out
@@ -219,23 +215,18 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         "dynamics": dynamics,
         "converged": bool(converged),
     }
-    if estimate_time is not None:
-        est, diag = evolve(op, free_state(estimate_time),
-                           -sign * estimate_time, cfg)
-        out["estimate"] = est
-        out["estimate_time"] = estimate_time
-        out["estimate_norm"] = float(grid.norm(est))
-        out["evolve_diag"] = diag
+    if estimate:
+        # moved = e^{sign * i (t_N - t_{N-1}) H} U(t_N) h
+        out["estimate"], _ = evolve(op, moved, -sign * t_grid[-2], cfg)
     return out
 
 
-def adjoint_identity_check(op: ModeOperator, model: ManifoldModel,
-                           h: SpectralProfile, west: np.ndarray,
-                           psi_list: Sequence[np.ndarray],
+def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
+                           west: np.ndarray, psi_list: Sequence[np.ndarray],
                            ft_op: ModeOperator) -> dict:
     """Defect of  <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi, h(lam)> dlam
-    over a family of test states psi (west = the converged W^+ h estimate
-    on ``op``'s grid).
+    over a family of test states psi.  ``west`` is the W^+ h estimate on
+    ``op``'s grid, as ``wave_operator(..., estimate=True)`` returns it.
 
     The lam integral runs over the support window of h on 24 Gauss-Legendre
     nodes; F^+(lam) psi is the coefficient on the end carrying h of one

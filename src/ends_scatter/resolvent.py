@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import ManifoldModel, cumulative_trapezoid, phase_a, phase_b
+from .geometry import ManifoldModel, cumulative_trapezoid, phase_a
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
 
 __all__ = ["JostPair", "jost_pair", "limiting_resolvent", "radiation_residual"]
@@ -140,18 +140,13 @@ def _sweep(mats: np.ndarray, y0) -> np.ndarray:
 
 def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
                  r_launch: float, r_lam: float):
-    """WKB initial data at radius r_launch on the given end: amplitude
-    (2(lam-q1))^-1/4, phase int_{r0}^{r} b, radial log-derivative i*sign*a."""
-    prof = model.ends[end]
-    rr = np.linspace(model.r0, r_launch, 4097)
-    b = np.real(phase_b(model, end, lam, rr, r_lam=r_lam))
-    phase = np.trapezoid(b, rr)
-    amp = (2.0 * (lam - float(prof.q1(np.array([r_launch]))[0]))) ** -0.25
-    u0 = amp * np.exp(1j * sign * phase)
+    """WKB initial data (u, du/dr) at radius r_launch on the given end:
+    u = 1 and the radial log-derivative i*sign*a of the improved phase.
+    Only the log-derivative selects the Jost solution; its amplitude and
+    phase are a gauge (see ``jost_pair``)."""
     a = complex(np.asarray(phase_a(model, end, lam, np.array([r_launch]),
                                    sign=sign, r_lam=r_lam)).ravel()[0])
-    dudr = 1j * sign * a * u0
-    return u0, dudr
+    return 1.0, 1j * sign * a
 
 
 def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
@@ -173,6 +168,12 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     those for sign +1; and real-times-conjugate arithmetic rounds to the
     conjugate of real-times-value.  ``fourier.scattering_matrix`` relies
     on it to march once per mode; a complex potential would break it.
+
+    Each solution is launched with u = 1: its WKB amplitude and phase at
+    the launch radius are a gauge.  Rescaling u_left by c_l and u_right
+    by c_r scales W by c_l c_r, each boundary coefficient and pairing by
+    its own solution's factor, and the Green kernel's u_< u_> by c_l c_r,
+    so S, F^+ and R(lam + i0) do not depend on it.
     """
     model = op.model
     grid = op.grid

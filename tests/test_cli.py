@@ -230,3 +230,29 @@ def test_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch, command,
     assert rep["converged"] is False
     lam_max = "0.8" if command == "transmission" else "2"
     assert f"too coarse for lam={lam_max}:" in rep["error"]
+
+
+@pytest.mark.parametrize("command,ladder,work", [
+    ("dynamics", [], "leading_term"),
+    ("transmission", [], "scattering_matrix"),
+    ("waveop", [], "wave_operator"),
+    ("waveop", ["--preset", "A", "--t-grid", "10"], "wave_operator"),
+], ids=["dynamics", "transmission", "waveop", "waveop-one-time"])
+def test_short_time_ladder_is_a_config_error(tmp_path, monkeypatch, command,
+                                             ladder, work):
+    """dynamics and transmission need one time and waveop two, for its
+    Cauchy increments; a shorter ladder (here an empty `t_grid =`, or a
+    single --t-grid time) is refused before any work, with the report
+    written."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} called past the guard")
+
+    monkeypatch.setattr(cli, work, no_work)
+    if not ladder:
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("[model]\npreset = A\n\n[run]\nt_grid =\n")
+        ladder = ["--config", str(cfg)]
+    code, rep = run([command, *ladder], tmp_path, command)
+    assert code == 2
+    assert rep["converged"] is False
+    assert "t_grid" in rep["error"]

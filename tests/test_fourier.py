@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ends_scatter.fourier import (distorted_ft, scattering_matrix,
-                                  transmission_metric)
+from ends_scatter.fourier import distorted_ft, scattering_matrix
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import (_probe_states, reference_distorted_ft,
                                  reference_scattering_matrix)
@@ -24,13 +23,6 @@ def test_free_smatrix_is_pure_transmission(free_grid):
     assert abs(b[0, 0]) < 1e-6
     assert sd.unitarity_defect < 1e-6
     assert sd.diag["unitary_within_tol"]
-
-
-def test_transmission_metric_reads_cross_block(free_grid):
-    sd = scattering_matrix(model_free(), free_grid, 0.5)
-    tm = transmission_metric(sd, i=1, j=0)
-    assert abs(tm["sigma_min"] - abs(sd.block(0)[1, 0])) < 1e-14
-    assert tm["argmin_mode"] == 0
 
 
 def test_distorted_ft_converges_and_localizes(free_grid):

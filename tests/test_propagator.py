@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import spsolve
 
-from ends_scatter.dynamics import SpectralProfile
+from ends_scatter.dynamics import SpectralProfile, comparison_state
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_d, model_free
@@ -176,5 +176,27 @@ def test_wave_operator_validates_time_grid(setup):
     h = SpectralProfile.bump_profile()
     with pytest.raises(ValueError):
         wave_operator(op, model_a(), h, [10.0, 10.0])
-    with pytest.raises(ValueError):
-        wave_operator(op, model_a(), h, [10.0, 20.0], dynamics="bogus")
+    with pytest.raises(ValueError, match="two times"):
+        wave_operator(op, model_a(), h, [10.0])
+    for dynamics in ("bogus", "leading"):
+        with pytest.raises(ValueError, match="dynamics"):
+            wave_operator(op, model_a(), h, [10.0, 20.0], dynamics=dynamics)
+
+
+def test_wave_operator_estimate_is_one_evolution():
+    """The estimate continues the last increment's propagated state over
+    t_{N-1}; with every gap a multiple of dt that is, bit for bit, one
+    evolution of U(t_N) h over t_N."""
+    model = model_a()
+    h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
+    grid = RadialGrid(4.0 + 1.3 * 40.0 * np.sqrt(2.0 * h.lam_hi) + 15.0, 0.05)
+    op = ModeOperator(model, grid, 0)
+    cfg = EvolutionConfig(dt=0.05)
+    rep = wave_operator(op, model, h, [10.0, 20.0, 40.0], cfg=cfg,
+                        estimate=True)
+    mask = grid.end_mask(0)
+    state = np.zeros(grid.x.size, dtype=complex)
+    _, state[mask] = comparison_state(model, h, 40.0, r=np.abs(grid.x[mask]))
+    want, _ = evolve(op, state, -40.0, cfg)
+    assert np.array_equal(rep["estimate"], want)
+    assert "estimate" not in wave_operator(op, model, h, [10.0, 20.0], cfg=cfg)
