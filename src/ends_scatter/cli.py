@@ -285,6 +285,7 @@ def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
                model.r0 + 1.3 * run.t_grid[-1] * float(np.sqrt(2.0 * lam_hi)) + 15.0)
     grid = RadialGrid(rmax, 0.02)
     op = ModeOperator(model, grid, run.mode)
+    _check_resolution([op], h.lam_hi)
     rep = wave_operator(op, model, h, list(run.t_grid),
                         cfg=EvolutionConfig(dt=run.dt), tol_w=run.tol_w)
     rows = list(zip(run.t_grid[1:], rep["increments"]))

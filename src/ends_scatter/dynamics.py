@@ -20,18 +20,28 @@ WKB phase splits as Phi_lam(r) = b_lam E(r) + psi_lam(r), with
 b_lam = (2(lam - lam0))^{1/2} the asymptotic momentum and
 E(r) = int_{r0}^r eta_lambda.  On an arithmetic run of radii inside the
 cutoff region E(r_k) - r_k is constant, so e^{i b E(r_k)} factors into
-a coarse and a fine exponential and a sum over lam with any weights
-becomes one complex matrix product; the other radii with eta_lambda > 0
-are summed directly.  On an end with constant q1 (separable) psi = 0
-and one such sum with the weights h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam}
-is the whole state.  On other ends the amplitude
-(2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam; it is
+a coarse exponential per block of the run and the offset factor
+e^{i b s} within the block.  That factor is the carrier e^{i b_c s}
+times e^{i (b - b_c) s}, a smooth function of s that a few
+Chebyshev-Lobatto nodes in s interpolate (Trefethen, Approximation
+Theory and Approximation Practice, SIAM 2013); the block length is set
+by the phase budget (b_max - b_min) L.  A sum over lam with any weights
+then becomes one complex matrix product against those few nodes and a
+small product that restores the offsets; the other radii with
+eta_lambda > 0 are summed directly.  On an end with constant q1
+(separable) psi = 0 and one such sum with the weights
+h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam} is the whole state.  On
+other ends the amplitude (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is
+smooth in lam; it is
 interpolated on a few Chebyshev nodes lam_j, with the rank chosen by an
 a-posteriori check, and the state is the sum over j of A(lam_j, r) times
 the run sum weighted by the j-th Lagrange polynomial (the separated-phase
 technique of Candes, Demanet & Ying, SISC 29, 2007).
 ``oracle.reference_comparison_state`` is the node-by-node sum both are
-checked against.
+checked against.  Every interpolant here (amplitude, offset factor and
+the eikonal's run-in offset) uses the nested levels 9, 17, 33, ... of
+:func:`_lobatto_samples`, and falls back to exact sums when the levels
+run out.
 
 Dollard comparison dynamics replace lam_c and K by their free forms plus
 the secular tail integral; the phase modifier theta(lam) reconciles the
@@ -72,6 +82,11 @@ _BLOCK = 1 << 21
 # accepted error of the lam interpolant of the comparison amplitude,
 # relative to its largest modulus
 _AMP_TOL = 1e-11
+# the same for the interpolants of phases: the plane-wave offset factor of
+# _plane_wave_sums and the run-in offset of eikonal
+_PHASE_TOL = 1e-14
+# phase budget (b_max - b_min) L of one offset block of _plane_wave_sums
+_BLOCK_PHASE = 16.0
 # spacing of the default radial grid and the front allowance of
 # dynamics_grid (the fastest energy of the window travels _PAD t v)
 _DR = 0.02
@@ -171,6 +186,10 @@ class StationaryField:
     lam_c: np.ndarray
     dlam_dr: np.ndarray
     mask: np.ndarray          # Omega_c(t) intersected with the solved window
+    # half-lengths of [r1, r] and q1 at their Gauss nodes, one row per
+    # radius of the mask (the samples of _gauss_q1)
+    half: Optional[np.ndarray] = None
+    q1_gl: Optional[np.ndarray] = None
     k1: Optional[np.ndarray] = None
     k_full: Optional[np.ndarray] = None
     diag: dict = field(default_factory=dict)
@@ -218,6 +237,7 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
     in_cone = np.zeros(r.shape, dtype=bool)
     lam_c = np.full(r.shape, np.nan)
     dlam = np.full(r.shape, np.nan)
+    half = q1_gl = None
 
     if rs.size:
         # q1 at the Gauss nodes does not depend on lam: sample it once
@@ -262,7 +282,7 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
 
     return StationaryField(
         t=t, end=end, r=r, r1=float(r1), lam_c=lam_c, dlam_dr=dlam,
-        mask=in_cone,
+        mask=in_cone, half=half, q1_gl=q1_gl,
         diag={"residual": resid, "residual_ok": resid <= 1e-10 * t,
               "lam_lo": lam_lo})
 
@@ -271,28 +291,44 @@ def eikonal(model: ManifoldModel, sf: StationaryField,
             with_offset: bool = True) -> StationaryField:
     """Fill in the eikonal K1 = int_{r1}^r b_{lam_c} - t lam_c and the full
     phase K (referenced at r0 by adding the fixed-energy run-in integral
-    over [r0, r1], cutoff included)."""
+    over [r0, r1], cutoff included).
+
+    K1 reads the Gauss samples that :func:`stationary_point` stored.  The
+    run-in integral, a 257-node trapezoid sum, is a smooth function of
+    lam alone: it is evaluated on nested Chebyshev-Lobatto levels in lam
+    over [min lam_c, max lam_c] and interpolated at lam_c, a level being
+    accepted by the rule of :func:`_lobatto_samples` with ``_PHASE_TOL``.
+    Once the next level would outnumber the radii or the 257 trapezoid
+    nodes (a row of its basis would cost as much as the sum), the sum is
+    taken at every radius, which is exact."""
     end = sf.end
     msk = sf.mask
     k1 = np.full(sf.r.shape, np.nan)
     kf = np.full(sf.r.shape, np.nan)
     if np.any(msk):
         lam = sf.lam_c[msk]
-        rs = sf.r[msk]
         # int_{r1}^r b ds with b = (2(lam - q1))^{1/2}
-        k1[msk] = (_travel_time(*_gauss_q1(model, end, rs, sf.r1), lam, power=0.5)
-                   - sf.t * lam)
+        k1[msk] = _travel_time(sf.half, sf.q1_gl, lam, power=0.5) - sf.t * lam
         if with_offset:
             r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
             nodes = np.linspace(model.r0, sf.r1, 257)
             eta = model.cutoffs.eta(nodes, r_lam)
             q1n = model.ends[end].q1(nodes)
-            offs = np.empty(lam.shape)
-            for i0 in range(0, lam.size, 512):  # chunked for memory
-                sl = slice(i0, min(i0 + 512, lam.size))
-                vals = eta[None, :] * np.sqrt(np.maximum(
-                    2.0 * (lam[sl][:, None] - q1n[None, :]), 0.0))
-                offs[sl] = np.trapezoid(vals, nodes, axis=1)
+
+            def run_in(lam_pts):
+                out = np.empty(lam_pts.shape)
+                for i0 in range(0, lam_pts.size, 512):  # chunked for memory
+                    sl = slice(i0, min(i0 + 512, lam_pts.size))
+                    vals = eta[None, :] * np.sqrt(np.maximum(
+                        2.0 * (lam_pts[sl][:, None] - q1n[None, :]), 0.0))
+                    out[sl] = np.trapezoid(vals, nodes, axis=1)
+                return out
+
+            mid, half = 0.5 * (lam.max() + lam.min()), 0.5 * (lam.max() - lam.min())
+            cap = min(lam.size, nodes.size) if half > 0.0 else 0
+            vals = _lobatto_samples(lambda y: run_in(mid + half * y), cap, _PHASE_TOL)
+            offs = (run_in(lam) if vals is None
+                    else _lobatto_basis(vals.size, (lam - mid) / half) @ vals)
             kf[msk] = k1[msk] + offs
     sf.k1 = k1
     sf.k_full = kf
@@ -377,6 +413,28 @@ def _lobatto_basis(n: int, y: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]:
+    """Samples of ``fn`` (one row per point y of [-1, 1]) at the n
+    Chebyshev-Lobatto points cos(pi i/(n-1)) of the first nested level
+    n = 9, 17, 33, ... that reproduces fn at the points the next level
+    adds, between its own, within ``tol`` of max|fn| there; None once the
+    next level would have ``cap`` points or more."""
+    n = 9
+    if 2 * n - 1 >= cap:
+        return None
+    vals = fn(np.cos(np.pi * np.arange(n) / (n - 1)))
+    while 2 * n - 1 < cap:
+        y_new = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
+        new = fn(y_new)
+        err = np.abs(_lobatto_basis(n, y_new) @ vals - new)
+        if np.max(err, initial=0.0) <= tol * np.max(np.abs(new), initial=0.0):
+            return vals
+        merged = np.empty((2 * n - 1,) + vals.shape[1:], dtype=vals.dtype)
+        merged[0::2], merged[1::2] = vals, new
+        vals, n = merged, 2 * n - 1
+    return None
+
+
 def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
                      b_lam: np.ndarray, wts: np.ndarray, sign: int,
                      b_hi: float) -> np.ndarray:
@@ -385,33 +443,60 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
     eta_lambda > 0; the other radii are left at 0.
 
     The radii with eta_lambda = 1, in the given order, form the run
-    r_k ~ r_s + k delta, split as k = K J + j with J ~ sqrt(run length).
-    A radius joins the matrix product only if
-    b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad; every other radius with
-    eta_lambda > 0 is summed directly.
+    r_k ~ r_s + k delta, split into blocks k = K J + j whose offsets
+    s = j delta span L = (J - 1)|delta| with (b_max - b_min) L within
+    ``_BLOCK_PHASE`` (b over the lam nodes).  A radius joins the matrix
+    products only if b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad; every
+    other radius with eta_lambda > 0 is summed directly.  On a block
+    e^{i sign b_lam s} is the carrier e^{i sign b_c s}, b_c the middle of
+    the b range, times e^{i sign (b_lam - b_c) s}, which is interpolated
+    in s on P Chebyshev-Lobatto nodes (accepted by the rule of
+    :func:`_lobatto_samples` with ``_PHASE_TOL``): the lam contraction
+    runs against P columns and one (. x P)(P x J) product restores the
+    offsets.  Short blocks, where the levels reach J, keep the J columns.
     """
     n_lam, n_col = wts.shape
     out = np.zeros((n_col, r.size), dtype=complex)
     direct = eta_r > 0.0
     run = np.flatnonzero(eta_r == 1.0)
-    if run.size >= 2:
+    if run.size >= 2 and n_lam:
         n_run = run.size
-        J = math.isqrt(n_run - 1) + 1
+        delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
+        b_min, b_max = float(np.min(b_lam)), float(np.max(b_lam))
+        # phase spread of the offset factor per step of the run
+        spread = (b_max - b_min) * abs(delta)
+        if spread * (n_run - 1) <= _BLOCK_PHASE:
+            J = n_run
+        else:
+            J = int(_BLOCK_PHASE / spread) + 1
         k = np.arange(n_run)
         j = k % J
-        delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
         dev = r[run] - r[run[k - j]] - j * delta
         on_run = b_hi * np.abs(dev) <= 1e-12
         coarse = np.exp(1j * sign * np.outer(b_lam, e_of_r[run[::J]]))
-        fine = np.exp(1j * sign * np.outer(b_lam, delta * np.arange(J)))
+        # offset factor at the offsets s = delta j of a block, y in [-1, 1]
+        b_c, s = 0.5 * (b_max + b_min), delta * np.arange(J)
+        db = sign * (b_lam - b_c)
+        nodes = _lobatto_samples(
+            lambda y: np.exp(1j * np.outer(0.5 * s[-1] * (1.0 + y), db)), J, _PHASE_TOL)
+        if nodes is None:
+            offs, basis = np.exp(1j * sign * np.outer(b_lam, s)), None
+        else:
+            carrier = np.exp(1j * sign * b_c * s)
+            y = np.linspace(-1.0, 1.0, J)
+            offs, basis = nodes.T, _lobatto_basis(nodes.shape[0], y).T * carrier
         # weighted copies of coarse side by side, <= _BLOCK elements each
         step = max(1, _BLOCK // coarse.size)
         for c0 in range(0, n_col, step):
             c = slice(c0, c0 + step)
             wc = (wts[:, c, None] * coarse[:, None, :]).reshape(n_lam, -1)
-            prod = (wc.T @ fine).reshape(-1, coarse.shape[1] * J)[:, :n_run]
-            del wc  # before the next block's copy is made
+            prod = wc.T @ offs
+            del wc  # before the offsets are restored
+            if basis is not None:
+                prod = prod @ basis
+            prod = prod.reshape(-1, coarse.shape[1] * J)[:, :n_run]
             out[c, run[on_run]] = prod[:, on_run]
+            del prod  # before the next block, or the direct sums, allocate
         direct[run[on_run]] = False
     cols = np.flatnonzero(direct)
     step = max(1, _BLOCK // max(n_lam, 1))
@@ -438,6 +523,14 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     (A need not be smooth in lam where eta_lambda = 0).  Once the next
     level would outnumber the live lam nodes, those nodes themselves are
     used, which is exact.
+
+    E(r) and psi_lam(r) are trapezoid sums over the sorted radii ``r``
+    themselves (:func:`geometry.integral_from_r0`), so the value at a
+    fixed radius depends on the other radii passed: on preset A at
+    t = 40, thinning the dynamics grid from spacing 0.02 to 0.04, 0.2
+    and 1.0 moves it by 2.3e-6, 7.4e-5 and 1.9e-3 of its largest value.
+    ``oracle.reference_comparison_state`` integrates over the same radii
+    and does not see this.
     """
     end = h.end
     prof = model.ends[end]
@@ -507,19 +600,10 @@ def _amplitude_factors(model: ManifoldModel, prof, r: np.ndarray,
         return out
 
     mid, half = 0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0])
-    n = 9
-    amp = amplitude(mid + half * np.cos(np.pi * np.arange(n) / (n - 1)))
-    while 2 * n - 1 < lam.size:
-        # the nodes the next level adds, between the current ones
-        x_new = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
-        amp_new = amplitude(mid + half * x_new)
-        err = np.abs(_lobatto_basis(n, x_new) @ amp - amp_new)
-        if np.max(err, initial=0.0) <= _AMP_TOL * np.max(np.abs(amp_new), initial=0.0):
-            return amp, _lobatto_basis(n, (lam - mid) / half)
-        merged = np.empty((2 * n - 1, q1_r.size), dtype=complex)
-        merged[0::2], merged[1::2] = amp, amp_new
-        amp, n = merged, 2 * n - 1
-    return amplitude(lam), np.eye(lam.size)
+    amp = _lobatto_samples(lambda y: amplitude(mid + half * y), lam.size, _AMP_TOL)
+    if amp is None:
+        return amplitude(lam), np.eye(lam.size)
+    return amp, _lobatto_basis(amp.shape[0], (lam - mid) / half)
 
 
 def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,

@@ -256,3 +256,19 @@ def test_short_time_ladder_is_a_config_error(tmp_path, monkeypatch, command,
     assert code == 2
     assert rep["converged"] is False
     assert "t_grid" in rep["error"]
+
+
+def test_waveop_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch):
+    """waveop propagates on its own grid of spacing 0.02; a profile at
+    lambda ~ 400 needs dx <= 0.0185 there, so the guard refuses the run
+    before the wave operator is built."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("wave_operator called past the guard")
+
+    monkeypatch.setattr(cli, "wave_operator", no_work)
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("[model]\npreset = A\n\n[run]\nprofile_center = 400\n")
+    code, rep = run(["waveop", "--config", str(cfg)], tmp_path, "waveop")
+    assert code == 2
+    assert rep["converged"] is False
+    assert "too coarse for lam=400.25:" in rep["error"]

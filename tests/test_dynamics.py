@@ -143,6 +143,74 @@ def test_comparison_state_does_not_depend_on_radius_order():
     assert np.max(np.abs(u - u_up[::-1])) <= 1e-10 * np.max(np.abs(u))
 
 
+@pytest.mark.parametrize("n_col", [1, 33])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("layout", ["ascending", "descending", "broken", "short"])
+def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
+    """The offset-basis sums against the node-by-node sum on a run of
+    about seven offset blocks, behind a cutoff ramp (0 < eta < 1, summed
+    directly) and a radius with eta = 0 (left at 0).  'broken' moves one
+    radius off the run's spacing: it and the block it starts go to the
+    direct fallback.  'short' keeps a run of 12 radii, one block too
+    short for the levels, which keeps its offset columns."""
+    rng = np.random.default_rng(7)
+    lam = np.linspace(0.3, 0.8, 301)
+    b_lam = np.sqrt(2.0 * lam)
+    r = np.linspace(2.0, 202.0, 2001)
+    eta_r = np.ones(r.size)
+    eta_r[:20] = np.linspace(0.0, 1.0, 21)[:-1]
+    if layout == "descending":
+        r, eta_r = r[::-1].copy(), eta_r[::-1].copy()
+    if layout == "broken":
+        r[700] += 1e-3
+    if layout == "short":
+        r, eta_r = r[:32], eta_r[:32]
+    e_of_r = r - 1.5
+    wts = (rng.standard_normal((lam.size, n_col))
+           + 1j * rng.standard_normal((lam.size, n_col)))
+    got = dynamics._plane_wave_sums(r, eta_r, e_of_r, b_lam, wts, sign,
+                                    float(b_lam[-1]))
+    ref = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r))
+    ref[:, eta_r == 0.0] = 0.0
+    bound = 1e-13 * np.sum(np.abs(wts), axis=0)
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= bound)
+
+
+def _run_in_reference(model, sf):
+    """The run-in integral of eikonal's K at every cone radius by its
+    257-node trapezoid sum."""
+    lam = sf.lam_c[sf.mask]
+    nodes = np.linspace(model.r0, sf.r1, 257)
+    eta = model.cutoffs.eta(nodes, model.r_lambda(sf.diag["lam_lo"]))
+    q1 = model.ends[sf.end].q1(nodes)
+    vals = eta * np.sqrt(np.maximum(2.0 * (lam[:, None] - q1), 0.0))
+    return np.trapezoid(vals, nodes, axis=1)
+
+
+@pytest.mark.parametrize("t", [10.0, 320.0])
+@pytest.mark.parametrize("preset", ["A", "C"])
+def test_eikonal_run_in_offset_matches_the_node_sum(preset, t):
+    """The run-in offset interpolated in lam against the 257-node sum at
+    every cone radius of the dynamics grid."""
+    model = {"A": model_a, "C": model_c}[preset]()
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    _, _, sf = leading_term(model, h, t)
+    msk = sf.mask
+    ref = sf.k1[msk] + _run_in_reference(model, sf)
+    assert np.max(np.abs(sf.k_full[msk] - ref)) <= 1e-12
+
+
+def test_eikonal_run_in_offset_is_exact_at_the_rank_cap(monkeypatch):
+    """With an unreachable phase tolerance the levels run out and the
+    run-in sum is taken at every radius."""
+    monkeypatch.setattr(dynamics, "_PHASE_TOL", 0.0)
+    model = model_c()
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    _, _, sf = leading_term(model, h, 10.0)
+    msk = sf.mask
+    assert np.array_equal(sf.k_full[msk], sf.k1[msk] + _run_in_reference(model, sf))
+
+
 def test_dynamics_grid_holds_the_front():
     model = model_a()
     t = 50.0
