@@ -24,11 +24,11 @@ from .dynamics import (
 )
 from .fourier import ScatteringData, distorted_ft, scattering_matrix
 from .geometry import (
-    CutoffFamily,
     EndProfile,
     ManifoldModel,
     classify_potential,
     critical_energy,
+    eta,
     phase_a,
     phase_b,
     riccati_residual,

@@ -30,18 +30,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+from .config import (ConfigError, ExperimentConfig, default_config,
+                     load_config, parse_run_value)
 from .dynamics import (SpectralProfile, comparison_state, leading_term,
                        state_norm)
 from .fourier import scattering_matrix
 from .geometry import classify_potential, critical_energy
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
+from .presets import _CATALOGUE
 from .propagator import EvolutionConfig, transmission_experiment, wave_operator
 from .resolvent import limiting_resolvent, radiation_residual
 
@@ -54,6 +57,8 @@ EXIT_NONCONV = 3
 # resolvent verdict: largest accepted uniqueness certificate
 # (radiation_residual's bstar0_relative) of the outgoing solution
 _BSTAR0_TOL = 1e-2
+# node spacing of the propagation grids of waveop and transmission
+_PROPAGATION_DX = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +148,15 @@ def _check_ladder(run, least: int) -> None:
                           f"this run needs at least {least}")
 
 
+def _propagation_grid(model, h: SpectralProfile, t_max: float,
+                      rmin: float = 0.0) -> RadialGrid:
+    """Grid of at least ``rmin`` that holds the outgoing front of ``h`` up
+    to time ``t_max``."""
+    lam_hi = h.lam_hi - model.ends[h.end].lambda0
+    rmax = model.r0 + 1.3 * t_max * float(np.sqrt(2.0 * lam_hi)) + 15.0
+    return RadialGrid(max(rmin, rmax), _PROPAGATION_DX)
+
+
 def _packet(grid: RadialGrid, center: float, width: float,
             momentum: float) -> np.ndarray:
     x = grid.x
@@ -218,8 +232,7 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
 def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
     model, run = cfg.model, cfg.run
     grid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
-    lam0 = max(e.lambda0 for e in model.ends)
-    lams = [float(lam0 + lam) for lam in run.lambdas]
+    lams = [float(model.lambda_crit + lam) for lam in run.lambdas]
     _check_resolution([ModeOperator(model, grid, m)
                        for m in range(cfg.grid.mmax + 1)], max(lams))
 
@@ -280,11 +293,8 @@ def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
     _check_ladder(cfg.run, 2)
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
-    lam_hi = h.lam_hi - model.ends[h.end].lambda0
-    rmax = max(cfg.grid.rmax,
-               model.r0 + 1.3 * run.t_grid[-1] * float(np.sqrt(2.0 * lam_hi)) + 15.0)
-    grid = RadialGrid(rmax, 0.02)
-    op = ModeOperator(model, grid, run.mode)
+    op = ModeOperator(model, _propagation_grid(model, h, run.t_grid[-1],
+                                               cfg.grid.rmax), run.mode)
     _check_resolution([op], h.lam_hi)
     rep = wave_operator(op, model, h, list(run.t_grid),
                         cfg=EvolutionConfig(dt=run.dt), tol_w=run.tol_w)
@@ -304,9 +314,7 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     sgrid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
     nodes = [h.lam_lo + 1e-3, 0.5 * (h.lam_lo + h.lam_hi), h.lam_hi - 1e-3]
     t_prep = float(run.t_grid[-1])
-    lam_hi = h.lam_hi - model.ends[h.end].lambda0
-    rmax = model.r0 + 1.3 * 2.0 * t_prep * float(np.sqrt(2.0 * lam_hi)) + 15.0
-    op = ModeOperator(model, RadialGrid(rmax, 0.02), run.mode)
+    op = ModeOperator(model, _propagation_grid(model, h, 2.0 * t_prep), run.mode)
     # S is taken in modes 0..mode on sgrid, the dynamics on op's grid
     _check_resolution([*(ModeOperator(model, sgrid, m)
                          for m in range(run.mode + 1)), op], h.lam_hi)
@@ -385,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file")
-        p.add_argument("--preset", choices=("free", "A", "B", "C", "D"),
+        p.add_argument("--preset", choices=tuple(_CATALOGUE),
                        help="built-in model preset (instead of --config)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--lambda-grid", dest="lambda_grid",
@@ -393,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-grid", dest="t_grid",
                        help="override [run] t_grid, comma separated")
         if name in _TOL_KEYS:
-            p.add_argument("--tol", type=float,
+            p.add_argument("--tol",
                            help=f"override [run] {_TOL_KEYS[name]}")
         if name == "oracle":
             p.add_argument("--kind", choices=("free", "square_well"),
@@ -405,26 +413,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
-    run = cfg.run
-    if args.lambda_grid:
-        parts = args.lambda_grid.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--lambda-grid must be lo:hi:count")
-        try:
-            run = replace(run, lambda_grid=(float(parts[0]), float(parts[1]),
-                                            int(parts[2])))
-        except ValueError:
-            raise ConfigError(f"--lambda-grid {args.lambda_grid!r} is malformed")
-    if args.t_grid:
-        try:
-            run = replace(run, t_grid=tuple(
-                float(tok) for tok in args.t_grid.replace(",", " ").split()))
-        except ValueError:
-            raise ConfigError(f"--t-grid {args.t_grid!r} is malformed")
-    if getattr(args, "tol", None) is not None:
-        run = replace(run, **{_TOL_KEYS[args.command]: args.tol})
+    flags = [("--lambda-grid", "lambda_grid", args.lambda_grid),
+             ("--t-grid", "t_grid", args.t_grid)]
+    if args.command in _TOL_KEYS:
+        flags.append(("--tol", _TOL_KEYS[args.command], args.tol))
+    # an empty flag value keeps the config's value
+    run = replace(cfg.run, **{key: parse_run_value(key, raw, flag)
+                              for flag, key, raw in flags if raw})
     run.validate()
     cfg.run = run
     return cfg

@@ -38,7 +38,10 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
     tol_w = 1e-3
 
 All sections except [model] are optional; missing keys take the defaults
-shown by ``default_config()``.  Validation failures raise
+shown by ``default_config()``, which are the field defaults of
+:class:`GridConfig` and :class:`RunConfig`.  Keys are case-insensitive.
+A key that its section does not read is an error, and so is a key under
+[DEFAULT] that no section reads.  Validation failures raise
 :class:`ConfigError` carrying the section/key context.
 """
 
@@ -47,13 +50,13 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass, field, replace
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Tuple
 
 import numpy as np
 
-from .geometry import CutoffFamily, EndProfile, ManifoldModel, tail_q1
-from .presets import by_name
+from .geometry import EndProfile, ManifoldModel, tail_q1
+from .presets import _CATALOGUE, by_name
 
 __all__ = [
     "ConfigError",
@@ -65,7 +68,6 @@ __all__ = [
     "default_config",
 ]
 
-_PRESETS = ("free", "A", "B", "C", "D")
 _PROFILES = ("euclidean", "hyperbolic", "flat", "conic", "table")
 
 
@@ -135,51 +137,62 @@ def default_config(preset: str = "A") -> ExperimentConfig:
     return ExperimentConfig(model=by_name(preset))
 
 
+# the keys each section reads; [grid] and [run] read their settings' fields
+_END_KEYS = {"profile", "decay", "q1_amplitude", "q1_power"}
+_KEYS = {"model": {"preset", "r0", "name"},
+         "ends.1": _END_KEYS, "ends.2": _END_KEYS,
+         "potential": {"core", "table"},
+         "grid": {f.name for f in fields(GridConfig)},
+         "run": {f.name for f in fields(RunConfig)}}
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _get_float(sec, key: str, default: float) -> float:
+def _lambda_grid(raw: str) -> Tuple[float, float, int]:
+    lo, hi, count = raw.split(":")
+    return float(lo), float(hi), int(count)
+
+
+def _float_list(raw: str) -> Tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+# value formats by the type of a key's default; lambda_grid has its own
+_FORMATS = {int: (int, "an integer"), float: (float, "a number"),
+            tuple: (_float_list, "a number list")}
+_LAMBDA_GRID = (_lambda_grid, "lo:hi:count")
+
+
+def _parse(raw: str, key: str, default, where: str):
+    parse, what = (_LAMBDA_GRID if key == "lambda_grid"
+                   else _FORMATS[type(default)])
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{where} = {raw!r} is not {what}") from None
+
+
+def parse_run_value(key: str, raw: str, where: str):
+    """The [run] value ``raw`` of ``key``, read as a config file reads it;
+    ``where`` names its source in the error."""
+    return _parse(raw, key, getattr(RunConfig, key), where)
+
+
+def _get(sec, key: str, default):
     raw = sec.get(key)
     if raw is None:
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not a number")
+    return _parse(raw, key, default, f"[{sec.name}] {key}")
 
 
-def _get_int(sec, key: str, default: int) -> int:
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not an integer")
-
-
-def _get_floats(sec, key: str, default: Sequence[float]) -> Tuple[float, ...]:
-    raw = sec.get(key)
-    if raw is None:
-        return tuple(default)
-    try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not a number list")
-
-
-def _parse_lambda_grid(sec, key: str, default) -> Tuple[float, float, int]:
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"[{sec.name}] {key} must be lo:hi:count, got {raw!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(f"[{sec.name}] {key} = {raw!r} is not lo:hi:count")
+def _build_settings(cls, sec):
+    """``cls`` from the keys of ``sec``, validated; a missing key takes the
+    field's default."""
+    settings = cls(**{f.name: _get(sec, f.name, f.default) for f in fields(cls)})
+    settings.validate()
+    return settings
 
 
 def _read_table(path: str, base: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -203,7 +216,7 @@ def _read_table(path: str, base: str) -> Tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def _build_end(sec, r0: float, cutoffs: CutoffFamily, base: str) -> EndProfile:
+def _build_end(sec, r0: float, base: str) -> EndProfile:
     profile = sec.get("profile", "euclidean").strip()
     kind, _, arg = profile.partition(":")
     kind = kind.strip().lower()
@@ -212,44 +225,32 @@ def _build_end(sec, r0: float, cutoffs: CutoffFamily, base: str) -> EndProfile:
             f"[{sec.name}] unknown profile {profile!r}; "
             f"choose from {', '.join(_PROFILES)}")
 
-    kw = {"decay": _get_floats(sec, "decay", (1.0, 1.0, 1.0))}
-    if len(kw["decay"]) != 3:
+    decay = _get(sec, "decay", (1.0, 1.0, 1.0))
+    if len(decay) != 3:
         raise ConfigError(f"[{sec.name}] decay needs three constants")
+    amp = _get(sec, "q1_amplitude", 0.0)
+    power = _get(sec, "q1_power", 1.0)
+    if amp != 0.0 and power <= 0:
+        raise ConfigError(f"[{sec.name}] q1_power must be positive")
 
-    amp = _get_float(sec, "q1_amplitude", 0.0)
-    power = _get_float(sec, "q1_power", 1.0)
     if kind == "table":
-        table = EndProfile.from_table(*_read_table(arg.strip(), base))
-        lambda0 = table.lambda0
-    else:
-        lambda0 = {"euclidean": 0.0, "conic": 0.0, "flat": 0.0,
-                   "hyperbolic": 0.125}[kind]
-    if amp != 0.0:
-        if power <= 0:
-            raise ConfigError(f"[{sec.name}] q1_power must be positive")
-        # q_geo already tends to lambda0: the potential gains the decaying
-        # tail alone, the reference tail q1 is lambda0 plus that tail
-        kw.update(q1=tail_q1(amp, power, r0, cutoffs=cutoffs, lambda0=lambda0),
-                  v_tail=tail_q1(amp, power, r0, cutoffs=cutoffs))
-    elif kind in ("euclidean", "conic", "flat"):
-        zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        kw["q1"] = zero
-
-    if kind == "euclidean":
-        return EndProfile.euclidean(**kw)
-    if kind == "flat":
-        return EndProfile.flat(**kw)
-    if kind == "hyperbolic":
-        return EndProfile.hyperbolic(**kw)
-    if kind == "conic":
+        end = EndProfile.from_table(*_read_table(arg.strip(), base), decay=decay)
+    elif kind == "conic":
         try:
             alpha = float(arg)
         except ValueError:
             raise ConfigError(f"[{sec.name}] conic profile needs conic:ALPHA")
         if alpha <= 0:
             raise ConfigError(f"[{sec.name}] conic opening must be positive")
-        return EndProfile.conic(alpha, **kw)
-    return replace(table, **kw)
+        end = EndProfile.conic(alpha, decay=decay)
+    else:
+        end = getattr(EndProfile, kind)(decay=decay)
+    if amp == 0.0:
+        return end
+    # q_geo already tends to lambda0: the potential gains the decaying
+    # tail alone, the reference tail q1 is lambda0 plus that tail
+    return replace(end, q1=tail_q1(amp, power, r0, lambda0=end.lambda0),
+                   v_tail=tail_q1(amp, power, r0))
 
 
 def _build_potential(sec, r0: float, base: str):
@@ -296,6 +297,23 @@ def _build_potential(sec, r0: float, base: str):
 # entry points
 # ---------------------------------------------------------------------------
 
+def _check_names(text: str) -> None:
+    """Refuse unknown sections, a key that its section does not read, and
+    a [DEFAULT] key that no section reads."""
+    # [DEFAULT] as a plain section: each section holds its own keys only
+    own = configparser.RawConfigParser(default_section="\0", strict=False,
+                                       inline_comment_prefixes=(";", "#"))
+    own.read_string(text)
+    extra = set(own.sections()) - set(_KEYS) - {"DEFAULT"}
+    if extra:
+        raise ConfigError(f"unknown config sections: {sorted(extra)}")
+    for name in own.sections():
+        known = set().union(*_KEYS.values()) if name == "DEFAULT" else _KEYS[name]
+        for key in own[name]:
+            if key not in known:
+                raise ConfigError(f"[{name}] unknown key {key!r}")
+
+
 def parse_config(text: str, base: str = ".") -> ExperimentConfig:
     """Parse config text into a validated :class:`ExperimentConfig`.
 
@@ -306,66 +324,39 @@ def parse_config(text: str, base: str = ".") -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
+    _check_names(text)
 
     if "model" not in cp:
         raise ConfigError("missing [model] section")
     msec = cp["model"]
-    r0 = _get_float(msec, "r0", 2.0)
+    r0 = _get(msec, "r0", 2.0)
     if r0 < 2.0:
         raise ConfigError("[model] r0 must be >= 2")
 
     preset = msec.get("preset")
     if preset is not None:
         preset = preset.strip()
-        if preset not in _PRESETS:
-            raise ConfigError(
-                f"[model] unknown preset {preset!r}; choose from {_PRESETS}")
+        if preset not in _CATALOGUE:
+            raise ConfigError(f"[model] unknown preset {preset!r}; "
+                              f"choose from {tuple(_CATALOGUE)}")
         model = by_name(preset, r0=r0)
         if msec.get("name"):
             model.name = msec["name"].strip()
     else:
-        cutoffs = CutoffFamily()
         ends = []
         for i in (1, 2):
             key = f"ends.{i}"
             if key not in cp:
                 raise ConfigError(f"missing [{key}] section (or use a preset)")
-            ends.append(_build_end(cp[key], r0, cutoffs, base))
+            ends.append(_build_end(cp[key], r0, base))
         v_core, bps = (None, ())
         if "potential" in cp:
             v_core, bps = _build_potential(cp["potential"], r0, base)
-        model = ManifoldModel(ends, r0=r0, cutoffs=cutoffs, v_core=v_core,
-                              core_breakpoints=bps,
+        model = ManifoldModel(ends, r0=r0, v_core=v_core, core_breakpoints=bps,
                               name=msec.get("name", "custom").strip())
 
-    gsec = cp["grid"] if "grid" in cp else cp["DEFAULT"]
-    grid = GridConfig(
-        rmax=_get_float(gsec, "rmax", 60.0),
-        dx=_get_float(gsec, "dx", 0.01),
-        mmax=_get_int(gsec, "mmax", 0),
-    )
-    grid.validate()
-
-    rsec = cp["run"] if "run" in cp else cp["DEFAULT"]
-    run = RunConfig(
-        lambda_grid=_parse_lambda_grid(rsec, "lambda_grid", (0.3, 1.0, 8)),
-        t_grid=_get_floats(rsec, "t_grid", (10.0, 20.0, 40.0, 80.0)),
-        end=_get_int(rsec, "end", 1),
-        mode=_get_int(rsec, "mode", 0),
-        profile_center=_get_float(rsec, "profile_center", 0.55),
-        profile_width=_get_float(rsec, "profile_width", 0.25),
-        dt=_get_float(rsec, "dt", 0.05),
-        tol_s=_get_float(rsec, "tol_s", 1e-6),
-        tol_f=_get_float(rsec, "tol_f", 1e-4),
-        tol_w=_get_float(rsec, "tol_w", 1e-3),
-    )
-    run.validate()
-
-    known = {"model", "potential", "grid", "run", "ends.1", "ends.2", "DEFAULT"}
-    extra = set(cp.sections()) - known
-    if extra:
-        raise ConfigError(f"unknown config sections: {sorted(extra)}")
-
+    grid = _build_settings(GridConfig, cp["grid"] if "grid" in cp else cp["DEFAULT"])
+    run = _build_settings(RunConfig, cp["run"] if "run" in cp else cp["DEFAULT"])
     return ExperimentConfig(model=model, grid=grid, run=run)
 
 

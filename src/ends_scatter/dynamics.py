@@ -57,7 +57,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .geometry import (CubicSpline, ManifoldModel, bump, cumulative_trapezoid,
-                       integral_from_r0)
+                       eta, integral_from_r0)
 
 __all__ = [
     "SpectralProfile",
@@ -77,6 +77,8 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 # uniform lam nodes of a SpectralProfile's spline
 _PROFILE_NODES = 1025
+# uniform trapezoid nodes of SpectralProfile.norm
+_NORM_NODES = 8193
 # elements of one (lam x r) work array of the frequency quadrature
 _BLOCK = 1 << 21
 # accepted error of the lam interpolant of the comparison amplitude,
@@ -133,8 +135,8 @@ class SpectralProfile:
 
     @staticmethod
     def bump_profile(end: int = 0, m: int = 0, center: float = 0.55,
-                     width: float = 0.25, amp: complex = 1.0) -> "SpectralProfile":
-        fn = lambda lam: amp * bump(lam, center, width)
+                     width: float = 0.25) -> "SpectralProfile":
+        fn = lambda lam: bump(lam, center, width)
         return SpectralProfile.from_callable(end, m, center - width, center + width, fn)
 
     def __call__(self, lam):
@@ -150,8 +152,8 @@ class SpectralProfile:
         return SpectralProfile.from_callable(self.end, self.m,
                                              self.lam_lo, self.lam_hi, fn)
 
-    def norm(self, n: int = 8193) -> float:
-        lam = np.linspace(self.lam_lo, self.lam_hi, n)
+    def norm(self) -> float:
+        lam = np.linspace(self.lam_lo, self.lam_hi, _NORM_NODES)
         return float(np.sqrt(np.trapezoid(np.abs(self(lam)) ** 2, lam) / (2.0 * np.pi)))
 
 
@@ -312,14 +314,14 @@ def eikonal(model: ManifoldModel, sf: StationaryField,
         if with_offset:
             r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
             nodes = np.linspace(model.r0, sf.r1, 257)
-            eta = model.cutoffs.eta(nodes, r_lam)
+            eta_n = eta(nodes, r_lam)
             q1n = model.ends[end].q1(nodes)
 
             def run_in(lam_pts):
                 out = np.empty(lam_pts.shape)
                 for i0 in range(0, lam_pts.size, 512):  # chunked for memory
                     sl = slice(i0, min(i0 + 512, lam_pts.size))
-                    vals = eta[None, :] * np.sqrt(np.maximum(
+                    vals = eta_n[None, :] * np.sqrt(np.maximum(
                         2.0 * (lam_pts[sl][:, None] - q1n[None, :]), 0.0))
                     out[sl] = np.trapezoid(vals, nodes, axis=1)
                 return out
@@ -359,13 +361,12 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
 # ---------------------------------------------------------------------------
 
 def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
-                 r: Optional[np.ndarray] = None,
                  sign: int = +1) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
-    """U_0^+-(t) h on one end: returns (r, values, stationary data)."""
+    """U_0^+-(t) h on one end, on its ``dynamics_grid``: returns (r,
+    values, stationary data)."""
     end = h.end
     r1 = default_r1(model, h.lam_lo)
-    if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
+    r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
     sf = stationary_point(model, end, t, r, h.lam_lo, r1=r1)
     sf = eikonal(model, sf)
     vals = np.zeros(r.shape, dtype=complex)
@@ -543,13 +544,13 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     live = hv != 0.0
     lam, hv = lam[live], hv[live]
 
-    eta_r = model.cutoffs.eta(r, r_lam)
+    eta_r = eta(r, r_lam)
     r_far = float(np.max(r))
     b_hi = math.sqrt(2.0 * (h.lam_hi - lam0))
     b_lam = np.sqrt(2.0 * (lam - lam0))
     e_t = np.exp(-1j * sign * t * lam)
     # E(r) = int_{r0}^r eta_lambda ds
-    e_of_r = integral_from_r0(model, r, lambda s: model.cutoffs.eta(s, r_lam))
+    e_of_r = integral_from_r0(model, r, lambda s: eta(s, r_lam))
 
     # q1 constant on the end => psi = 0 and the amplitude depends on lam only
     probe = prof.q1(np.linspace(model.r0, r_far, 64))
@@ -585,7 +586,7 @@ def _amplitude_factors(model: ManifoldModel, prof, r: np.ndarray,
         on the quadrature nodes s, one row per lam; eta_lambda and q1 are
         sampled on the first call only."""
         if not samples:
-            samples.update(eta=model.cutoffs.eta(s, r_lam), q1=prof.q1(s))
+            samples.update(eta=eta(s, r_lam), q1=prof.q1(s))
         b = np.sqrt(np.maximum(2.0 * (nodes[:, None] - samples["q1"]), 0.0))
         return samples["eta"] * (b - np.sqrt(2.0 * (nodes - prof.lambda0))[:, None])
 
@@ -671,7 +672,7 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
         np.linspace(model.r0, 8.0 * r_lam, 2001),
         np.geomspace(8.0 * r_lam, _R_TAIL, 6000)[1:],
     ])
-    eta = model.cutoffs.eta(rr, r_lam)
+    eta_r = eta(rr, r_lam)
     q1 = prof.q1(rr)
     b_sr = np.sqrt(2.0 * (lam_arr[:, None] - lam0))
     with np.errstate(invalid="ignore"):
@@ -680,13 +681,13 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
         b_kind = b_sr * np.ones_like(b)
     else:
         b_kind = b_sr - (q1[None, :] - lam0) / b_sr
-    integ = np.where(eta[None, :] > 0.0, eta[None, :] * (b_kind - b), 0.0)
+    integ = np.where(eta_r[None, :] > 0.0, eta_r[None, :] * (b_kind - b), 0.0)
     theta = np.trapezoid(integ, rr, axis=1)
 
     # core correction (1 - eta) b_kind, supported on [r0, r_lam] where the
     # WKB phase is cut off but the free phase is not
     rc = np.linspace(model.r0, r_lam, 2001)
-    eta_c = model.cutoffs.eta(rc, r_lam)
+    eta_c = eta(rc, r_lam)
     q1_c = prof.q1(rc)
     if kind == "sr":
         bk_c = b_sr * np.ones_like(q1_c)[None, :]

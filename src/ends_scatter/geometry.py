@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "CutoffFamily",
     "EndProfile",
     "ManifoldModel",
     "critical_energy",
@@ -41,6 +40,7 @@ __all__ = [
     "numeric_derivative",
     "bump",
     "smooth_step",
+    "eta",
     "phase_integral",
     "integral_from_r0",
 ]
@@ -89,25 +89,17 @@ def smooth_step(u):
     return a / (a + b + 1e-300)
 
 
-@dataclass(frozen=True)
-class CutoffFamily:
-    """Smooth decreasing cutoff chi: 1 on t <= lo, 0 on t >= hi.
+def eta(r, scale):
+    """End-region cutoff eta(r) = 1 - chi(2 r / scale), with the smooth
+    decreasing chi(t) = 1 - smooth_step(t - 1): 0 for r <= scale/2, 1 for
+    r >= scale.  ``scale = r0`` gives the cutoff of the tails,
+    ``scale = r_lambda`` its spectral variant eta_lambda.
 
-    The defaults (lo=1, hi=2) give the standard chi used to build the
-    end-region cutoff eta(r) = 1 - chi(2 r / r0) and its spectral
-    variant eta_lambda(r) = 1 - chi(2 r / r_lambda).
+    The two subtractions stay as written: in floating point 1 - (1 - s)
+    is not s.
     """
-
-    lo: float = 1.0
-    hi: float = 2.0
-
-    def chi(self, t):
-        u = (np.asarray(t, dtype=float) - self.lo) / (self.hi - self.lo)
-        return 1.0 - smooth_step(u)
-
-    def eta(self, r, scale):
-        """1 - chi(2 r / scale): vanishes for r <= scale/2, is 1 for r >= scale."""
-        return 1.0 - self.chi(2.0 * np.asarray(r, dtype=float) / scale)
+    chi = 1.0 - smooth_step(2.0 * np.asarray(r, dtype=float) / scale - 1.0)
+    return 1.0 - chi
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +142,6 @@ class EndProfile:
     q1: Optional[Callable] = None
     v_tail: Optional[Callable] = None
     decay: Tuple[float, float, float] = (1.0, 1.0, 1.0)  # (sigma, tau, rho)
-    breakpoints: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.q1 is None:
@@ -232,19 +223,16 @@ class EndProfile:
 
 
 def tail_q1(amplitude: float, power: float, r0: float,
-            cutoffs: Optional[CutoffFamily] = None,
             lambda0: float = 0.0) -> Callable:
     """Reference tail q1(r) = lambda0 + eta(r) * amplitude * r^-power.
 
     The cutoff eta kills the tail inside r <= r0/2 so it glues smoothly
     to the core.
     """
-    cut = cutoffs or CutoffFamily()
-
     def q1(r):
         r = np.asarray(r, dtype=float)
         rs = np.maximum(r, 1e-9)
-        return lambda0 + cut.eta(r, r0) * amplitude * rs ** (-power)
+        return lambda0 + eta(r, r0) * amplitude * rs ** (-power)
 
     return q1
 
@@ -263,7 +251,6 @@ class ManifoldModel:
     """
 
     def __init__(self, ends: Sequence[EndProfile], r0: float = 2.0,
-                 cutoffs: Optional[CutoffFamily] = None,
                  v_core: Optional[Callable] = None,
                  core_breakpoints: Tuple[float, ...] = (),
                  name: str = "model"):
@@ -273,7 +260,6 @@ class ManifoldModel:
             raise ValueError("r0 must be >= 2")
         self.ends = tuple(ends)
         self.r0 = float(r0)
-        self.cutoffs = cutoffs or CutoffFamily()
         self.v_core = v_core
         self.core_breakpoints = tuple(core_breakpoints)
         self.name = name
@@ -402,13 +388,9 @@ class ManifoldModel:
 
     def breakpoints(self) -> np.ndarray:
         """Radii (in x) where the potential may lose smoothness: the glue
-        boundary plus configured potential jumps."""
+        boundary plus the configured core jumps."""
         w = self.r0 / 2.0
-        pts = {-w, w}
-        pts.update(self.core_breakpoints)
-        for side, end in zip((1.0, -1.0), self.ends):
-            pts.update(side * b for b in end.breakpoints)
-        return np.array(sorted(pts))
+        return np.array(sorted({-w, w, *self.core_breakpoints}))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +443,7 @@ def phase_b(model: ManifoldModel, end: int, z, r, r_lam: Optional[float] = None)
     r = np.asarray(r, dtype=float)
     if r_lam is None:
         r_lam = model.r_lambda(float(np.real(z)))
-    eta = model.cutoffs.eta(r, r_lam)
-    b = eta * _sqrt_upper(2.0 * (z - prof.q1(r)))
+    b = eta(r, r_lam) * _sqrt_upper(2.0 * (z - prof.q1(r)))
     if np.all(np.abs(b.imag) < 1e-14):
         b = b.real
     return b
@@ -479,10 +460,10 @@ def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
     r = np.asarray(r, dtype=float)
     if r_lam is None:
         r_lam = model.r_lambda(float(np.real(z)))
-    eta = model.cutoffs.eta(r, r_lam)
-    b = eta * _sqrt_upper(2.0 * (z - prof.q1(r)))
+    eta_lam = eta(r, r_lam)
+    b = eta_lam * _sqrt_upper(2.0 * (z - prof.q1(r)))
     dq1 = numeric_derivative(prof.q1, r)
-    corr = 0.25 * eta * np.asarray(dq1, dtype=complex) / (z - prof.q1(r))
+    corr = 0.25 * eta_lam * np.asarray(dq1, dtype=complex) / (z - prof.q1(r))
     return b - sign * 1j * corr
 
 

@@ -25,10 +25,19 @@ _POINTS_PER_WAVELENGTH = 12
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid on [-rmax, rmax]; end 0 is x > 0, end 1 is x < 0."""
+    """Uniform grid on [-rmax, rmax] with node spacing dx; end 0 is x > 0,
+    end 1 is x < 0.
+
+    The stencil, the norms and every quadrature take the spacing to be
+    ``dx``, so ``rmax`` is moved to ``n dx / 2`` with n = round(2 rmax / dx)
+    cells."""
 
     rmax: float
     dx: float
+
+    def __post_init__(self):
+        n = int(round(2 * self.rmax / self.dx))
+        object.__setattr__(self, "rmax", n * self.dx / 2)
 
     @property
     def x(self) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import SpectralProfile, frequency_nodes
 from .fourier import _extract_end
-from .geometry import ManifoldModel, bump, phase_integral
+from .geometry import ManifoldModel, bump, eta, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
 from .resolvent import JostPair, jost_pair, limiting_resolvent
 
@@ -237,7 +237,7 @@ def reference_comparison_state(model: ManifoldModel, h: SpectralProfile,
                 * (2.0 * np.abs(lam_i - q1)) ** -0.25)
     out = np.empty_like(acc)
     out[order] = acc
-    return out * model.cutoffs.eta(r, r_lam) / (sign * 2.0j * np.pi)
+    return out * eta(r, r_lam) / (sign * 2.0j * np.pi)
 
 
 def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:

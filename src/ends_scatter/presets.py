@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CutoffFamily, EndProfile, ManifoldModel, tail_q1
+from .geometry import EndProfile, ManifoldModel, tail_q1
 
 __all__ = ["model_free", "model_a", "model_b", "model_c", "model_d", "by_name"]
 
@@ -21,9 +21,8 @@ def model_a(r0: float = 2.0) -> ManifoldModel:
     functions are exactly free and the curvature term -1/(8 r^2) sits in
     the perturbation q2 (decay r^-2, comfortably short range).
     """
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    e = lambda: EndProfile.euclidean(q1=zero, decay=(1.0, 1.0, 1.0))
-    return ManifoldModel([e(), e()], r0=r0, name="A")
+    return ManifoldModel([EndProfile.euclidean(), EndProfile.euclidean()],
+                         r0=r0, name="A")
 
 
 def model_b(r0: float = 2.0) -> ManifoldModel:
@@ -32,10 +31,8 @@ def model_b(r0: float = 2.0) -> ManifoldModel:
     Critical energies 0 and 1/8; both reference tails are constant at
     their thresholds, so both ends are (trivially) short range.
     """
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    e0 = EndProfile.euclidean(q1=zero, decay=(1.0, 1.0, 1.0))
-    e1 = EndProfile.hyperbolic(decay=(1.0, 1.0, 1.0))
-    return ManifoldModel([e0, e1], r0=r0, name="B")
+    return ManifoldModel([EndProfile.euclidean(), EndProfile.hyperbolic()],
+                         r0=r0, name="B")
 
 
 def model_c(r0: float = 2.0, amplitude: float = 1.0, power: float = 0.8) -> ManifoldModel:
@@ -44,12 +41,9 @@ def model_c(r0: float = 2.0, amplitude: float = 1.0, power: float = 0.8) -> Mani
     The tail is part of the reference q1 (and of the potential), so end 0
     is of Dollard type while end 1 stays free.
     """
-    cut = CutoffFamily()
-    q1_tail = tail_q1(amplitude, power, r0, cutoffs=cut)
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    e0 = EndProfile.euclidean(q1=q1_tail, v_tail=q1_tail, decay=(1.0, 1.0, 1.0))
-    e1 = EndProfile.euclidean(q1=zero, decay=(1.0, 1.0, 1.0))
-    return ManifoldModel([e0, e1], r0=r0, cutoffs=cut, name="C")
+    q1_tail = tail_q1(amplitude, power, r0)
+    e0 = EndProfile.euclidean(q1=q1_tail, v_tail=q1_tail)
+    return ManifoldModel([e0, EndProfile.euclidean()], r0=r0, name="C")
 
 
 def model_d(r0: float = 2.0, v0: float = 1.5, half_width: float = 1.0) -> ManifoldModel:

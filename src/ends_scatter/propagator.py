@@ -38,10 +38,7 @@ __all__ = [
     "transmission_experiment",
 ]
 
-# adjoint_identity_check: doubling tolerance of the boundary-coefficient
-# extraction in F^+(lam) psi, and the Gauss-Legendre nodes of its lam
-# integral
-_ADJOINT_TOL_F = 1e-4
+# adjoint_identity_check: Gauss-Legendre nodes of its lam integral
 _ADJOINT_LAM_NODES = 24
 
 
@@ -246,7 +243,7 @@ def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
     hv = h(lam)
     coeffs = np.zeros((len(psi_list), _ADJOINT_LAM_NODES), dtype=complex)
     for j, lam_j in enumerate(lam):
-        ft, _ = distorted_ft(ft_op, float(lam_j), psi_ft, tol_f=_ADJOINT_TOL_F)
+        ft, _ = distorted_ft(ft_op, float(lam_j), psi_ft)
         coeffs[:, j] = ft[:, h.end]
 
     defects = []

@@ -5,9 +5,10 @@ import pytest
 
 from ends_scatter import cli
 from ends_scatter.cli import main
+from ends_scatter.config import default_config, parse_config
 from ends_scatter.fourier import scattering_matrix
 from ends_scatter.mode_reduction import RadialGrid
-from ends_scatter.presets import model_a
+from ends_scatter.presets import _CATALOGUE, model_a
 
 
 def run(args, tmp_path, name):
@@ -66,6 +67,33 @@ def test_bad_override_is_config_error(tmp_path):
     code = main(["model-check", "--preset", "A", "--lambda-grid", "oops",
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_preset_accepts_exactly_the_catalogue():
+    parser = cli._build_parser()
+    for command in cli._COMMANDS:
+        for name in _CATALOGUE:
+            assert parser.parse_args([command, "--preset", name]).preset == name
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--preset", "a"])
+
+
+@pytest.mark.parametrize("flag, key, raw", [
+    ("--lambda-grid", "lambda_grid", "0.4:0.9:5"),
+    ("--t-grid", "t_grid", "5, 10 20"),
+    ("--tol", "tol_s", "1e-8"),
+])
+def test_overrides_parse_like_the_config(flag, key, raw):
+    args = cli._build_parser().parse_args(["smatrix", "--preset", "A", flag, raw])
+    run = cli._apply_overrides(default_config("A"), args).run
+    assert run == parse_config(f"[model]\npreset = A\n[run]\n{key} = {raw}\n").run
+
+
+def test_malformed_tol_is_config_error(tmp_path):
+    code = main(["smatrix", "--preset", "A", "--tol", "small",
+                 "--out", str(tmp_path)])
+    rep = json.loads((tmp_path / "smatrix.json").read_text())
+    assert code == 2 and "--tol = 'small' is not a number" in rep["error"]
 
 
 def test_model_check_byte_identical(tmp_path):

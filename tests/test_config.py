@@ -1,8 +1,14 @@
+import configparser
+import textwrap
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from ends_scatter import config
 from ends_scatter.config import (ConfigError, GridConfig, RunConfig,
                                  default_config, load_config, parse_config)
+from ends_scatter.presets import _CATALOGUE
 
 FULL = """
 [model]
@@ -83,10 +89,44 @@ def test_preset_shortcut_overrides_ends():
     ("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\n[ends.2]\n"
      "profile = euclidean\n[potential]\ncore = square: 1.0, 5.0\n",
      "fit inside"),
+    ("[model]\npreset = A\n[run]\nprofile_centre = 0.5\n",
+     "\\[run\\] unknown key 'profile_centre'"),
+    ("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\n[ends.2]\n"
+     "profile = euclidean\n[potential]\ncores = square: 1.0, 0.5\n",
+     "\\[potential\\] unknown key 'cores'"),
+    ("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\nq1_amplitud = 1.0\n"
+     "[ends.2]\nprofile = euclidean\n",
+     "\\[ends.1\\] unknown key 'q1_amplitud'"),
+    ("[DEFAULT]\nrmx = 30\n[model]\npreset = A\n",
+     "\\[DEFAULT\\] unknown key 'rmx'"),
 ])
 def test_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+def test_default_keys_are_read_and_keys_ignore_case():
+    cfg = parse_config("[DEFAULT]\nrmax = 30\n[model]\npreset = A\n"
+                       "[run]\ntol_F = 1e-3\n")
+    assert cfg.grid.rmax == 30.0 and cfg.run.tol_f == 1e-3
+
+
+def test_docstring_grammar_gives_the_defaults():
+    """The [grid] and [run] lines of the module docstring name every field
+    and parse to exactly the dataclass defaults."""
+    doc = config.__doc__
+    text = textwrap.dedent(doc[doc.index("    [grid]"):doc.index("All sections")])
+    own = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    own.read_string(text)
+    assert list(own["grid"]) == [f.name for f in fields(GridConfig)]
+    assert list(own["run"]) == [f.name for f in fields(RunConfig)]
+    cfg = parse_config("[model]\npreset = A\n" + text)
+    assert cfg.grid == GridConfig() and cfg.run == RunConfig()
+
+
+def test_every_catalogue_preset_parses():
+    for name in _CATALOGUE:
+        assert parse_config(f"[model]\npreset = {name}\n").model.name == name
 
 
 def test_missing_end_section_without_preset():

@@ -9,6 +9,7 @@ from ends_scatter.dynamics import (SpectralProfile, comparison_state,
                                    hamilton_jacobi_residual, leading_term,
                                    phase_modifier, state_norm,
                                    stationary_point)
+from ends_scatter.geometry import eta
 from ends_scatter.mode_reduction import RadialGrid
 from ends_scatter.oracle import reference_comparison_state
 from ends_scatter.presets import model_a, model_c
@@ -181,9 +182,9 @@ def _run_in_reference(model, sf):
     257-node trapezoid sum."""
     lam = sf.lam_c[sf.mask]
     nodes = np.linspace(model.r0, sf.r1, 257)
-    eta = model.cutoffs.eta(nodes, model.r_lambda(sf.diag["lam_lo"]))
+    eta_n = eta(nodes, model.r_lambda(sf.diag["lam_lo"]))
     q1 = model.ends[sf.end].q1(nodes)
-    vals = eta * np.sqrt(np.maximum(2.0 * (lam[:, None] - q1), 0.0))
+    vals = eta_n * np.sqrt(np.maximum(2.0 * (lam[:, None] - q1), 0.0))
     return np.trapezoid(vals, nodes, axis=1)
 
 

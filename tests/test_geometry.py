@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-from ends_scatter.geometry import (CubicSpline, CutoffFamily, EndProfile,
-                                   ManifoldModel, bump, classify_potential, critical_energy,
-                                   cumulative_trapezoid, numeric_derivative,
+from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel, bump,
+                                   classify_potential, critical_energy,
+                                   cumulative_trapezoid, eta, numeric_derivative,
                                    phase_b, phase_integral, riccati_residual,
                                    smooth_step, tail_q1)
 from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
@@ -29,18 +29,17 @@ def test_smooth_step_range_and_saturation(u):
 
 @given(st.floats(0.0, 100.0), st.floats(1.0, 32.0))
 def test_eta_support(r, scale):
-    eta = float(CutoffFamily().eta(r, scale))
-    assert 0.0 <= eta <= 1.0
+    v = float(eta(r, scale))
+    assert 0.0 <= v <= 1.0
     if r <= scale / 2.0:
-        assert eta == 0.0
+        assert v == 0.0
     if r >= scale:
-        assert eta == 1.0
+        assert v == 1.0
 
 
 def test_eta_monotone():
     r = np.linspace(0.0, 10.0, 2001)
-    eta = CutoffFamily().eta(r, 4.0)
-    assert np.all(np.diff(eta) >= -1e-12)
+    assert np.all(np.diff(eta(r, 4.0)) >= -1e-12)
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 3.0))

@@ -14,10 +14,12 @@ def grid():
 
 
 def test_grid_symmetric_and_spacing(grid):
-    x = grid.x
-    assert np.allclose(x, -x[::-1])
-    assert np.allclose(np.diff(x), grid.dx)
-    assert x[0] == -grid.rmax and x[-1] == grid.rmax
+    # 2 rmax / dx = 28210.15 is no whole number of cells: rmax moves, dx stays
+    for g in (grid, RadialGrid(282.1015, 0.02)):
+        x = g.x
+        assert np.allclose(x, -x[::-1])
+        assert np.allclose(np.diff(x), g.dx, rtol=1e-9, atol=0.0)
+        assert x[0] == -g.rmax and x[-1] == g.rmax
 
 
 def test_grid_nodes_are_one_read_only_array(grid):
