@@ -417,9 +417,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
              ("--t-grid", "t_grid", args.t_grid)]
     if args.command in _TOL_KEYS:
         flags.append(("--tol", _TOL_KEYS[args.command], args.tol))
-    # an empty flag value keeps the config's value
+    flags = [(flag, key, raw) for flag, key, raw in flags if raw is not None]
+    for flag, _, raw in flags:
+        if not raw.strip():
+            raise ConfigError(f"{flag} is empty")
     run = replace(cfg.run, **{key: parse_run_value(key, raw, flag)
-                              for flag, key, raw in flags if raw})
+                              for flag, key, raw in flags})
     run.validate()
     cfg.run = run
     return cfg

@@ -3,7 +3,8 @@
 Grammar (INI dialect, parsed by :mod:`configparser`)::
 
     [model]
-    preset = A                  ; optional: free|A|B|C|D, overrides [ends.*]
+    preset = A                  ; optional: free|A|B|C|D, replaces [ends.*]
+                                ; and [potential]
     r0 = 2.0
     name = my-surface
 
@@ -41,8 +42,9 @@ All sections except [model] are optional; missing keys take the defaults
 shown by ``default_config()``, which are the field defaults of
 :class:`GridConfig` and :class:`RunConfig`.  Keys are case-insensitive.
 A key that its section does not read is an error, and so is a key under
-[DEFAULT] that no section reads.  Validation failures raise
-:class:`ConfigError` carrying the section/key context.
+[DEFAULT] that no section reads; with a preset, the [ends.*] and
+[potential] sections are not read, so they are an error too.  Validation
+failures raise :class:`ConfigError` carrying the section/key context.
 """
 
 from __future__ import annotations
@@ -339,6 +341,10 @@ def parse_config(text: str, base: str = ".") -> ExperimentConfig:
         if preset not in _CATALOGUE:
             raise ConfigError(f"[model] unknown preset {preset!r}; "
                               f"choose from {tuple(_CATALOGUE)}")
+        for sec in ("ends.1", "ends.2", "potential"):
+            if sec in cp:
+                raise ConfigError(f"[{sec}] is not read with [model] preset = "
+                                  f"{preset}; remove one of them")
         model = by_name(preset, r0=r0)
         if msec.get("name"):
             model.name = msec["name"].strip()

@@ -3,10 +3,15 @@
 The reduced operator H_m acts on the doubly-infinite line coordinate; the
 propagator e^{-itH} is realized by unconditionally stable implicit
 stepping (the fourth-order diagonal Pade (2,2) step as two Cayley-type
-factors, each a pivot-free banded LU reused across steps).  On top of it sit
+factors, each a pivot-free banded LU reused across steps).  The step's
+triangular band solves are BLAS ``ztbsv``, the same OpenBLAS routine that
+``scipy.linalg.blas`` wraps, called through the function table of
+``scipy.linalg.cython_blas`` by ``ctypes``, which releases the GIL for
+the call: steps on several threads run on several cores.  On top of it sit
 
   * wave_operator: Cauchy increments of e^{itH} U_0^+(t) h, evaluated as
-    ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity,
+    ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity, concurrently on a
+    thread pool with one factorization per step size,
   * the adjoint identity <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi,
     h(lam)> dlam linking dynamics to the stationary transform,
   * end projections 1_{E_i} measured dynamically and the cross-ends
@@ -15,7 +20,9 @@ factors, each a pivot-free banded LU reused across steps).  On top of it sit
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -62,6 +69,63 @@ class EvolutionConfig:
 
 _PADE_ROOTS = (-3.0 + 1j * math.sqrt(3.0), -3.0 - 1j * math.sqrt(3.0))
 
+# the C signature that scipy.linalg.cython_blas exports for ztbsv
+_ZTBSV_SIGNATURE = (b"void (char *, char *, char *, int *, int *, "
+                    b"__pyx_t_double_complex *, int *, "
+                    b"__pyx_t_double_complex *, int *)")
+
+
+@functools.cache
+def _ztbsv_function():
+    """``solve(uplo, n, k, band, x)``: BLAS ztbsv on a unit triangular
+    band at address ``band`` (leading dimension k + 1) and a contiguous
+    vector at ``x``, taken from the function table that
+    ``scipy.linalg.cython_blas`` exports and called by ctypes, which
+    releases the GIL while it runs.  Loaded on first use, not at import."""
+    import ctypes
+
+    from scipy.linalg import cython_blas
+
+    capsule = cython_blas.__pyx_capi__["ztbsv"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    if name != _ZTBSV_SIGNATURE:
+        raise ImportError(f"unexpected cython_blas ztbsv signature {name!r}")
+    intp = ctypes.POINTER(ctypes.c_int)
+    proto = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p,
+                             ctypes.c_char_p, intp, intp, ctypes.c_void_p,
+                             intp, ctypes.c_void_p, intp)
+    ztbsv = proto(get_pointer(capsule, name))
+    c_int, ref = ctypes.c_int, ctypes.byref
+
+    def solve(uplo: bytes, n: int, k: int, band: int, x: int) -> None:
+        ztbsv(uplo, b"N", b"U", ref(c_int(n)), ref(c_int(k)), band,
+              ref(c_int(k + 1)), x, ref(c_int(1)))
+
+    return solve
+
+
+def _ztbsv(band: np.ndarray, x: np.ndarray, lower: bool) -> None:
+    """x <- T^-1 x in place, T the unit triangular band matrix stored in
+    ``band`` (LAPACK band layout, band.shape[0] - 1 off-diagonals, the
+    diagonal row not read).  BLAS checks no argument, so the arrays are
+    checked here: a wrong layout or length would corrupt memory."""
+    if not (band.ndim == 2 and band.shape[0] >= 1
+            and band.dtype == np.complex128 and band.flags.f_contiguous):
+        raise ValueError("band factor must be a Fortran-ordered 2-d "
+                         "complex128 array with a diagonal row")
+    k1, n = band.shape
+    if not (x.dtype == np.complex128 and x.flags.c_contiguous
+            and x.flags.writeable and x.shape == (n,)):
+        raise ValueError(f"state must be a writeable contiguous complex128 "
+                         f"vector of length {n}, got {x.dtype} {x.shape}")
+    _ztbsv_function()(b"L" if lower else b"U", n, k1 - 1, band.ctypes.data,
+                      x.ctypes.data)
+
 
 class Propagator:
     """Factorized implicit stepper for e^{-i dt H} on one mode.
@@ -70,6 +134,11 @@ class Propagator:
     beta = -3 +- i sqrt(3) of (z + beta)/(z - beta), z = i dt H (van Dijk &
     Toyama, PRE 75, 036707); z - beta has hermitian part 3 for either sign
     of dt, so its banded LU is stable without pivoting (Golub & Van Loan).
+
+    The factors are read-only after construction, so one Propagator may
+    step several states on several threads at once: each ``step`` call
+    owns its state and work vector, and its band solves run without the
+    GIL.  The results are bit for bit those of ``scipy.linalg.blas.ztbsv``.
     """
 
     def __init__(self, op: ModeOperator, dt: float):
@@ -95,24 +164,45 @@ class Propagator:
             lower = np.asfortranarray(lu[2 * k:] / scale[k:])
             upper = np.asfortranarray(lu[k:2 * k + 1] / (scale[:k + 1] * d))
             self._factors.append((lower, upper, 2.0 * beta / d))
-        self._k = k
         self.dt = dt
         self.op = op
 
     def step(self, psi: np.ndarray, n: int = 1) -> np.ndarray:
-        from scipy.linalg import blas
-
         out = np.array(psi, dtype=complex)
+        work = np.empty_like(out)
         for _ in range(n):
             for lower, upper, gain in self._factors:
                 # the 1e-250 floor keeps the solves' evanescent tails normal:
                 # without it, 30 steps from a compact packet on 28 211 nodes
                 # left 23 899 subnormal entries and a step took 24x as long
-                y = blas.ztbsv(self._k, lower, out + 1e-250, lower=1, diag=1,
-                               overwrite_x=1)
-                y = blas.ztbsv(self._k, upper, y, diag=1, overwrite_x=1)
-                out += gain * y
+                np.add(out, 1e-250, out=work)
+                _ztbsv(lower, work, lower=True)
+                _ztbsv(upper, work, lower=False)
+                np.multiply(gain, work, out=work)
+                out += work
         return out
+
+
+def _step_plan(t: float, cfg: EvolutionConfig) -> Tuple[int, float]:
+    """(number of steps, signed step size) of an evolution over t != 0."""
+    n_steps = max(1, int(round(abs(t) / cfg.dt)))
+    return n_steps, abs(t) / n_steps * (1.0 if t > 0 else -1.0)
+
+
+def _propagate(prop: Propagator, psi: np.ndarray, t: float,
+               n_steps: int) -> Tuple[np.ndarray, dict]:
+    """``n_steps`` steps of ``prop`` from psi, spanning the time t, under
+    evolve's norm guards."""
+    out = prop.step(psi, n_steps)
+    n0 = prop.op.grid.norm(psi)
+    n1 = prop.op.grid.norm(out)
+    drift = abs(n1 - n0) / max(n0, 1e-300)
+    if n1 > n0 * (1.0 + 1e-3):
+        raise RuntimeError(f"propagator instability: norm grew by {drift:.3e}")
+    if drift > 1e-6 * max(abs(t), 1.0):
+        raise RuntimeError(
+            f"propagator norm drift {drift:.3e} exceeds 1e-6 per unit time")
+    return out, {"steps": n_steps, "norm_drift": drift}
 
 
 def evolve(op: ModeOperator, psi: np.ndarray, t: float,
@@ -125,18 +215,8 @@ def evolve(op: ModeOperator, psi: np.ndarray, t: float,
     psi = np.asarray(psi, dtype=complex)
     if t == 0.0:
         return psi.copy(), {"steps": 0, "norm_drift": 0.0}
-    n_steps = max(1, int(round(abs(t) / cfg.dt)))
-    dt = abs(t) / n_steps * (1.0 if t > 0 else -1.0)
-    out = Propagator(op, dt).step(psi, n_steps)
-    n0 = op.grid.norm(psi)
-    n1 = op.grid.norm(out)
-    drift = abs(n1 - n0) / max(n0, 1e-300)
-    if n1 > n0 * (1.0 + 1e-3):
-        raise RuntimeError(f"propagator instability: norm grew by {drift:.3e}")
-    if drift > 1e-6 * max(abs(t), 1.0):
-        raise RuntimeError(
-            f"propagator norm drift {drift:.3e} exceeds 1e-6 per unit time")
-    return out, {"steps": n_steps, "norm_drift": drift}
+    n_steps, dt = _step_plan(t, cfg)
+    return _propagate(Propagator(op, dt), psi, t, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +251,19 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     grid: the last increment's propagated state carried on over t_{N-1},
     bit for bit one evolution over t_N when every gap is a multiple of
     ``cfg.dt``.  ``dynamics`` accepts only 'exact'.
+
+    The increments are independent evolutions.  Each distinct step size
+    is factored once, and the increments run concurrently on a thread
+    pool of one worker per CPU this process may use (at most one per
+    increment), submitted longest gap first, since the longest bounds the
+    pool's finish time.  A worker returns its increment's norm; only the
+    last increment's state is kept, for the estimate, which then runs in
+    this thread.  Every number is bit for bit that of one ``evolve`` per
+    increment in sequence, and an exception raised in a worker (the norm
+    guards' RuntimeError) reaches the caller unchanged.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .dynamics import comparison_state
 
     cfg = cfg or EvolutionConfig()
@@ -182,6 +274,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         raise ValueError("t_grid must be strictly increasing")
     if dynamics != "exact":
         raise ValueError("dynamics must be 'exact'")
+    cfg.validate(op)
     grid = op.grid
 
     # evaluate the free states directly at the grid nodes: interpolating
@@ -195,13 +288,27 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         out[mask] = u
         return out
 
-    states = {t: free_state(t) for t in t_grid}
+    states = [free_state(t) for t in t_grid]
 
-    increments = []
-    for t1, t2 in zip(t_grid[:-1], t_grid[1:]):
-        # e^{sign * i (t2 - t1) H} = evolve over -sign*(t2-t1)
-        moved, _ = evolve(op, states[t2], -sign * (t2 - t1), cfg)
-        increments.append(float(grid.norm(moved - states[t1])))
+    # e^{sign * i (t2 - t1) H} = evolution over -sign*(t2-t1); factored
+    # here, before any worker starts, so the workers only read the factors
+    factor = functools.cache(functools.partial(Propagator, op))
+    moves = [-sign * (t2 - t1) for t1, t2 in zip(t_grid, t_grid[1:])]
+    plans = [_step_plan(t, cfg) for t in moves]
+    props = [factor(dt) for _, dt in plans]
+    last = len(moves) - 1
+
+    def increment(k):
+        moved, _ = _propagate(props[k], states[k + 1], moves[k], plans[k][0])
+        norm = float(grid.norm(moved - states[k]))
+        return norm, (moved if k == last else None)
+
+    order = sorted(range(last + 1), key=lambda k: t_grid[k] - t_grid[k + 1])
+    workers = min(len(os.sched_getaffinity(0)), last + 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {k: pool.submit(increment, k) for k in order}
+        increments = [futures[k].result()[0] for k in range(last + 1)]
+        moved = futures[last].result()[1]
 
     converged = (increments[-1] <= tol_w
                  and all(b < a for a, b in zip(increments, increments[1:])))
@@ -213,8 +320,13 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         "converged": bool(converged),
     }
     if estimate:
-        # moved = e^{sign * i (t_N - t_{N-1}) H} U(t_N) h
-        out["estimate"], _ = evolve(op, moved, -sign * t_grid[-2], cfg)
+        # moved = e^{sign * i (t_N - t_{N-1}) H} U(t_N) h; over t_{N-1} = 0
+        # it is the estimate already, as evolve's zero-time copy would be
+        t = -sign * t_grid[-2]
+        if t != 0.0:
+            n_steps, dt = _step_plan(t, cfg)
+            moved, _ = _propagate(factor(dt), moved, t, n_steps)
+        out["estimate"] = moved
     return out
 
 

@@ -89,6 +89,17 @@ def test_overrides_parse_like_the_config(flag, key, raw):
     assert run == parse_config(f"[model]\npreset = A\n[run]\n{key} = {raw}\n").run
 
 
+@pytest.mark.parametrize("flag", ["--lambda-grid", "--t-grid", "--tol"])
+def test_empty_override_is_config_error(tmp_path, monkeypatch, flag):
+    """An empty flag value is refused, not replaced by the config's."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("scattering_matrix called past the guard")
+
+    monkeypatch.setattr(cli, "scattering_matrix", no_work)
+    code, rep = run(["smatrix", "--preset", "A", flag, ""], tmp_path, "smatrix")
+    assert code == 2 and rep["error"] == f"{flag} is empty"
+
+
 def test_malformed_tol_is_config_error(tmp_path):
     code = main(["smatrix", "--preset", "A", "--tol", "small",
                  "--out", str(tmp_path)])

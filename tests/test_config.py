@@ -99,6 +99,10 @@ def test_preset_shortcut_overrides_ends():
      "\\[ends.1\\] unknown key 'q1_amplitud'"),
     ("[DEFAULT]\nrmx = 30\n[model]\npreset = A\n",
      "\\[DEFAULT\\] unknown key 'rmx'"),
+    ("[model]\npreset = D\n[ends.1]\nprofile = flat\n[potential]\n"
+     "core = none\n", "\\[ends.1\\] is not read with \\[model\\] preset = D"),
+    ("[model]\npreset = A\n[potential]\ncore = none\n",
+     "\\[potential\\] is not read with \\[model\\] preset = A"),
 ])
 def test_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):

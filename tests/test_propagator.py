@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import spsolve
 
 from ends_scatter.dynamics import SpectralProfile, comparison_state
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_d, model_free
-from ends_scatter.propagator import (EvolutionConfig, Propagator,
+from ends_scatter.propagator import (EvolutionConfig, Propagator, _ztbsv,
                                      embed_end_state, end_mass,
                                      end_projection, evolve, wave_operator)
 
@@ -200,3 +200,95 @@ def test_wave_operator_estimate_is_one_evolution():
     want, _ = evolve(op, state, -40.0, cfg)
     assert np.array_equal(rep["estimate"], want)
     assert "estimate" not in wave_operator(op, model, h, [10.0, 20.0], cfg=cfg)
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_ctypes_ztbsv_matches_scipy_blas(lower):
+    """The GIL-free solve calls the same BLAS routine as
+    scipy.linalg.blas.ztbsv, so the two agree bit for bit."""
+    rng = np.random.default_rng(7)
+    k, n = 2, 500
+    band = np.asfortranarray(0.3 * (rng.standard_normal((k + 1, n))
+                                    + 1j * rng.standard_normal((k + 1, n))))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = blas.ztbsv(k, band, x.copy(), lower=int(lower), diag=1)
+    got = x.copy()
+    _ztbsv(band, got, lower=lower)
+    assert np.array_equal(got, want)
+
+
+def _free_state(op, model, h, t):
+    mask = op.grid.end_mask(h.end)
+    out = np.zeros(op.grid.x.size, dtype=complex)
+    _, out[mask] = comparison_state(model, h, t, r=np.abs(op.grid.x[mask]))
+    return out
+
+
+@pytest.mark.parametrize("t_grid, step_sizes", [
+    ([2.0, 4.0, 8.0, 16.0], 1),
+    # gaps of 1.0625 = 21.25 dt take 21 shorter steps; the estimate's
+    # t_{N-1} = 4 is 80 steps of dt again
+    ([1.9375, 3.0, 4.0, 5.0625], 2),
+])
+def test_concurrent_wave_operator_matches_sequential_evolutions(
+        setup, monkeypatch, t_grid, step_sizes):
+    """The increments evolved on the thread pool, and the estimate after
+    them, equal one evolve per increment in sequence bit for bit; each
+    distinct step size is factored once."""
+    op, _ = setup
+    model = model_a()
+    h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
+    cfg = EvolutionConfig(dt=0.05)
+    want = []
+    for t1, t2 in zip(t_grid, t_grid[1:]):
+        moved, _ = evolve(op, _free_state(op, model, h, t2), -(t2 - t1), cfg)
+        want.append(float(op.grid.norm(moved - _free_state(op, model, h, t1))))
+    want_estimate, _ = evolve(op, moved, -t_grid[-2], cfg)
+
+    built = []
+    init = Propagator.__init__
+
+    def counted(self, op, dt):
+        built.append(dt)
+        init(self, op, dt)
+
+    monkeypatch.setattr(Propagator, "__init__", counted)
+    rep = wave_operator(op, model, h, t_grid, cfg=cfg, estimate=True)
+    assert rep["increments"] == want
+    assert np.array_equal(rep["estimate"], want_estimate)
+    assert len(built) == len(set(built)) == step_sizes
+
+
+def test_worker_norm_guard_reaches_caller(setup, monkeypatch):
+    """A norm-guard RuntimeError raised on a pool thread reaches the
+    caller as it was raised (perfbench's waveop workload catches it)."""
+    op, _ = setup
+    step = Propagator.step
+    monkeypatch.setattr(Propagator, "step",
+                        lambda self, psi, n=1: 2.0 * step(self, psi, n))
+    h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
+    with pytest.raises(RuntimeError, match="propagator instability"):
+        wave_operator(op, model_a(), h, [2.0, 4.0, 8.0], estimate=True)
+
+
+def test_band_solve_rejects_bad_arrays_before_blas(setup):
+    """BLAS checks no argument, so a factor or state of the wrong layout,
+    dtype or length raises ValueError before the foreign call."""
+    op, psi = setup
+    prop = Propagator(op, 0.05)
+    with pytest.raises(ValueError, match="length"):
+        prop.step(psi[:-1])
+    lower, _, _ = prop._factors[0]
+    x = psi.astype(complex)
+    for band in (np.ascontiguousarray(lower), lower.astype(np.complex64),
+                 lower[0], lower[:0]):
+        with pytest.raises(ValueError, match="band factor"):
+            _ztbsv(band, x.copy(), lower=True)
+    for state in (x[:-1].copy(), x.astype(np.complex64), x[::2],
+                  np.stack([x, x], axis=1)[:, 0]):
+        with pytest.raises(ValueError, match="state"):
+            _ztbsv(lower, state, lower=True)
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="state"):
+        _ztbsv(lower, frozen, lower=True)
