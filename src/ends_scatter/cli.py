@@ -360,9 +360,13 @@ def _cmd_oracle(cfg: ExperimentConfig, args, out_dir):
             "abs_t": abs(res["t"]), "abs_r": abs(res["r"]),
             "flux_defect": res["flux_defect"],
         })
+    # a NaN defect propagates and fails the verdict
+    worst = float(np.max([e["flux_defect"] for e in entries]))
+    ok = worst <= run.tol_s
     report = {"kind": args.kind, "v0": args.v0, "half_width": args.half_width,
-              "points": entries, "converged": True}
-    return EXIT_OK, report
+              "points": entries, "worst_flux_defect": worst,
+              "tol_s": run.tol_s, "converged": ok}
+    return (EXIT_OK if ok else EXIT_NONCONV), report
 
 
 _COMMANDS = {

@@ -27,8 +27,11 @@ Chebyshev-Lobatto nodes in s interpolate (Trefethen, Approximation
 Theory and Approximation Practice, SIAM 2013); the block length is set
 by the phase budget (b_max - b_min) L.  A sum over lam with any weights
 then becomes one complex matrix product against those few nodes and a
-small product that restores the offsets; the other radii with
-eta_lambda > 0 are summed directly.  On an end with constant q1
+small product that restores the offsets.  The other radii with
+eta_lambda > 0 (the cutoff ramp, and radii off the run's spacing) are
+sorted by E and cut into spans of the same phase budget, each
+interpolated in its offset E - E_a on nodes of its own.  On an end with
+constant q1
 (separable) psi = 0 and one such sum with the weights
 h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam} is the whole state.  On
 other ends the amplitude (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is
@@ -96,6 +99,10 @@ _PAD = 1.25
 # Newton iterations and relative travel-time tolerance of stationary_point
 _MAX_ITER = 60
 _RTOL = 1e-12
+# stationary_point's coarse solve: the stride of its subset of the sorted
+# cone radii, and the fewest distinct cone radii for which it is made
+_SEED_STRIDE = 64
+_SEED_MIN_CONE = 2048
 # central-difference step in t and r of hamilton_jacobi_residual
 _HJ_STEP = 1e-3
 # lam nodes per oscillation of the frequency-quadrature phase
@@ -164,9 +171,9 @@ def state_norm(r: np.ndarray, vals: np.ndarray) -> float:
 
 def dynamics_grid(model: ManifoldModel, t: float, lam_hi: float,
                   lambda0: float = 0.0, r1: float = 0.0) -> np.ndarray:
-    """Radial grid [r0/2, ...] with spacing 0.02, wide enough to hold the
-    outgoing front at time t for energies up to lam_hi, launched from the
-    anchor radius r1."""
+    """Uniform radial grid [r0/2, ...] with spacing at most 0.02 (the node
+    count is rounded up), wide enough to hold the outgoing front at time t
+    for energies up to lam_hi, launched from the anchor radius r1."""
     rmax = (max(model.r0, r1) + _PAD * t * math.sqrt(2.0 * max(lam_hi - lambda0, 0.1))
             + 10.0)
     n = int(math.ceil((rmax - model.r0 / 2.0) / _DR))
@@ -220,14 +227,58 @@ def default_r1(model: ManifoldModel, lam_lo: float) -> float:
     return model.r_lambda(lam_lo)
 
 
+def _solve_travel_time(half: np.ndarray, q1_gl: np.ndarray, rs: np.ndarray,
+                       t: float, r1: float, lam0: float, lam_lo: float,
+                       seed: Optional[np.ndarray] = None):
+    """Safeguarded Newton for the travel-time equation T(lam) = t at the
+    cone radii ``rs`` from the samples of :func:`_gauss_q1`, started at
+    ``seed`` or else at the free guess lam0 + (r - r1)^2 / (2 t^2).
+
+    The bracket [lam_lo, hi] starts from the free guess whatever the seed,
+    and hi doubles (about lam0) until T(hi) < t; a Newton step that leaves
+    the bracket is replaced by bisection.  Returns lam, T at lam, and the
+    number of Newton steps taken."""
+    lam = np.maximum(lam0 + (rs - r1) ** 2 / (2.0 * t**2), lam_lo)
+    lo = np.full(rs.shape, lam_lo)
+    # grow the upper bracket until the travel time drops below t
+    hi = np.maximum(2.0 * lam - lam0, lam_lo + 1e-6)
+    for _ in range(_MAX_ITER):
+        need = _travel_time(half, q1_gl, hi) >= t
+        if not np.any(need):
+            break
+        hi[need] = lam0 + 2.0 * (hi[need] - lam0)
+    if seed is not None:
+        lam = seed
+    for steps in range(_MAX_ITER):
+        T = _travel_time(half, q1_gl, lam)
+        F = T - t
+        lo = np.where(F > 0, np.maximum(lo, lam), lo)
+        hi = np.where(F < 0, np.minimum(hi, lam), hi)
+        if np.all(np.abs(F) <= _RTOL * t):
+            return lam, T, steps
+        dT = -_travel_time(half, q1_gl, lam, power=-1.5)
+        lam_new = lam - F / dT
+        bad = (lam_new <= lo) | (lam_new >= hi) | ~np.isfinite(lam_new)
+        lam_new[bad] = 0.5 * (lo[bad] + hi[bad])
+        lam = lam_new
+    return lam, _travel_time(half, q1_gl, lam), _MAX_ITER
+
+
 def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
                      lam_lo: float, r1: Optional[float] = None) -> StationaryField:
     """Solve  int_{r1}^r [2(lam - q1)]^(-1/2) ds = t  for lam per radius.
 
     The map is strictly decreasing in lam, so a Newton iteration with a
-    bisection safeguard converges for every radius in the propagation
-    region Omega_c(t) = { r : travel time at lam_lo exceeds t }.
-    Residuals are certified against 1e-10 * t.
+    bisection safeguard (:func:`_solve_travel_time`) converges for every
+    radius in the propagation region
+    Omega_c(t) = { r : travel time at lam_lo exceeds t }.  On a cone of at
+    least ``_SEED_MIN_CONE`` distinct radii the iteration first runs on
+    every ``_SEED_STRIDE``-th of them in increasing order, plus the
+    largest.  If that subset needed a Newton step, the full solve starts
+    from the package's :class:`geometry.CubicSpline` through it, else
+    from the free guess (a constant q1, as on preset A, needs none).
+    Residuals are certified at every cone radius against 1e-10 * t.
+    The radii may come in any order.
     """
     prof = model.ends[end]
     lam0 = prof.lambda0
@@ -248,28 +299,17 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
         rs2 = rs[cone]
         if rs2.size:
             half, q1_gl = half_all[cone], q1_all[cone]
-            lam = np.maximum(lam0 + (rs2 - r1) ** 2 / (2.0 * t**2), lam_lo)
-            lo = np.full(rs2.shape, lam_lo)
-            # grow the upper bracket until the travel time drops below t
-            hi = np.maximum(2.0 * lam - lam0, lam_lo + 1e-6)
-            for _ in range(_MAX_ITER):
-                need = _travel_time(half, q1_gl, hi) >= t
-                if not np.any(need):
-                    break
-                hi[need] = lam0 + 2.0 * (hi[need] - lam0)
-            for _ in range(_MAX_ITER):
-                T = _travel_time(half, q1_gl, lam)
-                F = T - t
-                lo = np.where(F > 0, np.maximum(lo, lam), lo)
-                hi = np.where(F < 0, np.minimum(hi, lam), hi)
-                if np.all(np.abs(F) <= _RTOL * t):
-                    break
-                dT = -_travel_time(half, q1_gl, lam, power=-1.5)
-                lam_new = lam - F / dT
-                bad = (lam_new <= lo) | (lam_new >= hi) | ~np.isfinite(lam_new)
-                lam_new[bad] = 0.5 * (lo[bad] + hi[bad])
-                lam = lam_new
-            T = _travel_time(half, q1_gl, lam)
+            seed = None
+            # the first index of each distinct radius, in increasing order
+            _, first = np.unique(rs2, return_index=True)
+            if first.size >= _SEED_MIN_CONE:
+                sub = np.append(first[:-1:_SEED_STRIDE], first[-1])
+                lam_s, _, steps = _solve_travel_time(
+                    half[sub], q1_gl[sub], rs2[sub], t, r1, lam0, lam_lo)
+                if steps:
+                    seed = CubicSpline(rs2[sub], lam_s)(rs2)
+            lam, T, _ = _solve_travel_time(half, q1_gl, rs2, t, r1, lam0,
+                                           lam_lo, seed)
             b_r = np.sqrt(2.0 * (lam - prof.q1(rs2)))
             denom = _travel_time(half, q1_gl, lam, power=-1.5)
             idx = np.where(mask)[0][cone]
@@ -443,27 +483,46 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
     ``wts`` (one row of the result per column) at the radii with
     eta_lambda > 0; the other radii are left at 0.
 
+    Both paths below write e^{i sign b_lam s}, for an offset s within a
+    block, as the carrier e^{i sign b_c s}, b_c the middle of the b range,
+    times e^{i sign (b_lam - b_c) s}, which is interpolated in s on P
+    Chebyshev-Lobatto nodes (accepted by the rule of
+    :func:`_lobatto_samples` with ``_PHASE_TOL``, capped at the block's
+    size): the lam contraction runs against P columns and one
+    (. x P)(P x block) product restores the offsets.  A block's length L
+    keeps the phase budget (b_max - b_min) L within ``_BLOCK_PHASE``.
+
     The radii with eta_lambda = 1, in the given order, form the run
     r_k ~ r_s + k delta, split into blocks k = K J + j whose offsets
-    s = j delta span L = (J - 1)|delta| with (b_max - b_min) L within
-    ``_BLOCK_PHASE`` (b over the lam nodes).  A radius joins the matrix
-    products only if b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad; every
-    other radius with eta_lambda > 0 is summed directly.  On a block
-    e^{i sign b_lam s} is the carrier e^{i sign b_c s}, b_c the middle of
-    the b range, times e^{i sign (b_lam - b_c) s}, which is interpolated
-    in s on P Chebyshev-Lobatto nodes (accepted by the rule of
-    :func:`_lobatto_samples` with ``_PHASE_TOL``): the lam contraction
-    runs against P columns and one (. x P)(P x J) product restores the
-    offsets.  Short blocks, where the levels reach J, keep the J columns.
+    s = j delta are shared, and so are their P node columns.  A radius
+    joins the run only if b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad.
+    Every other radius with eta_lambda > 0 (the cutoff ramp, and radii
+    off the run's spacing) is sorted by E and split into spans with
+    offsets s = E - E_a from the span's first E_a, interpolated in
+    y = 2 s / L - 1 on nodes of their own.  Where the levels reach the
+    block's size (short blocks, or a span of length 0) the run keeps its
+    J offset columns and a span the exact sum over its radii.
     """
     n_lam, n_col = wts.shape
     out = np.zeros((n_col, r.size), dtype=complex)
-    direct = eta_r > 0.0
+    if not n_lam:
+        return out
+    off_run = eta_r > 0.0
     run = np.flatnonzero(eta_r == 1.0)
-    if run.size >= 2 and n_lam:
+    b_min, b_max = float(np.min(b_lam)), float(np.max(b_lam))
+    b_c = 0.5 * (b_max + b_min)
+    db = sign * (b_lam - b_c)
+
+    def offset_nodes(length, cap):
+        """The offset factor at the nodes of s = length (1 + y) / 2, one
+        row per node, or None at the rank cap."""
+        return _lobatto_samples(
+            lambda y: np.exp(1j * np.outer(0.5 * length * (1.0 + y), db)), cap,
+            _PHASE_TOL)
+
+    if run.size >= 2:
         n_run = run.size
         delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
-        b_min, b_max = float(np.min(b_lam)), float(np.max(b_lam))
         # phase spread of the offset factor per step of the run
         spread = (b_max - b_min) * abs(delta)
         if spread * (n_run - 1) <= _BLOCK_PHASE:
@@ -476,10 +535,8 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
         on_run = b_hi * np.abs(dev) <= 1e-12
         coarse = np.exp(1j * sign * np.outer(b_lam, e_of_r[run[::J]]))
         # offset factor at the offsets s = delta j of a block, y in [-1, 1]
-        b_c, s = 0.5 * (b_max + b_min), delta * np.arange(J)
-        db = sign * (b_lam - b_c)
-        nodes = _lobatto_samples(
-            lambda y: np.exp(1j * np.outer(0.5 * s[-1] * (1.0 + y), db)), J, _PHASE_TOL)
+        s = delta * np.arange(J)
+        nodes = offset_nodes(s[-1], J)
         if nodes is None:
             offs, basis = np.exp(1j * sign * np.outer(b_lam, s)), None
         else:
@@ -497,10 +554,31 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
                 prod = prod @ basis
             prod = prod.reshape(-1, coarse.shape[1] * J)[:, :n_run]
             out[c, run[on_run]] = prod[:, on_run]
-            del prod  # before the next block, or the direct sums, allocate
-        direct[run[on_run]] = False
-    cols = np.flatnonzero(direct)
-    step = max(1, _BLOCK // max(n_lam, 1))
+            del prod  # before the next block, or the spans, allocate
+        off_run[run[on_run]] = False
+
+    cols = np.flatnonzero(off_run)
+    cols = cols[np.argsort(e_of_r[cols], kind="stable")]
+    e = e_of_r[cols]
+    max_len = _BLOCK_PHASE / (b_max - b_min) if b_max > b_min else np.inf
+    exact = []
+    i0 = 0
+    while i0 < cols.size:
+        i1 = int(np.searchsorted(e, e[i0] + max_len, side="right"))
+        c, s = cols[i0:i1], e[i0:i1] - e[i0]
+        length = s[-1]
+        nodes = offset_nodes(length, c.size) if length > 0.0 else None
+        if nodes is None:
+            exact.append(c)
+        else:
+            g = wts * np.exp(1j * sign * b_lam * e[i0])[:, None]
+            basis = (_lobatto_basis(nodes.shape[0], 2.0 * s / length - 1.0)
+                     * np.exp(1j * sign * b_c * s)[:, None])
+            out[:, c] = (nodes @ g).T @ basis.T
+        i0 = i1
+    # the rank-cap fallback: the sum at each radius
+    cols = np.concatenate(exact) if exact else cols[:0]
+    step = max(1, _BLOCK // n_lam)
     for i0 in range(0, cols.size, step):
         c = cols[i0:i0 + step]
         out[:, c] = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))

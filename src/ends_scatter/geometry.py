@@ -82,18 +82,29 @@ def bump(x, center: float = 0.0, width: float = 1.0):
 
 
 def smooth_step(u):
-    """C-infinity monotone step: 0 for u <= 0, 1 for u >= 1."""
+    """C-infinity monotone step: 0 for u <= 0, 1 for u >= 1.
+
+    The ratio a / (a + b + 1e-300) of the bump pieces a = e^{-1/u} and
+    b = e^{-1/(1-u)} is evaluated on the ramp 0 < u < 1 only.  Elsewhere it
+    is exactly 0 (u <= 0 and NaN: a = 0) or exactly 1 (u >= 1: b = 0 and
+    a >= e^-1 absorbs the 1e-300), and those values are filled in.  A
+    scalar gives a numpy scalar."""
     u = np.asarray(u, dtype=float)
-    a = _bump_piece(u)
-    b = _bump_piece(1.0 - u)
-    return a / (a + b + 1e-300)
+    out = np.zeros_like(u)
+    out[u >= 1.0] = 1.0
+    ramp = (u > 0.0) & (u < 1.0)
+    a = _bump_piece(u[ramp])
+    b = _bump_piece(1.0 - u[ramp])
+    out[ramp] = a / (a + b + 1e-300)
+    return out[()]
 
 
 def eta(r, scale):
     """End-region cutoff eta(r) = 1 - chi(2 r / scale), with the smooth
     decreasing chi(t) = 1 - smooth_step(t - 1): 0 for r <= scale/2, 1 for
     r >= scale.  ``scale = r0`` gives the cutoff of the tails,
-    ``scale = r_lambda`` its spectral variant eta_lambda.
+    ``scale = r_lambda`` its spectral variant eta_lambda.  The exponentials
+    of :func:`smooth_step` are taken on the ramp scale/2 < r < scale only.
 
     The two subtractions stay as written: in floating point 1 - (1 - s)
     is not s.

@@ -47,6 +47,20 @@ def test_oracle_subcommand(tmp_path):
     for pt in rep["points"]:
         assert pt["flux_defect"] < 1e-9
         assert abs(pt["abs_t"] ** 2 + pt["abs_r"] ** 2 - 1.0) < 1e-9
+    assert rep["worst_flux_defect"] == max(pt["flux_defect"] for pt in rep["points"])
+    assert rep["tol_s"] == 1e-6 and rep["converged"] is True
+
+
+def test_oracle_verdict_reads_the_flux_defect(tmp_path, monkeypatch):
+    """A flux defect above [run] tol_s is non-convergence (exit 3)."""
+    def leaky(kind, lam, v0=0.0, half_width=0.0):
+        return {"t": 0.8 + 0.0j, "r": 0.6j, "flux_defect": 1e-3}
+    monkeypatch.setattr(cli, "closed_form_scattering", leaky)
+    code, rep = run(["oracle", "--preset", "A", "--lambda-grid", "0.5:2.0:4"],
+                    tmp_path, "oracle")
+    assert code == 3
+    assert rep["converged"] is False
+    assert rep["worst_flux_defect"] == 1e-3 and rep["tol_s"] == 1e-6
 
 
 def test_missing_model_source_is_config_error(tmp_path, capsys):

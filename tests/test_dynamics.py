@@ -100,7 +100,7 @@ def test_comparison_state_matches_reference(preset, sign):
     """The factored (A) and low-rank (C) frequency quadratures against the
     node-by-node sum, on the radii the callers use: the dynamics grid,
     the lab-grid nodes of both ends (end 1 descends) and a non-uniform
-    set, which the factored sum must hand to its direct fallback.  C at
+    set, which the factored sum must hand to its spans in E.  C at
     t = 160 needs more than the first 9 interpolation nodes in lam: that
     level alone is off by more than 1e-4 there."""
     model = {"A": model_a, "C": model_c}[preset]()
@@ -146,14 +146,18 @@ def test_comparison_state_does_not_depend_on_radius_order():
 
 @pytest.mark.parametrize("n_col", [1, 33])
 @pytest.mark.parametrize("sign", [+1, -1])
-@pytest.mark.parametrize("layout", ["ascending", "descending", "broken", "short"])
+@pytest.mark.parametrize("layout", ["ascending", "descending", "broken", "short",
+                                    "long ramp"])
 def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
     """The offset-basis sums against the node-by-node sum on a run of
-    about seven offset blocks, behind a cutoff ramp (0 < eta < 1, summed
-    directly) and a radius with eta = 0 (left at 0).  'broken' moves one
-    radius off the run's spacing: it and the block it starts go to the
-    direct fallback.  'short' keeps a run of 12 radii, one block too
-    short for the levels, which keeps its offset columns."""
+    about seven offset blocks, behind a cutoff ramp (0 < eta < 1: one
+    span in E, which is too short for the levels and keeps the exact sum)
+    and a radius with eta = 0 (left at 0).  'broken' moves one radius off
+    the run's spacing, which sends it to the spans.
+    'short' keeps a run of 12 radii, one block too short for the levels,
+    which keeps its offset columns.  'long ramp' puts 1200 radii on the
+    ramp, whose E-length 120 times the b spread 0.49 is about four times
+    ``_BLOCK_PHASE``: it splits into spans with nodes of their own."""
     rng = np.random.default_rng(7)
     lam = np.linspace(0.3, 0.8, 301)
     b_lam = np.sqrt(2.0 * lam)
@@ -166,6 +170,8 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
         r[700] += 1e-3
     if layout == "short":
         r, eta_r = r[:32], eta_r[:32]
+    if layout == "long ramp":
+        eta_r[:1200] = np.linspace(0.0, 1.0, 1201)[:-1]
     e_of_r = r - 1.5
     wts = (rng.standard_normal((lam.size, n_col))
            + 1j * rng.standard_normal((lam.size, n_col)))
@@ -175,6 +181,62 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
     ref[:, eta_r == 0.0] = 0.0
     bound = 1e-13 * np.sum(np.abs(wts), axis=0)
     assert np.all(np.max(np.abs(got - ref), axis=1) <= bound)
+
+
+@pytest.mark.parametrize("preset", ["A", "C"])
+@pytest.mark.parametrize("t", [10.0, 320.0])
+def test_seeded_stationary_point_matches_the_plain_solve(monkeypatch, preset, t):
+    """The Newton solve started from the spline through the coarse subset
+    against the solve from the free guess (seeding disabled), on the
+    dynamics grid ascending and reversed.  On A the subset needs no Newton
+    step and the free guess is kept, so the results are the same bits.  On
+    C at t = 10 the cone (about 940 radii) is below ``_SEED_MIN_CONE`` and
+    both are the plain solve; at t = 320 (about 13 900) the seed is used."""
+    model = {"A": model_a, "C": model_c}[preset]()
+    r1 = model.r_lambda(0.3)
+    r = dynamics_grid(model, t, 0.8, r1=r1)
+    lam_c = []
+    for radii in (r, r[::-1]):
+        seeded = stationary_point(model, 0, t, radii, 0.3, r1=r1)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_SEED_MIN_CONE", np.inf)
+            plain = stationary_point(model, 0, t, radii, 0.3, r1=r1)
+        assert seeded.diag["residual_ok"] and plain.diag["residual_ok"]
+        assert np.array_equal(seeded.mask, plain.mask)
+        msk = plain.mask
+        if preset == "A":
+            assert np.array_equal(seeded.lam_c[msk], plain.lam_c[msk])
+            assert np.array_equal(seeded.dlam_dr[msk], plain.dlam_dr[msk])
+        else:
+            rel = np.abs(seeded.lam_c[msk] / plain.lam_c[msk] - 1.0)
+            assert np.max(rel) <= 1e-14
+        lam_c.append(seeded.lam_c)
+    assert np.array_equal(lam_c[1][::-1], lam_c[0], equal_nan=True)
+
+
+def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
+    """On C at t = 320 the seed leaves one Newton step: besides the cone
+    test over every radius beyond r1, five travel-time sums over the cone
+    (bracket, T, dT, T, and dlam/dr's denominator), where the free guess
+    needs eleven."""
+    model = model_c()
+    r1 = model.r_lambda(0.3)
+    r = dynamics_grid(model, 320.0, 0.8, r1=r1)
+    sizes = []
+    travel_time = dynamics._travel_time
+
+    def counted(half, *args, **kw):
+        sizes.append(half.size)
+        return travel_time(half, *args, **kw)
+
+    monkeypatch.setattr(dynamics, "_travel_time", counted)
+    sf = stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
+    cone = int(np.sum(sf.mask))
+    assert sizes.count(cone) == 5 and sizes.count(int(np.sum(r > r1))) == 1
+    sizes.clear()
+    monkeypatch.setattr(dynamics, "_SEED_MIN_CONE", np.inf)
+    stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
+    assert sizes.count(cone) == 11
 
 
 def _run_in_reference(model, sf):

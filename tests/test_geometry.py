@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel, bump,
-                                   classify_potential, critical_energy,
+from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel,
+                                   _bump_piece, bump, classify_potential, critical_energy,
                                    cumulative_trapezoid, eta, numeric_derivative,
                                    phase_b, phase_integral, riccati_residual,
                                    smooth_step, tail_q1)
@@ -40,6 +40,33 @@ def test_eta_support(r, scale):
 def test_eta_monotone():
     r = np.linspace(0.0, 10.0, 2001)
     assert np.all(np.diff(eta(r, 4.0)) >= -1e-12)
+
+
+def _two_piece_step(u):
+    """The cutoff's formula with both bump pieces taken at every point."""
+    u = np.asarray(u, dtype=float)
+    a = _bump_piece(u)
+    b = _bump_piece(1.0 - u)
+    return a / (a + b + 1e-300)
+
+
+def test_cutoff_is_the_two_piece_formula_bit_for_bit():
+    """smooth_step fills the exact 0 and 1 off its ramp; that must give
+    the bits of the formula everywhere, NaN, signed zero and the edges of
+    the pieces' 1e-12 floor included, and the same types."""
+    edges = np.array([0.0, -0.0, 1e-12, 2e-12, 1.0 - 1e-12, 1.0, np.inf,
+                      -np.inf, np.nan])
+    for u in (np.linspace(-3.0, 3.0, 10**6), edges, edges.reshape(3, 3)):
+        bits = _two_piece_step(u).view(np.int64)
+        assert np.array_equal(smooth_step(u).view(np.int64), bits)
+        scale = 4.0
+        r = 0.5 * scale * (u + 1.0)
+        ref = 1.0 - (1.0 - _two_piece_step(2.0 * r / scale - 1.0))
+        assert np.array_equal(eta(r, scale).view(np.int64), ref.view(np.int64))
+    for u in (0.5, 2.0, -1.0, np.array(0.5), np.float64(0.5)):
+        assert type(smooth_step(u)) is type(_two_piece_step(u)) is np.float64
+        assert type(eta(u, 4.0)) is np.float64
+    assert type(smooth_step([0.5])) is np.ndarray
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 3.0))

@@ -151,11 +151,14 @@ def test_stationary_subcommands_load_no_scipy_subpackage(tmp_path):
 @pytest.mark.parametrize("argv, code, allowed", [
     # the spectral profile's spline is the package's own
     (["dynamics", "--preset", "A", "--t-grid", "10,20"], 0, []),
+    # so is the spline that seeds stationary_point's Newton solve on the
+    # Dollard end (at t = 40 the cone is large enough to be seeded)
+    (["dynamics", "--preset", "C", "--t-grid", "10,40"], 0, []),
     (["model-check", "--config", "{table}"], 0, []),
     # the propagator's band LU and triangular solves; t = 20 is too early
     # for the increments to reach tol_w
     (["waveop", "--preset", "A", "--t-grid", "10,20"], 3, ["linalg"]),
-], ids=["dynamics", "table-profile", "waveop"])
+], ids=["dynamics", "dynamics-C", "table-profile", "waveop"])
 def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code,
                                                  allowed):
     table = tmp_path / "prof.csv"
