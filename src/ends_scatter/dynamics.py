@@ -221,6 +221,41 @@ def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray,
     return half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
 
 
+def _cone(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
+          t: float, lam_lo: float) -> np.ndarray:
+    """The propagation cone over the radii ``rs`` > r1: the mask of
+    travel time at lam_lo > t, each radius tested as one row of
+    :func:`_travel_time`.  The travel time grows with r, so the cone is
+    every radius from the first one inside on.  That edge is found by
+    testing about every sqrt(n)-th distinct radius (and the largest),
+    then the radii between the last one outside and the first one inside,
+    so q1 is sampled on about 2 sqrt(n) rows.  Where the tested rows are
+    not outside up to one radius and inside from it (a travel time that
+    is not finite and increasing), every radius is tested."""
+    def inside(rr):
+        half, q1_gl = _gauss_q1(model, end, rr, r1)
+        return _travel_time(half, q1_gl, np.full(rr.shape, lam_lo)) > t
+
+    def edge(flags):
+        """Index of the first True of a mask that is False then True."""
+        k = int(np.argmax(flags)) if flags.any() else flags.size
+        return k if flags[k:].all() else None
+
+    radii = np.unique(rs)
+    stride = max(1, math.isqrt(radii.size))
+    probe = np.append(np.arange(0, radii.size - 1, stride), radii.size - 1)
+    k = edge(inside(radii[probe]))
+    if k is not None:
+        # the edge is in (probe[k - 1], probe[k]], or past the largest radius
+        lo = probe[k - 1] + 1 if k else 0
+        hi = probe[k] if k < probe.size else radii.size
+        j = edge(inside(radii[lo:hi])) if hi > lo else 0
+        k = None if j is None else lo + j
+    if k is None:
+        return inside(rs)
+    return rs >= (radii[k] if k < radii.size else np.inf)
+
+
 def default_r1(model: ManifoldModel, lam_lo: float) -> float:
     """Anchor radius for the eikonal: the spectral cutoff radius of the
     lowest window energy (r_lambda is non-increasing in lam)."""
@@ -293,12 +328,11 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
     half = q1_gl = None
 
     if rs.size:
-        # q1 at the Gauss nodes does not depend on lam: sample it once
-        half_all, q1_all = _gauss_q1(model, end, rs, r1)
-        cone = _travel_time(half_all, q1_all, np.full(rs.shape, lam_lo)) > t
+        cone = _cone(model, end, rs, r1, t, lam_lo)
         rs2 = rs[cone]
         if rs2.size:
-            half, q1_gl = half_all[cone], q1_all[cone]
+            # q1 at the Gauss nodes does not depend on lam: sample it once
+            half, q1_gl = _gauss_q1(model, end, rs2, r1)
             seed = None
             # the first index of each distinct radius, in increasing order
             _, first = np.unique(rs2, return_index=True)

@@ -3,11 +3,13 @@
 The reduced operator H_m acts on the doubly-infinite line coordinate; the
 propagator e^{-itH} is realized by unconditionally stable implicit
 stepping (the fourth-order diagonal Pade (2,2) step as two Cayley-type
-factors, each a pivot-free banded LU reused across steps).  The step's
-triangular band solves are BLAS ``ztbsv``, the same OpenBLAS routine that
-``scipy.linalg.blas`` wraps, called through the function table of
-``scipy.linalg.cython_blas`` by ``ctypes``, which releases the GIL for
-the call: steps on several threads run on several cores.  On top of it sit
+factors, each a pivot-free banded LU reused across steps).  The steps run
+in the C kernel ``_pade.c``: per factor one forward and one backward band
+sweep, with the vector updates folded into them, and all the steps of an
+evolution in one foreign call.  The first Propagator of a process
+compiles it with the C compiler ``cc`` and loads it by ``ctypes``, which
+releases the GIL for the call: steps on several threads run on several
+cores.  On top of it sit
 
   * wave_operator: Cauchy increments of e^{itH} U_0^+(t) h, evaluated as
     ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity, concurrently on a
@@ -24,6 +26,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,62 +72,66 @@ class EvolutionConfig:
 
 _PADE_ROOTS = (-3.0 + 1j * math.sqrt(3.0), -3.0 - 1j * math.sqrt(3.0))
 
-# the C signature that scipy.linalg.cython_blas exports for ztbsv
-_ZTBSV_SIGNATURE = (b"void (char *, char *, char *, int *, int *, "
-                    b"__pyx_t_double_complex *, int *, "
-                    b"__pyx_t_double_complex *, int *)")
+# the compiler that builds the step kernel, on the first Propagator
+_CC = "cc"
 
 
 @functools.cache
-def _ztbsv_function():
-    """``solve(uplo, n, k, band, x)``: BLAS ztbsv on a unit triangular
-    band at address ``band`` (leading dimension k + 1) and a contiguous
-    vector at ``x``, taken from the function table that
-    ``scipy.linalg.cython_blas`` exports and called by ctypes, which
-    releases the GIL while it runs.  Loaded on first use, not at import."""
+def _pade_kernel():
+    """``pade_steps`` of ``_pade.c``, compiled by ``cc -O2
+    -ffp-contract=off`` into a temporary directory, loaded by ctypes
+    (whose foreign calls release the GIL) and the directory removed.
+    Built once per process, when the first Propagator is made: never at
+    import, and never by the stationary subcommands."""
     import ctypes
+    import subprocess
+    import tempfile
 
-    from scipy.linalg import cython_blas
-
-    capsule = cython_blas.__pyx_capi__["ztbsv"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                    ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
-    if name != _ZTBSV_SIGNATURE:
-        raise ImportError(f"unexpected cython_blas ztbsv signature {name!r}")
-    intp = ctypes.POINTER(ctypes.c_int)
-    proto = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p,
-                             ctypes.c_char_p, intp, intp, ctypes.c_void_p,
-                             intp, ctypes.c_void_p, intp)
-    ztbsv = proto(get_pointer(capsule, name))
-    c_int, ref = ctypes.c_int, ctypes.byref
-
-    def solve(uplo: bytes, n: int, k: int, band: int, x: int) -> None:
-        ztbsv(uplo, b"N", b"U", ref(c_int(n)), ref(c_int(k)), band,
-              ref(c_int(k + 1)), x, ref(c_int(1)))
-
-    return solve
+    source = Path(__file__).with_name("_pade.c")
+    with tempfile.TemporaryDirectory(prefix="ends_scatter-") as tmp:
+        lib = os.path.join(tmp, "_pade.so")
+        cmd = [_CC, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+               "-o", lib, str(source)]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except FileNotFoundError:
+            raise RuntimeError(
+                f"the propagator compiles its step kernel {source.name} "
+                f"with the C compiler {_CC!r}, which was not found") from None
+        if proc.returncode != 0:
+            raise RuntimeError(f"{_CC!r} failed to compile {source.name}: "
+                               f"{proc.stderr.strip()}")
+        steps = ctypes.CDLL(lib).pade_steps
+    steps.argtypes = ([ctypes.c_int64, ctypes.c_int64]
+                      + [ctypes.c_void_p] * 8)
+    steps.restype = None
+    return steps
 
 
-def _ztbsv(band: np.ndarray, x: np.ndarray, lower: bool) -> None:
-    """x <- T^-1 x in place, T the unit triangular band matrix stored in
-    ``band`` (LAPACK band layout, band.shape[0] - 1 off-diagonals, the
-    diagonal row not read).  BLAS checks no argument, so the arrays are
-    checked here: a wrong layout or length would corrupt memory."""
-    if not (band.ndim == 2 and band.shape[0] >= 1
-            and band.dtype == np.complex128 and band.flags.f_contiguous):
-        raise ValueError("band factor must be a Fortran-ordered 2-d "
-                         "complex128 array with a diagonal row")
-    k1, n = band.shape
+def _pade_steps(factors, x: np.ndarray, n_steps: int) -> None:
+    """``n_steps`` Pade steps of x in place by the compiled kernel, one
+    (lower, upper, gain) factor after the other.  The kernel checks no
+    argument, so the arrays are checked here: a wrong layout or length
+    would corrupt memory."""
+    pointers = []
+    n = factors[0][0].shape[-1]
+    for lower, upper, gain in factors:
+        for band in (lower, upper):
+            if not (band.shape == (3, n) and band.dtype == np.complex128
+                    and band.flags.f_contiguous):
+                raise ValueError(f"band factor must be a Fortran-ordered "
+                                 f"complex128 array of shape (3, {n})")
+        if not (gain.shape == (n,) and gain.dtype == np.complex128
+                and gain.flags.c_contiguous):
+            raise ValueError(f"gain must be a contiguous complex128 vector "
+                             f"of length {n}")
+        pointers += [lower.ctypes.data, upper.ctypes.data, gain.ctypes.data]
     if not (x.dtype == np.complex128 and x.flags.c_contiguous
             and x.flags.writeable and x.shape == (n,)):
         raise ValueError(f"state must be a writeable contiguous complex128 "
                          f"vector of length {n}, got {x.dtype} {x.shape}")
-    _ztbsv_function()(b"L" if lower else b"U", n, k1 - 1, band.ctypes.data,
-                      x.ctypes.data)
+    work = np.empty_like(x)
+    _pade_kernel()(n, n_steps, *pointers, x.ctypes.data, work.ctypes.data)
 
 
 class Propagator:
@@ -137,15 +144,19 @@ class Propagator:
 
     The factors are read-only after construction, so one Propagator may
     step several states on several threads at once: each ``step`` call
-    owns its state and work vector, and its band solves run without the
-    GIL.  The results are bit for bit those of ``scipy.linalg.blas.ztbsv``.
+    owns its state and work vector, and the compiled kernel that runs its
+    steps holds no GIL.
     """
 
     def __init__(self, op: ModeOperator, dt: float):
         from scipy.linalg import lapack
 
+        # the kernel's band width is two: a three-point H gets zero second
+        # off-diagonals, which stay zero in its LU and change no solve
         banded = op.banded()
-        k = banded.shape[0] // 2
+        if banded.shape[0] == 3:
+            banded = np.pad(banded, ((1, 1), (0, 0)))
+        k = 2
         n = banded.shape[1]
         # entry (i, j) times 4^(j - i) is S A S^-1, S = diag(4^-i): exact, it
         # keeps the unpivoted LU up to S and divides the multipliers gbtrf's
@@ -166,20 +177,12 @@ class Propagator:
             self._factors.append((lower, upper, 2.0 * beta / d))
         self.dt = dt
         self.op = op
+        # built in the constructing thread: pool workers only call it
+        _pade_kernel()
 
     def step(self, psi: np.ndarray, n: int = 1) -> np.ndarray:
         out = np.array(psi, dtype=complex)
-        work = np.empty_like(out)
-        for _ in range(n):
-            for lower, upper, gain in self._factors:
-                # the 1e-250 floor keeps the solves' evanescent tails normal:
-                # without it, 30 steps from a compact packet on 28 211 nodes
-                # left 23 899 subnormal entries and a step took 24x as long
-                np.add(out, 1e-250, out=work)
-                _ztbsv(lower, work, lower=True)
-                _ztbsv(upper, work, lower=False)
-                np.multiply(gain, work, out=work)
-                out += work
+        _pade_steps(self._factors, out, n)
         return out
 
 
@@ -205,18 +208,29 @@ def _propagate(prop: Propagator, psi: np.ndarray, t: float,
     return out, {"steps": n_steps, "norm_drift": drift}
 
 
+class _Evolutions:
+    """``self(psi, t)`` is evolve(op, psi, t, cfg), with one factorization
+    per distinct step size over all the calls: ``factor(dt)``."""
+
+    def __init__(self, op: ModeOperator, cfg: EvolutionConfig):
+        cfg.validate(op)
+        self.cfg = cfg
+        self.factor = functools.cache(functools.partial(Propagator, op))
+
+    def __call__(self, psi: np.ndarray, t: float) -> Tuple[np.ndarray, dict]:
+        psi = np.asarray(psi, dtype=complex)
+        if t == 0.0:
+            return psi.copy(), {"steps": 0, "norm_drift": 0.0}
+        n_steps, dt = _step_plan(t, self.cfg)
+        return _propagate(self.factor(dt), psi, t, n_steps)
+
+
 def evolve(op: ModeOperator, psi: np.ndarray, t: float,
            cfg: Optional[EvolutionConfig] = None) -> Tuple[np.ndarray, dict]:
     """e^{-itH} psi (t < 0 propagates backwards).  Returns (state, diag);
     raises if the norm grows by more than 1e-3 (instability) or drifts by
     more than 1e-6 per unit time."""
-    cfg = cfg or EvolutionConfig()
-    cfg.validate(op)
-    psi = np.asarray(psi, dtype=complex)
-    if t == 0.0:
-        return psi.copy(), {"steps": 0, "norm_drift": 0.0}
-    n_steps, dt = _step_plan(t, cfg)
-    return _propagate(Propagator(op, dt), psi, t, n_steps)
+    return _Evolutions(op, cfg or EvolutionConfig())(psi, t)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +288,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         raise ValueError("t_grid must be strictly increasing")
     if dynamics != "exact":
         raise ValueError("dynamics must be 'exact'")
-    cfg.validate(op)
+    run = _Evolutions(op, cfg)
     grid = op.grid
 
     # evaluate the free states directly at the grid nodes: interpolating
@@ -290,16 +304,16 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
 
     states = [free_state(t) for t in t_grid]
 
-    # e^{sign * i (t2 - t1) H} = evolution over -sign*(t2-t1); factored
-    # here, before any worker starts, so the workers only read the factors
-    factor = functools.cache(functools.partial(Propagator, op))
+    # e^{sign * i (t2 - t1) H} = evolution over -sign*(t2-t1); each step
+    # size is factored here, before any worker starts, so that the
+    # workers only read the factors
     moves = [-sign * (t2 - t1) for t1, t2 in zip(t_grid, t_grid[1:])]
-    plans = [_step_plan(t, cfg) for t in moves]
-    props = [factor(dt) for _, dt in plans]
+    for t in moves:
+        run.factor(_step_plan(t, cfg)[1])
     last = len(moves) - 1
 
     def increment(k):
-        moved, _ = _propagate(props[k], states[k + 1], moves[k], plans[k][0])
+        moved, _ = run(states[k + 1], moves[k])
         norm = float(grid.norm(moved - states[k]))
         return norm, (moved if k == last else None)
 
@@ -320,13 +334,8 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         "converged": bool(converged),
     }
     if estimate:
-        # moved = e^{sign * i (t_N - t_{N-1}) H} U(t_N) h; over t_{N-1} = 0
-        # it is the estimate already, as evolve's zero-time copy would be
-        t = -sign * t_grid[-2]
-        if t != 0.0:
-            n_steps, dt = _step_plan(t, cfg)
-            moved, _ = _propagate(factor(dt), moved, t, n_steps)
-        out["estimate"] = moved
+        # moved = e^{sign * i (t_N - t_{N-1}) H} U(t_N) h
+        out["estimate"], _ = run(moved, -sign * t_grid[-2])
     return out
 
 
@@ -384,15 +393,21 @@ def end_projection(op: ModeOperator, psi: np.ndarray, end: int,
                    cfg: Optional[EvolutionConfig] = None) -> dict:
     """Dynamical estimate of ||P_end^+ psi||: evolve forward and record
     the end-region mass until it stabilizes over the probe times."""
-    cfg = cfg or EvolutionConfig()
+    return _end_projection(_Evolutions(op, cfg or EvolutionConfig()),
+                           op.grid, psi, end, t_probe, r_min)
+
+
+def _end_projection(run, grid: RadialGrid, psi: np.ndarray, end: int,
+                    t_probe: Sequence[float], r_min: float) -> dict:
+    """end_projection with the evolutions of ``run`` (an _Evolutions)."""
     t_probe = [float(t) for t in t_probe]
     masses = []
     state = np.asarray(psi, dtype=complex)
     t_prev = 0.0
     for t in t_probe:
-        state, _ = evolve(op, state, t - t_prev, cfg)
+        state, _ = run(state, t - t_prev)
         t_prev = t
-        masses.append(end_mass(op.grid, state, end, r_min))
+        masses.append(end_mass(grid, state, end, r_min))
     stab = abs(masses[-1] - masses[-2]) / max(masses[-1], 1e-300) \
         if len(masses) > 1 else np.inf
     return {"masses": masses, "t_probe": t_probe, "mass": masses[-1],
@@ -410,18 +425,19 @@ def transmission_experiment(op: ModeOperator, model: ManifoldModel,
     ||S_{ij} h||^2 = (2 pi)^{-1} int |S_ij(lam)|^2 |h(lam)|^2 dlam.
 
     ``s_abs(lam)`` must return |S_{end_to, h.end}(lam)| (vectorized).
-    Verdict ``nonzero`` requires agreement within a factor of two.
+    Verdict ``nonzero`` requires agreement within a factor of two.  The
+    preparation and the probes share one factorization per step size.
     """
     if end_to == h.end:
         raise ValueError("transmission requires distinct source/target ends")
-    cfg = cfg or EvolutionConfig()
+    run = _Evolutions(op, cfg or EvolutionConfig())
     grid = op.grid
 
     r, u_in, _ = leading_term(model, h, t_prepare, sign=-1)
     psi0 = embed_end_state(grid, h.end, r, u_in)
-    psi, _ = evolve(op, psi0, t_prepare, cfg)    # psi ~ W^- h at time 0
+    psi, _ = run(psi0, t_prepare)    # psi ~ W^- h at time 0
 
-    proj = end_projection(op, psi, end_to, t_probe, r_min=model.r0, cfg=cfg)
+    proj = _end_projection(run, grid, psi, end_to, t_probe, r_min=model.r0)
 
     lam = np.linspace(h.lam_lo, h.lam_hi, 513)
     hv = np.abs(h(lam)) ** 2

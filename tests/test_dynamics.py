@@ -216,9 +216,9 @@ def test_seeded_stationary_point_matches_the_plain_solve(monkeypatch, preset, t)
 
 def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
     """On C at t = 320 the seed leaves one Newton step: besides the cone
-    test over every radius beyond r1, five travel-time sums over the cone
-    (bracket, T, dT, T, and dlam/dr's denominator), where the free guess
-    needs eleven."""
+    search over about 2 sqrt(n) of the n radii beyond r1, five
+    travel-time sums over the cone (bracket, T, dT, T, and dlam/dr's
+    denominator), where the free guess needs eleven."""
     model = model_c()
     r1 = model.r_lambda(0.3)
     r = dynamics_grid(model, 320.0, 0.8, r1=r1)
@@ -232,11 +232,55 @@ def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
     monkeypatch.setattr(dynamics, "_travel_time", counted)
     sf = stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
     cone = int(np.sum(sf.mask))
-    assert sizes.count(cone) == 5 and sizes.count(int(np.sum(r > r1))) == 1
+    assert sizes.count(cone) == 5
+    # the cone search comes first: a probe of the radii, then one bracket
+    assert sum(sizes[:2]) <= 2 * np.sqrt(np.sum(r > r1)) + 1
     sizes.clear()
     monkeypatch.setattr(dynamics, "_SEED_MIN_CONE", np.inf)
     stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
     assert sizes.count(cone) == 11
+
+
+def _elementwise_cone(model, end, rs, r1, t, lam_lo):
+    """The propagation cone by the travel time of every radius."""
+    half, q1_gl = dynamics._gauss_q1(model, end, rs, r1)
+    return dynamics._travel_time(half, q1_gl, np.full(rs.shape, lam_lo)) > t
+
+
+@pytest.mark.parametrize("preset", ["A", "C"])
+def test_cone_search_matches_the_elementwise_test(monkeypatch, preset):
+    """stationary_point finds the cone edge on a few radii and samples q1
+    on the cone only; its mask, lam_c and residual are the same bits as
+    with the cone tested at every radius beyond r1, and its Gauss samples
+    those of every radius, at t = 10 ... 320."""
+    model = {"A": model_a, "C": model_c}[preset]()
+    r1 = model.r_lambda(0.3)
+    for t in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0):
+        r = dynamics_grid(model, t, 0.8, r1=r1)
+        got = stationary_point(model, 0, t, r, 0.3, r1=r1)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_cone", _elementwise_cone)
+            want = stationary_point(model, 0, t, r, 0.3, r1=r1)
+        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.lam_c, want.lam_c, equal_nan=True)
+        assert got.diag["residual"] == want.diag["residual"]
+        half, q1_gl = dynamics._gauss_q1(model, 0, r[r > r1], r1)
+        cone = got.mask[r > r1]
+        assert np.array_equal(got.half, half[cone])
+        assert np.array_equal(got.q1_gl, q1_gl[cone])
+
+
+def test_cone_search_tests_every_radius_where_travel_time_oscillates(
+        monkeypatch):
+    """A travel time that does not grow with r (here a stand-in that
+    oscillates) sends the search back to testing every radius."""
+    model = model_a()
+    r1 = model.r_lambda(0.3)
+    rs = np.linspace(r1 + 0.01, r1 + 400.0, 5000)[::-1]
+    monkeypatch.setattr(dynamics, "_travel_time",
+                        lambda half, q1_gl, lam: 10.0 + 10.0 * np.sin(half))
+    want = 10.0 + 10.0 * np.sin(0.5 * (rs - r1)) > 12.0
+    assert np.array_equal(dynamics._cone(model, 0, rs, r1, 12.0, 0.3), want)
 
 
 def _run_in_reference(model, sf):

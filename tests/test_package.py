@@ -6,7 +6,8 @@ No linter runs on the sources, so two of its checks live here: every
 A third guard keeps each subcommand to the scipy subpackages it needs:
 none for the stationary ones and dynamics, ``linalg`` for the propagator.
 A fourth keeps the reference implementations of ``oracle`` out of the
-computation paths.
+computation paths, and a fifth compiles the propagator's C kernel with
+every warning an error.
 """
 
 import ast
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import ends_scatter
+from ends_scatter import propagator
 
 SRC = Path(ends_scatter.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -169,3 +171,13 @@ def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code,
                    "[ends.2]\nprofile = euclidean\n")
     argv = [arg.format(table=cfg) for arg in argv]
     assert _heavy_scipy_loaded([argv], tmp_path, code) == allowed
+
+
+def test_step_kernel_compiles_without_warnings(tmp_path):
+    """The propagator's C kernel is C99 that the compiler it is built
+    with finds nothing to warn about."""
+    cmd = [propagator._CC, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2",
+           "-ffp-contract=off", "-shared", "-fPIC", "-o",
+           str(tmp_path / "_pade.so"), str(SRC / "_pade.c")]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import spsolve
 
-from ends_scatter.dynamics import SpectralProfile, comparison_state
+from ends_scatter import propagator
+from ends_scatter.dynamics import (SpectralProfile, comparison_state,
+                                   leading_term)
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_d, model_free
-from ends_scatter.propagator import (EvolutionConfig, Propagator, _ztbsv,
+from ends_scatter.propagator import (EvolutionConfig, Propagator, _pade_steps,
                                      embed_end_state, end_mass,
-                                     end_projection, evolve, wave_operator)
+                                     end_projection, evolve,
+                                     transmission_experiment, wave_operator)
 
 
 @pytest.fixture(scope="module")
@@ -202,19 +207,37 @@ def test_wave_operator_estimate_is_one_evolution():
     assert "estimate" not in wave_operator(op, model, h, [10.0, 20.0], cfg=cfg)
 
 
-@pytest.mark.parametrize("lower", [True, False])
-def test_ctypes_ztbsv_matches_scipy_blas(lower):
-    """The GIL-free solve calls the same BLAS routine as
-    scipy.linalg.blas.ztbsv, so the two agree bit for bit."""
-    rng = np.random.default_rng(7)
-    k, n = 2, 500
-    band = np.asfortranarray(0.3 * (rng.standard_normal((k + 1, n))
-                                    + 1j * rng.standard_normal((k + 1, n))))
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = blas.ztbsv(k, band, x.copy(), lower=int(lower), diag=1)
-    got = x.copy()
-    _ztbsv(band, got, lower=lower)
-    assert np.array_equal(got, want)
+def _reference_steps(prop, psi, n):
+    """n steps of ``prop``'s factors, each as scipy's BLAS ztbsv solves
+    and numpy vector passes."""
+    out = np.array(psi, dtype=complex)
+    for _ in range(n):
+        for lower, upper, gain in prop._factors:
+            work = blas.ztbsv(2, lower, out + 1e-250, lower=1, diag=1)
+            work = blas.ztbsv(2, upper, work, lower=0, diag=1)
+            out = out + gain * work
+    return out
+
+
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+@pytest.mark.parametrize("model, grid", [
+    # the size of the wave-operator grid of a t = 160 ladder
+    pytest.param(model_a(), RadialGrid(280.0, 0.02), id="A"),
+    pytest.param(model_d(), RadialGrid(30.0, 0.02), id="D"),
+    # one to five nodes: fewer rows than the band solves' run-in
+    *[pytest.param(model_d(), RadialGrid(0.05 * (n - 1), 0.1), id=f"n{n}")
+      for n in range(1, 6)],
+])
+def test_kernel_matches_ztbsv_reference_step(model, grid, dt):
+    """The compiled steps agree with the same factors applied by BLAS
+    ztbsv to roundoff over 200 steps: on a wave-operator grid of preset
+    A, on preset D (jumps in the potential) and on tiny grids."""
+    prop = Propagator(ModeOperator(model, grid, 0), dt)
+    x = grid.x
+    psi = np.exp(-(x - 0.3 * x.max()) ** 2 + 1j * x) + 0.1j
+    want = _reference_steps(prop, psi, 200)
+    got = prop.step(psi, 200)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def _free_state(op, model, h, t):
@@ -271,24 +294,76 @@ def test_worker_norm_guard_reaches_caller(setup, monkeypatch):
         wave_operator(op, model_a(), h, [2.0, 4.0, 8.0], estimate=True)
 
 
-def test_band_solve_rejects_bad_arrays_before_blas(setup):
-    """BLAS checks no argument, so a factor or state of the wrong layout,
-    dtype or length raises ValueError before the foreign call."""
+def test_step_rejects_bad_arrays_before_the_kernel(setup):
+    """The compiled kernel checks no argument, so a factor or state of the
+    wrong layout, dtype or length raises ValueError before the foreign
+    call."""
     op, psi = setup
     prop = Propagator(op, 0.05)
     with pytest.raises(ValueError, match="length"):
         prop.step(psi[:-1])
-    lower, _, _ = prop._factors[0]
+    with pytest.raises(ValueError, match="state"):
+        prop.step(np.stack([psi, psi]))
+    (lower, upper, gain), second = prop._factors
     x = psi.astype(complex)
     for band in (np.ascontiguousarray(lower), lower.astype(np.complex64),
-                 lower[0], lower[:0]):
-        with pytest.raises(ValueError, match="band factor"):
-            _ztbsv(band, x.copy(), lower=True)
+                 lower[0], lower[:2], lower[:, :-1]):
+        for factor in ((band, upper, gain), (lower, band, gain)):
+            with pytest.raises(ValueError, match="band factor"):
+                _pade_steps([factor, second], x.copy(), 1)
+    for g in (gain[:-1], gain.astype(np.complex64),
+              np.repeat(gain, 2)[::2]):
+        with pytest.raises(ValueError, match="gain"):
+            _pade_steps([(lower, upper, g), second], x.copy(), 1)
     for state in (x[:-1].copy(), x.astype(np.complex64), x[::2],
                   np.stack([x, x], axis=1)[:, 0]):
         with pytest.raises(ValueError, match="state"):
-            _ztbsv(lower, state, lower=True)
+            _pade_steps(prop._factors, state, 1)
     frozen = x.copy()
     frozen.flags.writeable = False
     with pytest.raises(ValueError, match="state"):
-        _ztbsv(lower, frozen, lower=True)
+        _pade_steps(prop._factors, frozen, 1)
+
+
+def test_missing_compiler_is_named(setup, monkeypatch):
+    """Without the C compiler the first propagation raises an error that
+    names it."""
+    op, psi = setup
+    monkeypatch.setattr(propagator, "_CC", "no-such-cc")
+    # a fresh cache, so that the kernel built already is not reused
+    monkeypatch.setattr(propagator, "_pade_kernel",
+                        functools.cache(propagator._pade_kernel.__wrapped__))
+    with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
+        evolve(op, psi, 1.0)
+
+
+@pytest.mark.parametrize("t_probe, step_sizes", [
+    ([5.0, 7.5, 10.0], 1),
+    # a gap of 2.53 = 50.6 dt takes 51 shorter steps
+    ([5.0, 7.5, 10.03], 2),
+])
+def test_transmission_factors_once_per_step_size(monkeypatch, t_probe,
+                                                 step_sizes):
+    """The preparation and the probes of the transmission experiment share
+    one factorization per step size, and measure what the public evolve
+    and end_projection calls measure, bit for bit."""
+    model = model_a()
+    h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
+    op = ModeOperator(model, RadialGrid(60.0, 0.05), 0)
+    cfg = EvolutionConfig(dt=0.05)
+    r, u_in, _ = leading_term(model, h, 5.0, sign=-1)
+    psi, _ = evolve(op, embed_end_state(op.grid, 0, r, u_in), 5.0, cfg)
+    want = end_projection(op, psi, 1, t_probe, r_min=model.r0, cfg=cfg)
+
+    built = []
+    init = Propagator.__init__
+
+    def counted(self, op, dt):
+        built.append(dt)
+        init(self, op, dt)
+
+    monkeypatch.setattr(Propagator, "__init__", counted)
+    rep = transmission_experiment(op, model, h, 1, lambda lam: 0.5 + 0 * lam,
+                                  5.0, t_probe, cfg)
+    assert rep["projection"] == want
+    assert len(built) == len(set(built)) == step_sizes
