@@ -3,13 +3,16 @@
 The reduced operator H_m acts on the doubly-infinite line coordinate; the
 propagator e^{-itH} is realized by unconditionally stable implicit
 stepping (the fourth-order diagonal Pade (2,2) step as two Cayley-type
-factors, each a pivot-free banded LU reused across steps).  The steps run
-in the C kernel ``_pade.c``: per factor one forward and one backward band
-sweep, with the vector updates folded into them, and all the steps of an
-evolution in one foreign call.  The first Propagator of a process
-compiles it with the C compiler ``cc`` and loads it by ``ctypes``, which
-releases the GIL for the call: steps on several threads run on several
-cores.  On top of it sit
+factors, the first a pivot-free banded LU and the second a pivot-free
+banded UL, both reused across steps).  The steps run in the C kernel
+``_pade.c``, all the steps of an evolution in one foreign call.  Each
+factor is two triangular band sweeps, the LU's up then down, the UL's down
+then up, with the vector updates folded into them; the kernel runs the
+same-direction sweeps of consecutive factors in one pass, so a step is two
+passes over the state, each with two independent recurrences.  The first
+Propagator of a process compiles it with the C compiler ``cc`` (with SSE3
+on x86-64) and loads it by ``ctypes``, which releases the GIL for the
+call: steps on several threads run on several cores.  On top of it sit
 
   * wave_operator: Cauchy increments of e^{itH} U_0^+(t) h, evaluated as
     ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity, concurrently on a
@@ -76,13 +79,21 @@ _PADE_ROOTS = (-3.0 + 1j * math.sqrt(3.0), -3.0 - 1j * math.sqrt(3.0))
 _CC = "cc"
 
 
-@functools.cache
-def _pade_kernel():
-    """``pade_steps`` of ``_pade.c``, compiled by ``cc -O2
-    -ffp-contract=off`` into a temporary directory, loaded by ctypes
-    (whose foreign calls release the GIL) and the directory removed.
-    Built once per process, when the first Propagator is made: never at
-    import, and never by the stationary subcommands."""
+def _cflags() -> list:
+    """The flags ``_pade.c`` is compiled with: no fused multiply-add, and
+    the SSE3 complex product on x86-64 (elsewhere the kernel takes the
+    plain-C body of that helper, which rounds the same)."""
+    import platform
+
+    sse3 = platform.machine().lower() in ("x86_64", "amd64")
+    return ["-O2", "-ffp-contract=off", *(["-msse3"] if sse3 else []),
+            "-shared", "-fPIC"]
+
+
+def _compile_kernel(flags: Sequence[str]):
+    """``pade_steps`` of ``_pade.c``, compiled by ``cc`` with ``flags``
+    into a temporary directory, loaded by ctypes (whose foreign calls
+    release the GIL) and the directory removed."""
     import ctypes
     import subprocess
     import tempfile
@@ -90,8 +101,7 @@ def _pade_kernel():
     source = Path(__file__).with_name("_pade.c")
     with tempfile.TemporaryDirectory(prefix="ends_scatter-") as tmp:
         lib = os.path.join(tmp, "_pade.so")
-        cmd = [_CC, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
-               "-o", lib, str(source)]
+        cmd = [_CC, *flags, "-o", lib, str(source)]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except FileNotFoundError:
@@ -108,24 +118,33 @@ def _pade_kernel():
     return steps
 
 
+@functools.cache
+def _pade_kernel():
+    """The step kernel compiled with ``_cflags()``.  Built once per
+    process, when the first Propagator is made: never at import, and
+    never by the stationary subcommands."""
+    return _compile_kernel(_cflags())
+
+
 def _pade_steps(factors, x: np.ndarray, n_steps: int) -> None:
-    """``n_steps`` Pade steps of x in place by the compiled kernel, one
-    (lower, upper, gain) factor after the other.  The kernel checks no
-    argument, so the arrays are checked here: a wrong layout or length
-    would corrupt memory."""
+    """``n_steps`` Pade steps of x in place by the compiled kernel.
+    ``factors`` holds (first sweep, second sweep, gain) per Cayley factor,
+    each sweep its (a2, a1) coefficients packed per row.  The kernel
+    checks no argument, so the arrays are checked here: a wrong layout or
+    length would corrupt memory."""
     pointers = []
-    n = factors[0][0].shape[-1]
-    for lower, upper, gain in factors:
-        for band in (lower, upper):
-            if not (band.shape == (3, n) and band.dtype == np.complex128
-                    and band.flags.f_contiguous):
-                raise ValueError(f"band factor must be a Fortran-ordered "
-                                 f"complex128 array of shape (3, {n})")
+    n = factors[0][0].shape[0]
+    for first, second, gain in factors:
+        for sweep in (first, second):
+            if not (sweep.shape == (n, 2) and sweep.dtype == np.complex128
+                    and sweep.flags.c_contiguous):
+                raise ValueError(f"sweep coefficients must be a contiguous "
+                                 f"complex128 array of shape ({n}, 2)")
         if not (gain.shape == (n,) and gain.dtype == np.complex128
                 and gain.flags.c_contiguous):
             raise ValueError(f"gain must be a contiguous complex128 vector "
                              f"of length {n}")
-        pointers += [lower.ctypes.data, upper.ctypes.data, gain.ctypes.data]
+        pointers += [first.ctypes.data, second.ctypes.data, gain.ctypes.data]
     if not (x.dtype == np.complex128 and x.flags.c_contiguous
             and x.flags.writeable and x.shape == (n,)):
         raise ValueError(f"state must be a writeable contiguous complex128 "
@@ -140,7 +159,14 @@ class Propagator:
     Pade(2,2), norm preserving for hermitian H, as the product over
     beta = -3 +- i sqrt(3) of (z + beta)/(z - beta), z = i dt H (van Dijk &
     Toyama, PRE 75, 036707); z - beta has hermitian part 3 for either sign
-    of dt, so its banded LU is stable without pivoting (Golub & Van Loan).
+    of dt, so its banded triangular factors are stable without pivoting
+    (Golub & Van Loan).  Each factor maps u <- u + 2 beta (z - beta)^-1 u.
+
+    z - beta_0 is factored as LU, and z - beta_1 as UL: the LU of the
+    index-reversed band, J (z - beta_1) J = L'U' with J the reversal, gives
+    z - beta_1 = (J L' J)(J U' J).  So factor 0 solves up then down and
+    factor 1 down then up, and the kernel runs each step in two passes
+    over the state, each carrying one recurrence of either factor.
 
     The factors are read-only after construction, so one Propagator may
     step several states on several threads at once: each ``step`` call
@@ -162,19 +188,36 @@ class Propagator:
         # keeps the unpivoted LU up to S and divides the multipliers gbtrf's
         # partial pivoting tests by 4 and 16 (unscaled: pivots at dt/dx^2>1e3)
         scale = 4.0 ** np.arange(k, -k - 1, -1)[:, None]
-        self._factors = []
-        for beta in _PADE_ROOTS:
+
+        def lu_sweeps(band, beta):
+            """(up, down, gain) of z - beta = L U, ``band`` the LAPACK band
+            of H: up packs the unit lower L, down the unit upper V of
+            U = V diag(U), and gain is 2 beta / diag(U)."""
             ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
-            ab[k:] = 1j * dt * banded * scale
+            ab[k:] = 1j * dt * band * scale
             ab[2 * k] -= beta
             lu, piv, info = lapack.zgbtrf(ab, k, k)
             if info != 0 or not np.array_equal(piv, np.arange(n)):
                 raise RuntimeError(f"pivot-free band LU failed (info={info})")
-            # undo S; U = V diag(U), V unit upper; u += 2 beta (z - beta)^-1 u
+            # undo S; rows (L[j+1, j], L[j+2, j]) and (V[j-2, j], V[j-1, j])
             d = lu[2 * k]
-            lower = np.asfortranarray(lu[2 * k:] / scale[k:])
-            upper = np.asfortranarray(lu[k:2 * k + 1] / (scale[:k + 1] * d))
-            self._factors.append((lower, upper, 2.0 * beta / d))
+            lower = lu[2 * k + 1:] / scale[k + 1:]
+            upper = lu[k:2 * k] / (scale[:k] * d)
+            up = np.zeros((n, 2), dtype=complex)
+            up[2:, 0] = lower[1, :-2]
+            up[1:, 1] = lower[0, :-1]
+            down = np.zeros((n, 2), dtype=complex)
+            down[:-2, 0] = upper[0, 2:]
+            down[:-1, 1] = upper[1, 1:]
+            return up, down, 2.0 * beta / d
+
+        up0, down0, gain0 = lu_sweeps(banded, _PADE_ROOTS[0])
+        # the LU of the reversed band, read backwards: J L' J is unit
+        # upper (a down sweep), J V' J unit lower (an up sweep)
+        down1, up1, gain1 = (np.ascontiguousarray(a[::-1]) for a in
+                             lu_sweeps(banded[::-1, ::-1], _PADE_ROOTS[1]))
+        # each factor's sweeps in the order it applies them
+        self._factors = [(up0, down0, gain0), (down1, up1, gain1)]
         self.dt = dt
         self.op = op
         # built in the constructing thread: pool workers only call it
@@ -318,7 +361,10 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         return norm, (moved if k == last else None)
 
     order = sorted(range(last + 1), key=lambda k: t_grid[k] - t_grid[k + 1])
-    workers = min(len(os.sched_getaffinity(0)), last + 1)
+    # the CPUs this process may use; the affinity call is Linux-only
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, last + 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {k: pool.submit(increment, k) for k in order}
         increments = [futures[k].result()[0] for k in range(last + 1)]

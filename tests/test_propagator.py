@@ -207,37 +207,93 @@ def test_wave_operator_estimate_is_one_evolution():
     assert "estimate" not in wave_operator(op, model, h, [10.0, 20.0], cfg=cfg)
 
 
+def _lower_band(up):
+    """The unit lower triangle an up sweep solves, in ztbsv's band layout
+    (the diagonal row is not read)."""
+    band = np.zeros((3, up.shape[0]), dtype=complex, order="F")
+    band[1, :-1] = up[1:, 1]
+    band[2, :-2] = up[2:, 0]
+    return band
+
+
+def _upper_band(down):
+    """The unit upper triangle a down sweep solves, in ztbsv's band
+    layout."""
+    band = np.zeros((3, down.shape[0]), dtype=complex, order="F")
+    band[1, 1:] = down[:-1, 1]
+    band[0, 2:] = down[:-2, 0]
+    return band
+
+
 def _reference_steps(prop, psi, n):
-    """n steps of ``prop``'s factors, each as scipy's BLAS ztbsv solves
-    and numpy vector passes."""
+    """n steps of ``prop``'s factors, each as scipy's BLAS ztbsv solves in
+    that factor's own order (factor 0 lower then upper, factor 1 upper
+    then lower) and numpy vector passes."""
+    (up0, down0, gain0), (down1, up1, gain1) = prop._factors
+    factors = [([(_lower_band(up0), 1), (_upper_band(down0), 0)], gain0),
+               ([(_upper_band(down1), 0), (_lower_band(up1), 1)], gain1)]
     out = np.array(psi, dtype=complex)
     for _ in range(n):
-        for lower, upper, gain in prop._factors:
-            work = blas.ztbsv(2, lower, out + 1e-250, lower=1, diag=1)
-            work = blas.ztbsv(2, upper, work, lower=0, diag=1)
+        for solves, gain in factors:
+            work = out + 1e-250
+            for band, lower in solves:
+                work = blas.ztbsv(2, band, work, lower=lower, diag=1)
             out = out + gain * work
     return out
 
 
-@pytest.mark.parametrize("dt", [0.05, -0.05])
-@pytest.mark.parametrize("model, grid", [
+_KERNEL_GRIDS = [
     # the size of the wave-operator grid of a t = 160 ladder
     pytest.param(model_a(), RadialGrid(280.0, 0.02), id="A"),
     pytest.param(model_d(), RadialGrid(30.0, 0.02), id="D"),
     # one to five nodes: fewer rows than the band solves' run-in
     *[pytest.param(model_d(), RadialGrid(0.05 * (n - 1), 0.1), id=f"n{n}")
       for n in range(1, 6)],
-])
+]
+
+
+def _kernel_case(model, grid, dt):
+    prop = Propagator(ModeOperator(model, grid, 0), dt)
+    x = grid.x
+    return prop, np.exp(-(x - 0.3 * x.max()) ** 2 + 1j * x) + 0.1j
+
+
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+@pytest.mark.parametrize("model, grid", _KERNEL_GRIDS)
 def test_kernel_matches_ztbsv_reference_step(model, grid, dt):
     """The compiled steps agree with the same factors applied by BLAS
     ztbsv to roundoff over 200 steps: on a wave-operator grid of preset
     A, on preset D (jumps in the potential) and on tiny grids."""
-    prop = Propagator(ModeOperator(model, grid, 0), dt)
-    x = grid.x
-    psi = np.exp(-(x - 0.3 * x.max()) ** 2 + 1j * x) + 0.1j
+    prop, psi = _kernel_case(model, grid, dt)
     want = _reference_steps(prop, psi, 200)
     got = prop.step(psi, 200)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("model, grid", _KERNEL_GRIDS)
+def test_split_steps_equal_one_call(model, grid):
+    """The kernel fuses the sweeps of consecutive steps and runs a half
+    pass at either end of a call, which must not show: steps split over
+    several calls equal the same steps in one call bit for bit."""
+    prop, psi = _kernel_case(model, grid, 0.05)
+    assert np.array_equal(prop.step(psi, 0), psi)
+    assert np.array_equal(prop.step(prop.step(psi, 1), 1), prop.step(psi, 2))
+    assert np.array_equal(prop.step(prop.step(psi, 70), 130),
+                          prop.step(psi, 200))
+
+
+@pytest.mark.skipif("-msse3" not in propagator._cflags(),
+                    reason="the SSE3 complex product is built on x86-64 only")
+def test_sse3_kernel_equals_portable_kernel(monkeypatch):
+    """The SSE3 body of the kernel's complex product rounds like its
+    plain-C body: 200 steps of either build agree bit for bit."""
+    prop, psi = _kernel_case(model_a(), RadialGrid(40.0, 0.02), 0.05)
+    outs = []
+    for flags in (propagator._cflags(), propagator._cflags() + ["-mno-sse3"]):
+        kernel = propagator._compile_kernel(flags)
+        monkeypatch.setattr(propagator, "_pade_kernel", lambda: kernel)
+        outs.append(prop.step(psi, 200))
+    assert np.array_equal(outs[0], outs[1])
 
 
 def _free_state(op, model, h, t):
@@ -282,6 +338,16 @@ def test_concurrent_wave_operator_matches_sequential_evolutions(
     assert len(built) == len(set(built)) == step_sizes
 
 
+def test_wave_operator_without_cpu_affinity(setup, monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows) the pool takes
+    one worker per CPU, and the increments are the same."""
+    op, _ = setup
+    h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
+    want = wave_operator(op, model_a(), h, [2.0, 4.0, 8.0])
+    monkeypatch.delattr(propagator.os, "sched_getaffinity")
+    assert wave_operator(op, model_a(), h, [2.0, 4.0, 8.0]) == want
+
+
 def test_worker_norm_guard_reaches_caller(setup, monkeypatch):
     """A norm-guard RuntimeError raised on a pool thread reaches the
     caller as it was raised (perfbench's waveop workload catches it)."""
@@ -295,26 +361,29 @@ def test_worker_norm_guard_reaches_caller(setup, monkeypatch):
 
 
 def test_step_rejects_bad_arrays_before_the_kernel(setup):
-    """The compiled kernel checks no argument, so a factor or state of the
-    wrong layout, dtype or length raises ValueError before the foreign
-    call."""
+    """The compiled kernel checks no argument, so a sweep, gain or state
+    of the wrong layout, dtype or length raises ValueError before the
+    foreign call."""
     op, psi = setup
     prop = Propagator(op, 0.05)
     with pytest.raises(ValueError, match="length"):
         prop.step(psi[:-1])
     with pytest.raises(ValueError, match="state"):
         prop.step(np.stack([psi, psi]))
-    (lower, upper, gain), second = prop._factors
     x = psi.astype(complex)
-    for band in (np.ascontiguousarray(lower), lower.astype(np.complex64),
-                 lower[0], lower[:2], lower[:, :-1]):
-        for factor in ((band, upper, gain), (lower, band, gain)):
-            with pytest.raises(ValueError, match="band factor"):
-                _pade_steps([factor, second], x.copy(), 1)
-    for g in (gain[:-1], gain.astype(np.complex64),
-              np.repeat(gain, 2)[::2]):
-        with pytest.raises(ValueError, match="gain"):
-            _pade_steps([(lower, upper, g), second], x.copy(), 1)
+    for f, factor in enumerate(prop._factors):
+        for slot in range(3):
+            array = factor[slot]
+            bad = [array[:-1], array.astype(np.complex64),
+                   np.repeat(array, 2, axis=0)[::2]]
+            bad += ([array[:, 0], array[:, :1], np.asfortranarray(array)]
+                    if slot < 2 else [np.stack([array, array], axis=1)])
+            for b in bad:
+                factors = list(prop._factors)
+                factors[f] = factor[:slot] + (b,) + factor[slot + 1:]
+                with pytest.raises(ValueError,
+                                   match="gain" if slot == 2 else "sweep"):
+                    _pade_steps(factors, x.copy(), 1)
     for state in (x[:-1].copy(), x.astype(np.complex64), x[::2],
                   np.stack([x, x], axis=1)[:, 0]):
         with pytest.raises(ValueError, match="state"):
