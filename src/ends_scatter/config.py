@@ -27,10 +27,10 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
     mmax = 0
 
     [run]
-    lambda_grid = 0.3:1.0:8     ; lo:hi:count
-    t_grid = 10, 20, 40, 80
+    lambda_grid = 0.3:1.0:8     ; lo:hi:count above threshold, 0 < lo < hi
+    t_grid = 10, 20, 40, 80     ; positive, strictly increasing
     end = 1                     ; launch end for dynamics experiments
-    mode = 0
+    mode = 0                    ; angular mode, >= 0
     profile_center = 0.55       ; spectral window of the launched packet
     profile_width = 0.25
     dt = 0.05
@@ -109,10 +109,16 @@ class RunConfig:
         lo, hi, n = self.lambda_grid
         if not (lo < hi and n >= 1):
             raise ConfigError("[run] lambda_grid must be lo:hi:count with lo < hi")
+        if not lo > 0:
+            raise ConfigError("[run] lambda_grid lo must be positive")
+        if not all(t > 0 for t in self.t_grid):
+            raise ConfigError("[run] t_grid times must be positive")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("[run] t_grid must be strictly increasing")
         if self.end not in (1, 2):
             raise ConfigError("[run] end must be 1 or 2")
+        if self.mode < 0:
+            raise ConfigError("[run] mode must be >= 0")
         if self.profile_width <= 0:
             raise ConfigError("[run] profile_width must be positive")
         if self.dt <= 0:

@@ -18,27 +18,24 @@ difference U - U_0 decays in t; both facts are acceptance-tested.
 The frequency integral is a trapezoid sum over a uniform lam grid.  The
 WKB phase splits as Phi_lam(r) = b_lam E(r) + psi_lam(r), with
 b_lam = (2(lam - lam0))^{1/2} the asymptotic momentum and
-E(r) = int_{r0}^r eta_lambda.  On an arithmetic run of radii inside the
-cutoff region E(r_k) - r_k is constant, so e^{i b E(r_k)} factors into
-a coarse exponential per block of the run and the offset factor
-e^{i b s} within the block.  That factor is the carrier e^{i b_c s}
-times e^{i (b - b_c) s}, a smooth function of s that a few
-Chebyshev-Lobatto nodes in s interpolate (Trefethen, Approximation
-Theory and Approximation Practice, SIAM 2013); the block length is set
-by the phase budget (b_max - b_min) L.  A sum over lam with any weights
-then becomes one complex matrix product against those few nodes and a
-small product that restores the offsets.  The other radii with
-eta_lambda > 0 (the cutoff ramp, and radii off the run's spacing) are
-sorted by E and cut into spans of the same phase budget, each
-interpolated in its offset E - E_a on nodes of its own.  On an end with
-constant q1
-(separable) psi = 0 and one such sum with the weights
+E(r) = int_{r0}^r eta_lambda.  The radii with eta_lambda > 0 are sorted
+by E and cut into spans of E-length at most L, the length whose phase
+budget (b_max - b_min) L is ``_BLOCK_PHASE``.  Within the span that
+starts at E_a, e^{i b E} factors into e^{i b E_a} and the offset factor
+e^{i b s}, s = E - E_a in [0, L].  That factor is the carrier
+e^{i b_c s} times e^{i (b - b_c) s}, a smooth function of s that a few
+Chebyshev-Lobatto nodes of [0, L] interpolate (Trefethen, Approximation
+Theory and Approximation Practice, SIAM 2013), and the same nodes serve
+every span.  A sum over lam with any weights then becomes one complex
+matrix product against those few nodes and, per span, a small product
+that restores its offsets.  On an end with constant q1 (separable)
+psi = 0 and one such sum with the weights
 h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam} is the whole state.  On
 other ends the amplitude (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is
 smooth in lam; it is
 interpolated on a few Chebyshev nodes lam_j, with the rank chosen by an
 a-posteriori check, and the state is the sum over j of A(lam_j, r) times
-the run sum weighted by the j-th Lagrange polynomial (the separated-phase
+the span sum weighted by the j-th Lagrange polynomial (the separated-phase
 technique of Candes, Demanet & Ying, SISC 29, 2007).
 ``oracle.reference_comparison_state`` is the node-by-node sum both are
 checked against.  Every interpolant here (amplitude, offset factor and
@@ -90,7 +87,7 @@ _AMP_TOL = 1e-11
 # the same for the interpolants of phases: the plane-wave offset factor of
 # _plane_wave_sums and the run-in offset of eikonal
 _PHASE_TOL = 1e-14
-# phase budget (b_max - b_min) L of one offset block of _plane_wave_sums
+# phase budget (b_max - b_min) L of one span of _plane_wave_sums
 _BLOCK_PHASE = 16.0
 # spacing of the default radial grid and the front allowance of
 # dynamics_grid (the fastest energy of the window travels _PAD t v)
@@ -511,111 +508,84 @@ def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]
 
 
 def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
-                     b_lam: np.ndarray, wts: np.ndarray, sign: int,
-                     b_hi: float) -> np.ndarray:
+                     b_lam: np.ndarray, wts: np.ndarray, sign: int) -> np.ndarray:
     """sum_lam wts[lam, c] e^{i sign b_lam E(r)} for each column c of
     ``wts`` (one row of the result per column) at the radii with
     eta_lambda > 0; the other radii are left at 0.
 
-    Both paths below write e^{i sign b_lam s}, for an offset s within a
-    block, as the carrier e^{i sign b_c s}, b_c the middle of the b range,
-    times e^{i sign (b_lam - b_c) s}, which is interpolated in s on P
-    Chebyshev-Lobatto nodes (accepted by the rule of
-    :func:`_lobatto_samples` with ``_PHASE_TOL``, capped at the block's
-    size): the lam contraction runs against P columns and one
-    (. x P)(P x block) product restores the offsets.  A block's length L
-    keeps the phase budget (b_max - b_min) L within ``_BLOCK_PHASE``.
-
-    The radii with eta_lambda = 1, in the given order, form the run
-    r_k ~ r_s + k delta, split into blocks k = K J + j whose offsets
-    s = j delta are shared, and so are their P node columns.  A radius
-    joins the run only if b_hi |r_k - r_{KJ} - j delta| <= 1e-12 rad.
-    Every other radius with eta_lambda > 0 (the cutoff ramp, and radii
-    off the run's spacing) is sorted by E and split into spans with
-    offsets s = E - E_a from the span's first E_a, interpolated in
-    y = 2 s / L - 1 on nodes of their own.  Where the levels reach the
-    block's size (short blocks, or a span of length 0) the run keeps its
-    J offset columns and a span the exact sum over its radii.
+    Those radii are sorted by E and cut, from the largest E down, into
+    spans of E-length at most L = _BLOCK_PHASE / (b_max - b_min) (the
+    whole E range, if shorter).  Within the span that starts at E_a the
+    sum is over
+    e^{i sign b_lam E_a} times the offset factor e^{i sign b_lam s},
+    s = E - E_a in [0, L], which is the carrier e^{i sign b_c s}, b_c the
+    middle of the b range, times e^{i sign (b_lam - b_c) s}, a smooth
+    function of s.  That function is sampled once, on P Chebyshev-Lobatto
+    nodes of [0, L] (accepted by the rule of :func:`_lobatto_samples`
+    with ``_PHASE_TOL``, capped at the largest span's radius count), and
+    these nodes serve every span: the lam contraction of all spans is one
+    matrix product against P columns, and each span restores its offsets
+    by its Lagrange basis in y = 2 s / L - 1 times the carrier.
+    Consecutive spans share one basis while their offsets agree with the
+    first one's within b_max |delta s| <= 1e-12 rad (the spans of a
+    uniform run).  Where the levels reach the cap, or L = 0 (every radius
+    at one E), the sum is taken at each radius, which is exact.
     """
     n_lam, n_col = wts.shape
     out = np.zeros((n_col, r.size), dtype=complex)
-    if not n_lam:
+    cols = np.flatnonzero(eta_r > 0.0)
+    if not n_lam or not cols.size:
         return out
-    off_run = eta_r > 0.0
-    run = np.flatnonzero(eta_r == 1.0)
-    b_min, b_max = float(np.min(b_lam)), float(np.max(b_lam))
-    b_c = 0.5 * (b_max + b_min)
-    db = sign * (b_lam - b_c)
-
-    def offset_nodes(length, cap):
-        """The offset factor at the nodes of s = length (1 + y) / 2, one
-        row per node, or None at the rank cap."""
-        return _lobatto_samples(
-            lambda y: np.exp(1j * np.outer(0.5 * length * (1.0 + y), db)), cap,
-            _PHASE_TOL)
-
-    if run.size >= 2:
-        n_run = run.size
-        delta = (r[run[-1]] - r[run[0]]) / (n_run - 1)
-        # phase spread of the offset factor per step of the run
-        spread = (b_max - b_min) * abs(delta)
-        if spread * (n_run - 1) <= _BLOCK_PHASE:
-            J = n_run
-        else:
-            J = int(_BLOCK_PHASE / spread) + 1
-        k = np.arange(n_run)
-        j = k % J
-        dev = r[run] - r[run[k - j]] - j * delta
-        on_run = b_hi * np.abs(dev) <= 1e-12
-        coarse = np.exp(1j * sign * np.outer(b_lam, e_of_r[run[::J]]))
-        # offset factor at the offsets s = delta j of a block, y in [-1, 1]
-        s = delta * np.arange(J)
-        nodes = offset_nodes(s[-1], J)
-        if nodes is None:
-            offs, basis = np.exp(1j * sign * np.outer(b_lam, s)), None
-        else:
-            carrier = np.exp(1j * sign * b_c * s)
-            y = np.linspace(-1.0, 1.0, J)
-            offs, basis = nodes.T, _lobatto_basis(nodes.shape[0], y).T * carrier
-        # weighted copies of coarse side by side, <= _BLOCK elements each
-        step = max(1, _BLOCK // coarse.size)
-        for c0 in range(0, n_col, step):
-            c = slice(c0, c0 + step)
-            wc = (wts[:, c, None] * coarse[:, None, :]).reshape(n_lam, -1)
-            prod = wc.T @ offs
-            del wc  # before the offsets are restored
-            if basis is not None:
-                prod = prod @ basis
-            prod = prod.reshape(-1, coarse.shape[1] * J)[:, :n_run]
-            out[c, run[on_run]] = prod[:, on_run]
-            del prod  # before the next block, or the spans, allocate
-        off_run[run[on_run]] = False
-
-    cols = np.flatnonzero(off_run)
     cols = cols[np.argsort(e_of_r[cols], kind="stable")]
     e = e_of_r[cols]
-    max_len = _BLOCK_PHASE / (b_max - b_min) if b_max > b_min else np.inf
-    exact = []
-    i0 = 0
-    while i0 < cols.size:
-        i1 = int(np.searchsorted(e, e[i0] + max_len, side="right"))
-        c, s = cols[i0:i1], e[i0:i1] - e[i0]
-        length = s[-1]
-        nodes = offset_nodes(length, c.size) if length > 0.0 else None
-        if nodes is None:
-            exact.append(c)
-        else:
-            g = wts * np.exp(1j * sign * b_lam * e[i0])[:, None]
-            basis = (_lobatto_basis(nodes.shape[0], 2.0 * s / length - 1.0)
-                     * np.exp(1j * sign * b_c * s)[:, None])
-            out[:, c] = (nodes @ g).T @ basis.T
-        i0 = i1
-    # the rank-cap fallback: the sum at each radius
-    cols = np.concatenate(exact) if exact else cols[:0]
-    step = max(1, _BLOCK // n_lam)
-    for i0 in range(0, cols.size, step):
-        c = cols[i0:i0 + step]
-        out[:, c] = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))
+    b_min, b_max = float(np.min(b_lam)), float(np.max(b_lam))
+    b_c = 0.5 * (b_max + b_min)
+    length = float(e[-1] - e[0])
+    if b_max > b_min:
+        length = min(length, _BLOCK_PHASE / (b_max - b_min))
+    # span bounds, cut from the largest E down: the spans of a uniform run
+    # are then all full, and only the first one holds a remainder
+    cuts = [e.size]
+    while cuts[0] > 0:
+        cuts.insert(0, int(np.searchsorted(e, e[cuts[0] - 1] - length)))
+    nodes = None
+    if length > 0.0:
+        nodes = _lobatto_samples(
+            lambda y: np.exp(1j * sign * np.outer(0.5 * length * (1.0 + y),
+                                                  b_lam - b_c)),
+            int(np.max(np.diff(cuts))), _PHASE_TOL)
+    if nodes is None:
+        step = max(1, _BLOCK // n_lam)
+        for i0 in range(0, cols.size, step):
+            c = cols[i0:i0 + step]
+            out[:, c] = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))
+        return out
+
+    # runs of consecutive spans [a0, a1) that share one basis (P x span)
+    shared = []
+    for a in range(len(cuts) - 1):
+        s = e[cuts[a]:cuts[a + 1]] - e[cuts[a]]
+        if (shared and s.size == s_own.size
+                and b_max * np.max(np.abs(s - s_own)) <= 1e-12):
+            shared[-1][1] = a + 1
+            continue
+        s_own = s
+        basis = (_lobatto_basis(nodes.shape[0], 2.0 * s / length - 1.0)
+                 * np.exp(1j * sign * b_c * s)[:, None]).T
+        shared.append([a, a + 1, basis])
+    coarse = np.exp(1j * sign * np.outer(b_lam, e[cuts[:-1]]))
+    # weighted copies of coarse side by side, <= _BLOCK elements each
+    step = max(1, _BLOCK // coarse.size)
+    for c0 in range(0, n_col, step):
+        c = slice(c0, c0 + step)
+        wc = (wts[:, c, None] * coarse[:, None, :]).reshape(n_lam, -1)
+        prod = (wc.T @ nodes.T).reshape(-1, coarse.shape[1], nodes.shape[0])
+        del wc  # before the offsets are restored
+        for a0, a1, basis in shared:
+            out[c, cols[cuts[a0]:cuts[a1]]] = (
+                prod[:, a0:a1].reshape(-1, basis.shape[0]) @ basis
+            ).reshape(prod.shape[0], -1)
+        del prod  # before the next block allocates
     return out
 
 
@@ -658,7 +628,6 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
 
     eta_r = eta(r, r_lam)
     r_far = float(np.max(r))
-    b_hi = math.sqrt(2.0 * (h.lam_hi - lam0))
     b_lam = np.sqrt(2.0 * (lam - lam0))
     e_t = np.exp(-1j * sign * t * lam)
     # E(r) = int_{r0}^r eta_lambda ds
@@ -669,7 +638,7 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     out = np.zeros(r.shape, dtype=complex)
     if float(np.ptp(probe)) < 1e-13:
         g = hv * (2.0 * np.abs(lam - lam0)) ** -0.25 * e_t
-        out = _plane_wave_sums(r, eta_r, e_of_r, b_lam, g[:, None], sign, b_hi)[0]
+        out = _plane_wave_sums(r, eta_r, e_of_r, b_lam, g[:, None], sign)[0]
     elif lam.size:
         live_r = eta_r > 0.0
         amp, basis = _amplitude_factors(model, prof, r, live_r, r_lam, lam, sign)
@@ -677,7 +646,7 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
         for c0 in range(0, amp.shape[0], step):
             c = slice(c0, c0 + step)
             sums = _plane_wave_sums(r, eta_r, e_of_r, b_lam,
-                                    (hv * e_t)[:, None] * basis[:, c], sign, b_hi)
+                                    (hv * e_t)[:, None] * basis[:, c], sign)
             out[live_r] += np.einsum("jr,jr->r", amp[c], sums[:, live_r])
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out

@@ -472,9 +472,10 @@ def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
     if r_lam is None:
         r_lam = model.r_lambda(float(np.real(z)))
     eta_lam = eta(r, r_lam)
-    b = eta_lam * _sqrt_upper(2.0 * (z - prof.q1(r)))
+    gap = z - prof.q1(r)
+    b = eta_lam * _sqrt_upper(2.0 * gap)
     dq1 = numeric_derivative(prof.q1, r)
-    corr = 0.25 * eta_lam * np.asarray(dq1, dtype=complex) / (z - prof.q1(r))
+    corr = 0.25 * eta_lam * np.asarray(dq1, dtype=complex) / gap
     return b - sign * 1j * corr
 
 

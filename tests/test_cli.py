@@ -83,6 +83,18 @@ def test_bad_override_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_non_positive_time_is_config_error(tmp_path, monkeypatch):
+    """t = 0 is refused before any work (it used to run and report NaN
+    norms as converged)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("leading_term called past the guard")
+
+    monkeypatch.setattr(cli, "leading_term", no_work)
+    code, rep = run(["dynamics", "--preset", "A", "--t-grid", "0"], tmp_path,
+                    "dynamics")
+    assert code == 2 and rep["converged"] is False and "t_grid" in rep["error"]
+
+
 def test_preset_accepts_exactly_the_catalogue():
     parser = cli._build_parser()
     for command in cli._COMMANDS:

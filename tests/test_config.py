@@ -82,6 +82,12 @@ def test_preset_shortcut_overrides_ends():
     ("[model]\npreset = A\n\n[mystery]\nx = 1\n", "unknown config sections"),
     ("[model]\npreset = A\n[run]\nlambda_grid = 1:0.5:4\n", "lambda_grid"),
     ("[model]\npreset = A\n[run]\nt_grid = 10, 5\n", "t_grid"),
+    ("[model]\npreset = A\n[run]\nt_grid = 0\n", "t_grid times must be positive"),
+    ("[model]\npreset = A\n[run]\nt_grid = -10, 10\n",
+     "t_grid times must be positive"),
+    ("[model]\npreset = A\n[run]\nlambda_grid = 0:0.5:3\n",
+     "lambda_grid lo must be positive"),
+    ("[model]\npreset = A\n[run]\nmode = -1\n", "mode must be >= 0"),
     ("[model]\npreset = A\n[run]\nend = 3\n", "end must be"),
     ("[model]\npreset = A\n[grid]\ndx = -0.1\n", "must be positive"),
     ("[model]\nr0 = 2\n[ends.1]\nprofile = weird\n", "unknown profile"),

@@ -147,20 +147,22 @@ def test_comparison_state_does_not_depend_on_radius_order():
 @pytest.mark.parametrize("n_col", [1, 33])
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("layout", ["ascending", "descending", "broken", "short",
-                                    "long ramp"])
+                                    "long ramp", "two spacings", "one lam",
+                                    "one E"])
 def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
-    """The offset-basis sums against the node-by-node sum on a run of
-    about seven offset blocks, behind a cutoff ramp (0 < eta < 1: one
-    span in E, which is too short for the levels and keeps the exact sum)
-    and a radius with eta = 0 (left at 0).  'broken' moves one radius off
-    the run's spacing, which sends it to the spans.
-    'short' keeps a run of 12 radii, one block too short for the levels,
-    which keeps its offset columns.  'long ramp' puts 1200 radii on the
-    ramp, whose E-length 120 times the b spread 0.49 is about four times
-    ``_BLOCK_PHASE``: it splits into spans with nodes of their own."""
+    """The span sums against the node-by-node sum on a uniform run of
+    about seven spans in E, behind a cutoff ramp (0 < eta < 1) and a
+    radius with eta = 0 (left at 0).  'broken' moves one radius off the
+    run's spacing, so its span and the next need bases of their own.
+    'short' keeps 31 live radii, too few for the levels: the exact sum.
+    'long ramp' puts 1200 radii on the ramp.  'two spacings' follows the
+    run by a stretch whose spacing is 1e-7 larger: its spans hold as many
+    radii as the run's, and the basis must not be reused across the
+    change.  'one lam' has a single lam node (b_max = b_min, so one span
+    over the whole E range), and 'one E' puts every live radius at one E
+    (L = 0: the exact sum)."""
     rng = np.random.default_rng(7)
     lam = np.linspace(0.3, 0.8, 301)
-    b_lam = np.sqrt(2.0 * lam)
     r = np.linspace(2.0, 202.0, 2001)
     eta_r = np.ones(r.size)
     eta_r[:20] = np.linspace(0.0, 1.0, 21)[:-1]
@@ -172,11 +174,17 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
         r, eta_r = r[:32], eta_r[:32]
     if layout == "long ramp":
         eta_r[:1200] = np.linspace(0.0, 1.0, 1201)[:-1]
+    if layout == "two spacings":
+        r[1000:] = r[1000] + 0.1 * (1.0 + 1e-7) * np.arange(r.size - 1000)
+    if layout == "one lam":
+        lam = lam[150:151]
     e_of_r = r - 1.5
+    if layout == "one E":
+        e_of_r = np.full(r.size, 7.25)
+    b_lam = np.sqrt(2.0 * lam)
     wts = (rng.standard_normal((lam.size, n_col))
            + 1j * rng.standard_normal((lam.size, n_col)))
-    got = dynamics._plane_wave_sums(r, eta_r, e_of_r, b_lam, wts, sign,
-                                    float(b_lam[-1]))
+    got = dynamics._plane_wave_sums(r, eta_r, e_of_r, b_lam, wts, sign)
     ref = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r))
     ref[:, eta_r == 0.0] = 0.0
     bound = 1e-13 * np.sum(np.abs(wts), axis=0)
