@@ -36,7 +36,11 @@ smooth in lam; it is
 interpolated on a few Chebyshev nodes lam_j, with the rank chosen by an
 a-posteriori check, and the state is the sum over j of A(lam_j, r) times
 the span sum weighted by the j-th Lagrange polynomial (the separated-phase
-technique of Candes, Demanet & Ying, SISC 29, 2007).
+technique of Candes, Demanet & Ying, SISC 29, 2007).  Each row
+A(lam_j, .) is one pass of the C kernel ``_amplitude.c`` over the radii,
+bit for bit what numpy computes for the same formula; the first
+comparison state of a non-separable end builds the package's kernels
+(``_clib``), so those ends need a C compiler and separable ends do not.
 ``oracle.reference_comparison_state`` is the node-by-node sum both are
 checked against.  Every interpolant here (amplitude, offset factor and
 the eikonal's run-in offset) uses the nested levels 9, 17, 33, ... of
@@ -56,8 +60,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .geometry import (CubicSpline, ManifoldModel, bump, cumulative_trapezoid,
-                       eta, integral_from_r0)
+from . import _clib
+from .geometry import (CubicSpline, ManifoldModel, _r0_nodes, bump,
+                       cumulative_trapezoid, eta, integral_from_r0)
 
 __all__ = [
     "SpectralProfile",
@@ -605,7 +610,9 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     within ``_AMP_TOL`` of max|A|, over the radii with eta_lambda > 0
     (A need not be smooth in lam where eta_lambda = 0).  Once the next
     level would outnumber the live lam nodes, those nodes themselves are
-    used, which is exact.
+    used, which is exact.  The rows of A are computed by a compiled C
+    kernel (:func:`_amplitude_factors`), so a non-separable end needs the
+    C compiler ``cc``; without it the first call raises RuntimeError.
 
     E(r) and psi_lam(r) are trapezoid sums over the sorted radii ``r``
     themselves (:func:`geometry.integral_from_r0`), so the value at a
@@ -658,34 +665,60 @@ def _amplitude_factors(model: ManifoldModel, prof, r: np.ndarray,
     """The amplitude A(lam_j, r) at the accepted interpolation nodes lam_j
     (one row per node, one column per radius of ``live_r``) and the
     Lagrange basis of those nodes on the lam grid (one column per node);
-    :func:`comparison_state` states the acceptance rule."""
+    :func:`comparison_state` states the acceptance rule.  Each set of
+    nodes is one call of the compiled ``amplitude_rows``, which integrates
+    psi over the nodes of :func:`geometry.integral_from_r0` with its
+    arithmetic, so the rows are bit for bit those of the numpy expression
+    exp(1j sign psi) / (2 |lam - q1|)^{1/4}."""
+    nodes, at = _r0_nodes(model, r)
+    eta_n, q1_n = eta(nodes, r_lam), prof.q1(nodes)
+    at_live = at[:-1][live_r]
     q1_r = prof.q1(r[live_r])
-    samples = {}
 
-    def excess(s, nodes):
-        """eta_lambda ((2(lam - q1))^{1/2} - b_lam), the integrand of psi,
-        on the quadrature nodes s, one row per lam; eta_lambda and q1 are
-        sampled on the first call only."""
-        if not samples:
-            samples.update(eta=eta(s, r_lam), q1=prof.q1(s))
-        b = np.sqrt(np.maximum(2.0 * (nodes[:, None] - samples["q1"]), 0.0))
-        return samples["eta"] * (b - np.sqrt(2.0 * (nodes - prof.lambda0))[:, None])
-
-    def amplitude(nodes):
-        out = np.empty((nodes.size, q1_r.size), dtype=complex)
-        step = max(1, _BLOCK // (r.size + 1))
-        for i0 in range(0, nodes.size, step):
-            blk = nodes[i0:i0 + step]
-            psi = integral_from_r0(model, r, lambda s: excess(s, blk))[:, live_r]
-            out[i0:i0 + step] = np.exp(1j * sign * psi) / np.sqrt(np.sqrt(
-                2.0 * np.abs(blk[:, None] - q1_r)))
-        return out
+    def amplitude(lam_pts):
+        return _amplitude_rows(nodes, eta_n, q1_n, int(at[-1]), at_live, q1_r,
+                               lam_pts, prof.lambda0, sign)
 
     mid, half = 0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0])
     amp = _lobatto_samples(lambda y: amplitude(mid + half * y), lam.size, _AMP_TOL)
     if amp is None:
         return amplitude(lam), np.eye(lam.size)
     return amp, _lobatto_basis(amp.shape[0], (lam - mid) / half)
+
+
+def _amplitude_rows(nodes: np.ndarray, eta_n: np.ndarray, q1_n: np.ndarray,
+                    at_r0: int, at: np.ndarray, q1_live: np.ndarray,
+                    lam: np.ndarray, lam0: float, sign: int) -> np.ndarray:
+    """The rows e^{i sign psi_lam} / (2 |lam - q1|)^{1/4}, one per energy
+    of ``lam``, at the radii nodes[at] by the compiled kernel of
+    ``_amplitude.c``: psi_lam is the trapezoid integral from
+    nodes[at_r0] of eta (sqrt(max(2 (lam - q1), 0)) - sqrt(2 (lam - lam0)))
+    over the sorted ``nodes``, with eta and q1 sampled there as ``eta_n``
+    and ``q1_n``; ``q1_live`` is q1 at the radii.  The kernel checks no
+    argument, so the arrays and indices are checked here: a wrong layout,
+    length or index would read or write outside them."""
+    n = nodes.size
+    for name, a, size in (("nodes", nodes, n), ("eta", eta_n, n),
+                          ("q1", q1_n, n), ("q1_live", q1_live, at.size),
+                          ("lam", lam, lam.size)):
+        if not (a.dtype == np.float64 and a.shape == (size,)
+                and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a contiguous float64 vector "
+                             f"of length {size}, got {a.dtype} {a.shape}")
+    if not (at.dtype == np.int64 and at.ndim == 1 and at.flags.c_contiguous):
+        raise ValueError(f"at must be a contiguous int64 vector, got "
+                         f"{at.dtype} {at.shape}")
+    if not (0 <= at_r0 < n and np.all((at >= 0) & (at < n))):
+        raise ValueError(f"node indices must lie in [0, {n})")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    out = np.empty((lam.size, at.size), dtype=complex)
+    acc = np.empty(n)
+    _clib.library().amplitude_rows(
+        n, nodes.ctypes.data, eta_n.ctypes.data, q1_n.ctypes.data, at_r0,
+        at.size, at.ctypes.data, q1_live.ctypes.data, lam.size,
+        lam.ctypes.data, lam0, sign, acc.ctypes.data, out.ctypes.data)
+    return out
 
 
 def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,

@@ -643,11 +643,17 @@ def integral_from_r0(model: ManifoldModel, r: np.ndarray,
     ``fn`` maps the sorted nodes to an array whose last axis runs over
     them; leading axes (a block of energies, say) are integrated
     independently and kept in the result."""
-    rr = np.unique(np.concatenate((r, [model.r0])))
-    acc = cumulative_trapezoid(fn(rr), rr)
-    at = np.searchsorted(rr, np.concatenate((r, [model.r0])))
-    vals = acc[..., at]
+    rr, at = _r0_nodes(model, r)
+    vals = cumulative_trapezoid(fn(rr), rr)[..., at]
     return vals[..., :-1] - vals[..., -1:]
+
+
+def _r0_nodes(model: ManifoldModel, r: np.ndarray):
+    """The quadrature nodes of :func:`integral_from_r0`: the sorted
+    distinct values of r and r0, and the index among them of each radius
+    and, last, of r0."""
+    rr = np.unique(np.concatenate((r, [model.r0])))
+    return rr, np.searchsorted(rr, np.concatenate((r, [model.r0])))
 
 
 def classify_potential(model: ManifoldModel, end: int):

@@ -10,9 +10,10 @@ factor is two triangular band sweeps, the LU's up then down, the UL's down
 then up, with the vector updates folded into them; the kernel runs the
 same-direction sweeps of consecutive factors in one pass, so a step is two
 passes over the state, each with two independent recurrences.  The first
-Propagator of a process compiles it with the C compiler ``cc`` (with SSE3
-on x86-64) and loads it by ``ctypes``, which releases the GIL for the
-call: steps on several threads run on several cores.  On top of it sit
+Propagator of a process builds the package's C kernels (``_clib``: one
+``cc`` call, with SSE3 on x86-64, loaded by ``ctypes``), and a ctypes
+call releases the GIL: steps on several threads run on several cores.
+On top of it sit
 
   * wave_operator: Cauchy increments of e^{itH} U_0^+(t) h, evaluated as
     ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity, concurrently on a
@@ -29,12 +30,12 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import SpectralProfile, leading_term
+from . import _clib
+from .dynamics import SpectralProfile, comparison_state
 from .fourier import distorted_ft
 from .geometry import ManifoldModel
 from .mode_reduction import ModeOperator, RadialGrid
@@ -43,7 +44,6 @@ __all__ = [
     "EvolutionConfig",
     "Propagator",
     "evolve",
-    "embed_end_state",
     "wave_operator",
     "adjoint_identity_check",
     "end_mass",
@@ -75,57 +75,6 @@ class EvolutionConfig:
 
 _PADE_ROOTS = (-3.0 + 1j * math.sqrt(3.0), -3.0 - 1j * math.sqrt(3.0))
 
-# the compiler that builds the step kernel, on the first Propagator
-_CC = "cc"
-
-
-def _cflags() -> list:
-    """The flags ``_pade.c`` is compiled with: no fused multiply-add, and
-    the SSE3 complex product on x86-64 (elsewhere the kernel takes the
-    plain-C body of that helper, which rounds the same)."""
-    import platform
-
-    sse3 = platform.machine().lower() in ("x86_64", "amd64")
-    return ["-O2", "-ffp-contract=off", *(["-msse3"] if sse3 else []),
-            "-shared", "-fPIC"]
-
-
-def _compile_kernel(flags: Sequence[str]):
-    """``pade_steps`` of ``_pade.c``, compiled by ``cc`` with ``flags``
-    into a temporary directory, loaded by ctypes (whose foreign calls
-    release the GIL) and the directory removed."""
-    import ctypes
-    import subprocess
-    import tempfile
-
-    source = Path(__file__).with_name("_pade.c")
-    with tempfile.TemporaryDirectory(prefix="ends_scatter-") as tmp:
-        lib = os.path.join(tmp, "_pade.so")
-        cmd = [_CC, *flags, "-o", lib, str(source)]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-        except FileNotFoundError:
-            raise RuntimeError(
-                f"the propagator compiles its step kernel {source.name} "
-                f"with the C compiler {_CC!r}, which was not found") from None
-        if proc.returncode != 0:
-            raise RuntimeError(f"{_CC!r} failed to compile {source.name}: "
-                               f"{proc.stderr.strip()}")
-        steps = ctypes.CDLL(lib).pade_steps
-    steps.argtypes = ([ctypes.c_int64, ctypes.c_int64]
-                      + [ctypes.c_void_p] * 8)
-    steps.restype = None
-    return steps
-
-
-@functools.cache
-def _pade_kernel():
-    """The step kernel compiled with ``_cflags()``.  Built once per
-    process, when the first Propagator is made: never at import, and
-    never by the stationary subcommands."""
-    return _compile_kernel(_cflags())
-
-
 def _pade_steps(factors, x: np.ndarray, n_steps: int) -> None:
     """``n_steps`` Pade steps of x in place by the compiled kernel.
     ``factors`` holds (first sweep, second sweep, gain) per Cayley factor,
@@ -150,7 +99,8 @@ def _pade_steps(factors, x: np.ndarray, n_steps: int) -> None:
         raise ValueError(f"state must be a writeable contiguous complex128 "
                          f"vector of length {n}, got {x.dtype} {x.shape}")
     work = np.empty_like(x)
-    _pade_kernel()(n, n_steps, *pointers, x.ctypes.data, work.ctypes.data)
+    _clib.library().pade_steps(n, n_steps, *pointers, x.ctypes.data,
+                               work.ctypes.data)
 
 
 class Propagator:
@@ -221,7 +171,7 @@ class Propagator:
         self.dt = dt
         self.op = op
         # built in the constructing thread: pool workers only call it
-        _pade_kernel()
+        _clib.library()
 
     def step(self, psi: np.ndarray, n: int = 1) -> np.ndarray:
         out = np.array(psi, dtype=complex)
@@ -277,19 +227,20 @@ def evolve(op: ModeOperator, psi: np.ndarray, t: float,
 
 
 # ---------------------------------------------------------------------------
-# embedding end states on the two-sided grid
+# comparison states on the two-sided grid
 # ---------------------------------------------------------------------------
 
-def embed_end_state(grid: RadialGrid, end: int, r: np.ndarray,
-                    vals: np.ndarray) -> np.ndarray:
-    """Interpolate a one-end radial field (r >= 0) onto the line grid:
-    end 0 occupies x = +r, end 1 occupies x = -r."""
-    u = np.zeros(grid.x.size, dtype=complex)
-    mask = grid.x >= 0 if end == 0 else grid.x < 0
-    rr = np.abs(grid.x[mask])
-    u[mask] = (np.interp(rr, r, vals.real, left=0.0, right=0.0)
-               + 1j * np.interp(rr, r, vals.imag, left=0.0, right=0.0))
-    return u
+def _end_state(grid: RadialGrid, model: ManifoldModel, h: SpectralProfile,
+               t: float, sign: int) -> np.ndarray:
+    """U^{sign}(t) h by :func:`dynamics.comparison_state` at the nodes of
+    ``grid`` on the end h.end, zero elsewhere.  It is evaluated at the
+    nodes directly: interpolating an oscillatory state would contribute
+    O((k dx)^2) spurious increments."""
+    mask = grid.end_mask(h.end)
+    out = np.zeros(grid.x.size, dtype=complex)
+    _, out[mask] = comparison_state(model, h, t, r=np.abs(grid.x[mask]),
+                                    sign=sign)
+    return out
 
 
 def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
@@ -321,8 +272,6 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .dynamics import comparison_state
-
     cfg = cfg or EvolutionConfig()
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 2:
@@ -333,19 +282,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         raise ValueError("dynamics must be 'exact'")
     run = _Evolutions(op, cfg)
     grid = op.grid
-
-    # evaluate the free states directly at the grid nodes: interpolating
-    # an oscillatory state would contribute O((k dx)^2) spurious increments
-    mask = grid.end_mask(h.end)
-    rr = np.abs(grid.x[mask])
-
-    def free_state(t):
-        _, u = comparison_state(model, h, t, r=rr, sign=sign)
-        out = np.zeros(grid.x.size, dtype=complex)
-        out[mask] = u
-        return out
-
-    states = [free_state(t) for t in t_grid]
+    states = [_end_state(grid, model, h, t, sign) for t in t_grid]
 
     # e^{sign * i (t2 - t1) H} = evolution over -sign*(t2-t1); each step
     # size is factored here, before any worker starts, so that the
@@ -465,9 +402,10 @@ def transmission_experiment(op: ModeOperator, model: ManifoldModel,
                             s_abs: Callable, t_prepare: float,
                             t_probe: Sequence[float],
                             cfg: Optional[EvolutionConfig] = None) -> dict:
-    """Cross-ends transmission: prepare psi ~ W^- h as an incoming packet
-    from end h.end, evolve through the junction and compare the outgoing
-    mass in ``end_to`` with the S-matrix prediction
+    """Cross-ends transmission: prepare psi ~ W^- h = e^{-i t H} U^-(t) h
+    (t = t_prepare, U^- the comparison dynamics at the grid nodes of end
+    h.end) as an incoming packet, evolve through the junction and compare
+    the outgoing mass in ``end_to`` with the S-matrix prediction
     ||S_{ij} h||^2 = (2 pi)^{-1} int |S_ij(lam)|^2 |h(lam)|^2 dlam.
 
     ``s_abs(lam)`` must return |S_{end_to, h.end}(lam)| (vectorized).
@@ -479,9 +417,8 @@ def transmission_experiment(op: ModeOperator, model: ManifoldModel,
     run = _Evolutions(op, cfg or EvolutionConfig())
     grid = op.grid
 
-    r, u_in, _ = leading_term(model, h, t_prepare, sign=-1)
-    psi0 = embed_end_state(grid, h.end, r, u_in)
-    psi, _ = run(psi0, t_prepare)    # psi ~ W^- h at time 0
+    # psi ~ W^- h at time 0
+    psi, _ = run(_end_state(grid, model, h, t_prepare, -1), t_prepare)
 
     proj = _end_projection(run, grid, psi, end_to, t_probe, r_min=model.r0)
 

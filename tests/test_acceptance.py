@@ -153,6 +153,28 @@ def test_transmission_consistency(model, center, width, lam_nodes, rmax, s_rmax)
     assert 0.5 <= rep["ratio"] <= 2.0
 
 
+def test_transmission_matches_the_closed_form_on_d():
+    """Prepared from the comparison dynamics at the grid nodes, W^- h on
+    D transmits the mass the closed-form barrier |S| predicts within 5 %
+    (prepared from the leading term it read 1.25 times that at t = 40)."""
+    model = model_d()
+    h = bump(0.55, 0.25)
+    barrier = model.barrier
+
+    def s_abs(lam):
+        return np.array([abs(closed_form_scattering(
+            "square_well", float(x), v0=barrier["v0"],
+            half_width=barrier["half_width"])["t"]) for x in lam])
+
+    t_prepare, t_probe = 40.0, [40.0, 60.0, 80.0]
+    rmax = model.r0 + 1.3 * t_probe[-1] * np.sqrt(2.0 * h.lam_hi) + 15.0
+    op = ModeOperator(model, RadialGrid(rmax, 0.02), 0)
+    rep = transmission_experiment(op, model, h, end_to=1, s_abs=s_abs,
+                                  t_prepare=t_prepare, t_probe=t_probe,
+                                  cfg=EvolutionConfig(dt=0.05))
+    assert abs(rep["ratio"] - 1.0) <= 0.05
+
+
 # ---------------------------------------------------------------------------
 # 7. wave-operator Cauchy convergence and the adjoint identity (model A)
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ends_scatter import dynamics
+from ends_scatter import _clib, dynamics
 from ends_scatter.dynamics import (SpectralProfile, comparison_state,
                                    dynamics_grid, eikonal,
                                    hamilton_jacobi_residual, leading_term,
                                    phase_modifier, state_norm,
                                    stationary_point)
-from ends_scatter.geometry import eta
+from ends_scatter.geometry import EndProfile, ManifoldModel, eta, tail_q1
 from ends_scatter.mode_reduction import RadialGrid
 from ends_scatter.oracle import reference_comparison_state
 from ends_scatter.presets import model_a, model_c
@@ -142,6 +144,84 @@ def test_comparison_state_does_not_depend_on_radius_order():
     _, u = comparison_state(model, h, 10.0, r=r)
     _, u_up = comparison_state(model, h, 10.0, r=r[::-1])
     assert np.max(np.abs(u - u_up[::-1])) <= 1e-10 * np.max(np.abs(u))
+
+
+def _table_model():
+    """A tabulated end 0 with the reference tail 0.5 r^-1.5, built as a
+    config's ``table:`` end with ``q1_amplitude`` and ``q1_power`` is:
+    q1 varies, so the end is not separable."""
+    r = 1.0 + 0.5 * np.arange(60)
+    end = EndProfile.from_table(r, r + 0.1 * np.sin(r))
+    end = replace(end, q1=tail_q1(0.5, 1.5, 2.0, lambda0=end.lambda0),
+                  v_tail=tail_q1(0.5, 1.5, 2.0))
+    return ManifoldModel([end, EndProfile.euclidean()], r0=2.0)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("preset", ["C", "table"])
+def test_amplitude_rows_equal_the_numpy_expression(preset, sign):
+    """The compiled amplitude rows equal, bit for bit and signed zeros
+    included, the numpy expression they replace: psi by the trapezoid rule
+    over the sorted distinct radii and r0, taken from r0, then
+    exp(1j sign psi) / (2 |lam - q1|)^{1/4} at the radii with
+    eta_lambda > 0.  The radii are unsorted, some repeat, and some lie
+    below r0; 12 energies are fewer than the first interpolation level,
+    so the rows are taken at the energies themselves."""
+    model = model_c() if preset == "C" else _table_model()
+    prof = model.ends[0]
+    r_lam = model.r_lambda(0.3)
+    rng = np.random.default_rng(7)
+    r = np.concatenate((np.linspace(0.3, 1.9, 40),
+                        rng.permutation(np.linspace(model.r0, 60.0, 1500)),
+                        [7.25, 7.25, 30.0, 0.3, 1.0]))
+    live = eta(r, r_lam) > 0.0
+    lam = np.linspace(0.3, 0.8, 12)
+    amp, basis = dynamics._amplitude_factors(model, prof, r, live, r_lam,
+                                             lam, sign)
+    assert np.array_equal(basis, np.eye(lam.size))
+
+    nodes = np.unique(np.concatenate((r, [model.r0])))
+    y = eta(nodes, r_lam) * (
+        np.sqrt(np.maximum(2.0 * (lam[:, None] - prof.q1(nodes)), 0.0))
+        - np.sqrt(2.0 * (lam - prof.lambda0))[:, None])
+    acc = np.cumsum(np.diff(nodes) * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)
+    acc = np.concatenate((np.zeros((lam.size, 1)), acc), axis=1)
+    psi = (acc[:, np.searchsorted(nodes, r[live])]
+           - acc[:, np.searchsorted(nodes, [model.r0])])
+    want = np.exp(1j * sign * psi) / np.sqrt(np.sqrt(
+        2.0 * np.abs(lam[:, None] - prof.q1(r[live]))))
+    assert amp.shape == want.shape and amp.tobytes() == want.tobytes()
+
+
+def test_amplitude_rows_reject_bad_arrays_before_the_kernel(monkeypatch):
+    """The kernel checks nothing, so a wrong dtype, a non-contiguous
+    array, a wrong length or an index outside the nodes raises ValueError
+    before the foreign call."""
+    n = 50
+    good = dict(nodes=np.linspace(2.0, 10.0, n), eta_n=np.ones(n),
+                q1_n=np.zeros(n), at_r0=0,
+                at=np.arange(0, n, 5, dtype=np.int64),
+                q1_live=np.zeros(10), lam=np.linspace(0.3, 0.8, 4),
+                lam0=0.0, sign=1)
+    bad = [("nodes", good["nodes"].astype(np.float32)),
+           ("nodes", np.linspace(2.0, 10.0, 2 * n)[::2]),
+           ("eta_n", np.ones(n - 1)),
+           ("q1_n", good["q1_n"].astype(complex)),
+           ("q1_live", np.zeros(9)),
+           ("lam", np.stack([good["lam"]] * 2, axis=1)[:, 0]),
+           ("lam", good["lam"][:, None]),
+           ("at", good["at"].astype(np.int32)),
+           ("at", np.repeat(good["at"], 2)[::2]),
+           ("at", np.append(good["at"][:-1], n)),
+           ("at", np.append(good["at"][:-1], -1)),
+           ("at_r0", n), ("at_r0", -1), ("sign", 0)]
+    monkeypatch.setattr(_clib, "library",
+                        lambda: pytest.fail("the kernel was called"))
+    for key, value in bad:
+        with pytest.raises(ValueError):
+            dynamics._amplitude_rows(**dict(good, **{key: value}))
+    monkeypatch.undo()
+    assert dynamics._amplitude_rows(**good).shape == (4, 10)
 
 
 @pytest.mark.parametrize("n_col", [1, 33])

@@ -6,11 +6,14 @@ No linter runs on the sources, so two of its checks live here: every
 A third guard keeps each subcommand to the scipy subpackages it needs:
 none for the stationary ones and dynamics, ``linalg`` for the propagator.
 A fourth keeps the reference implementations of ``oracle`` out of the
-computation paths, and a fifth compiles the propagator's C kernel with
-every warning an error.
+computation paths.  The rest guard the C kernels: they compile with every
+warning an error, the package data ships every source, and neither the
+import, the stationary subcommands nor dynamics on a separable end build
+them.
 """
 
 import ast
+import fnmatch
 import importlib
 import json
 import math
@@ -22,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import ends_scatter
-from ends_scatter import propagator
+from ends_scatter import _clib
 
 SRC = Path(ends_scatter.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -173,15 +176,47 @@ def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code,
     assert _heavy_scipy_loaded([argv], tmp_path, code) == allowed
 
 
-def test_step_kernel_compiles_without_warnings(tmp_path):
-    """The propagator's C kernel is C99 that the compiler it is built
-    with finds nothing to warn about, with the flags it is built with and
-    (on x86-64, where those select the SSE3 complex product) with the
-    plain-C body of that helper."""
-    flags = propagator._cflags()
+def test_step_kernel_compiles_without_warnings():
+    """Every C kernel of the package is C99 that the compiler it is built
+    with finds nothing to warn about: the package's own build (all
+    sources in one call, with its flags) with every warning an error, and
+    on x86-64, where those flags select the SSE3 complex product of
+    ``_pade.c``, the same without SSE3."""
+    flags = _clib._cflags()
     builds = [flags] + ([flags + ["-mno-sse3"]] if "-msse3" in flags else [])
     for build in builds:
-        cmd = [propagator._CC, "-std=c99", "-Wall", "-Wextra", "-Werror",
-               *build, "-o", str(tmp_path / "_pade.so"), str(SRC / "_pade.c")]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, (build, proc.stderr)
+        _clib._build(["-std=c99", "-Wall", "-Wextra", "-Werror", *build])
+
+
+def test_package_data_ships_every_kernel_source():
+    """An installed package compiles its kernels from the sources it
+    ships, so package-data must cover every ``*.c`` beside the modules."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"][
+            "ends_scatter"]
+    sources = [p.name for p in (root / "src" / "ends_scatter").glob("*.c")]
+    assert sources
+    assert [name for name in sources
+            if not any(fnmatch.fnmatch(name, pat) for pat in patterns)] == []
+
+
+def test_kernels_are_built_only_when_needed(tmp_path):
+    """A fresh interpreter imports the package, runs the stationary
+    subcommands and dynamics on the separable preset A without building
+    the kernels; the comparison state of the Dollard end C builds them."""
+    runs = _STATIONARY_RUNS + [["dynamics", "--preset", "A", "--t-grid", "10"]]
+    script = (
+        "import ends_scatter\n"
+        "from ends_scatter import _clib, cli\n"
+        "assert _clib.library.cache_info().currsize == 0\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "    assert _clib.library.cache_info().currsize == 0, argv\n"
+        "assert cli.main(['dynamics', '--preset', 'C', '--t-grid', '10',\n"
+        f"                 '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert _clib.library.cache_info().currsize == 1\n")
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -6,15 +6,13 @@ import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import spsolve
 
-from ends_scatter import propagator
-from ends_scatter.dynamics import (SpectralProfile, comparison_state,
-                                   leading_term)
+from ends_scatter import _clib, propagator
+from ends_scatter.dynamics import SpectralProfile, comparison_state
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
-from ends_scatter.presets import model_a, model_d, model_free
+from ends_scatter.presets import model_a, model_c, model_d, model_free
 from ends_scatter.propagator import (EvolutionConfig, Propagator, _pade_steps,
-                                     embed_end_state, end_mass,
-                                     end_projection, evolve,
+                                     end_mass, end_projection, evolve,
                                      transmission_experiment, wave_operator)
 
 
@@ -152,17 +150,6 @@ def test_evolve_zero_time_is_identity(setup):
     assert np.array_equal(out, psi)
 
 
-def test_embed_end_state():
-    grid = RadialGrid(10.0, 0.1)
-    r = np.linspace(0.0, 10.0, 101)
-    vals = np.exp(-(r - 4.0) ** 2).astype(complex)
-    u0 = embed_end_state(grid, 0, r, vals)
-    u1 = embed_end_state(grid, 1, r, vals)
-    assert np.all(u0[grid.x < 0] == 0.0)
-    assert np.all(u1[grid.x >= 0] == 0.0)
-    assert abs(grid.norm(u0) - grid.norm(u1)) < 1e-10
-
-
 def test_end_mass_and_projection(setup):
     grid = RadialGrid(60.0, 0.05)
     op = ModeOperator(model_free(), grid, 0)
@@ -282,24 +269,25 @@ def test_split_steps_equal_one_call(model, grid):
                           prop.step(psi, 200))
 
 
-@pytest.mark.skipif("-msse3" not in propagator._cflags(),
+@pytest.mark.skipif("-msse3" not in _clib._cflags(),
                     reason="the SSE3 complex product is built on x86-64 only")
 def test_sse3_kernel_equals_portable_kernel(monkeypatch):
     """The SSE3 body of the kernel's complex product rounds like its
     plain-C body: 200 steps of either build agree bit for bit."""
     prop, psi = _kernel_case(model_a(), RadialGrid(40.0, 0.02), 0.05)
     outs = []
-    for flags in (propagator._cflags(), propagator._cflags() + ["-mno-sse3"]):
-        kernel = propagator._compile_kernel(flags)
-        monkeypatch.setattr(propagator, "_pade_kernel", lambda: kernel)
+    for flags in (_clib._cflags(), _clib._cflags() + ["-mno-sse3"]):
+        lib = _clib._build(flags)
+        monkeypatch.setattr(_clib, "library", lambda: lib)
         outs.append(prop.step(psi, 200))
     assert np.array_equal(outs[0], outs[1])
 
 
-def _free_state(op, model, h, t):
+def _free_state(op, model, h, t, sign=+1):
     mask = op.grid.end_mask(h.end)
     out = np.zeros(op.grid.x.size, dtype=complex)
-    _, out[mask] = comparison_state(model, h, t, r=np.abs(op.grid.x[mask]))
+    _, out[mask] = comparison_state(model, h, t, r=np.abs(op.grid.x[mask]),
+                                    sign=sign)
     return out
 
 
@@ -395,15 +383,22 @@ def test_step_rejects_bad_arrays_before_the_kernel(setup):
 
 
 def test_missing_compiler_is_named(setup, monkeypatch):
-    """Without the C compiler the first propagation raises an error that
-    names it."""
+    """Without the C compiler the first propagation, and the first
+    comparison state of the Dollard end C, raise an error that names it;
+    the separable end A needs no kernel."""
     op, psi = setup
-    monkeypatch.setattr(propagator, "_CC", "no-such-cc")
-    # a fresh cache, so that the kernel built already is not reused
-    monkeypatch.setattr(propagator, "_pade_kernel",
-                        functools.cache(propagator._pade_kernel.__wrapped__))
+    monkeypatch.setattr(_clib, "_CC", "no-such-cc")
+    # a fresh cache, so that the library built already is not reused
+    monkeypatch.setattr(_clib, "library",
+                        functools.cache(_clib.library.__wrapped__))
     with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
         evolve(op, psi, 1.0)
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
+        comparison_state(model_c(), h, 10.0)
+    _, u = comparison_state(model_a(), h, 10.0)
+    assert np.max(np.abs(u)) > 0.0
+    assert _clib.library.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("t_probe, step_sizes", [
@@ -420,8 +415,7 @@ def test_transmission_factors_once_per_step_size(monkeypatch, t_probe,
     h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
     op = ModeOperator(model, RadialGrid(60.0, 0.05), 0)
     cfg = EvolutionConfig(dt=0.05)
-    r, u_in, _ = leading_term(model, h, 5.0, sign=-1)
-    psi, _ = evolve(op, embed_end_state(op.grid, 0, r, u_in), 5.0, cfg)
+    psi, _ = evolve(op, _free_state(op, model, h, 5.0, sign=-1), 5.0, cfg)
     want = end_projection(op, psi, 1, t_probe, r_min=model.r0, cfg=cfg)
 
     built = []
