@@ -4,8 +4,11 @@ Every ``*.c`` file beside this module is compiled in one call of the C
 compiler ``cc`` into one shared library, loaded by ``ctypes`` (whose
 foreign calls release the GIL), once per process: when the first
 Propagator is made or the first comparison state of a non-separable end
-is summed, never at import.  The kernels check no argument; their
-callers check every array first.
+is summed, never at import.  The kernels: ``pade_factor`` and
+``pade_steps`` (``_pade.c``) factor and step the propagator,
+``amplitude_rows`` (``_amplitude.c``) sums the comparison amplitude.
+They check no argument, so their callers pass every array they are
+handed through ``pointer``, which checks it first.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import functools
 import os
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 # the compiler that builds the kernels
 _CC = "cc"
@@ -54,10 +59,11 @@ def _build(flags: Sequence[str]):
                                f"{proc.stderr.strip()}")
         lib = ctypes.CDLL(path)
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    lib.pade_factor.argtypes = [i64, ptr, f64, f64, f64, ptr, ptr, ptr]
     lib.pade_steps.argtypes = [i64, i64] + [ptr] * 8
     lib.amplitude_rows.argtypes = ([i64, ptr, ptr, ptr, i64, i64, ptr, ptr,
                                     i64, ptr, f64, i64, ptr, ptr])
-    for kernel in (lib.pade_steps, lib.amplitude_rows):
+    for kernel in (lib.pade_factor, lib.pade_steps, lib.amplitude_rows):
         kernel.restype = None
     return lib
 
@@ -66,3 +72,20 @@ def _build(flags: Sequence[str]):
 def library():
     """The kernels compiled with ``_cflags()``, built once per process."""
     return _build(_cflags())
+
+
+def pointer(array: np.ndarray, name: str, dtype, shape: tuple,
+            writeable: bool = False) -> int:
+    """The address of ``array`` for a kernel argument.  A wrong dtype,
+    shape or layout would make the kernel read or write outside the
+    array, so it raises ValueError naming ``name`` and what it must be."""
+    dtype = np.dtype(dtype)
+    if not (array.dtype == dtype and array.shape == shape
+            and array.flags.c_contiguous
+            and (array.flags.writeable or not writeable)):
+        what = (f"vector of length {shape[0]}" if len(shape) == 1
+                else f"array of shape {shape}")
+        raise ValueError(f"{name} must be a {'writeable ' * writeable}"
+                         f"contiguous {dtype} {what}, got {array.dtype} "
+                         f"{array.shape}")
+    return array.ctypes.data

@@ -1,4 +1,16 @@
-/* Steps of the factored Pade(2,2) propagator, see propagator.py.
+/* Factors and steps of the factored Pade(2,2) propagator, see
+ * propagator.py.
+ *
+ * pade_factor factors z - beta, z = i dt H, as L V D without pivoting: L
+ * unit lower and V unit upper of bandwidth 2, D diagonal.  It reads H as
+ * the five rows of its LAPACK band, row k, column j holding H[j + k - 2, j]
+ * (zero outside the matrix), and writes the sweeps and the gain that
+ * pade_steps reads: L as an up sweep, V as a down sweep and 2 beta / D.
+ * z - beta has hermitian part -Re(beta) I = 3 I, so every pivot has real
+ * part at least 3 and no row needs swapping (Golub & Van Loan, LAA 28,
+ * 1979).  Row i of the Doolittle recurrence needs only rows i - 1 and
+ * i - 2 of U = V D, and the columns of V at row i wait for the pivot of
+ * row i: V[i-1, i] and V[i-2, i] are written once it is known.
  *
  * One Cayley factor maps x <- x + g .* (A B)^-1 (x + floor), with A and B
  * unit triangular of bandwidth 2: factor 0 is an LU (A lower, B upper),
@@ -24,11 +36,14 @@
  * arithmetic of every row is the same however the steps are split into
  * calls.
  *
- * Complex numbers are (re, im) pairs in a 2-double vector; the complex
- * product is the one helper with a body per instruction set.  Compile
- * with -ffp-contract=off so that no product is fused into a subtraction.
+ * In the steps complex numbers are (re, im) pairs in a 2-double vector,
+ * and the complex product is the one helper with a body per instruction
+ * set; pade_factor, which runs once per Propagator, uses C99's double
+ * complex.  Compile with -ffp-contract=off so that no product is fused
+ * into a subtraction.
  */
 
+#include <complex.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -125,5 +140,42 @@ void pade_steps(int64_t n, int64_t steps,
     for (int64_t s = 0; s < steps; s++) {
         down(n, down0, gain0, down1, x, w);
         up(n, up1, gain1, s + 1 < steps ? up0 : NULL, x, w);
+    }
+}
+
+/* L V D = z - beta for the band ``band`` of H (5 x n, rows as above):
+ * up and down (n x 2 each) receive L and V packed as the sweeps above,
+ * gain (n) receives 2 beta / D. */
+void pade_factor(int64_t n, const double *band, double dt, double beta_re,
+                 double beta_im, double complex *up, double complex *down,
+                 double complex *gain)
+{
+    const double complex beta = beta_re + beta_im * I;
+    const double *h0 = band, *h1 = band + n, *h2 = band + 2 * n,
+                 *h3 = band + 3 * n, *h4 = band + 4 * n;
+    /* rows i - 2 and i - 1 of U: the pivot d, then U[r, r+1] and
+     * U[r, r+2]; the rows above the matrix are those of the identity */
+    double complex d2 = 1.0, e2 = 0.0, f2 = 0.0, d1 = 1.0, e1 = 0.0, f1 = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double complex l2 = i >= 2 ? I * (dt * h4[i - 2]) / d2 : 0.0;
+        double complex l1 = i >= 1 ? (I * (dt * h3[i - 1]) - l2 * e2) / d1
+                                   : 0.0;
+        double complex d = (I * (dt * h2[i]) - beta) - l2 * f2 - l1 * e1;
+        double complex e = i + 1 < n ? I * (dt * h1[i + 1]) - l1 * f1 : 0.0;
+        double complex f = i + 2 < n ? I * (dt * h0[i + 2]) : 0.0;
+        up[2 * i] = l2;
+        up[2 * i + 1] = l1;
+        down[2 * i] = down[2 * i + 1] = 0.0;
+        if (i >= 1)
+            down[2 * i - 1] = e1 / d;
+        if (i >= 2)
+            down[2 * i - 4] = f2 / d;
+        gain[i] = 2.0 * beta / d;
+        d2 = d1;
+        e2 = e1;
+        f2 = f1;
+        d1 = d;
+        e1 = e;
+        f1 = f;
     }
 }

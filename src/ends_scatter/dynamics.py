@@ -695,19 +695,15 @@ def _amplitude_rows(nodes: np.ndarray, eta_n: np.ndarray, q1_n: np.ndarray,
     nodes[at_r0] of eta (sqrt(max(2 (lam - q1), 0)) - sqrt(2 (lam - lam0)))
     over the sorted ``nodes``, with eta and q1 sampled there as ``eta_n``
     and ``q1_n``; ``q1_live`` is q1 at the radii.  The kernel checks no
-    argument, so the arrays and indices are checked here: a wrong layout,
-    length or index would read or write outside them."""
+    argument: the arrays go through ``_clib.pointer``, and the indices
+    are checked here, since one outside the nodes would read outside
+    them."""
     n = nodes.size
-    for name, a, size in (("nodes", nodes, n), ("eta", eta_n, n),
-                          ("q1", q1_n, n), ("q1_live", q1_live, at.size),
-                          ("lam", lam, lam.size)):
-        if not (a.dtype == np.float64 and a.shape == (size,)
-                and a.flags.c_contiguous):
-            raise ValueError(f"{name} must be a contiguous float64 vector "
-                             f"of length {size}, got {a.dtype} {a.shape}")
-    if not (at.dtype == np.int64 and at.ndim == 1 and at.flags.c_contiguous):
-        raise ValueError(f"at must be a contiguous int64 vector, got "
-                         f"{at.dtype} {at.shape}")
+    args = [_clib.pointer(a, name, np.float64, (size,)) for name, a, size in
+            (("nodes", nodes, n), ("eta", eta_n, n), ("q1", q1_n, n))]
+    at_p = _clib.pointer(at, "at", np.int64, (at.size,))
+    q1_p = _clib.pointer(q1_live, "q1_live", np.float64, (at.size,))
+    lam_p = _clib.pointer(lam, "lam", np.float64, (lam.size,))
     if not (0 <= at_r0 < n and np.all((at >= 0) & (at < n))):
         raise ValueError(f"node indices must lie in [0, {n})")
     if sign not in (1, -1):
@@ -715,9 +711,8 @@ def _amplitude_rows(nodes: np.ndarray, eta_n: np.ndarray, q1_n: np.ndarray,
     out = np.empty((lam.size, at.size), dtype=complex)
     acc = np.empty(n)
     _clib.library().amplitude_rows(
-        n, nodes.ctypes.data, eta_n.ctypes.data, q1_n.ctypes.data, at_r0,
-        at.size, at.ctypes.data, q1_live.ctypes.data, lam.size,
-        lam.ctypes.data, lam0, sign, acc.ctypes.data, out.ctypes.data)
+        n, *args, at_r0, at.size, at_p, q1_p, lam.size, lam_p, lam0, sign,
+        acc.ctypes.data, out.ctypes.data)
     return out
 
 

@@ -100,7 +100,11 @@ class ModeOperator:
                 f"need dx <= {dx_needed:g}")
 
     def banded(self) -> np.ndarray:
-        """Symmetric banded form (diagonal-ordered, for scipy solve_banded)."""
+        """H in LAPACK band storage, kl = ku = 1 (three-point stencil) or
+        2 (five-point): row k, column j holds H[j + k - kl, j], zero
+        outside the matrix.  The propagator's kernel ``pade_factor``
+        reads this layout (a three-point band padded to five rows), and
+        scipy's ``solve_banded`` takes it."""
         n = self.grid.x.size
         h2 = self.grid.dx ** 2
         if self.stencil_order == 2:

@@ -4,12 +4,14 @@ The reduced operator H_m acts on the doubly-infinite line coordinate; the
 propagator e^{-itH} is realized by unconditionally stable implicit
 stepping (the fourth-order diagonal Pade (2,2) step as two Cayley-type
 factors, the first a pivot-free banded LU and the second a pivot-free
-banded UL, both reused across steps).  The steps run in the C kernel
-``_pade.c``, all the steps of an evolution in one foreign call.  Each
-factor is two triangular band sweeps, the LU's up then down, the UL's down
-then up, with the vector updates folded into them; the kernel runs the
-same-direction sweeps of consecutive factors in one pass, so a step is two
-passes over the state, each with two independent recurrences.  The first
+banded UL, both reused across steps).  Factors and steps run in the C
+kernel ``_pade.c``: ``pade_factor`` once per Cayley factor when a
+Propagator is made, ``pade_steps`` all the steps of an evolution in one
+foreign call.  Each factor is two triangular band sweeps, the LU's up
+then down, the UL's down then up, with the vector updates folded into
+them; the kernel runs the same-direction sweeps of consecutive factors in
+one pass, so a step is two passes over the state, each with two
+independent recurrences.  The first
 Propagator of a process builds the package's C kernels (``_clib``: one
 ``cc`` call, with SSE3 on x86-64, loaded by ``ctypes``), and a ctypes
 call releases the GIL: steps on several threads run on several cores.
@@ -78,29 +80,32 @@ _PADE_ROOTS = (-3.0 + 1j * math.sqrt(3.0), -3.0 - 1j * math.sqrt(3.0))
 def _pade_steps(factors, x: np.ndarray, n_steps: int) -> None:
     """``n_steps`` Pade steps of x in place by the compiled kernel.
     ``factors`` holds (first sweep, second sweep, gain) per Cayley factor,
-    each sweep its (a2, a1) coefficients packed per row.  The kernel
-    checks no argument, so the arrays are checked here: a wrong layout or
-    length would corrupt memory."""
-    pointers = []
+    each sweep its (a2, a1) coefficients packed per row."""
     n = factors[0][0].shape[0]
-    for first, second, gain in factors:
-        for sweep in (first, second):
-            if not (sweep.shape == (n, 2) and sweep.dtype == np.complex128
-                    and sweep.flags.c_contiguous):
-                raise ValueError(f"sweep coefficients must be a contiguous "
-                                 f"complex128 array of shape ({n}, 2)")
-        if not (gain.shape == (n,) and gain.dtype == np.complex128
-                and gain.flags.c_contiguous):
-            raise ValueError(f"gain must be a contiguous complex128 vector "
-                             f"of length {n}")
-        pointers += [first.ctypes.data, second.ctypes.data, gain.ctypes.data]
-    if not (x.dtype == np.complex128 and x.flags.c_contiguous
-            and x.flags.writeable and x.shape == (n,)):
-        raise ValueError(f"state must be a writeable contiguous complex128 "
-                         f"vector of length {n}, got {x.dtype} {x.shape}")
+    pointers = []
+    for f, (first, second, gain) in enumerate(factors):
+        pointers += [
+            _clib.pointer(first, f"first sweep of factor {f}", complex, (n, 2)),
+            _clib.pointer(second, f"second sweep of factor {f}", complex,
+                          (n, 2)),
+            _clib.pointer(gain, f"gain of factor {f}", complex, (n,))]
+    state = _clib.pointer(x, "state", complex, (n,), writeable=True)
     work = np.empty_like(x)
-    _clib.library().pade_steps(n, n_steps, *pointers, x.ctypes.data,
-                               work.ctypes.data)
+    _clib.library().pade_steps(n, n_steps, *pointers, state, work.ctypes.data)
+
+
+def _lu_sweeps(band: np.ndarray, dt: float, beta: complex):
+    """(up, down, gain) of z - beta = L V D, z = i dt H, by the compiled
+    kernel, ``band`` the five-row LAPACK band of H: up packs the unit
+    lower L, down the unit upper V, and gain is 2 beta / D."""
+    n = band.shape[1]
+    up = np.empty((n, 2), dtype=complex)
+    down = np.empty((n, 2), dtype=complex)
+    gain = np.empty(n, dtype=complex)
+    _clib.library().pade_factor(
+        n, _clib.pointer(band, "band", np.float64, (5, n)), dt, beta.real,
+        beta.imag, up.ctypes.data, down.ctypes.data, gain.ctypes.data)
+    return up, down, gain
 
 
 class Propagator:
@@ -108,9 +113,11 @@ class Propagator:
 
     Pade(2,2), norm preserving for hermitian H, as the product over
     beta = -3 +- i sqrt(3) of (z + beta)/(z - beta), z = i dt H (van Dijk &
-    Toyama, PRE 75, 036707); z - beta has hermitian part 3 for either sign
-    of dt, so its banded triangular factors are stable without pivoting
-    (Golub & Van Loan).  Each factor maps u <- u + 2 beta (z - beta)^-1 u.
+    Toyama, PRE 75, 036707).  Each factor maps u <- u + 2 beta (z - beta)^-1 u.
+    z - beta has hermitian part 3 for either sign of dt, so every pivot of
+    its band LU has real part at least 3 and the LU needs no pivoting
+    (Golub & Van Loan); the kernel ``pade_factor`` of ``_pade.c`` computes
+    it, once per factor.
 
     z - beta_0 is factored as LU, and z - beta_1 as UL: the LU of the
     index-reversed band, J (z - beta_1) J = L'U' with J the reversal, gives
@@ -125,53 +132,21 @@ class Propagator:
     """
 
     def __init__(self, op: ModeOperator, dt: float):
-        from scipy.linalg import lapack
-
         # the kernel's band width is two: a three-point H gets zero second
         # off-diagonals, which stay zero in its LU and change no solve
         banded = op.banded()
         if banded.shape[0] == 3:
             banded = np.pad(banded, ((1, 1), (0, 0)))
-        k = 2
-        n = banded.shape[1]
-        # entry (i, j) times 4^(j - i) is S A S^-1, S = diag(4^-i): exact, it
-        # keeps the unpivoted LU up to S and divides the multipliers gbtrf's
-        # partial pivoting tests by 4 and 16 (unscaled: pivots at dt/dx^2>1e3)
-        scale = 4.0 ** np.arange(k, -k - 1, -1)[:, None]
-
-        def lu_sweeps(band, beta):
-            """(up, down, gain) of z - beta = L U, ``band`` the LAPACK band
-            of H: up packs the unit lower L, down the unit upper V of
-            U = V diag(U), and gain is 2 beta / diag(U)."""
-            ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
-            ab[k:] = 1j * dt * band * scale
-            ab[2 * k] -= beta
-            lu, piv, info = lapack.zgbtrf(ab, k, k)
-            if info != 0 or not np.array_equal(piv, np.arange(n)):
-                raise RuntimeError(f"pivot-free band LU failed (info={info})")
-            # undo S; rows (L[j+1, j], L[j+2, j]) and (V[j-2, j], V[j-1, j])
-            d = lu[2 * k]
-            lower = lu[2 * k + 1:] / scale[k + 1:]
-            upper = lu[k:2 * k] / (scale[:k] * d)
-            up = np.zeros((n, 2), dtype=complex)
-            up[2:, 0] = lower[1, :-2]
-            up[1:, 1] = lower[0, :-1]
-            down = np.zeros((n, 2), dtype=complex)
-            down[:-2, 0] = upper[0, 2:]
-            down[:-1, 1] = upper[1, 1:]
-            return up, down, 2.0 * beta / d
-
-        up0, down0, gain0 = lu_sweeps(banded, _PADE_ROOTS[0])
+        up0, down0, gain0 = _lu_sweeps(banded, dt, _PADE_ROOTS[0])
         # the LU of the reversed band, read backwards: J L' J is unit
         # upper (a down sweep), J V' J unit lower (an up sweep)
+        reversed_band = np.ascontiguousarray(banded[::-1, ::-1])
         down1, up1, gain1 = (np.ascontiguousarray(a[::-1]) for a in
-                             lu_sweeps(banded[::-1, ::-1], _PADE_ROOTS[1]))
+                             _lu_sweeps(reversed_band, dt, _PADE_ROOTS[1]))
         # each factor's sweeps in the order it applies them
         self._factors = [(up0, down0, gain0), (down1, up1, gain1)]
         self.dt = dt
         self.op = op
-        # built in the constructing thread: pool workers only call it
-        _clib.library()
 
     def step(self, psi: np.ndarray, n: int = 1) -> np.ndarray:
         out = np.array(psi, dtype=complex)

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 from scipy.sparse.linalg import spsolve
 
 from ends_scatter import _clib, propagator
@@ -75,10 +75,10 @@ def test_factored_step_matches_unfactored_pade(dt, stencil_order):
 
 
 def test_fine_grid_step_matches_pade_in_eigenbasis():
-    """At dt/dx^2 = 2000 unscaled partial pivoting would swap rows; the
-    pivot-free factors still give R(i dt H), evaluated here on the
-    eigenvalues of H.  (The unfactored system, with condition ~|z|^2/12,
-    is itself off by 1e-10 at this size.)"""
+    """At dt/dx^2 = 2000 the diagonal of z - beta is some 800 times its
+    hermitian part 3; the pivot-free factors still give R(i dt H),
+    evaluated here on the eigenvalues of H.  (The unfactored system, with
+    condition ~|z|^2/12, is itself off by 1e-10 at this size.)"""
     grid = RadialGrid(4.0, 0.005)
     op = ModeOperator(model_a(), grid, 0)
     lam, vec = np.linalg.eigh(_sparse_hamiltonian(op).toarray())
@@ -88,6 +88,45 @@ def test_fine_grid_step_matches_pade_in_eigenbasis():
     ref = vec @ (pade**20 * (vec.T @ psi))
     out = Propagator(op, 0.05).step(psi, 20)
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _unit_triangle(sweep, lower):
+    """The dense unit triangle a sweep solves: row i of an up sweep holds
+    (L[i, i-2], L[i, i-1]), row i of a down sweep (U[i, i+2], U[i, i+1])."""
+    n = sweep.shape[0]
+    out = np.eye(n, dtype=complex)
+    for k, offset in ((0, 2), (1, 1)):
+        i = np.arange(offset, n) if lower else np.arange(n - offset)
+        out[i, i - offset if lower else i + offset] = sweep[i, k]
+    return out
+
+
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+@pytest.mark.parametrize("model, grid, stencil_order", [
+    *[pytest.param(model_d(), RadialGrid(0.05 * (n - 1), 0.1), 4, id=f"n{n}")
+      for n in range(1, 6)],
+    pytest.param(model_d(), RadialGrid(3.0, 0.02), 4, id="D"),
+    pytest.param(model_d(), RadialGrid(3.0, 0.02), 2, id="D-stencil2"),
+    # dt/dx^2 = 1.25e6
+    pytest.param(model_a(), RadialGrid(0.05, 2e-4), 4, id="A-fine"),
+])
+def test_factors_multiply_back_to_the_shifted_band(model, grid,
+                                                   stencil_order, dt):
+    """The pivot-free factors of each Cayley factor give back z - beta,
+    z = i dt H, to roundoff: L V D for factor 0 and (J L' J)(J V' J) D
+    for factor 1, with D = diag(2 beta / gain).  H is assembled from its
+    band here, and beta = -3 + i sqrt(3) for factor 0."""
+    op = ModeOperator(model, grid, 0, stencil_order=stencil_order)
+    (up0, down0, gain0), (down1, up1, gain1) = Propagator(op, dt)._factors
+    z = 1j * dt * _sparse_hamiltonian(op).toarray()
+    products = [
+        (_unit_triangle(up0, True) @ _unit_triangle(down0, False), gain0),
+        (_unit_triangle(down1, False) @ _unit_triangle(up1, True), gain1)]
+    for beta, (product, gain) in zip((-3.0 + 3**0.5 * 1j, -3.0 - 3**0.5 * 1j),
+                                     products):
+        want = z - beta * np.eye(z.shape[0])
+        got = product * (2.0 * beta / gain)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_step_leaves_no_subnormals():
@@ -102,23 +141,6 @@ def test_step_leaves_no_subnormals():
     out = Propagator(op, 0.05).step(psi, 30)
     parts = np.concatenate([out.real, out.imag])
     assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny))
-
-
-def test_pivoted_factorization_is_rejected(setup, monkeypatch):
-    """The step runs pivot-free triangular solves; a factorization that
-    permuted rows must raise, not fall back to a pivoted solve."""
-    op, _ = setup
-    zgbtrf = lapack.zgbtrf
-
-    def pivoted(*args, **kwargs):
-        lu, piv, info = zgbtrf(*args, **kwargs)
-        piv = piv.copy()
-        piv[0] = 1
-        return lu, piv, info
-
-    monkeypatch.setattr(lapack, "zgbtrf", pivoted)
-    with pytest.raises(RuntimeError, match="pivot"):
-        Propagator(op, 0.05)
 
 
 def test_free_gaussian_dispersion(setup):
