@@ -129,44 +129,54 @@ _HEAVY_SCIPY = ["integrate", "interpolate", "linalg", "sparse", "special",
                 "optimize", "spatial", "fft"]
 
 
-# every subcommand with the exit code it must return: at t = 40 the cone
-# of the Dollard end C is large enough for the spline that seeds
-# stationary_point's Newton solve, and waveop's t = 20 is too early for
-# the increments to reach tol_w
-_EVERY_RUN = [(argv, 0) for argv in _STATIONARY_RUNS] + [
-    (["dynamics", "--preset", "A", "--t-grid", "10,20"], 0),
-    (["dynamics", "--preset", "C", "--t-grid", "10,40"], 0),
-    (["model-check", "--config", "{table}"], 0),
-    (["waveop", "--preset", "A", "--t-grid", "10,20"], 3),
-    (["transmission", "--preset", "D", "--t-grid", "10"], 0),
-]
-
-
-def test_no_subcommand_loads_a_heavy_scipy_subpackage(tmp_path):
-    """A fresh interpreter imports the package and runs every subcommand
-    without loading any of the heavy scipy subpackages: the splines and
-    the propagator's band factors are the package's own."""
-    table = tmp_path / "prof.csv"
-    r = [1.0 + 0.5 * k for k in range(60)]
-    table.write_text("\n".join(f"{a!r},{a + 0.1 * math.sin(a)!r}" for a in r))
-    cfg = tmp_path / "table.cfg"
-    cfg.write_text(f"[model]\nr0 = 2\n[ends.1]\nprofile = table: {table}\n"
-                   "[ends.2]\nprofile = euclidean\n")
-    runs = [([arg.format(table=cfg) for arg in argv], code)
-            for argv, code in _EVERY_RUN]
+def _heavy_scipy_loaded(runs, out_dir, code: int = 0) -> list:
+    """Heavy scipy subpackages that a fresh interpreter loads while it
+    imports the package and runs the CLI on each argv of ``runs``, each
+    of which must exit with ``code``."""
     script = (
         "import json, sys\n"
         "import ends_scatter\n"
         "from ends_scatter import cli\n"
-        f"for argv, code in {runs!r}:\n"
-        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r}]) == code, argv\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert cli.main(argv + ['--out', {str(out_dir)!r}]) == {code}, argv\n"
         "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
         f"print(json.dumps(sorted(loaded & set({_HEAVY_SCIPY!r}))))\n")
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_stationary_subcommands_load_no_scipy_subpackage(tmp_path):
+    """A fresh interpreter imports the package and runs the stationary
+    subcommands without loading any of the heavy scipy subpackages."""
+    assert _heavy_scipy_loaded(_STATIONARY_RUNS, tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the spectral profile's spline is the package's own
+    (["dynamics", "--preset", "A", "--t-grid", "10,20"], 0),
+    # so is the spline that seeds stationary_point's Newton solve on the
+    # Dollard end (at t = 40 the cone is large enough to be seeded)
+    (["dynamics", "--preset", "C", "--t-grid", "10,40"], 0),
+    (["model-check", "--config", "{table}"], 0),
+    # so are the propagator's band factors; t = 20 is too early for the
+    # increments to reach tol_w
+    (["waveop", "--preset", "A", "--t-grid", "10,20"], 3),
+    (["transmission", "--preset", "D", "--t-grid", "10"], 0),
+], ids=["dynamics", "dynamics-C", "table-profile", "waveop", "transmission"])
+def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code):
+    """The subcommands that evolve a state load no heavy scipy subpackage
+    either: only ``oracle``'s reference solvers and the tests use scipy."""
+    table = tmp_path / "prof.csv"
+    r = [1.0 + 0.5 * k for k in range(60)]
+    table.write_text("\n".join(f"{a!r},{a + 0.1 * math.sin(a)!r}" for a in r))
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(f"[model]\nr0 = 2\n[ends.1]\nprofile = table: {table}\n"
+                   "[ends.2]\nprofile = euclidean\n")
+    argv = [arg.format(table=cfg) for arg in argv]
+    assert _heavy_scipy_loaded([argv], tmp_path, code) == []
 
 
 def test_step_kernel_compiles_without_warnings():
