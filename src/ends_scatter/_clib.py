@@ -5,10 +5,13 @@ compiler ``cc`` into one shared library, loaded by ``ctypes`` (whose
 foreign calls release the GIL), once per process: when the first
 Propagator is made or the first comparison state of a non-separable end
 is summed, never at import.  The kernels: ``pade_factor`` and
-``pade_steps`` (``_pade.c``) factor and step the propagator,
-``amplitude_rows`` (``_amplitude.c``) sums the comparison amplitude.
-They check no argument, so their callers pass every array they are
-handed through ``pointer``, which checks it first.
+``pade_steps`` (``_pade.c``) factor and step the propagator, one state
+or two side by side, ``amplitude_rows`` (``_amplitude.c``) sums the
+comparison amplitude.  They check no argument, so their callers pass
+every array they are handed through ``pointer``, which checks it first.
+The flags are the same on every machine of one architecture: the
+two-lane AVX body of ``pade_steps`` is a function compiled for AVX
+within the SSE3 build, and the kernel runs it when the CPU has AVX.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ _CC = "cc"
 
 def _cflags() -> list:
     """The flags the kernels are compiled with: no fused multiply-add,
-    and the SSE3 complex product of ``_pade.c`` on x86-64 (elsewhere that
-    kernel takes the plain-C body of the helper, which rounds the same)."""
+    and on x86-64 SSE3, which selects the vector complex products of
+    ``_pade.c``, SSE3 for one lane and AVX for two (elsewhere that kernel
+    takes the plain-C bodies of the helper, which round the same)."""
     import platform
 
     sse3 = platform.machine().lower() in ("x86_64", "amd64")
@@ -60,7 +64,7 @@ def _build(flags: Sequence[str]):
         lib = ctypes.CDLL(path)
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.pade_factor.argtypes = [i64, ptr, f64, f64, f64, ptr, ptr, ptr]
-    lib.pade_steps.argtypes = [i64, i64] + [ptr] * 8
+    lib.pade_steps.argtypes = [i64, i64, i64] + [ptr] * 8
     lib.amplitude_rows.argtypes = ([i64, ptr, ptr, ptr, i64, i64, ptr, ptr,
                                     i64, ptr, f64, i64, ptr, ptr])
     for kernel in (lib.pade_factor, lib.pade_steps, lib.amplitude_rows):

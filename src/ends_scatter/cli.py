@@ -40,7 +40,7 @@ from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, parse_run_value)
 from .dynamics import (SpectralProfile, comparison_state, leading_term,
                        state_norm)
-from .fourier import scattering_matrix
+from .fourier import _extraction_windows, scattering_matrix
 from .geometry import classify_potential, critical_energy
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
@@ -140,6 +140,18 @@ def _check_resolution(ops, lam_max: float) -> None:
             raise ConfigError(f"mode {op.m}: {exc}") from None
 
 
+def _check_windows(model, grid: RadialGrid, lams) -> None:
+    """Refuse, as a configuration error and before any march, an energy
+    whose boundary limits find no extraction window on ``grid``."""
+    for lam in lams:
+        r_lam = model.r_lambda(lam)
+        if not all(_extraction_windows(grid, end, r_lam)[2] for end in (0, 1)):
+            raise ConfigError(
+                f"no extraction window at lambda={lam:g}: its windows start "
+                f"at 2 r_lambda = {2.0 * r_lam:g}, so rmax must be at least "
+                f"{4.0 * r_lam:g} (got {grid.rmax:g})")
+
+
 def _check_ladder(run, least: int) -> None:
     """Refuse, as a configuration error, a time ladder of fewer than
     ``least`` times."""
@@ -235,6 +247,7 @@ def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
     lams = [float(model.lambda_crit + lam) for lam in run.lambdas]
     _check_resolution([ModeOperator(model, grid, m)
                        for m in range(cfg.grid.mmax + 1)], max(lams))
+    _check_windows(model, grid, lams)
 
     data = [scattering_matrix(model, grid, lam, mmax=cfg.grid.mmax,
                               tol_s=run.tol_s, tol_f=run.tol_f)
@@ -318,6 +331,7 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     # S is taken in modes 0..mode on sgrid, the dynamics on op's grid
     _check_resolution([*(ModeOperator(model, sgrid, m)
                          for m in range(run.mode + 1)), op], h.lam_hi)
+    _check_windows(model, sgrid, nodes)
 
     data = [scattering_matrix(model, sgrid, float(lam), mmax=run.mode,
                               tol_s=run.tol_s, tol_f=run.tol_f)

@@ -38,19 +38,33 @@ __all__ = [
 ]
 
 
-def _averaged_limit(r: np.ndarray, xi: np.ndarray, r_min: float, tol: float):
-    """Means of xi over dyadic windows [R, 2R] with one geometric
-    extrapolation step.  Returns (value, diag)."""
-    means = []
-    R = r_min
+def _extraction_windows(grid: RadialGrid, end: int, r_lam: float):
+    """Where a boundary limit on one end is averaged: (nodes, r, windows).
+    ``nodes`` indexes the end's nodes by increasing radius r, and each
+    window masks, in that order, a dyadic window [R, 2R] with R = max(2
+    r_lam, rmax / 16), 2R, ..., that ends on the grid and holds at least
+    8 nodes.  No window fits when rmax < 4 r_lam."""
+    nodes = np.flatnonzero(grid.end_mask(end, r_min=0.0))
+    r = grid.r[nodes]
+    order = np.argsort(r)
+    nodes, r = nodes[order], r[order]
+    windows = []
+    R = max(2.0 * r_lam, grid.rmax / 16.0)
     while 2.0 * R <= r[-1] + 1e-9:
         msk = (r >= R) & (r <= 2.0 * R)
         if np.count_nonzero(msk) < 8:
             break
-        means.append(np.mean(xi[msk]))
+        windows.append(msk)
         R *= 2.0
-    if not means:
+    return nodes, r, windows
+
+
+def _averaged_limit(xi: np.ndarray, windows, tol: float):
+    """Means of xi over the dyadic windows of ``_extraction_windows``
+    with one geometric extrapolation step.  Returns (value, diag)."""
+    if not windows:
         raise ValueError("extraction window empty; increase rmax")
+    means = [np.mean(xi[msk]) for msk in windows]
 
     def _geo_tail(seq):
         # one Aitken-style step for a geometrically converging sequence
@@ -87,16 +101,12 @@ def _averaged_limit(r: np.ndarray, xi: np.ndarray, r_min: float, tol: float):
 def _extract_end(model: ManifoldModel, grid: RadialGrid, end: int, lam: float,
                  sign: int, u_line: np.ndarray, r_lam: float, tol: float):
     """Boundary coefficient of one end from a resolvent profile."""
-    mask = grid.end_mask(end, r_min=0.0)
-    r = grid.r[mask]
-    u = u_line[mask]
-    order = np.argsort(r)
-    r, u = r[order], u[order]
+    nodes, r, windows = _extraction_windows(grid, end, r_lam)
     b = np.real(phase_b(model, end, lam, r, r_lam=r_lam))
     phi = phase_integral(model, end, lam, r, r_lam=r_lam)
+    u = u_line[nodes]
     xi = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * sign * phi) * u
-    r_min = max(2.0 * r_lam, grid.rmax / 16.0)
-    return _averaged_limit(r, xi, r_min, tol)
+    return _averaged_limit(xi, windows, tol)
 
 
 def _outgoing_coefficients(pair: JostPair, tol_f: float):

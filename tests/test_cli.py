@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ends_scatter import cli
+from ends_scatter import cli, fourier, resolvent
 from ends_scatter.cli import main
 from ends_scatter.config import default_config, parse_config
 from ends_scatter.fourier import scattering_matrix
@@ -295,6 +295,28 @@ def test_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch, command,
     assert rep["converged"] is False
     lam_max = "0.8" if command == "transmission" else "2"
     assert f"too coarse for lam={lam_max}:" in rep["error"]
+
+
+@pytest.mark.parametrize("command, lam", [("smatrix", "0.3"),
+                                          ("transmission", "0.301")])
+def test_empty_extraction_window_is_a_config_error(tmp_path, monkeypatch,
+                                                   command, lam):
+    """Preset C at its defaults: at its lowest energy r_lambda is 32, so
+    the dyadic extraction windows start at R = 64 and none fits in rmax
+    60.  The run is refused before any Jost march, naming lambda and the
+    rmax its windows need (4 r_lambda = 128)."""
+    def no_march(*args, **kwargs):
+        raise AssertionError("jost_pair called past the window check")
+
+    monkeypatch.setattr(fourier, "jost_pair", no_march)
+    monkeypatch.setattr(resolvent, "jost_pair", no_march)
+    argv = [command, "--preset", "C"] + (["--t-grid", "10"]
+                                         if command == "transmission" else [])
+    code, rep = run(argv, tmp_path, command)
+    assert code == 2
+    assert rep["converged"] is False
+    assert f"no extraction window at lambda={lam}:" in rep["error"]
+    assert "rmax must be at least 128 (got 60)" in rep["error"]
 
 
 @pytest.mark.parametrize("command,ladder,work", [

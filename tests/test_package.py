@@ -179,14 +179,24 @@ def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code):
     assert _heavy_scipy_loaded([argv], tmp_path, code) == []
 
 
-def test_step_kernel_compiles_without_warnings():
+def test_step_kernel_compiles_without_warnings(monkeypatch):
     """Every C kernel of the package is C99 that the compiler it is built
     with finds nothing to warn about: the package's own build (all
-    sources in one call, with its flags) with every warning an error, and
-    on x86-64, where those flags select the SSE3 complex product of
-    ``_pade.c``, the same without SSE3."""
-    flags = _clib._cflags()
-    builds = [flags] + ([flags + ["-mno-sse3"]] if "-msse3" in flags else [])
+    sources in one call) with every warning an error, under every flag
+    set ``_cflags()`` chooses that this host's compiler takes.  On an
+    x86-64 host these are the x86-64 set, whose SSE3 build of ``_pade.c``
+    also holds the AVX two-lane body, and the set of other machines,
+    which holds the plain-C bodies only."""
+    import platform
+
+    machines = ([platform.machine()] if platform.machine().lower()
+                not in ("x86_64", "amd64") else ["x86_64", "aarch64"])
+    builds = []
+    for machine in machines:
+        monkeypatch.setattr(platform, "machine", lambda: machine)
+        builds.append(_clib._cflags())
+    monkeypatch.undo()
+    assert len({tuple(b) for b in builds}) == len(machines)
     for build in builds:
         _clib._build(["-std=c99", "-Wall", "-Wextra", "-Werror", *build])
 

@@ -1,4 +1,5 @@
 import functools
+import platform
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.sparse as sp
 from scipy.linalg import blas
 from scipy.sparse.linalg import spsolve
 
-from ends_scatter import _clib, propagator
+from ends_scatter import _clib, cli, propagator
+from ends_scatter.config import default_config
 from ends_scatter.dynamics import SpectralProfile, comparison_state
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
@@ -279,30 +281,50 @@ def test_kernel_matches_ztbsv_reference_step(model, grid, dt):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+@pytest.mark.parametrize("model, grid", _KERNEL_GRIDS)
+def test_two_lanes_equal_two_one_lane_calls(model, grid, dt):
+    """Two states stepped as the columns of one (n, 2) array are, lane for
+    lane and bit for bit, each state stepped alone."""
+    prop, psi = _kernel_case(model, grid, dt)
+    other = 1j * np.conj(psi[::-1]) - 0.2
+    pair = prop.step(np.stack([psi, other], axis=1), 200)
+    assert pair.shape == (grid.x.size, 2)
+    assert np.array_equal(pair[:, 0], prop.step(psi, 200))
+    assert np.array_equal(pair[:, 1], prop.step(other, 200))
+
+
 @pytest.mark.parametrize("model, grid", _KERNEL_GRIDS)
 def test_split_steps_equal_one_call(model, grid):
     """The kernel fuses the sweeps of consecutive steps and runs a half
     pass at either end of a call, which must not show: steps split over
-    several calls equal the same steps in one call bit for bit."""
+    several calls equal the same steps in one call bit for bit, for one
+    lane and for two."""
     prop, psi = _kernel_case(model, grid, 0.05)
-    assert np.array_equal(prop.step(psi, 0), psi)
-    assert np.array_equal(prop.step(prop.step(psi, 1), 1), prop.step(psi, 2))
-    assert np.array_equal(prop.step(prop.step(psi, 70), 130),
-                          prop.step(psi, 200))
+    for state in (psi, np.stack([psi, np.conj(psi)], axis=1)):
+        assert np.array_equal(prop.step(state, 0), state)
+        assert np.array_equal(prop.step(prop.step(state, 1), 1),
+                              prop.step(state, 2))
+        assert np.array_equal(prop.step(prop.step(state, 70), 130),
+                              prop.step(state, 200))
 
 
-@pytest.mark.skipif("-msse3" not in _clib._cflags(),
-                    reason="the SSE3 complex product is built on x86-64 only")
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the vector bodies are built on x86-64 only")
 def test_sse3_kernel_equals_portable_kernel(monkeypatch):
-    """The SSE3 body of the kernel's complex product rounds like its
-    plain-C body: 200 steps of either build agree bit for bit."""
+    """The vector bodies of the kernel round like its plain-C bodies: one
+    lane with the SSE3 complex product, and two lanes with the AVX one
+    where the CPU has AVX.  200 steps of the package's build and of a
+    build without SSE3, which holds neither, agree bit for bit."""
     prop, psi = _kernel_case(model_a(), RadialGrid(40.0, 0.02), 0.05)
+    pair = np.stack([psi, 1j * np.conj(psi[::-1])], axis=1)
     outs = []
     for flags in (_clib._cflags(), _clib._cflags() + ["-mno-sse3"]):
         lib = _clib._build(flags)
         monkeypatch.setattr(_clib, "library", lambda: lib)
-        outs.append(prop.step(psi, 200))
-    assert np.array_equal(outs[0], outs[1])
+        outs.append((prop.step(psi, 200), prop.step(pair, 200)))
+    assert np.array_equal(outs[0][0], outs[1][0])
+    assert np.array_equal(outs[0][1], outs[1][1])
 
 
 def _free_state(op, model, h, t, sign=+1):
@@ -315,24 +337,35 @@ def _free_state(op, model, h, t, sign=+1):
 
 @pytest.mark.parametrize("t_grid, step_sizes", [
     ([2.0, 4.0, 8.0, 16.0], 1),
-    # gaps of 1.0625 = 21.25 dt take 21 shorter steps; the estimate's
-    # t_{N-1} = 4 is 80 steps of dt again
+    # gaps of 1.0625 = 21.25 dt take 21 shorter steps, an odd count; the
+    # estimate's t_{N-1} = 4 is 80 steps of dt again
     ([1.9375, 3.0, 4.0, 5.0625], 2),
 ])
 def test_concurrent_wave_operator_matches_sequential_evolutions(
         setup, monkeypatch, t_grid, step_sizes):
     """The increments evolved on the thread pool, and the estimate after
-    them, equal one evolve per increment in sequence bit for bit; each
-    distinct step size is factored once."""
+    them, equal bit for bit the same steps taken in sequence: each gap of
+    n steps met in the middle, ||R^{n-m} U(t2) h - conj(R^m conj U(t1) h)||
+    with m = n // 2, the first lane's odd step taken alone.  They agree
+    with one evolve per increment to roundoff, and each distinct step
+    size is factored once."""
     op, _ = setup
     model = model_a()
     h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
     cfg = EvolutionConfig(dt=0.05)
-    want = []
+    want, evolved = [], []
     for t1, t2 in zip(t_grid, t_grid[1:]):
-        moved, _ = evolve(op, _free_state(op, model, h, t2), -(t2 - t1), cfg)
-        want.append(float(op.grid.norm(moved - _free_state(op, model, h, t1))))
-    want_estimate, _ = evolve(op, moved, -t_grid[-2], cfg)
+        u1, u2 = (_free_state(op, model, h, t) for t in (t1, t2))
+        n = max(1, round((t2 - t1) / cfg.dt))
+        prop = Propagator(op, -(t2 - t1) / n)
+        m = n // 2
+        ahead = prop.step(u2, n - m)
+        behind = np.conj(prop.step(np.conj(u1), m))
+        want.append(float(op.grid.norm(ahead - behind)))
+        moved, _ = evolve(op, u2, -(t2 - t1), cfg)
+        evolved.append(float(op.grid.norm(moved - u1)))
+    want_estimate = prop.step(ahead, m)
+    want_estimate, _ = evolve(op, want_estimate, -t_grid[-2], cfg)
 
     built = []
     init = Propagator.__init__
@@ -346,6 +379,7 @@ def test_concurrent_wave_operator_matches_sequential_evolutions(
     assert rep["increments"] == want
     assert np.array_equal(rep["estimate"], want_estimate)
     assert len(built) == len(set(built)) == step_sizes
+    assert np.allclose(rep["increments"], evolved, rtol=1e-11, atol=0.0)
 
 
 def test_wave_operator_without_cpu_affinity(setup, monkeypatch):
@@ -402,6 +436,40 @@ def test_step_rejects_bad_arrays_before_the_kernel(setup):
     frozen.flags.writeable = False
     with pytest.raises(ValueError, match="state"):
         _pade_steps(prop._factors, frozen, 1)
+
+
+def test_step_rejects_bad_pairs_before_the_kernel(setup):
+    """Two states go to the kernel as the contiguous columns of an (n, 2)
+    array; their transpose, a third column, a Fortran-ordered or a short
+    pair raises ValueError naming the state."""
+    op, psi = setup
+    prop = Propagator(op, 0.05)
+    pair = np.stack([psi, psi], axis=1).astype(complex)
+    for bad in (pair.T.copy(), np.asfortranarray(pair), pair[:-1].copy(),
+                np.stack([psi, psi, psi], axis=1), pair[None]):
+        with pytest.raises(ValueError, match="state"):
+            _pade_steps(prop._factors, bad, 1)
+
+
+def test_wave_operator_on_the_long_range_preset_c():
+    """The paper's long-range case, on the grid the waveop subcommand
+    propagates on: over 10 ... 160 the Cauchy increments on the Dollard
+    end of preset C decrease (about 0.061, 0.013, 0.0052 and 0.0021), and
+    the first two, met in the middle, agree with one evolve each to
+    roundoff."""
+    cfg = default_config("C")
+    model, h = cfg.model, cli._profile(cfg)
+    t_grid = [10.0, 20.0, 40.0, 80.0, 160.0]
+    grid = cli._propagation_grid(model, h, t_grid[-1], cfg.grid.rmax)
+    op = ModeOperator(model, grid, cfg.run.mode)
+    inc = wave_operator(op, model, h, t_grid)["increments"]
+    assert all(b < a for a, b in zip(inc, inc[1:]))
+    assert np.allclose(inc, [0.061, 0.013, 0.0052, 0.0021], rtol=0.05)
+    for k in range(2):
+        t1, t2 = t_grid[k:k + 2]
+        moved, _ = evolve(op, _free_state(op, model, h, t2), -(t2 - t1))
+        want = grid.norm(moved - _free_state(op, model, h, t1))
+        assert abs(inc[k] - want) <= 1e-11 * want
 
 
 def test_missing_compiler_is_named(setup, monkeypatch):
