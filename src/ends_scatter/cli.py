@@ -80,13 +80,11 @@ def _jsonable(obj):
         return val
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.complexfloating):
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (bool, str)) or obj is None:
+    if isinstance(obj, str) or obj is None:
         return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

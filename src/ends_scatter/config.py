@@ -31,8 +31,8 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
     t_grid = 10, 20, 40, 80     ; positive, strictly increasing
     end = 1                     ; launch end for dynamics experiments
     mode = 0                    ; angular mode, >= 0
-    profile_center = 0.55       ; spectral window of the launched packet
-    profile_width = 0.25
+    profile_center = 0.55       ; spectral window of the launched packet,
+    profile_width = 0.25        ; lam0 + center +- width, 0 < width < center
     dt = 0.05
     tol_s = 1e-6
     tol_f = 1e-4
@@ -121,6 +121,10 @@ class RunConfig:
             raise ConfigError("[run] mode must be >= 0")
         if self.profile_width <= 0:
             raise ConfigError("[run] profile_width must be positive")
+        if not self.profile_center > self.profile_width:
+            raise ConfigError(
+                "[run] profile_center must exceed profile_width: the window "
+                "lam0 + center +- width must stay above the threshold")
         if self.dt <= 0:
             raise ConfigError("[run] dt must be positive")
         for k in ("tol_s", "tol_f", "tol_w"):

@@ -70,18 +70,15 @@ class RadialGrid:
 class ModeOperator:
     """Reduced Hamiltonian H_m = -d^2/dx^2 / 2 + W_m on the flat line.
 
-    Provides the sampled potential and a symmetric finite-difference
-    matrix in banded form (Dirichlet at the grid ends).
+    Provides the sampled potential and the one discretization of H_m: the
+    symmetric five-point finite-difference band (Dirichlet at the grid
+    ends), which ``apply``, the propagator and the oracles all read.
     """
 
-    def __init__(self, model: ManifoldModel, grid: RadialGrid, m: int,
-                 stencil_order: int = 4):
-        if stencil_order not in (2, 4):
-            raise ValueError("stencil_order must be 2 or 4")
+    def __init__(self, model: ManifoldModel, grid: RadialGrid, m: int):
         self.model = model
         self.grid = grid
         self.m = int(m)
-        self.stencil_order = stencil_order
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -100,47 +97,31 @@ class ModeOperator:
                 f"need dx <= {dx_needed:g}")
 
     def banded(self) -> np.ndarray:
-        """H in LAPACK band storage, kl = ku = 1 (three-point stencil) or
-        2 (five-point): row k, column j holds H[j + k - kl, j], zero
-        outside the matrix.  The propagator's kernel ``pade_factor``
-        reads this layout (a three-point band padded to five rows), and
+        """H in LAPACK band storage, kl = ku = 2: the five-point stencil
+        (-u[j-2] + 16 u[j-1] - 30 u[j] + 16 u[j+1] - u[j+2]) / (12 dx^2)
+        for u'', its rows truncated at the grid ends (Dirichlet outside).
+        Row k, column j holds H[j + k - 2, j], zero outside the matrix.
+        The propagator's kernel ``pade_factor`` reads this layout, and
         scipy's ``solve_banded`` takes it."""
         n = self.grid.x.size
         h2 = self.grid.dx ** 2
-        if self.stencil_order == 2:
-            ab = np.zeros((3, n))
-            ab[1] = 1.0 / h2 + self.w
-            ab[0, 1:] = -0.5 / h2
-            ab[2, :-1] = -0.5 / h2
-        else:
-            ab = np.zeros((5, n))
-            ab[2] = 30.0 / (24.0 * h2) + self.w
-            ab[1, 1:] = -16.0 / (24.0 * h2)
-            ab[3, :-1] = -16.0 / (24.0 * h2)
-            ab[0, 2:] = 1.0 / (24.0 * h2)
-            ab[4, :-2] = 1.0 / (24.0 * h2)
+        ab = np.zeros((5, n))
+        ab[2] = 30.0 / (24.0 * h2) + self.w
+        ab[1, 1:] = -16.0 / (24.0 * h2)
+        ab[3, :-1] = -16.0 / (24.0 * h2)
+        ab[0, 2:] = 1.0 / (24.0 * h2)
+        ab[4, :-2] = 1.0 / (24.0 * h2)
         return ab
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """H_m u with the selected stencil (Dirichlet outside the grid)."""
+        """H_m u, the product of ``banded()`` with u."""
         u = np.asarray(u, dtype=complex)
-        h2 = self.grid.dx ** 2
-        d2 = np.zeros_like(u)
-        if self.stencil_order == 2:
-            d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-            d2[0] = (u[1] - 2.0 * u[0]) / h2
-            d2[-1] = (u[-2] - 2.0 * u[-1]) / h2
-        else:
-            d2[2:-2] = (-u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2]
-                        + 16.0 * u[1:-3] - u[:-4]) / (12.0 * h2)
-            # truncated 5-point rows at the boundary (Dirichlet outside),
-            # matching the symmetric banded assembly exactly
-            d2[0] = (-u[2] + 16.0 * u[1] - 30.0 * u[0]) / (12.0 * h2)
-            d2[1] = (-u[3] + 16.0 * u[2] - 30.0 * u[1] + 16.0 * u[0]) / (12.0 * h2)
-            d2[-2] = (-u[-4] + 16.0 * u[-3] - 30.0 * u[-2]
-                      + 16.0 * u[-1]) / (12.0 * h2)
-            d2[-1] = (-u[-3] + 16.0 * u[-2] - 30.0 * u[-1]) / (12.0 * h2)
-        return -0.5 * d2 + self.w * u
+        ab = self.banded()
+        out = ab[2] * u
+        for d in (1, 2):
+            out[:-d] += ab[2 - d, d:] * u[d:]
+            out[d:] += ab[2 + d, :-d] * u[:-d]
+        return out
 
 
 def _annulus_slices(grid: RadialGrid):

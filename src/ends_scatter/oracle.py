@@ -122,7 +122,8 @@ def dense_hamiltonian_2d(model: ManifoldModel, rmax: float, nx: int, ntheta: int
 
         H = -1/2 d^2/dx^2 + q_geo(x) + V(x) - 1/(2 f^2) d^2/dtheta^2
 
-    with a 3-point stencil in x (Dirichlet at +-rmax) and the periodic
+    with the 5-point stencil in x (its rows truncated at +-rmax, Dirichlet
+    outside: the discretization of ``ModeOperator``) and the periodic
     3-point stencil in theta.  Grid capped at 200 x 64 points.
 
     Returns (H, x, theta) with H of shape (nx*ntheta, nx*ntheta),
@@ -140,10 +141,11 @@ def dense_hamiltonian_2d(model: ManifoldModel, rmax: float, nx: int, ntheta: int
     w_rad = model.q_geo(x) + model.potential(x)
     inv_2f2 = 0.5 * np.exp(-2.0 * model.g(x))
 
-    # radial part: (-1/2) D2_x  kron  I_theta
-    main = 1.0 / dx**2 + w_rad
-    off = -0.5 / dx**2 * np.ones(nx - 1)
-    Hx = scipy.sparse.diags([off, main, off], [-1, 0, 1])
+    # radial part: (-1/2) D2_x  kron  I_theta, D2_x the 5-point stencil
+    d2x = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx**2)
+    Hx = scipy.sparse.diags(
+        [np.full(nx - abs(o), -0.5 * d2x[o + 2]) for o in range(-2, 3)],
+        range(-2, 3)) + scipy.sparse.diags(w_rad)
     H = scipy.sparse.kron(Hx, scipy.sparse.identity(ntheta), format="lil")
 
     # angular part: diag(1/(2 f^2))  kron  (-D2_theta), periodic
@@ -174,10 +176,8 @@ def small_eps_resolvent(op: ModeOperator, lam: float, eps: float,
     import scipy.linalg
 
     ab = op.banded().astype(complex)
-    mid = ab.shape[0] // 2
-    ab[mid] -= lam + 1j * eps
-    l = u = mid
-    return scipy.linalg.solve_banded((l, u), ab, np.asarray(psi, dtype=complex))
+    ab[2] -= lam + 1j * eps
+    return scipy.linalg.solve_banded((2, 2), ab, np.asarray(psi, dtype=complex))
 
 
 def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0):

@@ -57,6 +57,8 @@ __all__ = [
 
 # adjoint_identity_check: Gauss-Legendre nodes of its lam integral
 _ADJOINT_LAM_NODES = 24
+# EvolutionConfig.validate: the largest dt * max|W_m| it accepts
+_MAX_STEP_ENERGY = 4.0
 
 
 @dataclass
@@ -65,16 +67,15 @@ class EvolutionConfig:
     step, exact through O(dt^4) and exactly norm preserving."""
 
     dt: float = 0.05
-    max_step_energy: float = 4.0        # guard on dt * max|W_m|
 
     def validate(self, op: ModeOperator) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         wmax = float(np.max(np.abs(op.w)))
-        if self.dt * wmax > self.max_step_energy:
+        if self.dt * wmax > _MAX_STEP_ENERGY:
             raise ValueError(
                 f"dt={self.dt} too large for max|W|={wmax:.3g} "
-                f"(dt*|W| > {self.max_step_energy})")
+                f"(dt*|W| > {_MAX_STEP_ENERGY})")
 
 
 _PADE_ROOTS = (-3.0 + 1j * math.sqrt(3.0), -3.0 - 1j * math.sqrt(3.0))
@@ -139,11 +140,7 @@ class Propagator:
     """
 
     def __init__(self, op: ModeOperator, dt: float):
-        # the kernel's band width is two: a three-point H gets zero second
-        # off-diagonals, which stay zero in its LU and change no solve
         banded = op.banded()
-        if banded.shape[0] == 3:
-            banded = np.pad(banded, ((1, 1), (0, 0)))
         up0, down0, gain0 = _lu_sweeps(banded, dt, _PADE_ROOTS[0])
         # the LU of the reversed band, read backwards: J L' J is unit
         # upper (a down sweep), J V' J unit lower (an up sweep)

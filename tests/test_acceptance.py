@@ -230,10 +230,10 @@ def test_mode_reduction_matches_dense_2d(model):
     nx, ntheta, rmax, t = 160, 48, 12.0, 5.0
     x = np.linspace(-rmax, rmax, nx)
     grid = RadialGrid(rmax, x[1] - x[0])
-    op = ModeOperator(model, grid, 0, stencil_order=2)
+    op = ModeOperator(model, grid, 0)
     u0 = np.exp(-((x - 2.0) ** 2) / (2.0 * 1.5**2) + 0.8j * x).astype(complex)
     u0 /= grid.norm(u0)
-    u1, _ = evolve(op, u0, t, EvolutionConfig(dt=0.01, max_step_energy=10.0))
+    u1, _ = evolve(op, u0, t, EvolutionConfig(dt=0.01))
 
     H2, _, theta = dense_hamiltonian_2d(model, rmax, nx, ntheta)
     psi1 = expm_multiply(-1j * t * H2, embed_mode_state(u0, 0, theta))

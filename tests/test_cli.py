@@ -95,6 +95,27 @@ def test_non_positive_time_is_config_error(tmp_path, monkeypatch):
     assert code == 2 and rep["converged"] is False and "t_grid" in rep["error"]
 
 
+@pytest.mark.parametrize("command,work", [
+    ("dynamics", "leading_term"),
+    ("waveop", "wave_operator"),
+    ("transmission", "scattering_matrix"),
+], ids=["dynamics", "waveop", "transmission"])
+def test_window_at_the_threshold_is_a_config_error(tmp_path, monkeypatch,
+                                                   command, work):
+    """A spectral window lam0 + 0.1 +- 0.25 reaches below the threshold;
+    it is refused before any work (it used to exit 3 after set-up, with no
+    admissible r_lambda at lam = -0.15)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} called past the guard")
+
+    monkeypatch.setattr(cli, work, no_work)
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("[model]\npreset = A\n\n[run]\nprofile_center = 0.1\n")
+    code, rep = run([command, "--config", str(cfg)], tmp_path, command)
+    assert code == 2 and rep["converged"] is False
+    assert "profile_center must exceed profile_width" in rep["error"]
+
+
 def test_preset_accepts_exactly_the_catalogue():
     parser = cli._build_parser()
     for command in cli._COMMANDS:

@@ -87,6 +87,8 @@ def test_preset_shortcut_overrides_ends():
      "t_grid times must be positive"),
     ("[model]\npreset = A\n[run]\nlambda_grid = 0:0.5:3\n",
      "lambda_grid lo must be positive"),
+    ("[model]\npreset = A\n[run]\nprofile_center = 0.25\n",
+     "profile_center must exceed profile_width"),
     ("[model]\npreset = A\n[run]\nmode = -1\n", "mode must be >= 0"),
     ("[model]\npreset = A\n[run]\nend = 3\n", "end must be"),
     ("[model]\npreset = A\n[grid]\ndx = -0.1\n", "must be positive"),

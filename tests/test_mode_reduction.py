@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +50,29 @@ def test_banded_matches_apply(m):
     for o in range(-k, k + 1):
         dense += np.diag(ab[k - o, max(o, 0):n + min(o, 0)], o)
     assert np.allclose(dense @ u, op.apply(u), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_apply_is_the_five_point_stencil(m):
+    """apply against the stencil written out here, not read from banded():
+    on a quartic its interior rows are -u''/2 + W u to roundoff (the
+    five-point u'' is exact through degree five), and its two rows at
+    either end are the five-point row with u = 0 beyond the grid."""
+    grid = RadialGrid(2.0, 0.05)
+    op = ModeOperator(model_b(), grid, m)
+    x, h2 = grid.x, grid.dx ** 2
+    rng = np.random.default_rng(5 + m)
+    coef = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    u = P.polyval(x, coef)
+    hu = op.apply(u)
+    tol = 1e-12 * np.max(np.abs(u)) / h2
+    exact = -0.5 * P.polyval(x, P.polyder(coef, 2)) + op.w * u
+    assert np.max(np.abs(hu - exact)[2:-2]) <= tol
+    z = np.concatenate([np.zeros(2), u, np.zeros(2)])
+    row = (-z[4:] + 16.0 * z[3:-1] - 30.0 * z[2:-2] + 16.0 * z[1:-3]
+           - z[:-4]) / (12.0 * h2)
+    ends = [0, 1, -2, -1]
+    assert np.max(np.abs(hu - (-0.5 * row + op.w * u))[ends]) <= tol
 
 
 def test_banded_symmetric():
