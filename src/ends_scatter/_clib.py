@@ -12,12 +12,25 @@ every array they are handed through ``pointer``, which checks it first.
 The flags are the same on every machine of one architecture: the
 two-lane AVX body of ``pade_steps`` is a function compiled for AVX
 within the SSE3 build, and the kernel runs it when the CPU has AVX.
+
+The module also wraps the one foreign library the package does not
+build: the OpenBLAS behind numpy.  ``one_blas_thread()`` runs numpy's
+BLAS calls on one thread for its duration.  The lab's products are small
+and short, and between them OpenBLAS's other threads spin-wait for the
+next one, which costs a core of CPU and buys no wall time; a product
+split over threads also sums in an order that depends on the thread
+count, so its last bits would depend on the machine.  The scope finds an
+OpenBLAS already loaded by this process through ``/proc/self/maps``, on
+first use, and does nothing where there is none (MKL, Accelerate, or a
+system without ``/proc``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -93,3 +106,74 @@ def pointer(array: np.ndarray, name: str, dtype, shape: tuple,
                          f"contiguous {dtype} {what}, got {array.dtype} "
                          f"{array.shape}")
     return array.ctypes.data
+
+
+# the names that numpy's wheels (scipy_openblas, 64-bit integers) and
+# plain OpenBLAS builds give the thread-count pair, {0} being get or set
+_OPENBLAS_NAMES = ("scipy_openblas_{0}_num_threads64_",
+                   "openblas_{0}_num_threads64_", "openblas_{0}_num_threads")
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS this
+    process has loaded, found once per process: the mapped files whose
+    names contain openblas, opened with RTLD_NOLOAD so that nothing new is
+    loaded.  Empty where there is none, or no ``/proc/self/maps``."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(f[5].strip() for f in fields if len(f) == 6
+                          and "openblas" in os.path.basename(f[5]).lower())
+    pairs = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
+        except OSError:
+            continue
+        for name in _OPENBLAS_NAMES:
+            try:
+                get = getattr(lib, name.format("get"))
+                set_ = getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pairs.append((get, set_))
+            break
+    return tuple(pairs)
+
+
+# the thread count is one setting of the whole process, so the scopes that
+# lower it share one depth and the counts saved by the outermost
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's BLAS on one thread for the duration, as a ``with`` block or
+    a decorator.  The outermost scope, over all threads of the process,
+    sets each OpenBLAS to one thread and restores its count on exit, also
+    on an exception; nested and concurrent scopes do nothing.  Without an
+    OpenBLAS the scope does nothing."""
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [(set_, get()) for get, set_ in _openblas()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, count in _blas_saved:
+                    set_(count)

@@ -21,7 +21,10 @@ non-convergence.
 
 Determinism: identical config and flags produce byte-identical output.
 All numerics are seed-free; iteration orders are fixed; floats are
-serialized with :func:`repr` round-trip formatting.
+serialized with :func:`repr` round-trip formatting.  Every subcommand runs
+numpy's BLAS on one thread (``_clib.one_blas_thread``): a product split
+over threads sums in an order set by the thread count, which OpenBLAS
+takes from the number of cores, so the output no longer depends on either.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _clib
 from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, parse_run_value)
 from .dynamics import (SpectralProfile, comparison_state, leading_term,
@@ -451,6 +454,7 @@ def _fail(out_dir: str, command: str, exc: Exception, code: int) -> int:
     return code
 
 
+@_clib.one_blas_thread()
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out

@@ -217,8 +217,11 @@ def _gauss_q1(model: ManifoldModel, end: int, r: np.ndarray, r1: float):
 def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray,
                  power: float = -0.5):
     """int_{r1}^r (2(lam - q1))^power ds, vectorized over paired (lam, r),
-    from the samples of :func:`_gauss_q1`.  The contraction is einsum's,
-    not a BLAS gemv, which would wake idle BLAS threads to spin."""
+    from the samples of :func:`_gauss_q1`.  The contraction is einsum's.
+    A BLAS gemv would no longer wake idle BLAS threads (the callers run
+    on one), but it sums in another order, so it would move the leading
+    term's roundoff, and the dynamics reports with it, to save about
+    0.1 ms a call (0.29 against 0.38 ms on 13 406 x 48 samples)."""
     vals = (2.0 * (lam[:, None] - q1_gl)) ** power
     return half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
 
@@ -436,6 +439,7 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
 # comparison states
 # ---------------------------------------------------------------------------
 
+@_clib.one_blas_thread()
 def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
                  sign: int = +1) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
     """U_0^+-(t) h on one end, on its ``dynamics_grid``: returns (r,
@@ -594,6 +598,7 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
     return out
 
 
+@_clib.one_blas_thread()
 def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
                      r: Optional[np.ndarray] = None,
                      sign: int = +1) -> Tuple[np.ndarray, np.ndarray]:

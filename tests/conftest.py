@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from ends_scatter import _clib
 
 settings.register_profile(
     "suite",
@@ -14,3 +18,24 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def openblas():
+    """The thread counts of every OpenBLAS in this process, read and set
+    through ``_clib``'s own lookup: ``counts()`` and ``set(n)``.  The
+    counts on entry are restored afterwards; without an OpenBLAS the test
+    is skipped."""
+    pairs = _clib._openblas()
+    if not pairs:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    saved = [get() for get, _ in pairs]
+
+    def set_all(n):
+        for _, set_ in pairs:
+            set_(n)
+
+    yield SimpleNamespace(counts=lambda: [get() for get, _ in pairs],
+                          set=set_all)
+    for (_, set_), n in zip(pairs, saved):
+        set_(n)

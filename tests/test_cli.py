@@ -200,6 +200,24 @@ def test_subcommand_reports_are_byte_identical(tmp_path, argv):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["resolvent", "dynamics"])
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, openblas,
+                                                        command):
+    """The default run on preset A writes the same bytes whether OpenBLAS
+    has one thread or two when it starts: the inner products of
+    ``resolvent`` and the matrix products of ``dynamics`` would otherwise
+    sum in an order set by the thread count."""
+    outs = []
+    for n in (1, 2):
+        openblas.set(n)
+        d = tmp_path / str(n)
+        d.mkdir()
+        assert main([command, "--preset", "A", "--out", str(d)]) == 0
+        assert openblas.counts() == [n] * len(openblas.counts())
+        outs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+    assert outs[0] == outs[1]
+
+
 def test_dynamics_fails_on_a_stationary_residual(tmp_path, monkeypatch):
     real = cli.leading_term
 

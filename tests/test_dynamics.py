@@ -146,6 +146,23 @@ def test_comparison_state_does_not_depend_on_radius_order():
     assert np.max(np.abs(u - u_up[::-1])) <= 1e-10 * np.max(np.abs(u))
 
 
+def test_comparison_state_without_openblas_is_computed_as_before(
+        openblas, monkeypatch):
+    """Where ``_clib`` finds no OpenBLAS, its scope leaves the thread
+    count alone, and the state is computed at the caller's count: at one
+    thread, the same bits as under the scope."""
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    openblas.set(1)
+    _, want = comparison_state(model_a(), h, 20.0)
+    monkeypatch.setattr(_clib, "_openblas", lambda: ())
+    openblas.set(2)
+    with _clib.one_blas_thread():
+        assert openblas.counts() == [2] * len(openblas.counts())
+    openblas.set(1)
+    _, got = comparison_state(model_a(), h, 20.0)
+    assert got.tobytes() == want.tobytes()
+
+
 def _table_model():
     """A tabulated end 0 with the reference tail 0.5 r^-1.5, built as a
     config's ``table:`` end with ``q1_amplitude`` and ``q1_power`` is:

@@ -7,10 +7,12 @@ A third guard keeps every subcommand clear of the heavy scipy
 subpackages: only the reference solvers of ``oracle`` and the tests
 import scipy.
 A fourth keeps the reference implementations of ``oracle`` out of the
-computation paths.  The rest guard the C kernels: they compile with every
-warning an error, the package data ships every source, and neither the
-import, the stationary subcommands nor dynamics on a separable end build
-them.
+computation paths.  Then the C kernels: they compile with every warning
+an error, the package data ships every source, and neither the import,
+the stationary subcommands nor dynamics on a separable end build them.
+Last the other foreign code, OpenBLAS: ``_clib.one_blas_thread`` lowers
+its thread count to one and restores it, once over nested and concurrent
+scopes, and does nothing without an OpenBLAS.
 """
 
 import ast
@@ -21,6 +23,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -233,3 +236,80 @@ def test_kernels_are_built_only_when_needed(tmp_path):
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_blas_scope_restores_the_callers_count(openblas):
+    """The scope runs OpenBLAS on one thread and gives the caller's count
+    back on a normal exit and on an exception."""
+    openblas.set(2)
+    with _clib.one_blas_thread():
+        assert openblas.counts() == [1] * len(openblas.counts())
+    assert openblas.counts() == [2] * len(openblas.counts())
+    with pytest.raises(ZeroDivisionError):
+        with _clib.one_blas_thread():
+            assert openblas.counts() == [1] * len(openblas.counts())
+            1 / 0
+    assert openblas.counts() == [2] * len(openblas.counts())
+
+
+def _fake_openblas(monkeypatch, count):
+    """_clib's lookup replaced by one fake OpenBLAS at ``count`` threads;
+    returns the list of counts it is set to."""
+    state, calls = [count], []
+
+    def set_(n):
+        calls.append(n)
+        state[0] = n
+
+    monkeypatch.setattr(_clib, "_openblas", lambda: ((lambda: state[0],
+                                                       set_),))
+    return calls
+
+
+def test_nested_blas_scopes_do_nothing(monkeypatch):
+    """Only the outermost scope sets the count, as a ``with`` block or a
+    decorator, and only it restores the count."""
+    calls = _fake_openblas(monkeypatch, 4)
+
+    @_clib.one_blas_thread()
+    def inner():
+        with _clib.one_blas_thread():
+            return list(calls)
+
+    with _clib.one_blas_thread():
+        assert inner() == [1]
+        assert calls == [1]
+    assert calls == [1, 4]
+
+
+def test_concurrent_blas_scopes_share_one_depth(monkeypatch):
+    """Scopes entered and left on more threads than cores, switching
+    often: the count reads 1 inside every scope, and it is set once per
+    stretch with a scope open and restored once at its end."""
+    calls = _fake_openblas(monkeypatch, 4)
+    count = _clib._openblas()[0][0]
+    seen = []
+
+    @_clib.one_blas_thread()
+    def scoped():
+        seen.append(count())
+
+    def worker():
+        for _ in range(200):
+            scoped()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1] * 1600
+    assert count() == 4
+    assert calls[::2] == [1] * (len(calls) // 2)
+    assert calls[1::2] == [4] * (len(calls) // 2)
