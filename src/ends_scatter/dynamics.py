@@ -47,6 +47,16 @@ the eikonal's run-in offset) uses the nested levels 9, 17, 33, ... of
 :func:`_lobatto_samples`, and falls back to exact sums when the levels
 run out.
 
+Working set: every per-radius array of this layer is taken over blocks
+of ``_RADII_BLOCK`` radii (the Gauss samples of q1 and their travel-time
+sums, the check of each interpolant against the next level, and the span
+sums with their amplitude contraction), so the only arrays of size
+rank x radii alive at once are the accepted amplitude samples and, while
+they are checked, the points of the next level.  A block cuts a product
+only between rows that are summed apart (einsum rows, and matrix
+products left with at least two rows), so the states do not depend on
+the block size; the checks read only the largest error of theirs.
+
 Dollard comparison dynamics replace lam_c and K by their free forms plus
 the secular tail integral; the phase modifier theta(lam) reconciles the
 two pictures.
@@ -84,8 +94,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _PROFILE_NODES = 1025
 # uniform trapezoid nodes of SpectralProfile.norm
 _NORM_NODES = 8193
-# elements of one (lam x r) work array of the frequency quadrature
+# elements of one (lam x r) work array of the frequency quadrature's
+# exact sums, and of one chunk of amplitude rows times the radii
 _BLOCK = 1 << 21
+# radii of one block of layer (d)'s per-radius work: the Gauss samples of
+# q1 and their travel-time sums, the acceptance check of the lam
+# interpolants, and the plane-wave sums with their amplitude contraction
+# (whole spans, at most this many radii or one span holding more)
+_RADII_BLOCK = 1024
 # accepted error of the lam interpolant of the comparison amplitude,
 # relative to its largest modulus
 _AMP_TOL = 1e-11
@@ -188,7 +204,11 @@ def dynamics_grid(model: ManifoldModel, t: float, lam_hi: float,
 
 @dataclass
 class StationaryField:
-    """lam_c and its companions on a radial grid at fixed time."""
+    """lam_c and its companions on a radial grid at fixed time.
+
+    :func:`stationary_point` returns the Gauss samples ``half`` and
+    ``q1_gl`` for :func:`eikonal` to read; :func:`leading_term` returns
+    them as None, released once the eikonal has read them."""
 
     t: float
     end: int
@@ -207,23 +227,34 @@ class StationaryField:
 
 
 def _gauss_q1(model: ManifoldModel, end: int, r: np.ndarray, r1: float):
-    """Half-lengths of [r1, r] and q1 at their Gauss nodes, one row per r."""
+    """Half-lengths of [r1, r] and q1 at their Gauss nodes, one row per r,
+    sampled ``_RADII_BLOCK`` rows at a time."""
     half = 0.5 * (r - r1)
     mid = 0.5 * (r + r1)
-    s = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return half, model.ends[end].q1(s.ravel()).reshape(s.shape)
+    q1_gl = np.empty((r.size, _GL_NODES.size))
+    for i0 in range(0, r.size, _RADII_BLOCK):
+        rows = slice(i0, i0 + _RADII_BLOCK)
+        s = mid[rows, None] + half[rows, None] * _GL_NODES[None, :]
+        q1_gl[rows] = model.ends[end].q1(s.ravel()).reshape(s.shape)
+    return half, q1_gl
 
 
 def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray,
                  power: float = -0.5):
     """int_{r1}^r (2(lam - q1))^power ds, vectorized over paired (lam, r),
-    from the samples of :func:`_gauss_q1`.  The contraction is einsum's.
-    A BLAS gemv would no longer wake idle BLAS threads (the callers run
-    on one), but it sums in another order, so it would move the leading
-    term's roundoff, and the dynamics reports with it, to save about
-    0.1 ms a call (0.29 against 0.38 ms on 13 406 x 48 samples)."""
-    vals = (2.0 * (lam[:, None] - q1_gl)) ** power
-    return half * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    from the samples of :func:`_gauss_q1`, ``_RADII_BLOCK`` rows at a
+    time.  The contraction is einsum's, which sums each row alike however
+    the rows are blocked.  A BLAS gemv would no longer wake idle BLAS
+    threads (the callers run on one), but it sums in another order, so it
+    would move the leading term's roundoff, and the dynamics reports with
+    it, to save about 0.1 ms a call (0.29 against 0.38 ms on 13 406 x 48
+    samples)."""
+    out = np.empty(half.shape)
+    for i0 in range(0, half.size, _RADII_BLOCK):
+        rows = slice(i0, i0 + _RADII_BLOCK)
+        vals = (2.0 * (lam[rows, None] - q1_gl[rows])) ** power
+        out[rows] = half[rows] * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
+    return out
 
 
 def _cone(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
@@ -443,12 +474,15 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
 def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
                  sign: int = +1) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
     """U_0^+-(t) h on one end, on its ``dynamics_grid``: returns (r,
-    values, stationary data)."""
+    values, stationary data).  The stationary data hold no Gauss samples
+    (``half`` and ``q1_gl`` are None): they are released once the eikonal
+    has read them."""
     end = h.end
     r1 = default_r1(model, h.lam_lo)
     r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
     sf = stationary_point(model, end, t, r, h.lam_lo, r1=r1)
     sf = eikonal(model, sf)
+    sf.half = sf.q1_gl = None
     vals = np.zeros(r.shape, dtype=complex)
     msk = sf.mask
     if np.any(msk):
@@ -487,8 +521,8 @@ def _lobatto_basis(n: int, y: np.ndarray) -> np.ndarray:
     d = y[:, None] - x[None, :]
     hit = d == 0.0
     d[hit] = 1.0
-    q = w / d
-    basis = q / q.sum(axis=1, keepdims=True)
+    basis = np.divide(w, d, out=d)
+    basis /= basis.sum(axis=1, keepdims=True)
     rows = hit.any(axis=1)
     basis[rows] = hit[rows]
     return basis
@@ -499,7 +533,9 @@ def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]
     Chebyshev-Lobatto points cos(pi i/(n-1)) of the first nested level
     n = 9, 17, 33, ... that reproduces fn at the points the next level
     adds, between its own, within ``tol`` of max|fn| there; None once the
-    next level would have ``cap`` points or more."""
+    next level would have ``cap`` points or more.  The check runs over
+    ``_RADII_BLOCK`` columns of the samples at a time, so a level and the
+    points the next one adds are the only arrays as large as the samples."""
     n = 9
     if 2 * n - 1 >= cap:
         return None
@@ -507,20 +543,40 @@ def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]
     while 2 * n - 1 < cap:
         y_new = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
         new = fn(y_new)
-        err = np.abs(_lobatto_basis(n, y_new) @ vals - new)
-        if np.max(err, initial=0.0) <= tol * np.max(np.abs(new), initial=0.0):
+        err, big = _interpolation_error(_lobatto_basis(n, y_new), vals, new)
+        if err <= tol * big:
             return vals
         merged = np.empty((2 * n - 1,) + vals.shape[1:], dtype=vals.dtype)
         merged[0::2], merged[1::2] = vals, new
         vals, n = merged, 2 * n - 1
+        del merged, new  # before the next level is sampled
     return None
 
 
-def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
-                     b_lam: np.ndarray, wts: np.ndarray, sign: int) -> np.ndarray:
+def _interpolation_error(basis: np.ndarray, vals: np.ndarray,
+                         new: np.ndarray) -> Tuple[float, float]:
+    """max|basis @ vals - new| and max|new|, the samples taken as columns
+    (one column if they are a vector), ``_RADII_BLOCK`` columns at a time;
+    NaNs propagate, so a NaN fails the check."""
+    vals = vals.reshape(vals.shape[0], -1)
+    new = new.reshape(new.shape[0], -1)
+    err = big = 0.0
+    for c0 in range(0, new.shape[1], _RADII_BLOCK):
+        c = slice(c0, c0 + _RADII_BLOCK)
+        diff = basis @ vals[:, c]
+        diff -= new[:, c]
+        err = np.maximum(err, np.max(np.abs(diff)))
+        del diff  # before the next block's product
+        big = np.maximum(big, np.max(np.abs(new[:, c])))
+    return float(err), float(big)
+
+
+def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
+                       b_lam: np.ndarray, wts: np.ndarray, sign: int):
     """sum_lam wts[lam, c] e^{i sign b_lam E(r)} for each column c of
-    ``wts`` (one row of the result per column) at the radii with
-    eta_lambda > 0; the other radii are left at 0.
+    ``wts`` at the radii with eta_lambda > 0, one block of those radii at
+    a time: yields (k, sums), k the positions of the block's radii among
+    them (in the order of the radii) and sums one row per column.
 
     Those radii are sorted by E and cut, from the largest E down, into
     spans of E-length at most L = _BLOCK_PHASE / (b_max - b_min) (the
@@ -532,21 +588,29 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
     function of s.  That function is sampled once, on P Chebyshev-Lobatto
     nodes of [0, L] (accepted by the rule of :func:`_lobatto_samples`
     with ``_PHASE_TOL``, capped at the largest span's radius count), and
-    these nodes serve every span: the lam contraction of all spans is one
-    matrix product against P columns, and each span restores its offsets
-    by its Lagrange basis in y = 2 s / L - 1 times the carrier.
+    these nodes serve every span: the lam contraction of a block's spans
+    is one matrix product of their weighted coarse factors against P
+    columns, and each span restores its offsets by its Lagrange basis in
+    y = 2 s / L - 1 times the carrier.
     Consecutive spans share one basis while their offsets agree with the
     first one's within b_max |delta s| <= 1e-12 rad (the spans of a
-    uniform run).  Where the levels reach the cap, or L = 0 (every radius
-    at one E), the sum is taken at each radius, which is exact.
+    uniform run), across blocks too.  Where the levels reach the cap, or
+    L = 0 (every radius at one E), the sum is taken at each radius, which
+    is exact, ``_BLOCK // n_lam`` radii at a time.
+
+    A block is whole spans: at most ``_RADII_BLOCK`` radii, or one span
+    that holds more.  The products are those of the unblocked sum, row
+    for row, and sum alike.  A single column is one block, since its
+    sums are no larger than the state: cut into blocks, a run of one span
+    would be restored by a matrix-vector product, which sums in another
+    order.
     """
     n_lam, n_col = wts.shape
-    out = np.zeros((n_col, r.size), dtype=complex)
-    cols = np.flatnonzero(eta_r > 0.0)
-    if not n_lam or not cols.size:
-        return out
-    cols = cols[np.argsort(e_of_r[cols], kind="stable")]
-    e = e_of_r[cols]
+    live = np.flatnonzero(eta_r > 0.0)
+    if not n_lam or not live.size:
+        return
+    order = np.argsort(e_of_r[live], kind="stable")
+    e = e_of_r[live[order]]
     b_min, b_max = float(np.min(b_lam)), float(np.max(b_lam))
     b_c = 0.5 * (b_max + b_min)
     length = float(e[-1] - e[0])
@@ -565,36 +629,56 @@ def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
             int(np.max(np.diff(cuts))), _PHASE_TOL)
     if nodes is None:
         step = max(1, _BLOCK // n_lam)
-        for i0 in range(0, cols.size, step):
-            c = cols[i0:i0 + step]
-            out[:, c] = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r[c]))
-        return out
+        for i0 in range(0, e.size, step):
+            yield (order[i0:i0 + step],
+                   wts.T @ np.exp(1j * sign * np.outer(b_lam, e[i0:i0 + step])))
+        return
 
-    # runs of consecutive spans [a0, a1) that share one basis (P x span)
-    shared = []
-    for a in range(len(cuts) - 1):
-        s = e[cuts[a]:cuts[a + 1]] - e[cuts[a]]
-        if (shared and s.size == s_own.size
-                and b_max * np.max(np.abs(s - s_own)) <= 1e-12):
-            shared[-1][1] = a + 1
-            continue
-        s_own = s
-        basis = (_lobatto_basis(nodes.shape[0], 2.0 * s / length - 1.0)
-                 * np.exp(1j * sign * b_c * s)[:, None]).T
-        shared.append([a, a + 1, basis])
+    n_span = len(cuts) - 1
     coarse = np.exp(1j * sign * np.outer(b_lam, e[cuts[:-1]]))
-    # weighted copies of coarse side by side, <= _BLOCK elements each
-    step = max(1, _BLOCK // coarse.size)
-    for c0 in range(0, n_col, step):
-        c = slice(c0, c0 + step)
-        wc = (wts[:, c, None] * coarse[:, None, :]).reshape(n_lam, -1)
-        prod = (wc.T @ nodes.T).reshape(-1, coarse.shape[1], nodes.shape[0])
+    limit = _RADII_BLOCK if n_col > 1 else e.size
+    s_own = basis = None
+    a = 0
+    while a < n_span:
+        # the block: spans [a, g)
+        g = a + 1
+        while g < n_span and cuts[g + 1] - cuts[a] <= limit:
+            g += 1
+        wc = (wts[:, :, None] * coarse[:, None, a:g]).reshape(n_lam, -1)
+        prod = (wc.T @ nodes.T).reshape(n_col, g - a, nodes.shape[0])
         del wc  # before the offsets are restored
-        for a0, a1, basis in shared:
-            out[c, cols[cuts[a0]:cuts[a1]]] = (
-                prod[:, a0:a1].reshape(-1, basis.shape[0]) @ basis
-            ).reshape(prod.shape[0], -1)
-        del prod  # before the next block allocates
+        sums = np.empty((n_col, cuts[g] - cuts[a]), dtype=complex)
+        # spans [p, j) share the basis of the offsets s_own; they are
+        # restored in one product when span j brings new offsets or ends
+        # the block
+        p = a
+        for j in range(a, g + 1):
+            if j < g:
+                s = e[cuts[j]:cuts[j + 1]] - e[cuts[j]]
+                if (basis is not None and s.size == s_own.size
+                        and b_max * np.max(np.abs(s - s_own)) <= 1e-12):
+                    continue
+            if j > p:
+                sums[:, cuts[p] - cuts[a]:cuts[j] - cuts[a]] = (
+                    prod[:, p - a:j - a].reshape(-1, basis.shape[0]) @ basis
+                ).reshape(n_col, -1)
+            if j < g:
+                s_own, p = s, j
+                basis = (_lobatto_basis(nodes.shape[0], 2.0 * s / length - 1.0)
+                         * np.exp(1j * sign * b_c * s)[:, None]).T
+        del prod
+        yield order[cuts[a]:cuts[g]], sums
+        a = g
+
+
+def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
+                     b_lam: np.ndarray, wts: np.ndarray, sign: int) -> np.ndarray:
+    """The sums of :func:`_plane_wave_blocks` at every radius r, one row
+    per column of ``wts``; the radii with eta_lambda = 0 are left at 0."""
+    out = np.zeros((wts.shape[1], r.size), dtype=complex)
+    live = np.flatnonzero(eta_r > 0.0)
+    for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
+        out[:, live[k]] = sums
     return out
 
 
@@ -654,12 +738,14 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     elif lam.size:
         live_r = eta_r > 0.0
         amp, basis = _amplitude_factors(model, prof, r, live_r, r_lam, lam, sign)
+        live = np.flatnonzero(live_r)
         step = max(1, _BLOCK // r.size)
         for c0 in range(0, amp.shape[0], step):
             c = slice(c0, c0 + step)
-            sums = _plane_wave_sums(r, eta_r, e_of_r, b_lam,
-                                    (hv * e_t)[:, None] * basis[:, c], sign)
-            out[live_r] += np.einsum("jr,jr->r", amp[c], sums[:, live_r])
+            for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam,
+                                              (hv * e_t)[:, None] * basis[:, c],
+                                              sign):
+                out[live[k]] += np.einsum("jr,jr->r", amp[c, k], sums)
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out
 

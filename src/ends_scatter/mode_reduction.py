@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _clib
 from .geometry import ManifoldModel
 
 __all__ = ["RadialGrid", "ModeOperator", "besov_norm"]
@@ -58,8 +59,10 @@ class RadialGrid:
         sgn = 1.0 if end == 0 else -1.0
         return (sgn * self.x) >= r_min
 
+    @_clib.one_blas_thread()
     def inner(self, u, v) -> complex:
-        """L2(dx) inner product (antilinear in the first slot)."""
+        """L2(dx) inner product (antilinear in the first slot), a BLAS dot
+        on one thread, so its last bits do not depend on the core count."""
         return complex(self.dx * np.vdot(u, v))
 
     def norm(self, u) -> float:

@@ -344,6 +344,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     return out
 
 
+@_clib.one_blas_thread()
 def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
                            west: np.ndarray, psi_list: Sequence[np.ndarray],
                            ft_op: ModeOperator) -> dict:
@@ -356,7 +357,8 @@ def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
     ``distorted_ft`` call per node for all states.  ``ft_op`` carries the
     transform on a grid that only needs to hold the test states and the
     extraction windows (the Jost march scales with the grid length); the
-    psi are restricted onto it by interpolation.
+    psi are restricted onto it by interpolation.  numpy's BLAS runs on one
+    thread throughout, so the defects do not depend on the core count.
     """
     grid = op.grid
     nodes, wts = np.polynomial.legendre.leggauss(_ADJOINT_LAM_NODES)

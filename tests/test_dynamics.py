@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -429,6 +430,93 @@ def test_dynamics_grid_holds_the_front():
     r = dynamics_grid(model, t, lam_hi=0.8)
     assert r[-1] > t * np.sqrt(2.0 * 0.8)
     assert r[0] == model.r0 / 2.0
+
+
+# ---------------------------------------------------------------------------
+# blocks of radii
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset", ["A", "C"])
+def test_radius_blocks_do_not_change_the_states(monkeypatch, preset):
+    """The leading term, its eikonal and the comparison state at
+    t = 10 ... 320 are the same arrays with blocks of 7 radii as with one
+    block larger than any grid, and every interpolant accepts the same
+    level."""
+    model = {"A": model_a, "C": model_c}[preset]()
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    samples = dynamics._lobatto_samples
+    levels = []
+
+    def recorded(fn, cap, tol):
+        vals = samples(fn, cap, tol)
+        levels[-1].append(None if vals is None else vals.shape)
+        return vals
+
+    monkeypatch.setattr(dynamics, "_lobatto_samples", recorded)
+    runs = []
+    for block in (7, 10**9):
+        monkeypatch.setattr(dynamics, "_RADII_BLOCK", block)
+        levels.append([])
+        arrays = []
+        for t in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0):
+            r, u0, sf = leading_term(model, h, t)
+            _, u = comparison_state(model, h, t, r=r)
+            arrays += [u0, sf.k_full, sf.dlam_dr, u]
+        runs.append(arrays)
+    assert levels[0] == levels[1]
+    for blocked, whole in zip(*runs):
+        assert np.array_equal(blocked, whole, equal_nan=True)
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def amplitude_bytes_c160():
+    """The size of the accepted amplitude samples of comparison_state on
+    C at t = 160 (rank x live radii, complex), from a first call that
+    also builds the kernels."""
+    shapes = []
+    factors = dynamics._amplitude_factors
+
+    def recorded(*args):
+        amp, basis = factors(*args)
+        shapes.append(amp.shape)
+        return amp, basis
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_amplitude_factors", recorded)
+        comparison_state(model_c(), SpectralProfile.bump_profile(), 160.0)
+    (rank, radii), = shapes
+    return rank * radii * 16
+
+
+def test_comparison_state_holds_the_samples_and_one_more_level(
+        amplitude_bytes_c160):
+    """The traced peak of comparison_state on C at t = 160 is bounded by
+    its accepted amplitude samples: they and the points of the next level
+    (about twice their size) plus blocks of radii.  2.26 times measured;
+    3.85 times before the radii were blocked."""
+    peak = _traced_peak(comparison_state, model_c(),
+                        SpectralProfile.bump_profile(), 160.0)
+    assert peak <= 2.4 * amplitude_bytes_c160
+
+
+def test_leading_term_holds_less_than_the_amplitude_samples(
+        amplitude_bytes_c160):
+    """The traced peak of leading_term on C at t = 160 against the same
+    samples: the Gauss samples of q1 on the cone plus blocks of radii.
+    0.80 times measured; 1.71 times before the radii were blocked."""
+    peak = _traced_peak(leading_term, model_c(),
+                        SpectralProfile.bump_profile(), 160.0)
+    assert peak <= 1.0 * amplitude_bytes_c160
 
 
 # ---------------------------------------------------------------------------

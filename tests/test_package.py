@@ -12,7 +12,8 @@ an error, the package data ships every source, and neither the import,
 the stationary subcommands nor dynamics on a separable end build them.
 Last the other foreign code, OpenBLAS: ``_clib.one_blas_thread`` lowers
 its thread count to one and restores it, once over nested and concurrent
-scopes, and does nothing without an OpenBLAS.
+scopes, and does nothing without an OpenBLAS; the inner products that
+Python callers reach outside ``cli.main`` run under it too.
 """
 
 import ast
@@ -313,3 +314,31 @@ def test_concurrent_blas_scopes_share_one_depth(monkeypatch):
     assert count() == 4
     assert calls[::2] == [1] * (len(calls) // 2)
     assert calls[1::2] == [4] * (len(calls) // 2)
+
+
+def test_inner_products_do_not_depend_on_the_blas_thread_count(openblas):
+    """``RadialGrid.inner`` and ``adjoint_identity_check`` take BLAS dots
+    of more than 10 000 nodes, which OpenBLAS splits over its threads;
+    scoped to one thread, they return the same bits at 1 and 2 threads."""
+    import numpy as np
+
+    from ends_scatter.dynamics import SpectralProfile
+    from ends_scatter.mode_reduction import ModeOperator, RadialGrid
+    from ends_scatter.presets import model_a
+    from ends_scatter.propagator import adjoint_identity_check
+
+    model = model_a()
+    grid = RadialGrid(60.0, 0.01)
+    op = ModeOperator(model, grid, 0)
+    ft_op = ModeOperator(model, RadialGrid(30.0, 0.02), 0)
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    u, v, west = (np.exp(-((grid.x - c) ** 2) / (2.0 * s**2) + 1j * k * grid.x)
+                  for c, s, k in ((0.5, 1.0, 0.3), (-1.0, 1.5, -0.5),
+                                  (2.0, 3.0, 0.7)))
+    got = []
+    for threads in (1, 2):
+        openblas.set(threads)
+        adj = adjoint_identity_check(op, h, west, [u, v], ft_op=ft_op)
+        got.append((grid.inner(u, v), adj["defects"]))
+        assert openblas.counts() == [threads] * len(openblas.counts())
+    assert got[0] == got[1]
