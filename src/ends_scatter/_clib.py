@@ -1,17 +1,29 @@
-"""The package's C kernels, built on first use.
+"""The package's C kernels, built once per machine.
 
 Every ``*.c`` file beside this module is compiled in one call of the C
 compiler ``cc`` into one shared library, loaded by ``ctypes`` (whose
-foreign calls release the GIL), once per process: when the first
-Propagator is made or the first comparison state of a non-separable end
-is summed, never at import.  The kernels: ``pade_factor`` and
-``pade_steps`` (``_pade.c``) factor and step the propagator, one state
-or two side by side, ``amplitude_rows`` (``_amplitude.c``) sums the
-comparison amplitude.  They check no argument, so their callers pass
-every array they are handed through ``pointer``, which checks it first.
-The flags are the same on every machine of one architecture: the
-two-lane AVX body of ``pade_steps`` is a function compiled for AVX
-within the SSE3 build, and the kernel runs it when the CPU has AVX.
+foreign calls release the GIL) once per process, on first use and never
+at import: when the first Jost pair is marched (``smatrix``,
+``resolvent``, ``transmission``, ``distorted_ft``), the first Propagator
+is made, or the first comparison state of a non-separable end is summed.
+The kernels: ``jost_march`` (``_jost.c``) marches both Jost solutions,
+``pade_factor`` and ``pade_steps`` (``_pade.c``) factor and step the
+propagator, one state or two side by side, ``amplitude_rows``
+(``_amplitude.c``) sums the comparison amplitude.  They check no
+argument, so their callers pass every array they are handed through
+``pointer``, which checks it first.  The flags are the same on every
+machine of one architecture: the two-lane AVX body of ``pade_steps`` is a
+function compiled for AVX within the SSE3 build, and the kernel runs it
+when the CPU has AVX.
+
+The built library is kept in a per-machine cache,
+``$XDG_CACHE_HOME/ends_scatter`` (``~/.cache/ends_scatter`` by default),
+named by a sha256 over the sources, the flags and ``platform.machine()``
+and one over the compiler's path, size and modification time, so that a
+later process loads it instead of paying the compiler again, and one
+without the compiler can still run.  An unwritable cache, or a cached
+file that does not load, falls back to a build in a temporary
+directory.
 
 The module also wraps the one foreign library the package does not
 build: the OpenBLAS behind numpy.  ``one_blas_thread()`` runs numpy's
@@ -52,43 +64,150 @@ def _cflags() -> list:
             "-shared", "-fPIC"]
 
 
-def _build(flags: Sequence[str]):
-    """Every kernel source compiled by ``cc`` with ``flags`` into a
-    temporary directory, loaded by ctypes with each kernel's signature
-    set, and the directory removed."""
-    import ctypes
-    import subprocess
-    import tempfile
+def _sources() -> list:
+    """The kernel sources: every ``*.c`` file beside this module."""
+    return sorted(Path(__file__).parent.glob("*.c"))
 
-    sources = sorted(Path(__file__).parent.glob("*.c"))
+
+def _compile(flags: Sequence[str], path: str) -> None:
+    """Every kernel source compiled by ``cc`` with ``flags`` into the
+    shared library ``path``, as one translation unit that includes them
+    all: one compiler pass, where one per source took a third longer.  A
+    missing or failing compiler raises RuntimeError naming it."""
+    import subprocess
+
+    sources = _sources()
     names = ", ".join(p.name for p in sources)
-    with tempfile.TemporaryDirectory(prefix="ends_scatter-") as tmp:
-        path = os.path.join(tmp, "_kernels.so")
-        cmd = [_CC, *flags, "-o", path, *map(str, sources), "-lm"]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-        except FileNotFoundError:
-            raise RuntimeError(
-                f"ends_scatter compiles its kernels ({names}) with the C "
-                f"compiler {_CC!r}, which was not found") from None
-        if proc.returncode != 0:
-            raise RuntimeError(f"{_CC!r} failed to compile {names}: "
-                               f"{proc.stderr.strip()}")
-        lib = ctypes.CDLL(path)
+    unit = "".join(f'#include "{p}"\n' for p in sources)
+    cmd = [_CC, *flags, "-o", path, "-x", "c", "-", "-lm"]
+    try:
+        proc = subprocess.run(cmd, input=unit, capture_output=True, text=True)
+    except FileNotFoundError:
+        raise RuntimeError(
+            f"ends_scatter compiles its kernels ({names}) with the C "
+            f"compiler {_CC!r}, which was not found") from None
+    if proc.returncode != 0:
+        raise RuntimeError(f"{_CC!r} failed to compile {names}: "
+                           f"{proc.stderr.strip()}")
+
+
+def _load(path):
+    """The library at ``path`` loaded by ctypes, with each kernel's
+    signature set.  A file that does not load raises OSError."""
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.pade_factor.argtypes = [i64, ptr, f64, f64, f64, ptr, ptr, ptr]
     lib.pade_steps.argtypes = [i64, i64, i64] + [ptr] * 8
     lib.amplitude_rows.argtypes = ([i64, ptr, ptr, ptr, i64, i64, ptr, ptr,
                                     i64, ptr, f64, i64, ptr, ptr])
-    for kernel in (lib.pade_factor, lib.pade_steps, lib.amplitude_rows):
+    lib.jost_march.argtypes = [i64, ptr, ptr, f64, ptr, i64, ptr, ptr, ptr]
+    for kernel in (lib.pade_factor, lib.pade_steps, lib.amplitude_rows,
+                   lib.jost_march):
         kernel.restype = None
     return lib
 
 
+def _build(flags: Sequence[str]):
+    """The kernels compiled with ``flags`` into a temporary directory,
+    loaded, and the directory removed."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory(prefix="ends_scatter-") as tmp:
+        path = os.path.join(tmp, "_kernels.so")
+        _compile(flags, path)
+        return _load(path)
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/ends_scatter``, ``~/.cache/ends_scatter`` when
+    the variable is unset or empty."""
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    return Path(base) / "ends_scatter"
+
+
+def _source_key(sources: Sequence[Path], flags: Sequence[str]) -> str:
+    """sha256 over the names and bytes of ``sources``, the ``flags`` and
+    ``platform.machine()``: what the built library is made of."""
+    import hashlib
+    import platform
+
+    digest = hashlib.sha256()
+    for path in map(Path, sources):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    digest.update("\0".join([*flags, platform.machine()]).encode())
+    return digest.hexdigest()
+
+
+def _compiler_id():
+    """The compiler as the cache tells builds apart: the resolved path,
+    size and modification time of ``cc``, or None where it is not found.
+    A switched, upgraded or rebuilt compiler changes it, as it changes
+    what ``cc --version`` prints, without a subprocess in every
+    process."""
+    import shutil
+
+    found = shutil.which(_CC)
+    if found is None:
+        return None
+    path = os.path.realpath(found)
+    stat = os.stat(path)
+    return f"{path}\0{stat.st_size}\0{stat.st_mtime_ns}"
+
+
+def _cached_path(flags: Sequence[str]):
+    """The cached library of the kernels with ``flags``, built into the
+    cache first if it is not there; None when it is not there and there
+    is no compiler to build it.
+
+    The file is named ``<source key>-<compiler key>.so``: the
+    ``_source_key`` and the first 16 hex digits of the sha256 of the
+    ``_compiler_id``.  A process that finds no compiler cannot tell which
+    one built the file, so it loads a build of the same sources and flags
+    by whichever compiler made it.  A build is written to a temporary
+    file in the cache and renamed into place, so a process never loads a
+    file that another one is still writing.  An unwritable cache raises
+    OSError."""
+    import hashlib
+    import tempfile
+
+    cache = _cache_dir()
+    key = _source_key(_sources(), flags)
+    compiler = _compiler_id()
+    if compiler is None:
+        return min(cache.glob(f"{key}-*.so"), default=None)
+    compiler = hashlib.sha256(compiler.encode()).hexdigest()[:16]
+    path = cache / f"{key}-{compiler}.so"
+    if not path.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            _compile(flags, tmp)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    return path
+
+
 @functools.cache
 def library():
-    """The kernels compiled with ``_cflags()``, built once per process."""
-    return _build(_cflags())
+    """The kernels compiled with ``_cflags()``, loaded once per process
+    from the per-machine cache (built into it on the first use there).
+    An unwritable cache, or a cached file that does not load, falls back
+    to a build in a temporary directory."""
+    flags = _cflags()
+    try:
+        path = _cached_path(flags)
+        if path is not None:
+            return _load(path)
+    except OSError:
+        pass
+    return _build(flags)
 
 
 def pointer(array: np.ndarray, name: str, dtype, shape: tuple,

@@ -12,10 +12,12 @@ The march is a fourth-order Magnus scheme on the grid cells (Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 2009).  W_m is sampled once, at the
 two Gauss nodes of every cell, and each cell's real 2x2 transfer matrix
 is a closed-form exponential of a traceless matrix, so it has unit
-determinant and the Wronskian of the pair is conserved to roundoff.  A
-log-depth prefix product of the transfer matrices gives (u, u') at every
-node.  Breakpoints of the potential that fall between grid nodes split
-their cell; a launch radius beyond the grid is reached in steps <= dx.
+determinant and the Wronskian of the pair is conserved to roundoff.  One
+pass of the compiled kernel ``jost_march`` (``_jost.c``) forms the
+matrices and marches both solutions, one cell after the other, writing
+(u, u') at the grid nodes only.  Breakpoints of the potential that fall
+between grid nodes split their cell; a launch radius beyond the grid is
+reached in steps <= dx.
 
 Inward marching is the stable direction on both sides (through a
 classically forbidden core the physical solution grows towards the core),
@@ -29,6 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import _clib
 from .geometry import ManifoldModel, cumulative_trapezoid, phase_a
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
 
@@ -89,53 +92,30 @@ def _march_nodes(model: ManifoldModel, grid: RadialGrid,
     return nodes, np.searchsorted(nodes, x)
 
 
-def _transfer(model: ManifoldModel, m: int, lam: float,
-              nodes: np.ndarray) -> np.ndarray:
-    """Real 2x2 matrices taking (u, u') across each cell of ``nodes``,
-    stacked along the last axis: shape (2, 2, cells).
+def _march(nodes: np.ndarray, w: np.ndarray, lam: float,
+           on_grid: np.ndarray, launch: np.ndarray) -> np.ndarray:
+    """Both Jost solutions at the nodes ``nodes[on_grid]`` by the compiled
+    Magnus march of ``_jost.c``: rows u_left, u_left', u_right, u_right'.
 
-    Fourth-order Magnus step for y' = [[0, 1], [q, 0]] y, q = 2 (W_m - lam),
-    with W_m sampled at the two Gauss nodes of every cell in one call:
-
-        Omega = [[alpha, h], [h qbar, -alpha]],  qbar = (q1 + q2) / 2,
-        alpha = (sqrt(3) / 12) h^2 (q1 - q2).
-
-    Omega is traceless, so exp(Omega) = cosh(mu) + sinh(mu) / mu * Omega
-    with mu^2 = alpha^2 + h^2 qbar; every matrix has unit determinant.
-    """
-    h = np.diff(nodes)
-    xs = nodes[:-1, None] + h[:, None] * _GAUSS
-    q = 2.0 * (model.w_mode(m, xs.ravel()).reshape(-1, 2) - lam)
-    qbar = 0.5 * (q[:, 0] + q[:, 1])
-    alpha = np.sqrt(3.0) / 12.0 * h**2 * (q[:, 0] - q[:, 1])
-    mu2 = alpha**2 + h**2 * qbar
-    mu = np.sqrt(np.abs(mu2))
-    growing = mu2 > 0.0
-    c = np.where(growing, np.cosh(mu), np.cos(mu))
-    s = np.ones_like(mu)
-    nz = mu > 0.0
-    s[nz] = np.where(growing[nz], np.sinh(mu[nz]), np.sin(mu[nz])) / mu[nz]
-    return np.array([[c + s * alpha, s * h], [s * h * qbar, c - s * alpha]])
-
-
-def _inverse(mats: np.ndarray) -> np.ndarray:
-    """Inverses of stacked unit-determinant 2x2 matrices (the adjugates)."""
-    return np.array([[mats[1, 1], -mats[0, 1]], [-mats[1, 0], mats[0, 0]]])
-
-
-def _sweep(mats: np.ndarray, y0) -> np.ndarray:
-    """States y_k = mats[..., k-1] ... mats[..., 0] y0 for k = 0..cells,
-    as rows (u, u').  The prefix products come from a log-depth doubling
-    scan over the stacked matrices."""
-    prod = mats.copy()
-    shift = 1
-    while shift < prod.shape[-1]:
-        a, b = prod[..., shift:], prod[..., :-shift]
-        prod[..., shift:] = a[:, :1] * b[0] + a[:, 1:] * b[1]
-        shift *= 2
-    y0 = np.asarray(y0, dtype=complex)
-    return np.concatenate((y0[:, None], prod[:, 0] * y0[0] + prod[:, 1] * y0[1]),
-                          axis=1)
+    ``w`` holds W_m at the two Gauss nodes of every cell of ``nodes``,
+    shape (cells, 2).  ``launch`` holds (u, u') of the left solution at
+    nodes[0], marched up, and of the right one at nodes[-1], marched down,
+    shape (2, 2).  The kernel checks no argument: the arrays go through
+    ``_clib.pointer``, and the node indices, which the kernel walks in
+    order, must increase within the nodes."""
+    n = nodes.size
+    x_p = _clib.pointer(nodes, "nodes", np.float64, (n,))
+    w_p = _clib.pointer(w, "w", np.float64, (n - 1, 2))
+    at_p = _clib.pointer(on_grid, "on_grid", np.int64, (on_grid.size,))
+    y_p = _clib.pointer(launch, "launch", complex, (2, 2))
+    if on_grid.size and not (0 <= on_grid[0] and on_grid[-1] < n
+                             and np.all(np.diff(on_grid) > 0)):
+        raise ValueError(f"grid indices must increase within [0, {n})")
+    mats = np.empty((n - 1, 4))
+    out = np.empty((4, on_grid.size), dtype=complex)
+    _clib.library().jost_march(n, x_p, w_p, float(lam), y_p, on_grid.size,
+                               at_p, mats.ctypes.data, out.ctypes.data)
+    return out
 
 
 def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
@@ -153,7 +133,8 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
               rmax_pad: float = 1.0) -> JostPair:
     """Construct the Jost pair at energy lam (> both thresholds).
 
-    The launch radius is ``rmax_pad * rmax``.  The WKB launch needs an
+    The launch radius is ``rmax_pad * rmax``, on the grid end or beyond
+    it: rmax_pad below 1 raises ValueError.  The WKB launch needs an
     open channel, so lam at or below W_m at either launch point raises
     ValueError.  A degenerate pair (Wronskian below 1e-8 of the product
     of the solutions' sizes and the momentum: the two solutions are
@@ -162,12 +143,13 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     The incoming pair is the complex conjugate of the outgoing one, bit
     for bit: ``jost_pair(op, lam, -1)`` has (u, u') equal to np.conj of
     those of ``jost_pair(op, lam, +1)`` and Wronskian conj(W).  This
-    rests on three facts: W_m is real, so every transfer matrix of
-    ``_transfer`` and every prefix product of ``_sweep`` is real; the
-    launch data of ``_launch_data`` for sign -1 are the conjugates of
-    those for sign +1; and real-times-conjugate arithmetic rounds to the
-    conjugate of real-times-value.  ``fourier.scattering_matrix`` relies
-    on it to march once per mode; a complex potential would break it.
+    rests on three facts: W_m is real, so every transfer matrix of the
+    march is real; the launch data of ``_launch_data`` for sign -1 are the
+    conjugates of those for sign +1; and the kernel marches the real and
+    imaginary parts of each solution as two separate real recurrences
+    through the same matrices, in which a negated launch rounds to the
+    negated state at every node.  ``fourier.scattering_matrix`` relies on
+    it to march once per mode; a complex potential would break it.
 
     Each solution is launched with u = 1: its WKB amplitude and phase at
     the launch radius are a gauge.  Rescaling u_left by c_l and u_right
@@ -175,6 +157,9 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     its own solution's factor, and the Green kernel's u_< u_> by c_l c_r,
     so S, F^+ and R(lam + i0) do not depend on it.
     """
+    if not rmax_pad >= 1.0:
+        raise ValueError(f"rmax_pad={rmax_pad!r} must be at least 1: the "
+                         "march starts at the grid ends or beyond them")
     model = op.model
     grid = op.grid
     r_launch = rmax_pad * grid.rmax
@@ -188,14 +173,15 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
                              f"{r_launch!r} of end {end}: the channel is closed")
     r_lam = model.r_lambda(lam)
     nodes, on_grid = _march_nodes(model, grid, r_launch)
-    mats = _transfer(model, op.m, lam, nodes)
-
-    # end 0 launches at x = +r_launch and marches towards -x
-    u0, dudr = _launch_data(model, 0, lam, sign, r_launch, r_lam)
-    u_r, du_r = _sweep(_inverse(mats)[..., ::-1], (u0, dudr))[:, ::-1][:, on_grid]
-    # end 1 launches at x = -r_launch; there d/dx = -d/dr
-    u0, dudr = _launch_data(model, 1, lam, sign, r_launch, r_lam)
-    u_l, du_l = _sweep(mats, (u0, -dudr))[:, on_grid]
+    h = np.diff(nodes)
+    xs = nodes[:-1, None] + h[:, None] * _GAUSS
+    w_gauss = model.w_mode(op.m, xs.ravel()).reshape(-1, 2)
+    # end 1 launches at x = -r_launch, where d/dx = -d/dr, and end 0 at
+    # x = +r_launch
+    u1, dudr1 = _launch_data(model, 1, lam, sign, r_launch, r_lam)
+    u0, dudr0 = _launch_data(model, 0, lam, sign, r_launch, r_lam)
+    launch = np.array([[u1, -dudr1], [u0, dudr0]], dtype=complex)
+    u_l, du_l, u_r, du_r = _march(nodes, w_gauss, lam, on_grid, launch)
 
     w = _wronskian_profile(u_l, du_l, u_r, du_r)
     w0 = complex(np.mean(w))

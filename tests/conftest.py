@@ -15,6 +15,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """The kernels' per-machine cache in a temporary directory of this
+    session, so that the suite neither reads nor writes the user's cache;
+    the fresh interpreters that tests start inherit it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -8,8 +8,10 @@ subpackages: only the reference solvers of ``oracle`` and the tests
 import scipy.
 A fourth keeps the reference implementations of ``oracle`` out of the
 computation paths.  Then the C kernels: they compile with every warning
-an error, the package data ships every source, and neither the import,
-the stationary subcommands nor dynamics on a separable end build them.
+an error, the package data ships every source, only the subcommands that
+march Jost pairs or sum a non-separable comparison amplitude load them,
+and they are built once per machine into a cache that a process without
+the compiler reads.
 Last the other foreign code, OpenBLAS: ``_clib.one_blas_thread`` lowers
 its thread count to one and restores it, once over nested and concurrent
 scopes, and does nothing without an OpenBLAS; the inner products that
@@ -220,23 +222,93 @@ def test_package_data_ships_every_kernel_source():
 
 
 def test_kernels_are_built_only_when_needed(tmp_path):
-    """A fresh interpreter imports the package, runs the stationary
-    subcommands and dynamics on the separable preset A without building
-    the kernels; the comparison state of the Dollard end C builds them."""
-    runs = _STATIONARY_RUNS + [["dynamics", "--preset", "A", "--t-grid", "10"]]
+    """A fresh interpreter imports the package and runs model-check,
+    oracle and dynamics on the separable preset A without loading the
+    kernels; smatrix and resolvent march Jost pairs, and the comparison
+    state of the Dollard end C sums its amplitude, so each loads them."""
+    out = str(tmp_path)
+    builds_nothing = [_STATIONARY_RUNS[0], _STATIONARY_RUNS[3],
+                      ["dynamics", "--preset", "A", "--t-grid", "10"]]
+    loads = [_STATIONARY_RUNS[1], _STATIONARY_RUNS[2],
+             ["dynamics", "--preset", "C", "--t-grid", "10"]]
     script = (
         "import ends_scatter\n"
         "from ends_scatter import _clib, cli\n"
         "assert _clib.library.cache_info().currsize == 0\n"
-        f"for argv in {runs!r}:\n"
-        f"    assert cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0, argv\n"
+        f"for argv in {builds_nothing!r}:\n"
+        f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
         "    assert _clib.library.cache_info().currsize == 0, argv\n"
-        "assert cli.main(['dynamics', '--preset', 'C', '--t-grid', '10',\n"
-        f"                 '--out', {str(tmp_path)!r}]) == 0\n"
-        "assert _clib.library.cache_info().currsize == 1\n")
+        f"for argv in {loads!r}:\n"
+        "    _clib.library.cache_clear()\n"
+        f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
+        "    assert _clib.library.cache_info().currsize == 1, argv\n")
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_cached_kernels_load_without_the_compiler(tmp_path):
+    """The first process builds the kernels into the cache; a second one,
+    whose compiler is missing, loads that build and writes the same
+    smatrix report, byte for byte.  The cache then holds one library and
+    no temporary file."""
+    cache = tmp_path / "cache"
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from ends_scatter import _clib, cli\n"
+        "if sys.argv[2] == 'missing':\n"
+        "    _clib._CC = 'no-such-cc'\n"
+        "argv = ['smatrix', '--preset', 'D', '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "assert Path(_clib.library()._name).parent == _clib._cache_dir()\n")
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               XDG_CACHE_HOME=str(cache))
+    for out, compiler in (("built", "cc"), ("cached", "missing")):
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / out),
+                        compiler], env=env, check=True)
+    report = [(tmp_path / out / "smatrix.json").read_bytes()
+              for out in ("built", "cached")]
+    assert report[0] == report[1]
+    files = list((cache / "ends_scatter").iterdir())
+    assert len(files) == 1 and files[0].suffix == ".so"
+
+
+def test_kernel_key_changes_with_a_source_byte_or_flag(tmp_path):
+    """The cached library is named by what it is made of: the same
+    sources and flags give the same key, and one changed source byte or
+    flag a new one."""
+    sources = []
+    for source in _clib._sources():
+        sources.append(tmp_path / source.name)
+        sources[-1].write_bytes(source.read_bytes())
+    flags = _clib._cflags()
+    key = _clib._source_key(sources, flags)
+    assert key == _clib._source_key(_clib._sources(), flags)
+    assert _clib._source_key(sources, flags + ["-g"]) != key
+    assert _clib._source_key(sources, flags[1:]) != key
+    data = bytearray(sources[-1].read_bytes())
+    data[-2] ^= 1
+    sources[-1].write_bytes(bytes(data))
+    assert _clib._source_key(sources, flags) != key
+
+
+def test_unusable_cache_falls_back_to_a_temporary_build(tmp_path,
+                                                        monkeypatch):
+    """A cache directory that cannot be made (its parent is a file, which
+    stops root too), and a cached file that does not load, each give the
+    kernels from a build in a temporary directory."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    lib = _clib.library.__wrapped__()
+    assert lib.jost_march and not lib._name.startswith(str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    cached = _clib._cached_path(_clib._cflags())
+    cached.write_bytes(b"not a shared library")
+    lib = _clib.library.__wrapped__()
+    assert lib.jost_march and not lib._name.startswith(str(tmp_path))
 
 
 def test_blas_scope_restores_the_callers_count(openblas):

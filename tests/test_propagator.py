@@ -16,6 +16,7 @@ from ends_scatter.presets import model_a, model_c, model_d, model_free
 from ends_scatter.propagator import (EvolutionConfig, Propagator, _pade_steps,
                                      end_mass, end_projection, evolve,
                                      transmission_experiment, wave_operator)
+from ends_scatter.resolvent import jost_pair
 
 
 @pytest.fixture(scope="module")
@@ -469,17 +470,21 @@ def test_wave_operator_on_the_long_range_preset_c():
         assert abs(inc[k] - want) <= 1e-11 * want
 
 
-def test_missing_compiler_is_named(setup, monkeypatch):
-    """Without the C compiler the first propagation, and the first
-    comparison state of the Dollard end C, raise an error that names it;
-    the separable end A needs no kernel."""
+def test_missing_compiler_is_named(setup, monkeypatch, tmp_path):
+    """Without the C compiler and with an empty kernel cache, the first
+    propagation, the first Jost pair and the first comparison state of
+    the Dollard end C raise an error that names it; the comparison state
+    of the separable end A needs no kernel."""
     op, psi = setup
     monkeypatch.setattr(_clib, "_CC", "no-such-cc")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     # a fresh cache, so that the library built already is not reused
     monkeypatch.setattr(_clib, "library",
                         functools.cache(_clib.library.__wrapped__))
     with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
         evolve(op, psi, 1.0)
+    with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
+        jost_pair(ModeOperator(model_a(), RadialGrid(20.0, 0.05), 0), 0.6)
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
         comparison_state(model_c(), h, 10.0)

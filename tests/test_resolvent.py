@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import (closed_form_scattering, free_green,
                                  reference_march)
 from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
-from ends_scatter import resolvent
-from ends_scatter.resolvent import (_launch_data, jost_pair,
+from ends_scatter import _clib, resolvent
+from ends_scatter.resolvent import (_GAUSS, _launch_data, _march,
+                                    _march_nodes, jost_pair,
                                     limiting_resolvent, radiation_residual)
 
 
@@ -187,3 +190,119 @@ def test_incoming_jost_pair_is_the_conjugate(model, rmax, dx, m, lam, pad):
     for name in ("u_left", "du_left", "u_right", "du_right"):
         assert np.array_equal(getattr(inc, name), np.conj(getattr(out, name)))
     assert inc.wronskian == out.wronskian.conjugate()
+
+
+def test_launch_inside_the_grid_is_refused():
+    """The march starts at the grid ends or beyond them, so a launch
+    radius inside the grid is an error, not launch data taken at one
+    radius and marched from another."""
+    op = ModeOperator(model_a(), RadialGrid(20.0, 0.05), 0)
+    for pad in (0.5, 0.999, float("nan")):
+        with pytest.raises(ValueError, match="rmax_pad"):
+            jost_pair(op, 0.6, rmax_pad=pad)
+
+
+def _magnus_reference(nodes, w, lam, launch, on_grid):
+    """The sequential Magnus-4 march of both Jost solutions written out in
+    Python floats, with the math module's transcendentals: each cell's
+    matrix [[a, b], [c, d]], the left solution's real and imaginary parts
+    marched up through the matrices, the right one's down through their
+    adjugates.  Rows u_left, u_left', u_right, u_right' at nodes[on_grid]."""
+    mats = []
+    for k in range(len(nodes) - 1):
+        h = float(nodes[k + 1]) - float(nodes[k])
+        q1, q2 = (2.0 * (float(v) - lam) for v in w[k])
+        qbar = 0.5 * (q1 + q2)
+        alpha = math.sqrt(3.0) / 12.0 * (h * h) * (q1 - q2)
+        mu2 = alpha * alpha + (h * h) * qbar
+        mu = math.sqrt(abs(mu2))
+        if mu2 > 0.0:
+            c, s = math.cosh(mu), math.sinh(mu) / mu
+        else:
+            c, s = math.cos(mu), (math.sin(mu) / mu if mu > 0.0 else 1.0)
+        mats.append((c + s * alpha, s * h, s * h * qbar, c - s * alpha))
+
+    def up(y):
+        states = [y]
+        for a, b, c, d in mats:
+            u, du = states[-1]
+            states.append((a * u + b * du, c * u + d * du))
+        return states
+
+    def down(y):
+        states = [y]
+        for a, b, c, d in reversed(mats):
+            u, du = states[-1]
+            states.append((d * u - b * du, a * du - c * u))
+        return states[::-1]
+
+    rows = []
+    for march, (u0, du0) in ((up, launch[0]), (down, launch[1])):
+        re = march((u0.real, du0.real))
+        im = march((u0.imag, du0.imag))
+        for part in range(2):
+            rows.append([complex(re[k][part], im[k][part]) for k in on_grid])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("model,rmax,m,lam,cells", [
+    # the barrier edges at +-0.995 fall mid-cell and split their cells
+    (model_d(half_width=0.995), 1.5, 0, 0.9, 302),
+    (model_b(), 2.0, 1, 0.6, 400),
+], ids=["D", "B1"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_compiled_march_is_the_sequential_product(model, rmax, m, lam, cells,
+                                                  sign):
+    """The kernel's march is the sequential Magnus-4 product, bit for bit,
+    at every grid node of both Jost solutions."""
+    op = ModeOperator(model, RadialGrid(rmax, 0.01), m)
+    pair = jost_pair(op, lam, sign)
+    nodes, on_grid = _march_nodes(model, op.grid, op.grid.rmax)
+    assert nodes.size - 1 == cells
+    h = np.diff(nodes)
+    w = model.w_mode(m, (nodes[:-1, None] + h[:, None] * _GAUSS).ravel())
+    # end 1 launches at x = -rmax, where d/dx = -d/dr
+    u1, dudr1 = _launch_data(model, 1, lam, sign, rmax, pair.r_lam)
+    u0, dudr0 = _launch_data(model, 0, lam, sign, rmax, pair.r_lam)
+    launch = [(complex(u1), -dudr1), (complex(u0), dudr0)]
+    want = _magnus_reference(nodes, w.reshape(-1, 2), lam, launch, on_grid)
+    got = np.array([pair.u_left, pair.du_left, pair.u_right, pair.du_right])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_march_rejects_bad_arrays_before_the_kernel(monkeypatch):
+    """The kernel checks nothing, so a wrong dtype, shape or layout, or
+    grid indices outside the nodes or not increasing, raise ValueError
+    before the foreign call."""
+    n = 40
+    good = dict(nodes=np.linspace(-1.0, 1.0, n), w=np.zeros((n - 1, 2)),
+                lam=0.5, on_grid=np.arange(0, n, 3, dtype=np.int64),
+                launch=np.ones((2, 2), dtype=complex))
+    at = good["on_grid"]
+    bad = [("nodes", good["nodes"].astype(np.float32)),
+           ("nodes", np.linspace(-1.0, 1.0, 2 * n)[::2]),
+           ("nodes", np.zeros(1)),
+           ("w", np.zeros((n, 2))),
+           ("w", np.zeros(2 * (n - 1))),
+           ("w", np.zeros((2, n - 1)).T),
+           ("w", np.zeros((n - 1, 2), dtype=complex)),
+           ("on_grid", at.astype(np.int32)),
+           ("on_grid", np.repeat(at, 2)[::2]),
+           ("on_grid", np.append(at, n)),
+           ("on_grid", np.insert(at, 0, -1)),
+           ("on_grid", at[::-1].copy()),
+           ("on_grid", np.sort(np.append(at, at[2]))),
+           ("launch", np.ones(4, dtype=complex)),
+           ("launch", np.ones((2, 2))),
+           ("launch", np.ones((2, 2), dtype=complex).T)]
+    monkeypatch.setattr(_clib, "library",
+                        lambda: pytest.fail("the kernel was called"))
+    for key, value in bad:
+        with pytest.raises(ValueError):
+            _march(**dict(good, **{key: value}))
+    monkeypatch.undo()
+    out = _march(**good)
+    assert out.shape == (4, at.size)
+    # a zero potential below lam marches u = 1, u' = 1 to cos + sin
+    x = good["nodes"][at]
+    assert np.allclose(out[0], np.cos(x + 1.0) + np.sin(x + 1.0), atol=1e-8)
