@@ -27,7 +27,6 @@ from .geometry import (
     EndProfile,
     ManifoldModel,
     classify_potential,
-    critical_energy,
     eta,
     phase_a,
     phase_b,

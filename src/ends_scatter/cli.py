@@ -44,7 +44,7 @@ from .config import (ConfigError, ExperimentConfig, default_config,
 from .dynamics import (SpectralProfile, comparison_state, leading_term,
                        state_norm)
 from .fourier import _extraction_windows, scattering_matrix
-from .geometry import classify_potential, critical_energy
+from .geometry import classify_potential
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
 from .presets import _CATALOGUE
@@ -184,7 +184,6 @@ def _packet(grid: RadialGrid, center: float, width: float,
 
 def _cmd_model_check(cfg: ExperimentConfig, args, out_dir):
     model = cfg.model
-    lam_crit, per_end = critical_energy(model)
     ends = []
     for i, end in enumerate(model.ends):
         cls, cdiag = classify_potential(model, i)
@@ -192,7 +191,7 @@ def _cmd_model_check(cfg: ExperimentConfig, args, out_dir):
             "index": i + 1,
             "profile": end.name,
             "lambda0": end.lambda0,
-            "critical_energy": per_end["per_end"][i],
+            "critical_energy": end.lambda0,
             "class": cls,
             "decay_exponent": cdiag["exponent"],
             "decay_constants": list(end.decay),
@@ -201,8 +200,8 @@ def _cmd_model_check(cfg: ExperimentConfig, args, out_dir):
     report = {
         "model": model.name,
         "r0": model.r0,
-        "lambda_crit": lam_crit,
-        "per_end": per_end["per_end"],
+        "lambda_crit": model.lambda_crit,
+        "per_end": [end.lambda0 for end in model.ends],
         "ends": ends,
         "potential_range": [float(np.min(model.q(x))), float(np.max(model.q(x)))],
         "converged": True,

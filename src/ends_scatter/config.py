@@ -10,8 +10,8 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
 
     [ends.1]                    ; end index 1 -> line coordinate x > 0
     profile = euclidean         ; euclidean|hyperbolic|flat|conic:ALPHA|table:FILE
-    q1_amplitude = 1.0          ; optional tail A r^-p of q; q1 = lambda0 + A r^-p
-    q1_power = 0.8
+    q1_amplitude = 1.0          ; optional tail eta(r, r0) A r^-p of q;
+    q1_power = 0.8              ; q1 = lambda0 + eta(r, r0) A r^-p
     decay = 1.0, 1.0, 1.0       ; (sigma, tau, rho) decay constants
 
     [ends.2]
@@ -52,12 +52,12 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 import numpy as np
 
-from .geometry import EndProfile, ManifoldModel, tail_q1
+from .geometry import EndProfile, ManifoldModel
 from .presets import _CATALOGUE, by_name
 
 __all__ = [
@@ -257,12 +257,10 @@ def _build_end(sec, r0: float, base: str) -> EndProfile:
         end = EndProfile.conic(alpha, decay=decay)
     else:
         end = getattr(EndProfile, kind)(decay=decay)
-    if amp == 0.0:
-        return end
     # q_geo already tends to lambda0: the potential gains the decaying
-    # tail alone, the reference tail q1 is lambda0 plus that tail
-    return replace(end, q1=tail_q1(amp, power, r0, lambda0=end.lambda0),
-                   v_tail=tail_q1(amp, power, r0))
+    # tail alone (none for amplitude 0), the reference tail q1 is lambda0
+    # plus that tail
+    return end.with_tail(amp, power, r0)
 
 
 def _build_potential(sec, r0: float, base: str):

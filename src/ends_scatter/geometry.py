@@ -16,15 +16,18 @@ which gives ``-1/(8 r^2)`` on a Euclidean end (``f = r``) and the
 constant ``1/8`` on a hyperbolic end (``f = e^r``).
 
 Each end also carries a *reference tail* ``q1(r)`` used by all phase
-functions (WKB phases, eikonals, comparison dynamics).  The remainder
-``q2 = q - q1`` is treated as a perturbation; the split is a modelling
-choice, configured per end.
+functions (WKB phases, eikonals, comparison dynamics): its threshold
+``lambda0`` plus an optional potential tail ``A eta(r, r0) r^-p``, which
+enters the potential ``q`` as well.  The remainder ``q2 = q - q1`` is
+treated as a perturbation.  An end declares its tail as the numbers
+``(A, p, r0)``, so its threshold and decay class are read from them
+exactly, not estimated from samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +35,6 @@ import numpy as np
 __all__ = [
     "EndProfile",
     "ManifoldModel",
-    "critical_energy",
     "phase_b",
     "phase_a",
     "riccati_residual",
@@ -47,16 +49,8 @@ __all__ = [
 
 # r_lambda: radius up to which the tail q1 is probed
 _RMAX_PROBE = 4096.0
-# start R of the first dyadic block [R, 2R] of the tail scans
-_TAIL_R_START = 8.0
-# critical_energy: doubling budget, and the relative step of the tail-sup
-# below which a doubling counts as stable
-_SUP_MAX_DOUBLINGS = 40
-_SUP_TOL = 1e-10
-# classify_potential: class margin of the decay exponent and number of
-# dyadic blocks in the log-log fit
+# classify_potential: class margin of the decay exponent
 _CLASS_EPS = 0.1
-_CLASS_N_DYADIC = 10
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +131,14 @@ class EndProfile:
     """One end of the surface.
 
     ``g``, ``gp``, ``gpp`` are log f and its first two derivatives as
-    vectorized callables of the radial coordinate.  ``q1`` is the
-    reference tail for this end (must be defined for all r >= 0 and
-    vanish, up to its threshold value ``lambda0``, inside r <= r0/2 so
-    the global potential split stays smooth).  ``v_tail`` is an extra
-    potential supported in the end region (enters q but not necessarily
-    q1).
+    vectorized callables of the radial coordinate; ``lambda0`` is the
+    limit of q_geo, the end's threshold.  The end's potential tail
+    ``A eta(r, r0) r^-p`` is declared by its amplitude ``tail_amplitude``
+    (A; 0 for none), power ``tail_power`` (p) and cutoff radius
+    ``tail_r0``, which must be the glue radius of the model: the cutoff
+    kills the tail inside r <= r0/2, so it joins the core smoothly.  The
+    tail enters the potential q and the reference tail
+    ``q1 = lambda0 + A eta(r, r0) r^-p``.  Build it with :meth:`with_tail`.
     """
 
     name: str
@@ -150,14 +146,31 @@ class EndProfile:
     gp: Callable
     gpp: Callable
     lambda0: float = 0.0
-    q1: Optional[Callable] = None
-    v_tail: Optional[Callable] = None
+    tail_amplitude: float = 0.0
+    tail_power: float = 0.0
+    tail_r0: float = 0.0
     decay: Tuple[float, float, float] = (1.0, 1.0, 1.0)  # (sigma, tau, rho)
 
-    def __post_init__(self):
-        if self.q1 is None:
-            lam0 = self.lambda0
-            self.q1 = lambda r, _l=lam0: np.full_like(np.asarray(r, dtype=float), _l)
+    def with_tail(self, amplitude: float, power: float, r0: float) -> "EndProfile":
+        """This end with the potential tail ``amplitude eta(r, r0) r^-power``;
+        a tail that does not decay (power <= 0) is refused."""
+        if amplitude != 0.0 and power <= 0.0:
+            raise ValueError(f"tail power must be positive, got {power!r}")
+        return replace(self, tail_amplitude=amplitude, tail_power=power,
+                       tail_r0=r0)
+
+    def tail(self, r):
+        """The potential tail A eta(r, r0) r^-p."""
+        r = np.asarray(r, dtype=float)
+        rs = np.maximum(r, 1e-9)
+        return eta(r, self.tail_r0) * self.tail_amplitude * rs ** (-self.tail_power)
+
+    def q1(self, r):
+        """Reference tail lambda0 + A eta(r, r0) r^-p; the constant lambda0
+        on an end without a tail."""
+        if self.tail_amplitude == 0.0:
+            return np.full_like(np.asarray(r, dtype=float), self.lambda0)
+        return self.lambda0 + self.tail(r)
 
     def f(self, r):
         return np.exp(self.g(r))
@@ -233,21 +246,6 @@ class EndProfile:
         )
 
 
-def tail_q1(amplitude: float, power: float, r0: float,
-            lambda0: float = 0.0) -> Callable:
-    """Reference tail q1(r) = lambda0 + eta(r) * amplitude * r^-power.
-
-    The cutoff eta kills the tail inside r <= r0/2 so it glues smoothly
-    to the core.
-    """
-    def q1(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, 1e-9)
-        return lambda0 + eta(r, r0) * amplitude * rs ** (-power)
-
-    return q1
-
-
 # ---------------------------------------------------------------------------
 # glued two-ended model
 # ---------------------------------------------------------------------------
@@ -269,6 +267,11 @@ class ManifoldModel:
             raise ValueError("ManifoldModel glues exactly two ends")
         if r0 < 2.0:
             raise ValueError("r0 must be >= 2")
+        for end in ends:
+            if end.tail_amplitude != 0.0 and end.tail_r0 != r0:
+                raise ValueError(
+                    f"end {end.name!r} cuts its tail off at r0 = "
+                    f"{end.tail_r0!r}, not at the model's r0 = {r0!r}")
         self.ends = tuple(ends)
         self.r0 = float(r0)
         self.v_core = v_core
@@ -353,11 +356,11 @@ class ManifoldModel:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for side, end in zip((1.0, -1.0), self.ends):
-            if end.v_tail is None:
+            if end.tail_amplitude == 0.0:
                 continue
             mask = side * x > 0
             if np.any(mask):
-                out[mask] += end.v_tail(side * x[mask])
+                out[mask] += end.tail(side * x[mask])
         if self.v_core is not None:
             out = out + self.v_core(x)
         return out
@@ -366,7 +369,11 @@ class ManifoldModel:
         return self.q_geo(x) + self.potential(x)
 
     def w_mode(self, m: int, x):
-        """Reduced 1-d potential of the angular mode m."""
+        """Reduced 1-d potential of the angular mode m: q plus the
+        centrifugal term m^2 e^{-2g} / 2, which m = 0 leaves out (where f
+        underflows, e^{-2g} is inf and 0 * inf would read NaN)."""
+        if m == 0:
+            return self.q(x)
         x = np.asarray(x, dtype=float)
         return self.q(x) + 0.5 * m**2 * np.exp(-2.0 * self.g(x))
 
@@ -408,37 +415,6 @@ class ManifoldModel:
 # operations
 # ---------------------------------------------------------------------------
 
-def critical_energy(model_or_end):
-    """Stabilized tail-sup of q1, of one end or the max over a model's ends.
-
-    Returns ``(value, diag)`` where value approximates
-    limsup_{r->inf} q1.  For an end ``diag`` records the dyadic sup
-    sequence from [8, 16] on; convergence: three successive doublings
-    (of at most 40) move the sup by less than ``1e-10 * max(1, |sup|)``.
-    For a model ``diag["per_end"]`` holds the value of each end.
-    """
-    if isinstance(model_or_end, ManifoldModel):
-        vals = [critical_energy(e)[0] for e in model_or_end.ends]
-        return max(vals), {"per_end": vals}
-    prof = model_or_end
-
-    sups = []
-    R = _TAIL_R_START
-    stable = 0
-    for _ in range(_SUP_MAX_DOUBLINGS):
-        rr = np.linspace(R, 2.0 * R, 128)
-        sups.append(float(np.max(prof.q1(rr))))
-        if len(sups) >= 2:
-            if abs(sups[-1] - sups[-2]) <= _SUP_TOL * max(1.0, abs(sups[-1])):
-                stable += 1
-            else:
-                stable = 0
-            if stable >= 3:
-                break
-        R *= 2.0
-    return sups[-1], {"sequence": sups, "converged": stable >= 3}
-
-
 def _sqrt_upper(w):
     """Branch of sqrt with cut on (-inf, 0], Re >= 0."""
     return np.sqrt(np.asarray(w, dtype=complex))
@@ -465,16 +441,25 @@ def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
     """Improved phase a = b -+ (i/4) eta_lambda q1' / (z - q1).
 
     ``sign=+1`` corresponds to the outgoing branch (solutions behaving
-    like exp(+i int a)), ``sign=-1`` to the incoming one.
+    like exp(+i int a)), ``sign=-1`` to the incoming one.  q1' is taken
+    in closed form, -p A r^(-p-1): it is read only where eta_lambda > 0,
+    that is for r > r_lam/2 >= r0, where the tail's cutoff is 1.  An
+    ``r_lam`` below 2 r0 is refused.
     """
     prof = model.ends[end]
     r = np.asarray(r, dtype=float)
     if r_lam is None:
         r_lam = model.r_lambda(float(np.real(z)))
+    if r_lam < 2.0 * model.r0:
+        raise ValueError(f"r_lam = {r_lam!r} is below 2 r0 = {2.0 * model.r0!r}")
     eta_lam = eta(r, r_lam)
     gap = z - prof.q1(r)
     b = eta_lam * _sqrt_upper(2.0 * gap)
-    dq1 = numeric_derivative(prof.q1, r)
+    A, p = prof.tail_amplitude, prof.tail_power
+    if A == 0.0:
+        dq1 = np.zeros_like(r)
+    else:
+        dq1 = -p * A * np.maximum(r, 1e-9) ** (-p - 1.0)
     corr = 0.25 * eta_lam * np.asarray(dq1, dtype=complex) / gap
     return b - sign * 1j * corr
 
@@ -659,28 +644,20 @@ def _r0_nodes(model: ManifoldModel, r: np.ndarray):
 def classify_potential(model: ManifoldModel, end: int):
     """Classify the reference tail of one end by its decay rate.
 
-    Fits |q1 - lambda0| ~ r^-p on 10 dyadic blocks from [8, 16] on
-    (log-log least squares) and returns one of 'short_range'
-    (p >= 1 + eps), 'dollard' (p >= (1+eps)/2) or 'long_range', with
-    eps = 0.1, together with the fitted exponent.  An
-    identically-threshold tail is short range.
+    Reads the declared tail ``q1 - lambda0 = A eta(r, r0) r^-p`` and
+    returns one of 'short_range' (p >= 1 + eps), 'dollard'
+    (p >= (1+eps)/2) or 'long_range', with eps = 0.1, together with the
+    exponent p.  An end without a tail (A = 0) is short range with
+    exponent inf.
     """
     prof = model.ends[end]
-    lam0, _ = critical_energy(prof)
-    Rs = _TAIL_R_START * 2.0 ** np.arange(_CLASS_N_DYADIC)
-    sups = np.array([
-        float(np.max(np.abs(prof.q1(np.linspace(R, 2 * R, 128)) - lam0)))
-        for R in Rs
-    ])
-    if np.max(sups) < 1e-13:
-        return "short_range", {"exponent": float("inf"), "sups": sups.tolist()}
-    good = sups > 1e-300
-    slope, _ = np.polyfit(np.log(Rs[good]), np.log(sups[good]), 1)
-    p = -float(slope)
+    if prof.tail_amplitude == 0.0:
+        return "short_range", {"exponent": float("inf")}
+    p = float(prof.tail_power)
     if p >= 1.0 + _CLASS_EPS:
         cls = "short_range"
     elif p >= 0.5 * (1.0 + _CLASS_EPS):
         cls = "dollard"
     else:
         cls = "long_range"
-    return cls, {"exponent": p, "sups": sups.tolist()}
+    return cls, {"exponent": p}

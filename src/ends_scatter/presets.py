@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import EndProfile, ManifoldModel, tail_q1
+from .geometry import EndProfile, ManifoldModel
 
 __all__ = ["model_free", "model_a", "model_b", "model_c", "model_d", "by_name"]
 
@@ -41,8 +41,7 @@ def model_c(r0: float = 2.0, amplitude: float = 1.0, power: float = 0.8) -> Mani
     The tail is part of the reference q1 (and of the potential), so end 0
     is of Dollard type while end 1 stays free.
     """
-    q1_tail = tail_q1(amplitude, power, r0)
-    e0 = EndProfile.euclidean(q1=q1_tail, v_tail=q1_tail)
+    e0 = EndProfile.euclidean().with_tail(amplitude, power, r0)
     return ManifoldModel([e0, EndProfile.euclidean()], r0=r0, name="C")
 
 

@@ -38,6 +38,43 @@ def test_model_check_classifies_dollard_tail(tmp_path):
     assert abs(rep["ends"][0]["decay_exponent"] - 0.8) < 0.05
 
 
+_TAILED_ENDS = "q1_amplitude = 0.5\nq1_power = 1.5\n"
+
+
+@pytest.mark.parametrize("source", [*_CATALOGUE, "hyperbolic", "table"])
+def test_model_check_reads_the_declared_thresholds(tmp_path, source):
+    """model-check reports each end's lambda0 and the model's lambda_crit,
+    the threshold every other subcommand uses, and the declared tail
+    power as the decay exponent, also where a tail decays slowly."""
+    if source in _CATALOGUE:
+        args = ["--preset", source]
+    else:
+        prof = "hyperbolic"
+        if source == "table":
+            r = np.linspace(1.0, 10.0, 20)
+            path = tmp_path / "prof.csv"
+            path.write_text("\n".join(
+                f"{float(a)!r},{float(np.exp(0.3 * a))!r}" for a in r))
+            prof = f"table: {path}"
+        cfg = tmp_path / "tailed.cfg"
+        cfg.write_text(f"[model]\nr0 = 2\n[ends.1]\nprofile = {prof}\n"
+                       f"{_TAILED_ENDS}[ends.2]\nprofile = euclidean\n")
+        args = ["--config", str(cfg)]
+    code, rep = run(["model-check", *args], tmp_path, "model-check")
+    assert code == 0
+    model = (_CATALOGUE[source]() if source in _CATALOGUE
+             else parse_config(cfg.read_text(), base=str(tmp_path)).model)
+    lam0 = [end.lambda0 for end in model.ends]
+    assert rep["lambda_crit"] == model.lambda_crit
+    assert rep["per_end"] == lam0
+    assert [e["critical_energy"] for e in rep["ends"]] == lam0
+    assert [e["lambda0"] for e in rep["ends"]] == lam0
+    if source == "C":
+        assert rep["ends"][0]["decay_exponent"] == 0.8
+    elif source in ("hyperbolic", "table"):
+        assert rep["ends"][0]["decay_exponent"] == 1.5
+
+
 def test_oracle_subcommand(tmp_path):
     code, rep = run(["oracle", "--preset", "A", "--kind", "square_well",
                      "--v0", "1.5", "--half-width", "1.0",

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from ends_scatter.dynamics import (SpectralProfile, comparison_state,
                                    hamilton_jacobi_residual, leading_term,
                                    phase_modifier, state_norm,
                                    stationary_point)
-from ends_scatter.geometry import EndProfile, ManifoldModel, eta, tail_q1
+from ends_scatter.geometry import EndProfile, ManifoldModel, eta
 from ends_scatter.mode_reduction import RadialGrid
 from ends_scatter.oracle import reference_comparison_state
 from ends_scatter.presets import model_a, model_c
@@ -170,8 +169,7 @@ def _table_model():
     q1 varies, so the end is not separable."""
     r = 1.0 + 0.5 * np.arange(60)
     end = EndProfile.from_table(r, r + 0.1 * np.sin(r))
-    end = replace(end, q1=tail_q1(0.5, 1.5, 2.0, lambda0=end.lambda0),
-                  v_tail=tail_q1(0.5, 1.5, 2.0))
+    end = end.with_tail(0.5, 1.5, 2.0)
     return ManifoldModel([end, EndProfile.euclidean()], r0=2.0)
 
 

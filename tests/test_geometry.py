@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,11 +8,12 @@ from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel,
-                                   _bump_piece, bump, classify_potential, critical_energy,
+                                   _bump_piece, bump, classify_potential,
                                    cumulative_trapezoid, eta, numeric_derivative,
-                                   phase_b, phase_integral, riccati_residual,
-                                   smooth_step, tail_q1)
-from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
+                                   phase_a, phase_b, phase_integral,
+                                   riccati_residual, smooth_step)
+from ends_scatter.presets import (_CATALOGUE, model_a, model_b, model_c,
+                                  model_d, model_free)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,25 @@ def test_w_mode_centrifugal_tail():
         assert np.allclose(m.w_mode(mm, x), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", [*_CATALOGUE, "shrinking"])
+def test_w_mode_at_m0_is_q(name):
+    """W_0 is q, finite and bit for bit, also where f underflows: on a
+    table end with f = e^-r, e^{-2g} is inf at r = 400 and 800, and the
+    centrifugal term 0 * inf must not turn W_0 into NaN there."""
+    if name == "shrinking":
+        r = np.linspace(1.0, 10.0, 20)
+        end = EndProfile.from_table(r, np.exp(-r))
+        m = ManifoldModel([end, EndProfile.euclidean()], r0=2.0)
+    else:
+        m = _CATALOGUE[name]()
+    x = np.concatenate((np.linspace(-60.0, 60.0, 1201), [400.0, 800.0]))
+    w = m.w_mode(0, x)
+    assert np.all(np.isfinite(w))
+    assert np.array_equal(w, m.q(x))
+    if name == "shrinking":
+        assert np.all(w[-2:] == 0.125)
+
+
 def test_square_barrier_in_core():
     m = model_d()
     x = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
@@ -259,10 +281,10 @@ def test_r0_validation():
 # ---------------------------------------------------------------------------
 
 def test_critical_energies_of_presets():
-    val, diag = critical_energy(model_a())
-    assert val == 0.0 and diag["per_end"] == [0.0, 0.0]
-    val, diag = critical_energy(model_b())
-    assert val == 0.125 and diag["per_end"] == [0.0, 0.125]
+    m = model_a()
+    assert m.lambda_crit == 0.0 and [e.lambda0 for e in m.ends] == [0.0, 0.0]
+    m = model_b()
+    assert m.lambda_crit == 0.125 and [e.lambda0 for e in m.ends] == [0.0, 0.125]
 
 
 def test_classification():
@@ -285,10 +307,44 @@ def test_r_lambda_dyadic():
 
 
 def test_tail_q1_glues_to_threshold():
-    q1 = tail_q1(1.0, 0.8, 2.0, lambda0=0.25)
+    end = replace(EndProfile.flat(), lambda0=0.25).with_tail(1.0, 0.8, 2.0)
     r = np.array([0.0, 0.5, 1.0])
-    assert np.allclose(q1(r), 0.25)          # cut off inside r0/2
-    assert abs(q1(np.array([100.0]))[0] - 0.25 - 100.0**-0.8) < 1e-12
+    assert np.allclose(end.q1(r), 0.25)      # cut off inside r0/2
+    assert abs(end.q1(np.array([100.0]))[0] - 0.25 - 100.0**-0.8) < 1e-12
+
+
+def test_tails_that_do_not_decay_or_glue_elsewhere_are_refused():
+    with pytest.raises(ValueError, match="power must be positive"):
+        EndProfile.euclidean().with_tail(1.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="power must be positive"):
+        EndProfile.euclidean().with_tail(-0.5, -1.0, 2.0)
+    end = EndProfile.euclidean().with_tail(1.0, 0.8, 2.0)
+    with pytest.raises(ValueError, match="cuts its tail off"):
+        ManifoldModel([EndProfile.euclidean(), end], r0=4.0)
+    # without a tail the cutoff radius is not read
+    ManifoldModel([EndProfile.euclidean().with_tail(0.0, 0.0, 1.0)] * 2, r0=4.0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.65, 1.0])
+def test_phase_a_takes_q1_prime_in_closed_form(lam):
+    """The correction (1/4) eta_lambda q1' / (lam - q1) of C's Dollard end
+    agrees with the one from a central difference of q1, on every radius
+    from r_lambda/2, where eta_lambda starts to rise."""
+    m = model_c()
+    prof = m.ends[0]
+    r_lam = m.r_lambda(lam)
+    r = np.linspace(r_lam / 2.0, 60.0, 2000)
+    corr = -np.imag(phase_a(m, 0, lam, r, sign=+1, r_lam=r_lam))
+    gap = lam - prof.q1(r)
+    ref = 0.25 * eta(r, r_lam) * numeric_derivative(prof.q1, r) / gap
+    assert np.all(np.abs(corr - ref) <= 1e-9 * np.abs(ref))
+    assert np.any(ref != 0.0)
+
+
+def test_phase_a_refuses_r_lambda_below_twice_r0():
+    m = model_c()
+    with pytest.raises(ValueError, match="below 2 r0"):
+        phase_a(m, 0, 0.5, np.array([10.0]), r_lam=2.0 * m.r0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
