@@ -3,13 +3,14 @@
 Every ``*.c`` file beside this module is compiled in one call of the C
 compiler ``cc`` into one shared library, loaded by ``ctypes`` (whose
 foreign calls release the GIL) once per process, on first use and never
-at import: when the first Jost pair is marched (``smatrix``,
-``resolvent``, ``transmission``, ``distorted_ft``), the first Propagator
-is made, or the first comparison state of a non-separable end is summed.
-The kernels: ``jost_march`` (``_jost.c``) marches both Jost solutions,
-``pade_factor`` and ``pade_steps`` (``_pade.c``) factor and step the
-propagator, one state or two side by side, ``amplitude_rows``
-(``_amplitude.c``) sums the comparison amplitude.  They check no
+at import: at the first Jost pair (``smatrix``, ``resolvent``,
+``transmission``, ``distorted_ft``), Propagator, leading term, or
+comparison state of a non-separable end.  The kernels: ``jost_march``
+(``_jost.c``) marches both Jost solutions, ``pade_factor`` and
+``pade_steps`` (``_pade.c``) factor and step the propagator, one state or
+two side by side, ``amplitude_rows`` (``_amplitude.c``) sums the
+comparison amplitude, ``stationary_solve`` (``_stationary.c``) solves for
+the leading term's stationary energies.  They check no
 argument, so their callers pass every array they are handed through
 ``pointer``, which checks it first.  The flags are the same on every
 machine of one architecture: the two-lane AVX body of ``pade_steps`` is a
@@ -103,8 +104,10 @@ def _load(path):
     lib.amplitude_rows.argtypes = ([i64, ptr, ptr, ptr, i64, i64, ptr, ptr,
                                     i64, ptr, f64, i64, ptr, ptr])
     lib.jost_march.argtypes = [i64, ptr, ptr, f64, ptr, i64, ptr, ptr, ptr]
+    lib.stationary_solve.argtypes = ([i64, i64] + [ptr] * 4
+                                     + [f64, f64, f64, i64] + [ptr] * 5)
     for kernel in (lib.pade_factor, lib.pade_steps, lib.amplitude_rows,
-                   lib.jost_march):
+                   lib.jost_march, lib.stationary_solve):
         kernel.restype = None
     return lib
 

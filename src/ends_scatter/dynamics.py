@@ -14,6 +14,8 @@ leading term
 where lam_c(t, r) is the unique stationary energy and K the eikonal.
 U_0 is an exact isometry of the profile norm (change of variables), the
 difference U - U_0 decays in t; both facts are acceptance-tested.
+lam_c, dlam_c/dr and the eikonal K1 come out of one Newton solve per
+radius in the C kernel ``_stationary.c`` (:func:`stationary_point`).
 
 The frequency integral is a trapezoid sum over a uniform lam grid.  The
 WKB phase splits as Phi_lam(r) = b_lam E(r) + psi_lam(r), with
@@ -38,9 +40,9 @@ a-posteriori check, and the state is the sum over j of A(lam_j, r) times
 the span sum weighted by the j-th Lagrange polynomial (the separated-phase
 technique of Candes, Demanet & Ying, SISC 29, 2007).  Each row
 A(lam_j, .) is one pass of the C kernel ``_amplitude.c`` over the radii,
-bit for bit what numpy computes for the same formula; the first
-comparison state of a non-separable end builds the package's kernels
-(``_clib``), so those ends need a C compiler and separable ends do not.
+bit for bit what numpy computes for the same formula.  The leading term
+and the comparison state of a non-separable end thus need the package's
+kernels (``_clib``): a C compiler, or a build cached by an earlier run.
 ``oracle.reference_comparison_state`` is the node-by-node sum both are
 checked against.  Every interpolant here (amplitude, offset factor and
 the eikonal's run-in offset) uses the nested levels 9, 17, 33, ... of
@@ -48,14 +50,14 @@ the eikonal's run-in offset) uses the nested levels 9, 17, 33, ... of
 run out.
 
 Working set: every per-radius array of this layer is taken over blocks
-of ``_RADII_BLOCK`` radii (the Gauss samples of q1 and their travel-time
-sums, the check of each interpolant against the next level, and the span
-sums with their amplitude contraction), so the only arrays of size
-rank x radii alive at once are the accepted amplitude samples and, while
-they are checked, the points of the next level.  A block cuts a product
-only between rows that are summed apart (einsum rows, and matrix
-products left with at least two rows), so the states do not depend on
-the block size; the checks read only the largest error of theirs.
+of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
+run-in offset, the check of each interpolant against the next level, and
+the span sums with their amplitude contraction), so the only arrays of
+size rank x radii alive at once are the accepted amplitude samples and,
+while they are checked, the points of the next level.  A block cuts a
+product only between rows that are summed apart (kernel and einsum rows,
+and matrix products left with at least two rows), so the states do not
+depend on the block size; a check reads only whether its blocks pass.
 
 Dollard comparison dynamics replace lam_c and K by their free forms plus
 the secular tail integral; the phase modifier theta(lam) reconciles the
@@ -204,11 +206,9 @@ def dynamics_grid(model: ManifoldModel, t: float, lam_hi: float,
 
 @dataclass
 class StationaryField:
-    """lam_c and its companions on a radial grid at fixed time.
-
-    :func:`stationary_point` returns the Gauss samples ``half`` and
-    ``q1_gl`` for :func:`eikonal` to read; :func:`leading_term` returns
-    them as None, released once the eikonal has read them."""
+    """lam_c and its companions on a radial grid at fixed time:
+    :func:`stationary_point` fills in lam_c, dlam_dr and K1,
+    :func:`eikonal` the full phase K."""
 
     t: float
     end: int
@@ -217,10 +217,6 @@ class StationaryField:
     lam_c: np.ndarray
     dlam_dr: np.ndarray
     mask: np.ndarray          # Omega_c(t) intersected with the solved window
-    # half-lengths of [r1, r] and q1 at their Gauss nodes, one row per
-    # radius of the mask (the samples of _gauss_q1)
-    half: Optional[np.ndarray] = None
-    q1_gl: Optional[np.ndarray] = None
     k1: Optional[np.ndarray] = None
     k_full: Optional[np.ndarray] = None
     diag: dict = field(default_factory=dict)
@@ -239,22 +235,28 @@ def _gauss_q1(model: ManifoldModel, end: int, r: np.ndarray, r1: float):
     return half, q1_gl
 
 
-def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray,
-                 power: float = -0.5):
-    """int_{r1}^r (2(lam - q1))^power ds, vectorized over paired (lam, r),
-    from the samples of :func:`_gauss_q1`, ``_RADII_BLOCK`` rows at a
-    time.  The contraction is einsum's, which sums each row alike however
-    the rows are blocked.  A BLAS gemv would no longer wake idle BLAS
-    threads (the callers run on one), but it sums in another order, so it
-    would move the leading term's roundoff, and the dynamics reports with
-    it, to save about 0.1 ms a call (0.29 against 0.38 ms on 13 406 x 48
-    samples)."""
-    out = np.empty(half.shape)
-    for i0 in range(0, half.size, _RADII_BLOCK):
-        rows = slice(i0, i0 + _RADII_BLOCK)
-        vals = (2.0 * (lam[rows, None] - q1_gl[rows])) ** power
-        out[rows] = half[rows] * np.einsum("ij,j->i", vals, _GL_WEIGHTS)
-    return out
+def _stationary_rows(half: np.ndarray, q1_gl: np.ndarray, start: np.ndarray,
+                     t: float, lam_lo: float, max_iter: int = _MAX_ITER):
+    """The kernel ``_stationary.c`` on the samples of :func:`_gauss_q1`:
+    per row, Newton for T(lam) = t from ``start`` above ``lam_lo``, at
+    most ``max_iter`` steps.  Returns lam, T, T' and int b there, and the
+    passes over each row.  The arrays go through ``_clib.pointer``."""
+    n = half.size
+    args = [_clib.pointer(a, name, np.float64, shape) for name, a, shape in
+            (("half", half, (n,)), ("q1_gl", q1_gl, (n, _GL_NODES.size)),
+             ("weights", _GL_WEIGHTS, (_GL_NODES.size,)),
+             ("start", start, (n,)))]
+    lam, tt, dt, b = np.empty((4, n))
+    passes = np.empty(n, dtype=np.int64)
+    _clib.library().stationary_solve(
+        n, _GL_NODES.size, *args, t, lam_lo, _RTOL, max_iter,
+        *(a.ctypes.data for a in (lam, tt, dt, b, passes)))
+    return lam, tt, dt, b, passes
+
+
+def _travel_time(half: np.ndarray, q1_gl: np.ndarray, lam: np.ndarray):
+    """T at paired (lam, r) from the samples of :func:`_gauss_q1`."""
+    return _stationary_rows(half, q1_gl, lam, 0.0, 0.0, max_iter=0)[1]
 
 
 def _cone(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
@@ -298,58 +300,42 @@ def default_r1(model: ManifoldModel, lam_lo: float) -> float:
     return model.r_lambda(lam_lo)
 
 
-def _solve_travel_time(half: np.ndarray, q1_gl: np.ndarray, rs: np.ndarray,
-                       t: float, r1: float, lam0: float, lam_lo: float,
-                       seed: Optional[np.ndarray] = None):
-    """Safeguarded Newton for the travel-time equation T(lam) = t at the
-    cone radii ``rs`` from the samples of :func:`_gauss_q1`, started at
-    ``seed`` or else at the free guess lam0 + (r - r1)^2 / (2 t^2).
-
-    The bracket [lam_lo, hi] starts from the free guess whatever the seed,
-    and hi doubles (about lam0) until T(hi) < t; a Newton step that leaves
-    the bracket is replaced by bisection.  Returns lam, T at lam, and the
-    number of Newton steps taken."""
-    lam = np.maximum(lam0 + (rs - r1) ** 2 / (2.0 * t**2), lam_lo)
-    lo = np.full(rs.shape, lam_lo)
-    # grow the upper bracket until the travel time drops below t
-    hi = np.maximum(2.0 * lam - lam0, lam_lo + 1e-6)
-    for _ in range(_MAX_ITER):
-        need = _travel_time(half, q1_gl, hi) >= t
-        if not np.any(need):
-            break
-        hi[need] = lam0 + 2.0 * (hi[need] - lam0)
-    if seed is not None:
-        lam = seed
-    for steps in range(_MAX_ITER):
-        T = _travel_time(half, q1_gl, lam)
-        F = T - t
-        lo = np.where(F > 0, np.maximum(lo, lam), lo)
-        hi = np.where(F < 0, np.minimum(hi, lam), hi)
-        if np.all(np.abs(F) <= _RTOL * t):
-            return lam, T, steps
-        dT = -_travel_time(half, q1_gl, lam, power=-1.5)
-        lam_new = lam - F / dT
-        bad = (lam_new <= lo) | (lam_new >= hi) | ~np.isfinite(lam_new)
-        lam_new[bad] = 0.5 * (lo[bad] + hi[bad])
-        lam = lam_new
-    return lam, _travel_time(half, q1_gl, lam), _MAX_ITER
+def _solve(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
+           t: float, lam_lo: float, start: np.ndarray):
+    """:func:`_stationary_rows` at the radii ``rs``, q1 sampled for one
+    block of ``_RADII_BLOCK`` of them at a time."""
+    out = np.empty((4, rs.size))
+    passes = np.empty(rs.size, dtype=np.int64)
+    for i0 in range(0, rs.size, _RADII_BLOCK):
+        rows = slice(i0, i0 + _RADII_BLOCK)
+        *solved, passes[rows] = _stationary_rows(
+            *_gauss_q1(model, end, rs[rows], r1), start[rows], t, lam_lo)
+        out[:, rows] = solved
+    return (*out, passes)
 
 
 def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
                      lam_lo: float, r1: Optional[float] = None) -> StationaryField:
-    """Solve  int_{r1}^r [2(lam - q1)]^(-1/2) ds = t  for lam per radius.
+    """Solve  T(lam) = int_{r1}^r [2(lam - q1)]^(-1/2) ds = t  for lam per
+    radius of Omega_c(t) = { r : T(lam_lo) > t }, with dlam/dr =
+    1 / (b_r |T'|) and the eikonal K1 = int_{r1}^r b_lam - t lam.
 
-    The map is strictly decreasing in lam, so a Newton iteration with a
-    bisection safeguard (:func:`_solve_travel_time`) converges for every
-    radius in the propagation region
-    Omega_c(t) = { r : travel time at lam_lo exceeds t }.  On a cone of at
-    least ``_SEED_MIN_CONE`` distinct radii the iteration first runs on
-    every ``_SEED_STRIDE``-th of them in increasing order, plus the
-    largest.  If that subset needed a Newton step, the full solve starts
-    from the package's :class:`geometry.CubicSpline` through it, else
-    from the free guess (a constant q1, as on preset A, needs none).
-    Residuals are certified at every cone radius against 1e-10 * t.
-    The radii may come in any order.
+    Each radius is one row of the kernel ``_stationary.c``: a pass over its
+    48 Gauss samples of q1 gives T, T' and int b, and Newton runs on that
+    radius alone until |T - t| <= ``_RTOL`` t and either the correction
+    is at most 4 eps |lam| or |T - t| <= 4 eps t, so lam is converged to
+    roundoff whatever the other radii, the blocks or the order.  T is a
+    positive-weight sum of convex decreasing functions of lam: a step from
+    below never passes the root, so the upper bracket is the last lam
+    with T < t and is not searched for; a step that leaves (lam_lo, hi)
+    or is not finite bisects it.  The start is the free guess
+    lam0 + (r - r1)^2 / (2 t^2); on a cone of at least ``_SEED_MIN_CONE``
+    distinct radii, where a radius of every ``_SEED_STRIDE``-th one (in
+    increasing order, plus the largest) needed a Newton step from it, it
+    is the package's :class:`geometry.CubicSpline` through that subset (a
+    constant q1, as on preset A, needs none).
+    Residuals are certified from the kernel's T at every cone radius
+    against 1e-10 * t.  The radii may come in any order.
     """
     prof = model.ends[end]
     lam0 = prof.lambda0
@@ -359,90 +345,82 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
     mask = r > r1
     rs = r[mask]
     in_cone = np.zeros(r.shape, dtype=bool)
-    lam_c = np.full(r.shape, np.nan)
-    dlam = np.full(r.shape, np.nan)
-    half = q1_gl = None
+    lam_c, dlam, k1 = np.full((3,) + r.shape, np.nan)
+    resid = 0.0
 
     if rs.size:
         cone = _cone(model, end, rs, r1, t, lam_lo)
         rs2 = rs[cone]
         if rs2.size:
-            # q1 at the Gauss nodes does not depend on lam: sample it once
-            half, q1_gl = _gauss_q1(model, end, rs2, r1)
-            seed = None
+            start = np.maximum(lam0 + (rs2 - r1) ** 2 / (2.0 * t**2), lam_lo)
             # the first index of each distinct radius, in increasing order
             _, first = np.unique(rs2, return_index=True)
             if first.size >= _SEED_MIN_CONE:
                 sub = np.append(first[:-1:_SEED_STRIDE], first[-1])
-                lam_s, _, steps = _solve_travel_time(
-                    half[sub], q1_gl[sub], rs2[sub], t, r1, lam0, lam_lo)
-                if steps:
-                    seed = CubicSpline(rs2[sub], lam_s)(rs2)
-            lam, T, _ = _solve_travel_time(half, q1_gl, rs2, t, r1, lam0,
-                                           lam_lo, seed)
+                lam_s, *_, passes = _solve(model, end, rs2[sub], r1, t,
+                                           lam_lo, start[sub])
+                if np.max(passes) > 1:
+                    start = CubicSpline(rs2[sub], lam_s)(rs2)
+            lam, T, dT, b, _ = _solve(model, end, rs2, r1, t, lam_lo, start)
             b_r = np.sqrt(2.0 * (lam - prof.q1(rs2)))
-            denom = _travel_time(half, q1_gl, lam, power=-1.5)
             idx = np.where(mask)[0][cone]
             lam_c[idx] = lam
-            dlam[idx] = 1.0 / (b_r * denom)
+            dlam[idx] = 1.0 / (b_r * -dT)
+            k1[idx] = b - t * lam
             in_cone[idx] = True
             resid = float(np.max(np.abs(T - t)))
-        else:
-            resid = 0.0
-    else:
-        resid = 0.0
 
     return StationaryField(
         t=t, end=end, r=r, r1=float(r1), lam_c=lam_c, dlam_dr=dlam,
-        mask=in_cone, half=half, q1_gl=q1_gl,
+        mask=in_cone, k1=k1,
         diag={"residual": resid, "residual_ok": resid <= 1e-10 * t,
               "lam_lo": lam_lo})
 
 
-def eikonal(model: ManifoldModel, sf: StationaryField,
-            with_offset: bool = True) -> StationaryField:
-    """Fill in the eikonal K1 = int_{r1}^r b_{lam_c} - t lam_c and the full
-    phase K (referenced at r0 by adding the fixed-energy run-in integral
-    over [r0, r1], cutoff included).
+def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
+    """Fill in the full phase K = K1 + the fixed-energy run-in integral
+    over [r0, r1] (cutoff included), which references K at r0; K1 comes
+    from :func:`stationary_point`'s solve.
 
-    K1 reads the Gauss samples that :func:`stationary_point` stored.  The
-    run-in integral, a 257-node trapezoid sum, is a smooth function of
+    The run-in integral, a 257-node trapezoid sum, is a smooth function of
     lam alone: it is evaluated on nested Chebyshev-Lobatto levels in lam
-    over [min lam_c, max lam_c] and interpolated at lam_c, a level being
+    over [min lam_c, max lam_c] and interpolated at lam_c by the
+    barycentric sum, ``_RADII_BLOCK`` radii at a time, a level being
     accepted by the rule of :func:`_lobatto_samples` with ``_PHASE_TOL``.
     Once the next level would outnumber the radii or the 257 trapezoid
     nodes (a row of its basis would cost as much as the sum), the sum is
     taken at every radius, which is exact."""
-    end = sf.end
     msk = sf.mask
-    k1 = np.full(sf.r.shape, np.nan)
     kf = np.full(sf.r.shape, np.nan)
     if np.any(msk):
         lam = sf.lam_c[msk]
-        # int_{r1}^r b ds with b = (2(lam - q1))^{1/2}
-        k1[msk] = _travel_time(sf.half, sf.q1_gl, lam, power=0.5) - sf.t * lam
-        if with_offset:
-            r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
-            nodes = np.linspace(model.r0, sf.r1, 257)
-            eta_n = eta(nodes, r_lam)
-            q1n = model.ends[end].q1(nodes)
+        r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
+        nodes = np.linspace(model.r0, sf.r1, 257)
+        eta_n = eta(nodes, r_lam)
+        q1n = model.ends[sf.end].q1(nodes)
 
-            def run_in(lam_pts):
-                out = np.empty(lam_pts.shape)
-                for i0 in range(0, lam_pts.size, 512):  # chunked for memory
-                    sl = slice(i0, min(i0 + 512, lam_pts.size))
-                    vals = eta_n[None, :] * np.sqrt(np.maximum(
-                        2.0 * (lam_pts[sl][:, None] - q1n[None, :]), 0.0))
-                    out[sl] = np.trapezoid(vals, nodes, axis=1)
-                return out
+        def run_in(lam_pts):
+            out = np.empty(lam_pts.shape)
+            for i0 in range(0, lam_pts.size, 512):  # chunked for memory
+                sl = slice(i0, min(i0 + 512, lam_pts.size))
+                vals = eta_n[None, :] * np.sqrt(np.maximum(
+                    2.0 * (lam_pts[sl][:, None] - q1n[None, :]), 0.0))
+                out[sl] = np.trapezoid(vals, nodes, axis=1)
+            return out
 
-            mid, half = 0.5 * (lam.max() + lam.min()), 0.5 * (lam.max() - lam.min())
-            cap = min(lam.size, nodes.size) if half > 0.0 else 0
-            vals = _lobatto_samples(lambda y: run_in(mid + half * y), cap, _PHASE_TOL)
-            offs = (run_in(lam) if vals is None
-                    else _lobatto_basis(vals.size, (lam - mid) / half) @ vals)
-            kf[msk] = k1[msk] + offs
-    sf.k1 = k1
+        mid, half = 0.5 * (lam.max() + lam.min()), 0.5 * (lam.max() - lam.min())
+        cap = min(lam.size, nodes.size) if half > 0.0 else 0
+        vals = _lobatto_samples(lambda y: run_in(mid + half * y), cap, _PHASE_TOL)
+        if vals is None:
+            offs = run_in(lam)
+        else:
+            y = (lam - mid) / half
+            offs = np.empty(lam.size)
+            for i0 in range(0, lam.size, _RADII_BLOCK):
+                rows = slice(i0, i0 + _RADII_BLOCK)
+                offs[rows] = np.einsum("ij,j->i",
+                                       _lobatto_basis(vals.size, y[rows]), vals)
+        kf[msk] = sf.k1[msk] + offs
     sf.k_full = kf
     return sf
 
@@ -456,9 +434,7 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
     step = _HJ_STEP
 
     def k1_at(tt, rr):
-        sf = stationary_point(model, end, tt, rr, lam_lo, r1=r1)
-        sf = eikonal(model, sf, with_offset=False)
-        return sf.k1
+        return stationary_point(model, end, tt, rr, lam_lo, r1=r1).k1
 
     dk_dt = (k1_at(t + step, r) - k1_at(t - step, r)) / (2.0 * step)
     dk_dr = (k1_at(t, r + step) - k1_at(t, r - step)) / (2.0 * step)
@@ -474,15 +450,12 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
 def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
                  sign: int = +1) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
     """U_0^+-(t) h on one end, on its ``dynamics_grid``: returns (r,
-    values, stationary data).  The stationary data hold no Gauss samples
-    (``half`` and ``q1_gl`` are None): they are released once the eikonal
-    has read them."""
+    values, stationary data).  Without ``cc`` or a cached build of the
+    kernels (:func:`stationary_point`) the first call raises RuntimeError."""
     end = h.end
     r1 = default_r1(model, h.lam_lo)
     r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
-    sf = stationary_point(model, end, t, r, h.lam_lo, r1=r1)
-    sf = eikonal(model, sf)
-    sf.half = sf.q1_gl = None
+    sf = eikonal(model, stationary_point(model, end, t, r, h.lam_lo, r1=r1))
     vals = np.zeros(r.shape, dtype=complex)
     msk = sf.mask
     if np.any(msk):
@@ -532,10 +505,11 @@ def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]
     """Samples of ``fn`` (one row per point y of [-1, 1]) at the n
     Chebyshev-Lobatto points cos(pi i/(n-1)) of the first nested level
     n = 9, 17, 33, ... that reproduces fn at the points the next level
-    adds, between its own, within ``tol`` of max|fn| there; None once the
-    next level would have ``cap`` points or more.  The check runs over
-    ``_RADII_BLOCK`` columns of the samples at a time, so a level and the
-    points the next one adds are the only arrays as large as the samples."""
+    adds, between its own, within ``tol`` of max|fn| there
+    (:func:`_reproduces`); None once the next level would have ``cap``
+    points or more.  The check runs over ``_RADII_BLOCK`` columns of the
+    samples at a time, so a level and the points the next one adds are the
+    only arrays as large as the samples."""
     n = 9
     if 2 * n - 1 >= cap:
         return None
@@ -543,8 +517,7 @@ def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]
     while 2 * n - 1 < cap:
         y_new = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
         new = fn(y_new)
-        err, big = _interpolation_error(_lobatto_basis(n, y_new), vals, new)
-        if err <= tol * big:
+        if _reproduces(_lobatto_basis(n, y_new), vals, new, tol):
             return vals
         merged = np.empty((2 * n - 1,) + vals.shape[1:], dtype=vals.dtype)
         merged[0::2], merged[1::2] = vals, new
@@ -553,22 +526,27 @@ def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]
     return None
 
 
-def _interpolation_error(basis: np.ndarray, vals: np.ndarray,
-                         new: np.ndarray) -> Tuple[float, float]:
-    """max|basis @ vals - new| and max|new|, the samples taken as columns
-    (one column if they are a vector), ``_RADII_BLOCK`` columns at a time;
-    NaNs propagate, so a NaN fails the check."""
+def _reproduces(basis: np.ndarray, vals: np.ndarray, new: np.ndarray,
+                tol: float) -> bool:
+    """Whether max|basis @ vals - new| <= tol max|new|, the samples taken
+    as columns (one column if they are a vector).  The real basis
+    multiplies float views of the samples (a complex column is two float
+    columns), half the flops of a complex product.  max|new| is taken
+    first, then the errors ``_RADII_BLOCK`` columns at a time up to the
+    first block that fails; a NaN fails."""
     vals = vals.reshape(vals.shape[0], -1)
     new = new.reshape(new.shape[0], -1)
-    err = big = 0.0
-    for c0 in range(0, new.shape[1], _RADII_BLOCK):
-        c = slice(c0, c0 + _RADII_BLOCK)
-        diff = basis @ vals[:, c]
-        diff -= new[:, c]
-        err = np.maximum(err, np.max(np.abs(diff)))
+    blocks = [slice(c0, c0 + _RADII_BLOCK)
+              for c0 in range(0, new.shape[1], _RADII_BLOCK)]
+    bound = tol * np.max([np.max(np.abs(new[:, c])) for c in blocks],
+                         initial=0.0)
+    for c in blocks:
+        diff = basis @ vals[:, c].view(np.float64)
+        diff -= new[:, c].view(np.float64)
+        if not np.max(np.abs(diff.view(new.dtype))) <= bound:
+            return False
         del diff  # before the next block's product
-        big = np.maximum(big, np.max(np.abs(new[:, c])))
-    return float(err), float(big)
+    return True
 
 
 def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,

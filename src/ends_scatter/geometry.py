@@ -98,12 +98,17 @@ def eta(r, scale):
     decreasing chi(t) = 1 - smooth_step(t - 1): 0 for r <= scale/2, 1 for
     r >= scale.  ``scale = r0`` gives the cutoff of the tails,
     ``scale = r_lambda`` its spectral variant eta_lambda.  The exponentials
-    of :func:`smooth_step` are taken on the ramp scale/2 < r < scale only.
+    of :func:`smooth_step` are taken on the ramp scale/2 < r < scale only;
+    with no r on it, eta is their exact 0 (NaN too) or 1.
 
     The two subtractions stay as written: in floating point 1 - (1 - s)
     is not s.
     """
-    chi = 1.0 - smooth_step(2.0 * np.asarray(r, dtype=float) / scale - 1.0)
+    u = np.asarray(2.0 * np.asarray(r, dtype=float) / scale - 1.0)
+    if not np.any((u > 0.0) & (u < 1.0)):
+        np.copyto(u, u >= 1.0)  # in u's own buffer: no second allocation
+        return u[()]
+    chi = 1.0 - smooth_step(u)
     return 1.0 - chi
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,6 @@ def test_eikonal_free_closed_form():
     t, r1 = 25.0, 4.0
     r = np.linspace(10.0, 20.0, 50)
     sf = stationary_point(model, 0, t, r, lam_lo=1e-4, r1=r1)
-    sf = eikonal(model, sf, with_offset=False)
     msk = sf.mask
     exact = (r[msk] - r1) ** 2 / (2.0 * t)  # int b - t lam = (r-r1)^2/2t
     assert np.max(np.abs(sf.k1[msk] - exact)) < 1e-8
@@ -319,30 +319,73 @@ def test_seeded_stationary_point_matches_the_plain_solve(monkeypatch, preset, t)
 
 
 def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
-    """On C at t = 320 the seed leaves one Newton step: besides the cone
-    search over about 2 sqrt(n) of the n radii beyond r1, five
-    travel-time sums over the cone (bracket, T, dT, T, and dlam/dr's
-    denominator), where the free guess needs eleven."""
+    """On C at t = 320 the seed leaves one Newton step at nearly every cone
+    radius: two passes of the kernel over its Gauss samples (measured:
+    12 353 of 13 884 radii, and 1 531 need none), where the free guess
+    needs four or five; the subset that seeds it is every 64th radius.
+    The cone search comes first, over about 2 sqrt(n) of the n radii
+    beyond r1."""
     model = model_c()
     r1 = model.r_lambda(0.3)
     r = dynamics_grid(model, 320.0, 0.8, r1=r1)
-    sizes = []
-    travel_time = dynamics._travel_time
+    sizes, passes = [], []
+    travel_time, solve = dynamics._travel_time, dynamics._solve
 
-    def counted(half, *args, **kw):
+    def counted(half, *args):
         sizes.append(half.size)
-        return travel_time(half, *args, **kw)
+        return travel_time(half, *args)
+
+    def recorded(*args):
+        out = solve(*args)
+        passes.append(out[-1])
+        return out
 
     monkeypatch.setattr(dynamics, "_travel_time", counted)
+    monkeypatch.setattr(dynamics, "_solve", recorded)
     sf = stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
     cone = int(np.sum(sf.mask))
-    assert sizes.count(cone) == 5
-    # the cone search comes first: a probe of the radii, then one bracket
-    assert sum(sizes[:2]) <= 2 * np.sqrt(np.sum(r > r1)) + 1
-    sizes.clear()
+    # a probe of the radii, then one bracket
+    assert len(sizes) == 2 and sum(sizes) <= 2 * np.sqrt(np.sum(r > r1)) + 1
+    subset, seeded = passes
+    assert subset.size <= cone / 64 + 2 and seeded.size == cone
+    assert np.max(seeded) <= 3 and np.median(seeded) == 2
+    passes.clear()
     monkeypatch.setattr(dynamics, "_SEED_MIN_CONE", np.inf)
     stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
-    assert sizes.count(cone) == 11
+    (free,) = passes
+    assert np.median(free) >= 4
+    assert np.sum(subset) + np.sum(seeded) < 0.6 * np.sum(free)
+
+
+@pytest.mark.parametrize("shift", [-0.55, -2.0])
+def test_newton_stops_wherever_the_energy_origin_sits(monkeypatch, shift):
+    """Shifting C's threshold and window by the same energy moves lam_c
+    by that shift and leaves the passes alike.  At -0.55 the window
+    straddles lam = 0, and at -2 lam is small next to lam - q1: a stop on
+    the correction alone (<= 4 eps |lam|) cycled there between two lam
+    one unit of T apart until the iteration cap."""
+    passes = []
+    solve = dynamics._solve
+
+    def recorded(*args):
+        out = solve(*args)
+        passes.append(int(np.max(out[-1])))
+        return out
+
+    monkeypatch.setattr(dynamics, "_solve", recorded)
+    base = model_c()
+    lam_c = []
+    for s in (0.0, shift):
+        model = ManifoldModel([replace(e, lambda0=e.lambda0 + s)
+                               for e in base.ends], r0=base.r0)
+        r1 = model.r_lambda(0.3 + s)
+        r = dynamics_grid(model, 80.0, 0.8 + s, s, r1=r1)
+        sf = stationary_point(model, 0, 80.0, r, 0.3 + s, r1=r1)
+        assert sf.diag["residual_ok"]
+        lam_c.append(sf.lam_c[sf.mask] - s)
+    # the subset from the free guess, then the seeded solve, both shifts
+    assert passes[:2] == passes[2:] and max(passes) <= 6
+    assert np.max(np.abs(lam_c[1] - lam_c[0])) <= 1e-14 * (abs(shift) + 1.0)
 
 
 def _elementwise_cone(model, end, rs, r1, t, lam_lo):
@@ -355,8 +398,7 @@ def _elementwise_cone(model, end, rs, r1, t, lam_lo):
 def test_cone_search_matches_the_elementwise_test(monkeypatch, preset):
     """stationary_point finds the cone edge on a few radii and samples q1
     on the cone only; its mask, lam_c and residual are the same bits as
-    with the cone tested at every radius beyond r1, and its Gauss samples
-    those of every radius, at t = 10 ... 320."""
+    with the cone tested at every radius beyond r1, at t = 10 ... 320."""
     model = {"A": model_a, "C": model_c}[preset]()
     r1 = model.r_lambda(0.3)
     for t in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0):
@@ -368,10 +410,6 @@ def test_cone_search_matches_the_elementwise_test(monkeypatch, preset):
         assert np.array_equal(got.mask, want.mask)
         assert np.array_equal(got.lam_c, want.lam_c, equal_nan=True)
         assert got.diag["residual"] == want.diag["residual"]
-        half, q1_gl = dynamics._gauss_q1(model, 0, r[r > r1], r1)
-        cone = got.mask[r > r1]
-        assert np.array_equal(got.half, half[cone])
-        assert np.array_equal(got.q1_gl, q1_gl[cone])
 
 
 def test_cone_search_tests_every_radius_where_travel_time_oscillates(
@@ -385,6 +423,74 @@ def test_cone_search_tests_every_radius_where_travel_time_oscillates(
                         lambda half, q1_gl, lam: 10.0 + 10.0 * np.sin(half))
     want = 10.0 + 10.0 * np.sin(0.5 * (rs - r1)) > 12.0
     assert np.array_equal(dynamics._cone(model, 0, rs, r1, 12.0, 0.3), want)
+
+
+def _composite_gauss(model, r1, r, lam, power):
+    """int_{r1}^r (2(lam - q1))^power ds by 20-node Gauss-Legendre panels
+    on 200 panels that grade from r1 outwards."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = r1 + (r - r1) * np.expm1(np.linspace(0.0, 5.0, 201)) / np.expm1(5.0)
+    a, b = edges[:-1, None], edges[1:, None]
+    s = 0.5 * (a + b) + 0.5 * (b - a) * x
+    vals = (2.0 * (lam - model.ends[0].q1(s))) ** power
+    return float(np.sum(0.5 * (b - a)[:, 0] * (vals @ w)))
+
+
+@pytest.mark.parametrize("t", [10.0, 320.0])
+def test_stationary_kernel_matches_a_composite_quadrature(t):
+    """The kernel's travel time T, its derivative T' and int b at the
+    stationary energies of 20 cone radii of C, against a composite
+    quadrature of the same integrands that shares no node with the
+    kernel's 48 Gauss samples."""
+    model = model_c()
+    r1 = model.r_lambda(0.3)
+    r = dynamics_grid(model, t, 0.8, r1=r1)
+    sf = stationary_point(model, 0, t, r, 0.3, r1=r1)
+    pick = np.flatnonzero(sf.mask)[np.linspace(0, np.sum(sf.mask) - 1, 20).astype(int)]
+    half, q1_gl = dynamics._gauss_q1(model, 0, r[pick], r1)
+    lam = sf.lam_c[pick]
+    _, T, dT, b, passes = dynamics._stationary_rows(half, q1_gl, lam, t, 0.3,
+                                                    max_iter=0)
+    assert np.all(passes == 1)
+    for k, i in enumerate(pick):
+        for got, power in ((T[k], -0.5), (-dT[k], -1.5), (b[k], 0.5)):
+            want = _composite_gauss(model, r1, r[i], lam[k], power)
+            assert abs(got / want - 1.0) <= 1e-12
+    # the residual certificate, from the kernel's own T
+    assert np.max(np.abs(T - t)) <= 1e-10 * t
+
+
+def test_stationary_rows_reject_bad_arrays_before_the_kernel(monkeypatch):
+    """The kernel checks nothing, so a wrong dtype, a non-contiguous
+    array or a wrong length or shape raises ValueError before the foreign
+    call."""
+    n = 12
+    good = dict(half=np.linspace(1.0, 5.0, n),
+                q1_gl=np.zeros((n, dynamics._GL_NODES.size)),
+                start=np.full(n, 0.5), t=3.0, lam_lo=0.01)
+    bad = [("half", good["half"].astype(np.float32)),
+           ("half", np.linspace(1.0, 5.0, 2 * n)[::2]),
+           ("half", np.ones(n + 1)),
+           ("q1_gl", good["q1_gl"][:, :-1].copy()),
+           ("q1_gl", np.zeros((n, 2 * dynamics._GL_NODES.size))[:, ::2]),
+           ("q1_gl", np.zeros(n * dynamics._GL_NODES.size)),
+           ("q1_gl", good["q1_gl"].astype(complex)),
+           ("start", np.full(n - 1, 0.5)),
+           ("start", np.full((n, 1), 0.5)),
+           ("start", np.full(n, 1, dtype=np.int64))]
+    monkeypatch.setattr(_clib, "library",
+                        lambda: pytest.fail("the kernel was called"))
+    for key, value in bad:
+        with pytest.raises(ValueError):
+            dynamics._stationary_rows(**dict(good, **{key: value}))
+    monkeypatch.undo()
+    lam, T, _, _, passes = dynamics._stationary_rows(**good)
+    # q1 = 0: T = 2 half / sqrt(2 lam), solved to roundoff from above and
+    # from below the start (6 to 9 passes measured)
+    exact = 2.0 * good["half"] ** 2 / good["t"] ** 2
+    assert np.all(np.abs(lam / exact - 1.0) <= 1e-14)
+    assert np.all(np.abs(T - good["t"]) <= 1e-12 * good["t"])
+    assert np.max(passes) <= 12
 
 
 def _run_in_reference(model, sf):
@@ -420,6 +526,41 @@ def test_eikonal_run_in_offset_is_exact_at_the_rank_cap(monkeypatch):
     _, _, sf = leading_term(model, h, 10.0)
     msk = sf.mask
     assert np.array_equal(sf.k_full[msk], sf.k1[msk] + _run_in_reference(model, sf))
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_level_check_decides_as_the_complex_moduli(kind):
+    """The real-arithmetic level check against max|basis @ vals - new| <=
+    tol max|new| in complex arithmetic, on samples of a smooth function
+    over 3000 columns, accepted or refused far from the tolerance, also
+    scaled by 2^600 and 2^-600 (whose squares would overflow and
+    underflow), and a NaN among the samples fails."""
+    n_col = 3000
+    shift = np.linspace(0.0, 1.0, n_col)
+    phase = 1j if kind is complex else 1.0
+
+    def fn(y):
+        return np.exp(phase * 6.0 * (y[:, None] + shift[None, :]))
+
+    # relative errors measured: 1.6e-3, 6.2e-9, 2.3e-15 (real) and 9.1e-2,
+    # 8.9e-7, 3.2e-15 (complex) at levels 9, 17, 33
+    for n, tol, accept in ((9, 1e-5, False), (17, 1e-5, True),
+                           (17, 1e-10, False), (33, 1e-13, True)):
+        x = np.cos(np.pi * np.arange(n) / (n - 1))
+        y = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
+        vals, new = fn(x), fn(y)
+        err = np.max(np.abs(dynamics._lobatto_basis(n, y).astype(complex)
+                            @ vals - new))
+        want = bool(err <= tol * np.max(np.abs(new)))
+        assert want == accept
+        basis = dynamics._lobatto_basis(n, y)
+        for scale in (1.0, 2.0**600, 2.0**-600):
+            assert dynamics._reproduces(basis, scale * vals, scale * new,
+                                        tol) is want
+        for bad in (vals, new):
+            bad[-1, -1] = np.nan
+            assert not dynamics._reproduces(basis, vals, new, 1.0)
+            bad[-1, -1] = 0.0
 
 
 def test_dynamics_grid_holds_the_front():

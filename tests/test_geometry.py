@@ -72,6 +72,28 @@ def test_cutoff_is_the_two_piece_formula_bit_for_bit():
     assert type(smooth_step([0.5])) is np.ndarray
 
 
+@pytest.mark.parametrize("where", ["straddle", "before", "after", "edges"])
+def test_eta_off_the_ramp_is_the_formula_bit_for_bit(where):
+    """eta returns the 0/1 values without the ramp's passes where no r lies
+    on the ramp; on arrays that straddle the ramp, precede it or follow
+    it, with NaN and infinities among them, it keeps the formula's bits,
+    shape and type."""
+    scale = 2.0
+    r = {"straddle": np.linspace(0.0, 5.0, 4001),
+         "before": np.linspace(-3.0, 1.0, 4001),
+         "after": np.linspace(2.0, 900.0, 49152),
+         "edges": np.array([1.0, 2.0, np.inf, -np.inf, 0.0, -0.0])}[where]
+    for rr in (r, np.append(r, np.nan), np.append(r, np.nan).reshape(-1, 1)):
+        ref = 1.0 - (1.0 - _two_piece_step(2.0 * rr / scale - 1.0))
+        got = eta(rr, scale)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for x in r[[0, -1]]:
+        assert type(eta(float(x), scale)) is np.float64
+        assert eta(float(x), scale) == 1.0 - (1.0 - _two_piece_step(x - 1.0))
+    assert eta(np.nan, scale) == 0.0
+
+
 @given(st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 3.0))
 def test_bump_support(x, center, width):
     v = float(bump(x, center, width))

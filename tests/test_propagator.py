@@ -9,7 +9,8 @@ from scipy.sparse.linalg import spsolve
 
 from ends_scatter import _clib, cli, propagator
 from ends_scatter.config import default_config
-from ends_scatter.dynamics import SpectralProfile, comparison_state
+from ends_scatter.dynamics import (SpectralProfile, comparison_state,
+                                   leading_term)
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_c, model_d, model_free
@@ -472,9 +473,10 @@ def test_wave_operator_on_the_long_range_preset_c():
 
 def test_missing_compiler_is_named(setup, monkeypatch, tmp_path):
     """Without the C compiler and with an empty kernel cache, the first
-    propagation, the first Jost pair and the first comparison state of
-    the Dollard end C raise an error that names it; the comparison state
-    of the separable end A needs no kernel."""
+    propagation, the first Jost pair, the first leading term (on the
+    separable end A too) and the first comparison state of the Dollard
+    end C raise an error that names it; the comparison state of A needs
+    no kernel."""
     op, psi = setup
     monkeypatch.setattr(_clib, "_CC", "no-such-cc")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -486,6 +488,8 @@ def test_missing_compiler_is_named(setup, monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
         jost_pair(ModeOperator(model_a(), RadialGrid(20.0, 0.05), 0), 0.6)
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
+        leading_term(model_a(), h, 10.0)
     with pytest.raises(RuntimeError, match="C compiler 'no-such-cc'"):
         comparison_state(model_c(), h, 10.0)
     _, u = comparison_state(model_a(), h, 10.0)
