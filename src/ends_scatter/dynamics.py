@@ -73,8 +73,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import _clib
-from .geometry import (CubicSpline, ManifoldModel, _r0_nodes, bump,
-                       cumulative_trapezoid, eta, integral_from_r0)
+from .geometry import (CubicSpline, ManifoldModel, _r0_nodes, bump, eta,
+                       integral_from_r0)
 
 __all__ = [
     "SpectralProfile",
@@ -127,10 +127,8 @@ _SEED_MIN_CONE = 2048
 _HJ_STEP = 1e-3
 # lam nodes per oscillation of the frequency-quadrature phase
 _POINTS_PER_CYCLE = 24
-# phase_modifier: outer quadrature radius, and the largest tail integrand
-# (times _R_TAIL) that is closed with a zero tail instead of a fitted one
+# phase_modifier: outer radius of the quadrature
 _R_TAIL = 1e6
-_TAIL_ABS_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +292,6 @@ def _cone(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
     return rs >= (radii[k] if k < radii.size else np.inf)
 
 
-def default_r1(model: ManifoldModel, lam_lo: float) -> float:
-    """Anchor radius for the eikonal: the spectral cutoff radius of the
-    lowest window energy (r_lambda is non-increasing in lam)."""
-    return model.r_lambda(lam_lo)
-
-
 def _solve(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
            t: float, lam_lo: float, start: np.ndarray):
     """:func:`_stationary_rows` at the radii ``rs``, q1 sampled for one
@@ -335,12 +327,12 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
     is the package's :class:`geometry.CubicSpline` through that subset (a
     constant q1, as on preset A, needs none).
     Residuals are certified from the kernel's T at every cone radius
-    against 1e-10 * t.  The radii may come in any order.
+    against 1e-10 * t.  Any order of radii; r1 defaults to r_lambda(lam_lo).
     """
     prof = model.ends[end]
     lam0 = prof.lambda0
     if r1 is None:
-        r1 = default_r1(model, lam_lo)
+        r1 = model.r_lambda(lam_lo)
     r = np.asarray(r, dtype=float)
     mask = r > r1
     rs = r[mask]
@@ -428,9 +420,9 @@ def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
 def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
                              r: np.ndarray, lam_lo: float) -> np.ndarray:
     """|d_t K1 + (d_r K1)^2 / 2 + q1| by central differences of the
-    quadrature eikonal, anchored at the default r1 of lam_lo."""
+    quadrature eikonal, anchored at r1 = r_lambda(lam_lo)."""
     r = np.asarray(r, dtype=float)
-    r1 = default_r1(model, lam_lo)
+    r1 = model.r_lambda(lam_lo)
     step = _HJ_STEP
 
     def k1_at(tt, rr):
@@ -453,7 +445,7 @@ def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
     values, stationary data).  Without ``cc`` or a cached build of the
     kernels (:func:`stationary_point`) the first call raises RuntimeError."""
     end = h.end
-    r1 = default_r1(model, h.lam_lo)
+    r1 = model.r_lambda(h.lam_lo)
     r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
     sf = eikonal(model, stationary_point(model, end, t, r, h.lam_lo, r1=r1))
     vals = np.zeros(r.shape, dtype=complex)
@@ -669,8 +661,8 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     the factored sum).
 
     The phase is split as Phi_lam(r) = b_lam E(r) + psi_lam(r).  On a
-    separable end psi = 0 and the amplitude does not depend on r: one
-    weight column.  Otherwise the amplitude
+    tail-free end (A = 0) psi = 0 and the amplitude does not depend on r:
+    one weight column.  Otherwise the amplitude
     A(lam, r) = (2|lam - q1|)^{-1/4} e^{+-i psi_lam(r)} is interpolated in
     lam on nested Chebyshev-Lobatto nodes (9, 17, 33, ...): a level is
     accepted once it reproduces A at the nodes the next level adds to
@@ -689,8 +681,7 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     ``oracle.reference_comparison_state`` integrates over the same radii
     and does not see this.
     """
-    end = h.end
-    prof = model.ends[end]
+    prof = model.ends[h.end]
     lam0 = prof.lambda0
     r_lam = model.r_lambda(h.lam_lo)
     if r is None:
@@ -701,16 +692,14 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     lam, hv = lam[live], hv[live]
 
     eta_r = eta(r, r_lam)
-    r_far = float(np.max(r))
     b_lam = np.sqrt(2.0 * (lam - lam0))
     e_t = np.exp(-1j * sign * t * lam)
     # E(r) = int_{r0}^r eta_lambda ds
     e_of_r = integral_from_r0(model, r, lambda s: eta(s, r_lam))
 
-    # q1 constant on the end => psi = 0 and the amplitude depends on lam only
-    probe = prof.q1(np.linspace(model.r0, r_far, 64))
+    # no tail: q1 = lam0, so psi = 0 and the amplitude depends on lam only
     out = np.zeros(r.shape, dtype=complex)
-    if float(np.ptp(probe)) < 1e-13:
+    if prof.tail_amplitude == 0.0:
         g = hv * (2.0 * np.abs(lam - lam0)) ** -0.25 * e_t
         out = _plane_wave_sums(r, eta_r, e_of_r, b_lam, g[:, None], sign)[0]
     elif lam.size:
@@ -797,10 +786,10 @@ def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
 
         K_do = K_sr - (t / (r - r0)) int_{r0}^r (q1 - lam0) ds ,
 
-    which vanishes on a tail-free end.
+    which vanishes on a tail-free end.  The integral is the declared
+    tail's closed form (:meth:`EndProfile.tail_integral`), not a sum over r.
     """
-    end = h.end
-    prof = model.ends[end]
+    prof = model.ends[h.end]
     lam0 = prof.lambda0
     if r is None:
         r = dynamics_grid(model, t, h.lam_hi, lam0)
@@ -808,13 +797,7 @@ def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
     msk = r > model.r0
     rr = r[msk] - model.r0
     lam_free = lam0 + rr**2 / (2.0 * t**2)
-    order = np.argsort(r[msk])
-    rs = r[msk][order]
-    # the secular integral starts at the first node above r0
-    acc = cumulative_trapezoid(prof.q1(rs) - lam0, rs)
-    q_int = np.empty_like(acc)
-    q_int[order] = acc
-    k = rr**2 / (2.0 * t) - t * lam0 - (t / rr) * q_int
+    k = rr**2 / (2.0 * t) - t * lam0 - (t / rr) * prof.tail_integral(r[msk])
     pref = (2.0 * np.pi) ** -0.5 * np.exp(-sign * 0.75j * np.pi)
     vals[msk] = pref * np.exp(1j * sign * k) * np.sqrt(rr) / t * h(lam_free)
     return r, vals
@@ -832,14 +815,19 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     (b_kind integrated from r0) and the WKB phase used by the leading
     term (eta-cut b integrated from r0).  b_sr uses the threshold energy
     only; b_do adds the first-order tail correction.
-    The integral is taken to a large radius on a log-spaced grid and
-    closed with a fitted power tail; if the fitted tail fails to be
-    integrable (wrong class for this end) a ValueError is raised.
+    It is a trapezoid sum out to ``_R_TAIL``, closed by the series of the
+    declared tail beyond it (:func:`_tail_beyond`).  A ValueError refuses a
+    kind that diverges on the tail A r^-p ('sr' needs p > 1, 'do' 2 p > 1;
+    a tail-free end never diverges) and an r_lam where b is not real.
     Vectorized over lam.
     """
     if kind not in ("sr", "do"):
         raise ValueError("kind must be 'sr' or 'do'")
     prof = model.ends[end]
+    p = prof.tail_power
+    if prof.tail_amplitude != 0.0 and (p if kind == "sr" else 2.0 * p) <= 1.0:
+        raise ValueError(f"phase modifier diverges for kind={kind!r} on end "
+                         f"{end} (tail power {p!r})")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if r_lam is None:
         r_lam = model.r_lambda(float(lam_arr.min()))
@@ -852,13 +840,13 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     ])
     eta_r = eta(rr, r_lam)
     q1 = prof.q1(rr)
+    below = np.any((lam_arr[:, None] < q1) & (eta_r > 0.0), axis=1)
+    if np.any(below):
+        raise ValueError(f"b is not real on end {end} at lam = "
+                         f"{float(lam_arr[below][0])!r} with r_lam = {r_lam!r}")
     b_sr = np.sqrt(2.0 * (lam_arr[:, None] - lam0))
-    with np.errstate(invalid="ignore"):
-        b = np.sqrt(2.0 * (lam_arr[:, None] - q1[None, :]))
-    if kind == "sr":
-        b_kind = b_sr * np.ones_like(b)
-    else:
-        b_kind = b_sr - (q1[None, :] - lam0) / b_sr
+    b = np.sqrt(np.maximum(2.0 * (lam_arr[:, None] - q1[None, :]), 0.0))
+    b_kind = b_sr if kind == "sr" else b_sr - (q1[None, :] - lam0) / b_sr
     integ = np.where(eta_r[None, :] > 0.0, eta_r[None, :] * (b_kind - b), 0.0)
     theta = np.trapezoid(integ, rr, axis=1)
 
@@ -867,28 +855,30 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     rc = np.linspace(model.r0, r_lam, 2001)
     eta_c = eta(rc, r_lam)
     q1_c = prof.q1(rc)
-    if kind == "sr":
-        bk_c = b_sr * np.ones_like(q1_c)[None, :]
-    else:
-        bk_c = b_sr - (q1_c[None, :] - lam0) / b_sr
+    bk_c = b_sr if kind == "sr" else b_sr - (q1_c[None, :] - lam0) / b_sr
     theta = theta + np.trapezoid((1.0 - eta_c)[None, :] * bk_c, rc, axis=1)
 
-    # close with a power-law tail fitted on the last decade
-    tail_mask = rr >= _R_TAIL / 10.0
-    tails = np.empty(lam_arr.shape)
-    for i in range(lam_arr.size):
-        y = np.abs(integ[i][tail_mask])
-        if np.max(y) < _TAIL_ABS_TOL / _R_TAIL:
-            tails[i] = 0.0
-            continue
-        good = y > 0
-        s, logc = np.polyfit(np.log(rr[tail_mask][good]), np.log(y[good]), 1)
-        if s >= -1.0:
-            raise ValueError(
-                f"phase modifier diverges for kind={kind!r} on end {end} "
-                f"(fitted tail exponent {s:.3f} >= -1)")
-        c = math.exp(logc)
-        sign_tail = np.sign(integ[i][tail_mask][-1])
-        tails[i] = sign_tail * c * _R_TAIL ** (s + 1.0) / (-(s + 1.0))
-    theta = theta + tails
+    if prof.tail_amplitude != 0.0:
+        theta = theta + _tail_beyond(prof, lam_arr, kind, _R_TAIL)
     return theta if np.ndim(lam) else float(theta[0])
+
+
+def _tail_beyond(prof, lam: np.ndarray, kind: str, R: float) -> np.ndarray:
+    """int_R^infty (b_kind - b) dr where q1 = lam0 + A r^-p.  With k = b_sr
+    and u = A r^-p / (lam - lam0), b = k sqrt(1 - u), so b_sr - b =
+    k sum_{n>=1} c_n u^n and b_do - b = k sum_{n>=2} c_n u^n, c_1 = 1/2,
+    c_{n+1} = c_n (2n - 1) / (2n + 2), and u^n integrates to
+    R u(R)^n / (n p - 1).  Summed until a term falls below 1e-17 of the
+    sum; a divergent |u(R)| >= 1 is refused."""
+    lam0, p = prof.lambda0, prof.tail_power
+    u = prof.tail_amplitude * R ** -p / (lam - lam0)
+    if np.any(np.abs(u) >= 1.0):
+        raise ValueError(f"the tail series diverges: |u| >= 1 at r = {R:g}")
+    n, c = (1, 0.5) if kind == "sr" else (2, 0.125)
+    term = total = c * u**n / (n * p - 1.0)
+    while np.any(np.abs(term) >= 1e-17 * np.abs(total)):
+        c *= (2.0 * n - 1.0) / (2.0 * n + 2.0)
+        n += 1
+        term = c * u**n / (n * p - 1.0)
+        total = total + term
+    return np.sqrt(2.0 * (lam - lam0)) * R * total

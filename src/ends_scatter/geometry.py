@@ -47,8 +47,8 @@ __all__ = [
     "integral_from_r0",
 ]
 
-# r_lambda: radius up to which the tail q1 is probed
-_RMAX_PROBE = 4096.0
+# r_lambda: the largest r_lambda accepted
+_RMAX_R_LAMBDA = 4096.0
 # classify_potential: class margin of the decay exponent
 _CLASS_EPS = 0.1
 
@@ -177,6 +177,19 @@ class EndProfile:
             return np.full_like(np.asarray(r, dtype=float), self.lambda0)
         return self.lambda0 + self.tail(r)
 
+    def tail_integral(self, r):
+        """int_{r0}^r (q1 - lambda0) ds at r >= r0, where eta = 1:
+        A (r^{1-p} - r0^{1-p}) / (1 - p), evaluated by expm1 to stay accurate
+        near p = 1, and A log(r / r0) at p = 1; 0 without a tail."""
+        r = np.asarray(r, dtype=float)
+        A, p, r0 = self.tail_amplitude, self.tail_power, self.tail_r0
+        if A == 0.0:
+            return np.zeros_like(r)
+        x = np.log(r / r0)
+        if p == 1.0:
+            return A * x
+        return A * r0 ** (1.0 - p) * np.expm1((1.0 - p) * x) / (1.0 - p)
+
     def f(self, r):
         return np.exp(self.g(r))
 
@@ -188,14 +201,8 @@ class EndProfile:
 
     @staticmethod
     def euclidean(**kw) -> "EndProfile":
-        return EndProfile(
-            name="euclidean",
-            g=lambda r: np.log(np.asarray(r, dtype=float)),
-            gp=lambda r: 1.0 / np.asarray(r, dtype=float),
-            gpp=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
-            lambda0=0.0,
-            **kw,
-        )
+        """f = r, the cone of opening 1."""
+        return replace(EndProfile.conic(1.0, **kw), name="euclidean")
 
     @staticmethod
     def conic(alpha: float, **kw) -> "EndProfile":
@@ -394,20 +401,22 @@ class ManifoldModel:
 
     def r_lambda(self, lam: float) -> float:
         """Smallest dyadic R >= 2 r0 with lam + lambda0 - 2 q1 >= 0 for all
-        r >= R/2 on both ends (so the phase b_lam is real on the support
-        of eta_lambda)."""
+        r >= R/2 on both ends (so b_lam is real where eta_lambda > 0).  The
+        tail is A r^-p beyond R/2 >= r0, so q1(R/2) decides where A > 0 and
+        lambda0 elsewhere.  Refused below a threshold or above R = 4096."""
         R = 2.0 * self.r0
-        while R <= _RMAX_PROBE:
-            ok = True
-            for end in self.ends:
-                rr = np.linspace(R / 2.0, _RMAX_PROBE, 512)
-                if np.any(lam + end.lambda0 - 2.0 * end.q1(rr) < 0):
-                    ok = False
-                    break
-            if ok:
-                return R
-            R *= 2.0
-        raise ValueError(f"no admissible r_lambda below {_RMAX_PROBE} for lam={lam}")
+        for e, end in enumerate(self.ends):
+            if lam + end.lambda0 - 2.0 * end.lambda0 < 0:
+                raise ValueError(f"no r_lambda at lam = {lam!r}: it is below "
+                                 f"the threshold {end.lambda0!r} of end {e}")
+            # q1(R/2) falls with R: the R of end 0 is where end 1's search starts
+            while (end.tail_amplitude > 0.0
+                   and lam + end.lambda0 - 2.0 * end.q1(R / 2.0) < 0):
+                R *= 2.0
+        if R > _RMAX_R_LAMBDA:
+            raise ValueError(f"the smallest admissible r_lambda at lam = "
+                             f"{lam!r} is {R:g}, above {_RMAX_R_LAMBDA:g}")
+        return R
 
     def breakpoints(self) -> np.ndarray:
         """Radii (in x) where the potential may lose smoothness: the glue

@@ -252,7 +252,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     against tol_w and, with ``estimate``, omega(t_N) on the operator
     grid: the last increment's propagated state carried on over t_{N-1},
     bit for bit one evolution over t_N when every gap is a multiple of
-    ``cfg.dt``.  ``dynamics`` accepts only 'exact'.
+    ``cfg.dt``.  ``dynamics`` accepts only 'exact' (the benchmark passes it).
 
     Each increment meets in the middle.  Its gap takes n steps of one
     Pade step R (``_step_plan``), and R has real coefficients with

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ends_scatter import _clib, dynamics
 from ends_scatter.dynamics import (SpectralProfile, comparison_state,
-                                   dynamics_grid, eikonal,
+                                   dollard_state, dynamics_grid, eikonal,
                                    hamilton_jacobi_residual, leading_term,
                                    phase_modifier, state_norm,
                                    stationary_point)
@@ -691,3 +691,44 @@ def test_phase_modifier_dollard_class():
     assert abs(val - 8.309085435602903) < 1e-5
     # the tail-free end of the same model is short-range
     assert np.isfinite(phase_modifier(model, 1, 0.55, "sr"))
+
+
+def test_phase_modifier_refuses_an_r_lam_where_b_is_not_real():
+    # q1(4) = 4^-0.8 > 0.3 on C's tail, and eta_lambda > 0 from r = 4
+    with pytest.raises(ValueError, match="end 0 at lam = 0.3 with r_lam = 8.0"):
+        phase_modifier(model_c(), 0, 0.3, "do", r_lam=8.0)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0], ids=["repulsive", "attractive"])
+@pytest.mark.parametrize("kind,power", [("sr", 1.5), ("sr", 2.0),
+                                        ("do", 0.8), ("do", 1.0)])
+def test_phase_modifier_tail_matches_quadrature(kind, power, amplitude):
+    """The series beyond _R_TAIL against composite Gauss-Legendre in log r
+    of the cancellation-free integrands k u / (1 + sqrt(1 - u)) ('sr') and
+    k u^2 / (2 (1 + sqrt(1 - u))^2) ('do'), u = (q1 - lam0) / (lam - lam0)
+    on the sampled q1."""
+    prof = EndProfile.euclidean().with_tail(amplitude, power, 2.0)
+    lam = np.array([0.31, 0.55, 1.2])
+    R = dynamics._R_TAIL
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.log(R) + np.linspace(0.0, 160.0, 161)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    r = np.exp(mid[:, None] + half[:, None] * x).ravel()
+    k = np.sqrt(2.0 * lam)[:, None]
+    u = (prof.q1(r) - prof.lambda0) / lam[:, None]
+    s = np.sqrt(1.0 - u)
+    f = k * u / (1.0 + s) if kind == "sr" else k * u**2 / (2.0 * (1.0 + s) ** 2)
+    ref = np.sum(f * r * (half[:, None] * w).ravel(), axis=1)
+    got = dynamics._tail_beyond(prof, lam, kind, R)
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_dollard_state_does_not_depend_on_the_other_radii():
+    """The secular integral is the closed form of C's declared tail, so
+    thinning the radii by 50 leaves the kept values bit for bit."""
+    model = model_c()
+    h = SpectralProfile.bump_profile(center=2.0, width=0.8)
+    r = dynamics_grid(model, 40.0, h.lam_hi)
+    _, u = dollard_state(model, h, 40.0, r=r)
+    _, u_thin = dollard_state(model, h, 40.0, r=r[::50])
+    assert np.array_equal(u_thin, u[::50])

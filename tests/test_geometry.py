@@ -328,6 +328,63 @@ def test_r_lambda_dyadic():
             assert np.all(lam + end.lambda0 - 2.0 * end.q1(rr) >= 0)
 
 
+@pytest.mark.parametrize("amplitude", [1.0, -1.0], ids=["repulsive", "attractive"])
+def test_r_lambda_against_its_definition(amplitude):
+    """R is the smallest dyadic radius >= 2 r0 with lam + lambda0 - 2 q1 >= 0
+    on all of [R/2, inf): it holds from R/2 on a log grid out to 1e8, and
+    fails from R/4 wherever R > 2 r0."""
+    m = model_c(amplitude=amplitude)
+
+    def holds(lam, r_from):
+        rr = np.geomspace(r_from, 1e8, 4000)
+        return all(np.all(lam + e.lambda0 - 2.0 * e.q1(rr) >= 0) for e in m.ends)
+
+    radii = []
+    for lam in (0.02, 0.3, 0.7, 1.5):
+        R = m.r_lambda(lam)
+        assert holds(lam, R / 2.0)
+        assert R == 2.0 * m.r0 or not holds(lam, R / 4.0)
+        radii.append(R)
+    # a repulsive tail pushes R out as lam falls; an attractive one never
+    # does, and admits the threshold itself
+    if amplitude > 0:
+        assert radii == [1024.0, 32.0, 8.0, 4.0]
+    else:
+        assert radii == [4.0] * 4 and m.r_lambda(0.0) == 4.0 and holds(0.0, 2.0)
+
+
+def test_r_lambda_says_why_it_refuses():
+    # below the threshold of an attractive tail q1 < 0, but q1 -> 0, so b is
+    # imaginary far out (a probe up to r = 4096 used to accept lam = -1e-3)
+    m = model_c(amplitude=-1.0)
+    assert not np.all(-1e-3 - 2.0 * m.ends[0].q1(np.geomspace(4.0, 1e8, 400)) >= 0)
+    with pytest.raises(ValueError, match="below the threshold 0.0 of end 0"):
+        m.r_lambda(-1e-3)
+    with pytest.raises(ValueError, match="below the threshold 0.125 of end 1"):
+        model_b().r_lambda(0.1)
+    # q1(R/2) <= lam / 2 = 5e-5 first at R = 2^19 on C's repulsive tail
+    with pytest.raises(ValueError, match="at lam = 0.0001 is 524288, above 4096"):
+        model_c().r_lambda(1e-4)
+
+
+@pytest.mark.parametrize("amplitude,power", [(1.0, 0.8), (-0.5, 1.0),
+                                             (2.0, 2.0), (0.3, 1.0 - 1e-9)])
+def test_tail_integral_matches_quadrature(amplitude, power):
+    """int_{r0}^r (q1 - lambda0) against composite Gauss-Legendre in log r
+    on the sampled q1, p = 1 and p next to it included."""
+    end = EndProfile.euclidean().with_tail(amplitude, power, 2.0)
+    r = np.array([2.0, 2.5, 40.0, 1e4])
+    x, w = np.polynomial.legendre.leggauss(20)
+    ref = []
+    for b in r:
+        edges = np.linspace(np.log(2.0), np.log(b), 65)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        s = np.exp(mid[:, None] + half[:, None] * x)
+        ref.append(np.sum(half[:, None] * w * (end.q1(s) - end.lambda0) * s))
+    assert np.allclose(end.tail_integral(r), ref, rtol=1e-13, atol=0.0)
+    assert np.all(EndProfile.euclidean().tail_integral(r) == 0.0)
+
+
 def test_tail_q1_glues_to_threshold():
     end = replace(EndProfile.flat(), lambda0=0.25).with_tail(1.0, 0.8, 2.0)
     r = np.array([0.0, 0.5, 1.0])
