@@ -20,7 +20,9 @@ radius in the C kernel ``_stationary.c`` (:func:`stationary_point`).
 The frequency integral is a trapezoid sum over a uniform lam grid.  The
 WKB phase splits as Phi_lam(r) = b_lam E(r) + psi_lam(r), with
 b_lam = (2(lam - lam0))^{1/2} the asymptotic momentum and
-E(r) = int_{r0}^r eta_lambda.  The radii with eta_lambda > 0 are sorted
+E(r) = int_{r0}^r eta_lambda, both taken at each radius on its own (by
+Gauss-Legendre panels on the cutoff's ramp, the declared tail's series
+beyond), so a state is a function of r.  The radii with eta_lambda > 0 are sorted
 by E and cut into spans of E-length at most L, the length whose phase
 budget (b_max - b_min) L is ``_BLOCK_PHASE``.  Within the span that
 starts at E_a, e^{i b E} factors into e^{i b E_a} and the offset factor
@@ -34,27 +36,24 @@ that restores its offsets.  On an end with constant q1 (separable)
 psi = 0 and one such sum with the weights
 h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam} is the whole state.  On
 other ends the amplitude (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is
-smooth in lam; it is
-interpolated on a few Chebyshev nodes lam_j, with the rank chosen by an
-a-posteriori check, and the state is the sum over j of A(lam_j, r) times
-the span sum weighted by the j-th Lagrange polynomial (the separated-phase
-technique of Candes, Demanet & Ying, SISC 29, 2007).  Each row
-A(lam_j, .) is one pass of the C kernel ``_amplitude.c`` over the radii,
-bit for bit what numpy computes for the same formula.  The leading term
-and the comparison state of a non-separable end thus need the package's
-kernels (``_clib``): a C compiler, or a build cached by an earlier run.
-``oracle.reference_comparison_state`` is the node-by-node sum both are
-checked against.  Every interpolant here (amplitude, offset factor and
-the eikonal's run-in offset) uses the nested levels 9, 17, 33, ... of
+smooth in lam and in r; it is
+interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
+the levels chosen by a-posteriori checks, and the state is the sum over j
+of A(lam_j, r) times the span sum weighted by the j-th Lagrange
+polynomial (the separated-phase technique of Candes, Demanet & Ying,
+SISC 29, 2007).  No C kernel is involved, so unlike the leading term a
+comparison state needs no compiler.  ``oracle.reference_comparison_state``
+is the node-by-node sum both are checked against.  Every interpolant here
+(amplitude, offset factor and the eikonal's run-in offset) uses the
+nested levels 9, 17, 33, ... of
 :func:`_lobatto_samples`, and falls back to exact sums when the levels
 run out.
 
 Working set: every per-radius array of this layer is taken over blocks
 of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
 run-in offset, the check of each interpolant against the next level, and
-the span sums with their amplitude contraction), so the only arrays of
-size rank x radii alive at once are the accepted amplitude samples and,
-while they are checked, the points of the next level.  A block cuts a
+the span sums with their amplitude contraction), so the only array of
+size rank x radii alive is the amplitude at the radii.  A block cuts a
 product only between rows that are summed apart (kernel and einsum rows,
 and matrix products left with at least two rows), so the states do not
 depend on the block size; a check reads only whether its blocks pass.
@@ -73,8 +72,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import _clib
-from .geometry import (CubicSpline, ManifoldModel, _r0_nodes, bump, eta,
-                       integral_from_r0)
+from .geometry import CubicSpline, ManifoldModel, bump, eta
 
 __all__ = [
     "SpectralProfile",
@@ -96,16 +94,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _PROFILE_NODES = 1025
 # uniform trapezoid nodes of SpectralProfile.norm
 _NORM_NODES = 8193
-# elements of one (lam x r) work array of the frequency quadrature's
-# exact sums, and of one chunk of amplitude rows times the radii
+# elements of one work array: (lam x r) of the frequency quadrature's exact
+# sums, amplitude rows times radii, psi's quadrature samples
 _BLOCK = 1 << 21
 # radii of one block of layer (d)'s per-radius work: the Gauss samples of
 # q1 and their travel-time sums, the acceptance check of the lam
 # interpolants, and the plane-wave sums with their amplitude contraction
 # (whole spans, at most this many radii or one span holding more)
 _RADII_BLOCK = 1024
-# accepted error of the lam interpolant of the comparison amplitude,
-# relative to its largest modulus
+# accepted error of the comparison amplitude's interpolant in r and lam
+# together, relative to its largest modulus
 _AMP_TOL = 1e-11
 # the same for the interpolants of phases: the plane-wave offset factor of
 # _plane_wave_sums and the run-in offset of eikonal
@@ -129,6 +127,10 @@ _HJ_STEP = 1e-3
 _POINTS_PER_CYCLE = 24
 # phase_modifier: outer radius of the quadrature
 _R_TAIL = 1e6
+# panels in r of comparison_state: equal ones on the ramp [r_lam/2, r_lam],
+# then log-r ones, and the Gauss-Legendre rule of its E and psi on them
+_RAMP_PANELS, _LOG_PANEL = 4, 0.7
+_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 # ---------------------------------------------------------------------------
@@ -660,26 +662,18 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     lam nodes of :func:`frequency_nodes` (the module docstring describes
     the factored sum).
 
-    The phase is split as Phi_lam(r) = b_lam E(r) + psi_lam(r).  On a
-    tail-free end (A = 0) psi = 0 and the amplitude does not depend on r:
-    one weight column.  Otherwise the amplitude
-    A(lam, r) = (2|lam - q1|)^{-1/4} e^{+-i psi_lam(r)} is interpolated in
-    lam on nested Chebyshev-Lobatto nodes (9, 17, 33, ...): a level is
-    accepted once it reproduces A at the nodes the next level adds to
-    within ``_AMP_TOL`` of max|A|, over the radii with eta_lambda > 0
-    (A need not be smooth in lam where eta_lambda = 0).  Once the next
-    level would outnumber the live lam nodes, those nodes themselves are
-    used, which is exact.  The rows of A are computed by a compiled C
-    kernel (:func:`_amplitude_factors`), so a non-separable end needs the
-    C compiler ``cc``; without it the first call raises RuntimeError.
-
-    E(r) and psi_lam(r) are trapezoid sums over the sorted radii ``r``
-    themselves (:func:`geometry.integral_from_r0`), so the value at a
-    fixed radius depends on the other radii passed: on preset A at
-    t = 40, thinning the dynamics grid from spacing 0.02 to 0.04, 0.2
-    and 1.0 moves it by 2.3e-6, 7.4e-5 and 1.9e-3 of its largest value.
-    ``oracle.reference_comparison_state`` integrates over the same radii
-    and does not see this.
+    The phase is split as Phi_lam(r) = b_lam E(r) + psi_lam(r), both
+    taken at each radius on its own (:func:`_cutoff_length`,
+    :func:`_psi`).  On a tail-free end (A = 0) psi = 0 and the amplitude
+    does not depend on r: one weight column.  Otherwise the amplitude
+    A(lam, r) = (2|lam - q1|)^{-1/4} e^{+-i psi_lam(r)} is interpolated
+    within ``_AMP_TOL`` of max|A| on fixed panels in r and in lam, or
+    taken at the radii or lam nodes themselves where the levels run out
+    (:func:`_amplitude_factors`).  Other radii reach the value at a
+    radius only through the largest (which sizes the lam grid and the
+    panels) and the levels accepted: keeping every 50th radius of the
+    dynamics grid moves the state by <= 5e-13 of its largest value on
+    presets A and C.  No C kernel is involved.
     """
     prof = model.ends[h.end]
     lam0 = prof.lambda0
@@ -694,18 +688,16 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     eta_r = eta(r, r_lam)
     b_lam = np.sqrt(2.0 * (lam - lam0))
     e_t = np.exp(-1j * sign * t * lam)
-    # E(r) = int_{r0}^r eta_lambda ds
-    e_of_r = integral_from_r0(model, r, lambda s: eta(s, r_lam))
+    e_of_r = _cutoff_length(r, r_lam)
 
     # no tail: q1 = lam0, so psi = 0 and the amplitude depends on lam only
     out = np.zeros(r.shape, dtype=complex)
     if prof.tail_amplitude == 0.0:
         g = hv * (2.0 * np.abs(lam - lam0)) ** -0.25 * e_t
         out = _plane_wave_sums(r, eta_r, e_of_r, b_lam, g[:, None], sign)[0]
-    elif lam.size:
-        live_r = eta_r > 0.0
-        amp, basis = _amplitude_factors(model, prof, r, live_r, r_lam, lam, sign)
-        live = np.flatnonzero(live_r)
+    elif lam.size and np.any(eta_r > 0.0):
+        live = np.flatnonzero(eta_r > 0.0)
+        amp, basis = _amplitude_factors(prof, r_lam, lam, r[live], sign)
         step = max(1, _BLOCK // r.size)
         for c0 in range(0, amp.shape[0], step):
             c = slice(c0, c0 + step)
@@ -717,61 +709,159 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     return r, out
 
 
-def _amplitude_factors(model: ManifoldModel, prof, r: np.ndarray,
-                       live_r: np.ndarray, r_lam: float, lam: np.ndarray,
-                       sign: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The amplitude A(lam_j, r) at the accepted interpolation nodes lam_j
-    (one row per node, one column per radius of ``live_r``) and the
-    Lagrange basis of those nodes on the lam grid (one column per node);
-    :func:`comparison_state` states the acceptance rule.  Each set of
-    nodes is one call of the compiled ``amplitude_rows``, which integrates
-    psi over the nodes of :func:`geometry.integral_from_r0` with its
-    arithmetic, so the rows are bit for bit those of the numpy expression
-    exp(1j sign psi) / (2 |lam - q1|)^{1/4}."""
-    nodes, at = _r0_nodes(model, r)
-    eta_n, q1_n = eta(nodes, r_lam), prof.q1(nodes)
-    at_live = at[:-1][live_r]
-    q1_r = prof.q1(r[live_r])
+def _panel_edges(r_lam: float, r_hi: float) -> np.ndarray:
+    """Panel edges from r_lam/2 to the first one at or past r_hi and r_lam:
+    equal panels on the ramp, then r_lam e^{j _LOG_PANEL}, j = 1, 2, ..."""
+    n = math.ceil(math.log(max(r_hi / r_lam, 1.0)) / _LOG_PANEL)
+    n += r_lam * math.exp(_LOG_PANEL * n) < r_hi
+    return np.concatenate((0.5 * r_lam * (1.0 + np.arange(_RAMP_PANELS) / _RAMP_PANELS),
+                           r_lam * np.exp(_LOG_PANEL * np.arange(n + 1))))
 
-    def amplitude(lam_pts):
-        return _amplitude_rows(nodes, eta_n, q1_n, int(at[-1]), at_live, q1_r,
-                               lam_pts, prof.lambda0, sign)
+
+def _from_edge(edges: np.ndarray, fn: Callable, r: np.ndarray) -> np.ndarray:
+    """int_{edges[0]}^r fn at each r of [edges[0], edges[-1]] on its own, by
+    Gauss-Legendre on the whole panels below r and the part of r's panel;
+    ``fn`` maps nodes to values, any leading axes of its own first."""
+    half = 0.5 * np.diff(edges)
+    whole = fn((edges[:-1] + half)[:, None] + half[:, None] * _QUAD_NODES)
+    below = np.zeros(whole.shape[:-2] + (edges.size,))
+    np.cumsum((whole @ _QUAD_WEIGHTS) * half, axis=-1, out=below[..., 1:])
+    j = np.maximum(np.searchsorted(edges, r) - 1, 0)   # r in (e_j, e_j+1]
+    h = 0.5 * (r - edges[j])
+    part = fn((edges[j] + h)[:, None] + h[:, None] * _QUAD_NODES)
+    return below[..., j] + (part @ _QUAD_WEIGHTS) * h
+
+
+def _cutoff_length(r: np.ndarray, r_lam: float) -> np.ndarray:
+    """E(r) = int_{r0}^r eta_lambda at each radius on its own: 0 up to
+    r_lam/2, :func:`_from_edge` on the ramp and E(r_lam) + r - r_lam
+    beyond it, where eta_lambda = 1."""
+    edges, cutoff = _panel_edges(r_lam, r_lam), lambda s: eta(s, r_lam)
+    e_lam = _from_edge(edges, cutoff, np.array([r_lam]))[0]
+    out = np.where(r >= r_lam, r - r_lam + e_lam, 0.0)
+    ramp = (r > edges[0]) & (r < r_lam)
+    out[ramp] = _from_edge(edges, cutoff, r[ramp])
+    return out
+
+
+def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
+         r: np.ndarray) -> np.ndarray:
+    """psi_lam(r) = int_{r0}^r eta_lambda (sqrt(2 (lam - q1)) - b_lam) at
+    each radius r >= r_lam/2 on its own, one row per energy (>= lam_lo):
+    :func:`_from_edge` of the same integrand without cancellation up to
+    the first edge a where |u| = |A| a^-p / (lam_lo - lam0) <= 1/2 (r_lam
+    on a repulsive tail), then the tail series (:func:`_tail_series`)."""
+    lam0, amp, p = prof.lambda0, prof.tail_amplitude, prof.tail_power
+    edges = _panel_edges(r_lam, (2.0 * abs(amp) / (lam_lo - lam0)) ** (1.0 / p))
+    b2 = 2.0 * (lam - lam0)[:, None, None]
+
+    def integrand(s):
+        tail = prof.tail(s)
+        return eta(s, r_lam) * -2.0 * tail / (
+            np.sqrt(np.maximum(b2 - 2.0 * tail, 0.0)) + np.sqrt(b2))
+
+    a, out = edges[-1], np.empty((lam.size, r.size))
+    inner, outer = np.flatnonzero(r <= a), np.flatnonzero(r > a)
+    step = max(1, _BLOCK // (lam.size * _QUAD_NODES.size))
+    for i0 in range(0, inner.size, step):
+        cols = inner[i0:i0 + step]
+        out[:, cols] = _from_edge(edges, integrand, r[cols])
+    if outer.size:
+        u_a = amp * a ** -p / (lam - lam0)
+        series = _tail_series(u_a[:, None], p, np.log(r[outer] / a), 1)
+        out[:, outer] = (_from_edge(edges, integrand, np.array([a]))
+                         - np.sqrt(b2[:, :, 0]) * a * series)
+    return out
+
+
+def _lookup(points: np.ndarray, values: np.ndarray, fn: Callable) -> Callable:
+    """A sampler that reads ``values`` at ``points`` and calls fn elsewhere."""
+    row = {y: i for i, y in enumerate(points)}
+
+    def sample(y):
+        idx = [row.get(v) for v in y]
+        return fn(y) if None in idx else values[idx]
+    return sample
+
+
+def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
+                       sign: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A(lam, r) = (2 |lam - q1|)^{-1/4} e^{i sign psi_lam(r)} at accepted
+    energies lam_j (one row each) and the radii ``r`` > r_lam/2, and the
+    Lagrange basis of the lam_j on the live lam nodes ``lam`` (ascending).
+
+    Each panel of :func:`_panel_edges` that holds radii (in r on the
+    ramp, in log r beyond) takes the first level of
+    :func:`_lobatto_samples` that reproduces A within _AMP_TOL / 2 at the
+    65 Lobatto energies of the lam range, or its radii once the levels
+    outnumber them.  The lam levels are checked at the panels' nodes
+    within _AMP_TOL / (2 L), L the largest Lebesgue constant of their
+    levels, at most 2/pi log n + 1 for n Chebyshev points (Trefethen,
+    ATAP, Thm 15.2), so that the two errors add up to at most _AMP_TOL,
+    or the lam nodes are used.  A panel's samples reach its radii by one
+    real barycentric product."""
+    def amplitude(lam_pts, rr):
+        return (np.exp(1j * sign * _psi(prof, r_lam, lam[0], lam_pts, rr))
+                / np.sqrt(np.sqrt(2.0 * np.abs(lam_pts[:, None] - prof.q1(rr)))))
 
     mid, half = 0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0])
-    amp = _lobatto_samples(lambda y: amplitude(mid + half * y), lam.size, _AMP_TOL)
-    if amp is None:
-        return amplitude(lam), np.eye(lam.size)
-    return amp, _lobatto_basis(amp.shape[0], (lam - mid) / half)
+    y65, y33 = (np.cos(np.pi * np.arange(n) / (n - 1)) for n in (65, 33))
+    rows = mid + half * y65
+    edges = _panel_edges(r_lam, float(np.max(r)))
+    panel = np.searchsorted(edges, r) - 1          # r in (e_q, e_q+1]
+    owned = np.unique(panel)
+    # a panel's coordinate: r on the ramp, log r beyond
+    x = np.where(panel < _RAMP_PANELS, r, np.log(r))
+    lo, hi = (np.where(owned < _RAMP_PANELS, e, np.log(e))
+              for e in (edges[owned], edges[owned + 1]))
 
+    def at(i, y):
+        xi = 0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * y
+        return xi if owned[i] < _RAMP_PANELS else np.exp(xi)
 
-def _amplitude_rows(nodes: np.ndarray, eta_n: np.ndarray, q1_n: np.ndarray,
-                    at_r0: int, at: np.ndarray, q1_live: np.ndarray,
-                    lam: np.ndarray, lam0: float, sign: int) -> np.ndarray:
-    """The rows e^{i sign psi_lam} / (2 |lam - q1|)^{1/4}, one per energy
-    of ``lam``, at the radii nodes[at] by the compiled kernel of
-    ``_amplitude.c``: psi_lam is the trapezoid integral from
-    nodes[at_r0] of eta (sqrt(max(2 (lam - q1), 0)) - sqrt(2 (lam - lam0)))
-    over the sorted ``nodes``, with eta and q1 sampled there as ``eta_n``
-    and ``q1_n``; ``q1_live`` is q1 at the radii.  The kernel checks no
-    argument: the arrays go through ``_clib.pointer``, and the indices
-    are checked here, since one outside the nodes would read outside
-    them."""
-    n = nodes.size
-    args = [_clib.pointer(a, name, np.float64, (size,)) for name, a, size in
-            (("nodes", nodes, n), ("eta", eta_n, n), ("q1", q1_n, n))]
-    at_p = _clib.pointer(at, "at", np.int64, (at.size,))
-    q1_p = _clib.pointer(q1_live, "q1_live", np.float64, (at.size,))
-    lam_p = _clib.pointer(lam, "lam", np.float64, (lam.size,))
-    if not (0 <= at_r0 < n and np.all((at >= 0) & (at < n))):
-        raise ValueError(f"node indices must lie in [0, {n})")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = np.empty((lam.size, at.size), dtype=complex)
-    acc = np.empty(n)
-    _clib.library().amplitude_rows(
-        n, *args, at_r0, at.size, at_p, q1_p, lam.size, lam_p, lam0, sign,
-        acc.ctypes.data, out.ctypes.data)
-    return out
+    # the levels up to 17 read one pass over the 33 points of every panel
+    pre = amplitude(rows, np.concatenate([at(i, y33) for i in range(owned.size)]))
+    pre = pre.T.reshape(owned.size, 33, rows.size)
+
+    panels, nodes, table, lebesgue = [], [], [], 1.0
+    for i, q in enumerate(owned):
+        cols = np.flatnonzero(panel == q)
+        vals = _lobatto_samples(
+            _lookup(y33, pre[i], lambda y, i=i: amplitude(rows, at(i, y)).T.copy()),
+            cols.size, 0.5 * _AMP_TOL)
+        n = None if vals is None else vals.shape[0]
+        panels.append((cols, n))
+        if n is None:
+            nodes.append(r[cols])
+            table.append(amplitude(rows, r[cols]))
+        else:
+            nodes.append(at(i, np.cos(np.pi * np.arange(n) / (n - 1))))
+            table.append(vals.T)
+            lebesgue = max(lebesgue, 2.0 / np.pi * math.log(n) + 1.0)
+    nodes, table = np.concatenate(nodes), np.concatenate(table, axis=1)
+    samples = _lobatto_samples(
+        _lookup(y65, table, lambda y: amplitude(mid + half * y, nodes)),
+        lam.size, 0.5 * _AMP_TOL / lebesgue)
+    del pre, table
+    if samples is None:
+        samples, basis = amplitude(lam, nodes), np.eye(lam.size)
+    else:
+        basis = _lobatto_basis(samples.shape[0], (lam - mid) / half)
+
+    amp = np.empty((samples.shape[0], r.size), dtype=complex)
+    start = 0
+    for i, (cols, n) in enumerate(panels):
+        own = samples[:, start:start + (n or cols.size)]
+        start += own.shape[1]
+        if cols[-1] - cols[0] + 1 == cols.size:
+            cols = slice(cols[0], cols[-1] + 1)
+        if n is None:
+            amp[:, cols] = own
+        else:   # one real product: the basis times the (re, im) pairs of own.T
+            y = (2.0 * x[cols] - (hi[i] + lo[i])) / (hi[i] - lo[i])
+            amp[:, cols] = (_lobatto_basis(n, y)
+                            @ own.T.copy().view(np.float64)).view(complex).T
+    return amp, basis
 
 
 def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
@@ -818,7 +908,8 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     It is a trapezoid sum out to ``_R_TAIL``, closed by the series of the
     declared tail beyond it (:func:`_tail_beyond`).  A ValueError refuses a
     kind that diverges on the tail A r^-p ('sr' needs p > 1, 'do' 2 p > 1;
-    a tail-free end never diverges) and an r_lam where b is not real.
+    a tail-free end never diverges), a lam at or below the end's threshold
+    lambda0 (b_sr = 0 or not real) and an r_lam where b is not real.
     Vectorized over lam.
     """
     if kind not in ("sr", "do"):
@@ -829,9 +920,13 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
         raise ValueError(f"phase modifier diverges for kind={kind!r} on end "
                          f"{end} (tail power {p!r})")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam0 = prof.lambda0
+    if not np.all(lam_arr > lam0):
+        raise ValueError(f"phase modifier needs lam above the threshold "
+                         f"lambda0 = {lam0!r} of end {end}, got lam = "
+                         f"{float(lam_arr[~(lam_arr > lam0)][0])!r}")
     if r_lam is None:
         r_lam = model.r_lambda(float(lam_arr.min()))
-    lam0 = prof.lambda0
 
     # dense near the core, log-spaced into the tail
     rr = np.concatenate([
@@ -866,19 +961,36 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
 def _tail_beyond(prof, lam: np.ndarray, kind: str, R: float) -> np.ndarray:
     """int_R^infty (b_kind - b) dr where q1 = lam0 + A r^-p.  With k = b_sr
     and u = A r^-p / (lam - lam0), b = k sqrt(1 - u), so b_sr - b =
-    k sum_{n>=1} c_n u^n and b_do - b = k sum_{n>=2} c_n u^n, c_1 = 1/2,
-    c_{n+1} = c_n (2n - 1) / (2n + 2), and u^n integrates to
-    R u(R)^n / (n p - 1).  Summed until a term falls below 1e-17 of the
-    sum; a divergent |u(R)| >= 1 is refused."""
+    k sum_{n>=1} c_n u^n and b_do - b = k sum_{n>=2} c_n u^n, each
+    u^n integrating to R u(R)^n / (n p - 1): k R times
+    :func:`_tail_series` to infinity.  A divergent |u(R)| >= 1 is
+    refused."""
     lam0, p = prof.lambda0, prof.tail_power
     u = prof.tail_amplitude * R ** -p / (lam - lam0)
     if np.any(np.abs(u) >= 1.0):
         raise ValueError(f"the tail series diverges: |u| >= 1 at r = {R:g}")
-    n, c = (1, 0.5) if kind == "sr" else (2, 0.125)
-    term = total = c * u**n / (n * p - 1.0)
-    while np.any(np.abs(term) >= 1e-17 * np.abs(total)):
+    total = _tail_series(u, p, np.inf, 1 if kind == "sr" else 2)
+    return np.sqrt(2.0 * (lam - lam0)) * R * total
+
+
+def _tail_series(u, p: float, x, n: int):
+    """sum_{m>=n} c_m u^m g_m(x), n = 1 or 2, where 1 - sqrt(1 - u) =
+    sum c_m u^m (c_1 = 1/2, c_{m+1} = c_m (2m - 1) / (2m + 2)) and g_m(x) =
+    int_0^x e^{(1 - m p) y} dy: a times it integrates those terms of
+    u (s/a)^-p from a to a e^x.  Summed until every nonzero term is below
+    1e-17 of its sum, which it then leaves unchanged; |u| < 1 (and
+    p > 1/n at x = inf) is the callers' to keep."""
+    c = 0.5 if n == 1 else 0.125
+
+    def term(m, c):
+        if m * p == 1.0:
+            return c * u**m * x
+        return c * u**m * np.expm1((1.0 - m * p) * x) / (1.0 - m * p)
+
+    t = total = term(n, c)
+    while np.any((np.abs(t) >= 1e-17 * np.abs(total)) & (t != 0.0)):
         c *= (2.0 * n - 1.0) / (2.0 * n + 2.0)
         n += 1
-        term = c * u**n / (n * p - 1.0)
-        total = total + term
-    return np.sqrt(2.0 * (lam - lam0)) * R * total
+        t = term(n, c)
+        total = total + t
+    return total

@@ -165,8 +165,12 @@ class EndProfile:
                        tail_r0=r0)
 
     def tail(self, r):
-        """The potential tail A eta(r, r0) r^-p."""
+        """The potential tail A eta(r, r0) r^-p.  Where every r >= r0 the
+        cutoff is exactly 1 and r needs no floor, so both are skipped:
+        A r^-p is the same bits."""
         r = np.asarray(r, dtype=float)
+        if np.all(r >= self.tail_r0):
+            return self.tail_amplitude * r ** (-self.tail_power)
         rs = np.maximum(r, 1e-9)
         return eta(r, self.tail_r0) * self.tail_amplitude * rs ** (-self.tail_power)
 
@@ -642,17 +646,10 @@ def integral_from_r0(model: ManifoldModel, r: np.ndarray,
     ``fn`` maps the sorted nodes to an array whose last axis runs over
     them; leading axes (a block of energies, say) are integrated
     independently and kept in the result."""
-    rr, at = _r0_nodes(model, r)
-    vals = cumulative_trapezoid(fn(rr), rr)[..., at]
+    pts = np.concatenate((r, [model.r0]))
+    rr = np.unique(pts)
+    vals = cumulative_trapezoid(fn(rr), rr)[..., np.searchsorted(rr, pts)]
     return vals[..., :-1] - vals[..., -1:]
-
-
-def _r0_nodes(model: ManifoldModel, r: np.ndarray):
-    """The quadrature nodes of :func:`integral_from_r0`: the sorted
-    distinct values of r and r0, and the index among them of each radius
-    and, last, of r0."""
-    rr = np.unique(np.concatenate((r, [model.r0])))
-    return rr, np.searchsorted(rr, np.concatenate((r, [model.r0])))
 
 
 def classify_potential(model: ManifoldModel, end: int):

@@ -10,8 +10,9 @@ so it can serve as an oracle for them:
 * resolvents at small positive imaginary part by direct banded solves,
 * an adaptive DOP853 march of the mode ODE, the reference for the Magnus
   Jost marcher,
-* the comparison dynamics summed node by node, one phase integral per
-  frequency node, the reference for the factored quadrature,
+* the comparison dynamics summed node by node, the phase of every
+  radius its own composite Gauss-Legendre sum, the reference for the
+  factored quadrature,
 * a Chebyshev polynomial expansion of e^{-itH}, the reference for the
   implicit propagator,
 * the distorted Fourier transform as the boundary coefficients of the
@@ -30,13 +31,14 @@ All functions are deterministic (no RNG, no environment dependence).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import SpectralProfile, frequency_nodes
 from .fourier import _extract_end
-from .geometry import ManifoldModel, bump, eta, phase_integral
+from .geometry import ManifoldModel, bump, eta
 from .mode_reduction import ModeOperator, RadialGrid
 from .resolvent import JostPair, jost_pair, limiting_resolvent
 
@@ -216,28 +218,40 @@ def reference_comparison_state(model: ManifoldModel, h: SpectralProfile,
                                t: float, r: np.ndarray, sign: int = +1,
                                r_lam: Optional[float] = None) -> np.ndarray:
     """U^+-(t) h at the radii ``r`` on the lam nodes of
-    ``dynamics.frequency_nodes``: one ``phase_integral`` per node and the
-    complex exponential at every (lam, r) pair, summed over lam.  Returns
-    the values at ``r``.
+    ``dynamics.frequency_nodes``: the complex exponential at every
+    (lam, r) pair, summed over lam.  The phase int_{r0}^r eta_lambda
+    sqrt(2 (lam - q1)) of each radius is its own 16-node Gauss-Legendre
+    sum over the panels of length 1/4 from r0 (r_lambda/2 and r_lambda
+    among the edges) below it and over the part of its panel up to it:
+    independent of the other radii and of ``comparison_state``'s panels.
     """
     prof = model.ends[h.end]
     if r_lam is None:
         r_lam = model.r_lambda(h.lam_lo)
     r = np.asarray(r, dtype=float)
     lam, hv = frequency_nodes(model, h, t, r)
-    order = np.argsort(r)
-    r_sorted = r[order]
-    q1 = prof.q1(r_sorted)
+    n = math.ceil(max(np.max(r) - model.r0, 0.0) / 0.25) + 1
+    edges = np.union1d(model.r0 + 0.25 * np.arange(n), [0.5 * r_lam, r_lam])
+    x, w = np.polynomial.legendre.leggauss(16)
+    j = np.maximum(np.searchsorted(edges, r) - 1, 0)    # r in (e_j, e_j+1]
+    half = 0.5 * np.append(np.diff(edges), 0.0)
+    part = 0.5 * (r - edges[j])
+    # the rules of the whole panels (the last one empty) and of each
+    # radius's part of its own panel: eta and q1 at their nodes, half-length
+    rules = [(eta(s, r_lam), prof.q1(s), d) for s, d in (
+        (e[:, None] + d[:, None] * (1.0 + x), d)
+        for e, d in ((edges, half), (edges[j], part)))]
+    q1 = prof.q1(r)
     acc = np.zeros(r.shape, dtype=complex)
     for lam_i, hv_i in zip(lam, hv):
         if hv_i == 0.0:
             continue
-        phi = phase_integral(model, h.end, lam_i, r_sorted, r_lam=r_lam)
+        whole, own = ((e * np.sqrt(np.maximum(2.0 * (lam_i - q), 0.0))) @ w * d
+                      for e, q, d in rules)
+        phi = np.concatenate(([0.0], np.cumsum(whole)))[j] + own
         acc += (hv_i * np.exp(1j * sign * (phi - t * lam_i))
                 * (2.0 * np.abs(lam_i - q1)) ** -0.25)
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out * eta(r, r_lam) / (sign * 2.0j * np.pi)
+    return acc * eta(r, r_lam) / (sign * 2.0j * np.pi)
 
 
 def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:

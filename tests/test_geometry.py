@@ -392,6 +392,30 @@ def test_tail_q1_glues_to_threshold():
     assert abs(end.q1(np.array([100.0]))[0] - 0.25 - 100.0**-0.8) < 1e-12
 
 
+@pytest.mark.parametrize("amplitude,power", [(1.0, 0.8), (-0.5, 1.5), (0.3, 0.5)])
+def test_tail_past_r0_skips_the_cutoff_bit_for_bit(monkeypatch, amplitude, power):
+    """Where every r >= r0 the cutoff is exactly 1 and r needs no floor:
+    the tail, q1 and so the Gauss samples of the leading term are the
+    bytes of the full expression, and the cutoff is not evaluated.  A
+    single radius below r0 takes the full expression."""
+    from ends_scatter import geometry
+
+    end = EndProfile.euclidean().with_tail(amplitude, power, 2.0)
+    r = np.concatenate(([2.0], np.geomspace(2.0, 1e6, 4001)[1:],
+                        np.linspace(2.0, 40.0, 48 * 64)))
+    want = eta(r, 2.0) * amplitude * np.maximum(r, 1e-9) ** -power
+    scalar = eta(7.5, 2.0) * amplitude * max(7.5, 1e-9) ** -power
+    low = np.append(r, 1.9)
+    want_low = eta(low, 2.0) * amplitude * np.maximum(low, 1e-9) ** -power
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "eta", lambda *a: pytest.fail("eta was called"))
+        got, got_q1, got_scalar = end.tail(r), end.q1(r), end.tail(7.5)
+    assert got.tobytes() == want.tobytes()
+    assert got_q1.tobytes() == (end.lambda0 + want).tobytes()
+    assert got_scalar == scalar and type(got_scalar) is type(scalar)
+    assert end.tail(low).tobytes() == want_low.tobytes()
+
+
 def test_tails_that_do_not_decay_or_glue_elsewhere_are_refused():
     with pytest.raises(ValueError, match="power must be positive"):
         EndProfile.euclidean().with_tail(1.0, 0.0, 2.0)

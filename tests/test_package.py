@@ -9,7 +9,8 @@ import scipy.
 A fourth keeps the reference implementations of ``oracle`` out of the
 computation paths.  Then the C kernels: they compile with every warning
 an error, the package data ships every source, only the subcommands that
-march Jost pairs or sum a non-separable comparison amplitude load them,
+march Jost pairs, step the propagator or solve for the leading term load
+them,
 and they are built once per machine into a cache that a process without
 the compiler reads.
 Last the other foreign code, OpenBLAS: ``_clib.one_blas_thread`` lowers
