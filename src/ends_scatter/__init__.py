@@ -22,7 +22,7 @@ from .dynamics import (
     state_norm,
     stationary_point,
 )
-from .fourier import ScatteringData, distorted_ft, scattering_matrix
+from .fourier import ScatteringData, distorted_ft, scattering_matrix, scattering_sweep
 from .geometry import (
     EndProfile,
     ManifoldModel,
@@ -49,6 +49,14 @@ from .propagator import (
     transmission_experiment,
     wave_operator,
 )
-from .resolvent import JostPair, jost_pair, limiting_resolvent, radiation_residual
+from .resolvent import (
+    JostPair,
+    JostSetup,
+    jost_pair,
+    jost_setups,
+    limiting_resolvent,
+    march_pair,
+    radiation_residual,
+)
 
 __version__ = "0.1.0"

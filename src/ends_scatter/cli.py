@@ -43,7 +43,7 @@ from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, parse_run_value)
 from .dynamics import (SpectralProfile, comparison_state, leading_term,
                        state_norm)
-from .fourier import _extraction_windows, scattering_matrix
+from .fourier import _extraction_windows, scattering_sweep
 from .geometry import classify_potential
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
@@ -249,9 +249,8 @@ def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
                        for m in range(cfg.grid.mmax + 1)], max(lams))
     _check_windows(model, grid, lams)
 
-    data = [scattering_matrix(model, grid, lam, mmax=cfg.grid.mmax,
-                              tol_s=run.tol_s, tol_f=run.tol_f)
-            for lam in lams]
+    data = scattering_sweep(model, grid, lams, mmax=cfg.grid.mmax,
+                            tol_s=run.tol_s, tol_f=run.tol_f)
     entries, rows = [], []
     worst = 0.0
     for lam, sd in zip(lams, data):
@@ -333,9 +332,8 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
                          for m in range(run.mode + 1)), op], h.lam_hi)
     _check_windows(model, sgrid, nodes)
 
-    data = [scattering_matrix(model, sgrid, float(lam), mmax=run.mode,
-                              tol_s=run.tol_s, tol_f=run.tol_f)
-            for lam in nodes]
+    data = scattering_sweep(model, sgrid, nodes, mmax=run.mode,
+                            tol_s=run.tol_s, tol_f=run.tol_f)
     svals = [abs(sd.block(run.mode)[end_to, h.end]) for sd in data]
     worst = max(sd.unitarity_defect for sd in data)
     unitary = all(sd.diag["unitary_within_tol"] for sd in data)

@@ -53,10 +53,18 @@ Working set: every per-radius array of this layer is taken over blocks
 of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
 run-in offset, the check of each interpolant against the next level, and
 the span sums with their amplitude contraction), so the only array of
-size rank x radii alive is the amplitude at the radii.  A block cuts a
-product only between rows that are summed apart (kernel and einsum rows,
-and matrix products left with at least two rows), so the states do not
-depend on the block size; a check reads only whether its blocks pass.
+size rank x radii alive is the amplitude at the radii.  A block cuts the
+per-radius kernel and einsum rows, and the matrix products of
+:func:`_plane_wave_blocks` (weighted coarse factors times the offset
+nodes, and each run's restoring product) between their rows; it never
+cuts the per-panel product of the amplitude (basis times the samples of
+all the panel's radii), and a check reads only whether its blocks pass.
+No rule makes a BLAS product's bits independent of where its rows are
+cut (cutting the rows of GEMMs of the sizes met here changed bits in 131
+of 175 shapes tried on OpenBLAS), so the states are the same bits for
+any block size only for the shapes these products take today:
+``test_radius_blocks_do_not_change_the_states`` is the guard, on A and C
+at t = 10 ... 320 with blocks of 7 radii against one block.
 
 Dollard comparison dynamics replace lam_c and K by their free forms plus
 the secular tail integral; the phase modifier theta(lam) reconciles the
@@ -125,7 +133,7 @@ _SEED_MIN_CONE = 2048
 _HJ_STEP = 1e-3
 # lam nodes per oscillation of the frequency-quadrature phase
 _POINTS_PER_CYCLE = 24
-# phase_modifier: outer radius of the quadrature
+# phase_modifier: outer radius of the quadrature, the series beyond it
 _R_TAIL = 1e6
 # panels in r of comparison_state: equal ones on the ramp [r_lam/2, r_lam],
 # then log-r ones, and the Gauss-Legendre rule of its E and psi on them
@@ -905,12 +913,17 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     (b_kind integrated from r0) and the WKB phase used by the leading
     term (eta-cut b integrated from r0).  b_sr uses the threshold energy
     only; b_do adds the first-order tail correction.
-    It is a trapezoid sum out to ``_R_TAIL``, closed by the series of the
-    declared tail beyond it (:func:`_tail_beyond`).  A ValueError refuses a
-    kind that diverges on the tail A r^-p ('sr' needs p > 1, 'do' 2 p > 1;
-    a tail-free end never diverges), a lam at or below the end's threshold
-    lambda0 (b_sr = 0 or not real) and an r_lam where b is not real.
-    Vectorized over lam.
+    With k = b_sr and t = q1 - lambda0 = A r^-p (r >= r0), the integrand is
+    b_kind up to r_lam/2, integrated in closed form (t by
+    ``EndProfile.tail_integral``), and (1 - eta) b_kind + eta (b_kind - b)
+    beyond, with b_sr - b = 2t / (k + b) and b_do - b = 2t^2 / (k (k + b)^2)
+    free of cancellation: Gauss-Legendre on the panels of
+    :func:`_panel_edges` out to ``_R_TAIL``, as for psi, closed by the
+    series of the declared tail beyond it (:func:`_tail_beyond`).  A
+    ValueError refuses a kind that diverges on the tail A r^-p ('sr' needs
+    p > 1, 'do' 2 p > 1; a tail-free end never diverges), a lam at or below
+    the end's threshold lambda0 (b_sr = 0 or not real), an r_lam below
+    2 r0 and an r_lam where b is not real.  Vectorized over lam.
     """
     if kind not in ("sr", "do"):
         raise ValueError("kind must be 'sr' or 'do'")
@@ -927,32 +940,29 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
                          f"{float(lam_arr[~(lam_arr > lam0)][0])!r}")
     if r_lam is None:
         r_lam = model.r_lambda(float(lam_arr.min()))
-
-    # dense near the core, log-spaced into the tail
-    rr = np.concatenate([
-        np.linspace(model.r0, 8.0 * r_lam, 2001),
-        np.geomspace(8.0 * r_lam, _R_TAIL, 6000)[1:],
-    ])
-    eta_r = eta(rr, r_lam)
-    q1 = prof.q1(rr)
-    below = np.any((lam_arr[:, None] < q1) & (eta_r > 0.0), axis=1)
+    if r_lam < 2.0 * model.r0:
+        raise ValueError(f"r_lam = {r_lam!r} is below 2 r0 = {2.0 * model.r0!r}")
+    # q1 falls beyond r_lam/2 >= r0 on a repulsive tail, where b is real
+    # exactly when lam >= q1(r_lam/2); below lam0 on an attractive one
+    below = lam_arr < prof.q1(0.5 * r_lam)
     if np.any(below):
         raise ValueError(f"b is not real on end {end} at lam = "
                          f"{float(lam_arr[below][0])!r} with r_lam = {r_lam!r}")
-    b_sr = np.sqrt(2.0 * (lam_arr[:, None] - lam0))
-    b = np.sqrt(np.maximum(2.0 * (lam_arr[:, None] - q1[None, :]), 0.0))
-    b_kind = b_sr if kind == "sr" else b_sr - (q1[None, :] - lam0) / b_sr
-    integ = np.where(eta_r[None, :] > 0.0, eta_r[None, :] * (b_kind - b), 0.0)
-    theta = np.trapezoid(integ, rr, axis=1)
+    k = np.sqrt(2.0 * (lam_arr - lam0))
+    kk = k[:, None, None]
 
-    # core correction (1 - eta) b_kind, supported on [r0, r_lam] where the
-    # WKB phase is cut off but the free phase is not
-    rc = np.linspace(model.r0, r_lam, 2001)
-    eta_c = eta(rc, r_lam)
-    q1_c = prof.q1(rc)
-    bk_c = b_sr if kind == "sr" else b_sr - (q1_c[None, :] - lam0) / b_sr
-    theta = theta + np.trapezoid((1.0 - eta_c)[None, :] * bk_c, rc, axis=1)
+    def integrand(s):
+        t, cut = prof.tail(s), eta(s, r_lam)
+        b = np.sqrt(np.maximum(kk**2 - 2.0 * t, 0.0))
+        if kind == "sr":
+            return (1.0 - cut) * kk + cut * 2.0 * t / (kk + b)
+        return (1.0 - cut) * (kk - t / kk) + cut * 2.0 * t**2 / (kk * (kk + b) ** 2)
 
+    theta = k * (0.5 * r_lam - model.r0)
+    if kind == "do":
+        theta = theta - prof.tail_integral(0.5 * r_lam) / k
+    edges = _panel_edges(r_lam, _R_TAIL)
+    theta = theta + _from_edge(edges, integrand, np.array([_R_TAIL]))[:, 0]
     if prof.tail_amplitude != 0.0:
         theta = theta + _tail_beyond(prof, lam_arr, kind, _R_TAIL)
     return theta if np.ndim(lam) else float(theta[0])

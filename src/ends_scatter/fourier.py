@@ -17,25 +17,35 @@ The scattering matrix at energy lam is block diagonal over angular modes.
 Each 2x2 block comes from the connection coefficients (four Wronskians)
 of the outgoing and incoming Jost pairs and D^+-.  The incoming pair and
 D^- are the conjugates of the outgoing ones, so each mode costs one Jost
-march and two boundary extractions.
+march and two boundary limits.  :func:`scattering_sweep` takes S over a
+list of energies: each mode's march set-up (nodes and W_m) is built once
+for the whole list, and each end's extraction phase sqrt(b) e^{-i Phi},
+which depends on the energy but not on the mode, once per energy for all
+modes, for a block of energies that share r_lambda at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ManifoldModel, phase_b, phase_integral
+from .geometry import ManifoldModel, integral_from_r0, phase_b
 from .mode_reduction import ModeOperator, RadialGrid
-from .resolvent import JostPair, _wronskian_profile, jost_pair
+from .resolvent import (JostPair, _wronskian_profile, jost_pair, jost_setups,
+                        march_pair)
 
 __all__ = [
     "ScatteringData",
     "distorted_ft",
     "scattering_matrix",
+    "scattering_sweep",
 ]
+
+# elements of one (lam x r) work array of the extraction phase: the
+# energies of one block of scattering_sweep's phase factors
+_BLOCK = 1 << 16
 
 
 def _extraction_windows(grid: RadialGrid, end: int, r_lam: float):
@@ -98,27 +108,47 @@ def _averaged_limit(xi: np.ndarray, windows, tol: float):
     }
 
 
+def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int, lams,
+                   r_lam: float, sign: int = +1):
+    """The extraction phase sqrt(b) e^{-i sign Phi} on one end, one row per
+    energy of ``lams`` (all sharing ``r_lam``), at the nodes that some
+    extraction window holds.  Returns (nodes, windows, factors): those
+    grid nodes by increasing r, the masks of ``_extraction_windows`` on
+    them, and the factors.  Phi is ``phase_integral``'s trapezoid over all
+    the end's nodes, taken for the whole block in one call."""
+    nodes, r, windows = _extraction_windows(grid, end, r_lam)
+    held = np.zeros(r.size, dtype=bool)
+    for msk in windows:
+        held |= msk
+    lam = np.asarray(lams, dtype=float)[:, None]
+    phi = integral_from_r0(
+        model, r, lambda s: np.real(phase_b(model, end, lam, s, r_lam=r_lam)))
+    b = np.real(phase_b(model, end, lam, r[held], r_lam=r_lam))
+    factors = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * sign * phi[:, held])
+    return nodes[held], [msk[held] for msk in windows], factors
+
+
 def _extract_end(model: ManifoldModel, grid: RadialGrid, end: int, lam: float,
                  sign: int, u_line: np.ndarray, r_lam: float, tol: float):
     """Boundary coefficient of one end from a resolvent profile."""
-    nodes, r, windows = _extraction_windows(grid, end, r_lam)
-    b = np.real(phase_b(model, end, lam, r, r_lam=r_lam))
-    phi = phase_integral(model, end, lam, r, r_lam=r_lam)
-    u = u_line[nodes]
-    xi = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * sign * phi) * u
-    return _averaged_limit(xi, windows, tol)
+    nodes, windows, factors = _phase_factors(model, grid, end, [lam], r_lam, sign)
+    return _averaged_limit(factors[0] * u_line[nodes], windows, tol)
 
 
-def _outgoing_coefficients(pair: JostPair, tol_f: float):
+def _outgoing_coefficients(pair: JostPair, tol_f: float, phases=None):
     """D^+ = (2 c_right / W, 2 c_left / W) of an outgoing Jost pair, c the
     boundary coefficient of each Jost solution on its own end, and the
-    diagnostics of the two extractions (end 0, end 1)."""
+    diagnostics of the two extractions (end 0, end 1).  ``phases`` holds
+    each end's (nodes, windows, factor) at the pair's energy, as
+    :func:`_phase_block` gives them; without it they are taken here."""
     op = pair.op
+    if phases is None:
+        phases = _phase_block(op.model, op.grid, [pair.lam], 0, pair.r_lam)[0]
     d = np.zeros(2, dtype=complex)
     ends = []
     for end, u in ((0, pair.u_right), (1, pair.u_left)):
-        c, ediag = _extract_end(op.model, op.grid, end, pair.lam, +1, u,
-                                pair.r_lam, tol_f)
+        nodes, windows, factor = phases[end]
+        c, ediag = _averaged_limit(factor * u[nodes], windows, tol_f)
         d[end] = 2.0 * c / pair.wronskian
         ends.append(ediag)
     return d, ends
@@ -163,10 +193,92 @@ def _wronskian(a, b) -> complex:
     return complex(np.mean(_wronskian_profile(*a, *b)))
 
 
+def _same_r_lambda(model: ManifoldModel, lam: float, r_lam: float) -> bool:
+    """Whether lam has r_lambda = r_lam; False where r_lambda refuses lam
+    (its march raises in turn, as the per-energy loop would)."""
+    try:
+        return model.r_lambda(lam) == r_lam
+    except ValueError:
+        return False
+
+
+def _phase_block(model: ManifoldModel, grid: RadialGrid, lams, i: int,
+                 r_lam: float) -> dict:
+    """The phase factors of both ends for lams[i] and the energies after
+    it that share its r_lam, at most ``_BLOCK`` elements per end's array:
+    {index into lams: [(nodes, windows, factor) of end 0, of end 1]}."""
+    last = min(len(lams), i + max(1, _BLOCK // (grid.x.size // 2 + 1)))
+    j = i + 1
+    while j < last and _same_r_lambda(model, lams[j], r_lam):
+        j += 1
+    ends = [_phase_factors(model, grid, end, lams[i:j], r_lam)
+            for end in range(2)]
+    return {i + k: [(nodes, windows, f[k]) for nodes, windows, f in ends]
+            for k in range(j - i)}
+
+
+def _mode_block(pair: JostPair, phases, tol_f: float):
+    """One mode's 2x2 block of S at the pair's energy, S_m = D^+ C^T
+    (D^-)^-1 (see ``scattering_matrix``), and the worst doubling residual
+    of its two boundary extractions."""
+    # the incoming pair, its Wronskian and D^- are the conjugates of the
+    # outgoing ones (see jost_pair)
+    w_m = pair.wronskian.conjugate()
+    d_p, ends = _outgoing_coefficients(pair, tol_f, phases)
+    d_m = np.conj(d_p)
+    left_p = (pair.u_left, pair.du_left)
+    right_p = (pair.u_right, pair.du_right)
+    left_m = (np.conj(pair.u_left), np.conj(pair.du_left))
+    right_m = (np.conj(pair.u_right), np.conj(pair.du_right))
+    # coordinates of (u_left^+, u_right^+) in the basis (u_left^-, u_right^-)
+    conn = np.array([[_wronskian(left_p, right_m), _wronskian(right_p, right_m)],
+                     [_wronskian(left_m, left_p), _wronskian(left_m, right_p)]])
+    conn /= w_m
+    block = d_p[:, None] * conn.T / d_m[None, :]
+    return block, max(e["doubling_residual"] for e in ends)
+
+
+def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
+                     lams: Sequence[float], mmax: int = 0, tol_s: float = 1e-6,
+                     tol_f: float = 1e-4) -> List[ScatteringData]:
+    """S(lam) at every energy of ``lams``, in order: bit for bit
+    ``scattering_matrix`` at each energy, and the first error that a loop
+    of those calls would raise.
+
+    Each mode's march set-up (``jost_setups``) is built once for the
+    list, and each energy marches through it, energy by energy and mode
+    by mode within an energy.  Each end's extraction phase is taken once
+    per energy for every mode, for the energies that share r_lambda in
+    blocks of a fixed size (``_phase_block``), so the working set does
+    not grow with the length of the list.
+    """
+    lams = [float(lam) for lam in lams]
+    modes = tuple(range(mmax + 1))
+    setups = jost_setups([ModeOperator(model, grid, m) for m in modes])
+    phases = {}
+    out = []
+    for i, lam in enumerate(lams):
+        blocks = np.zeros((len(modes), 2, 2), dtype=complex)
+        per_mode = []
+        for k, setup in enumerate(setups):
+            pair = march_pair(setup, lam, +1)
+            if i not in phases:
+                phases = _phase_block(model, grid, lams, i, pair.r_lam)
+            blocks[k], residual = _mode_block(pair, phases[i], tol_f)
+            per_mode.append({"m": modes[k], "doubling_residual": residual})
+        defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
+                   for b in blocks]
+        diag = {"per_mode": per_mode, "defects": defects,
+                "unitary_within_tol": bool(max(defects) <= tol_s)}
+        out.append(ScatteringData(lam, modes, blocks, max(defects), diag))
+    return out
+
+
 def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
                       mmax: int = 0, tol_s: float = 1e-6,
                       tol_f: float = 1e-4) -> ScatteringData:
-    """Assemble S(lam) mode block by mode block from the Jost pairs.
+    """Assemble S(lam) mode block by mode block from the Jost pairs: the
+    sweep (``scattering_sweep``) of the one energy lam.
 
     F^+- psi = D^+- (<u_left^+-, psi>, <u_right^+-, psi>) (see
     ``distorted_ft``).  With C the coordinates of (u_left^+, u_right^+)
@@ -175,7 +287,7 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
         S_m = D^+ C^T (D^-)^-1.
 
     Each mode takes one march, of the outgoing pair, and two boundary
-    extractions.  The incoming pair is its complex conjugate (see
+    limits.  The incoming pair is its complex conjugate (see
     ``jost_pair``), so W^- = conj(W^+) and D^- = conj(D^+), with the
     same doubling residuals.
 
@@ -184,29 +296,4 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
     tol_s in the diagnostics; each mode's doubling residual is the worst
     of its two boundary extractions.
     """
-    modes = tuple(range(0, mmax + 1))
-    blocks = np.zeros((len(modes), 2, 2), dtype=complex)
-    per_mode = []
-    for i, m in enumerate(modes):
-        pair = jost_pair(ModeOperator(model, grid, m), lam, +1)
-        # the incoming pair, its Wronskian and D^- are the conjugates of
-        # the outgoing ones (see jost_pair)
-        w_m = pair.wronskian.conjugate()
-        d_p, ends = _outgoing_coefficients(pair, tol_f)
-        d_m = np.conj(d_p)
-        left_p = (pair.u_left, pair.du_left)
-        right_p = (pair.u_right, pair.du_right)
-        left_m = (np.conj(pair.u_left), np.conj(pair.du_left))
-        right_m = (np.conj(pair.u_right), np.conj(pair.du_right))
-        # coordinates of (u_left^+, u_right^+) in the basis (u_left^-, u_right^-)
-        conn = np.array([[_wronskian(left_p, right_m), _wronskian(right_p, right_m)],
-                         [_wronskian(left_m, left_p), _wronskian(left_m, right_p)]])
-        conn /= w_m
-        blocks[i] = d_p[:, None] * conn.T / d_m[None, :]
-        per_mode.append({"m": m, "doubling_residual":
-                         max(e["doubling_residual"] for e in ends)})
-    defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2)) for b in blocks]
-    diag = {"per_mode": per_mode, "defects": defects,
-            "unitary_within_tol": bool(max(defects) <= tol_s)}
-    return ScatteringData(lam, modes, blocks, max(defects), diag)
-
+    return scattering_sweep(model, grid, [lam], mmax, tol_s, tol_f)[0]

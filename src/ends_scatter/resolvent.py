@@ -9,15 +9,22 @@ resolvent is then the usual Green kernel
     G(x, y) = 2 u_<(min) u_>(max) / W,   W = u_<' u_> - u_< u_>'.
 
 The march is a fourth-order Magnus scheme on the grid cells (Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 2009).  W_m is sampled once, at the
-two Gauss nodes of every cell, and each cell's real 2x2 transfer matrix
-is a closed-form exponential of a traceless matrix, so it has unit
-determinant and the Wronskian of the pair is conserved to roundoff.  One
-pass of the compiled kernel ``jost_march`` (``_jost.c``) forms the
-matrices and marches both solutions, one cell after the other, writing
-(u, u') at the grid nodes only.  Breakpoints of the potential that fall
-between grid nodes split their cell; a launch radius beyond the grid is
-reached in steps <= dx.
+Casas, Oteo & Ros, Phys. Rep. 470, 2009).  Each cell's real 2x2
+transfer matrix is a closed-form exponential of a traceless matrix, so
+it has unit determinant and the Wronskian of the pair is conserved to
+roundoff.  One pass of the compiled kernel ``jost_march`` (``_jost.c``)
+forms the matrices and marches both solutions, one cell after the other,
+writing (u, u') at the grid nodes only.  Breakpoints of the potential
+that fall between grid nodes split their cell; a launch radius beyond
+the grid is reached in steps <= dx.
+
+Nothing of the march but its launch data depends on the energy, so the
+work splits in two.  :func:`jost_setups` builds, once per mode, the march
+nodes and their grid positions (shared by all modes of one model and
+grid), W_m at the two Gauss nodes of every cell and W_m at the launch
+radii; :func:`march_pair` then marches one energy through them.
+:func:`jost_pair` is the two in a row, for callers that take one energy
+at a time.
 
 Inward marching is the stable direction on both sides (through a
 classically forbidden core the physical solution grows towards the core),
@@ -27,7 +34,7 @@ so no renormalization sweeps are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +42,8 @@ from . import _clib
 from .geometry import ManifoldModel, cumulative_trapezoid, phase_a
 from .mode_reduction import ModeOperator, RadialGrid, besov_norm
 
-__all__ = ["JostPair", "jost_pair", "limiting_resolvent", "radiation_residual"]
+__all__ = ["JostPair", "JostSetup", "jost_pair", "jost_setups", "march_pair",
+           "limiting_resolvent", "radiation_residual"]
 
 
 @dataclass
@@ -129,59 +137,79 @@ def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
     return 1.0, 1j * sign * a
 
 
-def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
-              rmax_pad: float = 1.0) -> JostPair:
-    """Construct the Jost pair at energy lam (> both thresholds).
+@dataclass
+class JostSetup:
+    """What the Jost marches of one mode share at every energy.
+
+    ``nodes`` are the march nodes of :func:`_march_nodes` and ``on_grid``
+    the positions of the grid nodes among them, ``w_gauss`` holds W_m at
+    the two Gauss nodes of every cell, shape (cells, 2), and ``w_launch``
+    W_m at the launch radius of end 0 (x = +r_launch) and of end 1
+    (x = -r_launch).
+    """
+
+    op: ModeOperator
+    r_launch: float
+    nodes: np.ndarray
+    on_grid: np.ndarray
+    w_gauss: np.ndarray
+    w_launch: np.ndarray
+
+
+def jost_setups(ops: Sequence[ModeOperator],
+                rmax_pad: float = 1.0) -> List[JostSetup]:
+    """The energy-independent part of the Jost marches of each operator
+    in ``ops``, all on one model and one grid: the march nodes, built
+    once and shared, and each mode's W_m at their Gauss nodes and at the
+    launch radii.
 
     The launch radius is ``rmax_pad * rmax``, on the grid end or beyond
-    it: rmax_pad below 1 raises ValueError.  The WKB launch needs an
-    open channel, so lam at or below W_m at either launch point raises
-    ValueError.  A degenerate pair (Wronskian below 1e-8 of the product
-    of the solutions' sizes and the momentum: the two solutions are
-    nearly parallel) raises RuntimeError.
-
-    The incoming pair is the complex conjugate of the outgoing one, bit
-    for bit: ``jost_pair(op, lam, -1)`` has (u, u') equal to np.conj of
-    those of ``jost_pair(op, lam, +1)`` and Wronskian conj(W).  This
-    rests on three facts: W_m is real, so every transfer matrix of the
-    march is real; the launch data of ``_launch_data`` for sign -1 are the
-    conjugates of those for sign +1; and the kernel marches the real and
-    imaginary parts of each solution as two separate real recurrences
-    through the same matrices, in which a negated launch rounds to the
-    negated state at every node.  ``fourier.scattering_matrix`` relies on
-    it to march once per mode; a complex potential would break it.
-
-    Each solution is launched with u = 1: its WKB amplitude and phase at
-    the launch radius are a gauge.  Rescaling u_left by c_l and u_right
-    by c_r scales W by c_l c_r, each boundary coefficient and pairing by
-    its own solution's factor, and the Green kernel's u_< u_> by c_l c_r,
-    so S, F^+ and R(lam + i0) do not depend on it.
+    it: rmax_pad below 1 raises ValueError.
     """
     if not rmax_pad >= 1.0:
         raise ValueError(f"rmax_pad={rmax_pad!r} must be at least 1: the "
                          "march starts at the grid ends or beyond them")
-    model = op.model
-    grid = op.grid
+    if not ops:
+        return []
+    model, grid = ops[0].model, ops[0].grid
+    if any(op.model is not model or op.grid != grid for op in ops):
+        raise ValueError("the operators of one set-up share a model and a grid")
     r_launch = rmax_pad * grid.rmax
-    w_launch = model.w_mode(op.m, np.array([r_launch, -r_launch]))
+    nodes, on_grid = _march_nodes(model, grid, r_launch)
+    xs = (nodes[:-1, None] + np.diff(nodes)[:, None] * _GAUSS).ravel()
+    return [JostSetup(op, r_launch, nodes, on_grid,
+                      model.w_mode(op.m, xs).reshape(-1, 2),
+                      model.w_mode(op.m, np.array([r_launch, -r_launch])))
+            for op in ops]
+
+
+def march_pair(setup: JostSetup, lam: float, sign: int = +1) -> JostPair:
+    """The Jost pair of ``setup``'s mode at energy lam (> both
+    thresholds), marched through the set-up's nodes and W_m.
+
+    The WKB launch needs an open channel, so lam at or below W_m at
+    either launch point raises ValueError.  A degenerate pair (Wronskian
+    below 1e-8 of the product of the solutions' sizes and the momentum:
+    the two solutions are nearly parallel) raises RuntimeError.
+    """
+    op = setup.op
+    model = op.model
+    r_launch = setup.r_launch
     for end in range(2):
         if lam <= model.ends[end].lambda0:
             raise ValueError(f"lam={lam} at or below the threshold of end {end}")
-        if lam <= w_launch[end]:
+        if lam <= setup.w_launch[end]:
             raise ValueError(f"lam={lam} at or below W_{op.m} = "
-                             f"{float(w_launch[end])!r} at the launch radius "
+                             f"{float(setup.w_launch[end])!r} at the launch radius "
                              f"{r_launch!r} of end {end}: the channel is closed")
     r_lam = model.r_lambda(lam)
-    nodes, on_grid = _march_nodes(model, grid, r_launch)
-    h = np.diff(nodes)
-    xs = nodes[:-1, None] + h[:, None] * _GAUSS
-    w_gauss = model.w_mode(op.m, xs.ravel()).reshape(-1, 2)
     # end 1 launches at x = -r_launch, where d/dx = -d/dr, and end 0 at
     # x = +r_launch
     u1, dudr1 = _launch_data(model, 1, lam, sign, r_launch, r_lam)
     u0, dudr0 = _launch_data(model, 0, lam, sign, r_launch, r_lam)
     launch = np.array([[u1, -dudr1], [u0, dudr0]], dtype=complex)
-    u_l, du_l, u_r, du_r = _march(nodes, w_gauss, lam, on_grid, launch)
+    u_l, du_l, u_r, du_r = _march(setup.nodes, setup.w_gauss, lam,
+                                  setup.on_grid, launch)
 
     w = _wronskian_profile(u_l, du_l, u_r, du_r)
     w0 = complex(np.mean(w))
@@ -193,6 +221,32 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
                            f"Wronskian {abs(w0):.3e} against "
                            f"scale {scale:.3e}")
     return JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam, w0, drift)
+
+
+def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
+              rmax_pad: float = 1.0) -> JostPair:
+    """Construct the Jost pair at energy lam (> both thresholds): the
+    set-up of :func:`jost_setups` and one :func:`march_pair`, which
+    raise as documented there.
+
+    The incoming pair is the complex conjugate of the outgoing one, bit
+    for bit: ``jost_pair(op, lam, -1)`` has (u, u') equal to np.conj of
+    those of ``jost_pair(op, lam, +1)`` and Wronskian conj(W).  This
+    rests on three facts: W_m is real, so every transfer matrix of the
+    march is real; the launch data of ``_launch_data`` for sign -1 are the
+    conjugates of those for sign +1; and the kernel marches the real and
+    imaginary parts of each solution as two separate real recurrences
+    through the same matrices, in which a negated launch rounds to the
+    negated state at every node.  ``fourier.scattering_sweep`` relies on
+    it to march once per mode; a complex potential would break it.
+
+    Each solution is launched with u = 1: its WKB amplitude and phase at
+    the launch radius are a gauge.  Rescaling u_left by c_l and u_right
+    by c_r scales W by c_l c_r, each boundary coefficient and pairing by
+    its own solution's factor, and the Green kernel's u_< u_> by c_l c_r,
+    so S, F^+ and R(lam + i0) do not depend on it.
+    """
+    return march_pair(jost_setups([op], rmax_pad)[0], lam, sign)
 
 
 def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,

@@ -135,7 +135,7 @@ def test_non_positive_time_is_config_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,work", [
     ("dynamics", "leading_term"),
     ("waveop", "wave_operator"),
-    ("transmission", "scattering_matrix"),
+    ("transmission", "scattering_sweep"),
 ], ids=["dynamics", "waveop", "transmission"])
 def test_window_at_the_threshold_is_a_config_error(tmp_path, monkeypatch,
                                                    command, work):
@@ -177,9 +177,9 @@ def test_overrides_parse_like_the_config(flag, key, raw):
 def test_empty_override_is_config_error(tmp_path, monkeypatch, flag):
     """An empty flag value is refused, not replaced by the config's."""
     def no_work(*args, **kwargs):
-        raise AssertionError("scattering_matrix called past the guard")
+        raise AssertionError("scattering_sweep called past the guard")
 
-    monkeypatch.setattr(cli, "scattering_matrix", no_work)
+    monkeypatch.setattr(cli, "scattering_sweep", no_work)
     code, rep = run(["smatrix", "--preset", "A", flag, ""], tmp_path, "smatrix")
     assert code == 2 and rep["error"] == f"{flag} is empty"
 
@@ -349,9 +349,9 @@ def test_transmission_verdict_reads_stabilization(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command,march", [
-    ("smatrix", "scattering_matrix"),
+    ("smatrix", "scattering_sweep"),
     ("resolvent", "limiting_resolvent"),
-    ("transmission", "scattering_matrix"),
+    ("transmission", "scattering_sweep"),
 ])
 def test_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch, command,
                                                march):
@@ -382,10 +382,11 @@ def test_empty_extraction_window_is_a_config_error(tmp_path, monkeypatch,
     60.  The run is refused before any Jost march, naming lambda and the
     rmax its windows need (4 r_lambda = 128)."""
     def no_march(*args, **kwargs):
-        raise AssertionError("jost_pair called past the window check")
+        raise AssertionError("a Jost march set up past the window check")
 
-    monkeypatch.setattr(fourier, "jost_pair", no_march)
-    monkeypatch.setattr(resolvent, "jost_pair", no_march)
+    for mod in (fourier, resolvent):
+        for work in ("jost_pair", "jost_setups", "march_pair"):
+            monkeypatch.setattr(mod, work, no_march)
     argv = [command, "--preset", "C"] + (["--t-grid", "10"]
                                          if command == "transmission" else [])
     code, rep = run(argv, tmp_path, command)
@@ -397,7 +398,7 @@ def test_empty_extraction_window_is_a_config_error(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command,ladder,work", [
     ("dynamics", [], "leading_term"),
-    ("transmission", [], "scattering_matrix"),
+    ("transmission", [], "scattering_sweep"),
     ("waveop", [], "wave_operator"),
     ("waveop", ["--preset", "A", "--t-grid", "10"], "wave_operator"),
 ], ids=["dynamics", "transmission", "waveop", "waveop-one-time"])

@@ -751,6 +751,53 @@ def test_phase_modifier_tail_matches_quadrature(kind, power, amplitude):
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+def _tail_model(amplitude, power):
+    """A Euclidean end 0 with the reference tail amplitude r^-power."""
+    end = EndProfile.euclidean().with_tail(amplitude, power, 2.0)
+    return ManifoldModel([end, EndProfile.euclidean()], r0=2.0)
+
+
+@pytest.mark.parametrize("case,end,kind", [
+    ("C", 0, "do"), ("C attractive", 0, "do"), ("C", 1, "sr"),
+    ("p = 1.5", 0, "sr"), ("p = 1.5 attractive", 0, "sr")])
+def test_phase_modifier_matches_adaptive_quadrature(case, end, kind):
+    """theta(lam) against scipy.integrate.quad of b_kind - eta b from r0
+    to infinity, in the cancellation-free form (b_kind - b by its
+    closed-form numerator), split at the cutoff's ends and at doublings
+    of r up to 1e4, then in log r over 200 e-folds: no series and no
+    panel of phase_modifier's own."""
+    from scipy.integrate import quad
+
+    model = {"C": model_c, "C attractive": lambda: model_c(amplitude=-1.0),
+             "p = 1.5": lambda: _tail_model(1.0, 1.5),
+             "p = 1.5 attractive": lambda: _tail_model(-1.0, 1.5)}[case]()
+    prof = model.ends[end]
+    lam = np.array([0.31, 0.55, 1.2])
+    r_lam = model.r_lambda(0.31)
+    got = phase_modifier(model, end, lam, kind, r_lam=r_lam)
+    pts = [model.r0, 0.5 * r_lam, r_lam]
+    while pts[-1] < 1e4:
+        pts.append(2.0 * pts[-1])
+    for theta, lam_i in zip(got, lam):
+        k = np.sqrt(2.0 * (lam_i - prof.lambda0))
+
+        def integrand(s):
+            t = float(prof.q1(s)) - prof.lambda0
+            cut = float(eta(s, r_lam))
+            b = np.sqrt(max(k * k - 2.0 * t, 0.0))
+            if kind == "sr":
+                return (1.0 - cut) * k + cut * 2.0 * t / (k + b)
+            return ((1.0 - cut) * (k - t / k)
+                    + cut * 2.0 * t * t / (k * (k + b) ** 2))
+
+        ref = sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13,
+                       limit=400)[0] for lo, hi in zip(pts[:-1], pts[1:]))
+        y = np.log(pts[-1])
+        ref += quad(lambda v: integrand(np.exp(v)) * np.exp(v), y, y + 200.0,
+                    epsabs=1e-16, epsrel=1e-13, limit=400)[0]
+        assert abs(theta - ref) <= 1e-10
+
+
 def test_dollard_state_does_not_depend_on_the_other_radii():
     """The secular integral is the closed form of C's declared tail, so
     thinning the radii by 50 leaves the kept values bit for bit."""

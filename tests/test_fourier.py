@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from ends_scatter.fourier import distorted_ft, scattering_matrix
+from ends_scatter import fourier
+from ends_scatter.fourier import (_averaged_limit, _extraction_windows,
+                                  _phase_factors, distorted_ft,
+                                  scattering_matrix, scattering_sweep)
+from ends_scatter.geometry import phase_b, phase_integral
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import (_probe_states, reference_distorted_ft,
                                  reference_scattering_matrix)
@@ -78,3 +82,96 @@ def test_smatrix_matches_probe_reference(model, rmax, mmax, lams):
         for d, ref in zip(sd.diag["per_mode"], residuals):
             got = d["doubling_residual"]
             assert (got == ref == np.inf) or abs(got - ref) <= 1e-12
+
+
+def _same_data(got, want):
+    """Two ScatteringData agree bit for bit: blocks, defects and each
+    mode's doubling residual."""
+    assert got.lam == want.lam and got.modes == want.modes
+    assert got.blocks.tobytes() == want.blocks.tobytes()
+    assert got.unitarity_defect == want.unitarity_defect
+    assert got.diag == want.diag
+
+
+_SWEEPS = {
+    "free": (model_free, RadialGrid(60.0, 0.01), (0.6, 0.9, 1.3)),
+    "A": (model_a, RadialGrid(60.0, 0.01), (0.3, 0.55, 0.8)),
+    "B": (model_b, RadialGrid(60.0, 0.01), (0.3, 0.6, 1.0)),
+    "D": (model_d, RadialGrid(60.0, 0.01), (0.6, 1.1, 2.0)),
+    # r_lambda 32, 32, 16 and 16: two blocks of phase factors
+    "C": (model_c, RadialGrid(130.0, 0.02), (0.3, 0.32, 0.6, 0.65)),
+    "A-one": (model_a, RadialGrid(60.0, 0.01), (0.55,)),
+}
+
+
+@pytest.mark.parametrize("mmax", [0, 1])
+@pytest.mark.parametrize("case", list(_SWEEPS))
+def test_sweep_is_the_per_energy_loop(case, mmax):
+    """S over a list of energies in one sweep (one march set-up per mode,
+    the phase factors of energies sharing r_lambda in one block) equals
+    scattering_matrix at each energy, bit for bit."""
+    make, grid, lams = _SWEEPS[case]
+    model = make()
+    got = scattering_sweep(model, grid, lams, mmax=mmax)
+    assert len(got) == len(lams)
+    for sd, lam in zip(got, lams):
+        _same_data(sd, scattering_matrix(model, grid, lam, mmax=mmax))
+
+
+def test_sweep_blocks_do_not_change_the_bits(monkeypatch):
+    """A block of phase factors as small as one energy gives the same S as
+    the default block of all four."""
+    model, grid = model_a(), RadialGrid(60.0, 0.01)
+    lams = (0.3, 0.45, 0.6, 0.8)
+    want = scattering_sweep(model, grid, lams, mmax=1)
+    for per_block in (1, 3):
+        monkeypatch.setattr(fourier, "_BLOCK", per_block * (grid.x.size // 2 + 1))
+        for sd, ref in zip(scattering_sweep(model, grid, lams, mmax=1), want):
+            _same_data(sd, ref)
+
+
+@pytest.mark.parametrize("model,end", [(model_a(), 0), (model_c(), 0),
+                                       (model_b(), 1)], ids=["A", "C", "B1"])
+def test_phase_factors_keep_the_bits_of_the_whole_end(model, end):
+    """The extraction phase of a block of energies, held at the window
+    nodes only, is sqrt(b) e^{-i Phi} from phase_b and phase_integral
+    over all the end's nodes, energy by energy, bit for bit; so are the
+    window means of a profile."""
+    grid = RadialGrid(130.0, 0.02)
+    lams = [1.0, 1.05, 1.1]
+    r_lam = model.r_lambda(lams[0])
+    assert all(model.r_lambda(lam) == r_lam for lam in lams)
+    nodes, windows, factors = _phase_factors(model, grid, end, lams, r_lam)
+    all_nodes, r, all_windows = _extraction_windows(grid, end, r_lam)
+    assert len(windows) == len(all_windows) >= 2
+    u = np.exp(0.3j * grid.x) * (1.0 + 0.1 * grid.x)
+    for k, lam in enumerate(lams):
+        b = np.real(phase_b(model, end, lam, r, r_lam=r_lam))
+        phi = phase_integral(model, end, lam, r, r_lam=r_lam)
+        whole = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * phi)
+        held = np.isin(all_nodes, nodes)
+        assert np.array_equal(all_nodes[held], nodes)
+        assert whole[held].tobytes() == factors[k].tobytes()
+        want, _ = _averaged_limit(whole * u[all_nodes], all_windows, 1e-4)
+        got, _ = _averaged_limit(factors[k] * u[nodes], windows, 1e-4)
+        assert got == want
+
+
+@pytest.mark.parametrize("make,rmax,mmax,lams", [
+    # the middle energy is below the 1/8 threshold of B's hyperbolic end
+    (model_b, 60.0, 0, (0.6, 0.1, 0.7)),
+    # the middle energy closes the m = 1 channel of the flat ends
+    (model_free, 30.0, 1, (0.6, 0.3, 0.7)),
+    # no extraction window fits at the middle energy (needs rmax >= 128)
+    (model_c, 60.0, 0, (2.0, 0.3, 2.0)),
+], ids=["threshold", "closed", "window"])
+def test_sweep_raises_the_first_error_of_the_loop(make, rmax, mmax, lams):
+    """A refused energy in the middle of the list raises what the loop
+    of scattering_matrix calls raises first, with the same message."""
+    model, grid = make(), RadialGrid(rmax, 0.02)
+    with pytest.raises(ValueError) as loop:
+        for lam in lams:
+            scattering_matrix(model, grid, lam, mmax=mmax)
+    with pytest.raises(ValueError) as sweep:
+        scattering_sweep(model, grid, lams, mmax=mmax)
+    assert str(sweep.value) == str(loop.value)

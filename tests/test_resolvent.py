@@ -10,8 +10,9 @@ from ends_scatter.oracle import (closed_form_scattering, free_green,
 from ends_scatter.presets import model_a, model_b, model_c, model_d, model_free
 from ends_scatter import _clib, resolvent
 from ends_scatter.resolvent import (_GAUSS, _launch_data, _march,
-                                    _march_nodes, jost_pair,
-                                    limiting_resolvent, radiation_residual)
+                                    _march_nodes, jost_pair, jost_setups,
+                                    limiting_resolvent, march_pair,
+                                    radiation_residual)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +183,7 @@ def test_launch_outside_the_grid():
     (model_a(), 40.0, 0.02, 0, 0.6, 1.1),
 ], ids=["free", "A0", "A1", "B1", "C", "D", "A-pad"])
 def test_incoming_jost_pair_is_the_conjugate(model, rmax, dx, m, lam, pad):
-    """scattering_matrix builds the incoming pair as the conjugate of the
+    """scattering_sweep builds the incoming pair as the conjugate of the
     outgoing one; the marched sign -1 pair must equal it bit for bit."""
     op = ModeOperator(model, RadialGrid(rmax, dx), m)
     out = jost_pair(op, lam, +1, rmax_pad=pad)
@@ -190,6 +191,27 @@ def test_incoming_jost_pair_is_the_conjugate(model, rmax, dx, m, lam, pad):
     for name in ("u_left", "du_left", "u_right", "du_right"):
         assert np.array_equal(getattr(inc, name), np.conj(getattr(out, name)))
     assert inc.wronskian == out.wronskian.conjugate()
+
+
+@pytest.mark.parametrize("pad", [1.0, 1.1])
+def test_one_setup_serves_every_energy_and_mode(pad):
+    """Modes set up together share one array of march nodes, and a march
+    through a set-up is jost_pair's pair at each energy and sign, bit for
+    bit, in whatever order the energies come."""
+    model, grid = model_b(), RadialGrid(30.0, 0.02)
+    ops = [ModeOperator(model, grid, m) for m in (0, 1, 2)]
+    setups = jost_setups(ops, rmax_pad=pad)
+    assert all(s.nodes is setups[0].nodes for s in setups)
+    for lam, sign in ((0.9, +1), (0.45, -1), (0.6, +1)):
+        for op, setup in zip(ops, setups):
+            got = march_pair(setup, lam, sign)
+            want = jost_pair(op, lam, sign, rmax_pad=pad)
+            for name in ("u_left", "du_left", "u_right", "du_right"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.wronskian, got.wronskian_drift, got.r_lam) == (
+                want.wronskian, want.wronskian_drift, want.r_lam)
+    with pytest.raises(ValueError, match="share a model and a grid"):
+        jost_setups([ops[0], ModeOperator(model, RadialGrid(20.0, 0.02), 1)])
 
 
 def test_launch_inside_the_grid_is_refused():
