@@ -44,10 +44,10 @@ polynomial (the separated-phase technique of Candes, Demanet & Ying,
 SISC 29, 2007).  No C kernel is involved, so unlike the leading term a
 comparison state needs no compiler.  ``oracle.reference_comparison_state``
 is the node-by-node sum both are checked against.  Every interpolant here
-(amplitude, offset factor and the eikonal's run-in offset) uses the
-nested levels 9, 17, 33, ... of
-:func:`_lobatto_samples`, and falls back to exact sums when the levels
-run out.
+(the amplitude in r and in lam, the offset factor and the eikonal's run-in
+offset) is a :class:`_Lobatto`: nested levels 9, 17, 33, ... each checked
+against the next, exact sums once they run out, and the amplitude's lower
+levels read from one pass at 33 points per panel and 65 energies.
 
 Working set: every per-radius array of this layer is taken over blocks
 of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
@@ -206,6 +206,87 @@ def dynamics_grid(model: ManifoldModel, t: float, lam_hi: float,
             + 10.0)
     n = int(math.ceil((rmax - model.r0 / 2.0) / _DR))
     return np.linspace(model.r0 / 2.0, rmax, n + 1)
+
+
+# ---------------------------------------------------------------------------
+# nested Chebyshev-Lobatto levels
+# ---------------------------------------------------------------------------
+
+class _Lobatto:
+    """The nested Chebyshev-Lobatto levels n = 9, 17, 33, ... of [lo, hi]
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM
+    2013): level n is mid + half cos(pi i/(n-1)), i < n, and level 2n - 1
+    holds it at its even indices.  Every interpolant of this module is one."""
+
+    def __init__(self, lo: float, hi: float):
+        self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+    def points(self, n: int) -> np.ndarray:
+        return self.mid + self.half * np.cos(np.pi * np.arange(n) / (n - 1))
+
+    def basis(self, n: int, x: np.ndarray) -> np.ndarray:
+        """Lagrange basis of level n at the points x, one row per point
+        (barycentric form)."""
+        w = (-1.0) ** np.arange(n)
+        w[[0, -1]] *= 0.5
+        d = ((x - self.mid) / self.half)[:, None] - _Lobatto(-1.0, 1.0).points(n)
+        hit = d == 0.0
+        d[hit] = 1.0
+        basis = np.divide(w, d, out=d)
+        basis /= basis.sum(axis=1, keepdims=True)
+        rows = hit.any(axis=1)
+        basis[rows] = hit[rows]
+        return basis
+
+    def sample(self, fn: Callable, cap: int, tol: float,
+               finer: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        """Samples of ``fn`` (one row per point) at the first level that
+        reproduces fn at the points the next level adds (:meth:`_accepts`);
+        None once the next level would have ``cap`` points or more, or if
+        lo = hi.  Rows of ``finer``, samples at one level's points, are read
+        by stride for the points they hold.  A level and the points the
+        next one adds are the only arrays as large as the samples."""
+        def level(m, start, step):   # points start, start + step, ... of m
+            if finer is not None and (finer.shape[0] - 1) % (m - 1) == 0:
+                k = (finer.shape[0] - 1) // (m - 1)
+                return np.ascontiguousarray(finer[start * k::step * k])
+            return fn(self.points(m)[start::step].copy())
+
+        n = 9
+        if not (self.half > 0.0 and 2 * n - 1 < cap):
+            return None
+        vals = level(n, 0, 1)
+        while 2 * n - 1 < cap:
+            new = level(2 * n - 1, 1, 2)
+            if self._accepts(vals, new, tol):
+                return vals
+            merged = np.empty((2 * n - 1,) + vals.shape[1:], dtype=vals.dtype)
+            merged[0::2], merged[1::2] = vals, new
+            vals, n = merged, 2 * n - 1
+            del merged, new  # before the next level is sampled
+        return None
+
+    @staticmethod
+    def _accepts(vals: np.ndarray, new: np.ndarray, tol: float) -> bool:
+        """Whether max|basis @ vals - new| <= tol max|new| at the points
+        level 2n - 1 adds to the n of ``vals``, samples taken as columns:
+        the real basis times float views of them (half the flops of a
+        complex product), max|new| first, then the errors ``_RADII_BLOCK``
+        columns at a time up to the first block that fails; a NaN fails."""
+        unit, n = _Lobatto(-1.0, 1.0), vals.shape[0]
+        basis = unit.basis(n, unit.points(2 * n - 1)[1::2])
+        vals, new = vals.reshape(n, -1), new.reshape(n - 1, -1)
+        blocks = [slice(c0, c0 + _RADII_BLOCK)
+                  for c0 in range(0, new.shape[1], _RADII_BLOCK)]
+        bound = tol * np.max([np.max(np.abs(new[:, c])) for c in blocks],
+                             initial=0.0)
+        for c in blocks:
+            diff = basis @ vals[:, c].view(np.float64)
+            diff -= new[:, c].view(np.float64)
+            if not np.max(np.abs(diff.view(new.dtype))) <= bound:
+                return False
+            del diff  # before the next block's product
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +466,9 @@ def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
     from :func:`stationary_point`'s solve.
 
     The run-in integral, a 257-node trapezoid sum, is a smooth function of
-    lam alone: it is evaluated on nested Chebyshev-Lobatto levels in lam
-    over [min lam_c, max lam_c] and interpolated at lam_c by the
-    barycentric sum, ``_RADII_BLOCK`` radii at a time, a level being
-    accepted by the rule of :func:`_lobatto_samples` with ``_PHASE_TOL``.
+    lam alone: it is sampled on a level of :class:`_Lobatto` over
+    [min lam_c, max lam_c] accepted with ``_PHASE_TOL``, and interpolated
+    at lam_c by the barycentric sum, ``_RADII_BLOCK`` radii at a time.
     Once the next level would outnumber the radii or the 257 trapezoid
     nodes (a row of its basis would cost as much as the sum), the sum is
     taken at every radius, which is exact."""
@@ -410,18 +490,16 @@ def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
                 out[sl] = np.trapezoid(vals, nodes, axis=1)
             return out
 
-        mid, half = 0.5 * (lam.max() + lam.min()), 0.5 * (lam.max() - lam.min())
-        cap = min(lam.size, nodes.size) if half > 0.0 else 0
-        vals = _lobatto_samples(lambda y: run_in(mid + half * y), cap, _PHASE_TOL)
+        levels = _Lobatto(lam.min(), lam.max())
+        vals = levels.sample(run_in, min(lam.size, nodes.size), _PHASE_TOL)
         if vals is None:
             offs = run_in(lam)
         else:
-            y = (lam - mid) / half
             offs = np.empty(lam.size)
             for i0 in range(0, lam.size, _RADII_BLOCK):
                 rows = slice(i0, i0 + _RADII_BLOCK)
                 offs[rows] = np.einsum("ij,j->i",
-                                       _lobatto_basis(vals.size, y[rows]), vals)
+                                       levels.basis(vals.size, lam[rows]), vals)
         kf[msk] = sf.k1[msk] + offs
     sf.k_full = kf
     return sf
@@ -487,70 +565,6 @@ def frequency_nodes(model: ManifoldModel, h: SpectralProfile, t: float,
     return lam, h(lam) * wts
 
 
-def _lobatto_basis(n: int, y: np.ndarray) -> np.ndarray:
-    """Lagrange basis of the n Chebyshev-Lobatto points cos(pi i/(n-1)) at
-    the points y of [-1, 1], one row per point (barycentric form)."""
-    x = np.cos(np.pi * np.arange(n) / (n - 1))
-    w = (-1.0) ** np.arange(n)
-    w[[0, -1]] *= 0.5
-    d = y[:, None] - x[None, :]
-    hit = d == 0.0
-    d[hit] = 1.0
-    basis = np.divide(w, d, out=d)
-    basis /= basis.sum(axis=1, keepdims=True)
-    rows = hit.any(axis=1)
-    basis[rows] = hit[rows]
-    return basis
-
-
-def _lobatto_samples(fn: Callable, cap: int, tol: float) -> Optional[np.ndarray]:
-    """Samples of ``fn`` (one row per point y of [-1, 1]) at the n
-    Chebyshev-Lobatto points cos(pi i/(n-1)) of the first nested level
-    n = 9, 17, 33, ... that reproduces fn at the points the next level
-    adds, between its own, within ``tol`` of max|fn| there
-    (:func:`_reproduces`); None once the next level would have ``cap``
-    points or more.  The check runs over ``_RADII_BLOCK`` columns of the
-    samples at a time, so a level and the points the next one adds are the
-    only arrays as large as the samples."""
-    n = 9
-    if 2 * n - 1 >= cap:
-        return None
-    vals = fn(np.cos(np.pi * np.arange(n) / (n - 1)))
-    while 2 * n - 1 < cap:
-        y_new = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
-        new = fn(y_new)
-        if _reproduces(_lobatto_basis(n, y_new), vals, new, tol):
-            return vals
-        merged = np.empty((2 * n - 1,) + vals.shape[1:], dtype=vals.dtype)
-        merged[0::2], merged[1::2] = vals, new
-        vals, n = merged, 2 * n - 1
-        del merged, new  # before the next level is sampled
-    return None
-
-
-def _reproduces(basis: np.ndarray, vals: np.ndarray, new: np.ndarray,
-                tol: float) -> bool:
-    """Whether max|basis @ vals - new| <= tol max|new|, the samples taken
-    as columns (one column if they are a vector).  The real basis
-    multiplies float views of the samples (a complex column is two float
-    columns), half the flops of a complex product.  max|new| is taken
-    first, then the errors ``_RADII_BLOCK`` columns at a time up to the
-    first block that fails; a NaN fails."""
-    vals = vals.reshape(vals.shape[0], -1)
-    new = new.reshape(new.shape[0], -1)
-    blocks = [slice(c0, c0 + _RADII_BLOCK)
-              for c0 in range(0, new.shape[1], _RADII_BLOCK)]
-    bound = tol * np.max([np.max(np.abs(new[:, c])) for c in blocks],
-                         initial=0.0)
-    for c in blocks:
-        diff = basis @ vals[:, c].view(np.float64)
-        diff -= new[:, c].view(np.float64)
-        if not np.max(np.abs(diff.view(new.dtype))) <= bound:
-            return False
-        del diff  # before the next block's product
-    return True
-
-
 def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
                        b_lam: np.ndarray, wts: np.ndarray, sign: int):
     """sum_lam wts[lam, c] e^{i sign b_lam E(r)} for each column c of
@@ -565,13 +579,13 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
     e^{i sign b_lam E_a} times the offset factor e^{i sign b_lam s},
     s = E - E_a in [0, L], which is the carrier e^{i sign b_c s}, b_c the
     middle of the b range, times e^{i sign (b_lam - b_c) s}, a smooth
-    function of s.  That function is sampled once, on P Chebyshev-Lobatto
-    nodes of [0, L] (accepted by the rule of :func:`_lobatto_samples`
-    with ``_PHASE_TOL``, capped at the largest span's radius count), and
+    function of s.  That function is sampled once, on the P points of a
+    level of [0, L] (accepted by :meth:`_Lobatto.sample` with
+    ``_PHASE_TOL``, capped at the largest span's radius count), and
     these nodes serve every span: the lam contraction of a block's spans
     is one matrix product of their weighted coarse factors against P
-    columns, and each span restores its offsets by its Lagrange basis in
-    y = 2 s / L - 1 times the carrier.
+    columns, and each span restores its offsets by its Lagrange basis
+    times the carrier.
     Consecutive spans share one basis while their offsets agree with the
     first one's within b_max |delta s| <= 1e-12 rad (the spans of a
     uniform run), across blocks too.  Where the levels reach the cap, or
@@ -601,12 +615,9 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
     cuts = [e.size]
     while cuts[0] > 0:
         cuts.insert(0, int(np.searchsorted(e, e[cuts[0] - 1] - length)))
-    nodes = None
-    if length > 0.0:
-        nodes = _lobatto_samples(
-            lambda y: np.exp(1j * sign * np.outer(0.5 * length * (1.0 + y),
-                                                  b_lam - b_c)),
-            int(np.max(np.diff(cuts))), _PHASE_TOL)
+    offsets = _Lobatto(0.0, length)
+    nodes = offsets.sample(lambda s: np.exp(1j * sign * np.outer(s, b_lam - b_c)),
+                           int(np.max(np.diff(cuts))), _PHASE_TOL)
     if nodes is None:
         step = max(1, _BLOCK // n_lam)
         for i0 in range(0, e.size, step):
@@ -644,7 +655,7 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
                 ).reshape(n_col, -1)
             if j < g:
                 s_own, p = s, j
-                basis = (_lobatto_basis(nodes.shape[0], 2.0 * s / length - 1.0)
+                basis = (offsets.basis(nodes.shape[0], s)
                          * np.exp(1j * sign * b_c * s)[:, None]).T
         del prod
         yield order[cuts[a]:cuts[g]], sums
@@ -782,16 +793,6 @@ def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
     return out
 
 
-def _lookup(points: np.ndarray, values: np.ndarray, fn: Callable) -> Callable:
-    """A sampler that reads ``values`` at ``points`` and calls fn elsewhere."""
-    row = {y: i for i, y in enumerate(points)}
-
-    def sample(y):
-        idx = [row.get(v) for v in y]
-        return fn(y) if None in idx else values[idx]
-    return sample
-
-
 def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
                        sign: int) -> Tuple[np.ndarray, np.ndarray]:
     """A(lam, r) = (2 |lam - q1|)^{-1/4} e^{i sign psi_lam(r)} at accepted
@@ -799,10 +800,10 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
     Lagrange basis of the lam_j on the live lam nodes ``lam`` (ascending).
 
     Each panel of :func:`_panel_edges` that holds radii (in r on the
-    ramp, in log r beyond) takes the first level of
-    :func:`_lobatto_samples` that reproduces A within _AMP_TOL / 2 at the
-    65 Lobatto energies of the lam range, or its radii once the levels
-    outnumber them.  The lam levels are checked at the panels' nodes
+    ramp, in log r beyond) takes the first level of :class:`_Lobatto`
+    that reproduces A within _AMP_TOL / 2 at the 65 Lobatto energies of
+    the lam range, or its radii once the levels outnumber them.  The lam
+    levels are checked at the panels' nodes
     within _AMP_TOL / (2 L), L the largest Lebesgue constant of their
     levels, at most 2/pi log n + 1 for n Chebyshev points (Trefethen,
     ATAP, Thm 15.2), so that the two errors add up to at most _AMP_TOL,
@@ -812,49 +813,46 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
         return (np.exp(1j * sign * _psi(prof, r_lam, lam[0], lam_pts, rr))
                 / np.sqrt(np.sqrt(2.0 * np.abs(lam_pts[:, None] - prof.q1(rr)))))
 
-    mid, half = 0.5 * (lam[-1] + lam[0]), 0.5 * (lam[-1] - lam[0])
-    y65, y33 = (np.cos(np.pi * np.arange(n) / (n - 1)) for n in (65, 33))
-    rows = mid + half * y65
+    energies = _Lobatto(lam[0], lam[-1])
+    rows = energies.points(65)
     edges = _panel_edges(r_lam, float(np.max(r)))
     panel = np.searchsorted(edges, r) - 1          # r in (e_q, e_q+1]
     owned = np.unique(panel)
-    # a panel's coordinate: r on the ramp, log r beyond
+    # a panel's coordinate: r on the ramp, log r beyond, and its radii
     x = np.where(panel < _RAMP_PANELS, r, np.log(r))
     lo, hi = (np.where(owned < _RAMP_PANELS, e, np.log(e))
               for e in (edges[owned], edges[owned + 1]))
-
-    def at(i, y):
-        xi = 0.5 * (hi[i] + lo[i]) + 0.5 * (hi[i] - lo[i]) * y
-        return xi if owned[i] < _RAMP_PANELS else np.exp(xi)
-
+    spans = [_Lobatto(a, b) for a, b in zip(lo, hi)]
+    radii = [np.asarray if q < _RAMP_PANELS else np.exp for q in owned]
     # the levels up to 17 read one pass over the 33 points of every panel
-    pre = amplitude(rows, np.concatenate([at(i, y33) for i in range(owned.size)]))
+    pre = amplitude(rows, np.concatenate([to_r(span.points(33))
+                                          for to_r, span in zip(radii, spans)]))
     pre = pre.T.reshape(owned.size, 33, rows.size)
 
     panels, nodes, table, lebesgue = [], [], [], 1.0
     for i, q in enumerate(owned):
         cols = np.flatnonzero(panel == q)
-        vals = _lobatto_samples(
-            _lookup(y33, pre[i], lambda y, i=i: amplitude(rows, at(i, y)).T.copy()),
-            cols.size, 0.5 * _AMP_TOL)
+        vals = spans[i].sample(
+            lambda xi, to_r=radii[i]: amplitude(rows, to_r(xi)).T.copy(),
+            cols.size, 0.5 * _AMP_TOL, finer=pre[i])
         n = None if vals is None else vals.shape[0]
         panels.append((cols, n))
         if n is None:
             nodes.append(r[cols])
             table.append(amplitude(rows, r[cols]))
         else:
-            nodes.append(at(i, np.cos(np.pi * np.arange(n) / (n - 1))))
+            nodes.append(radii[i](spans[i].points(n)))
             table.append(vals.T)
             lebesgue = max(lebesgue, 2.0 / np.pi * math.log(n) + 1.0)
+    # the lam levels up to 33 read the panels' samples at the 65 energies
     nodes, table = np.concatenate(nodes), np.concatenate(table, axis=1)
-    samples = _lobatto_samples(
-        _lookup(y65, table, lambda y: amplitude(mid + half * y, nodes)),
-        lam.size, 0.5 * _AMP_TOL / lebesgue)
+    samples = energies.sample(lambda lam_pts: amplitude(lam_pts, nodes),
+                              lam.size, 0.5 * _AMP_TOL / lebesgue, finer=table)
     del pre, table
     if samples is None:
         samples, basis = amplitude(lam, nodes), np.eye(lam.size)
     else:
-        basis = _lobatto_basis(samples.shape[0], (lam - mid) / half)
+        basis = energies.basis(samples.shape[0], lam)
 
     amp = np.empty((samples.shape[0], r.size), dtype=complex)
     start = 0
@@ -866,8 +864,7 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
         if n is None:
             amp[:, cols] = own
         else:   # one real product: the basis times the (re, im) pairs of own.T
-            y = (2.0 * x[cols] - (hi[i] + lo[i])) / (hi[i] - lo[i])
-            amp[:, cols] = (_lobatto_basis(n, y)
+            amp[:, cols] = (spans[i].basis(n, x[cols])
                             @ own.T.copy().view(np.float64)).view(complex).T
     return amp, basis
 

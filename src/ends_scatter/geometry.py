@@ -647,7 +647,9 @@ def integral_from_r0(model: ManifoldModel, r: np.ndarray,
     them; leading axes (a block of energies, say) are integrated
     independently and kept in the result."""
     pts = np.concatenate((r, [model.r0]))
-    rr = np.unique(pts)
+    # sorted, without repeats (np.unique would import numpy.ma)
+    rr = np.sort(pts)
+    rr = rr[np.concatenate(([True], rr[1:] != rr[:-1]))]
     vals = cumulative_trapezoid(fn(rr), rr)[..., np.searchsorted(rr, pts)]
     return vals[..., :-1] - vals[..., -1:]
 

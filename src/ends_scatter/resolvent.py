@@ -15,8 +15,7 @@ it has unit determinant and the Wronskian of the pair is conserved to
 roundoff.  One pass of the compiled kernel ``jost_march`` (``_jost.c``)
 forms the matrices and marches both solutions, one cell after the other,
 writing (u, u') at the grid nodes only.  Breakpoints of the potential
-that fall between grid nodes split their cell; a launch radius beyond
-the grid is reached in steps <= dx.
+that fall between grid nodes split their cell.
 
 Nothing of the march but its launch data depends on the energy, so the
 work splits in two.  :func:`jost_setups` builds, once per mode, the march
@@ -79,24 +78,16 @@ def _wronskian_profile(f: np.ndarray, df: np.ndarray, g: np.ndarray,
 _GAUSS = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 
 
-def _march_nodes(model: ManifoldModel, grid: RadialGrid,
-                 r_launch: float) -> Tuple[np.ndarray, np.ndarray]:
+def _march_nodes(model: ManifoldModel,
+                 grid: RadialGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes of the Jost marches and the positions of the grid nodes among
-    them.  The grid is extended to +-r_launch in steps <= dx, and every
-    breakpoint that falls strictly between two nodes becomes a node, so
-    no Gauss cell straddles a jump of the potential."""
+    them: the grid nodes, and every breakpoint that falls strictly between
+    two of them, so no Gauss cell straddles a jump of the potential."""
     x = grid.x
-    pad = r_launch - grid.rmax
-    if pad > 0.0:
-        k = int(np.ceil(pad / grid.dx * (1.0 - 1e-12)))
-        ext = grid.rmax + pad * np.arange(1, k + 1) / k
-        nodes = np.concatenate((-ext[::-1], x, ext))
-    else:
-        nodes = x
     brk = model.breakpoints()
-    brk = brk[np.abs(brk) < r_launch]
-    gap = np.min(np.abs(brk[:, None] - nodes[None, :]), axis=1)
-    nodes = np.sort(np.concatenate((nodes, brk[gap > 1e-9 * grid.dx])))
+    brk = brk[np.abs(brk) < grid.rmax]
+    gap = np.min(np.abs(brk[:, None] - x[None, :]), axis=1)
+    nodes = np.sort(np.concatenate((x, brk[gap > 1e-9 * grid.dx])))
     return nodes, np.searchsorted(nodes, x)
 
 
@@ -156,30 +147,22 @@ class JostSetup:
     w_launch: np.ndarray
 
 
-def jost_setups(ops: Sequence[ModeOperator],
-                rmax_pad: float = 1.0) -> List[JostSetup]:
+def jost_setups(ops: Sequence[ModeOperator]) -> List[JostSetup]:
     """The energy-independent part of the Jost marches of each operator
     in ``ops``, all on one model and one grid: the march nodes, built
     once and shared, and each mode's W_m at their Gauss nodes and at the
-    launch radii.
-
-    The launch radius is ``rmax_pad * rmax``, on the grid end or beyond
-    it: rmax_pad below 1 raises ValueError.
+    launch radii, the grid ends.
     """
-    if not rmax_pad >= 1.0:
-        raise ValueError(f"rmax_pad={rmax_pad!r} must be at least 1: the "
-                         "march starts at the grid ends or beyond them")
     if not ops:
         return []
     model, grid = ops[0].model, ops[0].grid
     if any(op.model is not model or op.grid != grid for op in ops):
         raise ValueError("the operators of one set-up share a model and a grid")
-    r_launch = rmax_pad * grid.rmax
-    nodes, on_grid = _march_nodes(model, grid, r_launch)
+    nodes, on_grid = _march_nodes(model, grid)
     xs = (nodes[:-1, None] + np.diff(nodes)[:, None] * _GAUSS).ravel()
-    return [JostSetup(op, r_launch, nodes, on_grid,
+    return [JostSetup(op, grid.rmax, nodes, on_grid,
                       model.w_mode(op.m, xs).reshape(-1, 2),
-                      model.w_mode(op.m, np.array([r_launch, -r_launch])))
+                      model.w_mode(op.m, np.array([grid.rmax, -grid.rmax])))
             for op in ops]
 
 
@@ -223,8 +206,7 @@ def march_pair(setup: JostSetup, lam: float, sign: int = +1) -> JostPair:
     return JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam, w0, drift)
 
 
-def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
-              rmax_pad: float = 1.0) -> JostPair:
+def jost_pair(op: ModeOperator, lam: float, sign: int = +1) -> JostPair:
     """Construct the Jost pair at energy lam (> both thresholds): the
     set-up of :func:`jost_setups` and one :func:`march_pair`, which
     raise as documented there.
@@ -246,7 +228,7 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1,
     its own solution's factor, and the Green kernel's u_< u_> by c_l c_r,
     so S, F^+ and R(lam + i0) do not depend on it.
     """
-    return march_pair(jost_setups([op], rmax_pad)[0], lam, sign)
+    return march_pair(jost_setups([op])[0], lam, sign)
 
 
 def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,

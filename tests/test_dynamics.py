@@ -565,18 +565,44 @@ def test_level_check_decides_as_the_complex_moduli(kind):
         x = np.cos(np.pi * np.arange(n) / (n - 1))
         y = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
         vals, new = fn(x), fn(y)
-        err = np.max(np.abs(dynamics._lobatto_basis(n, y).astype(complex)
+        err = np.max(np.abs(dynamics._Lobatto(-1.0, 1.0).basis(n, y).astype(complex)
                             @ vals - new))
         want = bool(err <= tol * np.max(np.abs(new)))
         assert want == accept
-        basis = dynamics._lobatto_basis(n, y)
         for scale in (1.0, 2.0**600, 2.0**-600):
-            assert dynamics._reproduces(basis, scale * vals, scale * new,
-                                        tol) is want
+            assert dynamics._Lobatto._accepts(scale * vals, scale * new,
+                                              tol) is want
         for bad in (vals, new):
             bad[-1, -1] = np.nan
-            assert not dynamics._reproduces(basis, vals, new, 1.0)
+            assert not dynamics._Lobatto._accepts(vals, new, 1.0)
             bad[-1, -1] = 0.0
+
+
+def test_levels_read_from_a_finer_level_and_stop_at_the_cap():
+    """Samples read by stride from a finer level's accept the level and
+    the values that sampling from scratch accepts, without calling the
+    function; no level is accepted once the next one would reach the
+    cap, nor on an interval of one point."""
+    levels = dynamics._Lobatto(0.3, 2.0)
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.exp(5j * x)[:, None] * np.array([1.0, -2.0, 0.5j])
+
+    scratch = levels.sample(fn, 1000, 1e-12)
+    assert scratch.shape == (33, 3) and calls == [9, 8, 16, 32]
+    finer = fn(levels.points(65))
+    calls.clear()
+    read = levels.sample(fn, 1000, 1e-12, finer=finer)
+    assert calls == [] and np.array_equal(read, scratch)
+    # 33 points hold the levels up to 17; the next ones are sampled
+    read = levels.sample(fn, 1000, 1e-12, finer=finer[::2])
+    assert calls == [32] and np.array_equal(read, scratch)
+    for known in (None, finer):
+        assert levels.sample(fn, 65, 1e-12, finer=known) is None
+        assert np.array_equal(levels.sample(fn, 66, 1e-12, finer=known), scratch)
+    assert dynamics._Lobatto(1.0, 1.0).sample(fn, 1000, 1.0) is None
 
 
 def test_dynamics_grid_holds_the_front():
@@ -599,15 +625,15 @@ def test_radius_blocks_do_not_change_the_states(monkeypatch, preset):
     level."""
     model = {"A": model_a, "C": model_c}[preset]()
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
-    samples = dynamics._lobatto_samples
+    sample = dynamics._Lobatto.sample
     levels = []
 
-    def recorded(fn, cap, tol):
-        vals = samples(fn, cap, tol)
+    def recorded(self, fn, cap, tol, finer=None):
+        vals = sample(self, fn, cap, tol, finer)
         levels[-1].append(None if vals is None else vals.shape)
         return vals
 
-    monkeypatch.setattr(dynamics, "_lobatto_samples", recorded)
+    monkeypatch.setattr(dynamics._Lobatto, "sample", recorded)
     runs = []
     for block in (7, 10**9):
         monkeypatch.setattr(dynamics, "_RADII_BLOCK", block)
@@ -700,12 +726,13 @@ def test_phase_modifier_scales_with_momentum():
 def test_phase_modifier_dollard_class():
     """The slowly decaying tail needs the Dollard modifier: the
     short-range one diverges (and must say so), the Dollard one is
-    finite and frozen against an adaptive-quadrature evaluation."""
+    finite and frozen at scipy.integrate.quad's value of the same
+    integral (in r to 1e6 in pieces, then in log r)."""
     model = model_c()
     with pytest.raises(ValueError):
         phase_modifier(model, 0, 0.55, "sr")
     val = phase_modifier(model, 0, 0.55, "do")
-    assert abs(val - 8.309085435602903) < 1e-5
+    assert abs(val - 8.309086309625387) < 1e-12
     # the tail-free end of the same model is short-range
     assert np.isfinite(phase_modifier(model, 1, 0.55, "sr"))
 

@@ -9,9 +9,10 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel,
                                    _bump_piece, bump, classify_potential,
-                                   cumulative_trapezoid, eta, numeric_derivative,
-                                   phase_a, phase_b, phase_integral,
-                                   riccati_residual, smooth_step)
+                                   cumulative_trapezoid, eta, integral_from_r0,
+                                   numeric_derivative, phase_a, phase_b,
+                                   phase_integral, riccati_residual,
+                                   smooth_step)
 from ends_scatter.presets import (_CATALOGUE, model_a, model_b, model_c,
                                   model_d, model_free)
 
@@ -233,6 +234,30 @@ def test_cumulative_trapezoid_is_scipys_bit_for_bit(rng):
     y1 = rng.standard_normal(64)
     assert np.array_equal(cumulative_trapezoid(y1, x),
                           scipy_cumulative_trapezoid(y1, x, initial=0))
+
+
+@pytest.mark.parametrize("r0_among_them", [True, False])
+def test_integral_from_r0_is_the_unique_form_bit_for_bit(rng, r0_among_them):
+    """integral_from_r0 drops repeated nodes by a neighbour comparison
+    after sorting: on radii with duplicates, with r0 among them (and
+    repeated) or below all of them, that is the np.unique form bit for
+    bit, for one row and for a block of rows."""
+    model = model_c()
+    lo = 0.5 * model.r0 if r0_among_them else 2.0 * model.r0
+    base = rng.uniform(lo, 30.0, 40)
+    r = np.concatenate((base, base[:10], np.full(3, base[3])))
+    if r0_among_them:
+        r = np.concatenate((r, [model.r0, model.r0]))
+    r = rng.permutation(r)
+
+    def unique_form(fn):
+        pts = np.concatenate((r, [model.r0]))
+        rr = np.unique(pts)
+        vals = cumulative_trapezoid(fn(rr), rr)[..., np.searchsorted(rr, pts)]
+        return vals[..., :-1] - vals[..., -1:]
+
+    for fn in (np.sqrt, lambda s: np.outer([1.0, -2.0, 0.5], np.cos(s))):
+        assert integral_from_r0(model, r, fn).tobytes() == unique_form(fn).tobytes()
 
 
 # ---------------------------------------------------------------------------

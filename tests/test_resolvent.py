@@ -154,74 +154,44 @@ def test_breakpoint_between_nodes_splits_its_cell():
     assert np.max(np.abs(np.abs(sd.blocks[0]) - oc["s_abs"])) <= 1e-4
 
 
-def test_launch_outside_the_grid():
-    """rmax_pad > 1 marches the launch data onto the grid first."""
-    model = model_a()
-    grid = RadialGrid(40.0, 0.02)
-    op = ModeOperator(model, grid, 0)
-    lam = 0.6
-    pair = jost_pair(op, lam, rmax_pad=1.1)
-    assert pair.wronskian_drift <= 1e-12
-    r_launch = 1.1 * grid.rmax
-    y0 = _launch_data(model, 0, lam, +1, r_launch, pair.r_lam)
-    ru, rdu = reference_march(model, 0, lam, [r_launch, grid.rmax], y0)
-    assert abs(pair.u_right[-1] - ru[-1]) <= 1e-8 * abs(ru[-1])
-    assert abs(pair.du_right[-1] - rdu[-1]) <= 1e-8 * abs(rdu[-1])
-    psi = np.exp(-(grid.x - 1.0) ** 2).astype(complex)
-    _, diag = limiting_resolvent(op, lam, psi, pair=pair)
-    assert diag["interior_residual"] < 1e-5
-
-
-@pytest.mark.parametrize("model,rmax,dx,m,lam,pad", [
-    (model_free(), 60.0, 0.01, 0, 0.5, 1.0),
-    (model_a(), 60.0, 0.01, 0, 0.5, 1.0),
-    (model_a(), 60.0, 0.01, 1, 0.8, 1.0),
-    (model_b(), 120.0, 0.01, 1, 0.6, 1.0),
-    (model_c(), 60.0, 0.01, 0, 1.5, 1.0),
+@pytest.mark.parametrize("model,rmax,dx,m,lam", [
+    (model_free(), 60.0, 0.01, 0, 0.5),
+    (model_a(), 60.0, 0.01, 0, 0.5),
+    (model_a(), 60.0, 0.01, 1, 0.8),
+    (model_b(), 120.0, 0.01, 1, 0.6),
+    (model_c(), 60.0, 0.01, 0, 1.5),
     # barrier edges mid-cell: the breakpoints split their cells
-    (model_d(half_width=0.995), 60.0, 0.01, 0, 0.9, 1.0),
-    (model_a(), 40.0, 0.02, 0, 0.6, 1.1),
-], ids=["free", "A0", "A1", "B1", "C", "D", "A-pad"])
-def test_incoming_jost_pair_is_the_conjugate(model, rmax, dx, m, lam, pad):
+    (model_d(half_width=0.995), 60.0, 0.01, 0, 0.9),
+], ids=["free", "A0", "A1", "B1", "C", "D"])
+def test_incoming_jost_pair_is_the_conjugate(model, rmax, dx, m, lam):
     """scattering_sweep builds the incoming pair as the conjugate of the
     outgoing one; the marched sign -1 pair must equal it bit for bit."""
     op = ModeOperator(model, RadialGrid(rmax, dx), m)
-    out = jost_pair(op, lam, +1, rmax_pad=pad)
-    inc = jost_pair(op, lam, -1, rmax_pad=pad)
+    out = jost_pair(op, lam, +1)
+    inc = jost_pair(op, lam, -1)
     for name in ("u_left", "du_left", "u_right", "du_right"):
         assert np.array_equal(getattr(inc, name), np.conj(getattr(out, name)))
     assert inc.wronskian == out.wronskian.conjugate()
 
 
-@pytest.mark.parametrize("pad", [1.0, 1.1])
-def test_one_setup_serves_every_energy_and_mode(pad):
+def test_one_setup_serves_every_energy_and_mode():
     """Modes set up together share one array of march nodes, and a march
     through a set-up is jost_pair's pair at each energy and sign, bit for
     bit, in whatever order the energies come."""
     model, grid = model_b(), RadialGrid(30.0, 0.02)
     ops = [ModeOperator(model, grid, m) for m in (0, 1, 2)]
-    setups = jost_setups(ops, rmax_pad=pad)
+    setups = jost_setups(ops)
     assert all(s.nodes is setups[0].nodes for s in setups)
     for lam, sign in ((0.9, +1), (0.45, -1), (0.6, +1)):
         for op, setup in zip(ops, setups):
             got = march_pair(setup, lam, sign)
-            want = jost_pair(op, lam, sign, rmax_pad=pad)
+            want = jost_pair(op, lam, sign)
             for name in ("u_left", "du_left", "u_right", "du_right"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert (got.wronskian, got.wronskian_drift, got.r_lam) == (
                 want.wronskian, want.wronskian_drift, want.r_lam)
     with pytest.raises(ValueError, match="share a model and a grid"):
         jost_setups([ops[0], ModeOperator(model, RadialGrid(20.0, 0.02), 1)])
-
-
-def test_launch_inside_the_grid_is_refused():
-    """The march starts at the grid ends or beyond them, so a launch
-    radius inside the grid is an error, not launch data taken at one
-    radius and marched from another."""
-    op = ModeOperator(model_a(), RadialGrid(20.0, 0.05), 0)
-    for pad in (0.5, 0.999, float("nan")):
-        with pytest.raises(ValueError, match="rmax_pad"):
-            jost_pair(op, 0.6, rmax_pad=pad)
 
 
 def _magnus_reference(nodes, w, lam, launch, on_grid):
@@ -279,7 +249,7 @@ def test_compiled_march_is_the_sequential_product(model, rmax, m, lam, cells,
     at every grid node of both Jost solutions."""
     op = ModeOperator(model, RadialGrid(rmax, 0.01), m)
     pair = jost_pair(op, lam, sign)
-    nodes, on_grid = _march_nodes(model, op.grid, op.grid.rmax)
+    nodes, on_grid = _march_nodes(model, op.grid)
     assert nodes.size - 1 == cells
     h = np.diff(nodes)
     w = model.w_mode(m, (nodes[:-1, None] + h[:, None] * _GAUSS).ravel())
