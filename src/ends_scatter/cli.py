@@ -17,7 +17,8 @@ error (``resolvent``, ``smatrix`` and ``transmission`` also refuse, before
 any march, a grid that ``ModeOperator.check_resolution`` finds too coarse
 for the run's largest energy; ``dynamics`` and ``transmission`` refuse an
 empty time ladder and ``waveop`` one of fewer than two times), 3 numerical
-non-convergence.
+non-convergence: the exit code of every report is 0 if its ``converged``
+is true and 3 otherwise.
 
 Determinism: identical config and flags produce byte-identical output.
 All numerics are seed-free; iteration orders are fixed; floats are
@@ -179,7 +180,7 @@ def _packet(grid: RadialGrid, center: float, width: float,
 
 
 # ---------------------------------------------------------------------------
-# subcommands (each returns (exit_code, report))
+# subcommands (each returns its report; main sets the exit code)
 # ---------------------------------------------------------------------------
 
 def _cmd_model_check(cfg: ExperimentConfig, args, out_dir):
@@ -206,7 +207,7 @@ def _cmd_model_check(cfg: ExperimentConfig, args, out_dir):
         "potential_range": [float(np.min(model.q(x))), float(np.max(model.q(x)))],
         "converged": True,
     }
-    return EXIT_OK, report
+    return report
 
 
 def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
@@ -238,7 +239,7 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
              for e in entries)
     report = {"mode": run.mode, "lambdas": lams, "points": entries,
               "worst_residual": worst, "converged": bool(ok)}
-    return (EXIT_OK if ok else EXIT_NONCONV), report
+    return report
 
 
 def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
@@ -268,7 +269,7 @@ def _cmd_smatrix(cfg: ExperimentConfig, args, out_dir):
     report = {"lambdas": lams, "mmax": cfg.grid.mmax, "points": entries,
               "worst_unitarity_defect": worst, "tol_s": run.tol_s,
               "converged": bool(ok)}
-    return (EXIT_OK if ok else EXIT_NONCONV), report
+    return report
 
 
 def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
@@ -297,7 +298,7 @@ def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
               "leading_vs_comparison": state_norm(r, u0 - u_cmp),
               "worst_stationary_residual": worst_resid,
               "converged": resid_ok}
-    return (EXIT_OK if resid_ok else EXIT_NONCONV), report
+    return report
 
 
 def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
@@ -315,7 +316,7 @@ def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
     report = {"t_grid": list(run.t_grid), "increments": rep["increments"],
               "tol_w": run.tol_w, "dynamics": rep["dynamics"],
               "converged": rep["converged"]}
-    return (EXIT_OK if rep["converged"] else EXIT_NONCONV), report
+    return report
 
 
 def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
@@ -358,7 +359,7 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
         "converged": (rep["verdict"] == "nonzero" and sig_min > 0.0 and unitary
                       and stable),
     }
-    return (EXIT_OK if report["converged"] else EXIT_NONCONV), report
+    return report
 
 
 def _cmd_oracle(cfg: ExperimentConfig, args, out_dir):
@@ -378,7 +379,7 @@ def _cmd_oracle(cfg: ExperimentConfig, args, out_dir):
     report = {"kind": args.kind, "v0": args.v0, "half_width": args.half_width,
               "points": entries, "worst_flux_defect": worst,
               "tol_s": run.tol_s, "converged": ok}
-    return (EXIT_OK if ok else EXIT_NONCONV), report
+    return report
 
 
 _COMMANDS = {
@@ -463,7 +464,7 @@ def main(argv: Optional[list] = None) -> int:
         return _fail(out_dir, args.command, exc, EXIT_CONFIG)
 
     try:
-        code, report = _COMMANDS[args.command](cfg, args, out_dir)
+        report = _COMMANDS[args.command](cfg, args, out_dir)
     except ConfigError as exc:
         return _fail(out_dir, args.command, exc, EXIT_CONFIG)
     except (ValueError, RuntimeError) as exc:
@@ -473,7 +474,7 @@ def main(argv: Optional[list] = None) -> int:
     report["command"] = args.command
     path = _write_json(out_dir, args.command, report)
     print(path)
-    return code
+    return EXIT_OK if report["converged"] else EXIT_NONCONV
 
 
 if __name__ == "__main__":

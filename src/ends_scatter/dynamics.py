@@ -32,16 +32,16 @@ Chebyshev-Lobatto nodes of [0, L] interpolate (Trefethen, Approximation
 Theory and Approximation Practice, SIAM 2013), and the same nodes serve
 every span.  A sum over lam with any weights then becomes one complex
 matrix product against those few nodes and, per span, a small product
-that restores its offsets.  On an end with constant q1 (separable)
-psi = 0 and one such sum with the weights
-h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam} is the whole state.  On
-other ends the amplitude (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is
-smooth in lam and in r; it is
-interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
+that restores its offsets.  The amplitude
+(2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam and in r; it
+is interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
 the levels chosen by a-posteriori checks, and the state is the sum over j
-of A(lam_j, r) times the span sum weighted by the j-th Lagrange
-polynomial (the separated-phase technique of Candes, Demanet & Ying,
-SISC 29, 2007).  No C kernel is involved, so unlike the leading term a
+of A(lam_j, r) times the span sum weighted by h(lam) e^{-+ i t lam} and
+the j-th Lagrange polynomial (the separated-phase technique of Candes,
+Demanet & Ying, SISC 29, 2007).  On a tail-free end (constant q1) psi = 0
+and the amplitude does not depend on r: the same sum in its rank-one
+case, one factor 1 and the weight column h(lam) (2|lam - q1|)^{-1/4}
+e^{-+ i t lam}.  No C kernel is involved, so unlike the leading term a
 comparison state needs no compiler.  ``oracle.reference_comparison_state``
 is the node-by-node sum both are checked against.  Every interpolant here
 (the amplitude in r and in lam, the offset factor and the eikonal's run-in
@@ -114,9 +114,9 @@ _RADII_BLOCK = 1024
 # together, relative to its largest modulus
 _AMP_TOL = 1e-11
 # the same for the interpolants of phases: the plane-wave offset factor of
-# _plane_wave_sums and the run-in offset of eikonal
+# _plane_wave_blocks and the run-in offset of eikonal
 _PHASE_TOL = 1e-14
-# phase budget (b_max - b_min) L of one span of _plane_wave_sums
+# phase budget (b_max - b_min) L of one span of _plane_wave_blocks
 _BLOCK_PHASE = 16.0
 # spacing of the default radial grid and the front allowance of
 # dynamics_grid (the fastest energy of the window travels _PAD t v)
@@ -368,7 +368,8 @@ def _cone(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
         k = int(np.argmax(flags)) if flags.any() else flags.size
         return k if flags[k:].all() else None
 
-    radii = np.unique(rs)
+    radii = np.sort(rs)
+    radii = radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
     stride = max(1, math.isqrt(radii.size))
     probe = np.append(np.arange(0, radii.size - 1, stride), radii.size - 1)
     k = edge(inside(radii[probe]))
@@ -437,7 +438,9 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
         if rs2.size:
             start = np.maximum(lam0 + (rs2 - r1) ** 2 / (2.0 * t**2), lam_lo)
             # the first index of each distinct radius, in increasing order
-            _, first = np.unique(rs2, return_index=True)
+            order = np.argsort(rs2, kind="stable")
+            srt = rs2[order]
+            first = order[np.concatenate(([True], srt[1:] != srt[:-1]))]
             if first.size >= _SEED_MIN_CONE:
                 sub = np.append(first[:-1:_SEED_STRIDE], first[-1])
                 lam_s, *_, passes = _solve(model, end, rs2[sub], r1, t,
@@ -662,17 +665,6 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
         a = g
 
 
-def _plane_wave_sums(r: np.ndarray, eta_r: np.ndarray, e_of_r: np.ndarray,
-                     b_lam: np.ndarray, wts: np.ndarray, sign: int) -> np.ndarray:
-    """The sums of :func:`_plane_wave_blocks` at every radius r, one row
-    per column of ``wts``; the radii with eta_lambda = 0 are left at 0."""
-    out = np.zeros((wts.shape[1], r.size), dtype=complex)
-    live = np.flatnonzero(eta_r > 0.0)
-    for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
-        out[:, live[k]] = sums
-    return out
-
-
 @_clib.one_blas_thread()
 def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
                      r: Optional[np.ndarray] = None,
@@ -683,12 +675,14 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
 
     The phase is split as Phi_lam(r) = b_lam E(r) + psi_lam(r), both
     taken at each radius on its own (:func:`_cutoff_length`,
-    :func:`_psi`).  On a tail-free end (A = 0) psi = 0 and the amplitude
-    does not depend on r: one weight column.  Otherwise the amplitude
-    A(lam, r) = (2|lam - q1|)^{-1/4} e^{+-i psi_lam(r)} is interpolated
-    within ``_AMP_TOL`` of max|A| on fixed panels in r and in lam, or
-    taken at the radii or lam nodes themselves where the levels run out
-    (:func:`_amplitude_factors`).  Other radii reach the value at a
+    :func:`_psi`).  The amplitude A(lam, r) = (2|lam - q1|)^{-1/4}
+    e^{+-i psi_lam(r)} is interpolated within ``_AMP_TOL`` of max|A| on
+    fixed panels in r and in lam, or taken at the radii or lam nodes
+    themselves where the levels run out (:func:`_amplitude_factors`); on
+    a tail-free end (A = 0) psi = 0 and its factors are rank one.  The
+    weights of a factor are (h times its lam basis) times e^{-+ i t lam},
+    in that order, and the factors at the radii contract the plane-wave
+    sums of those weights.  Other radii reach the value at a
     radius only through the largest (which sizes the lam grid and the
     panels) and the levels accepted: keeping every 50th radius of the
     dynamics grid moves the state by <= 5e-13 of its largest value on
@@ -709,20 +703,15 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     e_t = np.exp(-1j * sign * t * lam)
     e_of_r = _cutoff_length(r, r_lam)
 
-    # no tail: q1 = lam0, so psi = 0 and the amplitude depends on lam only
     out = np.zeros(r.shape, dtype=complex)
-    if prof.tail_amplitude == 0.0:
-        g = hv * (2.0 * np.abs(lam - lam0)) ** -0.25 * e_t
-        out = _plane_wave_sums(r, eta_r, e_of_r, b_lam, g[:, None], sign)[0]
-    elif lam.size and np.any(eta_r > 0.0):
+    if lam.size and np.any(eta_r > 0.0):
         live = np.flatnonzero(eta_r > 0.0)
         amp, basis = _amplitude_factors(prof, r_lam, lam, r[live], sign)
         step = max(1, _BLOCK // r.size)
         for c0 in range(0, amp.shape[0], step):
             c = slice(c0, c0 + step)
-            for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam,
-                                              (hv * e_t)[:, None] * basis[:, c],
-                                              sign):
+            wts = hv[:, None] * basis[:, c] * e_t[:, None]
+            for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
                 out[live[k]] += np.einsum("jr,jr->r", amp[c, k], sums)
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out
@@ -808,7 +797,13 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
     levels, at most 2/pi log n + 1 for n Chebyshev points (Trefethen,
     ATAP, Thm 15.2), so that the two errors add up to at most _AMP_TOL,
     or the lam nodes are used.  A panel's samples reach its radii by one
-    real barycentric product."""
+    real barycentric product.  On a tail-free end psi = 0 and A does not
+    depend on r: the factors are rank one, a row of ones over the radii
+    and the column (2 |lam - lam0|)^{-1/4} as the basis."""
+    if prof.tail_amplitude == 0.0:
+        return (np.ones((1, r.size), dtype=complex),
+                (2.0 * np.abs(lam - prof.lambda0))[:, None] ** -0.25)
+
     def amplitude(lam_pts, rr):
         return (np.exp(1j * sign * _psi(prof, r_lam, lam[0], lam_pts, rr))
                 / np.sqrt(np.sqrt(2.0 * np.abs(lam_pts[:, None] - prof.q1(rr)))))
@@ -817,7 +812,7 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
     rows = energies.points(65)
     edges = _panel_edges(r_lam, float(np.max(r)))
     panel = np.searchsorted(edges, r) - 1          # r in (e_q, e_q+1]
-    owned = np.unique(panel)
+    owned = np.flatnonzero(np.bincount(panel))
     # a panel's coordinate: r on the ramp, log r beyond, and its radii
     x = np.where(panel < _RAMP_PANELS, r, np.log(r))
     lo, hi = (np.where(owned < _RAMP_PANELS, e, np.log(e))

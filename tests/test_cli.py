@@ -12,9 +12,14 @@ from ends_scatter.presets import _CATALOGUE, model_a
 
 
 def run(args, tmp_path, name):
+    """Run the CLI and read its report.  A report that holds no error
+    exits 0 when converged and 3 when not: the one exit-code rule."""
     code = main(args + ["--out", str(tmp_path)])
     with open(tmp_path / f"{name}.json") as fh:
-        return code, json.load(fh)
+        rep = json.load(fh)
+    if "error" not in rep:
+        assert code == (0 if rep["converged"] else 3)
+    return code, rep
 
 
 def test_model_check_reports_thresholds(tmp_path):

@@ -16,7 +16,7 @@ from ends_scatter.dynamics import (SpectralProfile, comparison_state,
 from ends_scatter.geometry import EndProfile, ManifoldModel, eta
 from ends_scatter.mode_reduction import RadialGrid
 from ends_scatter.oracle import reference_comparison_state
-from ends_scatter.presets import model_a, model_c
+from ends_scatter.presets import _CATALOGUE, model_a, model_c
 
 # a silent inf or NaN in a quadrature or series fails the suite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -272,7 +272,8 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
     radii as the run's, and the basis must not be reused across the
     change.  'one lam' has a single lam node (b_max = b_min, so one span
     over the whole E range), and 'one E' puts every live radius at one E
-    (L = 0: the exact sum)."""
+    (L = 0: the exact sum).  The blocks are scattered to the radii here,
+    and together they hold every live radius once."""
     rng = np.random.default_rng(7)
     lam = np.linspace(0.3, 0.8, 301)
     r = np.linspace(2.0, 202.0, 2001)
@@ -296,11 +297,72 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
     b_lam = np.sqrt(2.0 * lam)
     wts = (rng.standard_normal((lam.size, n_col))
            + 1j * rng.standard_normal((lam.size, n_col)))
-    got = dynamics._plane_wave_sums(r, eta_r, e_of_r, b_lam, wts, sign)
+    live = np.flatnonzero(eta_r > 0.0)
+    got = np.zeros((n_col, r.size), dtype=complex)
+    held = []
+    for k, sums in dynamics._plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
+        got[:, live[k]] = sums
+        held.append(k)
+    assert np.array_equal(np.sort(np.concatenate(held)), np.arange(live.size))
     ref = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r))
     ref[:, eta_r == 0.0] = 0.0
     bound = 1e-13 * np.sum(np.abs(wts), axis=0)
     assert np.all(np.max(np.abs(got - ref), axis=1) <= bound)
+
+
+@pytest.mark.parametrize("preset", sorted(_CATALOGUE))
+def test_tail_free_ends_have_rank_one_amplitude_factors(preset):
+    """On every tail-free end of the presets psi = 0 and the amplitude
+    does not depend on r: its factors are one row of ones and the column
+    (2 |lam - lam0|)^{-1/4}, so the plane-wave sums run once and not once
+    per lam level (33 of them on C)."""
+    model = _CATALOGUE[preset]()
+    checked = 0
+    for end, prof in enumerate(model.ends):
+        if prof.tail_amplitude != 0.0:
+            continue
+        h = SpectralProfile.bump_profile(end=end, center=prof.lambda0 + 0.55,
+                                         width=0.25)
+        r_lam = model.r_lambda(h.lam_lo)
+        r = dynamics_grid(model, 40.0, h.lam_hi, prof.lambda0, r1=r_lam)
+        lam, hv = dynamics.frequency_nodes(model, h, 40.0, r)
+        lam = lam[hv != 0.0]
+        live = r[eta(r, r_lam) > 0.0]
+        amp, basis = dynamics._amplitude_factors(prof, r_lam, lam, live, +1)
+        assert amp.shape == (1, live.size) and np.all(amp == 1.0)
+        column = (2.0 * np.abs(lam - prof.lambda0)) ** -0.25
+        assert basis.tobytes() == column[:, None].tobytes()
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("t", [10.0, 320.0])
+def test_tail_free_state_is_the_separable_sum_bit_for_bit(t, sign):
+    """On A the rank-one contraction is the separable sum it replaced,
+    bit for bit: one plane-wave sum with the weights h (2 |lam -
+    lam0|)^{-1/4} e^{-+ i t lam}, placed at the live radii and cut by
+    eta_lambda / (+-2 pi i), with BLAS on one thread as there."""
+    model = model_a()
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    lam0 = model.ends[0].lambda0
+    r_lam = model.r_lambda(h.lam_lo)
+    r = dynamics_grid(model, t, h.lam_hi, lam0, r1=r_lam)
+    _, u = comparison_state(model, h, t, r=r, sign=sign)
+
+    lam, hv = dynamics.frequency_nodes(model, h, t, r)
+    lam, hv = lam[hv != 0.0], hv[hv != 0.0]
+    g = hv * (2.0 * np.abs(lam - lam0)) ** -0.25 * np.exp(-1j * sign * t * lam)
+    eta_r = eta(r, r_lam)
+    live = np.flatnonzero(eta_r > 0.0)
+    want = np.zeros(r.shape, dtype=complex)
+    with _clib.one_blas_thread():   # as comparison_state sums
+        for k, sums in dynamics._plane_wave_blocks(
+                eta_r, dynamics._cutoff_length(r, r_lam),
+                np.sqrt(2.0 * (lam - lam0)), g[:, None], sign):
+            want[live[k]] = sums[0]
+    want *= eta_r / (sign * 2.0j * np.pi)
+    assert u.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("preset", ["A", "C"])

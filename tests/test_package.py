@@ -136,23 +136,29 @@ _HEAVY_SCIPY = ["integrate", "interpolate", "linalg", "sparse", "special",
                 "optimize", "spatial", "fft"]
 
 
-def _heavy_scipy_loaded(runs, out_dir, code: int = 0) -> list:
-    """Heavy scipy subpackages that a fresh interpreter loads while it
-    imports the package and runs the CLI on each argv of ``runs``, each
-    of which must exit with ``code``."""
+def _modules_loaded(runs, out_dir, code: int = 0) -> set:
+    """Modules that a fresh interpreter holds after it imports the package
+    and runs the CLI on each argv of ``runs``, each of which must exit
+    with ``code``."""
     script = (
         "import json, sys\n"
         "import ends_scatter\n"
         "from ends_scatter import cli\n"
         f"for argv in {runs!r}:\n"
         f"    assert cli.main(argv + ['--out', {str(out_dir)!r}]) == {code}, argv\n"
-        "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
-        f"print(json.dumps(sorted(loaded & set({_HEAVY_SCIPY!r}))))\n")
+        "print(json.dumps(sorted(sys.modules)))\n")
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _heavy_scipy_loaded(runs, out_dir, code: int = 0) -> list:
+    """The heavy scipy subpackages among :func:`_modules_loaded`."""
+    loaded = {m.split(".")[1] for m in _modules_loaded(runs, out_dir, code)
+              if m.startswith("scipy.")}
+    return sorted(loaded & set(_HEAVY_SCIPY))
 
 
 def test_stationary_subcommands_load_no_scipy_subpackage(tmp_path):
@@ -184,6 +190,17 @@ def test_other_subcommands_load_only_their_scipy(tmp_path, argv, code):
                    "[ends.2]\nprofile = euclidean\n")
     argv = [arg.format(table=cfg) for arg in argv]
     assert _heavy_scipy_loaded([argv], tmp_path, code) == []
+
+
+def test_dynamics_and_smatrix_leave_numpy_ma_unloaded(tmp_path):
+    """The first ``np.unique`` of a process imports ``numpy.ma`` (17 ms
+    cumulative under ``python -X importtime`` with numpy 2.4); the
+    sort-and-neighbour form and ``np.bincount`` do not.  A fresh
+    interpreter runs dynamics on C (the cone, the seeded stationary
+    point and the amplitude's panels) and then smatrix on D
+    (``integral_from_r0``) without loading it."""
+    runs = [["dynamics", "--preset", "C"], ["smatrix", "--preset", "D"]]
+    assert "numpy.ma" not in _modules_loaded(runs, tmp_path)
 
 
 def test_step_kernel_compiles_without_warnings(monkeypatch):
