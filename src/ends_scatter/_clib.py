@@ -102,7 +102,7 @@ def _load(path):
     lib.pade_factor.argtypes = [i64, ptr, f64, f64, f64, ptr, ptr, ptr]
     lib.pade_steps.argtypes = [i64, i64, i64] + [ptr] * 8
     lib.jost_march.argtypes = [i64, ptr, ptr, f64, ptr, i64, ptr, ptr, ptr]
-    lib.stationary_solve.argtypes = ([i64, i64] + [ptr] * 4
+    lib.stationary_solve.argtypes = ([i64, i64, i64] + [ptr] * 4
                                      + [f64, f64, f64, i64] + [ptr] * 5)
     for kernel in (lib.pade_factor, lib.pade_steps, lib.jost_march,
                    lib.stationary_solve):

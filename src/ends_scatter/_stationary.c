@@ -2,8 +2,11 @@
  * dynamics._stationary_rows.
  *
  * Row i holds a cone radius: h = half[i], the half-length (r - r1) / 2 of
- * [r1, r], and q1 at the m Gauss nodes of [r1, r], q1[i m + j], with the
- * weights w[j].  At the energy lam, with x_j = 2 (lam - q1_j),
+ * [r1, r], and q1 at the m Gauss nodes of [r1, r], q1[i stride + j], with
+ * the weights w[j].  The row stride is m for one row of samples per
+ * radius, or 0 where q1 is one constant (a tail-free end): every radius
+ * then reads the one row, and gets the bits it would get from its own
+ * copy of it.  At the energy lam, with x_j = 2 (lam - q1_j),
  *
  *     T(lam)  =  h sum_j w_j x_j^{-1/2}     the travel time int_{r1}^r 1 / b,
  *     T'(lam) = -h sum_j w_j x_j^{-3/2},
@@ -75,8 +78,9 @@ static void travel_sums(int64_t m, const double *q, const double *w,
     sums[2] = sb[0] + sb[1];
 }
 
-void stationary_solve(int64_t n, int64_t m, const double *half,
-                      const double *q1, const double *w, const double *start,
+void stationary_solve(int64_t n, int64_t m, int64_t stride,
+                      const double *half, const double *q1, const double *w,
+                      const double *start,
                       double t, double lam_lo, double rtol, int64_t max_iter,
                       double *lam, double *tt, double *dt, double *b,
                       int64_t *passes)
@@ -86,7 +90,7 @@ void stationary_solve(int64_t n, int64_t m, const double *half,
         double l = start[i], lo = lam_lo, hi = INFINITY, sums[3];
         int64_t k = 0;
         for (;;) {
-            travel_sums(m, q1 + m * i, w, l, sums);
+            travel_sums(m, q1 + stride * i, w, l, sums);
             k++;
             const double f = h * sums[0] - t;
             const double step = f / (h * sums[1]);

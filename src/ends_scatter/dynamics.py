@@ -35,12 +35,17 @@ matrix product against those few nodes and, per span, a small product
 that restores its offsets.  The amplitude
 (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam and in r; it
 is interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
-the levels chosen by a-posteriori checks, and the state is the sum over j
-of A(lam_j, r) times the span sum weighted by h(lam) e^{-+ i t lam} and
-the j-th Lagrange polynomial (the separated-phase technique of Candes,
-Demanet & Ying, SISC 29, 2007).  On a tail-free end (constant q1) psi = 0
-and the amplitude does not depend on r: the same sum in its rank-one
-case, one factor 1 and the weight column h(lam) (2|lam - q1|)^{-1/4}
+the levels chosen by a-posteriori checks.  Its samples (one row per lam_j,
+one column per panel node) have a low numerical rank: a thin SVD keeps
+the k leading singular triplets, the fewest whose discarded rest stays
+within a share of the amplitude's tolerance (Eckart-Young: no rank-k
+table is closer), 10 to 13 of the 33 rows on preset C.  The state is the
+sum over those k of sigma_i v_i, carried to the radii by the panel
+bases, times the span sum weighted by h(lam) e^{-+ i t lam} and the lam
+basis times u_i (the separated-phase technique of Candes, Demanet &
+Ying, SISC 29, 2007).  On a tail-free end (constant q1) psi = 0 and the
+amplitude does not depend on r: the same sum in its rank-one case, one
+factor 1 and the weight column h(lam) (2|lam - q1|)^{-1/4}
 e^{-+ i t lam}.  No C kernel is involved, so unlike the leading term a
 comparison state needs no compiler.  ``oracle.reference_comparison_state``
 is the node-by-node sum both are checked against.  Every interpolant here
@@ -73,6 +78,7 @@ two pictures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -267,14 +273,30 @@ class _Lobatto:
         return None
 
     @staticmethod
+    def lebesgue(n: int) -> float:
+        """2/pi log n + 1, the bound on the Lebesgue constant of n
+        Chebyshev points (Trefethen, ATAP, Thm 15.2)."""
+        return 2.0 / np.pi * math.log(n) + 1.0
+
+    @staticmethod
+    @functools.cache
+    def _check_basis(n: int) -> np.ndarray:
+        """The basis of level n of [-1, 1] at the points level 2n - 1 adds,
+        built once per n and read-only."""
+        unit = _Lobatto(-1.0, 1.0)
+        basis = unit.basis(n, unit.points(2 * n - 1)[1::2])
+        basis.flags.writeable = False
+        return basis
+
+    @staticmethod
     def _accepts(vals: np.ndarray, new: np.ndarray, tol: float) -> bool:
         """Whether max|basis @ vals - new| <= tol max|new| at the points
         level 2n - 1 adds to the n of ``vals``, samples taken as columns:
         the real basis times float views of them (half the flops of a
         complex product), max|new| first, then the errors ``_RADII_BLOCK``
         columns at a time up to the first block that fails; a NaN fails."""
-        unit, n = _Lobatto(-1.0, 1.0), vals.shape[0]
-        basis = unit.basis(n, unit.points(2 * n - 1)[1::2])
+        n = vals.shape[0]
+        basis = _Lobatto._check_basis(n)
         vals, new = vals.reshape(n, -1), new.reshape(n - 1, -1)
         blocks = [slice(c0, c0 + _RADII_BLOCK)
                   for c0 in range(0, new.shape[1], _RADII_BLOCK)]
@@ -313,8 +335,12 @@ class StationaryField:
 
 def _gauss_q1(model: ManifoldModel, end: int, r: np.ndarray, r1: float):
     """Half-lengths of [r1, r] and q1 at their Gauss nodes, one row per r,
-    sampled ``_RADII_BLOCK`` rows at a time."""
+    sampled ``_RADII_BLOCK`` rows at a time; on a tail-free end q1 is the
+    constant lam0, one row for every r."""
     half = 0.5 * (r - r1)
+    prof = model.ends[end]
+    if prof.tail_amplitude == 0.0:
+        return half, np.full((1, _GL_NODES.size), prof.lambda0)
     mid = 0.5 * (r + r1)
     q1_gl = np.empty((r.size, _GL_NODES.size))
     for i0 in range(0, r.size, _RADII_BLOCK):
@@ -329,16 +355,19 @@ def _stationary_rows(half: np.ndarray, q1_gl: np.ndarray, start: np.ndarray,
     """The kernel ``_stationary.c`` on the samples of :func:`_gauss_q1`:
     per row, Newton for T(lam) = t from ``start`` above ``lam_lo``, at
     most ``max_iter`` steps.  Returns lam, T, T' and int b there, and the
-    passes over each row.  The arrays go through ``_clib.pointer``."""
+    passes over each row.  A single row of q1 serves every row (row
+    stride 0).  The arrays go through ``_clib.pointer``."""
     n = half.size
+    rows = 1 if q1_gl.shape[:1] == (1,) else n
     args = [_clib.pointer(a, name, np.float64, shape) for name, a, shape in
-            (("half", half, (n,)), ("q1_gl", q1_gl, (n, _GL_NODES.size)),
+            (("half", half, (n,)), ("q1_gl", q1_gl, (rows, _GL_NODES.size)),
              ("weights", _GL_WEIGHTS, (_GL_NODES.size,)),
              ("start", start, (n,)))]
     lam, tt, dt, b = np.empty((4, n))
     passes = np.empty(n, dtype=np.int64)
     _clib.library().stationary_solve(
-        n, _GL_NODES.size, *args, t, lam_lo, _RTOL, max_iter,
+        n, _GL_NODES.size, _GL_NODES.size if rows > 1 else 0, *args,
+        t, lam_lo, _RTOL, max_iter,
         *(a.ctypes.data for a in (lam, tt, dt, b, passes)))
     return lam, tt, dt, b, passes
 
@@ -678,13 +707,14 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     :func:`_psi`).  The amplitude A(lam, r) = (2|lam - q1|)^{-1/4}
     e^{+-i psi_lam(r)} is interpolated within ``_AMP_TOL`` of max|A| on
     fixed panels in r and in lam, or taken at the radii or lam nodes
-    themselves where the levels run out (:func:`_amplitude_factors`); on
-    a tail-free end (A = 0) psi = 0 and its factors are rank one.  The
-    weights of a factor are (h times its lam basis) times e^{-+ i t lam},
-    in that order, and the factors at the radii contract the plane-wave
-    sums of those weights.  Other radii reach the value at a
-    radius only through the largest (which sizes the lam grid and the
-    panels) and the levels accepted: keeping every 50th radius of the
+    themselves where the levels run out, and cut to its numerical rank k
+    (:func:`_amplitude_factors`); on a tail-free end (A = 0) psi = 0 and
+    its factors are rank one.  The weights of a factor are (h times its
+    lam basis) times e^{-+ i t lam}, in that order, and the k factors at
+    the radii contract the plane-wave sums of those weights, so the sums
+    run over k columns, not over the lam level's.  Other radii reach the
+    value at a radius only through the largest (which sizes the lam grid
+    and the panels) and the levels accepted: keeping every 50th radius of the
     dynamics grid moves the state by <= 5e-13 of its largest value on
     presets A and C.  No C kernel is involved.
     """
@@ -784,22 +814,31 @@ def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
 
 def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
                        sign: int) -> Tuple[np.ndarray, np.ndarray]:
-    """A(lam, r) = (2 |lam - q1|)^{-1/4} e^{i sign psi_lam(r)} at accepted
-    energies lam_j (one row each) and the radii ``r`` > r_lam/2, and the
-    Lagrange basis of the lam_j on the live lam nodes ``lam`` (ascending).
+    """Factors of A(lam, r) = (2 |lam - q1|)^{-1/4} e^{i sign psi_lam(r)}
+    at the amplitude's numerical rank k: k rows over the radii ``r`` >
+    r_lam/2 and k basis columns on the live lam nodes ``lam``
+    (ascending), basis @ rows within _AMP_TOL of max|A|.
 
     Each panel of :func:`_panel_edges` that holds radii (in r on the
     ramp, in log r beyond) takes the first level of :class:`_Lobatto`
     that reproduces A within _AMP_TOL / 2 at the 65 Lobatto energies of
     the lam range, or its radii once the levels outnumber them.  The lam
-    levels are checked at the panels' nodes
-    within _AMP_TOL / (2 L), L the largest Lebesgue constant of their
-    levels, at most 2/pi log n + 1 for n Chebyshev points (Trefethen,
-    ATAP, Thm 15.2), so that the two errors add up to at most _AMP_TOL,
-    or the lam nodes are used.  A panel's samples reach its radii by one
-    real barycentric product.  On a tail-free end psi = 0 and A does not
-    depend on r: the factors are rank one, a row of ones over the radii
-    and the column (2 |lam - lam0|)^{-1/4} as the basis."""
+    levels are checked at the panels' nodes within _AMP_TOL / (4 L), L
+    the largest Lebesgue constant of their levels
+    (:meth:`_Lobatto.lebesgue`), or the lam nodes are used.  The table
+    of samples S (one row per accepted energy or lam node, one column per
+    panel node) is cut by a thin SVD S = U Sigma V^H to its k leading
+    triplets: a dropped rest is at most sigma_k
+    entrywise (sigma_0 the largest), and at most sigma_k L_lam L at any
+    (lam, r) once the lam basis (Lebesgue constant L_lam, 1 on the lam
+    nodes) and the panels' bases carry it; k is the fewest for which that
+    is within _AMP_TOL / 4 of max|S|, so that the three errors add up to
+    at most _AMP_TOL, and nothing but exact zeros is dropped at
+    _AMP_TOL = 0.  The rows are Sigma_k V_k^H, each panel's part reaching
+    its radii by one real barycentric product, and the basis is the lam
+    basis times U_k.  On a tail-free end psi = 0 and A does not depend
+    on r: the factors are rank one, a row of ones over the radii and the
+    column (2 |lam - lam0|)^{-1/4} as the basis."""
     if prof.tail_amplitude == 0.0:
         return (np.ones((1, r.size), dtype=complex),
                 (2.0 * np.abs(lam - prof.lambda0))[:, None] ** -0.25)
@@ -838,16 +877,24 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
         else:
             nodes.append(radii[i](spans[i].points(n)))
             table.append(vals.T)
-            lebesgue = max(lebesgue, 2.0 / np.pi * math.log(n) + 1.0)
+            lebesgue = max(lebesgue, _Lobatto.lebesgue(n))
     # the lam levels up to 33 read the panels' samples at the 65 energies
     nodes, table = np.concatenate(nodes), np.concatenate(table, axis=1)
     samples = energies.sample(lambda lam_pts: amplitude(lam_pts, nodes),
-                              lam.size, 0.5 * _AMP_TOL / lebesgue, finer=table)
+                              lam.size, 0.25 * _AMP_TOL / lebesgue,
+                              finer=table)
     del pre, table
-    if samples is None:
-        samples, basis = amplitude(lam, nodes), np.eye(lam.size)
+    if samples is None:   # the lam nodes themselves: the identity basis
+        samples, basis, spread = amplitude(lam, nodes), None, 1.0
     else:
         basis = energies.basis(samples.shape[0], lam)
+        spread = _Lobatto.lebesgue(samples.shape[0])
+    # the numerical rank: dropped triplets move A by <= sigma_k spread lebesgue
+    u, sigma, vh = np.linalg.svd(samples, full_matrices=False)
+    k = np.count_nonzero(sigma * (spread * lebesgue)
+                         > 0.25 * _AMP_TOL * np.max(np.abs(samples)))
+    basis = u[:, :k] if basis is None else basis @ u[:, :k]
+    samples = sigma[:k, None] * vh[:k]
 
     amp = np.empty((samples.shape[0], r.size), dtype=complex)
     start = 0

@@ -338,6 +338,42 @@ def test_tail_free_ends_have_rank_one_amplitude_factors(preset):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("t", [10.0, 320.0])
+def test_amplitude_factors_keep_the_numerical_rank(monkeypatch, t, sign):
+    """On C's tail the factors keep fewer rows than the 33 energies of the
+    accepted lam level (10 at t = 10, 13 at t = 320 measured), and basis @
+    amp is the amplitude (2 |lam - q1|)^{-1/4} e^{+-i psi_lam(r)} taken
+    directly at sampled (lam node, radius) pairs within _AMP_TOL of its
+    largest modulus."""
+    model = model_c()
+    prof = model.ends[0]
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    r_lam = model.r_lambda(h.lam_lo)
+    r = dynamics_grid(model, t, h.lam_hi, prof.lambda0, r1=r_lam)
+    lam, hv = dynamics.frequency_nodes(model, h, t, r)
+    lam = lam[hv != 0.0]
+    live = r[eta(r, r_lam) > 0.0]
+    sample, levels = dynamics._Lobatto.sample, []
+
+    def recorded(self, *args, **kwargs):
+        levels.append(sample(self, *args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(dynamics._Lobatto, "sample", recorded)
+    amp, basis = dynamics._amplitude_factors(prof, r_lam, lam, live, sign)
+    # the last level sampled is the lam level
+    assert amp.shape[0] < levels[-1].shape[0] == 33
+    i = np.linspace(0, lam.size - 1, 41).astype(int)
+    j = np.linspace(0, live.size - 1, 401).astype(int)
+    psi = dynamics._psi(prof, r_lam, lam[0], lam[i], live[j])
+    want = (np.exp(1j * sign * psi)
+            * (2.0 * np.abs(lam[i, None] - prof.q1(live[j]))) ** -0.25)
+    got = basis[i] @ amp[:, j]
+    bound = dynamics._AMP_TOL * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("t", [10.0, 320.0])
 def test_tail_free_state_is_the_separable_sum_bit_for_bit(t, sign):
     """On A the rank-one contraction is the separable sum it replaced,
     bit for bit: one plane-wave sum with the weights h (2 |lam -
@@ -571,6 +607,42 @@ def test_stationary_rows_reject_bad_arrays_before_the_kernel(monkeypatch):
     assert np.max(passes) <= 12
 
 
+@pytest.mark.parametrize("max_iter", [0, dynamics._MAX_ITER])
+def test_one_row_of_q1_serves_every_radius_bit_for_bit(monkeypatch, max_iter):
+    """One row of q1 samples, read with row stride 0, gives the bits of
+    that row repeated for every radius (a row of C's tail, so a wrong
+    stride would read other values); and A's tail-free end, whose q1 is
+    that one row, solves as with a row of lam0 per radius."""
+    model = model_c()
+    r1 = model.r_lambda(0.3)
+    rs = np.linspace(r1 + 1.0, r1 + 300.0, 50)
+    half, q1_gl = dynamics._gauss_q1(model, 0, rs, r1)
+    row = q1_gl[7:8]
+    start = np.full(half.size, 0.35)
+    got = dynamics._stationary_rows(half, row, start, 40.0, 0.3, max_iter)
+    want = dynamics._stationary_rows(half, np.repeat(row, half.size, axis=0),
+                                     start, 40.0, 0.3, max_iter)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+    model = model_a()
+    r1 = model.r_lambda(0.3)
+    r = dynamics_grid(model, 80.0, 0.8, r1=r1)
+    q1_gl = dynamics._gauss_q1(model, 0, r, r1)[1]
+    assert q1_gl.shape == (1, dynamics._GL_NODES.size)
+    one = stationary_point(model, 0, 80.0, r, 0.3, r1=r1)
+    gauss_q1 = dynamics._gauss_q1
+
+    def repeated(model, end, rr, r1):
+        half, q1_gl = gauss_q1(model, end, rr, r1)
+        return half, np.repeat(q1_gl, rr.size, axis=0)
+
+    monkeypatch.setattr(dynamics, "_gauss_q1", repeated)
+    every = stationary_point(model, 0, 80.0, r, 0.3, r1=r1)
+    for field in ("lam_c", "dlam_dr", "k1", "mask"):
+        assert getattr(one, field).tobytes() == getattr(every, field).tobytes()
+
+
 def _run_in_reference(model, sf):
     """The run-in integral of eikonal's K at every cone radius by its
     257-node trapezoid sum."""
@@ -723,15 +795,20 @@ def _traced_peak(fn, *args):
 
 @pytest.fixture(scope="module")
 def amplitude_bytes_c160():
-    """The size of the accepted amplitude samples of comparison_state on
-    C at t = 160 (rank x live radii, complex), from a first call that
-    also builds the kernels."""
+    """The size of the amplitude of comparison_state on C at t = 160 at
+    the accepted lam level (its 33 energies x live radii, complex), from
+    a first call that also builds the kernels."""
     shapes = []
-    factors = dynamics._amplitude_factors
+    factors, sample = dynamics._amplitude_factors, dynamics._Lobatto.sample
 
     def recorded(*args):
-        amp, basis = factors(*args)
-        shapes.append(amp.shape)
+        levels = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dynamics._Lobatto, "sample", lambda self, *a, **kw:
+                      levels.append(sample(self, *a, **kw)) or levels[-1])
+            amp, basis = factors(*args)
+        # the last level sampled is the lam level
+        shapes.append((levels[-1].shape[0], amp.shape[1]))
         return amp, basis
 
     with pytest.MonkeyPatch.context() as m:
@@ -744,13 +821,15 @@ def amplitude_bytes_c160():
 def test_comparison_state_holds_the_samples_and_one_more_level(
         amplitude_bytes_c160):
     """The traced peak of comparison_state on C at t = 160 is bounded by
-    its amplitude at the radii: that array plus blocks of radii, the
-    levels being checked on the panels' nodes.  1.82 times measured; 2.26
-    times while the next level was checked at every radius, 3.85 times
-    before the radii were blocked."""
+    its amplitude at the radii at the accepted lam level: the factors at
+    the amplitude's numerical rank (12 of the 33 rows) plus blocks of
+    radii, the levels being checked on the panels' nodes.  0.99 times
+    measured; 1.82 times with all 33 rows, 2.26 times while the next
+    level was checked at every radius, 3.85 times before the radii were
+    blocked."""
     peak = _traced_peak(comparison_state, model_c(),
                         SpectralProfile.bump_profile(), 160.0)
-    assert peak <= 2.4 * amplitude_bytes_c160
+    assert peak <= 1.1 * amplitude_bytes_c160
 
 
 def test_leading_term_holds_less_than_the_amplitude_samples(
