@@ -40,14 +40,15 @@ one column per panel node) have a low numerical rank: a thin SVD keeps
 the k leading singular triplets, the fewest whose discarded rest stays
 within a share of the amplitude's tolerance (Eckart-Young: no rank-k
 table is closer), 10 to 13 of the 33 rows on preset C.  The state is the
-sum over those k of sigma_i v_i, carried to the radii by the panel
-bases, times the span sum weighted by h(lam) e^{-+ i t lam} and the lam
-basis times u_i (the separated-phase technique of Candes, Demanet &
-Ying, SISC 29, 2007).  On a tail-free end (constant q1) psi = 0 and the
-amplitude does not depend on r: the same sum in its rank-one case, one
-factor 1 and the weight column h(lam) (2|lam - q1|)^{-1/4}
-e^{-+ i t lam}.  No C kernel is involved, so unlike the leading term a
-comparison state needs no compiler.  ``oracle.reference_comparison_state``
+sum over those k of sigma_i v_i, carried to each block's radii by the
+panel bases, times the block's span sum weighted by h(lam)
+e^{-+ i t lam} and the lam basis times u_i (the separated-phase
+technique of Candes, Demanet & Ying, SISC 29, 2007).  On a tail-free end
+(constant q1) psi = 0 and the amplitude does not depend on r: the same
+sum in its rank-one case, one row that is a read-only broadcast of 1 and
+the weight column h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam}.  No C
+kernel is involved, so unlike the leading term a comparison state needs
+no compiler.  ``oracle.reference_comparison_state``
 is the node-by-node sum both are checked against.  Every interpolant here
 (the amplitude in r and in lam, the offset factor and the eikonal's run-in
 offset) is a :class:`_Lobatto`: nested levels 9, 17, 33, ... each checked
@@ -57,19 +58,26 @@ levels read from one pass at 33 points per panel and 65 energies.
 Working set: every per-radius array of this layer is taken over blocks
 of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
 run-in offset, the check of each interpolant against the next level, and
-the span sums with their amplitude contraction), so the only array of
-size rank x radii alive is the amplitude at the radii.  A block cuts the
+the span sums with their amplitude contraction), so no array of size
+rank x radii or lam x spans is alive: a block of spans forms its own
+coarse factors e^{+- i b_lam E_a}, and asks for the amplitude's k rows at
+its own radii only.  Those rows come from fixed chunks of each panel's
+radii (``_RADII_BLOCK`` of them, the last chunk holding the rest), one
+real product per chunk (basis times the panel's samples), so a radius's
+row is the same bits whichever block or index set asks for it; the
+chunk last carried is kept for the next block.  A block cuts the
 per-radius kernel and einsum rows, and the matrix products of
 :func:`_plane_wave_blocks` (weighted coarse factors times the offset
-nodes, and each run's restoring product) between their rows; it never
-cuts the per-panel product of the amplitude (basis times the samples of
-all the panel's radii), and a check reads only whether its blocks pass.
-No rule makes a BLAS product's bits independent of where its rows are
-cut (cutting the rows of GEMMs of the sizes met here changed bits in 131
-of 175 shapes tried on OpenBLAS), so the states are the same bits for
-any block size only for the shapes these products take today:
-``test_radius_blocks_do_not_change_the_states`` is the guard, on A and C
-at t = 10 ... 320 with blocks of 7 radii against one block.
+nodes, and each run's restoring product) between their rows, and a
+check reads only whether its blocks pass.  No rule makes a BLAS
+product's bits independent of where its rows are cut (cutting the rows
+of GEMMs of the sizes met here changed bits in 131 of 175 shapes tried
+on OpenBLAS; a one-row product is a GEMV, and the columns past the
+kernel's last full tile change with the row count), so the states are
+the same bits for any block size only for the shapes these products
+take today: ``test_radius_blocks_do_not_change_the_states`` is the
+guard, on A and C at t = 10 ... 320 with blocks of 7 radii against one
+block.
 
 Dollard comparison dynamics replace lam_c and K by their free forms plus
 the secular tail integral; the phase modifier theta(lam) reconciles the
@@ -109,12 +117,13 @@ _PROFILE_NODES = 1025
 # uniform trapezoid nodes of SpectralProfile.norm
 _NORM_NODES = 8193
 # elements of one work array: (lam x r) of the frequency quadrature's exact
-# sums, amplitude rows times radii, psi's quadrature samples
+# sums, psi's quadrature samples
 _BLOCK = 1 << 21
 # radii of one block of layer (d)'s per-radius work: the Gauss samples of
 # q1 and their travel-time sums, the acceptance check of the lam
 # interpolants, and the plane-wave sums with their amplitude contraction
-# (whole spans, at most this many radii or one span holding more)
+# (whole spans, at most this many radii or one span holding more); also
+# the chunks of a panel's radii that carry the amplitude's rows
 _RADII_BLOCK = 1024
 # accepted error of the comparison amplitude's interpolant in r and lam
 # together, relative to its largest modulus
@@ -617,7 +626,8 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
     these nodes serve every span: the lam contraction of a block's spans
     is one matrix product of their weighted coarse factors against P
     columns, and each span restores its offsets by its Lagrange basis
-    times the carrier.
+    times the carrier.  A block forms the coarse factors e^{i sign b_lam
+    E_a} of its own spans, so no lam x spans table is held.
     Consecutive spans share one basis while their offsets agree with the
     first one's within b_max |delta s| <= 1e-12 rad (the spans of a
     uniform run), across blocks too.  Where the levels reach the cap, or
@@ -658,7 +668,6 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
         return
 
     n_span = len(cuts) - 1
-    coarse = np.exp(1j * sign * np.outer(b_lam, e[cuts[:-1]]))
     limit = _RADII_BLOCK if n_col > 1 else e.size
     s_own = basis = None
     a = 0
@@ -667,7 +676,8 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
         g = a + 1
         while g < n_span and cuts[g + 1] - cuts[a] <= limit:
             g += 1
-        wc = (wts[:, :, None] * coarse[:, None, a:g]).reshape(n_lam, -1)
+        coarse = np.exp(1j * sign * np.outer(b_lam, e[cuts[a:g]]))
+        wc = (wts[:, :, None] * coarse[:, None, :]).reshape(n_lam, -1)
         prod = (wc.T @ nodes.T).reshape(n_col, g - a, nodes.shape[0])
         del wc  # before the offsets are restored
         sums = np.empty((n_col, cuts[g] - cuts[a]), dtype=complex)
@@ -710,9 +720,12 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     themselves where the levels run out, and cut to its numerical rank k
     (:func:`_amplitude_factors`); on a tail-free end (A = 0) psi = 0 and
     its factors are rank one.  The weights of a factor are (h times its
-    lam basis) times e^{-+ i t lam}, in that order, and the k factors at
-    the radii contract the plane-wave sums of those weights, so the sums
-    run over k columns, not over the lam level's.  Other radii reach the
+    lam basis) times e^{-+ i t lam}, in that order, and in the one loop
+    over the blocks of :func:`_plane_wave_blocks` the k amplitude rows at
+    a block's radii contract the block's plane-wave sums of those
+    weights, so the sums run over k columns, not over the lam level's,
+    and the amplitude is never held at every radius.  An empty set of
+    radii gives an empty state.  Other radii reach the
     value at a radius only through the largest (which sizes the lam grid
     and the panels) and the levels accepted: keeping every 50th radius of the
     dynamics grid moves the state by <= 5e-13 of its largest value on
@@ -724,6 +737,8 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     if r is None:
         r = dynamics_grid(model, t, h.lam_hi, lam0, r1=r_lam)
     r = np.asarray(r, dtype=float)
+    if not r.size:
+        return r, np.zeros(0, dtype=complex)
     lam, hv = frequency_nodes(model, h, t, r)
     live = hv != 0.0
     lam, hv = lam[live], hv[live]
@@ -736,13 +751,10 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     out = np.zeros(r.shape, dtype=complex)
     if lam.size and np.any(eta_r > 0.0):
         live = np.flatnonzero(eta_r > 0.0)
-        amp, basis = _amplitude_factors(prof, r_lam, lam, r[live], sign)
-        step = max(1, _BLOCK // r.size)
-        for c0 in range(0, amp.shape[0], step):
-            c = slice(c0, c0 + step)
-            wts = hv[:, None] * basis[:, c] * e_t[:, None]
-            for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
-                out[live[k]] += np.einsum("jr,jr->r", amp[c, k], sums)
+        basis, rows = _amplitude_factors(prof, r_lam, lam, r[live], sign)
+        wts = hv[:, None] * basis * e_t[:, None]
+        for k, sums in _plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
+            out[live[k]] = np.einsum("jr,jr->r", rows(k), sums)
     out *= eta_r / (sign * 2.0j * np.pi)
     return r, out
 
@@ -813,11 +825,13 @@ def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
 
 
 def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
-                       sign: int) -> Tuple[np.ndarray, np.ndarray]:
+                       sign: int) -> Tuple[np.ndarray, Callable]:
     """Factors of A(lam, r) = (2 |lam - q1|)^{-1/4} e^{i sign psi_lam(r)}
-    at the amplitude's numerical rank k: k rows over the radii ``r`` >
-    r_lam/2 and k basis columns on the live lam nodes ``lam``
-    (ascending), basis @ rows within _AMP_TOL of max|A|.
+    at the amplitude's numerical rank k: (basis, rows_at), the k basis
+    columns on the live lam nodes ``lam`` (ascending), and a function
+    that gives the k rows at any index array of the radii ``r`` >
+    r_lam/2, one column per index; basis @ rows within _AMP_TOL of
+    max|A|.
 
     Each panel of :func:`_panel_edges` that holds radii (in r on the
     ramp, in log r beyond) takes the first level of :class:`_Lobatto`
@@ -834,14 +848,18 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
     nodes) and the panels' bases carry it; k is the fewest for which that
     is within _AMP_TOL / 4 of max|S|, so that the three errors add up to
     at most _AMP_TOL, and nothing but exact zeros is dropped at
-    _AMP_TOL = 0.  The rows are Sigma_k V_k^H, each panel's part reaching
-    its radii by one real barycentric product, and the basis is the lam
-    basis times U_k.  On a tail-free end psi = 0 and A does not depend
-    on r: the factors are rank one, a row of ones over the radii and the
-    column (2 |lam - lam0|)^{-1/4} as the basis."""
+    _AMP_TOL = 0.  The rows are Sigma_k V_k^H and the basis is the lam
+    basis times U_k.  Each panel's part of the rows reaches its radii by
+    real barycentric products, one per chunk of ``_RADII_BLOCK`` of its
+    radii (the last chunk holding the rest), taken when a chunk is first
+    asked for and kept until another one is: a row is the same bits
+    whatever index array asks for it, and no array of k rows at every
+    radius is formed.  On a tail-free end psi = 0 and A does not depend
+    on r: the factors are rank one, the column (2 |lam - lam0|)^{-1/4}
+    as the basis and, at any radii, a read-only broadcast of 1."""
     if prof.tail_amplitude == 0.0:
-        return (np.ones((1, r.size), dtype=complex),
-                (2.0 * np.abs(lam - prof.lambda0))[:, None] ** -0.25)
+        return ((2.0 * np.abs(lam - prof.lambda0))[:, None] ** -0.25,
+                lambda idx: np.broadcast_to(np.complex128(1.0), (1, idx.size)))
 
     def amplitude(lam_pts, rr):
         return (np.exp(1j * sign * _psi(prof, r_lam, lam[0], lam_pts, rr))
@@ -896,19 +914,40 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
     basis = u[:, :k] if basis is None else basis @ u[:, :k]
     samples = sigma[:k, None] * vh[:k]
 
-    amp = np.empty((samples.shape[0], r.size), dtype=complex)
-    start = 0
+    # each panel's radii in chunks of _RADII_BLOCK (the last one holds the
+    # rest); a chunk's rows are one real product, its basis times the (re,
+    # im) pairs of the panel's samples, or the samples at the radii
+    chunks, chunk_of, start = [], np.empty(r.size, dtype=np.intp), 0
     for i, (cols, n) in enumerate(panels):
         own = samples[:, start:start + (n or cols.size)]
         start += own.shape[1]
-        if cols[-1] - cols[0] + 1 == cols.size:
-            cols = slice(cols[0], cols[-1] + 1)
         if n is None:
-            amp[:, cols] = own
-        else:   # one real product: the basis times the (re, im) pairs of own.T
-            amp[:, cols] = (spans[i].basis(n, x[cols])
-                            @ own.T.copy().view(np.float64)).view(complex).T
-    return amp, basis
+            chunk_of[cols] = len(chunks)
+            chunks.append((cols, lambda own=own: own))
+            continue
+        pairs = own.T.copy().view(np.float64)
+        cuts = np.arange(_RADII_BLOCK, cols.size - _RADII_BLOCK + 1, _RADII_BLOCK)
+        for part in np.split(cols, cuts):
+            chunk_of[part] = len(chunks)
+            chunks.append((part, lambda span=spans[i], n=n, xs=x[part], pairs=pairs:
+                           (span.basis(n, xs) @ pairs).view(complex).T))
+    kept = [-1, None]   # the chunk last carried to its radii, and its rows
+
+    def rows_at(idx):
+        out = np.empty((k, idx.size), dtype=complex)
+        of = chunk_of[idx]
+        for c in range(of.min(), of.max() + 1):
+            at = np.flatnonzero(of == c)
+            if not at.size:
+                continue
+            cols, carry = chunks[c]
+            if kept[0] != c:
+                kept[:] = c, carry()
+            if at[-1] - at[0] + 1 == at.size:
+                at = slice(at[0], at[-1] + 1)
+            out[:, at] = kept[1][:, np.searchsorted(cols, idx[at])]
+        return out
+    return basis, rows_at
 
 
 def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
