@@ -20,19 +20,20 @@ radius in the C kernel ``_stationary.c`` (:func:`stationary_point`).
 The frequency integral is a trapezoid sum over a uniform lam grid.  The
 WKB phase splits as Phi_lam(r) = b_lam E(r) + psi_lam(r), with
 b_lam = (2(lam - lam0))^{1/2} the asymptotic momentum and
-E(r) = int_{r0}^r eta_lambda, both taken at each radius on its own (by
-Gauss-Legendre panels on the cutoff's ramp, the declared tail's series
-beyond), so a state is a function of r.  The radii with eta_lambda > 0 are sorted
-by E and cut into spans of E-length at most L, the length whose phase
-budget (b_max - b_min) L is ``_BLOCK_PHASE``.  Within the span that
-starts at E_a, e^{i b E} factors into e^{i b E_a} and the offset factor
-e^{i b s}, s = E - E_a in [0, L].  That factor is the carrier
-e^{i b_c s} times e^{i (b - b_c) s}, a smooth function of s that a few
-Chebyshev-Lobatto nodes of [0, L] interpolate (Trefethen, Approximation
-Theory and Approximation Practice, SIAM 2013), and the same nodes serve
-every span.  A sum over lam with any weights then becomes one complex
-matrix product against those few nodes and, per span, a small product
-that restores its offsets.  The amplitude
+E(r) = int_{r0}^r eta_lambda, both taken at each radius on its own by
+the rule of ``geometry`` (Gauss-Legendre panels on the cutoff's ramp, the
+declared tail's series beyond), so a state is a function of r; the same
+rule is ``geometry.phase_integral``, the phase that S and F^+ read.  The
+radii with eta_lambda > 0 are sorted by E and cut into spans of E-length
+at most L, the length whose phase budget (b_max - b_min) L is
+``_BLOCK_PHASE``.  Within the span that starts at E_a, e^{i b E} factors
+into e^{i b E_a} and the offset factor e^{i b s}, s = E - E_a in [0, L].
+That factor is the carrier e^{i b_c s} times e^{i (b - b_c) s}, a smooth
+function of s that a few Chebyshev-Lobatto nodes of [0, L] interpolate
+(Trefethen, Approximation Theory and Approximation Practice, SIAM 2013),
+and the same nodes serve every span.  A sum over lam with any weights
+then becomes one complex matrix product against those few nodes and, per
+span, a small product that restores its offsets.  The amplitude
 (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam and in r; it
 is interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
 the levels chosen by a-posteriori checks.  Its samples (one row per lam_j,
@@ -94,7 +95,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import _clib
-from .geometry import CubicSpline, ManifoldModel, bump, eta
+from .geometry import (CubicSpline, ManifoldModel, _BLOCK, _RAMP_PANELS,
+                       _cutoff_length, _from_edge, _panel_edges, _psi,
+                       _tail_series, bump, eta)
 
 __all__ = [
     "SpectralProfile",
@@ -116,9 +119,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _PROFILE_NODES = 1025
 # uniform trapezoid nodes of SpectralProfile.norm
 _NORM_NODES = 8193
-# elements of one work array: (lam x r) of the frequency quadrature's exact
-# sums, psi's quadrature samples
-_BLOCK = 1 << 21
 # radii of one block of layer (d)'s per-radius work: the Gauss samples of
 # q1 and their travel-time sums, the acceptance check of the lam
 # interpolants, and the plane-wave sums with their amplitude contraction
@@ -150,10 +150,6 @@ _HJ_STEP = 1e-3
 _POINTS_PER_CYCLE = 24
 # phase_modifier: outer radius of the quadrature, the series beyond it
 _R_TAIL = 1e6
-# panels in r of comparison_state: equal ones on the ramp [r_lam/2, r_lam],
-# then log-r ones, and the Gauss-Legendre rule of its E and psi on them
-_RAMP_PANELS, _LOG_PANEL = 4, 0.7
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 # ---------------------------------------------------------------------------
@@ -759,71 +755,6 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     return r, out
 
 
-def _panel_edges(r_lam: float, r_hi: float) -> np.ndarray:
-    """Panel edges from r_lam/2 to the first one at or past r_hi and r_lam:
-    equal panels on the ramp, then r_lam e^{j _LOG_PANEL}, j = 1, 2, ..."""
-    n = math.ceil(math.log(max(r_hi / r_lam, 1.0)) / _LOG_PANEL)
-    n += r_lam * math.exp(_LOG_PANEL * n) < r_hi
-    return np.concatenate((0.5 * r_lam * (1.0 + np.arange(_RAMP_PANELS) / _RAMP_PANELS),
-                           r_lam * np.exp(_LOG_PANEL * np.arange(n + 1))))
-
-
-def _from_edge(edges: np.ndarray, fn: Callable, r: np.ndarray) -> np.ndarray:
-    """int_{edges[0]}^r fn at each r of [edges[0], edges[-1]] on its own, by
-    Gauss-Legendre on the whole panels below r and the part of r's panel;
-    ``fn`` maps nodes to values, any leading axes of its own first."""
-    half = 0.5 * np.diff(edges)
-    whole = fn((edges[:-1] + half)[:, None] + half[:, None] * _QUAD_NODES)
-    below = np.zeros(whole.shape[:-2] + (edges.size,))
-    np.cumsum((whole @ _QUAD_WEIGHTS) * half, axis=-1, out=below[..., 1:])
-    j = np.maximum(np.searchsorted(edges, r) - 1, 0)   # r in (e_j, e_j+1]
-    h = 0.5 * (r - edges[j])
-    part = fn((edges[j] + h)[:, None] + h[:, None] * _QUAD_NODES)
-    return below[..., j] + (part @ _QUAD_WEIGHTS) * h
-
-
-def _cutoff_length(r: np.ndarray, r_lam: float) -> np.ndarray:
-    """E(r) = int_{r0}^r eta_lambda at each radius on its own: 0 up to
-    r_lam/2, :func:`_from_edge` on the ramp and E(r_lam) + r - r_lam
-    beyond it, where eta_lambda = 1."""
-    edges, cutoff = _panel_edges(r_lam, r_lam), lambda s: eta(s, r_lam)
-    e_lam = _from_edge(edges, cutoff, np.array([r_lam]))[0]
-    out = np.where(r >= r_lam, r - r_lam + e_lam, 0.0)
-    ramp = (r > edges[0]) & (r < r_lam)
-    out[ramp] = _from_edge(edges, cutoff, r[ramp])
-    return out
-
-
-def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
-         r: np.ndarray) -> np.ndarray:
-    """psi_lam(r) = int_{r0}^r eta_lambda (sqrt(2 (lam - q1)) - b_lam) at
-    each radius r >= r_lam/2 on its own, one row per energy (>= lam_lo):
-    :func:`_from_edge` of the same integrand without cancellation up to
-    the first edge a where |u| = |A| a^-p / (lam_lo - lam0) <= 1/2 (r_lam
-    on a repulsive tail), then the tail series (:func:`_tail_series`)."""
-    lam0, amp, p = prof.lambda0, prof.tail_amplitude, prof.tail_power
-    edges = _panel_edges(r_lam, (2.0 * abs(amp) / (lam_lo - lam0)) ** (1.0 / p))
-    b2 = 2.0 * (lam - lam0)[:, None, None]
-
-    def integrand(s):
-        tail = prof.tail(s)
-        return eta(s, r_lam) * -2.0 * tail / (
-            np.sqrt(np.maximum(b2 - 2.0 * tail, 0.0)) + np.sqrt(b2))
-
-    a, out = edges[-1], np.empty((lam.size, r.size))
-    inner, outer = np.flatnonzero(r <= a), np.flatnonzero(r > a)
-    step = max(1, _BLOCK // (lam.size * _QUAD_NODES.size))
-    for i0 in range(0, inner.size, step):
-        cols = inner[i0:i0 + step]
-        out[:, cols] = _from_edge(edges, integrand, r[cols])
-    if outer.size:
-        u_a = amp * a ** -p / (lam - lam0)
-        series = _tail_series(u_a[:, None], p, np.log(r[outer] / a), 1)
-        out[:, outer] = (_from_edge(edges, integrand, np.array([a]))
-                         - np.sqrt(b2[:, :, 0]) * a * series)
-    return out
-
-
 def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
                        sign: int) -> Tuple[np.ndarray, Callable]:
     """Factors of A(lam, r) = (2 |lam - q1|)^{-1/4} e^{i sign psi_lam(r)}
@@ -1059,26 +990,3 @@ def _tail_beyond(prof, lam: np.ndarray, kind: str, R: float) -> np.ndarray:
         raise ValueError(f"the tail series diverges: |u| >= 1 at r = {R:g}")
     total = _tail_series(u, p, np.inf, 1 if kind == "sr" else 2)
     return np.sqrt(2.0 * (lam - lam0)) * R * total
-
-
-def _tail_series(u, p: float, x, n: int):
-    """sum_{m>=n} c_m u^m g_m(x), n = 1 or 2, where 1 - sqrt(1 - u) =
-    sum c_m u^m (c_1 = 1/2, c_{m+1} = c_m (2m - 1) / (2m + 2)) and g_m(x) =
-    int_0^x e^{(1 - m p) y} dy: a times it integrates those terms of
-    u (s/a)^-p from a to a e^x.  Summed until every nonzero term is below
-    1e-17 of its sum, which it then leaves unchanged; |u| < 1 (and
-    p > 1/n at x = inf) is the callers' to keep."""
-    c = 0.5 if n == 1 else 0.125
-
-    def term(m, c):
-        if m * p == 1.0:
-            return c * u**m * x
-        return c * u**m * np.expm1((1.0 - m * p) * x) / (1.0 - m * p)
-
-    t = total = term(n, c)
-    while np.any((np.abs(t) >= 1e-17 * np.abs(total)) & (t != 0.0)):
-        c *= (2.0 * n - 1.0) / (2.0 * n + 2.0)
-        n += 1
-        t = term(n, c)
-        total = total + t
-    return total

@@ -21,7 +21,8 @@ march and two boundary limits.  :func:`scattering_sweep` takes S over a
 list of energies: each mode's march set-up (nodes and W_m) is built once
 for the whole list, and each end's extraction phase sqrt(b) e^{-i Phi},
 which depends on the energy but not on the mode, once per energy for all
-modes, for a block of energies that share r_lambda at a time.
+modes.  Phi is :func:`~ends_scatter.geometry.phase_integral`, the WKB
+phase of the comparison dynamics, taken at the window nodes only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ManifoldModel, integral_from_r0, phase_b
+from .geometry import ManifoldModel, phase_b, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
 from .resolvent import (JostPair, _wronskian_profile, jost_pair, jost_setups,
                         march_pair)
@@ -42,10 +43,6 @@ __all__ = [
     "scattering_matrix",
     "scattering_sweep",
 ]
-
-# elements of one (lam x r) work array of the extraction phase: the
-# energies of one block of scattering_sweep's phase factors
-_BLOCK = 1 << 16
 
 
 def _extraction_windows(grid: RadialGrid, end: int, r_lam: float):
@@ -108,31 +105,30 @@ def _averaged_limit(xi: np.ndarray, windows, tol: float):
     }
 
 
-def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int, lams,
-                   r_lam: float, sign: int = +1):
-    """The extraction phase sqrt(b) e^{-i sign Phi} on one end, one row per
-    energy of ``lams`` (all sharing ``r_lam``), at the nodes that some
-    extraction window holds.  Returns (nodes, windows, factors): those
-    grid nodes by increasing r, the masks of ``_extraction_windows`` on
-    them, and the factors.  Phi is ``phase_integral``'s trapezoid over all
-    the end's nodes, taken for the whole block in one call."""
+def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int,
+                   lam: float, r_lam: float, sign: int = +1):
+    """The extraction phase sqrt(b) e^{-i sign Phi} on one end at the
+    energy lam, at the nodes that some extraction window holds.  Returns
+    (nodes, windows, factor): those grid nodes by increasing r, the masks
+    of ``_extraction_windows`` on them, and the factor.  Phi is
+    :func:`~ends_scatter.geometry.phase_integral` at those nodes, each
+    radius taken on its own."""
     nodes, r, windows = _extraction_windows(grid, end, r_lam)
     held = np.zeros(r.size, dtype=bool)
     for msk in windows:
         held |= msk
-    lam = np.asarray(lams, dtype=float)[:, None]
-    phi = integral_from_r0(
-        model, r, lambda s: np.real(phase_b(model, end, lam, s, r_lam=r_lam)))
-    b = np.real(phase_b(model, end, lam, r[held], r_lam=r_lam))
-    factors = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * sign * phi[:, held])
-    return nodes[held], [msk[held] for msk in windows], factors
+    r = r[held]
+    b = np.real(phase_b(model, end, lam, r, r_lam=r_lam))
+    phi = phase_integral(model, end, lam, r, r_lam=r_lam)
+    factor = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * sign * phi)
+    return nodes[held], [msk[held] for msk in windows], factor
 
 
 def _extract_end(model: ManifoldModel, grid: RadialGrid, end: int, lam: float,
                  sign: int, u_line: np.ndarray, r_lam: float, tol: float):
     """Boundary coefficient of one end from a resolvent profile."""
-    nodes, windows, factors = _phase_factors(model, grid, end, [lam], r_lam, sign)
-    return _averaged_limit(factors[0] * u_line[nodes], windows, tol)
+    nodes, windows, factor = _phase_factors(model, grid, end, lam, r_lam, sign)
+    return _averaged_limit(factor * u_line[nodes], windows, tol)
 
 
 def _outgoing_coefficients(pair: JostPair, tol_f: float, phases=None):
@@ -140,10 +136,11 @@ def _outgoing_coefficients(pair: JostPair, tol_f: float, phases=None):
     boundary coefficient of each Jost solution on its own end, and the
     diagnostics of the two extractions (end 0, end 1).  ``phases`` holds
     each end's (nodes, windows, factor) at the pair's energy, as
-    :func:`_phase_block` gives them; without it they are taken here."""
+    :func:`_phase_factors` gives them; without it they are taken here."""
     op = pair.op
     if phases is None:
-        phases = _phase_block(op.model, op.grid, [pair.lam], 0, pair.r_lam)[0]
+        phases = [_phase_factors(op.model, op.grid, end, pair.lam, pair.r_lam)
+                  for end in range(2)]
     d = np.zeros(2, dtype=complex)
     ends = []
     for end, u in ((0, pair.u_right), (1, pair.u_left)):
@@ -193,30 +190,6 @@ def _wronskian(a, b) -> complex:
     return complex(np.mean(_wronskian_profile(*a, *b)))
 
 
-def _same_r_lambda(model: ManifoldModel, lam: float, r_lam: float) -> bool:
-    """Whether lam has r_lambda = r_lam; False where r_lambda refuses lam
-    (its march raises in turn, as the per-energy loop would)."""
-    try:
-        return model.r_lambda(lam) == r_lam
-    except ValueError:
-        return False
-
-
-def _phase_block(model: ManifoldModel, grid: RadialGrid, lams, i: int,
-                 r_lam: float) -> dict:
-    """The phase factors of both ends for lams[i] and the energies after
-    it that share its r_lam, at most ``_BLOCK`` elements per end's array:
-    {index into lams: [(nodes, windows, factor) of end 0, of end 1]}."""
-    last = min(len(lams), i + max(1, _BLOCK // (grid.x.size // 2 + 1)))
-    j = i + 1
-    while j < last and _same_r_lambda(model, lams[j], r_lam):
-        j += 1
-    ends = [_phase_factors(model, grid, end, lams[i:j], r_lam)
-            for end in range(2)]
-    return {i + k: [(nodes, windows, f[k]) for nodes, windows, f in ends]
-            for k in range(j - i)}
-
-
 def _mode_block(pair: JostPair, phases, tol_f: float):
     """One mode's 2x2 block of S at the pair's energy, S_m = D^+ C^T
     (D^-)^-1 (see ``scattering_matrix``), and the worst doubling residual
@@ -248,23 +221,21 @@ def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
     Each mode's march set-up (``jost_setups``) is built once for the
     list, and each energy marches through it, energy by energy and mode
     by mode within an energy.  Each end's extraction phase is taken once
-    per energy for every mode, for the energies that share r_lambda in
-    blocks of a fixed size (``_phase_block``), so the working set does
-    not grow with the length of the list.
+    per energy, after the energy's first march, and serves every mode.
     """
     lams = [float(lam) for lam in lams]
     modes = tuple(range(mmax + 1))
     setups = jost_setups([ModeOperator(model, grid, m) for m in modes])
-    phases = {}
     out = []
-    for i, lam in enumerate(lams):
+    for lam in lams:
         blocks = np.zeros((len(modes), 2, 2), dtype=complex)
-        per_mode = []
+        per_mode, phases = [], None
         for k, setup in enumerate(setups):
             pair = march_pair(setup, lam, +1)
-            if i not in phases:
-                phases = _phase_block(model, grid, lams, i, pair.r_lam)
-            blocks[k], residual = _mode_block(pair, phases[i], tol_f)
+            if phases is None:
+                phases = [_phase_factors(model, grid, end, lam, pair.r_lam)
+                          for end in range(2)]
+            blocks[k], residual = _mode_block(pair, phases, tol_f)
             per_mode.append({"m": modes[k], "doubling_residual": residual})
         defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
                    for b in blocks]

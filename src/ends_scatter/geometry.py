@@ -22,6 +22,11 @@ enters the potential ``q`` as well.  The remainder ``q2 = q - q1`` is
 treated as a perturbation.  An end declares its tail as the numbers
 ``(A, p, r0)``, so its threshold and decay class are read from them
 exactly, not estimated from samples.
+
+The WKB phase Phi_lam(r) = int_{r0}^r b has one rule here, which the
+comparison dynamics, S and F^+ all read: b_lam E(r) + psi_lam(r), each
+radius taken on its own by Gauss-Legendre panels out from the cutoff's
+ramp and the declared tail's series far out (:func:`phase_integral`).
 """
 
 from __future__ import annotations
@@ -44,13 +49,20 @@ __all__ = [
     "smooth_step",
     "eta",
     "phase_integral",
-    "integral_from_r0",
 ]
 
 # r_lambda: the largest r_lambda accepted
 _RMAX_R_LAMBDA = 4096.0
 # classify_potential: class margin of the decay exponent
 _CLASS_EPS = 0.1
+# elements of one work array: (lam x r) of the comparison dynamics'
+# frequency quadrature's exact sums, psi's quadrature samples
+_BLOCK = 1 << 21
+# panels in r of the WKB phase (and of the comparison amplitude): equal ones
+# on the ramp [r_lam/2, r_lam], then log-r ones, and the Gauss-Legendre rule
+# of its E and psi on them
+_RAMP_PANELS, _LOG_PANEL = 4, 0.7
+_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 # ---------------------------------------------------------------------------
@@ -497,33 +509,123 @@ def riccati_residual(model: ManifoldModel, end: int, z, r, sign: int = +1,
     return -sign * 1j * da + a**2 - 2.0 * (z - q1)
 
 
-def phase_integral(model: ManifoldModel, end: int, lam, r: np.ndarray,
+def _panel_edges(r_lam: float, r_hi: float) -> np.ndarray:
+    """Panel edges from r_lam/2 to the first one at or past r_hi and r_lam:
+    equal panels on the ramp, then r_lam e^{j _LOG_PANEL}, j = 1, 2, ..."""
+    n = math.ceil(math.log(max(r_hi / r_lam, 1.0)) / _LOG_PANEL)
+    n += r_lam * math.exp(_LOG_PANEL * n) < r_hi
+    return np.concatenate((0.5 * r_lam * (1.0 + np.arange(_RAMP_PANELS) / _RAMP_PANELS),
+                           r_lam * np.exp(_LOG_PANEL * np.arange(n + 1))))
+
+
+def _from_edge(edges: np.ndarray, fn: Callable, r: np.ndarray) -> np.ndarray:
+    """int_{edges[0]}^r fn at each r of [edges[0], edges[-1]] on its own, by
+    Gauss-Legendre on the whole panels below r and the part of r's panel;
+    ``fn`` maps nodes to values, any leading axes of its own first."""
+    half = 0.5 * np.diff(edges)
+    whole = fn((edges[:-1] + half)[:, None] + half[:, None] * _QUAD_NODES)
+    below = np.zeros(whole.shape[:-2] + (edges.size,))
+    np.cumsum((whole @ _QUAD_WEIGHTS) * half, axis=-1, out=below[..., 1:])
+    j = np.maximum(np.searchsorted(edges, r) - 1, 0)   # r in (e_j, e_j+1]
+    h = 0.5 * (r - edges[j])
+    part = fn((edges[j] + h)[:, None] + h[:, None] * _QUAD_NODES)
+    return below[..., j] + (part @ _QUAD_WEIGHTS) * h
+
+
+def _cutoff_length(r: np.ndarray, r_lam: float) -> np.ndarray:
+    """E(r) = int_{r0}^r eta_lambda at each radius on its own: 0 up to
+    r_lam/2, :func:`_from_edge` on the ramp and E(r_lam) + r - r_lam
+    beyond it, where eta_lambda = 1."""
+    edges, cutoff = _panel_edges(r_lam, r_lam), lambda s: eta(s, r_lam)
+    e_lam = _from_edge(edges, cutoff, np.array([r_lam]))[0]
+    out = np.where(r >= r_lam, r - r_lam + e_lam, 0.0)
+    ramp = (r > edges[0]) & (r < r_lam)
+    out[ramp] = _from_edge(edges, cutoff, r[ramp])
+    return out
+
+
+def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
+         r: np.ndarray) -> np.ndarray:
+    """psi_lam(r) = int_{r0}^r eta_lambda (sqrt(2 (lam - q1)) - b_lam) at
+    each radius r >= r_lam/2 on its own, one row per energy (>= lam_lo):
+    :func:`_from_edge` of the same integrand without cancellation up to
+    the first edge a where |u| = |A| a^-p / (lam_lo - lam0) <= 1/2 (r_lam
+    on a repulsive tail), then the tail series (:func:`_tail_series`)."""
+    lam0, amp, p = prof.lambda0, prof.tail_amplitude, prof.tail_power
+    edges = _panel_edges(r_lam, (2.0 * abs(amp) / (lam_lo - lam0)) ** (1.0 / p))
+    b2 = 2.0 * (lam - lam0)[:, None, None]
+
+    def integrand(s):
+        tail = prof.tail(s)
+        return eta(s, r_lam) * -2.0 * tail / (
+            np.sqrt(np.maximum(b2 - 2.0 * tail, 0.0)) + np.sqrt(b2))
+
+    a, out = edges[-1], np.empty((lam.size, r.size))
+    inner, outer = np.flatnonzero(r <= a), np.flatnonzero(r > a)
+    step = max(1, _BLOCK // (lam.size * _QUAD_NODES.size))
+    for i0 in range(0, inner.size, step):
+        cols = inner[i0:i0 + step]
+        out[:, cols] = _from_edge(edges, integrand, r[cols])
+    if outer.size:
+        u_a = amp * a ** -p / (lam - lam0)
+        series = _tail_series(u_a[:, None], p, np.log(r[outer] / a), 1)
+        out[:, outer] = (_from_edge(edges, integrand, np.array([a]))
+                         - np.sqrt(b2[:, :, 0]) * a * series)
+    return out
+
+
+def _tail_series(u, p: float, x, n: int):
+    """sum_{m>=n} c_m u^m g_m(x), n = 1 or 2, where 1 - sqrt(1 - u) =
+    sum c_m u^m (c_1 = 1/2, c_{m+1} = c_m (2m - 1) / (2m + 2)) and g_m(x) =
+    int_0^x e^{(1 - m p) y} dy: a times it integrates those terms of
+    u (s/a)^-p from a to a e^x.  Summed until every nonzero term is below
+    1e-17 of its sum, which it then leaves unchanged; |u| < 1 (and
+    p > 1/n at x = inf) is the callers' to keep."""
+    c = 0.5 if n == 1 else 0.125
+
+    def term(m, c):
+        if m * p == 1.0:
+            return c * u**m * x
+        return c * u**m * np.expm1((1.0 - m * p) * x) / (1.0 - m * p)
+
+    t = total = term(n, c)
+    while np.any((np.abs(t) >= 1e-17 * np.abs(total)) & (t != 0.0)):
+        c *= (2.0 * n - 1.0) / (2.0 * n + 2.0)
+        n += 1
+        t = term(n, c)
+        total = total + t
+    return total
+
+
+def phase_integral(model: ManifoldModel, end: int, lam: float, r: np.ndarray,
                    r_lam: Optional[float] = None) -> np.ndarray:
-    """Accumulated WKB phase Phi(r) = int_{r0}^r b ds on one end.
-
-    ``r`` must be sorted ascending; values below r0 are allowed (the
-    integral then runs backwards, b vanishing inside the cutoff)."""
+    """The WKB phase Phi_lam(r) = int_{r0}^r b ds on one end at the real
+    energy lam, each radius taken on its own: b_lam E(r) + psi_lam(r),
+    with b_lam = sqrt(2 (lam - lambda0)), E by :func:`_cutoff_length` and,
+    on an end with a tail, psi by :func:`_psi` with lam as its lowest
+    energy, which places its panels.  Both parts vanish up to r_lam/2,
+    where eta_lambda and b do."""
+    prof = model.ends[end]
     r = np.asarray(r, dtype=float)
-    if np.any(np.diff(r) < 0):
-        raise ValueError("r must be sorted ascending")
     if r_lam is None:
-        r_lam = model.r_lambda(float(np.real(lam)))
-    return integral_from_r0(
-        model, r, lambda s: np.real(phase_b(model, end, lam, s, r_lam=r_lam)))
+        r_lam = model.r_lambda(lam)
+    phi = np.sqrt(2.0 * (lam - prof.lambda0)) * _cutoff_length(r, r_lam)
+    if prof.tail_amplitude != 0.0:
+        live = r > 0.5 * r_lam
+        phi[live] += _psi(prof, r_lam, lam, np.array([lam]), r[live])[0]
+    return phi
 
 
-def cumulative_trapezoid(y, x=None, dx: float = 1.0) -> np.ndarray:
-    """Cumulative trapezoid rule along the last axis of ``y``, 0 at the
-    first node; ``x`` holds the 1-D nodes, else the spacing is ``dx``.
+def cumulative_trapezoid(y, dx: float) -> np.ndarray:
+    """Cumulative trapezoid rule over the 1-D samples ``y`` at the
+    spacing ``dx``, 0 at the first node.
 
-    The arithmetic of ``scipy.integrate.cumulative_trapezoid(...,
+    The arithmetic of ``scipy.integrate.cumulative_trapezoid(y, dx=dx,
     initial=0)``, so the two agree bit for bit, without importing
     scipy.integrate (which loads most of scipy)."""
     y = np.asarray(y)
-    d = dx if x is None else np.diff(x)
-    acc = np.cumsum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-    return np.concatenate((np.zeros(acc.shape[:-1] + (1,), acc.dtype), acc),
-                          axis=-1)
+    acc = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    return np.concatenate((np.zeros(1, acc.dtype), acc))
 
 
 class CubicSpline:
@@ -636,22 +738,6 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
     return np.array(b, dtype=rhs.dtype)
-
-
-def integral_from_r0(model: ManifoldModel, r: np.ndarray,
-                     fn: Callable) -> np.ndarray:
-    """int_{r0}^r fn(s) ds at the radii ``r``: the trapezoid rule over the
-    sorted nodes of r with r0 inserted (negative below r0).
-
-    ``fn`` maps the sorted nodes to an array whose last axis runs over
-    them; leading axes (a block of energies, say) are integrated
-    independently and kept in the result."""
-    pts = np.concatenate((r, [model.r0]))
-    # sorted, without repeats (np.unique would import numpy.ma)
-    rr = np.sort(pts)
-    rr = rr[np.concatenate(([True], rr[1:] != rr[:-1]))]
-    vals = cumulative_trapezoid(fn(rr), rr)[..., np.searchsorted(rr, pts)]
-    return vals[..., :-1] - vals[..., -1:]
 
 
 def classify_potential(model: ManifoldModel, end: int):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +442,18 @@ def test_waveop_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch):
     assert code == 2
     assert rep["converged"] is False
     assert "too coarse for lam=400.25:" in rep["error"]
+
+
+def test_every_default_keeps_its_exit_code(tmp_path):
+    """Each subcommand at each preset's defaults, run in process, exits
+    with its code in ``tests/data/exit_codes.json`` (0 = converged, 2 =
+    configuration error, 3 = not converged).  A change that moves a code
+    edits that table, so the move shows in its diff."""
+    with open(Path(__file__).parent / "data" / "exit_codes.json") as fh:
+        want = json.load(fh)
+    assert list(want) == list(cli._COMMANDS)
+    got = {command: {preset: main([command, "--preset", preset, "--out",
+                                    str(tmp_path / command / preset)])
+                     for preset in _CATALOGUE}
+           for command in cli._COMMANDS}
+    assert got == want

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ends_scatter import fourier
 from ends_scatter.fourier import (_averaged_limit, _extraction_windows,
                                   _phase_factors, distorted_ft,
                                   scattering_matrix, scattering_sweep)
@@ -98,7 +97,7 @@ _SWEEPS = {
     "A": (model_a, RadialGrid(60.0, 0.01), (0.3, 0.55, 0.8)),
     "B": (model_b, RadialGrid(60.0, 0.01), (0.3, 0.6, 1.0)),
     "D": (model_d, RadialGrid(60.0, 0.01), (0.6, 1.1, 2.0)),
-    # r_lambda 32, 32, 16 and 16: two blocks of phase factors
+    # r_lambda 32, 32, 16 and 16
     "C": (model_c, RadialGrid(130.0, 0.02), (0.3, 0.32, 0.6, 0.65)),
     "A-one": (model_a, RadialGrid(60.0, 0.01), (0.55,)),
 }
@@ -108,7 +107,7 @@ _SWEEPS = {
 @pytest.mark.parametrize("case", list(_SWEEPS))
 def test_sweep_is_the_per_energy_loop(case, mmax):
     """S over a list of energies in one sweep (one march set-up per mode,
-    the phase factors of energies sharing r_lambda in one block) equals
+    each end's phase factors once per energy for all modes) equals
     scattering_matrix at each energy, bit for bit."""
     make, grid, lams = _SWEEPS[case]
     model = make()
@@ -118,42 +117,35 @@ def test_sweep_is_the_per_energy_loop(case, mmax):
         _same_data(sd, scattering_matrix(model, grid, lam, mmax=mmax))
 
 
-def test_sweep_blocks_do_not_change_the_bits(monkeypatch):
-    """A block of phase factors as small as one energy gives the same S as
-    the default block of all four."""
-    model, grid = model_a(), RadialGrid(60.0, 0.01)
-    lams = (0.3, 0.45, 0.6, 0.8)
-    want = scattering_sweep(model, grid, lams, mmax=1)
-    for per_block in (1, 3):
-        monkeypatch.setattr(fourier, "_BLOCK", per_block * (grid.x.size // 2 + 1))
-        for sd, ref in zip(scattering_sweep(model, grid, lams, mmax=1), want):
-            _same_data(sd, ref)
-
-
 @pytest.mark.parametrize("model,end", [(model_a(), 0), (model_c(), 0),
                                        (model_b(), 1)], ids=["A", "C", "B1"])
 def test_phase_factors_keep_the_bits_of_the_whole_end(model, end):
-    """The extraction phase of a block of energies, held at the window
-    nodes only, is sqrt(b) e^{-i Phi} from phase_b and phase_integral
-    over all the end's nodes, energy by energy, bit for bit; so are the
-    window means of a profile."""
+    """The extraction phase of one energy, held at the window nodes only,
+    is sqrt(b) e^{-i Phi} from phase_b and phase_integral at those nodes,
+    bit for bit; phase_integral over all the end's nodes, read at the
+    window nodes, is the same bits, and so are the window means of a
+    profile."""
     grid = RadialGrid(130.0, 0.02)
-    lams = [1.0, 1.05, 1.1]
-    r_lam = model.r_lambda(lams[0])
-    assert all(model.r_lambda(lam) == r_lam for lam in lams)
-    nodes, windows, factors = _phase_factors(model, grid, end, lams, r_lam)
-    all_nodes, r, all_windows = _extraction_windows(grid, end, r_lam)
-    assert len(windows) == len(all_windows) >= 2
     u = np.exp(0.3j * grid.x) * (1.0 + 0.1 * grid.x)
-    for k, lam in enumerate(lams):
+
+    def extraction_phase(lam, r, r_lam):
         b = np.real(phase_b(model, end, lam, r, r_lam=r_lam))
         phi = phase_integral(model, end, lam, r, r_lam=r_lam)
-        whole = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * phi)
+        return np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * phi)
+
+    for lam in (1.0, 1.05, 1.1):
+        r_lam = model.r_lambda(lam)
+        nodes, windows, factor = _phase_factors(model, grid, end, lam, r_lam)
+        all_nodes, r, all_windows = _extraction_windows(grid, end, r_lam)
+        assert len(windows) == len(all_windows) >= 2
         held = np.isin(all_nodes, nodes)
         assert np.array_equal(all_nodes[held], nodes)
-        assert whole[held].tobytes() == factors[k].tobytes()
+        want = extraction_phase(lam, r[held], r_lam)
+        assert factor.tobytes() == want.tobytes()
+        whole = extraction_phase(lam, r, r_lam)
+        assert whole[held].tobytes() == factor.tobytes()
         want, _ = _averaged_limit(whole * u[all_nodes], all_windows, 1e-4)
-        got, _ = _averaged_limit(factors[k] * u[nodes], windows, 1e-4)
+        got, _ = _averaged_limit(factor * u[nodes], windows, 1e-4)
         assert got == want
 
 

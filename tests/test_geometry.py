@@ -9,8 +9,8 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel,
                                    _bump_piece, bump, classify_potential,
-                                   cumulative_trapezoid, eta, integral_from_r0,
-                                   numeric_derivative, phase_a, phase_b,
+                                   _cutoff_length, _psi, cumulative_trapezoid,
+                                   eta, numeric_derivative, phase_a, phase_b,
                                    phase_integral, riccati_residual,
                                    smooth_step)
 from ends_scatter.presets import (_CATALOGUE, model_a, model_b, model_c,
@@ -220,44 +220,14 @@ def test_numeric_derivative_accuracy():
 
 
 def test_cumulative_trapezoid_is_scipys_bit_for_bit(rng):
-    """The three call shapes of the package against scipy's rule."""
-    x = np.sort(rng.uniform(-5.0, 5.0, 64))
-    # a block of rows over non-uniform nodes (integral_from_r0)
-    y2 = rng.standard_normal((3, 64))
-    assert np.array_equal(cumulative_trapezoid(y2, x),
-                          scipy_cumulative_trapezoid(y2, x, axis=-1, initial=0))
-    # complex samples, uniform spacing, reversed view (limiting_resolvent)
+    """The call shape of the package (limiting_resolvent) against scipy's
+    rule: uniform spacing, real and complex samples, reversed views."""
     f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     assert np.array_equal(cumulative_trapezoid(f[::-1], dx=0.02),
                           scipy_cumulative_trapezoid(f[::-1], dx=0.02, initial=0))
-    # one row over non-uniform nodes (dollard_state)
-    y1 = rng.standard_normal(64)
-    assert np.array_equal(cumulative_trapezoid(y1, x),
-                          scipy_cumulative_trapezoid(y1, x, initial=0))
-
-
-@pytest.mark.parametrize("r0_among_them", [True, False])
-def test_integral_from_r0_is_the_unique_form_bit_for_bit(rng, r0_among_them):
-    """integral_from_r0 drops repeated nodes by a neighbour comparison
-    after sorting: on radii with duplicates, with r0 among them (and
-    repeated) or below all of them, that is the np.unique form bit for
-    bit, for one row and for a block of rows."""
-    model = model_c()
-    lo = 0.5 * model.r0 if r0_among_them else 2.0 * model.r0
-    base = rng.uniform(lo, 30.0, 40)
-    r = np.concatenate((base, base[:10], np.full(3, base[3])))
-    if r0_among_them:
-        r = np.concatenate((r, [model.r0, model.r0]))
-    r = rng.permutation(r)
-
-    def unique_form(fn):
-        pts = np.concatenate((r, [model.r0]))
-        rr = np.unique(pts)
-        vals = cumulative_trapezoid(fn(rr), rr)[..., np.searchsorted(rr, pts)]
-        return vals[..., :-1] - vals[..., -1:]
-
-    for fn in (np.sqrt, lambda s: np.outer([1.0, -2.0, 0.5], np.cos(s))):
-        assert integral_from_r0(model, r, fn).tobytes() == unique_form(fn).tobytes()
+    y = rng.standard_normal(64)
+    assert np.array_equal(cumulative_trapezoid(y, dx=0.01),
+                          scipy_cumulative_trapezoid(y, dx=0.01, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +456,33 @@ def test_phase_b_free_closed_form():
     assert np.allclose(phase_b(m, 0, lam, r), np.sqrt(2.0 * lam), rtol=1e-14)
 
 
-def test_phase_integral_linear_growth_on_free_end():
+def test_phase_integral_linear_growth_on_free_end(rng):
+    """On A's free end Phi grows like sqrt(2 lam) r.  On C's tailed end
+    each radius is taken on its own: a permutation of the radii permutes
+    the values bit for bit, and they are b_lam E + psi of the per-radius
+    rule bit for bit (zero up to r_lam/2, where eta_lambda is)."""
     m = model_a()
     lam = 0.5
     r = np.linspace(20.0, 120.0, 400)
     phi = phase_integral(m, 0, lam, r)
     slope = np.polyfit(r, phi, 1)[0]
     assert abs(slope - np.sqrt(2.0 * lam)) < 1e-10
+
+    m = model_c()
+    lam = 0.45
+    r_lam = m.r_lambda(lam)
+    r = np.concatenate((np.linspace(0.5, 0.5 * r_lam, 7),
+                        rng.uniform(0.5 * r_lam, 300.0, 200), [r_lam, 1e4]))
+    phi = phase_integral(m, 0, lam, r)
+    perm = rng.permutation(r.size)
+    assert phase_integral(m, 0, lam, r[perm]).tobytes() == phi[perm].tobytes()
+    live = r > 0.5 * r_lam
+    b = np.sqrt(2.0 * (lam - m.ends[0].lambda0))
+    want = b * _cutoff_length(r, r_lam)
+    want[live] = (want[live]
+                  + _psi(m.ends[0], r_lam, lam, np.array([lam]), r[live])[0])
+    assert phi.tobytes() == want.tobytes()
+    assert np.all(phi[~live] == 0.0)
 
 
 def test_riccati_residual_small_on_end():

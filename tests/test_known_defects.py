@@ -1,0 +1,77 @@
+"""Known wrong answers of the lab, pinned as strict expected failures.
+
+Each test asserts the right answer against a reference that shares no
+code with the Jost path it checks, and carries
+``pytest.mark.xfail(strict=True)`` with the ROADMAP item of its defect.
+The change that mends a defect sees XPASS as a failure, so it removes
+the marker and keeps the assertion.
+
+On a flat end f = 1, so the centrifugal term of the mode m = 1 is the
+constant 1/2 on the whole line: ``W_1 = W_0 + 1/2``.  On free that makes
+S_1 pure transmission, and on D it is the square barrier of ``W_0`` seen
+at the energy lam - 1/2.  At rmax 60, dx 0.01 the lab gives |S_11| of
+0.2525, 0.2011 and 0.0692 on free at lam 0.6, 1.0 and 2.0, and |S_21| of
+0.01439, 0.1559 and 0.5603 on D, where the closed form gives 0.03515,
+0.1111 and 0.5000.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from ends_scatter.cli import main
+from ends_scatter.fourier import scattering_matrix
+from ends_scatter.mode_reduction import RadialGrid
+from ends_scatter.oracle import closed_form_scattering
+from ends_scatter.presets import model_d, model_free
+
+_GRID = RadialGrid(60.0, 0.01)
+_LAMS = (0.6, 1.0, 2.0)
+_ITEM_1 = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the S block of the mode m = 1 on a flat end is "
+           "wrong")
+
+
+@_ITEM_1
+@pytest.mark.parametrize("lam", _LAMS)
+def test_free_m1_is_pure_transmission(lam):
+    """W_1 = 1/2 on the whole line of free: nothing reflects."""
+    block = scattering_matrix(model_free(), _GRID, lam, mmax=1).block(1)
+    assert abs(block[0, 0]) <= 1e-8
+
+
+@_ITEM_1
+@pytest.mark.parametrize("lam", _LAMS)
+def test_d_m1_is_the_barrier_at_the_shifted_energy(lam):
+    """|S_21| of D's mode 1 is the square barrier's |t| at lam - 1/2, by
+    plane-wave matching at its two interfaces."""
+    v0, half_width = 1.5, 1.0
+    block = scattering_matrix(model_d(v0=v0, half_width=half_width), _GRID,
+                              lam, mmax=1).block(1)
+    want = closed_form_scattering("square_well", lam - 0.5, v0=v0,
+                                  half_width=half_width)["s_abs"][1][0]
+    assert abs(abs(block[1, 0]) - want) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: smatrix reports a wrong m = 1 "
+                          "block with exit 0")
+def test_smatrix_on_free_m1_is_right_or_exits_3(tmp_path):
+    """smatrix on free with two modes either gives the pure transmission
+    of the mode 1 at every energy or says that it did not converge."""
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("[model]\npreset = free\n\n[grid]\nmmax = 1\n")
+    code = main(["smatrix", "--config", str(cfg), "--lambda-grid",
+                 "0.6:2.0:3", "--out", str(tmp_path)])
+    if code == 3:
+        return
+    assert code == 0
+    with open(tmp_path / "smatrix.json") as fh:
+        points = json.load(fh)["points"]
+    for point in points:
+        block = np.array([[complex(e["re"], e["im"]) for e in row]
+                          for row in point["blocks"]["1"]])
+        assert abs(block[0, 0]) <= 1e-8
+        assert abs(abs(block[1, 0]) - 1.0) <= 1e-8

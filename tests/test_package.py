@@ -197,8 +197,8 @@ def test_dynamics_and_smatrix_leave_numpy_ma_unloaded(tmp_path):
     cumulative under ``python -X importtime`` with numpy 2.4); the
     sort-and-neighbour form and ``np.bincount`` do not.  A fresh
     interpreter runs dynamics on C (the cone, the seeded stationary
-    point and the amplitude's panels) and then smatrix on D
-    (``integral_from_r0``) without loading it."""
+    point and the amplitude's panels) and then smatrix on D (the
+    extraction windows and their phase) without loading it."""
     runs = [["dynamics", "--preset", "C"], ["smatrix", "--preset", "D"]]
     assert "numpy.ma" not in _modules_loaded(runs, tmp_path)
 
