@@ -34,9 +34,8 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
     profile_center = 0.55       ; spectral window of the launched packet,
     profile_width = 0.25        ; lam0 + center +- width, 0 < width < center
     dt = 0.05
-    tol_s = 1e-6
-    tol_f = 1e-4
-    tol_w = 1e-3
+    tol_s = 1e-6                ; unitarity of S, flux defect of oracle
+    tol_w = 1e-3                ; last Cauchy increment (waveop)
 
 All sections except [model] are optional; missing keys take the defaults
 shown by ``default_config()``, which are the field defaults of
@@ -102,7 +101,6 @@ class RunConfig:
     profile_width: float = 0.25
     dt: float = 0.05
     tol_s: float = 1e-6
-    tol_f: float = 1e-4
     tol_w: float = 1e-3
 
     def validate(self) -> None:
@@ -127,7 +125,7 @@ class RunConfig:
                 "lam0 + center +- width must stay above the threshold")
         if self.dt <= 0:
             raise ConfigError("[run] dt must be positive")
-        for k in ("tol_s", "tol_f", "tol_w"):
+        for k in ("tol_s", "tol_w"):
             if getattr(self, k) <= 0:
                 raise ConfigError(f"[run] {k} must be positive")
 

@@ -19,14 +19,16 @@ of the outgoing and incoming Jost pairs and D^+-.  The incoming pair and
 D^- are the conjugates of the outgoing ones, so each mode costs one Jost
 march and two boundary limits.  :func:`scattering_sweep` takes S over a
 list of energies: each mode's march set-up (nodes and W_m) is built once
-for the whole list, and each end's extraction phase sqrt(b) e^{-i Phi},
-which depends on the energy but not on the mode, once per energy for all
-modes.  Phi is :func:`~ends_scatter.geometry.phase_integral`, the WKB
-phase of the comparison dynamics, taken at the window nodes only.
+for the whole list, each end's extraction windows once per r_lambda (a
+memo the CLI's checks share), and each end's extraction phase sqrt(b)
+e^{-i Phi}, which depends on the energy but not on the mode, once per
+energy for all modes.  Phi is :func:`~ends_scatter.geometry.phase_integral`,
+the WKB phase of the comparison dynamics, taken at the window nodes only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -45,12 +47,14 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
 def _extraction_windows(grid: RadialGrid, end: int, r_lam: float):
     """Where a boundary limit on one end is averaged: (nodes, r, windows).
     ``nodes`` indexes the end's nodes by increasing radius r, and each
     window masks, in that order, a dyadic window [R, 2R] with R = max(2
     r_lam, rmax / 16), 2R, ..., that ends on the grid and holds at least
-    8 nodes.  No window fits when rmax < 4 r_lam."""
+    8 nodes.  No window fits when rmax < 4 r_lam.  Memoized on (grid,
+    end, r_lam); the arrays are read-only and the windows a tuple."""
     nodes = np.flatnonzero(grid.end_mask(end, r_min=0.0))
     r = grid.r[nodes]
     order = np.argsort(r)
@@ -61,14 +65,16 @@ def _extraction_windows(grid: RadialGrid, end: int, r_lam: float):
         msk = (r >= R) & (r <= 2.0 * R)
         if np.count_nonzero(msk) < 8:
             break
+        msk.flags.writeable = False
         windows.append(msk)
         R *= 2.0
-    return nodes, r, windows
+    nodes.flags.writeable = r.flags.writeable = False
+    return nodes, r, tuple(windows)
 
 
-def _averaged_limit(xi: np.ndarray, windows, tol: float):
-    """Means of xi over the dyadic windows of ``_extraction_windows``
-    with one geometric extrapolation step.  Returns (value, diag)."""
+def _averaged_limit(xi: np.ndarray, windows):
+    """Means of xi over the dyadic windows of ``_extraction_windows``, with
+    one geometric extrapolation step: (value, {"doubling_residual"})."""
     if not windows:
         raise ValueError("extraction window empty; increase rmax")
     means = [np.mean(xi[msk]) for msk in windows]
@@ -78,31 +84,21 @@ def _averaged_limit(xi: np.ndarray, windows, tol: float):
         d1, d2 = seq[-2] - seq[-3], seq[-1] - seq[-2]
         if abs(d1) > 0 and abs(d2 / d1) < 0.75:
             q = d2 / d1
-            return seq[-1] + d2 * q / (1.0 - q), True
-        return seq[-1], False
+            return seq[-1] + d2 * q / (1.0 - q)
+        return seq[-1]
 
     value = means[-1]
-    extrapolated = False
     if len(means) >= 3:
         rho = np.abs(means)
         if rho[-1] > 1e-8 * max(1.0, rho.max()):
             # modulus and phase converge at different rates; extrapolate
             # them separately to keep the faster modulus convergence clean
             theta = np.unwrap(np.angle(means))
-            rho_inf, ok1 = _geo_tail(list(rho))
-            theta_inf, ok2 = _geo_tail(list(theta))
-            value = rho_inf * np.exp(1j * theta_inf)
-            extrapolated = ok1 or ok2
+            value = _geo_tail(list(rho)) * np.exp(1j * _geo_tail(list(theta)))
         else:
-            value, extrapolated = _geo_tail(means)
+            value = _geo_tail(means)
     resid = abs(means[-1] - means[-2]) if len(means) >= 2 else np.inf
-    scale = max(abs(value), 1e-300)
-    return value, {
-        "means": means,
-        "doubling_residual": float(resid / scale),
-        "converged": bool(resid <= tol * scale or scale <= tol),
-        "extrapolated": extrapolated,
-    }
+    return value, {"doubling_residual": float(resid / max(abs(value), 1e-300))}
 
 
 def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int,
@@ -125,13 +121,13 @@ def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int,
 
 
 def _extract_end(model: ManifoldModel, grid: RadialGrid, end: int, lam: float,
-                 sign: int, u_line: np.ndarray, r_lam: float, tol: float):
+                 sign: int, u_line: np.ndarray, r_lam: float):
     """Boundary coefficient of one end from a resolvent profile."""
     nodes, windows, factor = _phase_factors(model, grid, end, lam, r_lam, sign)
-    return _averaged_limit(factor * u_line[nodes], windows, tol)
+    return _averaged_limit(factor * u_line[nodes], windows)
 
 
-def _outgoing_coefficients(pair: JostPair, tol_f: float, phases=None):
+def _outgoing_coefficients(pair: JostPair, phases=None):
     """D^+ = (2 c_right / W, 2 c_left / W) of an outgoing Jost pair, c the
     boundary coefficient of each Jost solution on its own end, and the
     diagnostics of the two extractions (end 0, end 1).  ``phases`` holds
@@ -145,14 +141,13 @@ def _outgoing_coefficients(pair: JostPair, tol_f: float, phases=None):
     ends = []
     for end, u in ((0, pair.u_right), (1, pair.u_left)):
         nodes, windows, factor = phases[end]
-        c, ediag = _averaged_limit(factor * u[nodes], windows, tol_f)
+        c, ediag = _averaged_limit(factor * u[nodes], windows)
         d[end] = 2.0 * c / pair.wronskian
         ends.append(ediag)
     return d, ends
 
 
-def distorted_ft(op: ModeOperator, lam: float, psis: np.ndarray,
-                 tol_f: float = 1e-4):
+def distorted_ft(op: ModeOperator, lam: float, psis: np.ndarray):
     """F^+(lam) psi for each row of ``psis`` (flat mode-m states on
     ``op``'s grid), as D^+ times the pairings (<u_left, psi>,
     <u_right, psi>) with the outgoing Jost pair: one march and two
@@ -160,11 +155,12 @@ def distorted_ft(op: ModeOperator, lam: float, psis: np.ndarray,
 
     Exact for states supported inside the extraction windows' inner
     radius.  Returns (coeffs, diag): coeffs of shape (n_states, 2), one
-    column per end; diag["ends"] the two extraction diagnostics.
+    column per end; diag["ends"] the doubling residuals of the two
+    extractions.
     """
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
     pair = jost_pair(op, lam, +1)
-    d, ends = _outgoing_coefficients(pair, tol_f)
+    d, ends = _outgoing_coefficients(pair)
     # end 0 pairs the states with u_left, end 1 with u_right
     pairing = op.grid.dx * (psis @ np.stack((pair.u_left, pair.u_right), axis=1))
     return pairing * d, {"ends": ends}
@@ -190,14 +186,14 @@ def _wronskian(a, b) -> complex:
     return complex(np.mean(_wronskian_profile(*a, *b)))
 
 
-def _mode_block(pair: JostPair, phases, tol_f: float):
+def _mode_block(pair: JostPair, phases):
     """One mode's 2x2 block of S at the pair's energy, S_m = D^+ C^T
     (D^-)^-1 (see ``scattering_matrix``), and the worst doubling residual
     of its two boundary extractions."""
     # the incoming pair, its Wronskian and D^- are the conjugates of the
     # outgoing ones (see jost_pair)
     w_m = pair.wronskian.conjugate()
-    d_p, ends = _outgoing_coefficients(pair, tol_f, phases)
+    d_p, ends = _outgoing_coefficients(pair, phases)
     d_m = np.conj(d_p)
     left_p = (pair.u_left, pair.du_left)
     right_p = (pair.u_right, pair.du_right)
@@ -212,8 +208,7 @@ def _mode_block(pair: JostPair, phases, tol_f: float):
 
 
 def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
-                     lams: Sequence[float], mmax: int = 0, tol_s: float = 1e-6,
-                     tol_f: float = 1e-4) -> List[ScatteringData]:
+                     lams: Sequence[float], mmax: int = 0) -> List[ScatteringData]:
     """S(lam) at every energy of ``lams``, in order: bit for bit
     ``scattering_matrix`` at each energy, and the first error that a loop
     of those calls would raise.
@@ -221,7 +216,10 @@ def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
     Each mode's march set-up (``jost_setups``) is built once for the
     list, and each energy marches through it, energy by energy and mode
     by mode within an energy.  Each end's extraction phase is taken once
-    per energy, after the energy's first march, and serves every mode.
+    per energy, after the energy's first march, and serves every mode;
+    its windows are memoized per r_lambda.  Each energy's diag holds each
+    mode's doubling residual ("per_mode") and unitarity defect
+    ("defects"), unjudged; ``unitarity_defect`` is the largest, or NaN.
     """
     lams = [float(lam) for lam in lams]
     modes = tuple(range(mmax + 1))
@@ -235,19 +233,18 @@ def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
             if phases is None:
                 phases = [_phase_factors(model, grid, end, lam, pair.r_lam)
                           for end in range(2)]
-            blocks[k], residual = _mode_block(pair, phases, tol_f)
+            blocks[k], residual = _mode_block(pair, phases)
             per_mode.append({"m": modes[k], "doubling_residual": residual})
         defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
                    for b in blocks]
-        diag = {"per_mode": per_mode, "defects": defects,
-                "unitary_within_tol": bool(max(defects) <= tol_s)}
-        out.append(ScatteringData(lam, modes, blocks, max(defects), diag))
+        diag = {"per_mode": per_mode, "defects": defects}
+        out.append(ScatteringData(lam, modes, blocks, float(np.max(defects)),
+                                  diag))
     return out
 
 
 def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
-                      mmax: int = 0, tol_s: float = 1e-6,
-                      tol_f: float = 1e-4) -> ScatteringData:
+                      mmax: int = 0) -> ScatteringData:
     """Assemble S(lam) mode block by mode block from the Jost pairs: the
     sweep (``scattering_sweep``) of the one energy lam.
 
@@ -263,8 +260,7 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
     same doubling residuals.
 
     Blocks for -m equal those for m (rotational symmetry).  The
-    unitarity defect max_m ||S_m* S_m - 1|| is reported and compared to
-    tol_s in the diagnostics; each mode's doubling residual is the worst
-    of its two boundary extractions.
+    unitarity defect max_m ||S_m* S_m - 1|| is reported, not judged; each
+    mode's doubling residual is the worst of its two boundary extractions.
     """
-    return scattering_sweep(model, grid, [lam], mmax, tol_s, tol_f)[0]
+    return scattering_sweep(model, grid, [lam], mmax)[0]

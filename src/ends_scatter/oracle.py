@@ -289,7 +289,7 @@ def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:
 
 
 def reference_distorted_ft(op: ModeOperator, lam: float, psi: np.ndarray,
-                           sign: int, pair: JostPair, tol_f: float):
+                           sign: int, pair: JostPair):
     """F^+-(lam) psi of one mode-m state: R(lam +- i0) psi from ``pair``
     (of the same sign), then its boundary coefficient on each end.
     Returns (coeffs, ends): one coefficient and one extraction
@@ -299,7 +299,7 @@ def reference_distorted_ft(op: ModeOperator, lam: float, psi: np.ndarray,
     ends = []
     for end in range(2):
         coeffs[end], ediag = _extract_end(op.model, op.grid, end, lam, sign,
-                                          phi, rdiag["r_lam"], tol_f)
+                                          phi, rdiag["r_lam"])
         ends.append(ediag)
     return coeffs, ends
 
@@ -318,7 +318,7 @@ def _probe_states(grid: RadialGrid, model: ManifoldModel):
 
 
 def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
-                                lam: float, mmax: int = 0, tol_f: float = 1e-4):
+                                lam: float, mmax: int = 0):
     """S(lam) blocks for |m| <= mmax from the probe family: every probe is
     pushed through both signed reference transforms and S_m solves
     F^+ = S_m F^- in the least-squares sense.  Returns (blocks,
@@ -339,8 +339,7 @@ def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
         for sign, c in cols.items():
             pair = jost_pair(op, lam, sign)
             for j, psi in enumerate(probes):
-                c[:, j], ends = reference_distorted_ft(op, lam, psi, sign, pair,
-                                                       tol_f)
+                c[:, j], ends = reference_distorted_ft(op, lam, psi, sign, pair)
                 worst = max(worst, *(e["doubling_residual"] for e in ends))
         s_t, *_ = np.linalg.lstsq(cols[-1].T, cols[+1].T, rcond=None)
         blocks[m] = s_t.T

@@ -239,8 +239,7 @@ def _end_state(grid: RadialGrid, model: ManifoldModel, h: SpectralProfile,
 @_clib.one_blas_thread()
 def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
                   t_grid: Sequence[float], sign: int = +1,
-                  cfg: Optional[EvolutionConfig] = None,
-                  tol_w: float = 1e-3, estimate: bool = False,
+                  cfg: Optional[EvolutionConfig] = None, estimate: bool = False,
                   dynamics: str = "exact") -> dict:
     """Wave-operator estimation via Cauchy increments of
     omega(t) = e^{+- itH} U^{+-}(t) h, U the comparison dynamics.
@@ -248,8 +247,8 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     By unitarity  ||omega(t2) - omega(t1)|| =
     ||e^{+- i (t2-t1) H} U(t2) h - U(t1) h||,  so each increment only
     propagates over its gap of the ladder (at least two strictly
-    increasing times).  Returns the increments, the convergence verdict
-    against tol_w and, with ``estimate``, omega(t_N) on the operator
+    increasing times).  Returns ``t_grid``, its ``increments`` and
+    ``dynamics`` and, with ``estimate``, omega(t_N) on the operator
     grid: the last increment's propagated state carried on over t_{N-1},
     bit for bit one evolution over t_N when every gap is a multiple of
     ``cfg.dt``.  ``dynamics`` accepts only 'exact' (the benchmark passes it).
@@ -326,15 +325,7 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         increments = [futures[k].result()[0] for k in range(last + 1)]
         ahead = futures[last].result()[1]
 
-    converged = (increments[-1] <= tol_w
-                 and all(b < a for a, b in zip(increments, increments[1:])))
-    out = {
-        "t_grid": t_grid,
-        "increments": increments,
-        "tol_w": tol_w,
-        "dynamics": dynamics,
-        "converged": bool(converged),
-    }
+    out = {"t_grid": t_grid, "increments": increments, "dynamics": dynamics}
     if estimate:
         # ahead = R^{n-m} U(t_N) h: its last m steps complete the gap to
         # e^{sign * i (t_N - t_{N-1}) H} U(t_N) h
@@ -382,7 +373,7 @@ def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
         scale = max(grid.norm(psi) * h.norm(), 1e-300)
         defects.append(abs(lhs - rhs) / scale)
     return {"defects": [float(d) for d in defects],
-            "max_defect": float(max(defects)), "lam_nodes": _ADJOINT_LAM_NODES}
+            "max_defect": float(np.max(defects)), "lam_nodes": _ADJOINT_LAM_NODES}
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +390,8 @@ def end_projection(op: ModeOperator, psi: np.ndarray, end: int,
                    t_probe: Sequence[float], r_min: float,
                    cfg: Optional[EvolutionConfig] = None) -> dict:
     """Dynamical estimate of ||P_end^+ psi||: evolve forward and record
-    the end-region mass until it stabilizes over the probe times."""
+    the end-region mass at each probe time; ``stabilization`` is its
+    relative change over the last two probes."""
     return _end_projection(_Evolutions(op, cfg or EvolutionConfig()),
                            op.grid, psi, end, t_probe, r_min)
 
@@ -418,7 +410,7 @@ def _end_projection(run, grid: RadialGrid, psi: np.ndarray, end: int,
     stab = abs(masses[-1] - masses[-2]) / max(masses[-1], 1e-300) \
         if len(masses) > 1 else np.inf
     return {"masses": masses, "t_probe": t_probe, "mass": masses[-1],
-            "stabilized": bool(stab < 0.05), "stabilization": float(stab)}
+            "stabilization": float(stab)}
 
 
 def transmission_experiment(op: ModeOperator, model: ManifoldModel,
@@ -433,8 +425,9 @@ def transmission_experiment(op: ModeOperator, model: ManifoldModel,
     ||S_{ij} h||^2 = (2 pi)^{-1} int |S_ij(lam)|^2 |h(lam)|^2 dlam.
 
     ``s_abs(lam)`` must return |S_{end_to, h.end}(lam)| (vectorized).
-    Verdict ``nonzero`` requires agreement within a factor of two.  The
-    preparation and the probes share one factorization per step size.
+    Returns the measured and predicted masses, their ratio and the end
+    projection; the caller judges their agreement.  The preparation and
+    the probes share one factorization per step size.
     """
     if end_to == h.end:
         raise ValueError("transmission requires distinct source/target ends")
@@ -452,13 +445,10 @@ def transmission_experiment(op: ModeOperator, model: ManifoldModel,
 
     measured = proj["mass"]
     ratio = measured / max(pred, 1e-300)
-    verdict = "nonzero" if (measured > 0 and 0.5 <= ratio <= 2.0) \
-        else "indeterminate"
     return {
         "measured_mass": measured,
         "predicted_mass": pred,
         "ratio": float(ratio),
-        "verdict": verdict,
         "projection": proj,
         "input_norm": h.norm(),
     }

@@ -98,7 +98,7 @@ def test_transform_norm_matches_spectral_measure(model):
     psi /= grid.norm(psi)
     lam0 = model.ends[0].lambda0
     for lam in np.linspace(0.35, 0.95, 5) + lam0:
-        coeffs, _ = distorted_ft(op, float(lam), psi, 1e-4)
+        coeffs, _ = distorted_ft(op, float(lam), psi)
         phi, _ = limiting_resolvent(op, float(lam), psi, sign=+1)
         rhs = 2.0 * np.imag(grid.inner(psi, phi))
         norm2 = np.sum(np.abs(coeffs) ** 2)
@@ -140,7 +140,7 @@ def test_transmission_consistency(model, center, width, lam_nodes, rmax, s_rmax)
     svals = []
     for lam in lam_nodes:
         sd = scattering_matrix(model, sgrid, float(lam))
-        assert sd.diag["unitary_within_tol"]
+        assert sd.unitarity_defect <= 1e-6
         s10 = abs(sd.blocks[0, 1, 0])
         assert s10 > 0.0
         svals.append(s10)
@@ -149,7 +149,7 @@ def test_transmission_consistency(model, center, width, lam_nodes, rmax, s_rmax)
     rep = transmission_experiment(op, model, h, end_to=1, s_abs=s_abs,
                                   t_prepare=40.0, t_probe=[40.0, 60.0, 80.0],
                                   cfg=EvolutionConfig(dt=0.05))
-    assert rep["verdict"] == "nonzero"
+    assert rep["measured_mass"] > 0
     assert 0.5 <= rep["ratio"] <= 2.0
 
 
@@ -187,12 +187,10 @@ def test_wave_operator_and_adjoint_identity():
     grid = RadialGrid(rmax, 0.02)
     op = ModeOperator(model, grid, 0)
     rep = wave_operator(op, model, h, t_grid, sign=+1,
-                        cfg=EvolutionConfig(dt=0.05), tol_w=1e-3,
-                        estimate=True)
+                        cfg=EvolutionConfig(dt=0.05), estimate=True)
     inc = rep["increments"]
     assert all(b < a for a, b in zip(inc, inc[1:]))
     assert inc[-1] <= 1e-3
-    assert rep["converged"]
 
     psis = []
     for c, s, k in ((0.5, 1.0, 0.0), (-1.0, 1.5, 0.5), (2.0, 0.8, -0.7)):

@@ -291,6 +291,43 @@ def test_transmission_tol_reaches_the_verdict(tmp_path):
     assert reps["1"][1] != reps["1e-30"][1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--preset", "D", "--lambda-grid", "0.6:1.3:3"],
+    ["transmission", "--preset", "D", "--t-grid", "10"],
+], ids=lambda argv: argv[0])
+def test_a_nan_unitarity_defect_fails_the_verdict(tmp_path, monkeypatch, argv):
+    """A NaN defect at the last energy is the worst defect, reported as
+    "nan", and fails the run (Python's max would skip it after a number
+    and exit 0)."""
+    real = cli.scattering_sweep
+
+    def nan_last(*args, **kwargs):
+        data = real(*args, **kwargs)
+        data[-1].unitarity_defect = float("nan")
+        return data
+
+    monkeypatch.setattr(cli, "scattering_sweep", nan_last)
+    code, rep = run(argv, tmp_path, argv[0])
+    assert code == 3 and rep["converged"] is False
+    assert rep["worst_unitarity_defect"] == "nan"
+
+
+def test_smatrix_reports_each_modes_doubling_residual(tmp_path):
+    """Each smatrix point carries the doubling residual of every mode, the
+    one the sweep returns; it is reported, not judged."""
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("[model]\npreset = A\n\n[grid]\nmmax = 1\n")
+    code, rep = run(["smatrix", "--config", str(cfg), "--lambda-grid",
+                     "0.3:0.8:2"], tmp_path, "smatrix")
+    assert code == 0
+    grid = RadialGrid(60.0, 0.01)
+    for point in rep["points"]:
+        sd = scattering_matrix(model_a(), grid, point["lambda"], mmax=1)
+        want = {str(p["m"]): p["doubling_residual"] for p in sd.diag["per_mode"]}
+        assert point["doubling_residuals"] == want
+        assert all(r > 1e-4 for r in want.values())
+
+
 def test_transmission_predicts_from_the_run_mode(tmp_path):
     """With [run] mode = 1 the prediction reads mode 1's cross-ends
     block, not mode 0's (|S_10| of 0.630, 0.726 and 0.796 at these
@@ -338,12 +375,11 @@ def test_resolvent_fails_on_the_uniqueness_certificate(tmp_path, monkeypatch):
 def test_transmission_verdict_reads_stabilization(tmp_path, monkeypatch,
                                                   stabilized):
     """An experiment that agrees with the prediction still fails when the
-    end mass has not stabilized over the probe times."""
+    end mass has not stabilized over the probe times: the CLI reads the
+    stabilization against its own bound."""
     def experiment(*args, **kwargs):
         return {"measured_mass": 0.1, "predicted_mass": 0.1, "ratio": 1.0,
-                "verdict": "nonzero",
-                "projection": {"stabilized": stabilized,
-                               "stabilization": 0.01 if stabilized else 0.5}}
+                "projection": {"stabilization": 0.01 if stabilized else 0.5}}
 
     monkeypatch.setattr(cli, "transmission_experiment", experiment)
     code, rep = run(["transmission", "--preset", "D", "--t-grid", "10"],

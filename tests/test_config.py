@@ -99,6 +99,9 @@ def test_preset_shortcut_overrides_ends():
      "fit inside"),
     ("[model]\npreset = A\n[run]\nprofile_centre = 0.5\n",
      "\\[run\\] unknown key 'profile_centre'"),
+    # the doubling residual is reported, not judged, so nothing reads it
+    ("[model]\npreset = A\n[run]\ntol_f = 1e-4\n",
+     "\\[run\\] unknown key 'tol_f'"),
     ("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\n[ends.2]\n"
      "profile = euclidean\n[potential]\ncores = square: 1.0, 0.5\n",
      "\\[potential\\] unknown key 'cores'"),
@@ -119,8 +122,8 @@ def test_config_errors(text, match):
 
 def test_default_keys_are_read_and_keys_ignore_case():
     cfg = parse_config("[DEFAULT]\nrmax = 30\n[model]\npreset = A\n"
-                       "[run]\ntol_F = 1e-3\n")
-    assert cfg.grid.rmax == 30.0 and cfg.run.tol_f == 1e-3
+                       "[run]\ntol_W = 1e-4\n")
+    assert cfg.grid.rmax == 30.0 and cfg.run.tol_w == 1e-4
 
 
 def test_docstring_grammar_gives_the_defaults():

@@ -25,7 +25,6 @@ def test_free_smatrix_is_pure_transmission(free_grid):
     assert abs(abs(b[1, 0]) - 1.0) < 1e-6
     assert abs(b[0, 0]) < 1e-6
     assert sd.unitarity_defect < 1e-6
-    assert sd.diag["unitary_within_tol"]
 
 
 def test_distorted_ft_converges_and_localizes(free_grid):
@@ -36,7 +35,7 @@ def test_distorted_ft_converges_and_localizes(free_grid):
     x = free_grid.x
     psi = np.exp(-(x - 3.0) ** 2 + 1j * x)
     coeffs, diag = distorted_ft(op, 0.5, psi)
-    assert all(e["converged"] for e in diag["ends"])
+    assert all(e["doubling_residual"] <= 1e-4 for e in diag["ends"])
     # F^+ reads the outgoing asymptotics of R(lam+i0) psi, which
     # for a free right-parked packet radiates through both ends equally
     # in modulus on end 0 vs end 1 only through the core; end 0 dominates
@@ -69,8 +68,7 @@ def test_smatrix_matches_probe_reference(model, rmax, mmax, lams):
             op = ModeOperator(model, grid, m)
             coeffs, _ = distorted_ft(op, lam, probes)
             pair = jost_pair(op, lam, +1)
-            ref = np.array([reference_distorted_ft(op, lam, psi, +1, pair,
-                                                   1e-4)[0]
+            ref = np.array([reference_distorted_ft(op, lam, psi, +1, pair)[0]
                             for psi in probes])
             assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
         sd = scattering_matrix(model, grid, lam, mmax=mmax)
@@ -144,8 +142,8 @@ def test_phase_factors_keep_the_bits_of_the_whole_end(model, end):
         assert factor.tobytes() == want.tobytes()
         whole = extraction_phase(lam, r, r_lam)
         assert whole[held].tobytes() == factor.tobytes()
-        want, _ = _averaged_limit(whole * u[all_nodes], all_windows, 1e-4)
-        got, _ = _averaged_limit(factor * u[nodes], windows, 1e-4)
+        want, _ = _averaged_limit(whole * u[all_nodes], all_windows)
+        got, _ = _averaged_limit(factor * u[nodes], windows)
         assert got == want
 
 

@@ -7,8 +7,10 @@ A third guard keeps every subcommand clear of the heavy scipy
 subpackages: only the reference solvers of ``oracle`` and the tests
 import scipy.
 A fourth keeps the reference implementations of ``oracle`` out of the
-computation paths.  Then the C kernels: they compile with every warning
-an error, the package data ships every source, only the subcommands that
+computation paths.  A fifth keeps every verdict in the CLI: no
+numerical module takes a run tolerance, and ``fourier`` and
+``propagator`` return no verdict of their own.  Then the C kernels:
+they compile with every warning an error, the package data ships every source, only the subcommands that
 march Jost pairs, step the propagator or solve for the leading term load
 them,
 and they are built once per machine into a cache that a process without
@@ -22,6 +24,7 @@ Python callers reach outside ``cli.main`` run under it too.
 import ast
 import fnmatch
 import importlib
+import inspect
 import json
 import math
 import os
@@ -91,6 +94,41 @@ def test_unused_function_level_import_is_reported():
                      "def f():\n    import scipy.sparse\n    return 1\n\n"
                      "def g():\n    return scipy.linalg.norm\n")
     assert _unused_imports(tree) == ["scipy (line 4)"]
+
+
+_TOLERANCES = {"tol_s", "tol_w", "tol_f"}
+_VERDICTS = {"converged", "unitary_within_tol", "stabilized", "verdict"}
+# the modules that read the run's tolerances and judge with them
+_FRONT_END = ("cli", "config")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in _FRONT_END])
+def test_numerics_take_no_tolerance(name):
+    """No public function, class or method outside the front end has a
+    parameter named after a [run] tolerance."""
+    mod = importlib.import_module(f"ends_scatter.{name}")
+    taken = []
+    for attr in getattr(mod, "__all__", ()):
+        obj = getattr(mod, attr)
+        members = [(attr, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{attr}.{k}", v) for k, v in vars(obj).items()
+                        if inspect.isfunction(v)]
+        for where, fn in members:
+            if callable(fn):
+                taken += [f"{where}({p})" for p in inspect.signature(fn).parameters
+                          if p in _TOLERANCES]
+    assert taken == []
+
+
+@pytest.mark.parametrize("name", ["fourier", "propagator"])
+def test_numerics_return_no_verdict(name):
+    """fourier and propagator name no verdict key: their results are
+    measurements, which the CLI compares with the tolerances."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    keys = sorted({node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in _VERDICTS})
+    assert keys == []
 
 
 def _oracle_imports(tree: ast.Module) -> list:
