@@ -13,12 +13,18 @@ Subcommands::
 Every run writes ``<out>/<subcommand>.json`` (schema-versioned report;
 always written, also on numerical failure) and, where applicable, CSV
 state/series files.  Exit codes: 0 success, 2 configuration/validation
-error (``resolvent``, ``smatrix`` and ``transmission`` also refuse, before
-any march, a grid that ``ModeOperator.check_resolution`` finds too coarse
-for the run's largest energy; ``dynamics`` and ``transmission`` refuse an
+error (a NaN or infinite number in the config or in ``--tol``,
+``--t-grid`` or ``--lambda-grid`` is one, refused where it is read;
+``resolvent``, ``smatrix`` and ``transmission`` also refuse, before any
+march, a grid that ``ModeOperator.check_resolution`` finds too coarse for
+the run's largest energy; ``dynamics`` and ``transmission`` refuse an
 empty time ladder and ``waveop`` one of fewer than two times), 3 numerical
 non-convergence: the exit code of every report is 0 if its ``converged``
 is true and 3 otherwise.
+
+What no call changes is built once: the argument parser at the first
+``main`` call of a process, not at import, and the Jost march set-up of
+a run's mode operators once per run, for all of its energies.
 
 Only this module compares a measurement with a tolerance (``[run]
 tol_s``, ``tol_w`` or a constant below); the numerical layers take none,
@@ -35,6 +41,7 @@ takes from the number of cores, so the output no longer depends on either.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,7 +61,8 @@ from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
 from .presets import _CATALOGUE
 from .propagator import EvolutionConfig, transmission_experiment, wave_operator
-from .resolvent import limiting_resolvent, radiation_residual
+from .resolvent import (jost_setups, limiting_resolvent, march_pair,
+                        radiation_residual)
 
 __all__ = ["main"]
 
@@ -232,9 +240,11 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
 
     lams = [float(lam0 + lam) for lam in run.lambdas]
     _check_resolution([op], max(lams))
+    setup, = jost_setups([op])
     entries = []
     for lam in lams:
-        phi, diag = limiting_resolvent(op, lam, psi, sign=+1)
+        phi, diag = limiting_resolvent(op, lam, psi, sign=+1,
+                                       pair=march_pair(setup, lam, +1))
         rad = radiation_residual(op, lam, phi, psi, sign=+1)
         imag = float(np.imag(grid.inner(psi, phi)))
         entries.append({"lambda": lam,
@@ -416,7 +426,10 @@ _TOL_KEYS = {"smatrix": "tol_s", "waveop": "tol_w", "transmission": "tol_s"}
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call of a process and
+    shared by every later one: no call changes it."""
     ap = argparse.ArgumentParser(
         prog="ends-scatter",
         description="Scattering laboratory for two-ended rotationally "

@@ -43,13 +43,16 @@ shown by ``default_config()``, which are the field defaults of
 A key that its section does not read is an error, and so is a key under
 [DEFAULT] that no section reads; with a preset, the [ends.*] and
 [potential] sections are not read, so they are an error too.  Validation
-failures raise :class:`ConfigError` carrying the section/key context.
+failures raise :class:`ConfigError` carrying the section/key context; a
+NaN or infinite number, in a key, a table row or a command-line override
+read through :func:`parse_run_value`, is one.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Tuple
@@ -175,13 +178,23 @@ _FORMATS = {int: (int, "an integer"), float: (float, "a number"),
 _LAMBDA_GRID = (_lambda_grid, "lo:hi:count")
 
 
+def _finite(value) -> bool:
+    """Whether no float of ``value``, a number or a tuple of them, is NaN
+    or infinite."""
+    values = value if isinstance(value, tuple) else (value,)
+    return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
 def _parse(raw: str, key: str, default, where: str):
     parse, what = (_LAMBDA_GRID if key == "lambda_grid"
                    else _FORMATS[type(default)])
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError:
         raise ConfigError(f"{where} = {raw!r} is not {what}") from None
+    if not _finite(value):
+        raise ConfigError(f"{where} = {raw!r} is not finite")
+    return value
 
 
 def parse_run_value(key: str, raw: str, where: str):
@@ -215,9 +228,12 @@ def _read_table(path: str, base: str) -> Tuple[np.ndarray, np.ndarray]:
             if not rec or rec[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append((float(rec[0]), float(rec[1])))
+                row = (float(rec[0]), float(rec[1]))
             except (ValueError, IndexError):
                 raise ConfigError(f"bad table row {rec!r} in {full}")
+            if not _finite(row):
+                raise ConfigError(f"table row {rec!r} in {full} is not finite")
+            rows.append(row)
     if len(rows) < 4:
         raise ConfigError(f"table {full} needs at least 4 rows")
     arr = np.asarray(rows, dtype=float)
@@ -250,8 +266,9 @@ def _build_end(sec, r0: float, base: str) -> EndProfile:
             alpha = float(arg)
         except ValueError:
             raise ConfigError(f"[{sec.name}] conic profile needs conic:ALPHA")
-        if alpha <= 0:
-            raise ConfigError(f"[{sec.name}] conic opening must be positive")
+        if not 0 < alpha < math.inf:
+            raise ConfigError(
+                f"[{sec.name}] conic opening must be positive and finite")
         end = EndProfile.conic(alpha, decay=decay)
     else:
         end = getattr(EndProfile, kind)(decay=decay)
@@ -275,9 +292,11 @@ def _build_potential(sec, r0: float, base: str):
             v0, half_width = (float(tok) for tok in arg.split(","))
         except ValueError:
             raise ConfigError("[potential] core = square: V0, HALF_WIDTH")
-        if half_width <= 0 or half_width > r0 / 2.0:
+        if not 0 < half_width <= r0 / 2.0:
             raise ConfigError(
                 "[potential] square barrier must fit inside |x| <= r0/2")
+        if not math.isfinite(v0):
+            raise ConfigError("[potential] square barrier height must be finite")
 
         def v_sq(x, _v=v0, _a=half_width):
             x = np.asarray(x, dtype=float)

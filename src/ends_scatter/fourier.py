@@ -158,11 +158,18 @@ def distorted_ft(op: ModeOperator, lam: float, psis: np.ndarray):
     column per end; diag["ends"] the doubling residuals of the two
     extractions.
     """
+    return _distorted_ft(jost_pair(op, lam, +1), psis)
+
+
+def _distorted_ft(pair: JostPair, psis: np.ndarray):
+    """:func:`distorted_ft` at the energy of the outgoing Jost pair
+    ``pair``, for callers that march several energies through one
+    set-up (``jost_setups``, ``march_pair``)."""
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    pair = jost_pair(op, lam, +1)
     d, ends = _outgoing_coefficients(pair)
     # end 0 pairs the states with u_left, end 1 with u_right
-    pairing = op.grid.dx * (psis @ np.stack((pair.u_left, pair.u_right), axis=1))
+    pairing = pair.op.grid.dx * (psis @ np.stack((pair.u_left, pair.u_right),
+                                                 axis=1))
     return pairing * d, {"ends": ends}
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from ends_scatter import cli, fourier, resolvent
 from ends_scatter.cli import main
-from ends_scatter.config import default_config, parse_config
+from ends_scatter.config import RunConfig, default_config, parse_config
 from ends_scatter.fourier import scattering_matrix
 from ends_scatter.mode_reduction import RadialGrid
 from ends_scatter.presets import _CATALOGUE, model_a
@@ -195,6 +195,67 @@ def test_malformed_tol_is_config_error(tmp_path):
                  "--out", str(tmp_path)])
     rep = json.loads((tmp_path / "smatrix.json").read_text())
     assert code == 2 and "--tol = 'small' is not a number" in rep["error"]
+
+
+def test_non_finite_tol_is_config_error(tmp_path, monkeypatch):
+    """--tol nan is refused before any march (it used to run the sweep and
+    exit 3, as no defect is at most NaN)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("scattering_sweep called past the guard")
+
+    monkeypatch.setattr(cli, "scattering_sweep", no_work)
+    code, rep = run(["smatrix", "--preset", "A", "--tol", "nan"], tmp_path,
+                    "smatrix")
+    assert code == 2 and rep["error"] == "--tol = 'nan' is not finite"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    """One parser serves every call of a process, and no call leaves state
+    in it: a run between two identical runs changes neither's bytes."""
+    assert cli._build_parser() is cli._build_parser()
+    argvs = [["smatrix", "--preset", "D", "--tol", "1e-30"],
+             ["smatrix", "--preset", "D"],
+             ["smatrix", "--preset", "D", "--tol", "1e-30"]]
+    runs = []
+    for k, argv in enumerate(argvs):
+        out = tmp_path / str(k)
+        code = main(argv + ["--out", str(out)])
+        runs.append((code, (out / "smatrix.json").read_bytes()))
+    assert runs[0] == runs[2] and runs[0][0] == 3
+    assert runs[1][0] == 0
+    assert json.loads(runs[1][1])["tol_s"] == RunConfig().tol_s
+
+
+@pytest.mark.parametrize("preset", list(_CATALOGUE))
+def test_resolvent_marches_every_energy_through_one_setup(tmp_path,
+                                                          monkeypatch, preset):
+    """``resolvent`` builds one Jost set-up for its run, and each energy's
+    phi and diagnostics are the bits of the per-energy ``jost_pair``
+    path."""
+    setups, calls = [], []
+    real_setups, real_resolvent = cli.jost_setups, cli.limiting_resolvent
+
+    def counting(ops):
+        setups.append(ops)
+        return real_setups(ops)
+
+    def recording(op, lam, psi, *args, **kwargs):
+        calls.append((op, lam, psi) + real_resolvent(op, lam, psi, *args,
+                                                     **kwargs))
+        return calls[-1][3:]
+
+    monkeypatch.setattr(cli, "jost_setups", counting)
+    monkeypatch.setattr(cli, "limiting_resolvent", recording)
+    _, rep = run(["resolvent", "--preset", preset], tmp_path, "resolvent")
+    assert len(setups) == 1
+    assert [c[1] for c in calls] == rep["lambdas"]
+    assert len(calls) == len(default_config(preset).run.lambdas)
+    for (op, lam, psi, phi, diag), point in zip(calls, rep["points"]):
+        phi_ref, diag_ref = resolvent.limiting_resolvent(op, lam, psi, sign=+1)
+        assert np.array_equal(phi, phi_ref)
+        assert diag == diag_ref
+        assert point["interior_residual"] == diag_ref["interior_residual"]
+        assert point["wronskian_drift"] == diag_ref["wronskian_drift"]
 
 
 def test_model_check_byte_identical(tmp_path):

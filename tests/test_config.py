@@ -114,6 +114,30 @@ def test_preset_shortcut_overrides_ends():
      "core = none\n", "\\[ends.1\\] is not read with \\[model\\] preset = D"),
     ("[model]\npreset = A\n[potential]\ncore = none\n",
      "\\[potential\\] is not read with \\[model\\] preset = A"),
+    # NaN and infinity are refused where they are read, by key
+    ("[model]\npreset = A\n[grid]\nrmax = nan\n",
+     "\\[grid\\] rmax = 'nan' is not finite"),
+    ("[model]\npreset = A\n[grid]\ndx = nan\n",
+     "\\[grid\\] dx = 'nan' is not finite"),
+    ("[model]\npreset = A\n[grid]\ndx = inf\n",
+     "\\[grid\\] dx = 'inf' is not finite"),
+    ("[model]\npreset = A\n[run]\ntol_s = nan\n",
+     "\\[run\\] tol_s = 'nan' is not finite"),
+    ("[model]\npreset = A\n[run]\ndt = nan\n",
+     "\\[run\\] dt = 'nan' is not finite"),
+    ("[model]\npreset = A\n[run]\nlambda_grid = 0.3:inf:4\n",
+     "\\[run\\] lambda_grid = '0.3:inf:4' is not finite"),
+    ("[model]\npreset = A\n[run]\nt_grid = 10, -inf\n",
+     "\\[run\\] t_grid = '10, -inf' is not finite"),
+    ("[model]\nr0 = nan\n", "\\[model\\] r0 = 'nan' is not finite"),
+    ("[model]\nr0 = 2\n[ends.1]\nprofile = conic: nan\n",
+     "conic opening must be positive and finite"),
+    ("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\n[ends.2]\n"
+     "profile = euclidean\n[potential]\ncore = square: inf, 0.5\n",
+     "barrier height must be finite"),
+    ("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\n[ends.2]\n"
+     "profile = euclidean\n[potential]\ncore = square: 1.0, nan\n",
+     "fit inside"),
 ])
 def test_config_errors(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -191,6 +215,11 @@ def test_table_file_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,1\n0.5,2\n2,3\n3,4\n")
     with pytest.raises(ConfigError, match="increase strictly"):
+        parse_config("[model]\nr0 = 2\n[ends.1]\nprofile = table: bad.csv\n"
+                     "[ends.2]\nprofile = euclidean\n", base=str(tmp_path))
+    bad.write_text("1,1\n2,nan\n3,3\n4,4\n")
+    with pytest.raises(ConfigError, match="table row \\['2', 'nan'\\] in .* "
+                                          "is not finite"):
         parse_config("[model]\nr0 = 2\n[ends.1]\nprofile = table: bad.csv\n"
                      "[ends.2]\nprofile = euclidean\n", base=str(tmp_path))
 

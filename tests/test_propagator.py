@@ -17,7 +17,7 @@ from ends_scatter.presets import model_a, model_c, model_d, model_free
 from ends_scatter.propagator import (EvolutionConfig, Propagator, _pade_steps,
                                      end_mass, end_projection, evolve,
                                      transmission_experiment, wave_operator)
-from ends_scatter.resolvent import jost_pair
+from ends_scatter.resolvent import jost_pair, jost_setups
 
 
 @pytest.fixture(scope="module")
@@ -524,3 +524,34 @@ def test_transmission_factors_once_per_step_size(monkeypatch, t_probe,
                                   5.0, t_probe, cfg)
     assert rep["projection"] == want
     assert len(built) == len(set(built)) == step_sizes
+
+
+def test_adjoint_identity_marches_every_node_through_one_setup(monkeypatch):
+    """``adjoint_identity_check`` builds one Jost set-up of ``ft_op`` for
+    its 24 energies, and its defects are the bits of the per-energy
+    ``jost_pair`` path."""
+    model = model_a()
+    grid = RadialGrid(60.0, 0.01)
+    op = ModeOperator(model, grid, 0)
+    ft_op = ModeOperator(model, RadialGrid(30.0, 0.02), 0)
+    h = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    u, v, west = (np.exp(-((grid.x - c) ** 2) / (2.0 * s**2) + 1j * k * grid.x)
+                  for c, s, k in ((0.5, 1.0, 0.3), (-1.0, 1.5, -0.5),
+                                  (2.0, 3.0, 0.7)))
+    setups = []
+
+    def counting(ops):
+        setups.append(ops)
+        return jost_setups(ops)
+
+    monkeypatch.setattr(propagator, "jost_setups", counting)
+    got = propagator.adjoint_identity_check(op, h, west, [u, v], ft_op=ft_op)
+    assert len(setups) == 1 and setups[0] == [ft_op]
+
+    def per_energy(setup, lam, sign=+1):
+        return jost_pair(setup.op, lam, sign)
+
+    monkeypatch.setattr(propagator, "march_pair", per_energy)
+    want = propagator.adjoint_identity_check(op, h, west, [u, v], ft_op=ft_op)
+    assert got["defects"] == want["defects"]
+    assert got["max_defect"] == want["max_defect"]
