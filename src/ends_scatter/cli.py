@@ -10,17 +10,20 @@ Subcommands::
     transmission   cross-ends transmission vs the S-matrix prediction
     oracle         closed-form cross-checks (free / square-well)
 
-Every run writes ``<out>/<subcommand>.json`` (schema-versioned report;
-always written, also on numerical failure) and, where applicable, CSV
-state/series files.  Exit codes: 0 success, 2 configuration/validation
-error (a NaN or infinite number in the config or in ``--tol``,
-``--t-grid`` or ``--lambda-grid`` is one, refused where it is read;
-``resolvent``, ``smatrix`` and ``transmission`` also refuse, before any
-march, a grid that ``ModeOperator.check_resolution`` finds too coarse for
-the run's largest energy; ``dynamics`` and ``transmission`` refuse an
-empty time ladder and ``waveop`` one of fewer than two times), 3 numerical
-non-convergence: the exit code of every report is 0 if its ``converged``
-is true and 3 otherwise.
+Every run past argument parsing writes ``<out>/<subcommand>.json``
+(schema-versioned report, also on failure) and, where applicable, CSV
+state/series files; what ``argparse`` refuses (``--preset Q``, or
+``--tol -1e-3``, whose value it takes for a flag: ``--tol=-1e-3`` is
+parsed) exits 2 with a usage message and no report.  Exit codes: 0
+success, 2 configuration/validation error (a NaN or infinite number in
+the config or in ``--tol``, ``--t-grid`` or ``--lambda-grid``, refused
+where it is read; refused before any march: a grid that
+``ModeOperator.check_resolution`` finds too coarse for the run's
+largest energy, in ``resolvent``, ``smatrix`` and ``transmission``, and
+a lowest energy with no r_lambda; an empty time ladder for ``dynamics``
+and ``transmission``, one of fewer than two times for ``waveop``), 3
+numerical non-convergence: the exit code of every report is 0 if its
+``converged`` is true and 3 otherwise.
 
 What no call changes is built once: the argument parser at the first
 ``main`` call of a process, not at import, and the Jost march set-up of
@@ -148,9 +151,19 @@ def _load(args) -> ExperimentConfig:
 def _profile(cfg: ExperimentConfig) -> SpectralProfile:
     run = cfg.run
     lam0 = cfg.model.ends[run.end - 1].lambda0
-    return SpectralProfile.bump_profile(
+    h = SpectralProfile.bump_profile(
         end=run.end - 1, m=run.mode,
         center=lam0 + run.profile_center, width=run.profile_width)
+    _r_lambda(cfg.model, h.lam_lo)
+    return h
+
+
+def _r_lambda(model, lam: float) -> float:
+    """``model.r_lambda(lam)``, a refusal of which is a configuration error."""
+    try:
+        return model.r_lambda(lam)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_resolution(ops, lam_max: float) -> None:
@@ -167,7 +180,7 @@ def _check_windows(model, grid: RadialGrid, lams) -> None:
     """Refuse, as a configuration error and before any march, an energy
     whose boundary limits find no extraction window on ``grid``."""
     for lam in lams:
-        r_lam = model.r_lambda(lam)
+        r_lam = _r_lambda(model, lam)
         if not all(_extraction_windows(grid, end, r_lam)[2] for end in (0, 1)):
             raise ConfigError(
                 f"no extraction window at lambda={lam:g}: its windows start "
@@ -240,6 +253,7 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
 
     lams = [float(lam0 + lam) for lam in run.lambdas]
     _check_resolution([op], max(lams))
+    _r_lambda(model, min(lams))
     setup, = jost_setups([op])
     entries = []
     for lam in lams:

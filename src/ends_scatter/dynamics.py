@@ -23,7 +23,8 @@ b_lam = (2(lam - lam0))^{1/2} the asymptotic momentum and
 E(r) = int_{r0}^r eta_lambda, both taken at each radius on its own by
 the rule of ``geometry`` (Gauss-Legendre panels on the cutoff's ramp, the
 declared tail's series beyond), so a state is a function of r; the same
-rule is ``geometry.phase_integral``, the phase that S and F^+ read.  The
+rule is ``geometry.phase_integral``, the phase that S and F^+ read, and
+the leading term's run-in Phi_lam(r1).  The
 radii with eta_lambda > 0 are sorted by E and cut into spans of E-length
 at most L, the length whose phase budget (b_max - b_min) L is
 ``_BLOCK_PHASE``.  Within the span that starts at E_a, e^{i b E} factors
@@ -49,12 +50,12 @@ technique of Candes, Demanet & Ying, SISC 29, 2007).  On a tail-free end
 sum in its rank-one case, one row that is a read-only broadcast of 1 and
 the weight column h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam}.  No C
 kernel is involved, so unlike the leading term a comparison state needs
-no compiler.  ``oracle.reference_comparison_state``
-is the node-by-node sum both are checked against.  Every interpolant here
-(the amplitude in r and in lam, the offset factor and the eikonal's run-in
-offset) is a :class:`_Lobatto`: nested levels 9, 17, 33, ... each checked
-against the next, exact sums once they run out, and the amplitude's lower
-levels read from one pass at 33 points per panel and 65 energies.
+no compiler.  ``oracle.reference_comparison_state`` is the node-by-node
+sum both are checked against.  Every interpolant here (the amplitude in
+r and in lam, the offset factor, the run-in phase on a tailed end) is a
+:class:`_Lobatto`: nested levels 9, 17, 33, ... each checked against the
+next, exact sums once they run out, and the amplitude's lower levels
+read from one pass at 33 points per panel and 65 energies.
 
 Working set: every per-radius array of this layer is taken over blocks
 of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
@@ -97,7 +98,7 @@ import numpy as np
 from . import _clib
 from .geometry import (CubicSpline, ManifoldModel, _BLOCK, _RAMP_PANELS,
                        _cutoff_length, _from_edge, _panel_edges, _psi,
-                       _tail_series, bump, eta)
+                       _tail_series, bump, eta, numeric_derivative)
 
 __all__ = [
     "SpectralProfile",
@@ -129,7 +130,7 @@ _RADII_BLOCK = 1024
 # together, relative to its largest modulus
 _AMP_TOL = 1e-11
 # the same for the interpolants of phases: the plane-wave offset factor of
-# _plane_wave_blocks and the run-in offset of eikonal
+# _plane_wave_blocks and the run-in phase of eikonal
 _PHASE_TOL = 1e-14
 # phase budget (b_max - b_min) L of one span of _plane_wave_blocks
 _BLOCK_PHASE = 16.0
@@ -144,8 +145,6 @@ _RTOL = 1e-12
 # cone radii, and the fewest distinct cone radii for which it is made
 _SEED_STRIDE = 64
 _SEED_MIN_CONE = 2048
-# central-difference step in t and r of hamilton_jacobi_residual
-_HJ_STEP = 1e-3
 # lam nodes per oscillation of the frequency-quadrature phase
 _POINTS_PER_CYCLE = 24
 # phase_modifier: outer radius of the quadrature, the series beyond it
@@ -208,13 +207,14 @@ def state_norm(r: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sqrt(np.trapezoid(np.abs(vals) ** 2, r)))
 
 
-def dynamics_grid(model: ManifoldModel, t: float, lam_hi: float,
-                  lambda0: float = 0.0, r1: float = 0.0) -> np.ndarray:
+def dynamics_grid(model: ManifoldModel, h: SpectralProfile,
+                  t: float) -> np.ndarray:
     """Uniform radial grid [r0/2, ...] with spacing at most 0.02 (the node
-    count is rounded up), wide enough to hold the outgoing front at time t
-    for energies up to lam_hi, launched from the anchor radius r1."""
-    rmax = (max(model.r0, r1) + _PAD * t * math.sqrt(2.0 * max(lam_hi - lambda0, 0.1))
-            + 10.0)
+    count is rounded up), wide enough to hold the outgoing front of ``h``
+    at time t, launched from the anchor r_lambda(lam_lo) > r0."""
+    lam_hi = h.lam_hi - model.ends[h.end].lambda0
+    rmax = (model.r_lambda(h.lam_lo)
+            + _PAD * t * math.sqrt(2.0 * max(lam_hi, 0.1)) + 10.0)
     n = int(math.ceil((rmax - model.r0 / 2.0) / _DR))
     return np.linspace(model.r0 / 2.0, rmax, n + 1)
 
@@ -433,10 +433,11 @@ def _solve(model: ManifoldModel, end: int, rs: np.ndarray, r1: float,
 
 
 def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
-                     lam_lo: float, r1: Optional[float] = None) -> StationaryField:
+                     lam_lo: float) -> StationaryField:
     """Solve  T(lam) = int_{r1}^r [2(lam - q1)]^(-1/2) ds = t  for lam per
     radius of Omega_c(t) = { r : T(lam_lo) > t }, with dlam/dr =
-    1 / (b_r |T'|) and the eikonal K1 = int_{r1}^r b_lam - t lam.
+    1 / (b_r |T'|) and the eikonal K1 = int_{r1}^r b_lam - t lam; the
+    anchor r1 is r_lambda(lam_lo).
 
     Each radius is one row of the kernel ``_stationary.c``: a pass over its
     48 Gauss samples of q1 gives T, T' and int b, and Newton runs on that
@@ -453,12 +454,11 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
     is the package's :class:`geometry.CubicSpline` through that subset (a
     constant q1, as on preset A, needs none).
     Residuals are certified from the kernel's T at every cone radius
-    against 1e-10 * t.  Any order of radii; r1 defaults to r_lambda(lam_lo).
+    against 1e-10 * t.  Any order of radii.
     """
     prof = model.ends[end]
     lam0 = prof.lambda0
-    if r1 is None:
-        r1 = model.r_lambda(lam_lo)
+    r1 = model.r_lambda(lam_lo)
     r = np.asarray(r, dtype=float)
     mask = r > r1
     rs = r[mask]
@@ -498,39 +498,39 @@ def stationary_point(model: ManifoldModel, end: int, t: float, r: np.ndarray,
 
 
 def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
-    """Fill in the full phase K = K1 + the fixed-energy run-in integral
-    over [r0, r1] (cutoff included), which references K at r0; K1 comes
-    from :func:`stationary_point`'s solve.
+    """Fill in the full phase K = K1 + Phi_lam(r1) at lam = lam_c, the
+    run-in's WKB phase, which references K at r0; K1 and the anchor r1 =
+    r_lambda(lam_lo) come from :func:`stationary_point`'s solve.
 
-    The run-in integral, a 257-node trapezoid sum, is a smooth function of
-    lam alone: it is sampled on a level of :class:`_Lobatto` over
-    [min lam_c, max lam_c] accepted with ``_PHASE_TOL``, and interpolated
-    at lam_c by the barycentric sum, ``_RADII_BLOCK`` radii at a time.
-    Once the next level would outnumber the radii or the 257 trapezoid
-    nodes (a row of its basis would cost as much as the sum), the sum is
-    taken at every radius, which is exact."""
+    Phi_lam(r1) is geometry's rule at r1, cut at r_lambda(lam_lo) = r1:
+    b_lam E(r1) (:func:`_cutoff_length`), plus psi_lam(r1) (:func:`_psi`)
+    on an end with a tail.  On a tail-free end that closed form is taken
+    at every cone radius.  On a tailed end it is a smooth function of lam
+    alone, sampled on a level of :class:`_Lobatto` over [min lam_c, max
+    lam_c] accepted with ``_PHASE_TOL`` and interpolated at lam_c by the
+    barycentric sum, ``_RADII_BLOCK`` radii at a time; once the next level
+    would outnumber the radii, the rule is taken at every radius, 512
+    energies at a time, which is exact."""
     msk = sf.mask
     kf = np.full(sf.r.shape, np.nan)
     if np.any(msk):
         lam = sf.lam_c[msk]
-        r_lam = model.r_lambda(float(sf.diag.get("lam_lo", np.min(lam))))
-        nodes = np.linspace(model.r0, sf.r1, 257)
-        eta_n = eta(nodes, r_lam)
-        q1n = model.ends[sf.end].q1(nodes)
+        prof = model.ends[sf.end]
+        r1 = np.array([sf.r1])
+        e1 = _cutoff_length(r1, sf.r1)[0]
 
         def run_in(lam_pts):
-            out = np.empty(lam_pts.shape)
-            for i0 in range(0, lam_pts.size, 512):  # chunked for memory
-                sl = slice(i0, min(i0 + 512, lam_pts.size))
-                vals = eta_n[None, :] * np.sqrt(np.maximum(
-                    2.0 * (lam_pts[sl][:, None] - q1n[None, :]), 0.0))
-                out[sl] = np.trapezoid(vals, nodes, axis=1)
-            return out
+            phi = np.sqrt(2.0 * (lam_pts - prof.lambda0)) * e1
+            if prof.tail_amplitude != 0.0:
+                phi += _psi(prof, sf.r1, sf.diag["lam_lo"], lam_pts, r1)[:, 0]
+            return phi
 
         levels = _Lobatto(lam.min(), lam.max())
-        vals = levels.sample(run_in, min(lam.size, nodes.size), _PHASE_TOL)
+        vals = (None if prof.tail_amplitude == 0.0
+                else levels.sample(run_in, lam.size, _PHASE_TOL))
         if vals is None:
-            offs = run_in(lam)
+            offs = np.concatenate([run_in(lam[i0:i0 + 512])
+                                   for i0 in range(0, lam.size, 512)])
         else:
             offs = np.empty(lam.size)
             for i0 in range(0, lam.size, _RADII_BLOCK):
@@ -544,17 +544,14 @@ def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
 
 def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
                              r: np.ndarray, lam_lo: float) -> np.ndarray:
-    """|d_t K1 + (d_r K1)^2 / 2 + q1| by central differences of the
-    quadrature eikonal, anchored at r1 = r_lambda(lam_lo)."""
+    """|d_t K1 + (d_r K1)^2 / 2 + q1| with the derivatives of the
+    quadrature eikonal (anchored at r1 = r_lambda(lam_lo)) in t and in r
+    by :func:`geometry.numeric_derivative`."""
     r = np.asarray(r, dtype=float)
-    r1 = model.r_lambda(lam_lo)
-    step = _HJ_STEP
-
-    def k1_at(tt, rr):
-        return stationary_point(model, end, tt, rr, lam_lo, r1=r1).k1
-
-    dk_dt = (k1_at(t + step, r) - k1_at(t - step, r)) / (2.0 * step)
-    dk_dr = (k1_at(t, r + step) - k1_at(t, r - step)) / (2.0 * step)
+    dk_dt = numeric_derivative(
+        lambda tt: stationary_point(model, end, float(tt), r, lam_lo).k1, t)
+    dk_dr = numeric_derivative(
+        lambda rr: stationary_point(model, end, t, rr, lam_lo).k1, r)
     q1 = model.ends[end].q1(r)
     return np.abs(dk_dt + 0.5 * dk_dr**2 + q1)
 
@@ -569,10 +566,8 @@ def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
     """U_0^+-(t) h on one end, on its ``dynamics_grid``: returns (r,
     values, stationary data).  Without ``cc`` or a cached build of the
     kernels (:func:`stationary_point`) the first call raises RuntimeError."""
-    end = h.end
-    r1 = model.r_lambda(h.lam_lo)
-    r = dynamics_grid(model, t, h.lam_hi, model.ends[end].lambda0, r1=r1)
-    sf = eikonal(model, stationary_point(model, end, t, r, h.lam_lo, r1=r1))
+    r = dynamics_grid(model, h, t)
+    sf = eikonal(model, stationary_point(model, h.end, t, r, h.lam_lo))
     vals = np.zeros(r.shape, dtype=complex)
     msk = sf.mask
     if np.any(msk):
@@ -731,7 +726,7 @@ def comparison_state(model: ManifoldModel, h: SpectralProfile, t: float,
     lam0 = prof.lambda0
     r_lam = model.r_lambda(h.lam_lo)
     if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, lam0, r1=r_lam)
+        r = dynamics_grid(model, h, t)
     r = np.asarray(r, dtype=float)
     if not r.size:
         return r, np.zeros(0, dtype=complex)
@@ -899,7 +894,7 @@ def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
     prof = model.ends[h.end]
     lam0 = prof.lambda0
     if r is None:
-        r = dynamics_grid(model, t, h.lam_hi, lam0)
+        r = dynamics_grid(model, h, t)
     vals = np.zeros(r.shape, dtype=complex)
     msk = r > model.r0
     rr = r[msk] - model.r0

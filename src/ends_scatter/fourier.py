@@ -114,8 +114,8 @@ def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int,
     for msk in windows:
         held |= msk
     r = r[held]
-    b = np.real(phase_b(model, end, lam, r, r_lam=r_lam))
-    phi = phase_integral(model, end, lam, r, r_lam=r_lam)
+    b = np.real(phase_b(model, end, lam, r))
+    phi = phase_integral(model, end, lam, r)
     factor = np.sqrt(np.maximum(b, 0.0)) * np.exp(-1j * sign * phi)
     return nodes[held], [msk[held] for msk in windows], factor
 

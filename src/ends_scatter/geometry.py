@@ -24,9 +24,9 @@ treated as a perturbation.  An end declares its tail as the numbers
 exactly, not estimated from samples.
 
 The WKB phase Phi_lam(r) = int_{r0}^r b has one rule here, which the
-comparison dynamics, S and F^+ all read: b_lam E(r) + psi_lam(r), each
-radius taken on its own by Gauss-Legendre panels out from the cutoff's
-ramp and the declared tail's series far out (:func:`phase_integral`).
+comparison states, the leading term's run-in, S and F^+ all read: b_lam
+E(r) + psi_lam(r), each radius on its own by Gauss-Legendre panels from
+the cutoff's ramp and the tail's series far out (:func:`phase_integral`).
 """
 
 from __future__ import annotations
@@ -450,38 +450,32 @@ def _sqrt_upper(w):
     return np.sqrt(np.asarray(w, dtype=complex))
 
 
-def phase_b(model: ManifoldModel, end: int, z, r, r_lam: Optional[float] = None):
-    """WKB momentum b = eta_lambda * sqrt(2 (z - q1)) on one end.
+def phase_b(model: ManifoldModel, end: int, z, r):
+    """WKB momentum b = eta_lambda sqrt(2 (z - q1)), lambda = Re z, on one end.
 
     For real z above the tail the result is real; complex z is accepted
     (branch cut on the negative real axis of z - q1).
     """
     prof = model.ends[end]
     r = np.asarray(r, dtype=float)
-    if r_lam is None:
-        r_lam = model.r_lambda(float(np.real(z)))
+    r_lam = model.r_lambda(float(np.real(z)))
     b = eta(r, r_lam) * _sqrt_upper(2.0 * (z - prof.q1(r)))
     if np.all(np.abs(b.imag) < 1e-14):
         b = b.real
     return b
 
 
-def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
-            r_lam: Optional[float] = None):
-    """Improved phase a = b -+ (i/4) eta_lambda q1' / (z - q1).
+def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1):
+    """Improved phase a = b -+ (i/4) eta_lambda q1' / (z - q1), lambda = Re z.
 
     ``sign=+1`` corresponds to the outgoing branch (solutions behaving
     like exp(+i int a)), ``sign=-1`` to the incoming one.  q1' is taken
     in closed form, -p A r^(-p-1): it is read only where eta_lambda > 0,
-    that is for r > r_lam/2 >= r0, where the tail's cutoff is 1.  An
-    ``r_lam`` below 2 r0 is refused.
+    that is for r > r_lambda/2 >= r0, where the tail's cutoff is 1.
     """
     prof = model.ends[end]
     r = np.asarray(r, dtype=float)
-    if r_lam is None:
-        r_lam = model.r_lambda(float(np.real(z)))
-    if r_lam < 2.0 * model.r0:
-        raise ValueError(f"r_lam = {r_lam!r} is below 2 r0 = {2.0 * model.r0!r}")
+    r_lam = model.r_lambda(float(np.real(z)))
     eta_lam = eta(r, r_lam)
     gap = z - prof.q1(r)
     b = eta_lam * _sqrt_upper(2.0 * gap)
@@ -494,16 +488,15 @@ def phase_a(model: ManifoldModel, end: int, z, r, sign: int = +1,
     return b - sign * 1j * corr
 
 
-def riccati_residual(model: ManifoldModel, end: int, z, r, sign: int = +1,
-                     r_lam: Optional[float] = None):
+def riccati_residual(model: ManifoldModel, end: int, z, r, sign: int = +1):
     """Defect of a in the Riccati equation -+ i a' + a^2 = 2 (z - q1).
 
     Small residual on the end region certifies that exp(+- i int a) is a
     good approximate solution at energy z.
     """
     r = np.asarray(r, dtype=float)
-    a = phase_a(model, end, z, r, sign=sign, r_lam=r_lam)
-    afn = lambda s: phase_a(model, end, z, s, sign=sign, r_lam=r_lam)
+    a = phase_a(model, end, z, r, sign=sign)
+    afn = lambda s: phase_a(model, end, z, s, sign=sign)
     da = numeric_derivative(afn, r)
     q1 = model.ends[end].q1(r)
     return -sign * 1j * da + a**2 - 2.0 * (z - q1)
@@ -597,18 +590,17 @@ def _tail_series(u, p: float, x, n: int):
     return total
 
 
-def phase_integral(model: ManifoldModel, end: int, lam: float, r: np.ndarray,
-                   r_lam: Optional[float] = None) -> np.ndarray:
+def phase_integral(model: ManifoldModel, end: int, lam: float,
+                   r: np.ndarray) -> np.ndarray:
     """The WKB phase Phi_lam(r) = int_{r0}^r b ds on one end at the real
     energy lam, each radius taken on its own: b_lam E(r) + psi_lam(r),
     with b_lam = sqrt(2 (lam - lambda0)), E by :func:`_cutoff_length` and,
     on an end with a tail, psi by :func:`_psi` with lam as its lowest
-    energy, which places its panels.  Both parts vanish up to r_lam/2,
-    where eta_lambda and b do."""
+    energy, which places its panels, both cut at r_lam = r_lambda(lam).
+    Both parts vanish up to r_lam/2, where eta_lambda and b do."""
     prof = model.ends[end]
     r = np.asarray(r, dtype=float)
-    if r_lam is None:
-        r_lam = model.r_lambda(lam)
+    r_lam = model.r_lambda(lam)
     phi = np.sqrt(2.0 * (lam - prof.lambda0)) * _cutoff_length(r, r_lam)
     if prof.tail_amplitude != 0.0:
         live = r > 0.5 * r_lam

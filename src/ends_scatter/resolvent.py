@@ -118,13 +118,12 @@ def _march(nodes: np.ndarray, w: np.ndarray, lam: float,
 
 
 def _launch_data(model: ManifoldModel, end: int, lam: float, sign: int,
-                 r_launch: float, r_lam: float):
+                 r_launch: float):
     """WKB initial data (u, du/dr) at radius r_launch on the given end:
     u = 1 and the radial log-derivative i*sign*a of the improved phase.
     Only the log-derivative selects the Jost solution; its amplitude and
     phase are a gauge (see ``jost_pair``)."""
-    a = complex(np.asarray(phase_a(model, end, lam, np.array([r_launch]),
-                                   sign=sign, r_lam=r_lam)).ravel()[0])
+    a = complex(phase_a(model, end, lam, np.array([r_launch]), sign=sign)[0])
     return 1.0, 1j * sign * a
 
 
@@ -188,8 +187,8 @@ def march_pair(setup: JostSetup, lam: float, sign: int = +1) -> JostPair:
     r_lam = model.r_lambda(lam)
     # end 1 launches at x = -r_launch, where d/dx = -d/dr, and end 0 at
     # x = +r_launch
-    u1, dudr1 = _launch_data(model, 1, lam, sign, r_launch, r_lam)
-    u0, dudr0 = _launch_data(model, 0, lam, sign, r_launch, r_lam)
+    u1, dudr1 = _launch_data(model, 1, lam, sign, r_launch)
+    u0, dudr0 = _launch_data(model, 0, lam, sign, r_launch)
     launch = np.array([[u1, -dudr1], [u0, dudr0]], dtype=complex)
     u_l, du_l, u_r, du_r = _march(setup.nodes, setup.w_gauss, lam,
                                   setup.on_grid, launch)
@@ -288,12 +287,11 @@ def _outgoing_defect(op: ModeOperator, lam: float, phi: np.ndarray,
     """(A -+ a) phi on both ends: A = -i d/dr, a the improved phase of the
     matching branch."""
     grid = op.grid
-    r_lam = op.model.r_lambda(lam)
     dphi = _radial_derivative(grid, phi)
     defect = np.empty_like(phi)
     for end in range(2):
         mask = grid.end_mask(end)
-        a = phase_a(op.model, end, lam, grid.r[mask], sign=sign, r_lam=r_lam)
+        a = phase_a(op.model, end, lam, grid.r[mask], sign=sign)
         defect[mask] = -1j * dphi[mask] - sign * a * phi[mask]
     return defect
 

@@ -43,9 +43,9 @@ def bump(center, width):
 
 def test_stationary_phase_exactness():
     model = model_a()
-    t, r1 = 25.0, 4.0
+    t, r1 = 25.0, 4.0   # the anchor r_lambda(1e-4) = 2 r0
     r = np.linspace(10.0, 20.0, 400)
-    sf = stationary_point(model, 0, t, r, lam_lo=1e-4, r1=r1)
+    sf = stationary_point(model, 0, t, r, lam_lo=1e-4)
     msk = sf.mask
     assert np.any(msk)
     exact = (r[msk] - r1) ** 2 / (2.0 * t**2)

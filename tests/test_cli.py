@@ -159,6 +159,55 @@ def test_window_at_the_threshold_is_a_config_error(tmp_path, monkeypatch,
     assert "profile_center must exceed profile_width" in rep["error"]
 
 
+@pytest.mark.parametrize("command, source, message", [
+    ("smatrix", ["--preset", "C", "--lambda-grid", "0.001:0.01:2"],
+     "the smallest admissible r_lambda at lam = 0.001 is 32768, above 4096"),
+    ("resolvent", ["--preset", "B", "--lambda-grid", "0.01:0.1:2"],
+     "below the threshold 0.125 of end 1"),
+    ("dynamics", "low", "r_lambda at lam = 0.001"),
+    ("waveop", "low", "r_lambda at lam = 0.001"),
+    ("transmission", "low", "r_lambda at lam = 0.001"),
+], ids=["smatrix", "resolvent", "dynamics", "waveop", "transmission"])
+def test_energy_without_r_lambda_is_a_config_error(tmp_path, monkeypatch,
+                                                   command, source, message):
+    """An energy at which r_lambda is refused (below a threshold of either
+    end, or above 4096) is refused before any march or solve: preset C at
+    lam = 0.001, whose window profile_center 0.006 +- 0.005 reaches it
+    too, and resolvent on B below the hyperbolic end's 1/8.  Each used to
+    exit 3 from inside the run."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the r_lambda check")
+
+    for work in ("leading_term", "wave_operator", "scattering_sweep",
+                 "jost_setups"):
+        monkeypatch.setattr(cli, work, no_work)
+    if source == "low":
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text("[model]\npreset = C\n\n[run]\n"
+                       "profile_center = 0.006\nprofile_width = 0.005\n")
+        source = ["--config", str(cfg)]
+    code, rep = run([command, *source], tmp_path, command)
+    assert code == 2 and rep["converged"] is False
+    assert message in rep["error"]
+
+
+def test_arguments_argparse_refuses_write_no_report(tmp_path, capsys):
+    """An unknown preset and a negative --tol in scientific notation (taken
+    for a flag) are refused by argparse itself: exit 2, a usage message,
+    and no output directory.  --tol=-1e-3 reaches the config parser,
+    whose refusal writes its report."""
+    for argv in (["smatrix", "--preset", "Q"],
+                 ["smatrix", "--preset", "A", "--tol", "-1e-3"]):
+        out = tmp_path / "refused"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "usage: ends-scatter smatrix" in capsys.readouterr().err
+    code, rep = run(["smatrix", "--preset", "A", "--tol=-1e-3"], tmp_path,
+                    "smatrix")
+    assert code == 2 and rep["error"] == "[run] tol_s must be positive"
+
+
 def test_preset_accepts_exactly_the_catalogue():
     parser = cli._build_parser()
     for command in cli._COMMANDS:

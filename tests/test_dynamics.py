@@ -50,9 +50,9 @@ def test_stationary_point_free_closed_form():
     lam_c = (r - r1)^2 / (2 t^2)."""
     model = model_a()
     t = 25.0
-    r1 = 4.0
+    r1 = 4.0   # the anchor r_lambda(1e-4) = 2 r0
     r = np.linspace(10.0, 0.9 * t, 200)
-    sf = stationary_point(model, 0, t, r, lam_lo=1e-4, r1=r1)
+    sf = stationary_point(model, 0, t, r, lam_lo=1e-4)
     msk = sf.mask
     assert np.any(msk)
     exact = (r[msk] - r1) ** 2 / (2.0 * t**2)
@@ -69,9 +69,9 @@ def test_hamilton_jacobi_residual_small():
 
 def test_eikonal_free_closed_form():
     model = model_a()
-    t, r1 = 25.0, 4.0
+    t, r1 = 25.0, 4.0   # the anchor r_lambda(1e-4) = 2 r0
     r = np.linspace(10.0, 20.0, 50)
-    sf = stationary_point(model, 0, t, r, lam_lo=1e-4, r1=r1)
+    sf = stationary_point(model, 0, t, r, lam_lo=1e-4)
     msk = sf.mask
     exact = (r[msk] - r1) ** 2 / (2.0 * t)  # int b - t lam = (r-r1)^2/2t
     assert np.max(np.abs(sf.k1[msk] - exact)) < 1e-8
@@ -111,13 +111,13 @@ def test_comparison_state_matches_reference(preset, sign):
     level alone is off by more than 1e-4 there."""
     model = {"A": model_a, "C": model_c}[preset]()
     grid = RadialGrid(80.0, 0.02)
-    r1 = model.r_lambda(0.3)
-    cases = [(40.0, 0, dynamics_grid(model, 40.0, 0.8, r1=r1)),
+    h0 = SpectralProfile.bump_profile(center=0.55, width=0.25)
+    cases = [(40.0, 0, dynamics_grid(model, h0, 40.0)),
              (40.0, 0, np.abs(grid.x[grid.end_mask(0)])),
              (40.0, 1, np.abs(grid.x[grid.end_mask(1)])),
              (40.0, 0, 1.0 + 80.0 * np.linspace(0.0, 1.0, 3001) ** 2)]
     if preset == "C":
-        cases.append((160.0, 0, dynamics_grid(model, 160.0, 0.8, r1=r1)))
+        cases.append((160.0, 0, dynamics_grid(model, h0, 160.0)))
     for t, end, r in cases:
         h = SpectralProfile.bump_profile(end=end, center=0.55, width=0.25)
         _, u = comparison_state(model, h, t, r=r, sign=sign)
@@ -131,7 +131,7 @@ def test_comparison_state_is_exact_at_the_rank_cap(monkeypatch):
     monkeypatch.setattr(dynamics, "_AMP_TOL", 0.0)
     model = model_c()
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
-    r = dynamics_grid(model, 10.0, 0.8, r1=model.r_lambda(0.3))
+    r = dynamics_grid(model, h, 10.0)
     _, u = comparison_state(model, h, 10.0, r=r)
     ref = reference_comparison_state(model, h, 10.0, r)
     assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -250,7 +250,7 @@ def test_comparison_state_does_not_depend_on_the_other_radii(preset):
     model = {"A": model_a, "C": model_c}[preset]()
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     for t in (40.0, 320.0):
-        r = dynamics_grid(model, t, h.lam_hi, r1=model.r_lambda(h.lam_lo))
+        r = dynamics_grid(model, h, t)
         _, u = comparison_state(model, h, t, r=r)
         _, u_thin = comparison_state(model, h, t, r=r[::50])
         assert np.max(np.abs(u_thin - u[::50])) <= 1e-10 * np.max(np.abs(u))
@@ -325,7 +325,7 @@ def test_tail_free_ends_have_rank_one_amplitude_factors(preset):
         h = SpectralProfile.bump_profile(end=end, center=prof.lambda0 + 0.55,
                                          width=0.25)
         r_lam = model.r_lambda(h.lam_lo)
-        r = dynamics_grid(model, 40.0, h.lam_hi, prof.lambda0, r1=r_lam)
+        r = dynamics_grid(model, h, 40.0)
         lam, hv = dynamics.frequency_nodes(model, h, 40.0, r)
         lam = lam[hv != 0.0]
         live = r[eta(r, r_lam) > 0.0]
@@ -351,7 +351,7 @@ def test_amplitude_factors_keep_the_numerical_rank(monkeypatch, t, sign):
     prof = model.ends[0]
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     r_lam = model.r_lambda(h.lam_lo)
-    r = dynamics_grid(model, t, h.lam_hi, prof.lambda0, r1=r_lam)
+    r = dynamics_grid(model, h, t)
     lam, hv = dynamics.frequency_nodes(model, h, t, r)
     lam = lam[hv != 0.0]
     live = r[eta(r, r_lam) > 0.0]
@@ -391,7 +391,7 @@ def test_amplitude_rows_do_not_depend_on_the_index_set(t, sign):
     prof = model.ends[0]
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     r_lam = model.r_lambda(h.lam_lo)
-    r = dynamics_grid(model, t, h.lam_hi, prof.lambda0, r1=r_lam)
+    r = dynamics_grid(model, h, t)
     lam, hv = dynamics.frequency_nodes(model, h, t, r)
     lam, hv = lam[hv != 0.0], hv[hv != 0.0]
     eta_r = eta(r, r_lam)
@@ -432,7 +432,7 @@ def test_tail_free_state_is_the_separable_sum_bit_for_bit(t, sign):
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     lam0 = model.ends[0].lambda0
     r_lam = model.r_lambda(h.lam_lo)
-    r = dynamics_grid(model, t, h.lam_hi, lam0, r1=r_lam)
+    r = dynamics_grid(model, h, t)
     _, u = comparison_state(model, h, t, r=r, sign=sign)
 
     lam, hv = dynamics.frequency_nodes(model, h, t, r)
@@ -460,14 +460,13 @@ def test_seeded_stationary_point_matches_the_plain_solve(monkeypatch, preset, t)
     C at t = 10 the cone (about 940 radii) is below ``_SEED_MIN_CONE`` and
     both are the plain solve; at t = 320 (about 13 900) the seed is used."""
     model = {"A": model_a, "C": model_c}[preset]()
-    r1 = model.r_lambda(0.3)
-    r = dynamics_grid(model, t, 0.8, r1=r1)
+    r = dynamics_grid(model, SpectralProfile.bump_profile(), t)
     lam_c = []
     for radii in (r, r[::-1]):
-        seeded = stationary_point(model, 0, t, radii, 0.3, r1=r1)
+        seeded = stationary_point(model, 0, t, radii, 0.3)
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_SEED_MIN_CONE", np.inf)
-            plain = stationary_point(model, 0, t, radii, 0.3, r1=r1)
+            plain = stationary_point(model, 0, t, radii, 0.3)
         assert seeded.diag["residual_ok"] and plain.diag["residual_ok"]
         assert np.array_equal(seeded.mask, plain.mask)
         msk = plain.mask
@@ -490,7 +489,7 @@ def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
     beyond r1."""
     model = model_c()
     r1 = model.r_lambda(0.3)
-    r = dynamics_grid(model, 320.0, 0.8, r1=r1)
+    r = dynamics_grid(model, SpectralProfile.bump_profile(), 320.0)
     sizes, passes = [], []
     travel_time, solve = dynamics._travel_time, dynamics._solve
 
@@ -505,7 +504,7 @@ def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_travel_time", counted)
     monkeypatch.setattr(dynamics, "_solve", recorded)
-    sf = stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
+    sf = stationary_point(model, 0, 320.0, r, 0.3)
     cone = int(np.sum(sf.mask))
     # a probe of the radii, then one bracket
     assert len(sizes) == 2 and sum(sizes) <= 2 * np.sqrt(np.sum(r > r1)) + 1
@@ -514,7 +513,7 @@ def test_seeded_stationary_point_needs_one_newton_step(monkeypatch):
     assert np.max(seeded) <= 3 and np.median(seeded) == 2
     passes.clear()
     monkeypatch.setattr(dynamics, "_SEED_MIN_CONE", np.inf)
-    stationary_point(model, 0, 320.0, r, 0.3, r1=r1)
+    stationary_point(model, 0, 320.0, r, 0.3)
     (free,) = passes
     assert np.median(free) >= 4
     assert np.sum(subset) + np.sum(seeded) < 0.6 * np.sum(free)
@@ -541,9 +540,9 @@ def test_newton_stops_wherever_the_energy_origin_sits(monkeypatch, shift):
     for s in (0.0, shift):
         model = ManifoldModel([replace(e, lambda0=e.lambda0 + s)
                                for e in base.ends], r0=base.r0)
-        r1 = model.r_lambda(0.3 + s)
-        r = dynamics_grid(model, 80.0, 0.8 + s, s, r1=r1)
-        sf = stationary_point(model, 0, 80.0, r, 0.3 + s, r1=r1)
+        h = SpectralProfile.from_callable(0, 0, 0.3 + s, 0.8 + s, np.ones_like)
+        r = dynamics_grid(model, h, 80.0)
+        sf = stationary_point(model, 0, 80.0, r, 0.3 + s)
         assert sf.diag["residual_ok"]
         lam_c.append(sf.lam_c[sf.mask] - s)
     # the subset from the free guess, then the seeded solve, both shifts
@@ -563,13 +562,12 @@ def test_cone_search_matches_the_elementwise_test(monkeypatch, preset):
     on the cone only; its mask, lam_c and residual are the same bits as
     with the cone tested at every radius beyond r1, at t = 10 ... 320."""
     model = {"A": model_a, "C": model_c}[preset]()
-    r1 = model.r_lambda(0.3)
     for t in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0):
-        r = dynamics_grid(model, t, 0.8, r1=r1)
-        got = stationary_point(model, 0, t, r, 0.3, r1=r1)
+        r = dynamics_grid(model, SpectralProfile.bump_profile(), t)
+        got = stationary_point(model, 0, t, r, 0.3)
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_cone", _elementwise_cone)
-            want = stationary_point(model, 0, t, r, 0.3, r1=r1)
+            want = stationary_point(model, 0, t, r, 0.3)
         assert np.array_equal(got.mask, want.mask)
         assert np.array_equal(got.lam_c, want.lam_c, equal_nan=True)
         assert got.diag["residual"] == want.diag["residual"]
@@ -607,8 +605,8 @@ def test_stationary_kernel_matches_a_composite_quadrature(t):
     kernel's 48 Gauss samples."""
     model = model_c()
     r1 = model.r_lambda(0.3)
-    r = dynamics_grid(model, t, 0.8, r1=r1)
-    sf = stationary_point(model, 0, t, r, 0.3, r1=r1)
+    r = dynamics_grid(model, SpectralProfile.bump_profile(), t)
+    sf = stationary_point(model, 0, t, r, 0.3)
     pick = np.flatnonzero(sf.mask)[np.linspace(0, np.sum(sf.mask) - 1, 20).astype(int)]
     half, q1_gl = dynamics._gauss_q1(model, 0, r[pick], r1)
     lam = sf.lam_c[pick]
@@ -676,10 +674,10 @@ def test_one_row_of_q1_serves_every_radius_bit_for_bit(monkeypatch, max_iter):
 
     model = model_a()
     r1 = model.r_lambda(0.3)
-    r = dynamics_grid(model, 80.0, 0.8, r1=r1)
+    r = dynamics_grid(model, SpectralProfile.bump_profile(), 80.0)
     q1_gl = dynamics._gauss_q1(model, 0, r, r1)[1]
     assert q1_gl.shape == (1, dynamics._GL_NODES.size)
-    one = stationary_point(model, 0, 80.0, r, 0.3, r1=r1)
+    one = stationary_point(model, 0, 80.0, r, 0.3)
     gauss_q1 = dynamics._gauss_q1
 
     def repeated(model, end, rr, r1):
@@ -687,44 +685,56 @@ def test_one_row_of_q1_serves_every_radius_bit_for_bit(monkeypatch, max_iter):
         return half, np.repeat(q1_gl, rr.size, axis=0)
 
     monkeypatch.setattr(dynamics, "_gauss_q1", repeated)
-    every = stationary_point(model, 0, 80.0, r, 0.3, r1=r1)
+    every = stationary_point(model, 0, 80.0, r, 0.3)
     for field in ("lam_c", "dlam_dr", "k1", "mask"):
         assert getattr(one, field).tobytes() == getattr(every, field).tobytes()
 
 
-def _run_in_reference(model, sf):
-    """The run-in integral of eikonal's K at every cone radius by its
-    257-node trapezoid sum."""
-    lam = sf.lam_c[sf.mask]
-    nodes = np.linspace(model.r0, sf.r1, 257)
-    eta_n = eta(nodes, model.r_lambda(sf.diag["lam_lo"]))
-    q1 = model.ends[sf.end].q1(nodes)
-    vals = eta_n * np.sqrt(np.maximum(2.0 * (lam[:, None] - q1), 0.0))
-    return np.trapezoid(vals, nodes, axis=1)
+def _run_in_reference(model, sf, idx):
+    """The run-in phase of eikonal's K at the radii ``idx``: int_{r0}^{r1}
+    eta_lambda (2 (lam_c - q1))^{1/2} by scipy's adaptive quadrature,
+    split at r1/2 where the cutoff's ramp starts (r1 = r_lambda(lam_lo)
+    is the cutoff's scale); the integrand is 0 below it."""
+    from scipy.integrate import quad
+    q1, r1 = model.ends[sf.end].q1, sf.r1
+
+    def run_in(lam):
+        fn = lambda s: float(eta(s, r1)) * np.sqrt(max(2.0 * (lam - float(q1(s))), 0.0))
+        return sum(quad(fn, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                   for a, b in ((model.r0, 0.5 * r1), (0.5 * r1, r1)))
+
+    return np.array([run_in(lam) for lam in sf.lam_c[idx]])
 
 
 @pytest.mark.parametrize("t", [10.0, 320.0])
 @pytest.mark.parametrize("preset", ["A", "C"])
 def test_eikonal_run_in_offset_matches_the_node_sum(preset, t):
-    """The run-in offset interpolated in lam against the 257-node sum at
-    every cone radius of the dynamics grid."""
+    """The run-in phase Phi_lam(r1), in closed form (A) or interpolated in
+    lam (C), against an independent adaptive quadrature at 33 cone radii
+    of the dynamics grid, the first and last among them."""
     model = {"A": model_a, "C": model_c}[preset]()
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     _, _, sf = leading_term(model, h, t)
-    msk = sf.mask
-    ref = sf.k1[msk] + _run_in_reference(model, sf)
-    assert np.max(np.abs(sf.k_full[msk] - ref)) <= 1e-12
+    cone = np.flatnonzero(sf.mask)
+    idx = cone[np.linspace(0, cone.size - 1, 33).astype(int)]
+    ref = sf.k1[idx] + _run_in_reference(model, sf, idx)
+    assert np.max(np.abs(sf.k_full[idx] - ref)) <= 1e-12
 
 
 def test_eikonal_run_in_offset_is_exact_at_the_rank_cap(monkeypatch):
     """With an unreachable phase tolerance the levels run out and the
-    run-in sum is taken at every radius."""
+    run-in phase is geometry's rule b_lam E(r1) + psi_lam(r1) at every
+    radius."""
     monkeypatch.setattr(dynamics, "_PHASE_TOL", 0.0)
     model = model_c()
+    prof = model.ends[0]
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     _, _, sf = leading_term(model, h, 10.0)
     msk = sf.mask
-    assert np.array_equal(sf.k_full[msk], sf.k1[msk] + _run_in_reference(model, sf))
+    lam, r1 = sf.lam_c[msk], np.array([sf.r1])
+    rule = (np.sqrt(2.0 * (lam - prof.lambda0)) * dynamics._cutoff_length(r1, sf.r1)[0]
+            + dynamics._psi(prof, sf.r1, h.lam_lo, lam, r1)[:, 0])
+    assert np.array_equal(sf.k_full[msk], sf.k1[msk] + rule)
 
 
 @pytest.mark.parametrize("kind", [float, complex])
@@ -791,9 +801,24 @@ def test_levels_read_from_a_finer_level_and_stop_at_the_cap():
 def test_dynamics_grid_holds_the_front():
     model = model_a()
     t = 50.0
-    r = dynamics_grid(model, t, lam_hi=0.8)
+    r = dynamics_grid(model, SpectralProfile.bump_profile(), t)
     assert r[-1] > t * np.sqrt(2.0 * 0.8)
     assert r[0] == model.r0 / 2.0
+
+
+def test_dynamics_grid_reads_the_threshold_and_anchor_of_the_profile():
+    """On B's hyperbolic end (lambda0 = 1/8) the grid reaches the anchor
+    r_lambda(lam_lo) = 2 r0 plus 1.25 t sqrt(2 (lam_hi - 1/8)) plus 10
+    from r0/2, with at most 0.02 between nodes."""
+    model = _CATALOGUE["B"]()
+    h = SpectralProfile.bump_profile(end=1, center=0.125 + 0.55, width=0.25)
+    t = 40.0
+    rmax = (model.r_lambda(h.lam_lo)
+            + 1.25 * t * np.sqrt(2.0 * (h.lam_hi - 0.125)) + 10.0)
+    n = int(np.ceil((rmax - model.r0 / 2.0) / 0.02))
+    assert model.ends[1].lambda0 == 0.125 and model.r_lambda(h.lam_lo) == 2.0 * model.r0
+    assert np.array_equal(dynamics_grid(model, h, t),
+                          np.linspace(model.r0 / 2.0, rmax, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1046,7 @@ def test_dollard_state_does_not_depend_on_the_other_radii():
     thinning the radii by 50 leaves the kept values bit for bit."""
     model = model_c()
     h = SpectralProfile.bump_profile(center=2.0, width=0.8)
-    r = dynamics_grid(model, 40.0, h.lam_hi)
+    r = dynamics_grid(model, h, 40.0)
     _, u = dollard_state(model, h, 40.0, r=r)
     _, u_thin = dollard_state(model, h, 40.0, r=r[::50])
     assert np.array_equal(u_thin, u[::50])

@@ -432,17 +432,11 @@ def test_phase_a_takes_q1_prime_in_closed_form(lam):
     prof = m.ends[0]
     r_lam = m.r_lambda(lam)
     r = np.linspace(r_lam / 2.0, 60.0, 2000)
-    corr = -np.imag(phase_a(m, 0, lam, r, sign=+1, r_lam=r_lam))
+    corr = -np.imag(phase_a(m, 0, lam, r, sign=+1))
     gap = lam - prof.q1(r)
     ref = 0.25 * eta(r, r_lam) * numeric_derivative(prof.q1, r) / gap
     assert np.all(np.abs(corr - ref) <= 1e-9 * np.abs(ref))
     assert np.any(ref != 0.0)
-
-
-def test_phase_a_refuses_r_lambda_below_twice_r0():
-    m = model_c()
-    with pytest.raises(ValueError, match="below 2 r0"):
-        phase_a(m, 0, 0.5, np.array([10.0]), r_lam=2.0 * m.r0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------

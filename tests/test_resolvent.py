@@ -254,8 +254,8 @@ def test_compiled_march_is_the_sequential_product(model, rmax, m, lam, cells,
     h = np.diff(nodes)
     w = model.w_mode(m, (nodes[:-1, None] + h[:, None] * _GAUSS).ravel())
     # end 1 launches at x = -rmax, where d/dx = -d/dr
-    u1, dudr1 = _launch_data(model, 1, lam, sign, rmax, pair.r_lam)
-    u0, dudr0 = _launch_data(model, 0, lam, sign, rmax, pair.r_lam)
+    u1, dudr1 = _launch_data(model, 1, lam, sign, rmax)
+    u0, dudr0 = _launch_data(model, 0, lam, sign, rmax)
     launch = [(complex(u1), -dudr1), (complex(u0), dudr0)]
     want = _magnus_reference(nodes, w.reshape(-1, 2), lam, launch, on_grid)
     got = np.array([pair.u_left, pair.du_left, pair.u_right, pair.du_right])
