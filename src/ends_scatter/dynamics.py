@@ -561,9 +561,9 @@ def hamilton_jacobi_residual(model: ManifoldModel, end: int, t: float,
 # ---------------------------------------------------------------------------
 
 @_clib.one_blas_thread()
-def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
-                 sign: int = +1) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
-    """U_0^+-(t) h on one end, on its ``dynamics_grid``: returns (r,
+def leading_term(model: ManifoldModel, h: SpectralProfile,
+                 t: float) -> Tuple[np.ndarray, np.ndarray, StationaryField]:
+    """U_0^+(t) h on one end, on its ``dynamics_grid``: returns (r,
     values, stationary data).  Without ``cc`` or a cached build of the
     kernels (:func:`stationary_point`) the first call raises RuntimeError."""
     r = dynamics_grid(model, h, t)
@@ -571,8 +571,8 @@ def leading_term(model: ManifoldModel, h: SpectralProfile, t: float,
     vals = np.zeros(r.shape, dtype=complex)
     msk = sf.mask
     if np.any(msk):
-        pref = (2.0 * np.pi) ** -0.5 * np.exp(-sign * 0.75j * np.pi)
-        vals[msk] = (pref * np.exp(1j * sign * sf.k_full[msk])
+        pref = (2.0 * np.pi) ** -0.5 * np.exp(-0.75j * np.pi)
+        vals[msk] = (pref * np.exp(1j * sf.k_full[msk])
                      * np.sqrt(sf.dlam_dr[msk]) * h(sf.lam_c[msk]))
     return r, vals, sf
 
@@ -877,9 +877,9 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
 
 
 def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
-                  r: Optional[np.ndarray] = None,
-                  sign: int = +1) -> Tuple[np.ndarray, np.ndarray]:
-    """Dollard dynamics: the free (short-range) comparison phase
+                  r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dollard dynamics U^+(t) h at the radii r: the free (short-range)
+    comparison phase
 
         K_sr = (r - r0)^2 / (2t) - t lam0,
         lam evaluated at lam0 + (r - r0)^2 / (2 t^2),
@@ -893,15 +893,13 @@ def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
     """
     prof = model.ends[h.end]
     lam0 = prof.lambda0
-    if r is None:
-        r = dynamics_grid(model, h, t)
     vals = np.zeros(r.shape, dtype=complex)
     msk = r > model.r0
     rr = r[msk] - model.r0
     lam_free = lam0 + rr**2 / (2.0 * t**2)
     k = rr**2 / (2.0 * t) - t * lam0 - (t / rr) * prof.tail_integral(r[msk])
-    pref = (2.0 * np.pi) ** -0.5 * np.exp(-sign * 0.75j * np.pi)
-    vals[msk] = pref * np.exp(1j * sign * k) * np.sqrt(rr) / t * h(lam_free)
+    pref = (2.0 * np.pi) ** -0.5 * np.exp(-0.75j * np.pi)
+    vals[msk] = pref * np.exp(1j * k) * np.sqrt(rr) / t * h(lam_free)
     return r, vals
 
 
@@ -909,14 +907,14 @@ def dollard_state(model: ManifoldModel, h: SpectralProfile, t: float,
 # phase modifiers
 # ---------------------------------------------------------------------------
 
-def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
-                   r_lam: Optional[float] = None):
+def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr"):
     """theta(lam) = int_{r0}^infty (b_kind - eta b) dr on one end.
 
     This is the asymptotic phase gap between the free comparison phase
     (b_kind integrated from r0) and the WKB phase used by the leading
-    term (eta-cut b integrated from r0).  b_sr uses the threshold energy
-    only; b_do adds the first-order tail correction.
+    term (eta-cut b integrated from r0), with r_lam = r_lambda of the
+    lowest lam.  b_sr uses the threshold energy only; b_do adds the
+    first-order tail correction.
     With k = b_sr and t = q1 - lambda0 = A r^-p (r >= r0), the integrand is
     b_kind up to r_lam/2, integrated in closed form (t by
     ``EndProfile.tail_integral``), and (1 - eta) b_kind + eta (b_kind - b)
@@ -926,8 +924,8 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
     series of the declared tail beyond it (:func:`_tail_beyond`).  A
     ValueError refuses a kind that diverges on the tail A r^-p ('sr' needs
     p > 1, 'do' 2 p > 1; a tail-free end never diverges), a lam at or below
-    the end's threshold lambda0 (b_sr = 0 or not real), an r_lam below
-    2 r0 and an r_lam where b is not real.  Vectorized over lam.
+    the end's threshold lambda0 (b_sr = 0 or not real) and a lam that
+    ``r_lambda`` refuses.  Vectorized over lam.
     """
     if kind not in ("sr", "do"):
         raise ValueError("kind must be 'sr' or 'do'")
@@ -942,16 +940,8 @@ def phase_modifier(model: ManifoldModel, end: int, lam, kind: str = "sr",
         raise ValueError(f"phase modifier needs lam above the threshold "
                          f"lambda0 = {lam0!r} of end {end}, got lam = "
                          f"{float(lam_arr[~(lam_arr > lam0)][0])!r}")
-    if r_lam is None:
-        r_lam = model.r_lambda(float(lam_arr.min()))
-    if r_lam < 2.0 * model.r0:
-        raise ValueError(f"r_lam = {r_lam!r} is below 2 r0 = {2.0 * model.r0!r}")
-    # q1 falls beyond r_lam/2 >= r0 on a repulsive tail, where b is real
-    # exactly when lam >= q1(r_lam/2); below lam0 on an attractive one
-    below = lam_arr < prof.q1(0.5 * r_lam)
-    if np.any(below):
-        raise ValueError(f"b is not real on end {end} at lam = "
-                         f"{float(lam_arr[below][0])!r} with r_lam = {r_lam!r}")
+    # r_lam >= 2 r0, and b is real beyond r_lam / 2 at every lam
+    r_lam = model.r_lambda(float(lam_arr.min()))
     k = np.sqrt(2.0 * (lam_arr - lam0))
     kk = k[:, None, None]
 

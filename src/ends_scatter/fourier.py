@@ -12,6 +12,9 @@ the limit.  Outside the support of a state psi the outgoing resolvent is
 (2/W) u_right <u_left, psi> on end 0 and (2/W) u_left <u_right, psi> on
 end 1 (bilinear pairings), so F^+(lam) psi is D^+ times the two
 pairings; ``oracle.reference_distorted_ft`` checks it by that resolvent.
+:func:`distorted_ft` takes the Jost pair and reads the operator, lam and
+the sign from it: an incoming pair gives F^-, D^- taken with the
+extraction phase sqrt(b) exp(+i Phi).
 
 The scattering matrix at energy lam is block diagonal over angular modes.
 Each 2x2 block comes from the connection coefficients (four Wronskians)
@@ -102,14 +105,14 @@ def _averaged_limit(xi: np.ndarray, windows):
 
 
 def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int,
-                   lam: float, r_lam: float, sign: int = +1):
+                   lam: float, sign: int):
     """The extraction phase sqrt(b) e^{-i sign Phi} on one end at the
-    energy lam, at the nodes that some extraction window holds.  Returns
-    (nodes, windows, factor): those grid nodes by increasing r, the masks
-    of ``_extraction_windows`` on them, and the factor.  Phi is
-    :func:`~ends_scatter.geometry.phase_integral` at those nodes, each
-    radius taken on its own."""
-    nodes, r, windows = _extraction_windows(grid, end, r_lam)
+    energy lam, at the nodes that some extraction window (at r_lambda of
+    lam) holds.  Returns (nodes, windows, factor): those grid nodes by
+    increasing r, the masks of ``_extraction_windows`` on them, and the
+    factor.  Phi is :func:`~ends_scatter.geometry.phase_integral` at those
+    nodes, each radius taken on its own."""
+    nodes, r, windows = _extraction_windows(grid, end, model.r_lambda(lam))
     held = np.zeros(r.size, dtype=bool)
     for msk in windows:
         held |= msk
@@ -120,23 +123,21 @@ def _phase_factors(model: ManifoldModel, grid: RadialGrid, end: int,
     return nodes[held], [msk[held] for msk in windows], factor
 
 
-def _extract_end(model: ManifoldModel, grid: RadialGrid, end: int, lam: float,
-                 sign: int, u_line: np.ndarray, r_lam: float):
-    """Boundary coefficient of one end from a resolvent profile."""
-    nodes, windows, factor = _phase_factors(model, grid, end, lam, r_lam, sign)
+def _extract_end(pair: JostPair, end: int, u_line: np.ndarray):
+    """Boundary coefficient of one end from a profile ``u_line`` at the
+    energy and sign of ``pair``."""
+    op = pair.op
+    nodes, windows, factor = _phase_factors(op.model, op.grid, end, pair.lam,
+                                            pair.sign)
     return _averaged_limit(factor * u_line[nodes], windows)
 
 
-def _outgoing_coefficients(pair: JostPair, phases=None):
-    """D^+ = (2 c_right / W, 2 c_left / W) of an outgoing Jost pair, c the
-    boundary coefficient of each Jost solution on its own end, and the
-    diagnostics of the two extractions (end 0, end 1).  ``phases`` holds
-    each end's (nodes, windows, factor) at the pair's energy, as
-    :func:`_phase_factors` gives them; without it they are taken here."""
-    op = pair.op
-    if phases is None:
-        phases = [_phase_factors(op.model, op.grid, end, pair.lam, pair.r_lam)
-                  for end in range(2)]
+def _outgoing_coefficients(pair: JostPair, phases):
+    """D = (2 c_right / W, 2 c_left / W) of a Jost pair, c the boundary
+    coefficient of each Jost solution on its own end, and the diagnostics
+    of the two extractions (end 0, end 1): D^+ of an outgoing pair.
+    ``phases`` holds each end's (nodes, windows, factor) at the pair's
+    energy and sign, as :func:`_phase_factors` gives them."""
     d = np.zeros(2, dtype=complex)
     ends = []
     for end, u in ((0, pair.u_right), (1, pair.u_left)):
@@ -147,29 +148,26 @@ def _outgoing_coefficients(pair: JostPair, phases=None):
     return d, ends
 
 
-def distorted_ft(op: ModeOperator, lam: float, psis: np.ndarray):
-    """F^+(lam) psi for each row of ``psis`` (flat mode-m states on
-    ``op``'s grid), as D^+ times the pairings (<u_left, psi>,
-    <u_right, psi>) with the outgoing Jost pair: one march and two
-    extractions, whatever the number of states.
+def distorted_ft(pair: JostPair, psis: np.ndarray):
+    """F^{sign}(lam) psi for each row of ``psis`` (flat mode-m states on
+    the grid of ``pair.op``), lam and sign those of the Jost pair: D times
+    the pairings (<u_left, psi>, <u_right, psi>) with the pair, two
+    extractions whatever the number of states.  A caller with several
+    energies marches them through one set-up (``jost_setups``,
+    ``march_pair``).
 
     Exact for states supported inside the extraction windows' inner
     radius.  Returns (coeffs, diag): coeffs of shape (n_states, 2), one
     column per end; diag["ends"] the doubling residuals of the two
     extractions.
     """
-    return _distorted_ft(jost_pair(op, lam, +1), psis)
-
-
-def _distorted_ft(pair: JostPair, psis: np.ndarray):
-    """:func:`distorted_ft` at the energy of the outgoing Jost pair
-    ``pair``, for callers that march several energies through one
-    set-up (``jost_setups``, ``march_pair``)."""
     psis = np.atleast_2d(np.asarray(psis, dtype=complex))
-    d, ends = _outgoing_coefficients(pair)
+    op = pair.op
+    d, ends = _outgoing_coefficients(pair, [
+        _phase_factors(op.model, op.grid, end, pair.lam, pair.sign)
+        for end in range(2)])
     # end 0 pairs the states with u_left, end 1 with u_right
-    pairing = pair.op.grid.dx * (psis @ np.stack((pair.u_left, pair.u_right),
-                                                 axis=1))
+    pairing = op.grid.dx * (psis @ np.stack((pair.u_left, pair.u_right), axis=1))
     return pairing * d, {"ends": ends}
 
 
@@ -214,6 +212,28 @@ def _mode_block(pair: JostPair, phases):
     return block, max(e["doubling_residual"] for e in ends)
 
 
+def _energy_data(model: ManifoldModel, grid: RadialGrid, lam: float,
+                 modes: Tuple[int, ...], pairs) -> ScatteringData:
+    """S at lam from ``pairs``, which yields the outgoing Jost pair of
+    each of ``modes`` in turn, marching it when asked.  Each end's
+    extraction phase is taken after the first march and serves every
+    mode.  The diag holds each mode's doubling residual ("per_mode") and
+    unitarity defect ("defects"), unjudged; ``unitarity_defect`` is the
+    largest, or NaN."""
+    blocks = np.zeros((len(modes), 2, 2), dtype=complex)
+    per_mode, phases = [], None
+    for k, pair in enumerate(pairs):
+        if phases is None:
+            phases = [_phase_factors(model, grid, end, lam, +1)
+                      for end in range(2)]
+        blocks[k], residual = _mode_block(pair, phases)
+        per_mode.append({"m": modes[k], "doubling_residual": residual})
+    defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
+               for b in blocks]
+    diag = {"per_mode": per_mode, "defects": defects}
+    return ScatteringData(lam, modes, blocks, float(np.max(defects)), diag)
+
+
 def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
                      lams: Sequence[float], mmax: int = 0) -> List[ScatteringData]:
     """S(lam) at every energy of ``lams``, in order: bit for bit
@@ -222,38 +242,20 @@ def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
 
     Each mode's march set-up (``jost_setups``) is built once for the
     list, and each energy marches through it, energy by energy and mode
-    by mode within an energy.  Each end's extraction phase is taken once
-    per energy, after the energy's first march, and serves every mode;
-    its windows are memoized per r_lambda.  Each energy's diag holds each
-    mode's doubling residual ("per_mode") and unitarity defect
-    ("defects"), unjudged; ``unitarity_defect`` is the largest, or NaN.
+    by mode within an energy; its extraction windows are memoized per
+    r_lambda.
     """
-    lams = [float(lam) for lam in lams]
     modes = tuple(range(mmax + 1))
     setups = jost_setups([ModeOperator(model, grid, m) for m in modes])
-    out = []
-    for lam in lams:
-        blocks = np.zeros((len(modes), 2, 2), dtype=complex)
-        per_mode, phases = [], None
-        for k, setup in enumerate(setups):
-            pair = march_pair(setup, lam, +1)
-            if phases is None:
-                phases = [_phase_factors(model, grid, end, lam, pair.r_lam)
-                          for end in range(2)]
-            blocks[k], residual = _mode_block(pair, phases)
-            per_mode.append({"m": modes[k], "doubling_residual": residual})
-        defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
-                   for b in blocks]
-        diag = {"per_mode": per_mode, "defects": defects}
-        out.append(ScatteringData(lam, modes, blocks, float(np.max(defects)),
-                                  diag))
-    return out
+    return [_energy_data(model, grid, lam, modes,
+                         (march_pair(setup, lam, +1) for setup in setups))
+            for lam in map(float, lams)]
 
 
 def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
                       mmax: int = 0) -> ScatteringData:
-    """Assemble S(lam) mode block by mode block from the Jost pairs: the
-    sweep (``scattering_sweep``) of the one energy lam.
+    """Assemble S(lam) mode block by mode block from the Jost pairs, one
+    ``jost_pair`` per mode (``scattering_sweep`` shares the set-ups).
 
     F^+- psi = D^+- (<u_left^+-, psi>, <u_right^+-, psi>) (see
     ``distorted_ft``).  With C the coordinates of (u_left^+, u_right^+)
@@ -270,4 +272,8 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
     unitarity defect max_m ||S_m* S_m - 1|| is reported, not judged; each
     mode's doubling residual is the worst of its two boundary extractions.
     """
-    return scattering_sweep(model, grid, [lam], mmax)[0]
+    lam = float(lam)
+    modes = tuple(range(mmax + 1))
+    return _energy_data(model, grid, lam, modes,
+                        (jost_pair(ModeOperator(model, grid, m), lam, +1)
+                         for m in modes))

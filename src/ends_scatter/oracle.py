@@ -15,9 +15,10 @@ so it can serve as an oracle for them:
   factored quadrature,
 * a Chebyshev polynomial expansion of e^{-itH}, the reference for the
   implicit propagator,
-* the distorted Fourier transform as the boundary coefficients of the
-  limiting resolvent of the state, the reference for the Jost pairing
-  of ``fourier.distorted_ft``,
+* the distorted Fourier transform F^+- as the boundary coefficients of
+  the limiting resolvent of the state, the reference for the Jost
+  pairing of ``fourier.distorted_ft``; like it, it takes one Jost pair
+  and reads the operator, energy and sign from it,
 * the S-matrix by least squares over probe states pushed through both
   signed reference transforms, the reference for the Jost
   connection-coefficient assembly.  Marching both signs, it also checks
@@ -32,7 +33,6 @@ All functions are deterministic (no RNG, no environment dependence).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -215,19 +215,19 @@ def reference_march(model: ManifoldModel, m: int, lam: float, x: np.ndarray, y0)
 
 
 def reference_comparison_state(model: ManifoldModel, h: SpectralProfile,
-                               t: float, r: np.ndarray, sign: int = +1,
-                               r_lam: Optional[float] = None) -> np.ndarray:
+                               t: float, r: np.ndarray,
+                               sign: int = +1) -> np.ndarray:
     """U^+-(t) h at the radii ``r`` on the lam nodes of
     ``dynamics.frequency_nodes``: the complex exponential at every
     (lam, r) pair, summed over lam.  The phase int_{r0}^r eta_lambda
-    sqrt(2 (lam - q1)) of each radius is its own 16-node Gauss-Legendre
-    sum over the panels of length 1/4 from r0 (r_lambda/2 and r_lambda
-    among the edges) below it and over the part of its panel up to it:
-    independent of the other radii and of ``comparison_state``'s panels.
+    sqrt(2 (lam - q1)) of each radius, lambda the lowest energy h.lam_lo,
+    is its own 16-node Gauss-Legendre sum over the panels of length 1/4
+    from r0 (r_lambda/2 and r_lambda among the edges) below it and over
+    the part of its panel up to it: independent of the other radii and of
+    ``comparison_state``'s panels.
     """
     prof = model.ends[h.end]
-    if r_lam is None:
-        r_lam = model.r_lambda(h.lam_lo)
+    r_lam = model.r_lambda(h.lam_lo)
     r = np.asarray(r, dtype=float)
     lam, hv = frequency_nodes(model, h, t, r)
     n = math.ceil(max(np.max(r) - model.r0, 0.0) / 0.25) + 1
@@ -288,18 +288,16 @@ def chebyshev_evolve(op: ModeOperator, psi: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * t * mid) * acc
 
 
-def reference_distorted_ft(op: ModeOperator, lam: float, psi: np.ndarray,
-                           sign: int, pair: JostPair):
-    """F^+-(lam) psi of one mode-m state: R(lam +- i0) psi from ``pair``
-    (of the same sign), then its boundary coefficient on each end.
-    Returns (coeffs, ends): one coefficient and one extraction
-    diagnostic per end."""
-    phi, rdiag = limiting_resolvent(op, lam, psi, sign=sign, pair=pair)
+def reference_distorted_ft(pair: JostPair, psi: np.ndarray):
+    """F^+-(lam) psi of one mode-m state, lam and the sign those of the
+    Jost pair: R(lam +- i0) psi from ``pair``, then its boundary
+    coefficient on each end.  Returns (coeffs, ends): one coefficient
+    and one extraction diagnostic per end."""
+    phi, _ = limiting_resolvent(pair, psi)
     coeffs = np.zeros(2, dtype=complex)
     ends = []
     for end in range(2):
-        coeffs[end], ediag = _extract_end(op.model, op.grid, end, lam, sign,
-                                          phi, rdiag["r_lam"])
+        coeffs[end], ediag = _extract_end(pair, end, phi)
         ends.append(ediag)
     return coeffs, ends
 
@@ -339,7 +337,7 @@ def reference_scattering_matrix(model: ManifoldModel, grid: RadialGrid,
         for sign, c in cols.items():
             pair = jost_pair(op, lam, sign)
             for j, psi in enumerate(probes):
-                c[:, j], ends = reference_distorted_ft(op, lam, psi, sign, pair)
+                c[:, j], ends = reference_distorted_ft(pair, psi)
                 worst = max(worst, *(e["doubling_residual"] for e in ends))
         s_t, *_ = np.linalg.lstsq(cols[-1].T, cols[+1].T, rcond=None)
         blocks[m] = s_t.T

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _clib
 from .dynamics import SpectralProfile, comparison_state
-from .fourier import _distorted_ft
+from .fourier import distorted_ft
 from .geometry import ManifoldModel
 from .mode_reduction import ModeOperator, RadialGrid
 from .resolvent import jost_setups, march_pair
@@ -374,7 +374,7 @@ def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
     coeffs = np.zeros((len(psi_list), _ADJOINT_LAM_NODES), dtype=complex)
     setup, = jost_setups([ft_op])
     for j, lam_j in enumerate(lam):
-        ft, _ = _distorted_ft(march_pair(setup, float(lam_j), +1), psi_ft)
+        ft, _ = distorted_ft(march_pair(setup, float(lam_j), +1), psi_ft)
         coeffs[:, j] = ft[:, h.end]
 
     defects = []
@@ -425,31 +425,30 @@ def _end_projection(run, grid: RadialGrid, psi: np.ndarray, end: int,
             "stabilization": float(stab)}
 
 
-def transmission_experiment(op: ModeOperator, model: ManifoldModel,
-                            h: SpectralProfile, end_to: int,
+def transmission_experiment(op: ModeOperator, h: SpectralProfile,
                             s_abs: Callable, t_prepare: float,
                             t_probe: Sequence[float],
                             cfg: Optional[EvolutionConfig] = None) -> dict:
     """Cross-ends transmission: prepare psi ~ W^- h = e^{-i t H} U^-(t) h
     (t = t_prepare, U^- the comparison dynamics at the grid nodes of end
     h.end) as an incoming packet, evolve through the junction and compare
-    the outgoing mass in ``end_to`` with the S-matrix prediction
-    ||S_{ij} h||^2 = (2 pi)^{-1} int |S_ij(lam)|^2 |h(lam)|^2 dlam.
+    the outgoing mass in the other end, 1 - h.end, with the S-matrix
+    prediction ||S_{ij} h||^2 = (2 pi)^{-1} int |S_ij(lam)|^2 |h(lam)|^2
+    dlam.
 
-    ``s_abs(lam)`` must return |S_{end_to, h.end}(lam)| (vectorized).
+    ``s_abs(lam)`` must return |S_{1 - h.end, h.end}(lam)| (vectorized).
     Returns the measured and predicted masses, their ratio and the end
     projection; the caller judges their agreement.  The preparation and
     the probes share one factorization per step size.
     """
-    if end_to == h.end:
-        raise ValueError("transmission requires distinct source/target ends")
+    model = op.model
     run = _Evolutions(op, cfg or EvolutionConfig())
     grid = op.grid
 
     # psi ~ W^- h at time 0
     psi, _ = run(_end_state(grid, model, h, t_prepare, -1), t_prepare)
 
-    proj = _end_projection(run, grid, psi, end_to, t_probe, r_min=model.r0)
+    proj = _end_projection(run, grid, psi, 1 - h.end, t_probe, r_min=model.r0)
 
     lam = np.linspace(h.lam_lo, h.lam_hi, 513)
     hv = np.abs(h(lam)) ** 2

@@ -23,7 +23,10 @@ nodes and their grid positions (shared by all modes of one model and
 grid), W_m at the two Gauss nodes of every cell and W_m at the launch
 radii; :func:`march_pair` then marches one energy through them.
 :func:`jost_pair` is the two in a row, for callers that take one energy
-at a time.
+at a time.  A pair carries its operator, energy and sign, so every
+function handed one (:func:`limiting_resolvent`,
+``fourier.distorted_ft``, ``oracle.reference_distorted_ft``) reads them
+from it and takes no second copy that could disagree.
 
 Inward marching is the stable direction on both sides (through a
 classically forbidden core the physical solution grows towards the core),
@@ -230,18 +233,17 @@ def jost_pair(op: ModeOperator, lam: float, sign: int = +1) -> JostPair:
     return march_pair(jost_setups([op])[0], lam, sign)
 
 
-def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
-                       sign: int = +1, pair: Optional[JostPair] = None):
-    """phi = (H_m - lam -+ i0)^-1 psi on the grid.
+def limiting_resolvent(pair: JostPair, psi: np.ndarray):
+    """phi = (H_m - lam -+ i0)^-1 psi on the grid, from the Jost pair of
+    the operator, the energy lam and the sign of the boundary value.
 
     Returns (phi, diag); diag carries the Wronskian drift and the
     interior residual ||(H - lam) phi - psi|| / ||psi|| measured with the
     grid stencil away from the boundary.
     """
+    op = pair.op
     grid = op.grid
     psi = np.asarray(psi, dtype=complex)
-    if pair is None:
-        pair = jost_pair(op, lam, sign)
     w = pair.wronskian
     dx = grid.dx
 
@@ -261,7 +263,7 @@ def limiting_resolvent(op: ModeOperator, lam: float, psi: np.ndarray,
     diag = {
         "wronskian": w,
         "wronskian_drift": pair.wronskian_drift,
-        "interior_residual": _interior_residual(op, lam, phi, psi),
+        "interior_residual": _interior_residual(op, pair.lam, phi, psi),
         "r_lam": pair.r_lam,
     }
     return phi, diag

@@ -30,7 +30,7 @@ from ends_scatter.presets import (model_a, model_b, model_c, model_d,
 from ends_scatter.propagator import (EvolutionConfig, adjoint_identity_check,
                                      evolve, transmission_experiment,
                                      wave_operator)
-from ends_scatter.resolvent import limiting_resolvent
+from ends_scatter.resolvent import jost_pair, limiting_resolvent
 
 
 def bump(center, width):
@@ -98,8 +98,9 @@ def test_transform_norm_matches_spectral_measure(model):
     psi /= grid.norm(psi)
     lam0 = model.ends[0].lambda0
     for lam in np.linspace(0.35, 0.95, 5) + lam0:
-        coeffs, _ = distorted_ft(op, float(lam), psi)
-        phi, _ = limiting_resolvent(op, float(lam), psi, sign=+1)
+        pair = jost_pair(op, float(lam), +1)
+        coeffs, _ = distorted_ft(pair, psi)
+        phi, _ = limiting_resolvent(pair, psi)
         rhs = 2.0 * np.imag(grid.inner(psi, phi))
         norm2 = np.sum(np.abs(coeffs) ** 2)
         assert abs(norm2 - rhs) <= 1e-4  # psi has unit norm
@@ -146,7 +147,7 @@ def test_transmission_consistency(model, center, width, lam_nodes, rmax, s_rmax)
         svals.append(s10)
     s_abs = lambda lam: np.interp(lam, lam_nodes, svals)
     op = ModeOperator(model, RadialGrid(rmax, 0.02), 0)
-    rep = transmission_experiment(op, model, h, end_to=1, s_abs=s_abs,
+    rep = transmission_experiment(op, h, s_abs=s_abs,
                                   t_prepare=40.0, t_probe=[40.0, 60.0, 80.0],
                                   cfg=EvolutionConfig(dt=0.05))
     assert rep["measured_mass"] > 0
@@ -169,7 +170,7 @@ def test_transmission_matches_the_closed_form_on_d():
     t_prepare, t_probe = 40.0, [40.0, 60.0, 80.0]
     rmax = model.r0 + 1.3 * t_probe[-1] * np.sqrt(2.0 * h.lam_hi) + 15.0
     op = ModeOperator(model, RadialGrid(rmax, 0.02), 0)
-    rep = transmission_experiment(op, model, h, end_to=1, s_abs=s_abs,
+    rep = transmission_experiment(op, h, s_abs=s_abs,
                                   t_prepare=t_prepare, t_probe=t_probe,
                                   cfg=EvolutionConfig(dt=0.05))
     assert abs(rep["ratio"] - 1.0) <= 0.05
@@ -246,7 +247,7 @@ def test_small_eps_resolvent_rate(model):
     grid = RadialGrid(400.0, 0.02)
     op = ModeOperator(model, grid, 0)
     psi = np.exp(-(grid.x - 1.0) ** 2).astype(complex)
-    phi0, _ = limiting_resolvent(op, lam, psi)
+    phi0, _ = limiting_resolvent(jost_pair(op, lam), psi)
     w = 1.0 / (1.0 + np.abs(grid.x))
     core = np.abs(grid.x) <= 40.0
     eps_list = [0.1, 0.05, 0.025]

@@ -288,9 +288,8 @@ def test_resolvent_marches_every_energy_through_one_setup(tmp_path,
         setups.append(ops)
         return real_setups(ops)
 
-    def recording(op, lam, psi, *args, **kwargs):
-        calls.append((op, lam, psi) + real_resolvent(op, lam, psi, *args,
-                                                     **kwargs))
+    def recording(pair, psi):
+        calls.append((pair.op, pair.lam, psi) + real_resolvent(pair, psi))
         return calls[-1][3:]
 
     monkeypatch.setattr(cli, "jost_setups", counting)
@@ -300,7 +299,8 @@ def test_resolvent_marches_every_energy_through_one_setup(tmp_path,
     assert [c[1] for c in calls] == rep["lambdas"]
     assert len(calls) == len(default_config(preset).run.lambdas)
     for (op, lam, psi, phi, diag), point in zip(calls, rep["points"]):
-        phi_ref, diag_ref = resolvent.limiting_resolvent(op, lam, psi, sign=+1)
+        phi_ref, diag_ref = resolvent.limiting_resolvent(
+            resolvent.jost_pair(op, lam, +1), psi)
         assert np.array_equal(phi, phi_ref)
         assert diag == diag_ref
         assert point["interior_residual"] == diag_ref["interior_residual"]
@@ -384,6 +384,19 @@ def test_dynamics_fails_on_a_stationary_residual(tmp_path, monkeypatch):
                     tmp_path, "dynamics")
     assert code == 3
     assert rep["converged"] is False
+    assert rep["worst_stationary_residual"] >= 0.0
+
+
+def test_dynamics_fails_on_an_isometry_defect(tmp_path):
+    """At t = 0.01 the outgoing front spans less than one node of the
+    0.02 grid, so ||U_0(t) h|| misses ||h|| by about 0.2: the run
+    reports the defect and fails, though every stationary residual
+    passes."""
+    code, rep = run(["dynamics", "--preset", "A", "--t-grid", "0.01"],
+                    tmp_path, "dynamics")
+    assert code == 3
+    assert rep["converged"] is False
+    assert rep["worst_isometry_defect"] > 0.1 > cli._ISOMETRY_TOL
     assert rep["worst_stationary_residual"] >= 0.0
 
 

@@ -933,9 +933,7 @@ def test_phase_modifier_free_closed_form():
 
 def test_phase_modifier_scales_with_momentum():
     model = model_a()
-    r_lam = model.r_lambda(0.3)
-    t1 = phase_modifier(model, 0, 0.4, "sr", r_lam=r_lam)
-    t2 = phase_modifier(model, 0, 0.8, "sr", r_lam=r_lam)
+    t1, t2 = phase_modifier(model, 0, np.array([0.4, 0.8]), "sr")
     assert abs(t2 / t1 - np.sqrt(2.0)) < 1e-10
 
 
@@ -953,12 +951,6 @@ def test_phase_modifier_dollard_class():
     assert np.isfinite(phase_modifier(model, 1, 0.55, "sr"))
 
 
-def test_phase_modifier_refuses_an_r_lam_where_b_is_not_real():
-    # q1(4) = 4^-0.8 > 0.3 on C's tail, and eta_lambda > 0 from r = 4
-    with pytest.raises(ValueError, match="end 0 at lam = 0.3 with r_lam = 8.0"):
-        phase_modifier(model_c(), 0, 0.3, "do", r_lam=8.0)
-
-
 @pytest.mark.parametrize("end,lam", [(0, 0.0), (0, -0.1), (1, 0.0)])
 def test_phase_modifier_refuses_lam_at_or_below_the_threshold(end, lam):
     """At lam = lam0 b_sr vanishes and the 'do' correction divides by it;
@@ -967,7 +959,7 @@ def test_phase_modifier_refuses_lam_at_or_below_the_threshold(end, lam):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="threshold lambda0 = 0.0 of end"):
-            phase_modifier(model_c(amplitude=-1.0), end, lam, "do", r_lam=8.0)
+            phase_modifier(model_c(amplitude=-1.0), end, lam, "do")
 
 
 @pytest.mark.parametrize("amplitude", [1.0, -1.0], ids=["repulsive", "attractive"])
@@ -1017,7 +1009,7 @@ def test_phase_modifier_matches_adaptive_quadrature(case, end, kind):
     prof = model.ends[end]
     lam = np.array([0.31, 0.55, 1.2])
     r_lam = model.r_lambda(0.31)
-    got = phase_modifier(model, end, lam, kind, r_lam=r_lam)
+    got = phase_modifier(model, end, lam, kind)
     pts = [model.r0, 0.5 * r_lam, r_lam]
     while pts[-1] < 1e4:
         pts.append(2.0 * pts[-1])

@@ -34,7 +34,7 @@ def test_distorted_ft_converges_and_localizes(free_grid):
     op = ModeOperator(model, free_grid, 0)
     x = free_grid.x
     psi = np.exp(-(x - 3.0) ** 2 + 1j * x)
-    coeffs, diag = distorted_ft(op, 0.5, psi)
+    coeffs, diag = distorted_ft(jost_pair(op, 0.5), psi)
     assert all(e["doubling_residual"] <= 1e-4 for e in diag["ends"])
     # F^+ reads the outgoing asymptotics of R(lam+i0) psi, which
     # for a free right-parked packet radiates through both ends equally
@@ -59,18 +59,21 @@ def test_smatrix_diagonal_conjugate_symmetry(free_grid):
 def test_smatrix_matches_probe_reference(model, rmax, mmax, lams):
     """The connection-coefficient S equals the least-squares S over the
     probe family, block by block, with the same doubling residuals; and
-    the Jost-pairing transform of the (compactly supported) probes equals
-    the resolvent-then-extract reference."""
+    the Jost-pairing transforms F^+ and F^- of the (compactly supported)
+    probes, from the outgoing and the incoming pair, equal the
+    resolvent-then-extract reference of the same sign."""
     grid = RadialGrid(rmax, 0.01)
     probes = _probe_states(grid, model)
     for lam in lams:
         for m in range(mmax + 1):
             op = ModeOperator(model, grid, m)
-            coeffs, _ = distorted_ft(op, lam, probes)
-            pair = jost_pair(op, lam, +1)
-            ref = np.array([reference_distorted_ft(op, lam, psi, +1, pair)[0]
-                            for psi in probes])
-            assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+            for sign in (+1, -1):
+                pair = jost_pair(op, lam, sign)
+                coeffs, _ = distorted_ft(pair, probes)
+                ref = np.array([reference_distorted_ft(pair, psi)[0]
+                                for psi in probes])
+                assert (np.max(np.abs(coeffs - ref))
+                        <= 1e-12 * np.max(np.abs(ref)))
         sd = scattering_matrix(model, grid, lam, mmax=mmax)
         blocks, residuals = reference_scattering_matrix(model, grid, lam,
                                                         mmax=mmax)
@@ -133,7 +136,7 @@ def test_phase_factors_keep_the_bits_of_the_whole_end(model, end):
 
     for lam in (1.0, 1.05, 1.1):
         r_lam = model.r_lambda(lam)
-        nodes, windows, factor = _phase_factors(model, grid, end, lam, r_lam)
+        nodes, windows, factor = _phase_factors(model, grid, end, lam, +1)
         all_nodes, r, all_windows = _extraction_windows(grid, end, r_lam)
         assert len(windows) == len(all_windows) >= 2
         held = np.isin(all_nodes, nodes)

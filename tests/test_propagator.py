@@ -520,8 +520,8 @@ def test_transmission_factors_once_per_step_size(monkeypatch, t_probe,
         init(self, op, dt)
 
     monkeypatch.setattr(Propagator, "__init__", counted)
-    rep = transmission_experiment(op, model, h, 1, lambda lam: 0.5 + 0 * lam,
-                                  5.0, t_probe, cfg)
+    rep = transmission_experiment(op, h, lambda lam: 0.5 + 0 * lam, 5.0,
+                                  t_probe, cfg)
     assert rep["projection"] == want
     assert len(built) == len(set(built)) == step_sizes
 

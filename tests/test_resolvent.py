@@ -29,7 +29,7 @@ def test_free_resolvent_matches_green_kernel(free_setup):
     op, psi = free_setup
     grid = op.grid
     lam = 0.5
-    phi, diag = limiting_resolvent(op, lam, psi)
+    phi, diag = limiting_resolvent(jost_pair(op, lam), psi)
     oracle = grid.dx * (free_green(grid.x, grid.x, lam) @ psi)
     # compare away from the truncation boundary
     core = np.abs(grid.x) <= 30.0
@@ -41,8 +41,8 @@ def test_free_resolvent_matches_green_kernel(free_setup):
 def test_incoming_is_conjugate_of_outgoing(free_setup):
     op, psi = free_setup
     lam = 0.7
-    phi_p, _ = limiting_resolvent(op, lam, psi, sign=+1)
-    phi_m, _ = limiting_resolvent(op, lam, np.conj(psi), sign=-1)
+    phi_p, _ = limiting_resolvent(jost_pair(op, lam, +1), psi)
+    phi_m, _ = limiting_resolvent(jost_pair(op, lam, -1), np.conj(psi))
     assert np.allclose(phi_m, np.conj(phi_p), atol=1e-8)
 
 
@@ -52,7 +52,7 @@ def test_interior_residual_and_wronskian(model, lam):
     op = ModeOperator(model, grid, 0)
     psi = np.exp(-(grid.x - 1.0) ** 2).astype(complex)
     lam = lam + max(e.lambda0 for e in model.ends)
-    phi, diag = limiting_resolvent(op, lam, psi)
+    phi, diag = limiting_resolvent(jost_pair(op, lam), psi)
     assert diag["interior_residual"] < 1e-5
     assert diag["wronskian_drift"] < 1e-6
 
@@ -63,7 +63,7 @@ def test_imaginary_part_positive():
     op = ModeOperator(model_a(), grid, 0)
     psi = np.exp(-(grid.x - 0.5) ** 2 + 0.2j * grid.x)
     for lam in (0.4, 0.8):
-        phi, _ = limiting_resolvent(op, lam, psi)
+        phi, _ = limiting_resolvent(jost_pair(op, lam), psi)
         assert np.imag(grid.inner(psi, phi)) > 0.0
 
 
@@ -74,7 +74,7 @@ def test_radiation_residual_discriminates_branches():
     op = ModeOperator(model_a(), grid, 0)
     psi = np.exp(-(grid.x - 0.5) ** 2).astype(complex)
     lam = 0.6
-    phi, _ = limiting_resolvent(op, lam, psi)
+    phi, _ = limiting_resolvent(jost_pair(op, lam), psi)
     good = radiation_residual(op, lam, phi, psi, sign=+1)
     bad = radiation_residual(op, lam, phi, psi, sign=-1)
     assert np.isfinite(good["ratio"]) and good["ratio"] > 0.0
@@ -91,7 +91,7 @@ def test_sommerfeld_certificate_discriminates():
     op = ModeOperator(model_a(), grid, 0)
     psi = np.exp(-(grid.x - 0.5) ** 2).astype(complex)
     lam = 0.6
-    phi, diag = limiting_resolvent(op, lam, psi, sign=+1)
+    phi, diag = limiting_resolvent(jost_pair(op, lam, +1), psi)
     assert diag["interior_residual"] <= 1e-4
     assert radiation_residual(op, lam, phi, psi, sign=+1)["bstar0_relative"] <= 1e-2
     wrong = radiation_residual(op, lam, phi, psi, sign=-1)
