@@ -39,8 +39,9 @@ import numpy as np
 
 from .geometry import ManifoldModel, phase_b, phase_integral
 from .mode_reduction import ModeOperator, RadialGrid
-from .resolvent import (JostPair, _wronskian_profile, jost_pair, jost_setups,
-                        march_pair)
+from .resolvent import JostPair, _wronskian_profile, jost_setups, march_pair
+# re-exported: perfbench's harness test reads fourier.jost_pair
+from .resolvent import jost_pair as jost_pair
 
 __all__ = [
     "ScatteringData",
@@ -212,28 +213,6 @@ def _mode_block(pair: JostPair, phases):
     return block, max(e["doubling_residual"] for e in ends)
 
 
-def _energy_data(model: ManifoldModel, grid: RadialGrid, lam: float,
-                 modes: Tuple[int, ...], pairs) -> ScatteringData:
-    """S at lam from ``pairs``, which yields the outgoing Jost pair of
-    each of ``modes`` in turn, marching it when asked.  Each end's
-    extraction phase is taken after the first march and serves every
-    mode.  The diag holds each mode's doubling residual ("per_mode") and
-    unitarity defect ("defects"), unjudged; ``unitarity_defect`` is the
-    largest, or NaN."""
-    blocks = np.zeros((len(modes), 2, 2), dtype=complex)
-    per_mode, phases = [], None
-    for k, pair in enumerate(pairs):
-        if phases is None:
-            phases = [_phase_factors(model, grid, end, lam, +1)
-                      for end in range(2)]
-        blocks[k], residual = _mode_block(pair, phases)
-        per_mode.append({"m": modes[k], "doubling_residual": residual})
-    defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
-               for b in blocks]
-    diag = {"per_mode": per_mode, "defects": defects}
-    return ScatteringData(lam, modes, blocks, float(np.max(defects)), diag)
-
-
 def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
                      lams: Sequence[float], mmax: int = 0) -> List[ScatteringData]:
     """S(lam) at every energy of ``lams``, in order: bit for bit
@@ -242,20 +221,38 @@ def scattering_sweep(model: ManifoldModel, grid: RadialGrid,
 
     Each mode's march set-up (``jost_setups``) is built once for the
     list, and each energy marches through it, energy by energy and mode
-    by mode within an energy; its extraction windows are memoized per
-    r_lambda.
+    by mode within an energy.  Each end's extraction phase is taken once
+    per energy, after the energy's first march, and serves every mode;
+    its windows are memoized per r_lambda.  Each energy's diag holds each
+    mode's doubling residual ("per_mode") and unitarity defect
+    ("defects"), unjudged; ``unitarity_defect`` is the largest, or NaN.
     """
+    lams = [float(lam) for lam in lams]
     modes = tuple(range(mmax + 1))
     setups = jost_setups([ModeOperator(model, grid, m) for m in modes])
-    return [_energy_data(model, grid, lam, modes,
-                         (march_pair(setup, lam, +1) for setup in setups))
-            for lam in map(float, lams)]
+    out = []
+    for lam in lams:
+        blocks = np.zeros((len(modes), 2, 2), dtype=complex)
+        per_mode, phases = [], None
+        for k, setup in enumerate(setups):
+            pair = march_pair(setup, lam, +1)
+            if phases is None:
+                phases = [_phase_factors(model, grid, end, lam, +1)
+                          for end in range(2)]
+            blocks[k], residual = _mode_block(pair, phases)
+            per_mode.append({"m": modes[k], "doubling_residual": residual})
+        defects = [float(np.linalg.norm(b.conj().T @ b - np.eye(2), 2))
+                   for b in blocks]
+        diag = {"per_mode": per_mode, "defects": defects}
+        out.append(ScatteringData(lam, modes, blocks, float(np.max(defects)),
+                                  diag))
+    return out
 
 
 def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
                       mmax: int = 0) -> ScatteringData:
-    """Assemble S(lam) mode block by mode block from the Jost pairs, one
-    ``jost_pair`` per mode (``scattering_sweep`` shares the set-ups).
+    """Assemble S(lam) mode block by mode block from the Jost pairs: the
+    sweep (``scattering_sweep``) of the one energy lam.
 
     F^+- psi = D^+- (<u_left^+-, psi>, <u_right^+-, psi>) (see
     ``distorted_ft``).  With C the coordinates of (u_left^+, u_right^+)
@@ -272,8 +269,4 @@ def scattering_matrix(model: ManifoldModel, grid: RadialGrid, lam: float,
     unitarity defect max_m ||S_m* S_m - 1|| is reported, not judged; each
     mode's doubling residual is the worst of its two boundary extractions.
     """
-    lam = float(lam)
-    modes = tuple(range(mmax + 1))
-    return _energy_data(model, grid, lam, modes,
-                        (jost_pair(ModeOperator(model, grid, m), lam, +1)
-                         for m in modes))
+    return scattering_sweep(model, grid, [lam], mmax)[0]

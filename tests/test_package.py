@@ -65,7 +65,8 @@ def _own_nodes(scope: ast.AST):
 
 def _unused_imports(tree: ast.Module) -> list:
     """Names bound by an import, at module level or inside a function,
-    that the module (resp. that function) never uses."""
+    that the module (resp. that function) never uses.  ``import x as x``
+    re-exports x on purpose (the PEP 484 convention) and is not one."""
     unused = []
     for scope in ast.walk(tree):
         if not isinstance(scope, (ast.Module, *_FUNCTIONS)):
@@ -73,9 +74,11 @@ def _unused_imports(tree: ast.Module) -> list:
         used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
         for node in _own_nodes(scope):
             if isinstance(node, ast.Import):
-                names = [a.asname or a.name.split(".")[0] for a in node.names]
+                names = [a.asname or a.name.split(".")[0] for a in node.names
+                         if a.asname != a.name]
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                names = [a.asname or a.name for a in node.names]
+                names = [a.asname or a.name for a in node.names
+                         if a.asname != a.name]
             else:
                 continue
             unused += [f"{name} (line {node.lineno})" for name in names
@@ -94,6 +97,13 @@ def test_unused_function_level_import_is_reported():
                      "def f():\n    import scipy.sparse\n    return 1\n\n"
                      "def g():\n    return scipy.linalg.norm\n")
     assert _unused_imports(tree) == ["scipy (line 4)"]
+
+
+def test_only_a_same_name_alias_marks_a_re_export():
+    tree = ast.parse("from os import path as path\n"
+                     "from os import sep as separator\n"
+                     "from os import getcwd\n")
+    assert _unused_imports(tree) == ["getcwd (line 3)", "separator (line 2)"]
 
 
 _TOLERANCES = {"tol_s", "tol_w", "tol_f"}
