@@ -9,7 +9,9 @@ import scipy.
 A fourth keeps the reference implementations of ``oracle`` out of the
 computation paths.  A fifth keeps every verdict in the CLI: no
 numerical module takes a run tolerance, and ``fourier`` and
-``propagator`` return no verdict of their own.  Then the C kernels:
+``propagator`` return no verdict of their own.  A sixth pins the number
+of parameters each public callable takes in
+``tests/data/public_parameters.json``.  Then the C kernels:
 they compile with every warning an error, the package data ships every source, only the subcommands that
 march Jost pairs, step the propagator or solve for the leading term load
 them,
@@ -159,6 +161,42 @@ def test_no_value_is_taken_beside_its_carrier(name):
     allowed = {f for f in _CARRIED_ALLOWED if f.startswith(f"{name}.")}
     assert set(found) == allowed
     assert all(found[f] == ["model"] for f in allowed)
+
+
+def _parameter_counts(mod) -> dict:
+    """The parameter count of each public callable of ``mod``: every
+    function in its ``__all__``, and of every class there its own
+    ``__init__`` (a dataclass's generated one counts) and each method
+    whose name has no leading underscore, static and class methods too.
+    ``self`` and ``cls`` do not count, nor do properties."""
+    counts = {}
+    for attr in mod.__all__:
+        obj = getattr(mod, attr)
+        if not inspect.isclass(obj):
+            counts[attr] = len(inspect.signature(obj).parameters)
+            continue
+        for name, member in vars(obj).items():
+            if name.startswith("_") and name != "__init__":
+                continue
+            bound = not isinstance(member, staticmethod)
+            fn = getattr(member, "__func__", member)
+            if inspect.isfunction(fn):
+                counts[f"{attr}.{name}"] = (len(inspect.signature(fn).parameters)
+                                            - bound)
+    return counts
+
+
+def test_public_parameter_count_is_pinned():
+    """The public callables of each module with an ``__all__`` take the
+    numbers of parameters in ``tests/data/public_parameters.json``, per
+    module and callable.  A change that adds or removes a public
+    parameter edits that table, so the count shows in its diff."""
+    with open(Path(__file__).parent / "data" / "public_parameters.json") as fh:
+        want = json.load(fh)
+    mods = (importlib.import_module(f"ends_scatter.{name}") for name in MODULES)
+    got = {mod.__name__.split(".")[-1]: _parameter_counts(mod) for mod in mods
+           if hasattr(mod, "__all__")}
+    assert got == want
 
 
 @pytest.mark.parametrize("name", ["fourier", "propagator"])
