@@ -199,13 +199,14 @@ def _check_ladder(run, least: int) -> None:
                           f"this run needs at least {least}")
 
 
-def _propagation_grid(model, h: SpectralProfile, t_max: float,
-                      rmin: float = 0.0) -> RadialGrid:
-    """Grid of at least ``rmin`` that holds the outgoing front of ``h`` up
-    to time ``t_max``."""
+def _propagation_operator(model, h: SpectralProfile, t_max: float,
+                          rmin: float = 0.0) -> ModeOperator:
+    """The operator of ``h``'s mode on a grid of at least ``rmin`` that
+    holds the outgoing front of ``h`` up to time ``t_max``."""
     lam_hi = h.lam_hi - model.ends[h.end].lambda0
     rmax = model.r0 + 1.3 * t_max * float(np.sqrt(2.0 * lam_hi)) + 15.0
-    return RadialGrid(max(rmin, rmax), _PROPAGATION_DX)
+    return ModeOperator(model, RadialGrid(max(rmin, rmax), _PROPAGATION_DX),
+                        h.m)
 
 
 def _packet(grid: RadialGrid, center: float, width: float,
@@ -260,12 +261,13 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
     setup, = jost_setups([op])
     entries = []
     for lam in lams:
-        phi, diag = limiting_resolvent(march_pair(setup, lam, +1), psi)
+        pair = march_pair(setup, lam, +1)
+        phi, diag = limiting_resolvent(pair, psi)
         rad = radiation_residual(op, lam, phi, psi, sign=+1)
         imag = float(np.imag(grid.inner(psi, phi)))
         entries.append({"lambda": lam,
                         "interior_residual": diag["interior_residual"],
-                        "wronskian_drift": diag["wronskian_drift"],
+                        "wronskian_drift": pair.wronskian_drift,
                         "radiation_ratio": rad["ratio"],
                         "bstar0_relative": rad["bstar0_relative"],
                         "im_inner": imag, "positive": bool(imag > 0)})
@@ -345,8 +347,7 @@ def _cmd_waveop(cfg: ExperimentConfig, args, out_dir):
     _check_ladder(cfg.run, 2)
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
-    op = ModeOperator(model, _propagation_grid(model, h, run.t_grid[-1],
-                                               cfg.grid.rmax), run.mode)
+    op = _propagation_operator(model, h, run.t_grid[-1], cfg.grid.rmax)
     _check_resolution([op], h.lam_hi)
     rep = wave_operator(op, model, h, list(run.t_grid),
                         cfg=EvolutionConfig(dt=run.dt))
@@ -368,14 +369,14 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     sgrid = RadialGrid(cfg.grid.rmax, cfg.grid.dx)
     nodes = [h.lam_lo + 1e-3, 0.5 * (h.lam_lo + h.lam_hi), h.lam_hi - 1e-3]
     t_prep = float(run.t_grid[-1])
-    op = ModeOperator(model, _propagation_grid(model, h, 2.0 * t_prep), run.mode)
-    # S is taken in modes 0..mode on sgrid, the dynamics on op's grid
+    op = _propagation_operator(model, h, 2.0 * t_prep)
+    # S is taken in modes 0..h.m on sgrid, the dynamics on op's grid
     _check_resolution([*(ModeOperator(model, sgrid, m)
-                         for m in range(run.mode + 1)), op], h.lam_hi)
+                         for m in range(h.m + 1)), op], h.lam_hi)
     _check_windows(model, sgrid, nodes)
 
-    data = scattering_sweep(model, sgrid, nodes, mmax=run.mode)
-    svals = [abs(sd.block(run.mode)[end_to, h.end]) for sd in data]
+    data = scattering_sweep(model, sgrid, nodes, mmax=h.m)
+    svals = [abs(sd.block(h.m)[end_to, h.end]) for sd in data]
     worst = _worst(sd.unitarity_defect for sd in data)
     # np.min keeps a NaN, which then fails sig_min > 0
     sig_min = float(np.min(svals))
@@ -391,7 +392,7 @@ def _cmd_transmission(cfg: ExperimentConfig, args, out_dir):
     report = {
         "from_end": run.end, "to_end": end_to + 1,
         "lambda_nodes": nodes, "s_abs_nodes": svals,
-        # the run mode's, the sweep's last (reported, not judged yet)
+        # h's mode, the sweep's last (reported, not judged yet)
         "doubling_residuals": [sd.diag["per_mode"][-1]["doubling_residual"]
                                for sd in data],
         "sigma_min": sig_min,

@@ -21,10 +21,11 @@ call steps one state or two side by side, the two in 256-bit vectors
 where the CPU has AVX, at about the cost of one.  The first Propagator of a process builds the package's C kernels
 (``_clib``: one ``cc`` call, with SSE3 on x86-64, loaded by ``ctypes``),
 and a ctypes call releases the GIL: steps on several threads run on
-several cores.  On top of it sit
+several cores.  On top of it sit the experiments below; each that takes a
+profile h refuses one of another mode than the operator's (ValueError):
 
-  * wave_operator: Cauchy increments of e^{itH} U_0^+(t) h, evaluated as
-    ||e^{i dt H} U_0(t2) h - U_0(t1) h|| by unitarity, each met in the
+  * wave_operator: Cauchy increments of e^{itH} U^+(t) h, evaluated as
+    ||e^{i dt H} U(t2) h - U(t1) h|| by unitarity, each met in the
     middle as one two-lane evolution over half its gap, concurrently on a
     thread pool with one factorization per step size,
   * the adjoint identity <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi,
@@ -232,35 +233,43 @@ def evolve(op: ModeOperator, psi: np.ndarray, t: float,
 # comparison states on the two-sided grid
 # ---------------------------------------------------------------------------
 
-def _end_state(grid: RadialGrid, model: ManifoldModel, h: SpectralProfile,
-               t: float, sign: int) -> np.ndarray:
-    """U^{sign}(t) h by :func:`dynamics.comparison_state` at the nodes of
-    ``grid`` on the end h.end, zero elsewhere.  It is evaluated at the
-    nodes directly: interpolating an oscillatory state would contribute
-    O((k dx)^2) spurious increments."""
-    mask = grid.end_mask(h.end)
-    out = np.zeros(grid.x.size, dtype=complex)
-    _, out[mask] = comparison_state(model, h, t, r=np.abs(grid.x[mask]),
+def _check_mode(op: ModeOperator, h: SpectralProfile) -> None:
+    """Refuse a profile of another angular mode than ``op``'s."""
+    if h.m != op.m:
+        raise ValueError(f"the profile is of mode {h.m}, the operator of mode {op.m}")
+
+
+def _end_state(op: ModeOperator, h: SpectralProfile, t: float,
+               sign: int) -> np.ndarray:
+    """U^{sign}(t) h by :func:`dynamics.comparison_state` of ``op``'s
+    model at the nodes of ``op``'s two-sided grid on the end h.end, zero
+    elsewhere, evaluated at the nodes directly: interpolating an
+    oscillatory state would contribute O((k dx)^2) spurious increments."""
+    _check_mode(op, h)
+    mask = op.grid.end_mask(h.end)
+    out = np.zeros(mask.size, dtype=complex)
+    _, out[mask] = comparison_state(op.model, h, t, r=np.abs(op.grid.x[mask]),
                                     sign=sign)
     return out
 
 
 @_clib.one_blas_thread()
 def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
-                  t_grid: Sequence[float], sign: int = +1,
+                  t_grid: Sequence[float],
                   cfg: Optional[EvolutionConfig] = None, estimate: bool = False,
                   dynamics: str = "exact") -> dict:
     """Wave-operator estimation via Cauchy increments of
-    omega(t) = e^{+- itH} U^{+-}(t) h, U the comparison dynamics.
+    omega(t) = e^{itH} U^+(t) h, U^+ the outgoing comparison dynamics.
 
     By unitarity  ||omega(t2) - omega(t1)|| =
-    ||e^{+- i (t2-t1) H} U(t2) h - U(t1) h||,  so each increment only
+    ||e^{i (t2-t1) H} U(t2) h - U(t1) h||,  so each increment only
     propagates over its gap of the ladder (at least two strictly
     increasing times).  Returns ``t_grid``, its ``increments`` and
     ``dynamics`` and, with ``estimate``, omega(t_N) on the operator
     grid: the last increment's propagated state carried on over t_{N-1},
     bit for bit one evolution over t_N when every gap is a multiple of
-    ``cfg.dt``.  ``dynamics`` accepts only 'exact' (the benchmark passes it).
+    ``cfg.dt``.  ``model`` must be ``op.model`` and ``dynamics`` 'exact'
+    (the benchmark passes both).  Raises ValueError otherwise.
 
     Each increment meets in the middle.  Its gap takes n steps of one
     Pade step R (``_step_plan``), and R has real coefficients with
@@ -292,14 +301,16 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
         raise ValueError("t_grid must be strictly increasing")
     if dynamics != "exact":
         raise ValueError("dynamics must be 'exact'")
+    if model is not op.model:
+        raise ValueError("model must be the operator's model")
     run = _Evolutions(op, cfg)
     grid = op.grid
-    states = [_end_state(grid, model, h, t, sign) for t in t_grid]
+    states = [_end_state(op, h, t, +1) for t in t_grid]
 
-    # e^{sign * i (t2 - t1) H} = evolution over -sign*(t2-t1), n steps of
-    # size dt; each step size is factored here, before any worker starts,
-    # so that the workers only read the factors
-    plans = [_step_plan(-sign * (t2 - t1), cfg)
+    # e^{i (t2 - t1) H} = evolution over -(t2 - t1), n steps of size dt;
+    # each step size is factored here, before any worker starts, so that
+    # the workers only read the factors
+    plans = [_step_plan(-(t2 - t1), cfg)
              for t1, t2 in zip(t_grid, t_grid[1:])]
     for _, dt in plans:
         run.factor(dt)
@@ -337,17 +348,17 @@ def wave_operator(op: ModeOperator, model: ManifoldModel, h: SpectralProfile,
     out = {"t_grid": t_grid, "increments": increments, "dynamics": dynamics}
     if estimate:
         # ahead = R^{n-m} U(t_N) h: its last m steps complete the gap to
-        # e^{sign * i (t_N - t_{N-1}) H} U(t_N) h
+        # e^{i (t_N - t_{N-1}) H} U(t_N) h
         n, dt = plans[last]
         moved, _ = _propagate(run.factor(dt), ahead, (n // 2) * dt, n // 2)
-        out["estimate"], _ = run(moved, -sign * t_grid[-2])
+        out["estimate"], _ = run(moved, -t_grid[-2])
     return out
 
 
 @_clib.one_blas_thread()
 def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
                            west: np.ndarray, psi_list: Sequence[np.ndarray],
-                           ft_op: ModeOperator) -> dict:
+                           ft_grid: RadialGrid) -> dict:
     """Defect of  <psi, W^+ h> = (2 pi)^{-1} int <F^+(lam) psi, h(lam)> dlam
     over a family of test states psi.  ``west`` is the W^+ h estimate on
     ``op``'s grid, as ``wave_operator(..., estimate=True)`` returns it.
@@ -355,37 +366,37 @@ def adjoint_identity_check(op: ModeOperator, h: SpectralProfile,
     The lam integral runs over the support window of h on 24 Gauss-Legendre
     nodes; F^+(lam) psi is the coefficient on the end carrying h of one
     ``distorted_ft`` per node for all states, each node's Jost pair
-    marched through one set-up of ``ft_op`` (``jost_setups``).  ``ft_op``
-    carries the transform on a grid that only needs to hold the test
-    states and the extraction windows (the Jost march scales with the
-    grid length); the psi are restricted onto it by interpolation.
-    numpy's BLAS runs on one thread throughout, so the defects do not
-    depend on the core count.
+    marched through one set-up (``jost_setups``) of ``op``'s model and
+    mode on ``ft_grid``.  That grid only needs to hold the test states
+    and the extraction windows (the Jost march scales with the grid
+    length); the psi are restricted onto it by interpolation.  numpy's
+    BLAS runs on one thread throughout, so the defects do not depend on
+    the core count.
     """
+    _check_mode(op, h)
     grid = op.grid
     nodes, wts = np.polynomial.legendre.leggauss(_ADJOINT_LAM_NODES)
     lam = 0.5 * (h.lam_hi + h.lam_lo) + 0.5 * (h.lam_hi - h.lam_lo) * nodes
     wts = 0.5 * (h.lam_hi - h.lam_lo) * wts
 
-    xf = ft_op.grid.x
+    xf = ft_grid.x
     psi_ft = [np.interp(xf, grid.x, psi.real) + 1j * np.interp(xf, grid.x, psi.imag)
               for psi in psi_list]
     hv = h(lam)
     coeffs = np.zeros((len(psi_list), _ADJOINT_LAM_NODES), dtype=complex)
-    setup, = jost_setups([ft_op])
+    setup, = jost_setups([ModeOperator(op.model, ft_grid, op.m)])
     for j, lam_j in enumerate(lam):
         ft, _ = distorted_ft(march_pair(setup, float(lam_j), +1), psi_ft)
         coeffs[:, j] = ft[:, h.end]
 
     defects = []
-    dx = grid.dx
     for i, psi in enumerate(psi_list):
-        lhs = dx * np.vdot(psi, west)
+        lhs = grid.inner(psi, west)
         rhs = np.sum(wts * np.conj(coeffs[i]) * hv) / (2.0 * np.pi)
         scale = max(grid.norm(psi) * h.norm(), 1e-300)
         defects.append(abs(lhs - rhs) / scale)
     return {"defects": [float(d) for d in defects],
-            "max_defect": float(np.max(defects)), "lam_nodes": _ADJOINT_LAM_NODES}
+            "max_defect": float(np.max(defects))}
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +452,11 @@ def transmission_experiment(op: ModeOperator, h: SpectralProfile,
     projection; the caller judges their agreement.  The preparation and
     the probes share one factorization per step size.
     """
-    model = op.model
+    model, grid = op.model, op.grid
     run = _Evolutions(op, cfg or EvolutionConfig())
-    grid = op.grid
 
     # psi ~ W^- h at time 0
-    psi, _ = run(_end_state(grid, model, h, t_prepare, -1), t_prepare)
+    psi, _ = run(_end_state(op, h, t_prepare, -1), t_prepare)
 
     proj = _end_projection(run, grid, psi, 1 - h.end, t_probe, r_min=model.r0)
 
@@ -461,5 +471,4 @@ def transmission_experiment(op: ModeOperator, h: SpectralProfile,
         "predicted_mass": pred,
         "ratio": float(ratio),
         "projection": proj,
-        "input_norm": h.norm(),
     }

@@ -26,7 +26,9 @@ radii; :func:`march_pair` then marches one energy through them.
 at a time.  A pair carries its operator, energy and sign, so every
 function handed one (:func:`limiting_resolvent`,
 ``fourier.distorted_ft``, ``oracle.reference_distorted_ft``) reads them
-from it and takes no second copy that could disagree.
+from it and takes no second copy that could disagree, and it stores
+nothing derived from them (r_lambda is the model's, the launch radius
+the grid end).
 
 Inward marching is the stable direction on both sides (through a
 classically forbidden core the physical solution grows towards the core),
@@ -36,7 +38,7 @@ so no renormalization sweeps are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +68,6 @@ class JostPair:
     du_left: np.ndarray
     u_right: np.ndarray
     du_right: np.ndarray
-    r_lam: float
     wronskian: complex
     wronskian_drift: float
 
@@ -137,12 +138,11 @@ class JostSetup:
     ``nodes`` are the march nodes of :func:`_march_nodes` and ``on_grid``
     the positions of the grid nodes among them, ``w_gauss`` holds W_m at
     the two Gauss nodes of every cell, shape (cells, 2), and ``w_launch``
-    W_m at the launch radius of end 0 (x = +r_launch) and of end 1
-    (x = -r_launch).
+    W_m at the launch radius, the grid end ``op.grid.rmax``, of end 0
+    (x = +rmax) and of end 1 (x = -rmax).
     """
 
     op: ModeOperator
-    r_launch: float
     nodes: np.ndarray
     on_grid: np.ndarray
     w_gauss: np.ndarray
@@ -162,7 +162,7 @@ def jost_setups(ops: Sequence[ModeOperator]) -> List[JostSetup]:
         raise ValueError("the operators of one set-up share a model and a grid")
     nodes, on_grid = _march_nodes(model, grid)
     xs = (nodes[:-1, None] + np.diff(nodes)[:, None] * _GAUSS).ravel()
-    return [JostSetup(op, grid.rmax, nodes, on_grid,
+    return [JostSetup(op, nodes, on_grid,
                       model.w_mode(op.m, xs).reshape(-1, 2),
                       model.w_mode(op.m, np.array([grid.rmax, -grid.rmax])))
             for op in ops]
@@ -179,7 +179,7 @@ def march_pair(setup: JostSetup, lam: float, sign: int = +1) -> JostPair:
     """
     op = setup.op
     model = op.model
-    r_launch = setup.r_launch
+    r_launch = op.grid.rmax
     for end in range(2):
         if lam <= model.ends[end].lambda0:
             raise ValueError(f"lam={lam} at or below the threshold of end {end}")
@@ -187,7 +187,6 @@ def march_pair(setup: JostSetup, lam: float, sign: int = +1) -> JostPair:
             raise ValueError(f"lam={lam} at or below W_{op.m} = "
                              f"{float(setup.w_launch[end])!r} at the launch radius "
                              f"{r_launch!r} of end {end}: the channel is closed")
-    r_lam = model.r_lambda(lam)
     # end 1 launches at x = -r_launch, where d/dx = -d/dr, and end 0 at
     # x = +r_launch
     u1, dudr1 = _launch_data(model, 1, lam, sign, r_launch)
@@ -205,7 +204,7 @@ def march_pair(setup: JostSetup, lam: float, sign: int = +1) -> JostPair:
         raise RuntimeError(f"degenerate Jost pair at lam={lam!r}, sign={sign}: "
                            f"Wronskian {abs(w0):.3e} against "
                            f"scale {scale:.3e}")
-    return JostPair(op, lam, sign, u_l, du_l, u_r, du_r, r_lam, w0, drift)
+    return JostPair(op, lam, sign, u_l, du_l, u_r, du_r, w0, drift)
 
 
 def jost_pair(op: ModeOperator, lam: float, sign: int = +1) -> JostPair:
@@ -237,14 +236,13 @@ def limiting_resolvent(pair: JostPair, psi: np.ndarray):
     """phi = (H_m - lam -+ i0)^-1 psi on the grid, from the Jost pair of
     the operator, the energy lam and the sign of the boundary value.
 
-    Returns (phi, diag); diag carries the Wronskian drift and the
-    interior residual ||(H - lam) phi - psi|| / ||psi|| measured with the
-    grid stencil away from the boundary.
+    Returns (phi, diag); diag carries the interior residual
+    ||(H - lam) phi - psi|| / ||psi|| measured with the grid stencil away
+    from the boundary (the Wronskian and its drift are the pair's).
     """
     op = pair.op
     grid = op.grid
     psi = np.asarray(psi, dtype=complex)
-    w = pair.wronskian
     dx = grid.dx
 
     # cumulative integrals with Euler-Maclaurin endpoint correction: the
@@ -258,15 +256,9 @@ def limiting_resolvent(pair: JostPair, psi: np.ndarray):
     il += dx**2 / 12.0 * (dfl[0] - dfl)
     ir = cumulative_trapezoid(fr[::-1], dx=dx)[::-1]
     ir += dx**2 / 12.0 * (dfr - dfr[-1])
-    phi = (2.0 / w) * (pair.u_right * il + pair.u_left * ir)
+    phi = (2.0 / pair.wronskian) * (pair.u_right * il + pair.u_left * ir)
 
-    diag = {
-        "wronskian": w,
-        "wronskian_drift": pair.wronskian_drift,
-        "interior_residual": _interior_residual(op, pair.lam, phi, psi),
-        "r_lam": pair.r_lam,
-    }
-    return phi, diag
+    return phi, {"interior_residual": _interior_residual(op, pair.lam, phi, psi)}
 
 
 def _interior_residual(op: ModeOperator, lam: float, phi: np.ndarray,
@@ -299,14 +291,14 @@ def _outgoing_defect(op: ModeOperator, lam: float, phi: np.ndarray,
 
 
 def radiation_residual(op: ModeOperator, lam: float, phi: np.ndarray,
-                       psi: np.ndarray, sign: int = +1,
-                       beta: Optional[float] = None) -> dict:
+                       psi: np.ndarray, sign: int = +1) -> dict:
     """Weighted outgoing-defect norm ||r^beta (A -+ a) phi||_{B*}.
 
     ``A`` is the flat radial momentum -i d/dr; ``a`` the improved phase of
     the matching branch.  The ratio against ||r^beta psi||_B is the
-    certified radiation-condition constant; beta defaults to beta_c / 2
-    (it must stay below beta_c = min(decay exponents) / 2).
+    certified radiation-condition constant at beta = beta_c / 2, below
+    beta_c = min(decay constants) / 2, which must be positive (ValueError
+    otherwise).
 
     ``bstar0_relative`` is the B*_0 mass of the unweighted defect on the
     outermost annulus relative to ||phi||_{B*}: the uniqueness
@@ -314,12 +306,10 @@ def radiation_residual(op: ModeOperator, lam: float, phi: np.ndarray,
     of :func:`limiting_resolvent`) whose defect has vanishing B*_0 mass is
     the unique outgoing (resp. incoming) solution.
     """
-    model = op.model
     grid = op.grid
-    if beta is None:
-        beta = 0.5 * model.beta_c
-    if beta >= model.beta_c:
-        raise ValueError(f"beta={beta} must be < beta_c={model.beta_c}")
+    if op.model.beta_c <= 0:
+        raise ValueError(f"beta_c={op.model.beta_c} must be positive")
+    beta = 0.5 * op.model.beta_c
     rb = np.maximum(grid.r, 1.0) ** beta
     defect = _outgoing_defect(op, lam, phi, sign)
     num = besov_norm(grid, rb * defect, "Bstar")

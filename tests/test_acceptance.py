@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from ends_scatter.cli import main as cli_main
+from ends_scatter.cli import _propagation_operator, main as cli_main
 from ends_scatter.dynamics import (SpectralProfile, comparison_state,
                                    dollard_state, hamilton_jacobi_residual,
                                    leading_term, phase_modifier, state_norm,
@@ -168,8 +168,7 @@ def test_transmission_matches_the_closed_form_on_d():
             half_width=barrier["half_width"])["t"]) for x in lam])
 
     t_prepare, t_probe = 40.0, [40.0, 60.0, 80.0]
-    rmax = model.r0 + 1.3 * t_probe[-1] * np.sqrt(2.0 * h.lam_hi) + 15.0
-    op = ModeOperator(model, RadialGrid(rmax, 0.02), 0)
+    op = _propagation_operator(model, h, t_probe[-1])
     rep = transmission_experiment(op, h, s_abs=s_abs,
                                   t_prepare=t_prepare, t_probe=t_probe,
                                   cfg=EvolutionConfig(dt=0.05))
@@ -187,8 +186,8 @@ def test_wave_operator_and_adjoint_identity():
     rmax = 4.0 + 1.3 * t_grid[-1] * np.sqrt(2.0 * h.lam_hi) + 15.0
     grid = RadialGrid(rmax, 0.02)
     op = ModeOperator(model, grid, 0)
-    rep = wave_operator(op, model, h, t_grid, sign=+1,
-                        cfg=EvolutionConfig(dt=0.05), estimate=True)
+    rep = wave_operator(op, model, h, t_grid, cfg=EvolutionConfig(dt=0.05),
+                        estimate=True)
     inc = rep["increments"]
     assert all(b < a for a, b in zip(inc, inc[1:]))
     assert inc[-1] <= 1e-3
@@ -197,8 +196,8 @@ def test_wave_operator_and_adjoint_identity():
     for c, s, k in ((0.5, 1.0, 0.0), (-1.0, 1.5, 0.5), (2.0, 0.8, -0.7)):
         p = np.exp(-((grid.x - c) ** 2) / (2 * s**2) + 1j * k * grid.x)
         psis.append(p.astype(complex) / grid.norm(p))
-    ft_op = ModeOperator(model, RadialGrid(120.0, 0.02), 0)
-    adj = adjoint_identity_check(op, h, rep["estimate"], psis, ft_op=ft_op)
+    adj = adjoint_identity_check(op, h, rep["estimate"], psis,
+                                 ft_grid=RadialGrid(120.0, 0.02))
     assert adj["max_defect"] <= 1e-3
 
 

@@ -289,22 +289,22 @@ def test_resolvent_marches_every_energy_through_one_setup(tmp_path,
         return real_setups(ops)
 
     def recording(pair, psi):
-        calls.append((pair.op, pair.lam, psi) + real_resolvent(pair, psi))
-        return calls[-1][3:]
+        calls.append((pair, psi) + real_resolvent(pair, psi))
+        return calls[-1][2:]
 
     monkeypatch.setattr(cli, "jost_setups", counting)
     monkeypatch.setattr(cli, "limiting_resolvent", recording)
     _, rep = run(["resolvent", "--preset", preset], tmp_path, "resolvent")
     assert len(setups) == 1
-    assert [c[1] for c in calls] == rep["lambdas"]
+    assert [c[0].lam for c in calls] == rep["lambdas"]
     assert len(calls) == len(default_config(preset).run.lambdas)
-    for (op, lam, psi, phi, diag), point in zip(calls, rep["points"]):
-        phi_ref, diag_ref = resolvent.limiting_resolvent(
-            resolvent.jost_pair(op, lam, +1), psi)
+    for (pair, psi, phi, diag), point in zip(calls, rep["points"]):
+        pair_ref = resolvent.jost_pair(pair.op, pair.lam, +1)
+        phi_ref, diag_ref = resolvent.limiting_resolvent(pair_ref, psi)
         assert np.array_equal(phi, phi_ref)
         assert diag == diag_ref
         assert point["interior_residual"] == diag_ref["interior_residual"]
-        assert point["wronskian_drift"] == diag_ref["wronskian_drift"]
+        assert point["wronskian_drift"] == pair_ref.wronskian_drift
 
 
 def test_model_check_byte_identical(tmp_path):

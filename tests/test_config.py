@@ -224,6 +224,52 @@ def test_table_file_errors(tmp_path):
                      "[ends.2]\nprofile = euclidean\n", base=str(tmp_path))
 
 
+def _table_core(tmp_path, x, core="none"):
+    """A model with flat ends and the Gaussian exp(-x^2) sampled at ``x``
+    as its [potential] table, beside ``core``; returns (model, nodes,
+    values)."""
+    v = np.exp(-x ** 2)
+    (tmp_path / "core.csv").write_text("# x, V\n" + "\n".join(
+        f"{float(a)!r},{float(b)!r}" for a, b in zip(x, v)))
+    text = ("[model]\nr0 = 2\n[ends.1]\nprofile = flat\n"
+            "[ends.2]\nprofile = flat\n"
+            f"[potential]\ncore = {core}\ntable = core.csv\n")
+    return parse_config(text, base=str(tmp_path)).model, x, v
+
+
+def test_table_core_interpolates_its_rows_and_vanishes_outside(tmp_path):
+    """A sampled core equals its table at the rows and is 0 beyond them."""
+    model, x, v = _table_core(tmp_path, np.linspace(-0.9, 0.9, 10))
+    assert np.array_equal(model.v_core(x), v)
+    assert np.array_equal(model.v_core(np.array([-2.0, -0.95, 0.95, 5.0])),
+                          np.zeros(4))
+
+
+def test_table_core_ends_are_breakpoints(tmp_path):
+    """The first and last rows of a sampled core are breakpoints of the
+    potential, beside the glue boundary at r0 / 2."""
+    model, x, _ = _table_core(tmp_path, np.linspace(-0.9, 0.9, 10))
+    assert model.core_breakpoints == (x[0], x[-1])
+    assert list(model.breakpoints()) == [-1.0, x[0], x[-1], 1.0]
+
+
+def test_table_core_beyond_half_r0_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="sampled core must live inside"):
+        _table_core(tmp_path, np.linspace(-0.9, 1.1, 10))
+
+
+def test_square_core_and_table_add(tmp_path):
+    """core = square together with a table gives their sum, with the
+    barrier's edges and the table's ends as breakpoints."""
+    model, x, _ = _table_core(tmp_path, np.linspace(-0.9, 0.9, 10),
+                              core="square: 1.5, 0.5")
+    tab, _, _ = _table_core(tmp_path, x)
+    probe = np.linspace(-1.5, 1.5, 31)
+    barrier = np.where(np.abs(probe) <= 0.5, 1.5, 0.0)
+    assert np.array_equal(model.v_core(probe), barrier + tab.v_core(probe))
+    assert model.core_breakpoints == (-0.5, 0.5, x[0], x[-1])
+
+
 def test_load_config_records_source(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text("[model]\npreset = A\n")

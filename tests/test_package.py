@@ -142,8 +142,8 @@ def test_numerics_take_no_tolerance(name):
 # model: a parameter for one of these beside its carrier is a second
 # source of one value, which nothing checks against the first
 _CARRIED = {"pair": {"op", "lam", "sign"}, "op": {"model"}}
-# wave_operator takes its op's model because perfbench/workloads.py, which
-# the benchmark runs as it is, passes both
+# wave_operator takes its op's model, and refuses another, because
+# perfbench/workloads.py, which the benchmark runs as it is, passes both
 _CARRIED_ALLOWED = {"propagator.wave_operator"}
 
 
@@ -536,7 +536,7 @@ def test_inner_products_do_not_depend_on_the_blas_thread_count(openblas):
     model = model_a()
     grid = RadialGrid(60.0, 0.01)
     op = ModeOperator(model, grid, 0)
-    ft_op = ModeOperator(model, RadialGrid(30.0, 0.02), 0)
+    ft_grid = RadialGrid(30.0, 0.02)
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     u, v, west = (np.exp(-((grid.x - c) ** 2) / (2.0 * s**2) + 1j * k * grid.x)
                   for c, s, k in ((0.5, 1.0, 0.3), (-1.0, 1.5, -0.5),
@@ -544,7 +544,7 @@ def test_inner_products_do_not_depend_on_the_blas_thread_count(openblas):
     got = []
     for threads in (1, 2):
         openblas.set(threads)
-        adj = adjoint_identity_check(op, h, west, [u, v], ft_op=ft_op)
+        adj = adjoint_identity_check(op, h, west, [u, v], ft_grid=ft_grid)
         got.append((grid.inner(u, v), adj["defects"]))
         assert openblas.counts() == [threads] * len(openblas.counts())
     assert got[0] == got[1]

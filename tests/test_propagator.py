@@ -14,9 +14,10 @@ from ends_scatter.dynamics import (SpectralProfile, comparison_state,
 from ends_scatter.mode_reduction import ModeOperator, RadialGrid
 from ends_scatter.oracle import chebyshev_evolve
 from ends_scatter.presets import model_a, model_c, model_d, model_free
-from ends_scatter.propagator import (EvolutionConfig, Propagator, _pade_steps,
-                                     end_mass, end_projection, evolve,
-                                     transmission_experiment, wave_operator)
+from ends_scatter.propagator import (EvolutionConfig, Propagator, _end_state,
+                                     _pade_steps, end_mass, end_projection,
+                                     evolve, transmission_experiment,
+                                     wave_operator)
 from ends_scatter.resolvent import jost_pair, jost_setups
 
 
@@ -190,12 +191,41 @@ def test_wave_operator_validates_time_grid(setup):
     op, _ = setup
     h = SpectralProfile.bump_profile()
     with pytest.raises(ValueError):
-        wave_operator(op, model_a(), h, [10.0, 10.0])
+        wave_operator(op, op.model, h, [10.0, 10.0])
     with pytest.raises(ValueError, match="two times"):
-        wave_operator(op, model_a(), h, [10.0])
+        wave_operator(op, op.model, h, [10.0])
     for dynamics in ("bogus", "leading"):
         with pytest.raises(ValueError, match="dynamics"):
-            wave_operator(op, model_a(), h, [10.0, 20.0], dynamics=dynamics)
+            wave_operator(op, op.model, h, [10.0, 20.0], dynamics=dynamics)
+
+
+def test_wave_operator_checks_model_and_mode(setup):
+    """wave_operator's model must be the operator's, and its profile of the
+    operator's mode."""
+    op, _ = setup
+    h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
+    with pytest.raises(ValueError, match="model"):
+        wave_operator(op, model_a(), h, [2.0, 4.0])
+    with pytest.raises(ValueError, match="mode 1"):
+        wave_operator(op, op.model, SpectralProfile.bump_profile(m=1),
+                      [2.0, 4.0])
+
+
+def test_transmission_checks_mode(setup):
+    """The transmission experiment refuses a profile of another mode."""
+    op, _ = setup
+    with pytest.raises(ValueError, match="mode 1"):
+        transmission_experiment(op, SpectralProfile.bump_profile(m=1),
+                                lambda lam: 0.5 + 0 * lam, 5.0, [5.0, 7.5])
+
+
+def test_adjoint_identity_checks_mode(setup):
+    """The adjoint identity check refuses a profile of another mode."""
+    op, psi = setup
+    with pytest.raises(ValueError, match="mode 1"):
+        propagator.adjoint_identity_check(
+            op, SpectralProfile.bump_profile(m=1), psi, [psi],
+            ft_grid=RadialGrid(30.0, 0.02))
 
 
 def test_wave_operator_estimate_is_one_evolution():
@@ -326,14 +356,6 @@ def test_sse3_kernel_equals_portable_kernel(monkeypatch):
     assert np.array_equal(outs[0][1], outs[1][1])
 
 
-def _free_state(op, model, h, t, sign=+1):
-    mask = op.grid.end_mask(h.end)
-    out = np.zeros(op.grid.x.size, dtype=complex)
-    _, out[mask] = comparison_state(model, h, t, r=np.abs(op.grid.x[mask]),
-                                    sign=sign)
-    return out
-
-
 @pytest.mark.parametrize("t_grid, step_sizes", [
     ([2.0, 4.0, 8.0, 16.0], 1),
     # gaps of 1.0625 = 21.25 dt take 21 shorter steps, an odd count; the
@@ -349,12 +371,11 @@ def test_concurrent_wave_operator_matches_sequential_evolutions(
     with one evolve per increment to roundoff, and each distinct step
     size is factored once."""
     op, _ = setup
-    model = model_a()
     h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
     cfg = EvolutionConfig(dt=0.05)
     want, evolved = [], []
     for t1, t2 in zip(t_grid, t_grid[1:]):
-        u1, u2 = (_free_state(op, model, h, t) for t in (t1, t2))
+        u1, u2 = (_end_state(op, h, t, +1) for t in (t1, t2))
         n = max(1, round((t2 - t1) / cfg.dt))
         prop = Propagator(op, -(t2 - t1) / n)
         m = n // 2
@@ -374,7 +395,7 @@ def test_concurrent_wave_operator_matches_sequential_evolutions(
         init(self, op, dt)
 
     monkeypatch.setattr(Propagator, "__init__", counted)
-    rep = wave_operator(op, model, h, t_grid, cfg=cfg, estimate=True)
+    rep = wave_operator(op, op.model, h, t_grid, cfg=cfg, estimate=True)
     assert rep["increments"] == want
     assert np.array_equal(rep["estimate"], want_estimate)
     assert len(built) == len(set(built)) == step_sizes
@@ -386,9 +407,9 @@ def test_wave_operator_without_cpu_affinity(setup, monkeypatch):
     one worker per CPU, and the increments are the same."""
     op, _ = setup
     h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
-    want = wave_operator(op, model_a(), h, [2.0, 4.0, 8.0])
+    want = wave_operator(op, op.model, h, [2.0, 4.0, 8.0])
     monkeypatch.delattr(propagator.os, "sched_getaffinity")
-    assert wave_operator(op, model_a(), h, [2.0, 4.0, 8.0]) == want
+    assert wave_operator(op, op.model, h, [2.0, 4.0, 8.0]) == want
 
 
 def test_worker_norm_guard_reaches_caller(setup, monkeypatch):
@@ -400,7 +421,7 @@ def test_worker_norm_guard_reaches_caller(setup, monkeypatch):
                         lambda self, psi, n=1: 2.0 * step(self, psi, n))
     h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
     with pytest.raises(RuntimeError, match="propagator instability"):
-        wave_operator(op, model_a(), h, [2.0, 4.0, 8.0], estimate=True)
+        wave_operator(op, op.model, h, [2.0, 4.0, 8.0], estimate=True)
 
 
 def test_step_rejects_bad_arrays_before_the_kernel(setup):
@@ -459,15 +480,15 @@ def test_wave_operator_on_the_long_range_preset_c():
     cfg = default_config("C")
     model, h = cfg.model, cli._profile(cfg)
     t_grid = [10.0, 20.0, 40.0, 80.0, 160.0]
-    grid = cli._propagation_grid(model, h, t_grid[-1], cfg.grid.rmax)
-    op = ModeOperator(model, grid, cfg.run.mode)
+    op = cli._propagation_operator(model, h, t_grid[-1], cfg.grid.rmax)
+    grid = op.grid
     inc = wave_operator(op, model, h, t_grid)["increments"]
     assert all(b < a for a, b in zip(inc, inc[1:]))
     assert np.allclose(inc, [0.061, 0.013, 0.0052, 0.0021], rtol=0.05)
     for k in range(2):
         t1, t2 = t_grid[k:k + 2]
-        moved, _ = evolve(op, _free_state(op, model, h, t2), -(t2 - t1))
-        want = grid.norm(moved - _free_state(op, model, h, t1))
+        moved, _ = evolve(op, _end_state(op, h, t2, +1), -(t2 - t1))
+        want = grid.norm(moved - _end_state(op, h, t1, +1))
         assert abs(inc[k] - want) <= 1e-11 * want
 
 
@@ -509,7 +530,7 @@ def test_transmission_factors_once_per_step_size(monkeypatch, t_probe,
     h = SpectralProfile.bump_profile(end=0, m=0, center=0.55, width=0.25)
     op = ModeOperator(model, RadialGrid(60.0, 0.05), 0)
     cfg = EvolutionConfig(dt=0.05)
-    psi, _ = evolve(op, _free_state(op, model, h, 5.0, sign=-1), 5.0, cfg)
+    psi, _ = evolve(op, _end_state(op, h, 5.0, -1), 5.0, cfg)
     want = end_projection(op, psi, 1, t_probe, r_min=model.r0, cfg=cfg)
 
     built = []
@@ -527,13 +548,13 @@ def test_transmission_factors_once_per_step_size(monkeypatch, t_probe,
 
 
 def test_adjoint_identity_marches_every_node_through_one_setup(monkeypatch):
-    """``adjoint_identity_check`` builds one Jost set-up of ``ft_op`` for
-    its 24 energies, and its defects are the bits of the per-energy
-    ``jost_pair`` path."""
+    """``adjoint_identity_check`` builds one Jost set-up of its operator's
+    model and mode on ``ft_grid`` for its 24 energies, and its defects are
+    the bits of the per-energy ``jost_pair`` path."""
     model = model_a()
     grid = RadialGrid(60.0, 0.01)
     op = ModeOperator(model, grid, 0)
-    ft_op = ModeOperator(model, RadialGrid(30.0, 0.02), 0)
+    ft_grid = RadialGrid(30.0, 0.02)
     h = SpectralProfile.bump_profile(center=0.55, width=0.25)
     u, v, west = (np.exp(-((grid.x - c) ** 2) / (2.0 * s**2) + 1j * k * grid.x)
                   for c, s, k in ((0.5, 1.0, 0.3), (-1.0, 1.5, -0.5),
@@ -545,13 +566,17 @@ def test_adjoint_identity_marches_every_node_through_one_setup(monkeypatch):
         return jost_setups(ops)
 
     monkeypatch.setattr(propagator, "jost_setups", counting)
-    got = propagator.adjoint_identity_check(op, h, west, [u, v], ft_op=ft_op)
-    assert len(setups) == 1 and setups[0] == [ft_op]
+    got = propagator.adjoint_identity_check(op, h, west, [u, v],
+                                            ft_grid=ft_grid)
+    ft_op, = setups[0]
+    assert len(setups) == 1
+    assert (ft_op.model, ft_op.grid, ft_op.m) == (model, ft_grid, 0)
 
     def per_energy(setup, lam, sign=+1):
         return jost_pair(setup.op, lam, sign)
 
     monkeypatch.setattr(propagator, "march_pair", per_energy)
-    want = propagator.adjoint_identity_check(op, h, west, [u, v], ft_op=ft_op)
+    want = propagator.adjoint_identity_check(op, h, west, [u, v],
+                                             ft_grid=ft_grid)
     assert got["defects"] == want["defects"]
     assert got["max_defect"] == want["max_defect"]
