@@ -115,18 +115,24 @@ _FRONT_END = ("cli", "config")
 
 
 def _public_parameters(name: str):
-    """(where, parameter names) of each public function, class and method
-    of module ``name``."""
+    """(where, parameter names) of each public callable of module
+    ``name``: every function in its ``__all__``, and of every class there
+    its own ``__init__`` (a dataclass's generated one counts) and each
+    method whose name has no leading underscore, static and class methods
+    too.  ``self`` and ``cls`` are left out; properties are not callables
+    here."""
     mod = importlib.import_module(f"ends_scatter.{name}")
     for attr in getattr(mod, "__all__", ()):
         obj = getattr(mod, attr)
-        members = [(attr, obj)]
-        if inspect.isclass(obj):
-            members += [(f"{attr}.{k}", v) for k, v in vars(obj).items()
-                        if inspect.isfunction(v)]
-        for where, fn in members:
-            if callable(fn):
-                yield where, set(inspect.signature(fn).parameters)
+        if not inspect.isclass(obj):
+            yield attr, list(inspect.signature(obj).parameters)
+            continue
+        for key, member in vars(obj).items():
+            fn = getattr(member, "__func__", member)
+            if ((key == "__init__" or not key.startswith("_"))
+                    and inspect.isfunction(fn)):
+                params = list(inspect.signature(fn).parameters)
+                yield f"{attr}.{key}", params[not isinstance(member, staticmethod):]
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m not in _FRONT_END])
@@ -134,7 +140,7 @@ def test_numerics_take_no_tolerance(name):
     """No public function, class or method outside the front end has a
     parameter named after a [run] tolerance."""
     taken = [f"{where}({p})" for where, params in _public_parameters(name)
-             for p in sorted(params & _TOLERANCES)]
+             for p in sorted(set(params) & _TOLERANCES)]
     assert taken == []
 
 
@@ -155,35 +161,12 @@ def test_no_value_is_taken_beside_its_carrier(name):
     still take both."""
     found = {f"{name}.{where}": sorted(v for carrier, values in _CARRIED.items()
                                        if carrier in params
-                                       for v in values & params)
+                                       for v in values & set(params))
              for where, params in _public_parameters(name)}
     found = {where: again for where, again in found.items() if again}
     allowed = {f for f in _CARRIED_ALLOWED if f.startswith(f"{name}.")}
     assert set(found) == allowed
     assert all(found[f] == ["model"] for f in allowed)
-
-
-def _parameter_counts(mod) -> dict:
-    """The parameter count of each public callable of ``mod``: every
-    function in its ``__all__``, and of every class there its own
-    ``__init__`` (a dataclass's generated one counts) and each method
-    whose name has no leading underscore, static and class methods too.
-    ``self`` and ``cls`` do not count, nor do properties."""
-    counts = {}
-    for attr in mod.__all__:
-        obj = getattr(mod, attr)
-        if not inspect.isclass(obj):
-            counts[attr] = len(inspect.signature(obj).parameters)
-            continue
-        for name, member in vars(obj).items():
-            if name.startswith("_") and name != "__init__":
-                continue
-            bound = not isinstance(member, staticmethod)
-            fn = getattr(member, "__func__", member)
-            if inspect.isfunction(fn):
-                counts[f"{attr}.{name}"] = (len(inspect.signature(fn).parameters)
-                                            - bound)
-    return counts
 
 
 def test_public_parameter_count_is_pinned():
@@ -193,10 +176,10 @@ def test_public_parameter_count_is_pinned():
     parameter edits that table, so the count shows in its diff."""
     with open(Path(__file__).parent / "data" / "public_parameters.json") as fh:
         want = json.load(fh)
-    mods = (importlib.import_module(f"ends_scatter.{name}") for name in MODULES)
-    got = {mod.__name__.split(".")[-1]: _parameter_counts(mod) for mod in mods
-           if hasattr(mod, "__all__")}
-    assert got == want
+    got = {name: {where: len(params)
+                  for where, params in _public_parameters(name)}
+           for name in MODULES}
+    assert {name: counts for name, counts in got.items() if counts} == want
 
 
 @pytest.mark.parametrize("name", ["fourier", "propagator"])
