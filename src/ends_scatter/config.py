@@ -12,7 +12,7 @@ Grammar (INI dialect, parsed by :mod:`configparser`)::
     profile = euclidean         ; euclidean|hyperbolic|flat|conic:ALPHA|table:FILE
     q1_amplitude = 1.0          ; optional tail eta(r, r0) A r^-p of q;
     q1_power = 0.8              ; q1 = lambda0 + eta(r, r0) A r^-p
-    decay = 1.0, 1.0, 1.0       ; (sigma, tau, rho) decay constants
+    decay = 1.0, 1.0, 1.0       ; (sigma, tau, rho) decay constants, > 0
 
     [ends.2]
     profile = hyperbolic
@@ -254,6 +254,8 @@ def _build_end(sec, r0: float, base: str) -> EndProfile:
     decay = _get(sec, "decay", (1.0, 1.0, 1.0))
     if len(decay) != 3:
         raise ConfigError(f"[{sec.name}] decay needs three constants")
+    if not all(c > 0 for c in decay):
+        raise ConfigError(f"[{sec.name}] decay constants must be positive")
     amp = _get(sec, "q1_amplitude", 0.0)
     power = _get(sec, "q1_power", 1.0)
     if amp != 0.0 and power <= 0:

@@ -32,9 +32,13 @@ into e^{i b E_a} and the offset factor e^{i b s}, s = E - E_a in [0, L].
 That factor is the carrier e^{i b_c s} times e^{i (b - b_c) s}, a smooth
 function of s that a few Chebyshev-Lobatto nodes of [0, L] interpolate
 (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013),
-and the same nodes serve every span.  A sum over lam with any weights
-then becomes one complex matrix product against those few nodes and, per
-span, a small product that restores its offsets.  The amplitude
+and the same nodes serve every span.  Its Chebyshev coefficients are
+known in closed form (Jacobi-Anger), so a bound on their tail fixes the
+node count before anything is sampled: 23 nodes within 1e-14 where a
+span spends the whole budget, as on the benchmark windows.  A sum over
+lam with any weights then becomes one complex matrix product against
+those few nodes and, per span, a small product that restores its
+offsets.  The amplitude
 (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam and in r; it
 is interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
 the levels chosen by a-posteriori checks.  Its samples (one row per lam_j,
@@ -51,11 +55,13 @@ sum in its rank-one case, one row that is a read-only broadcast of 1 and
 the weight column h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam}.  No C
 kernel is involved, so unlike the leading term a comparison state needs
 no compiler.  ``oracle.reference_comparison_state`` is the node-by-node
-sum both are checked against.  Every interpolant here (the amplitude in
-r and in lam, the offset factor, the run-in phase on a tailed end) is a
-:class:`_Lobatto`: nested levels 9, 17, 33, ... each checked against the
-next, exact sums once they run out, and the amplitude's lower levels
-read from one pass at 33 points per panel and 65 energies.
+sum both are checked against.  Every interpolant here is on the points
+of a :class:`_Lobatto`.  The amplitude in r and in lam and the run-in
+phase on a tailed end take nested levels 9, 17, 33, ... each checked
+against the next, the amplitude's lower levels read from one pass at 33
+points per panel and 65 energies; the offset factor takes the count its
+bound certifies and checks nothing.  Each falls back to exact sums at a
+cap set by the count of the values it serves.
 
 Working set: every per-radius array of this layer is taken over blocks
 of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
@@ -224,10 +230,13 @@ def dynamics_grid(model: ManifoldModel, h: SpectralProfile,
 # ---------------------------------------------------------------------------
 
 class _Lobatto:
-    """The nested Chebyshev-Lobatto levels n = 9, 17, 33, ... of [lo, hi]
-    (Trefethen, Approximation Theory and Approximation Practice, SIAM
-    2013): level n is mid + half cos(pi i/(n-1)), i < n, and level 2n - 1
-    holds it at its even indices.  Every interpolant of this module is one."""
+    """The Chebyshev-Lobatto points of [lo, hi] (Trefethen, Approximation
+    Theory and Approximation Practice, SIAM 2013): n of them are
+    mid + half cos(pi i/(n-1)), i < n, and the 2n - 1 points hold them at
+    their even indices, so n = 9, 17, 33, ... are nested levels.  Every
+    interpolant of this module is on these points: the offset factor of
+    :func:`_plane_wave_blocks` at a count its bound fixes in advance, the
+    others at the level :meth:`sample` accepts."""
 
     def __init__(self, lo: float, hi: float):
         self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -597,6 +606,22 @@ def frequency_nodes(model: ManifoldModel, h: SpectralProfile, t: float,
     return lam, h(lam) * wts
 
 
+def _offset_bound(omega: float, n: int) -> float:
+    """4 (omega/2)^n / n! / (1 - omega/(2(n + 1))), a bound on
+    max |e^{i w x} - p(x)| over x in [-1, 1] and |w| <= omega, p the
+    interpolant of e^{i w x} in n >= 2 Chebyshev-Lobatto points, for
+    omega < 2(n + 1).  The Chebyshev coefficients of e^{i w x} are
+    2 i^k J_k(w), k >= 1 (Jacobi-Anger), with |J_k(w)| <= (|w|/2)^k / k!
+    (DLMF 10.14.4); the interpolant is within twice the sum of the
+    coefficients' moduli from k = n on (Trefethen, ATAP, Thm 4.2), and
+    from k = n on each term is at most omega/(2(n + 1)) times the one
+    before.  The factors of n! are taken one by one, so the bound
+    underflows to 0 but never overflows."""
+    half = 0.5 * omega
+    return (4.0 * math.prod(half / k for k in range(1, n + 1))
+            / (1.0 - half / (n + 1)))
+
+
 def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
                        b_lam: np.ndarray, wts: np.ndarray, sign: int):
     """sum_lam wts[lam, c] e^{i sign b_lam E(r)} for each column c of
@@ -611,19 +636,24 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
     e^{i sign b_lam E_a} times the offset factor e^{i sign b_lam s},
     s = E - E_a in [0, L], which is the carrier e^{i sign b_c s}, b_c the
     middle of the b range, times e^{i sign (b_lam - b_c) s}, a smooth
-    function of s.  That function is sampled once, on the P points of a
-    level of [0, L] (accepted by :meth:`_Lobatto.sample` with
-    ``_PHASE_TOL``, capped at the largest span's radius count), and
-    these nodes serve every span: the lam contraction of a block's spans
-    is one matrix product of their weighted coarse factors against P
-    columns, and each span restores its offsets by its Lagrange basis
-    times the carrier.  A block forms the coarse factors e^{i sign b_lam
-    E_a} of its own spans, so no lam x spans table is held.
+    function of s.  On [0, L] mapped to [-1, 1] it is e^{i w x} times a
+    unit constant, |w| <= omega = L (b_max - b_min) / 4, at most
+    _BLOCK_PHASE / 4, so the P Chebyshev-Lobatto points it needs are
+    known before it is sampled: the fewest whose :func:`_offset_bound`
+    is below ``_PHASE_TOL`` (P = 23 at omega = 4).  It is sampled once,
+    one exponential per point and lam node, and these nodes serve every
+    span: the lam contraction of a block's spans is one matrix product
+    of their weighted coarse factors against P columns, and each span
+    restores its offsets by its Lagrange basis times the carrier.  A
+    block forms the coarse factors e^{i sign b_lam E_a} of its own spans,
+    so no lam x spans table is held.
     Consecutive spans share one basis while their offsets agree with the
     first one's within b_max |delta s| <= 1e-12 rad (the spans of a
-    uniform run), across blocks too.  Where the levels reach the cap, or
-    L = 0 (every radius at one E), the sum is taken at each radius, which
-    is exact, ``_BLOCK // n_lam`` radii at a time.
+    uniform run), across blocks too.  Where P would not be below the
+    largest span's radius count (which also ends the search when
+    ``_PHASE_TOL`` is 0), or L = 0 (every radius at one E), the sum is
+    taken at each radius, which is exact, ``_BLOCK // n_lam`` radii at a
+    time.
 
     A block is whole spans: at most ``_RADII_BLOCK`` radii, or one span
     that holds more.  The products are those of the unblocked sum, row
@@ -648,15 +678,17 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
     cuts = [e.size]
     while cuts[0] > 0:
         cuts.insert(0, int(np.searchsorted(e, e[cuts[0] - 1] - length)))
-    offsets = _Lobatto(0.0, length)
-    nodes = offsets.sample(lambda s: np.exp(1j * sign * np.outer(s, b_lam - b_c)),
-                           int(np.max(np.diff(cuts))), _PHASE_TOL)
-    if nodes is None:
+    cap, omega = int(np.max(np.diff(cuts))), 0.25 * length * (b_max - b_min)
+    n = next((n for n in range(2, cap)
+              if _offset_bound(omega, n) < _PHASE_TOL), cap)
+    if n >= cap or not length > 0.0:
         step = max(1, _BLOCK // n_lam)
         for i0 in range(0, e.size, step):
             yield (order[i0:i0 + step],
                    wts.T @ np.exp(1j * sign * np.outer(b_lam, e[i0:i0 + step])))
         return
+    offsets = _Lobatto(0.0, length)
+    nodes = np.exp(1j * sign * np.outer(offsets.points(n), b_lam - b_c))
 
     n_span = len(cuts) - 1
     limit = _RADII_BLOCK if n_col > 1 else e.size

@@ -120,6 +120,20 @@ def test_bad_config_file_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["model-check", "resolvent"])
+@pytest.mark.parametrize("decay", ["0, 1, 1", "1, -1, 1"])
+def test_non_positive_decay_is_config_error(tmp_path, command, decay):
+    """A decay constant of 0 or below is refused where the config is read,
+    naming its section.  It used to pass ``model-check`` (exit 0) and make
+    ``resolvent`` exit 3 with ``beta_c=0.0 must be positive``."""
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text("[model]\nr0 = 2\n[ends.1]\nprofile = euclidean\n"
+                   f"decay = {decay}\n[ends.2]\nprofile = euclidean\n")
+    code, rep = run([command, "--config", str(cfg)], tmp_path, command)
+    assert code == 2
+    assert "[ends.1] decay" in rep["error"]
+
+
 def test_bad_override_is_config_error(tmp_path):
     code = main(["model-check", "--preset", "A", "--lambda-grid", "oops",
                  "--out", str(tmp_path)])

@@ -260,20 +260,24 @@ def test_comparison_state_does_not_depend_on_the_other_radii(preset):
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("layout", ["ascending", "descending", "broken", "short",
                                     "long ramp", "two spacings", "one lam",
-                                    "one E"])
-def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
+                                    "one E", "zero tolerance"])
+def test_plane_wave_sums_match_the_node_sum(monkeypatch, n_col, sign, layout):
     """The span sums against the node-by-node sum on a uniform run of
     about seven spans in E, behind a cutoff ramp (0 < eta < 1) and a
     radius with eta = 0 (left at 0).  'broken' moves one radius off the
     run's spacing, so its span and the next need bases of their own.
-    'short' keeps 31 live radii, too few for the levels: the exact sum.
-    'long ramp' puts 1200 radii on the ramp.  'two spacings' follows the
-    run by a stretch whose spacing is 1e-7 larger: its spans hold as many
-    radii as the run's, and the basis must not be reused across the
-    change.  'one lam' has a single lam node (b_max = b_min, so one span
-    over the whole E range), and 'one E' puts every live radius at one E
-    (L = 0: the exact sum).  The blocks are scattered to the radii here,
-    and together they hold every live radius once."""
+    'short' keeps every 100th radius: 20 live radii, fewer than the 23
+    offset nodes the budget needs, so the exact sum with no basis formed.
+    'zero tolerance' is the run with ``_PHASE_TOL`` = 0, which no node
+    count meets: the search stops at the largest span's radius count, and
+    the sum is exact.  'long ramp' puts 1200 radii on the ramp.  'two
+    spacings' follows the run by a stretch whose spacing is 1e-7 larger:
+    its spans hold as many radii as the run's, and the basis must not be
+    reused across the change.  'one lam' has a single lam node (b_max =
+    b_min, so one span over the whole E range), and 'one E' puts every
+    live radius at one E (L = 0: the exact sum).  The blocks are
+    scattered to the radii here, and together they hold every live
+    radius once."""
     rng = np.random.default_rng(7)
     lam = np.linspace(0.3, 0.8, 301)
     r = np.linspace(2.0, 202.0, 2001)
@@ -284,7 +288,7 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
     if layout == "broken":
         r[700] += 1e-3
     if layout == "short":
-        r, eta_r = r[:32], eta_r[:32]
+        r, eta_r = r[::100].copy(), eta_r[::100].copy()
     if layout == "long ramp":
         eta_r[:1200] = np.linspace(0.0, 1.0, 1201)[:-1]
     if layout == "two spacings":
@@ -298,12 +302,26 @@ def test_plane_wave_sums_match_the_node_sum(n_col, sign, layout):
     wts = (rng.standard_normal((lam.size, n_col))
            + 1j * rng.standard_normal((lam.size, n_col)))
     live = np.flatnonzero(eta_r > 0.0)
+    bounds = []
+    if layout == "zero tolerance":
+        monkeypatch.setattr(dynamics, "_PHASE_TOL", 0.0)
+        offset_bound = dynamics._offset_bound
+        monkeypatch.setattr(dynamics, "_offset_bound", lambda *args:
+                            bounds.append(args) or offset_bound(*args))
+    if layout in ("short", "one E", "zero tolerance"):
+        def no_basis(*args):
+            raise AssertionError("an interpolant where the sum is exact")
+        monkeypatch.setattr(dynamics._Lobatto, "basis", no_basis)
     got = np.zeros((n_col, r.size), dtype=complex)
     held = []
     for k, sums in dynamics._plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
         got[:, live[k]] = sums
         held.append(k)
     assert np.array_equal(np.sort(np.concatenate(held)), np.arange(live.size))
+    if layout == "zero tolerance":
+        # each count from 2 on is asked once, up to the largest span's
+        # radius count, L / 0.1 + 1 = 327 (L = 32.6, the run's spacing 0.1)
+        assert [n for _, n in bounds] == list(range(2, 327))
     ref = wts.T @ np.exp(1j * sign * np.outer(b_lam, e_of_r))
     ref[:, eta_r == 0.0] = 0.0
     bound = 1e-13 * np.sum(np.abs(wts), axis=0)
@@ -796,6 +814,63 @@ def test_levels_read_from_a_finer_level_and_stop_at_the_cap():
         assert levels.sample(fn, 65, 1e-12, finer=known) is None
         assert np.array_equal(levels.sample(fn, 66, 1e-12, finer=known), scratch)
     assert dynamics._Lobatto(1.0, 1.0).sample(fn, 1000, 1.0) is None
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 3.0, 4.0])
+def test_offset_bound_holds_up_to_the_certified_count(omega):
+    """The interpolant of e^{i w x}, w = +-omega, in n Lobatto points,
+    evaluated at 1e4 points of [-1, 1], is within the bound for every n
+    from 2 to the fewest certified, up to the rounding of barycentric
+    evaluation: (3n + 4) u Lambda_n + (3n + 2) u Lambda_n for unit
+    samples (Higham, IMA J. Numer. Anal. 24, 2004), plus Lambda_n u for
+    the samples' own rounding.  That allowance matters only near the
+    certified count, where the bound (5e-16 at omega = 0.5) is below the
+    rounding measured (9e-16); below it the bound is within 1.4 times the
+    error.  At the certified count the error is within _PHASE_TOL."""
+    unit = dynamics._Lobatto(-1.0, 1.0)
+    x = np.linspace(-1.0, 1.0, 10**4)
+    u = np.finfo(float).eps / 2.0
+    n = 2
+    while True:
+        bound = dynamics._offset_bound(omega, n)
+        rounding = (6 * n + 7) * u * dynamics._Lobatto.lebesgue(n)
+        basis = unit.basis(n, x)
+        for w in (omega, -omega):
+            err = np.max(np.abs(basis @ np.exp(1j * w * unit.points(n))
+                                - np.exp(1j * w * x)))
+            assert err <= bound + rounding
+        if bound < dynamics._PHASE_TOL:
+            break
+        n += 1
+    assert err <= dynamics._PHASE_TOL
+
+
+@pytest.mark.parametrize("preset", ["A", "C"])
+def test_benchmark_windows_take_23_offset_nodes(monkeypatch, preset):
+    """On the windows the benchmark draws (centre 0.52 ... 0.58, width
+    0.25) at t = 10 and 320 every span's offsets are restored from 23
+    nodes, where the spans spend the whole phase budget (omega = 4); on A
+    at t = 10 the live E range (26.5 ... 27.1) is shorter than L
+    (31.9 ... 33.9), omega = 3.2 ... 3.3, and 21 nodes are certified."""
+    model = {"A": model_a, "C": model_c}[preset]()
+    prof = model.ends[0]
+    counts = []
+    basis = dynamics._Lobatto.basis
+    monkeypatch.setattr(dynamics._Lobatto, "basis", lambda self, n, x:
+                        counts[-1].add(n) or basis(self, n, x))
+    for center in (0.52, 0.58):
+        h = SpectralProfile.bump_profile(center=center, width=0.25)
+        r_lam = model.r_lambda(h.lam_lo)
+        for t in (10.0, 320.0):
+            r = dynamics_grid(model, h, t)
+            lam, hv = dynamics.frequency_nodes(model, h, t, r)
+            lam, hv = lam[hv != 0.0], hv[hv != 0.0]
+            counts.append(set())
+            for _ in dynamics._plane_wave_blocks(
+                    eta(r, r_lam), dynamics._cutoff_length(r, r_lam),
+                    np.sqrt(2.0 * (lam - prof.lambda0)), hv[:, None], +1):
+                pass
+            assert counts[-1] == {21 if (preset, t) == ("A", 10.0) else 23}
 
 
 def test_dynamics_grid_holds_the_front():
