@@ -45,8 +45,15 @@ typedef double lanes __attribute__((vector_size(16)));
 
 static inline lanes lanes_sqrt(lanes x)
 {
+#ifdef __SSE2__
+    /* one sqrtpd; the two sqrt calls below keep libm's errno path, which
+     * the compiler may not drop without -fno-math-errno.  Both round
+     * correctly (IEEE 754), so the lanes get the same bits */
+    return __builtin_ia32_sqrtpd(x);
+#else
     lanes r = {sqrt(x[0]), sqrt(x[1])};
     return r;
+#endif
 }
 
 /* sum_j w_j x_j^{-1/2}, sum_j w_j x_j^{-3/2} and sum_j w_j x_j^{1/2} of

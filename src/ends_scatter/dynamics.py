@@ -37,47 +37,56 @@ known in closed form (Jacobi-Anger), so a bound on their tail fixes the
 node count before anything is sampled: 23 nodes within 1e-14 where a
 span spends the whole budget, as on the benchmark windows.  A sum over
 lam with any weights then becomes one complex matrix product against
-those few nodes and, per span, a small product that restores its
-offsets.  The amplitude
-(2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam and in r; it
-is interpolated on a few Chebyshev nodes lam_j and on fixed panels in r,
-the levels chosen by a-posteriori checks.  Its samples (one row per lam_j,
-one column per panel node) have a low numerical rank: a thin SVD keeps
-the k leading singular triplets, the fewest whose discarded rest stays
+the Chebyshev coefficients of those few nodes' samples and, per span, a
+small product with its Chebyshev rows that restores its offsets.  The
+amplitude (2|lam - q1|)^{-1/4} e^{+- i psi_lam(r)} is smooth in lam and
+in r; it is interpolated on a few Chebyshev nodes lam_j and on fixed
+panels in r, the levels chosen by a-posteriori checks.  Its samples (one
+row per lam_j, one column per panel node) have a low numerical rank: a
+thin SVD keeps the k leading singular triplets, the fewest whose
+discarded rest stays
 within a share of the amplitude's tolerance (Eckart-Young: no rank-k
 table is closer), 10 to 13 of the 33 rows on preset C.  The state is the
 sum over those k of sigma_i v_i, carried to each block's radii by the
-panel bases, times the block's span sum weighted by h(lam)
-e^{-+ i t lam} and the lam basis times u_i (the separated-phase
-technique of Candes, Demanet & Ying, SISC 29, 2007).  On a tail-free end
+panels' Chebyshev coefficients and rows, times the block's span sum
+weighted by h(lam) e^{-+ i t lam} and the lam level's rows times the
+coefficients of u_i (the separated-phase technique of Candes, Demanet &
+Ying, SISC 29, 2007).  On a tail-free end
 (constant q1) psi = 0 and the amplitude does not depend on r: the same
 sum in its rank-one case, one row that is a read-only broadcast of 1 and
 the weight column h(lam) (2|lam - q1|)^{-1/4} e^{-+ i t lam}.  No C
 kernel is involved, so unlike the leading term a comparison state needs
 no compiler.  ``oracle.reference_comparison_state`` is the node-by-node
 sum both are checked against.  Every interpolant here is on the points
-of a :class:`_Lobatto`.  The amplitude in r and in lam and the run-in
-phase on a tailed end take nested levels 9, 17, 33, ... each checked
-against the next, the amplitude's lower levels read from one pass at 33
-points per panel and 65 energies; the offset factor takes the count its
-bound certifies and checks nothing.  Each falls back to exact sums at a
-cap set by the count of the values it serves.
+of a :class:`_Lobatto` and is evaluated from its Chebyshev coefficients
+(a cached DCT-I matrix times the samples): by the rows T_0 ... T_{n-1}
+of the three-term recurrence where a product contracts it, by
+Clenshaw's recurrence for the run-in phase.  The amplitude in r and in
+lam and the run-in phase on a tailed end take nested levels 9, 17, 33,
+... each checked against the next, the amplitude's lower levels read
+from one pass at 33 points per panel and 65 energies, the run-in's from
+one pass at 65 energies; the offset factor takes the count its bound
+certifies and checks nothing.  Each falls back to exact sums at a cap
+set by the count of the values it serves.
 
 Working set: every per-radius array of this layer is taken over blocks
-of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves, the
-run-in offset, the check of each interpolant against the next level, and
-the span sums with their amplitude contraction), so no array of size
+of ``_RADII_BLOCK`` radii (the Gauss samples of q1 with their solves,
+the check of each interpolant against the next level, and the span sums
+with their amplitude contraction), so no array of size
 rank x radii or lam x spans is alive: a block of spans forms its own
 coarse factors e^{+- i b_lam E_a}, and asks for the amplitude's k rows at
 its own radii only.  Those rows come from fixed chunks of each panel's
 radii (``_RADII_BLOCK`` of them, the last chunk holding the rest), one
-real product per chunk (basis times the panel's samples), so a radius's
-row is the same bits whichever block or index set asks for it; the
-chunk last carried is kept for the next block.  A block cuts the
+real product per chunk (its Chebyshev rows times the panel's
+coefficients), so a radius's row is the same bits whichever block or
+index set asks for it; the chunk last carried is kept for the next
+block.  The run-in phase is evaluated elementwise by Clenshaw's
+recurrence at every cone radius at once, a few vectors of their size,
+and no block can change its bits.  A block cuts the
 per-radius kernel and einsum rows, and the matrix products of
 :func:`_plane_wave_blocks` (weighted coarse factors times the offset
-nodes, and each run's restoring product) between their rows, and a
-check reads only whether its blocks pass.  No rule makes a BLAS
+coefficients, and each run's restoring product) between their rows, and
+a check reads only whether its blocks pass.  No rule makes a BLAS
 product's bits independent of where its rows are cut (cutting the rows
 of GEMMs of the sizes met here changed bits in 131 of 175 shapes tried
 on OpenBLAS; a one-row product is a GEMV, and the columns past the
@@ -236,7 +245,11 @@ class _Lobatto:
     their even indices, so n = 9, 17, 33, ... are nested levels.  Every
     interpolant of this module is on these points: the offset factor of
     :func:`_plane_wave_blocks` at a count its bound fixes in advance, the
-    others at the level :meth:`sample` accepts."""
+    others at the level :meth:`sample` accepts.  Each is evaluated from its
+    Chebyshev coefficients (:meth:`coefficients` times the samples): where
+    a matrix product contracts it, by the rows T_0 ... T_{n-1} at the
+    points asked for (:meth:`rows`), and alone by Clenshaw's recurrence
+    (:meth:`clenshaw`)."""
 
     def __init__(self, lo: float, hi: float):
         self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -244,19 +257,58 @@ class _Lobatto:
     def points(self, n: int) -> np.ndarray:
         return self.mid + self.half * np.cos(np.pi * np.arange(n) / (n - 1))
 
-    def basis(self, n: int, x: np.ndarray) -> np.ndarray:
-        """Lagrange basis of level n at the points x, one row per point
-        (barycentric form)."""
-        w = (-1.0) ** np.arange(n)
-        w[[0, -1]] *= 0.5
-        d = ((x - self.mid) / self.half)[:, None] - _Lobatto(-1.0, 1.0).points(n)
-        hit = d == 0.0
-        d[hit] = 1.0
-        basis = np.divide(w, d, out=d)
-        basis /= basis.sum(axis=1, keepdims=True)
-        rows = hit.any(axis=1)
-        basis[rows] = hit[rows]
-        return basis
+    @staticmethod
+    @functools.cache
+    def coefficients(n: int) -> np.ndarray:
+        """The n x n matrix that takes samples at the n points, in the
+        order of :meth:`points`, to the Chebyshev coefficients c_0 ...
+        c_{n-1} of their interpolant sum_k c_k T_k((x - mid) / half): the
+        DCT-I c_k = 2/(n-1) sum_j f_j cos(pi jk/(n-1)), the terms of the
+        first and last sample halved, and then c_0 and c_{n-1} halved
+        (Trefethen, ATAP, ch. 3).  jk is reduced to [0, n-1] by the
+        cosine's symmetries, so each cosine is that of a point of [-1, 1].
+        Built once per n and read-only."""
+        m = n - 1
+        jk = np.outer(np.arange(n), np.arange(n)) % (2 * m)
+        mat = np.cos(np.pi * np.minimum(jk, 2 * m - jk) / m) * (2.0 / m)
+        mat[:, [0, -1]] *= 0.5
+        mat[[0, -1]] *= 0.5
+        mat.flags.writeable = False
+        return mat
+
+    def rows(self, n: int, x: np.ndarray) -> np.ndarray:
+        """T_0 ... T_{n-1} at the points x mapped to y = (x - mid) / half,
+        one row per degree and one column per point, by the three-term
+        recurrence T_{k+1} = 2 y T_k - T_{k-1}: a point's column does not
+        depend on the other points."""
+        y = (x - self.mid) / self.half
+        t = np.empty((n, y.size))
+        t[0] = 1.0
+        t[1] = y
+        y2 = 2.0 * y
+        for k in range(2, n):
+            np.multiply(y2, t[k - 1], out=t[k])
+            t[k] -= t[k - 2]
+        return t
+
+    def clenshaw(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum_k coef[k] T_k(y) at the points x mapped to y = (x - mid) /
+        half, by Clenshaw's recurrence b_k = 2 y b_{k+1} - b_{k+2} + c_k
+        (Clenshaw, MTAC 9, 1955) and the value y b_1 - b_2 + c_0, for
+        real coefficients: elementwise, with no matrix product, so a
+        point's value does not depend on the other points."""
+        y = (x - self.mid) / self.half
+        y2 = 2.0 * y
+        b, b1, b2 = np.zeros((3, y.size))   # b_k, b_k+1 and b_k+2
+        for c in coef[:0:-1]:
+            np.multiply(y2, b1, out=b)
+            b -= b2
+            b += c
+            b, b1, b2 = b2, b, b1
+        np.multiply(y, b1, out=b)
+        b -= b2
+        b += coef[0]
+        return b
 
     def sample(self, fn: Callable, cap: int, tol: float,
                finer: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
@@ -294,30 +346,33 @@ class _Lobatto:
 
     @staticmethod
     @functools.cache
-    def _check_basis(n: int) -> np.ndarray:
-        """The basis of level n of [-1, 1] at the points level 2n - 1 adds,
-        built once per n and read-only."""
+    def _check_matrix(n: int) -> np.ndarray:
+        """The map from samples at level n of [-1, 1] to their
+        interpolant's values at the points level 2n - 1 adds: those points'
+        Chebyshev rows times :meth:`coefficients`, built once per n and
+        read-only."""
         unit = _Lobatto(-1.0, 1.0)
-        basis = unit.basis(n, unit.points(2 * n - 1)[1::2])
-        basis.flags.writeable = False
-        return basis
+        mat = unit.rows(n, unit.points(2 * n - 1)[1::2]).T @ _Lobatto.coefficients(n)
+        mat.flags.writeable = False
+        return mat
 
     @staticmethod
     def _accepts(vals: np.ndarray, new: np.ndarray, tol: float) -> bool:
-        """Whether max|basis @ vals - new| <= tol max|new| at the points
-        level 2n - 1 adds to the n of ``vals``, samples taken as columns:
-        the real basis times float views of them (half the flops of a
-        complex product), max|new| first, then the errors ``_RADII_BLOCK``
-        columns at a time up to the first block that fails; a NaN fails."""
+        """Whether max|check @ vals - new| <= tol max|new| at the points
+        level 2n - 1 adds to the n of ``vals``, samples taken as columns,
+        ``check`` the real matrix of :meth:`_check_matrix` times float views
+        of them (half the flops of a complex product), max|new| first, then
+        the errors ``_RADII_BLOCK`` columns at a time up to the first block
+        that fails; a NaN fails."""
         n = vals.shape[0]
-        basis = _Lobatto._check_basis(n)
+        check = _Lobatto._check_matrix(n)
         vals, new = vals.reshape(n, -1), new.reshape(n - 1, -1)
         blocks = [slice(c0, c0 + _RADII_BLOCK)
                   for c0 in range(0, new.shape[1], _RADII_BLOCK)]
         bound = tol * np.max([np.max(np.abs(new[:, c])) for c in blocks],
                              initial=0.0)
         for c in blocks:
-            diff = basis @ vals[:, c].view(np.float64)
+            diff = check @ vals[:, c].view(np.float64)
             diff -= new[:, c].view(np.float64)
             if not np.max(np.abs(diff.view(new.dtype))) <= bound:
                 return False
@@ -516,10 +571,11 @@ def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
     on an end with a tail.  On a tail-free end that closed form is taken
     at every cone radius.  On a tailed end it is a smooth function of lam
     alone, sampled on a level of :class:`_Lobatto` over [min lam_c, max
-    lam_c] accepted with ``_PHASE_TOL`` and interpolated at lam_c by the
-    barycentric sum, ``_RADII_BLOCK`` radii at a time; once the next level
-    would outnumber the radii, the rule is taken at every radius, 512
-    energies at a time, which is exact."""
+    lam_c] accepted with ``_PHASE_TOL``, the levels up to 33 read from one
+    pass at 65 energies, and evaluated at lam_c from its Chebyshev
+    coefficients by Clenshaw's recurrence, elementwise; once the next
+    level would outnumber the radii, the rule is taken at every radius,
+    512 energies at a time, which is exact."""
     msk = sf.mask
     kf = np.full(sf.r.shape, np.nan)
     if np.any(msk):
@@ -536,16 +592,13 @@ def eikonal(model: ManifoldModel, sf: StationaryField) -> StationaryField:
 
         levels = _Lobatto(lam.min(), lam.max())
         vals = (None if prof.tail_amplitude == 0.0
-                else levels.sample(run_in, lam.size, _PHASE_TOL))
+                else levels.sample(run_in, lam.size, _PHASE_TOL,
+                                   finer=run_in(levels.points(65))))
         if vals is None:
             offs = np.concatenate([run_in(lam[i0:i0 + 512])
                                    for i0 in range(0, lam.size, 512)])
         else:
-            offs = np.empty(lam.size)
-            for i0 in range(0, lam.size, _RADII_BLOCK):
-                rows = slice(i0, i0 + _RADII_BLOCK)
-                offs[rows] = np.einsum("ij,j->i",
-                                       levels.basis(vals.size, lam[rows]), vals)
+            offs = levels.clenshaw(_Lobatto.coefficients(vals.size) @ vals, lam)
         kf[msk] = sf.k1[msk] + offs
     sf.k_full = kf
     return sf
@@ -641,14 +694,15 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
     _BLOCK_PHASE / 4, so the P Chebyshev-Lobatto points it needs are
     known before it is sampled: the fewest whose :func:`_offset_bound`
     is below ``_PHASE_TOL`` (P = 23 at omega = 4).  It is sampled once,
-    one exponential per point and lam node, and these nodes serve every
-    span: the lam contraction of a block's spans is one matrix product
-    of their weighted coarse factors against P columns, and each span
-    restores its offsets by its Lagrange basis times the carrier.  A
+    one exponential per point and lam node, and taken once to its P
+    Chebyshev coefficients per lam node, which serve every span: the lam
+    contraction of a block's spans is one matrix product of their
+    weighted coarse factors against P columns of coefficients, and each
+    span restores its offsets by its Chebyshev rows times the carrier.  A
     block forms the coarse factors e^{i sign b_lam E_a} of its own spans,
     so no lam x spans table is held.
-    Consecutive spans share one basis while their offsets agree with the
-    first one's within b_max |delta s| <= 1e-12 rad (the spans of a
+    Consecutive spans share one set of rows while their offsets agree with
+    the first one's within b_max |delta s| <= 1e-12 rad (the spans of a
     uniform run), across blocks too.  Where P would not be below the
     largest span's radius count (which also ends the search when
     ``_PHASE_TOL`` is 0), or L = 0 (every radius at one E), the sum is
@@ -689,6 +743,9 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
         return
     offsets = _Lobatto(0.0, length)
     nodes = np.exp(1j * sign * np.outer(offsets.points(n), b_lam - b_c))
+    # their Chebyshev coefficients, one column per lam node
+    coef = (_Lobatto.coefficients(n) @ nodes.view(np.float64)).view(complex)
+    del nodes  # before the blocks' products
 
     n_span = len(cuts) - 1
     limit = _RADII_BLOCK if n_col > 1 else e.size
@@ -701,10 +758,10 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
             g += 1
         coarse = np.exp(1j * sign * np.outer(b_lam, e[cuts[a:g]]))
         wc = (wts[:, :, None] * coarse[:, None, :]).reshape(n_lam, -1)
-        prod = (wc.T @ nodes.T).reshape(n_col, g - a, nodes.shape[0])
+        prod = (wc.T @ coef.T).reshape(n_col, g - a, n)
         del wc  # before the offsets are restored
         sums = np.empty((n_col, cuts[g] - cuts[a]), dtype=complex)
-        # spans [p, j) share the basis of the offsets s_own; they are
+        # spans [p, j) share the rows of the offsets s_own; they are
         # restored in one product when span j brings new offsets or ends
         # the block
         p = a
@@ -716,12 +773,11 @@ def _plane_wave_blocks(eta_r: np.ndarray, e_of_r: np.ndarray,
                     continue
             if j > p:
                 sums[:, cuts[p] - cuts[a]:cuts[j] - cuts[a]] = (
-                    prod[:, p - a:j - a].reshape(-1, basis.shape[0]) @ basis
+                    prod[:, p - a:j - a].reshape(-1, n) @ basis
                 ).reshape(n_col, -1)
             if j < g:
                 s_own, p = s, j
-                basis = (offsets.basis(nodes.shape[0], s)
-                         * np.exp(1j * sign * b_c * s)[:, None]).T
+                basis = offsets.rows(n, s) * np.exp(1j * sign * b_c * s)
         del prod
         yield order[cuts[a]:cuts[g]], sums
         a = g
@@ -807,9 +863,11 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
     is within _AMP_TOL / 4 of max|S|, so that the three errors add up to
     at most _AMP_TOL, and nothing but exact zeros is dropped at
     _AMP_TOL = 0.  The rows are Sigma_k V_k^H and the basis is the lam
-    basis times U_k.  Each panel's part of the rows reaches its radii by
-    real barycentric products, one per chunk of ``_RADII_BLOCK`` of its
-    radii (the last chunk holding the rest), taken when a chunk is first
+    level's Chebyshev rows at the lam nodes times the coefficients of
+    U_k.  Each panel's part of the rows reaches its radii by real
+    products, the Chebyshev rows of a chunk of ``_RADII_BLOCK`` of its
+    radii (the last chunk holding the rest) times the (re, im) pairs of
+    the panel's coefficients, taken when a chunk is first
     asked for and kept until another one is: a row is the same bits
     whatever index array asks for it, and no array of k rows at every
     radius is formed.  On a tail-free end psi = 0 and A does not depend
@@ -861,20 +919,23 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
                               finer=table)
     del pre, table
     if samples is None:   # the lam nodes themselves: the identity basis
-        samples, basis, spread = amplitude(lam, nodes), None, 1.0
+        samples, level, spread = amplitude(lam, nodes), None, 1.0
     else:
-        basis = energies.basis(samples.shape[0], lam)
-        spread = _Lobatto.lebesgue(samples.shape[0])
+        level = samples.shape[0]
+        spread = _Lobatto.lebesgue(level)
     # the numerical rank: dropped triplets move A by <= sigma_k spread lebesgue
     u, sigma, vh = np.linalg.svd(samples, full_matrices=False)
     k = np.count_nonzero(sigma * (spread * lebesgue)
                          > 0.25 * _AMP_TOL * np.max(np.abs(samples)))
-    basis = u[:, :k] if basis is None else basis @ u[:, :k]
+    basis = u[:, :k]
+    if level is not None:   # U_k's coefficients, at the lam nodes
+        basis = energies.rows(level, lam).T @ (_Lobatto.coefficients(level) @ basis)
     samples = sigma[:k, None] * vh[:k]
 
     # each panel's radii in chunks of _RADII_BLOCK (the last one holds the
-    # rest); a chunk's rows are one real product, its basis times the (re,
-    # im) pairs of the panel's samples, or the samples at the radii
+    # rest); a chunk's rows are one real product, its Chebyshev rows times
+    # the (re, im) pairs of the panel's coefficients, or the samples at the
+    # radii
     chunks, chunk_of, start = [], np.empty(r.size, dtype=np.intp), 0
     for i, (cols, n) in enumerate(panels):
         own = samples[:, start:start + (n or cols.size)]
@@ -883,12 +944,12 @@ def _amplitude_factors(prof, r_lam: float, lam: np.ndarray, r: np.ndarray,
             chunk_of[cols] = len(chunks)
             chunks.append((cols, lambda own=own: own))
             continue
-        pairs = own.T.copy().view(np.float64)
+        pairs = _Lobatto.coefficients(n) @ own.T.copy().view(np.float64)
         cuts = np.arange(_RADII_BLOCK, cols.size - _RADII_BLOCK + 1, _RADII_BLOCK)
         for part in np.split(cols, cuts):
             chunk_of[part] = len(chunks)
             chunks.append((part, lambda span=spans[i], n=n, xs=x[part], pairs=pairs:
-                           (span.basis(n, xs) @ pairs).view(complex).T))
+                           (span.rows(n, xs).T @ pairs).view(complex).T))
     kept = [-1, None]   # the chunk last carried to its radii, and its rows
 
     def rows_at(idx):

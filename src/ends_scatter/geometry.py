@@ -549,9 +549,15 @@ def _psi(prof, r_lam: float, lam_lo: float, lam: np.ndarray,
     b2 = 2.0 * (lam - lam0)[:, None, None]
 
     def integrand(s):
+        # eta * -2 tail / (sqrt(max(b2 - 2 tail, 0)) + sqrt(b2)) in that
+        # order, in one array of the integrand's shape where the
+        # expression would make five
         tail = prof.tail(s)
-        return eta(s, r_lam) * -2.0 * tail / (
-            np.sqrt(np.maximum(b2 - 2.0 * tail, 0.0)) + np.sqrt(b2))
+        out = b2 - 2.0 * tail
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        out += np.sqrt(b2)
+        return np.divide(eta(s, r_lam) * -2.0 * tail, out, out=out)
 
     a, out = edges[-1], np.empty((lam.size, r.size))
     inner, outer = np.flatnonzero(r <= a), np.flatnonzero(r > a)

@@ -267,12 +267,13 @@ def test_plane_wave_sums_match_the_node_sum(monkeypatch, n_col, sign, layout):
     radius with eta = 0 (left at 0).  'broken' moves one radius off the
     run's spacing, so its span and the next need bases of their own.
     'short' keeps every 100th radius: 20 live radii, fewer than the 23
-    offset nodes the budget needs, so the exact sum with no basis formed.
+    offset nodes the budget needs, so the exact sum with no Chebyshev
+    rows formed.
     'zero tolerance' is the run with ``_PHASE_TOL`` = 0, which no node
     count meets: the search stops at the largest span's radius count, and
     the sum is exact.  'long ramp' puts 1200 radii on the ramp.  'two
     spacings' follows the run by a stretch whose spacing is 1e-7 larger:
-    its spans hold as many radii as the run's, and the basis must not be
+    its spans hold as many radii as the run's, and the rows must not be
     reused across the change.  'one lam' has a single lam node (b_max =
     b_min, so one span over the whole E range), and 'one E' puts every
     live radius at one E (L = 0: the exact sum).  The blocks are
@@ -309,9 +310,9 @@ def test_plane_wave_sums_match_the_node_sum(monkeypatch, n_col, sign, layout):
         monkeypatch.setattr(dynamics, "_offset_bound", lambda *args:
                             bounds.append(args) or offset_bound(*args))
     if layout in ("short", "one E", "zero tolerance"):
-        def no_basis(*args):
+        def no_rows(*args):
             raise AssertionError("an interpolant where the sum is exact")
-        monkeypatch.setattr(dynamics._Lobatto, "basis", no_basis)
+        monkeypatch.setattr(dynamics._Lobatto, "rows", no_rows)
     got = np.zeros((n_col, r.size), dtype=complex)
     held = []
     for k, sums in dynamics._plane_wave_blocks(eta_r, e_of_r, b_lam, wts, sign):
@@ -708,6 +709,36 @@ def test_one_row_of_q1_serves_every_radius_bit_for_bit(monkeypatch, max_iter):
         assert getattr(one, field).tobytes() == getattr(every, field).tobytes()
 
 
+def test_kernel_sums_are_the_two_lane_sums_bit_for_bit():
+    """At max_iter = 0 the kernel's T, T' and int b at the start energies
+    are, byte for byte, the sums of ``_stationary.c`` taken in numpy in the
+    kernel's order: per row, the even samples in lane 0 and the odd ones
+    in lane 1, each lane summed in order, the lanes added last, then
+    times the half-length (T' negated).  The rows are C's tail, 48 Gauss
+    samples each, so no sample is left for lane 0 alone.  Every operation
+    is correctly rounded, the square root too, whether the build takes
+    the lanes' roots in one vector instruction or in two calls."""
+    model = model_c()
+    r1 = model.r_lambda(0.3)
+    rs = np.linspace(r1 + 1.0, r1 + 300.0, 50)
+    half, q1_gl = dynamics._gauss_q1(model, 0, rs, r1)
+    start = np.linspace(0.31, 0.9, rs.size)
+    _, tt, dt, b, passes = dynamics._stationary_rows(half, q1_gl, start, 40.0,
+                                                     0.3, max_iter=0)
+    w = dynamics._GL_WEIGHTS
+    st, sd, sb = np.zeros((3, rs.size, 2))
+    for j in range(0, w.size, 2):
+        s = np.sqrt(2.0 * (start[:, None] - q1_gl[:, j:j + 2]))
+        inv = 1.0 / s
+        st += w[j:j + 2] * inv
+        sd += w[j:j + 2] * (inv * inv * inv)
+        sb += w[j:j + 2] * s
+    assert np.all(passes == 1)
+    assert tt.tobytes() == (half * (st[:, 0] + st[:, 1])).tobytes()
+    assert dt.tobytes() == (-(half * (sd[:, 0] + sd[:, 1]))).tobytes()
+    assert b.tobytes() == (half * (sb[:, 0] + sb[:, 1])).tobytes()
+
+
 def _run_in_reference(model, sf, idx):
     """The run-in phase of eikonal's K at the radii ``idx``: int_{r0}^{r1}
     eta_lambda (2 (lam_c - q1))^{1/2} by scipy's adaptive quadrature,
@@ -757,8 +788,8 @@ def test_eikonal_run_in_offset_is_exact_at_the_rank_cap(monkeypatch):
 
 @pytest.mark.parametrize("kind", [float, complex])
 def test_level_check_decides_as_the_complex_moduli(kind):
-    """The real-arithmetic level check against max|basis @ vals - new| <=
-    tol max|new| in complex arithmetic, on samples of a smooth function
+    """The real-arithmetic level check against max|check @ vals - new| <=
+    tol max|new| in complex arithmetic (check the level's matrix), on samples of a smooth function
     over 3000 columns, accepted or refused far from the tolerance, also
     scaled by 2^600 and 2^-600 (whose squares would overflow and
     underflow), and a NaN among the samples fails."""
@@ -776,7 +807,7 @@ def test_level_check_decides_as_the_complex_moduli(kind):
         x = np.cos(np.pi * np.arange(n) / (n - 1))
         y = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
         vals, new = fn(x), fn(y)
-        err = np.max(np.abs(dynamics._Lobatto(-1.0, 1.0).basis(n, y).astype(complex)
+        err = np.max(np.abs(dynamics._Lobatto._check_matrix(n).astype(complex)
                             @ vals - new))
         want = bool(err <= tol * np.max(np.abs(new)))
         assert want == accept
@@ -819,30 +850,67 @@ def test_levels_read_from_a_finer_level_and_stop_at_the_cap():
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 3.0, 4.0])
 def test_offset_bound_holds_up_to_the_certified_count(omega):
     """The interpolant of e^{i w x}, w = +-omega, in n Lobatto points,
-    evaluated at 1e4 points of [-1, 1], is within the bound for every n
-    from 2 to the fewest certified, up to the rounding of barycentric
-    evaluation: (3n + 4) u Lambda_n + (3n + 2) u Lambda_n for unit
-    samples (Higham, IMA J. Numer. Anal. 24, 2004), plus Lambda_n u for
-    the samples' own rounding.  That allowance matters only near the
+    evaluated from its Chebyshev coefficients at 1e4 points of [-1, 1],
+    is within the bound for every n from 2 to the fewest certified, up to
+    the rounding of that evaluation for unit samples, with x = omega/2:
+    each coefficient is a sum of n terms whose weights add to at most 2,
+    so it is within 2 (n + 8) u in each of its real and imaginary parts
+    (8 u for the rounded cosines of the DCT-I matrix), and n of them meet
+    rows |T_k| <= 1; the recurrence's rows are within 3/2 k^2 u of T_k,
+    weighed by |c_k| <= 2 x^k/k! (the bound's own Jacobi-Anger estimate),
+    which sums to 3 e^x (x^2 + x) u; and the sum of the n products adds
+    n u sum_k |c_k| <= 2 n e^x u.  That allowance matters only near the
     certified count, where the bound (5e-16 at omega = 0.5) is below the
-    rounding measured (9e-16); below it the bound is within 1.4 times the
-    error.  At the certified count the error is within _PHASE_TOL."""
+    rounding measured (8e-16, at most 8.5 u above the bound); below it
+    the bound is within 1.4 times the error.  At the certified count the
+    error is within _PHASE_TOL (8e-16 to 5.2e-15 measured)."""
     unit = dynamics._Lobatto(-1.0, 1.0)
     x = np.linspace(-1.0, 1.0, 10**4)
     u = np.finfo(float).eps / 2.0
+    half = 0.5 * omega
     n = 2
     while True:
         bound = dynamics._offset_bound(omega, n)
-        rounding = (6 * n + 7) * u * dynamics._Lobatto.lebesgue(n)
-        basis = unit.basis(n, x)
+        rounding = u * (2.0 * np.sqrt(2.0) * n * (n + 8)
+                        + (3.0 * half * (half + 1.0) + 2.0 * n) * np.exp(half))
+        rows = unit.rows(n, x).T
         for w in (omega, -omega):
-            err = np.max(np.abs(basis @ np.exp(1j * w * unit.points(n))
-                                - np.exp(1j * w * x)))
+            coef = dynamics._Lobatto.coefficients(n) @ np.exp(1j * w * unit.points(n))
+            err = np.max(np.abs(rows @ coef - np.exp(1j * w * x)))
             assert err <= bound + rounding
         if bound < dynamics._PHASE_TOL:
             break
         n += 1
     assert err <= dynamics._PHASE_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 23, 33, 65])
+def test_lobatto_coefficients_and_rows_match_numpy_chebyshev(n):
+    """The coefficients of samples at the n Lobatto points of [0.3, 2]
+    (three columns, one complex) are numpy's least-squares ``chebfit`` of
+    them at degree n - 1, which interpolates, within 4 n u of the largest
+    sample (each is a sum of n terms whose weights add to at most 2;
+    16 u measured at n = 65); at 1000 random points of the interval the
+    rows times them, and Clenshaw's recurrence on the real columns, are
+    ``chebval`` (Clenshaw's recurrence in numpy) within 4 n u sum |c_k|
+    (7 u measured)."""
+    from numpy.polynomial import chebyshev
+
+    levels = dynamics._Lobatto(0.3, 2.0)
+    u = np.finfo(float).eps / 2.0
+    x = levels.points(n)
+    f = np.stack([np.exp(np.sin(3.0 * x)), np.cos(7.0 * x) + 1j * np.exp(-x),
+                  1.0 / (1.0 + x * x)], axis=1)
+    coef = dynamics._Lobatto.coefficients(n) @ f
+    fit = chebyshev.chebfit((x - 1.15) / 0.85, f, n - 1)
+    assert np.max(np.abs(coef - fit)) <= 4 * n * u * np.max(np.abs(f))
+    xr = np.random.default_rng(n).uniform(0.3, 2.0, 1000)
+    want = chebyshev.chebval((xr - 1.15) / 0.85, coef)
+    tol = 4 * n * u * np.sum(np.abs(coef), axis=0)
+    assert np.all(np.max(np.abs(levels.rows(n, xr).T @ coef - want.T), axis=0) <= tol)
+    for k in (0, 2):
+        assert (np.max(np.abs(levels.clenshaw(coef[:, k].real, xr) - want[k]))
+                <= tol[k])
 
 
 @pytest.mark.parametrize("preset", ["A", "C"])
@@ -855,9 +923,9 @@ def test_benchmark_windows_take_23_offset_nodes(monkeypatch, preset):
     model = {"A": model_a, "C": model_c}[preset]()
     prof = model.ends[0]
     counts = []
-    basis = dynamics._Lobatto.basis
-    monkeypatch.setattr(dynamics._Lobatto, "basis", lambda self, n, x:
-                        counts[-1].add(n) or basis(self, n, x))
+    rows = dynamics._Lobatto.rows
+    monkeypatch.setattr(dynamics._Lobatto, "rows", lambda self, n, x:
+                        counts[-1].add(n) or rows(self, n, x))
     for center in (0.52, 0.58):
         h = SpectralProfile.bump_profile(center=center, width=0.25)
         r_lam = model.r_lambda(h.lam_lo)
@@ -973,7 +1041,7 @@ def test_comparison_state_holds_the_samples_and_one_more_level(
     three quarters of its amplitude at the radii at the accepted lam level,
     an array it never forms: the amplitude's rows are taken a block of
     radii at a time, at its numerical rank (12 of the 33 rows), and the
-    levels are checked on the panels' nodes.  0.70 times measured; 0.98
+    levels are checked on the panels' nodes.  0.60 times measured; 0.98
     times while the rank-k rows were held at every radius, 1.82 times with
     all 33 rows, 2.26 times while the next level was checked at every
     radius, 3.85 times before the radii were blocked."""
