@@ -21,8 +21,10 @@ where it is read; refused before any march: a grid that
 ``ModeOperator.check_resolution`` finds too coarse for the run's
 largest energy, in ``resolvent``, ``smatrix`` and ``transmission``, and
 a lowest energy with no r_lambda; an empty time ladder for ``dynamics``
-and ``transmission``, one of fewer than two times for ``waveop``), 3
-numerical non-convergence: the exit code of every report is 0 if its
+and ``transmission``, one of fewer than two times for ``waveop``, or one
+whose grids exceed the ``[grid]`` cap of 5e6 points; an r0 outside
+[2, 2048]), 3 numerical non-convergence (a step count beyond the Pade
+kernel's int64 too): the exit code of every report is 0 if its
 ``converged`` is true and 3 otherwise.
 
 What no call changes is built once: the argument parser at the first
@@ -56,10 +58,10 @@ import numpy as np
 from . import __version__, _clib
 from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, parse_run_value)
-from .dynamics import (SpectralProfile, comparison_state, leading_term,
-                       state_norm)
+from .dynamics import (SpectralProfile, comparison_state, dynamics_grid,
+                       leading_term, state_norm)
 from .fourier import _extraction_windows, scattering_sweep
-from .geometry import classify_potential
+from .geometry import _MAX_POINTS, classify_potential
 from .mode_reduction import ModeOperator, RadialGrid
 from .oracle import closed_form_scattering
 from .presets import _CATALOGUE
@@ -157,33 +159,30 @@ def _profile(cfg: ExperimentConfig) -> SpectralProfile:
     h = SpectralProfile.bump_profile(
         end=run.end - 1, m=run.mode,
         center=lam0 + run.profile_center, width=run.profile_width)
-    _r_lambda(cfg.model, h.lam_lo)
+    _refused("", cfg.model.r_lambda, h.lam_lo)
     return h
 
 
-def _r_lambda(model, lam: float) -> float:
-    """``model.r_lambda(lam)``, a refusal of which is a configuration error."""
+def _refused(where: str, fn, *args):
+    """``fn(*args)``, its ValueError raised as a ConfigError after ``where``."""
     try:
-        return model.r_lambda(lam)
+        return fn(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _check_resolution(ops, lam_max: float) -> None:
     """Refuse, as a configuration error, a grid too coarse for the run's
     largest energy on any mode it marches or propagates."""
     for op in ops:
-        try:
-            op.check_resolution(lam_max)
-        except ValueError as exc:
-            raise ConfigError(f"mode {op.m}: {exc}") from None
+        _refused(f"mode {op.m}: ", op.check_resolution, lam_max)
 
 
 def _check_windows(model, grid: RadialGrid, lams) -> None:
     """Refuse, as a configuration error and before any march, an energy
     whose boundary limits find no extraction window on ``grid``."""
     for lam in lams:
-        r_lam = _r_lambda(model, lam)
+        r_lam = _refused("", model.r_lambda, lam)
         if not all(_extraction_windows(grid, end, r_lam)[2] for end in (0, 1)):
             raise ConfigError(
                 f"no extraction window at lambda={lam:g}: its windows start "
@@ -205,6 +204,9 @@ def _propagation_operator(model, h: SpectralProfile, t_max: float,
     holds the outgoing front of ``h`` up to time ``t_max``."""
     lam_hi = h.lam_hi - model.ends[h.end].lambda0
     rmax = model.r0 + 1.3 * t_max * float(np.sqrt(2.0 * lam_hi)) + 15.0
+    if rmax / _PROPAGATION_DX > _MAX_POINTS:
+        raise ConfigError(f"[run] t_grid: the grid to t = {t_max:g} would "
+                          f"hold more than {_MAX_POINTS:g} points")
     return ModeOperator(model, RadialGrid(max(rmin, rmax), _PROPAGATION_DX),
                         h.m)
 
@@ -257,7 +259,7 @@ def _cmd_resolvent(cfg: ExperimentConfig, args, out_dir):
 
     lams = [float(lam0 + lam) for lam in run.lambdas]
     _check_resolution([op], max(lams))
-    _r_lambda(model, min(lams))
+    _refused("", model.r_lambda, min(lams))
     setup, = jost_setups([op])
     entries = []
     for lam in lams:
@@ -317,6 +319,8 @@ def _cmd_dynamics(cfg: ExperimentConfig, args, out_dir):
     _check_ladder(cfg.run, 1)
     model, run = cfg.model, cfg.run
     h = _profile(cfg)
+    # the ladder's last time has its largest grid: refused before any work
+    _refused("[run] t_grid: ", dynamics_grid, model, h, run.t_grid[-1])
     h_norm = h.norm()
     entries, fits = [], []
     for t in run.t_grid:

@@ -59,8 +59,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import EndProfile, ManifoldModel
-from .presets import _CATALOGUE, by_name
+from .geometry import EndProfile, ManifoldModel, _MAX_POINTS, _check_r0
+from .presets import _CATALOGUE, _square_barrier, by_name
 
 __all__ = [
     "ConfigError",
@@ -88,7 +88,7 @@ class GridConfig:
     def validate(self) -> None:
         if self.rmax <= 0 or self.dx <= 0:
             raise ConfigError("[grid] rmax and dx must be positive")
-        if self.rmax / self.dx > 5e6:
+        if self.rmax / self.dx > _MAX_POINTS:
             raise ConfigError("[grid] more than 5e6 points requested")
         if self.mmax < 0:
             raise ConfigError("[grid] mmax must be >= 0")
@@ -294,17 +294,10 @@ def _build_potential(sec, r0: float, base: str):
             v0, half_width = (float(tok) for tok in arg.split(","))
         except ValueError:
             raise ConfigError("[potential] core = square: V0, HALF_WIDTH")
-        if not 0 < half_width <= r0 / 2.0:
-            raise ConfigError(
-                "[potential] square barrier must fit inside |x| <= r0/2")
-        if not math.isfinite(v0):
-            raise ConfigError("[potential] square barrier height must be finite")
-
-        def v_sq(x, _v=v0, _a=half_width):
-            x = np.asarray(x, dtype=float)
-            return np.where(np.abs(x) <= _a, _v, 0.0)
-
-        bps = (-half_width, half_width)
+        try:
+            v_sq, bps = _square_barrier(v0, half_width, r0)
+        except ValueError as exc:
+            raise ConfigError(f"[potential] {exc}") from None
 
     if table is None:
         return v_sq, bps
@@ -359,8 +352,10 @@ def parse_config(text: str, base: str = ".") -> ExperimentConfig:
         raise ConfigError("missing [model] section")
     msec = cp["model"]
     r0 = _get(msec, "r0", 2.0)
-    if r0 < 2.0:
-        raise ConfigError("[model] r0 must be >= 2")
+    try:
+        _check_r0(r0)
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from None
 
     preset = msec.get("preset")
     if preset is not None:

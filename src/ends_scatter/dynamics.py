@@ -111,9 +111,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import _clib
-from .geometry import (CubicSpline, ManifoldModel, _BLOCK, _RAMP_PANELS,
-                       _cutoff_length, _from_edge, _panel_edges, _psi,
-                       _tail_series, bump, eta, numeric_derivative)
+from .geometry import (CubicSpline, ManifoldModel, _BLOCK, _MAX_POINTS,
+                       _RAMP_PANELS, _cutoff_length, _from_edge, _panel_edges,
+                       _psi, _tail_series, bump, eta, numeric_derivative)
 
 __all__ = [
     "SpectralProfile",
@@ -226,11 +226,15 @@ def dynamics_grid(model: ManifoldModel, h: SpectralProfile,
                   t: float) -> np.ndarray:
     """Uniform radial grid [r0/2, ...] with spacing at most 0.02 (the node
     count is rounded up), wide enough to hold the outgoing front of ``h``
-    at time t, launched from the anchor r_lambda(lam_lo) > r0."""
+    at time t, launched from the anchor r_lambda(lam_lo) > r0; refused
+    (ValueError) beyond _MAX_POINTS nodes, before it is allocated."""
     lam_hi = h.lam_hi - model.ends[h.end].lambda0
     rmax = (model.r_lambda(h.lam_lo)
             + _PAD * t * math.sqrt(2.0 * max(lam_hi, 0.1)) + 10.0)
     n = int(math.ceil((rmax - model.r0 / 2.0) / _DR))
+    if n > _MAX_POINTS:
+        raise ValueError(f"the dynamics grid at t = {t:g} would hold more "
+                         f"than {_MAX_POINTS:g} radii")
     return np.linspace(model.r0 / 2.0, rmax, n + 1)
 
 

@@ -53,6 +53,8 @@ __all__ = [
 
 # r_lambda: the largest r_lambda accepted
 _RMAX_R_LAMBDA = 4096.0
+# the most points (rmax / dx, or dynamics_grid's nodes) one grid may take
+_MAX_POINTS = 5e6
 # classify_potential: class margin of the decay exponent
 _CLASS_EPS = 0.1
 # elements of one work array: (lam x r) of the comparison dynamics'
@@ -145,7 +147,7 @@ def numeric_derivative(fn: Callable, r, order: int = 1):
 
 @dataclass
 class EndProfile:
-    """One end of the surface.
+    """One end of the surface (or, without a tail, the model's core).
 
     ``g``, ``gp``, ``gpp`` are log f and its first two derivatives as
     vectorized callables of the radial coordinate; ``lambda0`` is the
@@ -210,7 +212,7 @@ class EndProfile:
         return np.exp(self.g(r))
 
     def q_geo(self, r):
-        """Curvature part of the effective potential on this end."""
+        """Curvature part of the effective potential on this piece."""
         return 0.25 * self.gpp(r) + 0.125 * self.gp(r) ** 2
 
     # -- constructors -------------------------------------------------------
@@ -278,13 +280,24 @@ class EndProfile:
 # glued two-ended model
 # ---------------------------------------------------------------------------
 
+def _check_r0(r0: float) -> None:
+    """Refuse (ValueError) a glue radius r0 outside [2, _RMAX_R_LAMBDA/2]."""
+    if not r0 >= 2.0:
+        raise ValueError("r0 must be >= 2")
+    if not r0 <= _RMAX_R_LAMBDA / 2.0:
+        raise ValueError("r0 must be <= 2048: every r_lambda is at least "
+                         "2 r0, and at most 4096")
+
+
 class ManifoldModel:
     """Two end profiles glued over the core |x| <= r0/2.
 
     End 0 lives on x > 0 (r = x), end 1 on x < 0 (r = -x).  The log-warp
     g(x) is the end value outside the core and a degree-9 Hermite
     interpolant (matching value and four derivatives at +-r0/2) inside,
-    so f is C^4 across the glue and exact on the ends.
+    so f is C^4 across the glue and exact on the ends.  The core is an
+    :class:`EndProfile` of that polynomial, and W_m is glued once: each
+    piece evaluates its own (:meth:`w_mode`).
     """
 
     def __init__(self, ends: Sequence[EndProfile], r0: float = 2.0,
@@ -293,8 +306,7 @@ class ManifoldModel:
                  name: str = "model"):
         if len(ends) != 2:
             raise ValueError("ManifoldModel glues exactly two ends")
-        if r0 < 2.0:
-            raise ValueError("r0 must be >= 2")
+        _check_r0(r0)
         for end in ends:
             if end.tail_amplitude != 0.0 and end.tail_r0 != r0:
                 raise ValueError(
@@ -305,9 +317,8 @@ class ManifoldModel:
         self.v_core = v_core
         self.core_breakpoints = tuple(core_breakpoints)
         self.name = name
-        self._core_poly = self._fit_core()
-        self._core_dpoly = self._core_poly.deriv(1)
-        self._core_ddpoly = self._core_poly.deriv(2)
+        poly = self._fit_core()
+        self._core = EndProfile("core", poly, poly.deriv(1), poly.deriv(2))
 
     # -- core glue ----------------------------------------------------------
 
@@ -317,7 +328,6 @@ class ManifoldModel:
         # potentials are C^2 across the glue).  Higher derivatives of the
         # profiles are taken by differencing gpp.
         w = self.r0 / 2.0
-        e0, e1 = self.ends
 
         def jet(end: EndProfile):
             g3 = numeric_derivative(end.gpp, np.array([w]))[0]
@@ -325,85 +335,57 @@ class ManifoldModel:
             return [float(end.g(w)), float(end.gp(w)), float(end.gpp(w)),
                     float(g3), float(g4)]
 
-        jr = jet(e0)
-        jl = jet(e1)
-        jl = [v * (-1.0) ** k for k, v in enumerate(jl)]  # chain rule, r = -x
-        deg = 10
-        A = []
-        rhs = []
-        for xx, vals in ((-w, jl), (w, jr)):
-            for k, v in enumerate(vals):
-                row = [
-                    math.factorial(n) / math.factorial(n - k) * xx ** (n - k) if n >= k else 0.0
-                    for n in range(deg)
-                ]
-                A.append(row)
-                rhs.append(v)
-        coef = np.linalg.solve(np.asarray(A), np.asarray(rhs))
+        # the rows of x^n's k-th derivative at -w (end 1, whose jet takes
+        # (-1)^k by the chain rule, r = -x), then at w (end 0)
+        rows = [[math.factorial(n) / math.factorial(n - k) * xx ** (n - k)
+                 if n >= k else 0.0 for n in range(10)]
+                for xx in (-w, w) for k in range(5)]
+        left = [v * (-1.0) ** k for k, v in enumerate(jet(self.ends[1]))]
+        coef = np.linalg.solve(np.asarray(rows),
+                               np.asarray(left + jet(self.ends[0])))
         return np.polynomial.Polynomial(coef)
 
-    def _piecewise(self, x, fns_right, fns_left, fn_core):
+    def _piecewise(self, x, fn):
+        """fn(piece, side, r) at each x, r = side x on its piece: end 0
+        (x >= r0/2), end 1 (x <= -r0/2, side -1) or the core."""
         x = np.asarray(x, dtype=float)
         w = self.r0 / 2.0
         out = np.empty_like(x)
-        right = x >= w
-        left = x <= -w
-        core = ~(right | left)
-        if np.any(right):
-            out[right] = fns_right(x[right])
-        if np.any(left):
-            out[left] = fns_left(-x[left])
-        if np.any(core):
-            out[core] = fn_core(x[core])
+        right, left = x >= w, x <= -w
+        for mask, piece, side in ((right, self.ends[0], 1.0),
+                                  (left, self.ends[1], -1.0),
+                                  (~(right | left), self._core, 1.0)):
+            if np.any(mask):
+                out[mask] = fn(piece, side, side * x[mask])
         return out
 
     def g(self, x):
-        e0, e1 = self.ends
-        return self._piecewise(x, e0.g, e1.g, self._core_poly)
-
-    def gp(self, x):
-        e0, e1 = self.ends
-        return self._piecewise(x, e0.gp, lambda r: -np.asarray(e1.gp(r)), self._core_dpoly)
-
-    def gpp(self, x):
-        e0, e1 = self.ends
-        return self._piecewise(x, e0.gpp, e1.gpp, self._core_ddpoly)
+        return self._piecewise(x, lambda piece, side, r: piece.g(r))
 
     def f(self, x):
         return np.exp(self.g(x))
 
     # -- potentials ---------------------------------------------------------
 
-    def q_geo(self, x):
-        """Curvature part of the effective potential, everywhere on the line."""
-        return 0.25 * self.gpp(x) + 0.125 * self.gp(x) ** 2
-
-    def potential(self, x):
-        """Total potential V(x): per-end tails (cut off outside the core)
-        plus the compactly supported core term."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for side, end in zip((1.0, -1.0), self.ends):
-            if end.tail_amplitude == 0.0:
-                continue
-            mask = side * x > 0
-            if np.any(mask):
-                out[mask] += end.tail(side * x[mask])
-        if self.v_core is not None:
-            out = out + self.v_core(x)
-        return out
-
     def q(self, x):
-        return self.q_geo(x) + self.potential(x)
+        """The potential q = q_geo + V of the operator: W_0."""
+        return self.w_mode(0, x)
 
     def w_mode(self, m: int, x):
-        """Reduced 1-d potential of the angular mode m: q plus the
-        centrifugal term m^2 e^{-2g} / 2, which m = 0 leaves out (where f
-        underflows, e^{-2g} is inf and 0 * inf would read NaN)."""
-        if m == 0:
-            return self.q(x)
-        x = np.asarray(x, dtype=float)
-        return self.q(x) + 0.5 * m**2 * np.exp(-2.0 * self.g(x))
+        """W_m = q_geo + (tail + v_core) + m^2 e^{-2g} / 2 of the angular
+        mode m, each piece's own at its coordinate r; the core term counts
+        on every piece, and m = 0 leaves the centrifugal term out (where f
+        underflows, 0 * inf would read NaN)."""
+        v_core, c = self.v_core, 0.5 * m**2
+
+        def w(piece: EndProfile, side: float, r):
+            v = piece.tail(r) if piece.tail_amplitude != 0.0 else None
+            if v_core is not None:
+                v = v_core(side * r) if v is None else v + v_core(side * r)
+            out = piece.q_geo(r) if v is None else piece.q_geo(r) + v
+            return out + c * np.exp(-2.0 * piece.g(r)) if m else out
+
+        return self._piecewise(x, w)
 
     # -- spectral bookkeeping ----------------------------------------------
 

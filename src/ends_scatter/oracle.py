@@ -126,7 +126,8 @@ def dense_hamiltonian_2d(model: ManifoldModel, rmax: float, nx: int, ntheta: int
 
     with the 5-point stencil in x (its rows truncated at +-rmax, Dirichlet
     outside: the discretization of ``ModeOperator``) and the periodic
-    3-point stencil in theta.  Grid capped at 200 x 64 points.
+    3-point stencil in theta, q_geo + V read as the glued ``model.q``.
+    Grid capped at 200 x 64 points.
 
     Returns (H, x, theta) with H of shape (nx*ntheta, nx*ntheta),
     row-major over (i_x, j_theta).
@@ -140,7 +141,7 @@ def dense_hamiltonian_2d(model: ManifoldModel, rmax: float, nx: int, ntheta: int
     dth = 2.0 * np.pi / ntheta
     theta = dth * np.arange(ntheta)
 
-    w_rad = model.q_geo(x) + model.potential(x)
+    w_rad = model.q(x)
     inv_2f2 = 0.5 * np.exp(-2.0 * model.g(x))
 
     # radial part: (-1/2) D2_x  kron  I_theta, D2_x the 5-point stencil

@@ -45,22 +45,31 @@ def model_c(r0: float = 2.0, amplitude: float = 1.0, power: float = 0.8) -> Mani
     return ManifoldModel([e0, EndProfile.euclidean()], r0=r0, name="C")
 
 
+def _square_barrier(v0: float, half_width: float, r0: float):
+    """(v_core, breakpoints) of height v0 on |x| <= half_width; refused
+    (ValueError) unless it fits in the core |x| <= r0/2 with v0 finite."""
+    if not 0 < half_width <= r0 / 2.0:
+        raise ValueError("square barrier must fit inside |x| <= r0/2")
+    if not np.isfinite(v0):
+        raise ValueError("square barrier height must be finite")
+
+    def well(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= half_width, v0, 0.0)
+
+    return well, (-half_width, half_width)
+
+
 def model_d(r0: float = 2.0, v0: float = 1.5, half_width: float = 1.0) -> ManifoldModel:
     """Square barrier of height v0 on |x| <= half_width between two flat ends.
 
     Flat ends keep the background exactly free, so the transfer-matrix
     closed form applies verbatim; the barrier sits inside the core.
     """
-    if half_width > r0 / 2.0:
-        raise ValueError("barrier must fit inside the core |x| <= r0/2")
-
-    def well(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= half_width, v0, 0.0)
-
+    well, bps = _square_barrier(v0, half_width, r0)
     m = ManifoldModel(
         [EndProfile.flat(), EndProfile.flat()], r0=r0,
-        v_core=well, core_breakpoints=(-half_width, half_width), name="D")
+        v_core=well, core_breakpoints=bps, name="D")
     m.barrier = {"v0": v0, "half_width": half_width}
     return m
 

@@ -95,7 +95,9 @@ def _pade_steps(factors, x: np.ndarray, n_steps: int) -> None:
     state of shape (n,), or two as the columns of an (n, 2) array, each
     stepped as it would be alone.  ``factors`` holds (first sweep, second
     sweep, gain) per Cayley factor, each sweep its (a2, a1) coefficients
-    packed per row."""
+    packed per row.  A count ctypes would wrap into int64 is refused."""
+    if not 0 <= n_steps < 2**63:
+        raise ValueError("the Pade kernel takes 0 to 2^63 - 1 steps")
     n = factors[0][0].shape[0]
     pointers = []
     for f, (first, second, gain) in enumerate(factors):
@@ -165,9 +167,9 @@ class Propagator:
     def step(self, psi: np.ndarray, n: int = 1) -> np.ndarray:
         """n steps of one state psi of shape (N,), or of two states as the
         columns of an (N, 2) array in one kernel call, each column bit
-        for bit the state stepped alone (any other shape raises
-        ValueError).  Where the CPU has AVX, two columns cost about as
-        much as one.  Returns a new array."""
+        for bit the state stepped alone (any other shape, and an n outside
+        [0, 2^63 - 1], raises ValueError).  Where the CPU has AVX, two
+        columns cost about as much as one.  Returns a new array."""
         out = np.array(psi, dtype=complex, order="C")
         _pade_steps(self._factors, out, n)
         return out

@@ -617,6 +617,59 @@ def test_waveop_under_resolved_grid_is_a_config_error(tmp_path, monkeypatch):
     assert "too coarse for lam=400.25:" in rep["error"]
 
 
+def test_waveop_refuses_a_step_count_beyond_int64(tmp_path):
+    """At dt = 1e-300 the gap 1e-4 asks for about 1e296 steps, which the
+    kernel's int64 would wrap (the run used to exit 0 having propagated
+    nothing); it exits 3 like a dt too large for the operator."""
+    cfg = tmp_path / "tiny-dt.cfg"
+    cfg.write_text("[model]\npreset = free\n\n[grid]\nrmax = 10\n\n"
+                   "[run]\ndt = 1e-300\n")
+    code, rep = run(["waveop", "--config", str(cfg), "--t-grid",
+                     "10,10.0001"], tmp_path, "waveop")
+    assert code == 3 and rep["converged"] is False
+    assert "0 to 2^63 - 1 steps" in rep["error"]
+
+
+@pytest.mark.parametrize("command, ladder", [
+    ("dynamics", "1e9"), ("waveop", "10,1e9"), ("transmission", "1e9")])
+def test_ladder_grids_over_the_point_cap_are_config_errors(
+        tmp_path, monkeypatch, command, ladder):
+    """A time ladder to t = 1e9 would size a grid of about 1e11 points
+    (dynamics used to exit 1 with a MemoryError); it is refused under the
+    cap of [grid] before any grid is built."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the point cap")
+
+    for work in ("leading_term", "ModeOperator", "scattering_sweep"):
+        monkeypatch.setattr(cli, work, no_work)
+    code, rep = run([command, "--preset", "A", "--t-grid", ladder], tmp_path,
+                    command)
+    assert code == 2 and rep["converged"] is False
+    assert "more than 5e+06" in rep["error"] and "t_grid" in rep["error"]
+
+
+@pytest.mark.parametrize("r0, command", [
+    ("1e40", "model-check"), ("3000", "model-check"), ("3000", "oracle")])
+def test_r0_beyond_2048_is_a_config_error(tmp_path, r0, command):
+    """Beyond r0 = 2048 every r_lambda >= 2 r0 exceeds its cap of 4096:
+    r0 = 1e40 used to exit 1 (an OverflowError fitting the core) and
+    r0 = 3000 to exit 0 in the two subcommands that need no energy."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"[model]\npreset = A\nr0 = {r0}\n")
+    code, rep = run([command, "--config", str(cfg)], tmp_path, command)
+    assert code == 2
+    assert rep["error"] == ("[model] r0 must be <= 2048: every r_lambda is "
+                            "at least 2 r0, and at most 4096")
+
+
+def test_model_check_runs_at_r0_2048(tmp_path):
+    cfg = tmp_path / "widest.cfg"
+    cfg.write_text("[model]\npreset = A\nr0 = 2048\n")
+    code, rep = run(["model-check", "--config", str(cfg)], tmp_path,
+                    "model-check")
+    assert code == 0 and rep["r0"] == 2048.0
+
+
 def test_every_default_keeps_its_exit_code(tmp_path):
     """Each subcommand at each preset's defaults, run in process, exits
     with its code in ``tests/data/exit_codes.json`` (0 = converged, 2 =

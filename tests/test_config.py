@@ -59,7 +59,7 @@ def test_parse_full_config():
     # reference tail glued above the threshold
     assert abs(m.ends[0].q1(np.array([100.0]))[0] - 100.0**-0.8) < 1e-10
     # square core barrier
-    assert np.allclose(m.potential(np.array([0.0, 0.5, 1.0])), [1.2, 1.2, 0.0])
+    assert np.allclose(m.v_core(np.array([0.0, 0.5, 1.0])), [1.2, 1.2, 0.0])
     assert cfg.grid == GridConfig(30.0, 0.02, 1)
     assert cfg.run.lambda_grid == (0.4, 0.9, 5)
     assert cfg.run.t_grid == (5.0, 10.0, 20.0)
@@ -72,7 +72,7 @@ def test_parse_full_config():
 def test_preset_shortcut_overrides_ends():
     cfg = parse_config("[model]\npreset = D\n")
     assert cfg.model.name == "D"
-    assert cfg.model.potential(np.array([0.0]))[0] == 1.5
+    assert cfg.model.v_core(np.array([0.0]))[0] == 1.5
 
 
 @pytest.mark.parametrize("text,match", [

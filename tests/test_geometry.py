@@ -13,6 +13,7 @@ from ends_scatter.geometry import (CubicSpline, EndProfile, ManifoldModel,
                                    eta, numeric_derivative, phase_a, phase_b,
                                    phase_integral, riccati_residual,
                                    smooth_step)
+from ends_scatter.config import parse_config
 from ends_scatter.presets import (_CATALOGUE, model_a, model_b, model_c,
                                   model_d, model_free)
 
@@ -236,11 +237,15 @@ def test_cumulative_trapezoid_is_scipys_bit_for_bit(rng):
 
 @pytest.mark.parametrize("model", [model_a(), model_b(), model_c(), model_d()])
 def test_core_glue_smoothness(model):
+    """g, g' and g'' of the core polynomial meet each end's own at the
+    glue; on end 1, r = -x, so its g' enters with the sign flipped."""
     w = model.r0 / 2.0
-    for side in (-1.0, 1.0):
-        for fn in (model.g, model.gp, model.gpp):
-            inner = fn(np.array([side * (w - 1e-7)]))[0]
-            outer = fn(np.array([side * (w + 1e-7)]))[0]
+    core = model._core
+    for side, end in zip((1.0, -1.0), model.ends):
+        for k, (fc, fe) in enumerate(zip((core.g, core.gp, core.gpp),
+                                         (end.g, end.gp, end.gpp))):
+            inner = fc(np.array([side * (w - 1e-7)]))[0]
+            outer = side**k * fe(np.array([w + 1e-7]))[0]
             assert abs(inner - outer) < 1e-4
 
 
@@ -278,17 +283,96 @@ def test_w_mode_at_m0_is_q(name):
         assert np.all(w[-2:] == 0.125)
 
 
+def _glued(model, x, name):
+    """The log-warp's ``name`` (g, gp or gpp) on the line: each end's own
+    outside the core (end 1's gp with the sign of r = -x), the core
+    polynomial's inside."""
+    w = model.r0 / 2.0
+    out = np.empty_like(x)
+    right, left = x >= w, x <= -w
+    core = ~(right | left)
+    sign = -1.0 if name == "gp" else 1.0
+    out[right] = getattr(model.ends[0], name)(x[right])
+    out[left] = sign * getattr(model.ends[1], name)(-x[left])
+    out[core] = getattr(model._core, name)(x[core])
+    return out
+
+
+def _w_reference(model, m, x):
+    """W_m by its definition, term by term over the whole line: q_geo from
+    the glued g' and g'', each end's tail where side * x > 0, the core
+    term at every x, then the centrifugal term from the glued g."""
+    x = np.asarray(x, dtype=float)
+    gp, gpp = _glued(model, x, "gp"), _glued(model, x, "gpp")
+    q_geo = 0.25 * gpp + 0.125 * gp ** 2
+    v = np.zeros_like(x)
+    for side, end in zip((1.0, -1.0), model.ends):
+        if end.tail_amplitude != 0.0:
+            mask = side * x > 0
+            v[mask] += end.tail(side * x[mask])
+    if model.v_core is not None:
+        v = v + model.v_core(x)
+    w = q_geo + v
+    if m:
+        w = w + 0.5 * m**2 * np.exp(-2.0 * _glued(model, x, "g"))
+    return w
+
+
+def _layer_a_models(tmp_path):
+    """The presets; a config model with a conic end under a repulsive
+    tail, a hyperbolic end under an attractive one and a square plus
+    sampled core; and a model whose core term leaks past the glue."""
+    (tmp_path / "core.csv").write_text(
+        "-0.9,0\n-0.4,0.7\n0.1,-0.3\n0.6,0.2\n0.95,0\n")
+    text = ("[model]\nr0 = 2.5\n[ends.1]\nprofile = conic: 1.5\n"
+            "q1_amplitude = 0.7\nq1_power = 0.8\n[ends.2]\n"
+            "profile = hyperbolic\nq1_amplitude = -0.4\nq1_power = 1.5\n"
+            "[potential]\ncore = square: 1.2, 0.6\ntable = core.csv\n")
+    models = {name: make() for name, make in _CATALOGUE.items()}
+    models["config"] = parse_config(text, base=str(tmp_path)).model
+    models["leak"] = ManifoldModel(
+        [EndProfile.euclidean().with_tail(0.5, 1.2, 3.0),
+         EndProfile.hyperbolic()], r0=3.0, core_breakpoints=(-0.5,),
+        v_core=lambda x: 0.3 * np.exp(-np.asarray(x, dtype=float) ** 2 / 50.0))
+    return models
+
+
+def test_w_mode_is_its_definition_bit_for_bit(tmp_path):
+    """W_m (m = 0 ... 3) and q, glued once per piece, equal bit for bit W_m
+    summed term by term over the whole line, at the glue points, x = 0,
+    the core breakpoints, on a wide grid and at scalar x."""
+    for name, model in _layer_a_models(tmp_path).items():
+        w = model.r0 / 2.0
+        x = np.concatenate([[-w, w, 0.0], model.breakpoints(),
+                            np.linspace(-70.0, 70.0, 2801), [400.0, -400.0]])
+        scalars = [0.0, w, -w, 1.3, -5.5, *model.core_breakpoints]
+        for m in range(4):
+            got = model.w_mode(m, x)
+            assert got.tobytes() == _w_reference(model, m, x).tobytes(), (name, m)
+            for xs in scalars:
+                assert (np.asarray(model.w_mode(m, xs)).tobytes()
+                        == _w_reference(model, m, xs).tobytes()), (name, m, xs)
+        assert model.q(x).tobytes() == _w_reference(model, 0, x).tobytes()
+
+
 def test_square_barrier_in_core():
     m = model_d()
     x = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
-    assert np.allclose(m.potential(x), [0.0, 1.5, 1.5, 1.5, 0.0])
-    with pytest.raises(ValueError):
+    assert np.allclose(m.v_core(x), [0.0, 1.5, 1.5, 1.5, 0.0])
+    with pytest.raises(ValueError, match="must fit inside"):
         model_d(half_width=1.5)  # would poke out of the core
 
 
 def test_r0_validation():
-    with pytest.raises(ValueError):
-        ManifoldModel([EndProfile.flat(), EndProfile.flat()], r0=1.0)
+    """r0 lies in [2, 2048]: beyond 2048, every r_lambda >= 2 r0 exceeds
+    its cap of 4096."""
+    flat = [EndProfile.flat(), EndProfile.flat()]
+    with pytest.raises(ValueError, match="r0 must be >= 2"):
+        ManifoldModel(flat, r0=1.0)
+    for r0 in (2048.5, 1e40):
+        with pytest.raises(ValueError, match="r0 must be <= 2048"):
+            ManifoldModel(flat, r0=r0)
+    assert ManifoldModel(flat, r0=2048.0).r0 == 2048.0
     with pytest.raises(ValueError):
         ManifoldModel([EndProfile.flat()])
 

@@ -167,6 +167,19 @@ def test_evolution_config_validation(setup):
         EvolutionConfig(dt=100.0).validate(opd)  # dt * max|W| too large
 
 
+@pytest.mark.parametrize("n", [2**64, 2**64 + 3, 2**63, -1])
+def test_step_counts_outside_int64_are_refused(setup, n):
+    """ctypes passes the kernel's int64 count without a range check: 2**64
+    steps would take none, 2**64 + 3 would take 3, and a negative count
+    would return the state unchanged.  Each is refused instead, while
+    n = 0 is the identity."""
+    op, psi = setup
+    prop = Propagator(op, 0.02)
+    with pytest.raises(ValueError, match="0 to 2\\^63 - 1 steps"):
+        prop.step(psi, n)
+    assert np.array_equal(prop.step(psi, 0), psi)
+
+
 def test_evolve_zero_time_is_identity(setup):
     op, psi = setup
     out, diag = evolve(op, psi, 0.0)
